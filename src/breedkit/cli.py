@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import bench, fusion, geodata, kb, prefopt, spectral, structural
-from .errors import BreedkitError
+from .errors import BreedkitError, ParseError
 
 # MS band centers (nm) used when the config does not override wavelengths.
 MS_BAND_CENTERS_NM = {
@@ -86,9 +86,15 @@ def _load_config(args) -> dict:
 
 
 def _get(config: dict, path: str, kind=None, required=True, default=None):
+    """The value at a dotted ``path``; a segment ``key[i]`` indexes a list."""
     node = config
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
+    for key in path.replace("[", ".[").split("."):
+        if key.startswith("["):
+            key = int(key[1:-1])
+            present = isinstance(node, list) and key < len(node)
+        else:
+            present = isinstance(node, dict) and key in node
+        if not present:
             if required:
                 raise ConfigError(path, "missing required field")
             return default
@@ -188,12 +194,20 @@ def _load_hs_bands(config: dict) -> geodata.BandSet:
             raise ConfigError(f"extract.hs_bands[{i}]", "expected an object")
         if "path" not in entry or "wavelength_nm" not in entry:
             raise ConfigError(f"extract.hs_bands[{i}]", "need 'path' and 'wavelength_nm'")
-        if not os.path.isfile(entry["path"]):
-            raise ConfigError(f"extract.hs_bands[{i}].path", f"file not found: {entry['path']}")
-        grid = geodata.load_raster(entry["path"])
-        nm = float(entry["wavelength_nm"])
+        grid = geodata.load_raster(_get_path(config, f"extract.hs_bands[{i}].path"))
+        nm = _get_number(config, f"extract.hs_bands[{i}].wavelength_nm")
         bands[f"b{nm:g}"] = (grid, nm)
     return geodata.BandSet(bands=bands, sensor_kind="HS")
+
+
+def _measurement_number(rec: dict, key: str, lineno: int) -> float:
+    raw = (rec.get(key) or "").strip()
+    if not raw:
+        raise ParseError(f"missing {key}", line=lineno)
+    try:
+        return float(raw)
+    except ValueError:
+        raise ParseError(f"non-numeric {key}: {raw!r}", line=lineno)
 
 
 def _load_measurements(path: str) -> dict:
@@ -203,21 +217,26 @@ def _load_measurements(path: str) -> dict:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "plot_id" not in reader.fieldnames:
             raise BreedkitError(f"{path}: measurements CSV needs a plot_id column")
-        for rec in reader:
+        for lineno, rec in enumerate(reader, start=2):
             entry: dict = {}
             for key in ("SPAD", "LAI", "measured_CH"):
-                raw = (rec.get(key) or "").strip()
-                if raw:
-                    entry[key] = float(raw)
-            mass = (rec.get("raw_mass_kg") or "").strip()
-            if mass:
+                if (rec.get(key) or "").strip():
+                    entry[key] = _measurement_number(rec, key, lineno)
+            if (rec.get("raw_mass_kg") or "").strip():
                 entry["yield_kg_ha"] = fusion.standardize_yield(
-                    float(mass),
-                    float(rec["plot_area_ha"]),
-                    float(rec["moisture"]),
+                    _measurement_number(rec, "raw_mass_kg", lineno),
+                    _measurement_number(rec, "plot_area_ha", lineno),
+                    _measurement_number(rec, "moisture", lineno),
                 )
             out[rec["plot_id"].strip()] = entry
     return out
+
+
+def _cells_on(cells: dict, grid: geodata.RasterGrid, plot) -> geodata.PlotCells:
+    """``plot``'s cells on ``grid``, selected once per grid geometry into ``cells``."""
+    if grid.geometry not in cells:
+        cells[grid.geometry] = geodata.plot_cells(grid, plot)
+    return cells[grid.geometry]
 
 
 def _cmd_extract(config: dict) -> dict:
@@ -262,18 +281,26 @@ def _cmd_extract(config: dict) -> dict:
             vi_layers[f"{index_name}_HS"] = spectral.vi_map(hs, index_name, L=savi_l,
                                                             kndvi_sigma=kndvi_sigma)
 
+    for mask in (veg_mask, lodging_mask, weed_mask):
+        spectral.require_binary_mask(mask)
+
     records = []
     for plot in plots:
         features = {}
+        cells: dict = {}  # this plot's PlotCells per grid geometry
         restrict = veg_mask if restrict_vi else None
         for column, layer in vi_layers.items():
             features[column] = spectral.plot_statistic(
-                layer, plot, restrict_to=restrict, feature_name=column
+                layer, _cells_on(cells, layer.grid, plot), restrict_to=restrict,
+                feature_name=column,
             ).value
-        features["CH"] = structural.plot_canopy_height(chm, plot, percentile=ch_percentile).value
-        features["CV"] = structural.canopy_volume(chm, plot).volume
-        features["FVC"] = spectral.fvc(veg_mask, plot).value
-        features["PL_ratio"] = structural.classify_lodging(lodging_mask, plot).ratio
+        chm_cells = _cells_on(cells, chm.grid, plot)
+        features["CH"] = structural.plot_canopy_height(chm, chm_cells, percentile=ch_percentile).value
+        features["CV"] = structural.canopy_volume(chm, chm_cells).volume
+        features["FVC"] = spectral.fvc(veg_mask, _cells_on(cells, veg_mask, plot)).value
+        features["PL_ratio"] = structural.classify_lodging(
+            lodging_mask, _cells_on(cells, lodging_mask, plot)
+        ).ratio
         ring = geodata.buffer_ring(plot, ring_inner, ring_outer)
         features["WL_ratio"] = structural.classify_weed(weed_mask, plot, ring).ratio
         if plot.plot_id not in head_counts:

@@ -409,11 +409,11 @@ def kfold_cv(
         pred = model.predict(m.X[test_idx][:, keep])
         oof_pred[test_idx] = pred
         seen[test_idx] = True
-        rmse = float(np.sqrt(np.mean((m.y[test_idx] - pred) ** 2)))
         try:
             r2, rmse = metrics(m.y[test_idx], pred)
-        except UndefinedR2:
+        except UndefinedR2:  # zero-variance fold: RMSE is still defined
             r2 = None
+            rmse = float(np.sqrt(np.mean((m.y[test_idx] - pred) ** 2)))
         per_fold.append((fold_index, r2, rmse))
 
     assert seen.all(), "every row must receive exactly one out-of-fold prediction"

@@ -78,18 +78,23 @@ class RasterGrid:
         """Boolean array, True where a cell holds real data."""
         return self.values != self.nodata
 
-    def same_geometry(self, other: "RasterGrid") -> bool:
-        return (
-            self.values.shape == other.values.shape
-            and self.cell_size == other.cell_size
-            and self.origin_x == other.origin_x
-            and self.origin_y == other.origin_y
-        )
+    @property
+    def geometry(self) -> tuple:
+        """(shape, cell_size, origin_x, origin_y): the georeferencing layers must share."""
+        return (self.values.shape, self.cell_size, self.origin_x, self.origin_y)
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) arrays of cell-center coordinates, shape (n_rows, n_cols)."""
-        cols = np.arange(self.n_cols, dtype=np.float64)
-        rows = np.arange(self.n_rows, dtype=np.float64)
+    def same_geometry(self, other: "RasterGrid") -> bool:
+        return self.geometry == other.geometry
+
+    def cell_centers(
+        self, rows: slice = slice(None), cols: slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(X, Y) arrays of cell-center coordinates over the ``rows`` x ``cols`` window.
+
+        The default window is the whole grid, shape (n_rows, n_cols).
+        """
+        cols = np.arange(self.n_cols, dtype=np.float64)[cols]
+        rows = np.arange(self.n_rows, dtype=np.float64)[rows]
         x = self.origin_x + (cols + 0.5) * self.cell_size
         y = self.origin_y + (self.n_rows - rows - 0.5) * self.cell_size
         return np.meshgrid(x, y)
@@ -164,6 +169,12 @@ class PlotGeometry:
 
     def area(self) -> float:
         return _polygon_area(self.vertices)
+
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(min x, min y, max x, max y) of the vertices."""
+        lo = self.vertices.min(axis=0)
+        hi = self.vertices.max(axis=0)
+        return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
 
 
 def _polygon_area(vertices: np.ndarray) -> float:
@@ -284,6 +295,11 @@ class BufferRing:
         outside = ~self.plot.contains(px, py)
         return outside & (d > self.inner) & (d <= self.outer)
 
+    def bounds(self) -> tuple[float, float, float, float]:
+        """The plot's bounds padded by the outer width."""
+        x0, y0, x1, y1 = self.plot.bounds()
+        return x0 - self.outer, y0 - self.outer, x1 + self.outer, y1 + self.outer
+
 
 @dataclass(frozen=True)
 class UnionRegion:
@@ -294,6 +310,17 @@ class UnionRegion:
 
     def contains(self, px, py) -> np.ndarray:
         return self.a.contains(px, py) | self.b.contains(px, py)
+
+    def bounds(self) -> tuple[float, float, float, float] | None:
+        """Bounds enclosing both regions; None when either has none."""
+        a, b = _region_bounds(self.a), _region_bounds(self.b)
+        if a is None or b is None:
+            return None
+        return min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3])
+
+
+def _region_bounds(region):
+    return region.bounds() if hasattr(region, "bounds") else None
 
 
 def buffer_ring(plot: PlotGeometry, inner: float, outer: float) -> BufferRing:
@@ -529,18 +556,83 @@ def rasterize_elevation(cloud: PointCloud, cell_size: float, aggregator: str = "
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PlotCells:
+    """A region's cells on one grid geometry, selected once and reused per layer.
+
+    ``rows`` x ``cols`` is the window of the grid around the region's
+    bounding box (one cell of margin per edge, clipped to the grid);
+    ``member`` is True where a window cell's center lies in the region.
+    Reading ``window(grid)[member]`` gives the region's cells in the same
+    row-major order as a full-grid mask, so reductions over it are
+    bit-identical to reductions over the full grid.
+    """
+
+    plot_id: str | None
+    geometry: tuple  # RasterGrid.geometry of the grid the cells were selected on
+    rows: slice
+    cols: slice
+    member: np.ndarray  # bool, shape of the window
+
+    def window(self, grid: RasterGrid) -> np.ndarray:
+        """``grid``'s values inside the window; ``grid`` must have this geometry."""
+        if grid.geometry != self.geometry:
+            raise GeometryMismatch(
+                f"cells of region {self.plot_id} were selected on grid "
+                f"{self.geometry}, not {grid.geometry}"
+            )
+        return grid.values[self.rows, self.cols]
+
+
+def _index_window(lo: float, hi: float, n: int) -> slice:
+    """Indices 0..n-1 in the fractional range [lo, hi] plus one of margin per side.
+
+    The margin absorbs rounding in ``lo``/``hi``, which is far below a cell.
+    """
+    if not lo <= hi:  # empty range, or NaN georeferencing
+        return slice(0, 0)
+    start = int(np.clip(np.ceil(lo) - 1, 0, n))
+    stop = int(np.clip(np.floor(hi) + 2, start, n))
+    return slice(start, stop)
+
+
+def plot_cells(grid: RasterGrid, region) -> PlotCells:
+    """The cells of ``grid`` whose centers lie in ``region``.
+
+    ``region`` is a PlotGeometry, a BufferRing, a UnionRegion of those, or any
+    object with a vectorized ``contains(px, py)``; polygon boundaries count as
+    inside. Only the window around ``region.bounds()`` is tested (the whole
+    grid when the region has no bounds). Raises EmptyPlot when no cell of the
+    grid is selected.
+    """
+    rows, cols = slice(0, grid.n_rows), slice(0, grid.n_cols)
+    bounds = _region_bounds(region)
+    if bounds is not None:
+        x0, y0, x1, y1 = bounds
+        size = grid.cell_size
+        # inverse of the cell-center formula in the module docstring
+        cols = _index_window((x0 - grid.origin_x) / size - 0.5,
+                             (x1 - grid.origin_x) / size - 0.5, grid.n_cols)
+        rows = _index_window(grid.n_rows - 0.5 - (y1 - grid.origin_y) / size,
+                             grid.n_rows - 0.5 - (y0 - grid.origin_y) / size, grid.n_rows)
+    cx, cy = grid.cell_centers(rows, cols)
+    member = np.asarray(region.contains(cx, cy), dtype=bool)
+    name = getattr(region, "plot_id", None)
+    if not member.any():
+        raise EmptyPlot(f"region {name or type(region).__name__} selects no cells of the grid")
+    member.setflags(write=False)
+    return PlotCells(plot_id=name, geometry=grid.geometry, rows=rows, cols=cols, member=member)
+
+
 def plot_mask(grid: RasterGrid, region) -> RasterGrid:
     """Binary mask over ``grid``: 1 where the cell center lies in ``region``.
 
-    ``region`` is a PlotGeometry or any object with a vectorized
-    ``contains(px, py)``; polygon boundaries count as inside.
+    The full-grid form of ``plot_cells``; same regions, same EmptyPlot.
     """
-    cx, cy = grid.cell_centers()
-    member = region.contains(cx, cy)
-    if not member.any():
-        name = getattr(region, "plot_id", None) or type(region).__name__
-        raise EmptyPlot(f"region {name} selects no cells of the grid")
-    return grid.with_values(member.astype(np.float64), nodata=DEFAULT_NODATA)
+    cells = plot_cells(grid, region)
+    values = np.zeros(grid.values.shape)
+    values[cells.rows, cells.cols] = cells.member
+    return grid.with_values(values, nodata=DEFAULT_NODATA)
 
 
 # ---------------------------------------------------------------------------

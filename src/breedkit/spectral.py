@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPlot, InvalidInput, InvalidMask, MissingBand
-from .geodata import BandSet, PlotGeometry, RasterGrid, plot_mask, require_same_geometry
+from .geodata import BandSet, PlotCells, PlotGeometry, RasterGrid, plot_cells
 
 VI_NAMES = ("NDVI", "SAVI", "kNDVI", "NIRv", "PSRI")
 
@@ -171,56 +171,75 @@ def _as_grid(layer) -> RasterGrid:
     return layer.grid if isinstance(layer, VegetationIndexMap) else layer
 
 
-def _binary_mask_members(mask: RasterGrid) -> np.ndarray:
-    vals = mask.values
-    ok = (vals == 0.0) | (vals == 1.0) | (vals == mask.nodata)
+def _binary_members(values: np.ndarray, nodata: float) -> np.ndarray:
+    """True where mask ``values`` are 1; InvalidMask on anything but 0, 1 or nodata."""
+    ok = (values == 0.0) | (values == 1.0) | (values == nodata)
     if not ok.all():
-        bad = vals[~ok].flat[0]
+        bad = values[~ok].flat[0]
         raise InvalidMask(f"mask holds non-binary value {bad}")
-    return vals == 1.0
+    return values == 1.0
+
+
+def require_binary_mask(mask: RasterGrid) -> None:
+    """Raise InvalidMask unless every cell of ``mask`` is 0, 1 or nodata.
+
+    The per-plot functions below check only the window they read, so a
+    caller that reduces many plots over one mask validates it here once.
+    """
+    _binary_members(mask.values, mask.nodata)
+
+
+def _as_cells(grid: RasterGrid, plot) -> PlotCells:
+    """``plot``'s cells on ``grid``: PlotCells pass through, a PlotGeometry is selected."""
+    return plot if isinstance(plot, PlotCells) else plot_cells(grid, plot)
+
+
+def _positive_cells(mask: RasterGrid, cells: PlotCells) -> tuple[int, int]:
+    """(cells where the binary ``mask`` is 1, all cells) over ``cells``."""
+    positive = _binary_members(cells.window(mask), mask.nodata)
+    return int((cells.member & positive).sum()), int(cells.member.sum())
 
 
 def plot_statistic(
     layer,
-    plot: PlotGeometry,
+    plot: PlotGeometry | PlotCells,
     restrict_to: RasterGrid | None = None,
     feature_name: str | None = None,
 ) -> PlotStatistic:
     """Mean of a layer over the plot's cells.
 
-    ``restrict_to``: optional binary mask (e.g. vegetation segmentation);
-    when given, only cells where it equals 1 participate.
+    ``plot``: a PlotGeometry, or its PlotCells on the layer's grid geometry.
+    ``restrict_to``: optional binary mask (e.g. vegetation segmentation) on
+    the same geometry; when given, only cells where it equals 1 participate.
     """
     grid = _as_grid(layer)
     if feature_name is None:
         feature_name = layer.index_name if isinstance(layer, VegetationIndexMap) else "value"
-    member = plot_mask(grid, plot).values == 1.0
-    selected = member & grid.defined
+    cells = _as_cells(grid, plot)
+    window = cells.window(grid)
+    selected = cells.member & (window != grid.nodata)
     if restrict_to is not None:
-        require_same_geometry(grid, restrict_to)
-        selected &= _binary_mask_members(restrict_to)
-    vals = grid.values[selected]
+        selected &= _binary_members(cells.window(restrict_to), restrict_to.nodata)
+    vals = window[selected]
     if vals.size == 0:
-        raise EmptyPlot(f"plot {plot.plot_id}: no usable cells for {feature_name}")
+        raise EmptyPlot(f"plot {cells.plot_id}: no usable cells for {feature_name}")
     return PlotStatistic(
-        plot_id=plot.plot_id,
+        plot_id=cells.plot_id,
         feature_name=feature_name,
         value=float(np.mean(vals)),
         n_cells=int(vals.size),
     )
 
 
-def fvc(vegetation_mask: RasterGrid, plot: PlotGeometry) -> PlotStatistic:
+def fvc(vegetation_mask: RasterGrid, plot: PlotGeometry | PlotCells) -> PlotStatistic:
     """Fractional vegetation cover: vegetation cells / all plot cells.
 
     Nodata cells count in the denominator as non-vegetation.
     """
-    veg = _binary_mask_members(vegetation_mask)
-    member = plot_mask(vegetation_mask, plot).values == 1.0
-    n_plot = int(member.sum())
-    n_veg = int((member & veg).sum())
+    cells = _as_cells(vegetation_mask, plot)
+    n_veg, n_plot = _positive_cells(vegetation_mask, cells)
     return PlotStatistic(
-        plot_id=plot.plot_id,
+        plot_id=cells.plot_id,
         feature_name="FVC",
         value=n_veg / n_plot,
         n_cells=n_plot,

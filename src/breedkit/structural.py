@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, EmptyPlot, InvalidInput, ParseError
-from .geodata import (
-    PlotGeometry,
-    RasterGrid,
-    UnionRegion,
-    plot_mask,
-    require_same_geometry,
-)
-from .spectral import PlotStatistic, _binary_mask_members
+from .geodata import PlotCells, PlotGeometry, RasterGrid, UnionRegion, require_same_geometry
+from .spectral import PlotStatistic, _as_cells, _positive_cells
 
 DEFAULT_NOISE_FLOOR_M = 0.05
 
@@ -125,26 +119,31 @@ def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
     return float(ordered[rank - 1])
 
 
+def _defined_values(grid: RasterGrid, cells: PlotCells) -> np.ndarray:
+    """The non-nodata values of ``grid`` over ``cells``, in row-major order."""
+    window = cells.window(grid)
+    return window[cells.member & (window != grid.nodata)]
+
+
 def plot_canopy_height(
     chm: CanopyHeightModel,
-    plot: PlotGeometry,
+    plot: PlotGeometry | PlotCells,
     percentile: float = 0.95,
 ) -> PlotStatistic:
     """Percentile of canopy height over the plot cells (nearest-rank)."""
-    grid = chm.grid
-    member = plot_mask(grid, plot).values == 1.0
-    vals = grid.values[member & grid.defined]
+    cells = _as_cells(chm.grid, plot)
+    vals = _defined_values(chm.grid, cells)
     if vals.size == 0:
-        raise EmptyPlot(f"plot {plot.plot_id}: no defined canopy-height cells")
+        raise EmptyPlot(f"plot {cells.plot_id}: no defined canopy-height cells")
     return PlotStatistic(
-        plot_id=plot.plot_id,
+        plot_id=cells.plot_id,
         feature_name="CH",
         value=nearest_rank_percentile(vals, percentile),
         n_cells=int(vals.size),
     )
 
 
-def canopy_volume(surface, plot: PlotGeometry) -> CanopyVolumeResult:
+def canopy_volume(surface, plot: PlotGeometry | PlotCells) -> CanopyVolumeResult:
     """Cut-and-fill volume of a surface over a plot.
 
     For each reference plane z_ref in {min z, mean z over the plot cells},
@@ -152,10 +151,10 @@ def canopy_volume(surface, plot: PlotGeometry) -> CanopyVolumeResult:
     is the average of the two.
     """
     grid = surface.grid if isinstance(surface, CanopyHeightModel) else surface
-    member = plot_mask(grid, plot).values == 1.0
-    z = grid.values[member & grid.defined]
+    cells = _as_cells(grid, plot)
+    z = _defined_values(grid, cells)
     if z.size == 0:
-        raise EmptyPlot(f"plot {plot.plot_id}: no defined surface cells")
+        raise EmptyPlot(f"plot {cells.plot_id}: no defined surface cells")
     cell_area = grid.cell_size * grid.cell_size
     v_low = float(np.sum(np.abs(z - z.min())) * cell_area)
     v_mean = float(np.sum(np.abs(z - np.mean(z))) * cell_area)
@@ -193,17 +192,14 @@ def weed_level(ratio: float) -> str:
 
 
 def _region_ratio(mask: RasterGrid, region) -> float:
-    """positive-mask cells / all cells, over the region's cell selection."""
-    positive = _binary_mask_members(mask)
-    member = plot_mask(mask, region).values == 1.0
-    n_all = int(member.sum())
-    n_pos = int((member & positive).sum())
+    """positive-mask cells / all cells, over the region's cells (PlotCells or a region)."""
+    n_pos, n_all = _positive_cells(mask, _as_cells(mask, region))
     return n_pos / n_all
 
 
 def classify_lodging(
     lodging_mask: RasterGrid,
-    plot: PlotGeometry,
+    plot: PlotGeometry | PlotCells,
     special: bool = False,
 ) -> CategoricalLevel:
     """Lodging level from the lodged-pixel ratio inside the plot."""

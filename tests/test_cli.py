@@ -104,6 +104,70 @@ class TestExtract:
         assert got != golden  # restricting to vegetation pixels shifts the means
 
 
+class TestExtractErrorContract:
+    def run_extract(self, config, tmp_path, capsys):
+        cfg = write_config(config, tmp_path / "cfg.json")
+        rc = cli.main(["extract", "--config", cfg])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        return rc, json.loads(lines[0])
+
+    def test_non_binary_mask_cell_outside_every_plot(self, tmp_path, capsys):
+        lines = open(scene_path("weed_mask.asc")).read().splitlines()
+        header = 6  # top data row is y ~ 4.9 m, far above every plot and its ring
+        row = lines[header].split()
+        row[0] = "0.5"
+        lines[header] = " ".join(row)
+        mask = tmp_path / "weed_mask.asc"
+        mask.write_text("\n".join(lines) + "\n")
+        config = extract_config(tmp_path / "out")
+        config["extract"]["weed_mask"] = str(mask)
+        rc, summary = self.run_extract(config, tmp_path, capsys)
+        assert rc == 1
+        assert summary["error"] == "InvalidMask"
+        assert "0.5" in summary["message"]
+
+    @pytest.mark.parametrize("column", [
+        "SPAD", "LAI", "measured_CH", "raw_mass_kg", "plot_area_ha", "moisture",
+    ])
+    def test_non_numeric_measurement_is_a_parse_error(self, column, tmp_path, capsys):
+        rows = open(scene_path("measurements.csv")).read().splitlines()
+        header = rows[0].split(",")
+        cells = rows[2].split(",")
+        cells[header.index(column)] = "n/a"
+        rows[2] = ",".join(cells)
+        path = tmp_path / "measurements.csv"
+        path.write_text("\n".join(rows) + "\n")
+        config = extract_config(tmp_path / "out")
+        config["extract"]["measurements"] = str(path)
+        rc, summary = self.run_extract(config, tmp_path, capsys)
+        assert rc == 1
+        assert summary["error"] == "ParseError"
+        assert summary["message"].startswith("line 3:")
+        assert column in summary["message"]
+
+    @pytest.mark.parametrize("column", ["plot_area_ha", "moisture"])
+    def test_yield_columns_required_with_raw_mass(self, column, tmp_path, capsys):
+        rows = [line.split(",") for line in open(scene_path("measurements.csv")).read().splitlines()]
+        drop = rows[0].index(column)
+        path = tmp_path / "measurements.csv"
+        path.write_text("".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows))
+        config = extract_config(tmp_path / "out")
+        config["extract"]["measurements"] = str(path)
+        rc, summary = self.run_extract(config, tmp_path, capsys)
+        assert rc == 1
+        assert summary["error"] == "ParseError"
+        assert summary["message"] == f"line 2: missing {column}"
+
+    def test_non_numeric_wavelength_names_its_field(self, tmp_path, capsys):
+        config = extract_config(tmp_path / "out")
+        config["extract"]["hs_bands"][2]["wavelength_nm"] = "650nm"
+        rc, summary = self.run_extract(config, tmp_path, capsys)
+        assert rc == 2
+        assert summary["status"] == "config_error"
+        assert summary["field"] == "extract.hs_bands[2].wavelength_nm"
+
+
 class TestFuse:
     @pytest.fixture
     def features_csv(self, tmp_path, capsys):

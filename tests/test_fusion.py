@@ -254,6 +254,12 @@ class TestKfoldCv:
         assert result.pooled_r2 > 0.99
         assert all(r2 is None for _, r2, _ in result.per_fold)  # 1-row folds
 
+    def test_single_row_folds_report_absolute_error_as_rmse(self):
+        m = planted_matrix(np.random.default_rng(14), n=5, noise=1.0)
+        result = fusion.kfold_cv(m, k=5, lam=1.0, seed=2)
+        fold_rmse = sorted(rmse for _, _, rmse in result.per_fold)
+        assert fold_rmse == sorted(abs(meas - pred) for _, _, meas, pred, _ in result.rows)
+
     def test_same_seed_identical_results(self):
         m = planted_matrix(np.random.default_rng(13), n=24, noise=1.0)
         a = fusion.kfold_cv(m, k=4, lam=1.0, seed=42)

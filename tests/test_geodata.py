@@ -367,6 +367,102 @@ class TestBufferRing:
         assert not union.contains(np.array(1.5), np.array(0.5))
 
 
+def random_region(rng, grid, kind, through_centers):
+    """A random plot, ring or plot-plus-ring region sized and placed around ``grid``.
+
+    Placement ranges from wholly inside to wholly off the grid. With
+    ``through_centers`` every vertex sits exactly on a cell center, so edges
+    pass through centers.
+    """
+    n_rows, n_cols = grid.values.shape
+    scale = rng.uniform(0.2, 1.5) * min(n_rows, n_cols) / 6.0  # cells per polygon unit
+    offset = rng.uniform(-1.2, 1.0, 2) * (n_cols, n_rows)
+    xy = random_simple_polygon(rng, concave=bool(rng.integers(2))).vertices * scale + offset
+    if through_centers:
+        xy = np.floor(xy) + 0.5  # same arithmetic as the cell-center formula
+    vertices = np.column_stack([
+        grid.origin_x + xy[:, 0] * grid.cell_size,
+        grid.origin_y + xy[:, 1] * grid.cell_size,
+    ])
+    plot = geodata.PlotGeometry("r", "g", vertices)
+    if kind == "plot":
+        return plot
+    inner = rng.uniform(0.0, 2.0) * grid.cell_size
+    ring = geodata.buffer_ring(plot, inner, inner + rng.uniform(0.1, 4.0) * grid.cell_size)
+    return ring if kind == "ring" else geodata.UnionRegion(plot, ring)
+
+
+class TestPlotCells:
+    @pytest.mark.parametrize("origin, cell_size", [
+        ((0.0, 0.0), 0.5),
+        ((500123.37, 4100456.11), 0.05),
+        ((500123.37, 4100456.11), 1.0 / 3.0),
+    ])
+    def test_window_selection_equals_full_grid_test(self, origin, cell_size):
+        rng = np.random.default_rng(2024)
+        grid = make_grid(np.zeros((20, 28)), cell_size=cell_size, origin=origin)
+        cx, cy = grid.cell_centers()
+        outcomes = {"empty": 0, "selected": 0}
+        cases = 0
+        while cases < 600:
+            kind = ("plot", "ring", "plot+ring")[cases % 3]
+            try:
+                region = random_region(rng, grid, kind, through_centers=cases % 2 == 0)
+            except InvalidInput:  # snapping made the polygon degenerate
+                continue
+            cases += 1
+            expected = region.contains(cx, cy)
+            try:
+                cells = geodata.plot_cells(grid, region)
+            except EmptyPlot:
+                assert not expected.any()
+                outcomes["empty"] += 1
+                continue
+            got = np.zeros(grid.values.shape, dtype=bool)
+            got[cells.rows, cells.cols] = cells.member
+            assert np.array_equal(got, expected)
+            assert np.array_equal(geodata.plot_mask(grid, region).values == 1.0, expected)
+            outcomes["selected"] += 1
+        assert min(outcomes.values()) > 50
+
+    def test_plot_matches_oracle_with_edges_through_centers(self):
+        grid = make_grid(np.zeros((6, 6)), cell_size=0.05, origin=(500123.37, 4100456.11))
+        cx, cy = grid.cell_centers()
+        # corners on the centers of cells (1, 1) and (4, 3): edges run through centers
+        plot = geodata.PlotGeometry("p", "g", np.array([
+            [cx[4, 1], cy[4, 1]], [cx[4, 3], cy[4, 3]], [cx[1, 3], cy[1, 3]], [cx[1, 1], cy[1, 1]],
+        ]))
+        cells = geodata.plot_cells(grid, plot)
+        got = np.zeros((6, 6), dtype=bool)
+        got[cells.rows, cells.cols] = cells.member
+        expected = np.array([[point_in_polygon_oracle(float(cx[i, j]), float(cy[i, j]), plot.vertices)
+                              for j in range(6)] for i in range(6)])
+        assert np.array_equal(got, expected)
+        assert got.sum() == 12
+
+    def test_window_is_the_bounding_box_plus_margin(self):
+        grid = make_grid(np.zeros((100, 100)))
+        cells = geodata.plot_cells(grid, square_plot(10.0, 20.0, 15.0, 22.0, plot_id="p7"))
+        assert cells.plot_id == "p7"
+        assert cells.member.shape == (4, 7)  # 2 x 5 centers inside, one cell of margin per side
+        assert int(cells.member.sum()) == 10
+
+    def test_ring_window_is_padded_by_outer_width(self):
+        grid = make_grid(np.zeros((100, 100)))
+        plot = square_plot(10.0, 20.0, 15.0, 22.0)
+        ring = geodata.buffer_ring(plot, 0.0, 3.0)
+        cells = geodata.plot_cells(grid, geodata.UnionRegion(plot, ring))
+        assert cells.member.shape == (10, 13)  # 8 x 11 centers within 3 of the plot
+
+    def test_window_reads_other_layers_of_the_same_geometry_only(self):
+        grid = make_grid(np.arange(16.0).reshape(4, 4))
+        cells = geodata.plot_cells(grid, square_plot(1.0, 1.0, 3.0, 3.0))
+        same = grid.with_values(grid.values * 2)
+        assert cells.window(same)[cells.member].tolist() == [10.0, 12.0, 18.0, 20.0]
+        with pytest.raises(GeometryMismatch):
+            cells.window(make_grid(np.zeros((4, 4)), origin=(0.5, 0.0)))
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------

@@ -258,6 +258,39 @@ class TestPlotStatistic:
             assert stat.n_cells == len(selected)
 
 
+    def test_plot_cells_give_the_same_statistic(self):
+        rng = np.random.default_rng(21)
+        grid = make_grid(rng.normal(size=(10, 10)), cell_size=0.6)
+        veg = grid.with_values((rng.random((10, 10)) < 0.7).astype(float))
+        for trial in range(25):
+            plot = random_simple_polygon(rng, concave=trial % 2 == 0)
+            try:
+                cells = geodata.plot_cells(grid, plot)
+            except EmptyPlot:
+                continue
+            for restrict in (None, veg):
+                try:
+                    want = spectral.plot_statistic(grid, plot, restrict_to=restrict)
+                except EmptyPlot:
+                    continue
+                assert spectral.plot_statistic(grid, cells, restrict_to=restrict) == want
+            assert spectral.fvc(veg, cells) == spectral.fvc(veg, plot)
+
+    def test_plot_cells_of_another_geometry_rejected(self):
+        grid = make_grid(np.ones((4, 4)))
+        cells = geodata.plot_cells(grid, square_plot(0.0, 0.0, 2.0, 2.0))
+        with pytest.raises(GeometryMismatch):
+            spectral.plot_statistic(make_grid(np.ones((4, 4)), cell_size=0.5), cells)
+
+    def test_mask_checked_only_over_the_plot_window(self):
+        values = np.zeros((8, 8))
+        values[0, 7] = 0.5  # far from the plot
+        mask = make_grid(values)
+        assert spectral.fvc(mask, square_plot(0.0, 0.0, 2.0, 2.0)).value == 0.0
+        with pytest.raises(InvalidMask):
+            spectral.require_binary_mask(mask)
+
+
 class TestFvc:
     def test_quarter_coverage(self):
         mask = make_grid(np.array([[1.0, 0.0], [0.0, 0.0]]))

@@ -205,6 +205,18 @@ class TestWeed:
         assert level.level == "severe"
 
 
+class TestPlotCellsInput:
+    def test_structural_features_identical_from_plot_cells(self):
+        rng = np.random.default_rng(8)
+        chm = structural.CanopyHeightModel(make_grid(rng.uniform(0.0, 1.0, (10, 10)), cell_size=0.4))
+        lodging = chm.grid.with_values((rng.random((10, 10)) < 0.5).astype(float))
+        plot = square_plot(0.5, 0.9, 3.1, 2.7)
+        cells = geodata.plot_cells(chm.grid, plot)
+        assert structural.plot_canopy_height(chm, cells) == structural.plot_canopy_height(chm, plot)
+        assert structural.canopy_volume(chm, cells) == structural.canopy_volume(chm, plot)
+        assert structural.classify_lodging(lodging, cells) == structural.classify_lodging(lodging, plot)
+
+
 class TestWheatHeadDensity:
     def test_constructed_unit_footprint(self):
         fov = math.degrees(2 * math.atan(1 / 6))
