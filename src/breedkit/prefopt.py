@@ -10,6 +10,9 @@ exactly computable and gradient-checkable:
   * combined reward: r(x, y) = r(x, y) - beta * (log pi(y|x) - log ref(y|x))
   * policy updates: clipped-surrogate policy gradient (PPO-style) on the
     combined reward, seeded sampling, plain gradient ascent
+  * KL(pi || ref) diagnostic: chain rule over answer prefixes,
+    sum_prefix pi(prefix) * KL(pi(.|prefix) || ref(.|prefix)), exact while the
+    prefix states sum_{t<T} V**t fit a budget, sampled past it
 
 The reward model is linear in prompt/answer token-count features, so its
 gradient is exact as well. Training loops are single-threaded and
@@ -33,8 +36,15 @@ from .errors import (
     ParseError,
 )
 
-# exact KL is enumerated over all V**T answers up to this budget
+# mean_kl is exact while the prefix states sum_{t<T} V**t (one softmax row per
+# model each) fit this budget; past it, it samples answers
 _EXACT_KL_BUDGET = 4096
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log softmax along the last axis (one row, or a stack of rows)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _as_tokens(seq, vocab_size: int, what: str) -> tuple:
@@ -87,7 +97,10 @@ class PolicyModel:
             raise InvalidInput(
                 f"prefix length {len(prefix)} exceeds context_length {self.context_length}"
             )
-        key = (x, prefix)
+        return self._row((x, prefix))
+
+    def _row(self, key) -> np.ndarray:
+        """Logit row of an already validated (prompt, prefix) state."""
         row = self._rows.get(key)
         if row is None:
             row = self._make_row(key)
@@ -97,9 +110,7 @@ class PolicyModel:
         return row
 
     def log_softmax_row(self, x, prefix) -> np.ndarray:
-        logits = self.logits_row(x, prefix)
-        shifted = logits - logits.max()
-        return shifted - np.log(np.sum(np.exp(shifted)))
+        return _log_softmax(self.logits_row(x, prefix))
 
     def step_probabilities(self, x, prefix) -> np.ndarray:
         return np.exp(self.log_softmax_row(x, prefix))
@@ -134,7 +145,7 @@ class PolicyModel:
         copy._rows = {k: v.copy() for k, v in self._rows.items()}
         return copy
 
-    # -- sampling and enumeration --------------------------------------
+    # -- sampling -----------------------------------------------------
 
     def sample_answer(self, x, rng: np.random.Generator, length: int | None = None) -> tuple:
         length = self.context_length if length is None else length
@@ -143,16 +154,6 @@ class PolicyModel:
             probs = self.step_probabilities(x, answer)
             answer = answer + (int(rng.choice(self.vocab_size, p=probs)),)
         return answer
-
-    def enumerate_answers(self, length: int | None = None):
-        length = self.context_length if length is None else length
-        total = self.vocab_size ** length
-        if total > _EXACT_KL_BUDGET:
-            raise InvalidInput(f"answer space {total} too large to enumerate")
-        answers = [()]
-        for _ in range(length):
-            answers = [a + (v,) for a in answers for v in range(self.vocab_size)]
-        return answers
 
 
 def answer_log_prob(policy: PolicyModel, x, y) -> float:
@@ -296,27 +297,63 @@ def combined_reward(rm: RewardModel, policy: PolicyModel, reference: PolicyModel
         raise InvalidInput("beta must be >= 0")
     if not reference.frozen:
         raise InvalidInput("reference model must be frozen")
+    policy_logp = answer_log_prob(policy, x, y) if beta != 0.0 else 0.0
+    return _combined_reward(rm, reference, x, y, beta, policy_logp)
+
+
+def _combined_reward(rm: RewardModel, reference: PolicyModel, x, y, beta: float,
+                     policy_logp: float) -> float:
+    """combined_reward given log pi(y|x), which rlhf_step has already computed."""
     penalty = 0.0
     if beta != 0.0:
-        penalty = beta * (answer_log_prob(policy, x, y) - answer_log_prob(reference, x, y))
+        penalty = beta * (policy_logp - answer_log_prob(reference, x, y))
     return rm.score(x, y) - penalty
+
+
+def _exact_kl(policy: PolicyModel, reference: PolicyModel, x: tuple) -> float:
+    """KL(pi || ref) of the answers to prompt ``x`` by the chain rule.
+
+    Walks the prefix tree one level at a time. Each level stacks its rows into
+    one log softmax per model, adds sum_prefix pi(prefix) * sum_v
+    pi(v|prefix) * (log pi(v|prefix) - log ref(v|prefix)), and carries
+    pi(prefix + v) = pi(prefix) * pi(v|prefix) down to the next level.
+    """
+    vocab = range(policy.vocab_size)
+    prefixes = [()]
+    weights = np.ones(1)  # pi(prefix | x), in the order of ``prefixes``
+    kl = 0.0
+    for depth in range(policy.context_length):
+        log_pi = _log_softmax(np.array([policy._row((x, p)) for p in prefixes]))
+        log_ref = _log_softmax(np.array([reference._row((x, p)) for p in prefixes]))
+        step = np.exp(log_pi)
+        kl += float(weights @ np.sum(step * (log_pi - log_ref), axis=1))
+        if depth + 1 < policy.context_length:
+            weights = (weights[:, None] * step).ravel()
+            prefixes = [p + (v,) for p in prefixes for v in vocab]
+    return kl
 
 
 def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
             rng: np.random.Generator | None = None, n_samples: int = 256) -> float:
     """KL(pi || ref) of the answer distribution, averaged over prompts.
 
-    Exact enumeration when the answer space fits the budget; otherwise a
-    seeded sample estimate of E_pi[log pi - log ref].
+    Exact by the chain rule, KL = sum over prefixes shorter than T of
+    pi(prefix) * KL(pi(.|prefix) || ref(.|prefix)), while the number of prefix
+    states sum_{t<T} V**t fits the budget; it costs one softmax row per prefix
+    state and model. Past the budget, a sample estimate of E_pi[log pi - log
+    ref] over ``n_samples`` answers per prompt drawn with ``rng`` (seed 0 when
+    None). Every state the walk or the samples visit gets a policy row, as in
+    ``logits_row``.
     """
-    prompts = [tuple(int(t) for t in x) for x in prompts]
+    if (reference.vocab_size, reference.context_length) != (
+            policy.vocab_size, policy.context_length):
+        raise InvalidInput("policy and reference must share vocab_size and context_length")
+    prompts = [_as_tokens(x, policy.vocab_size, "prompt") for x in prompts]
+    n_states = sum(policy.vocab_size ** t for t in range(policy.context_length))
     total = 0.0
     for x in prompts:
-        if policy.vocab_size ** policy.context_length <= _EXACT_KL_BUDGET:
-            kl = 0.0
-            for y in policy.enumerate_answers():
-                lp = answer_log_prob(policy, x, y)
-                kl += float(np.exp(lp)) * (lp - answer_log_prob(reference, x, y))
+        if n_states <= _EXACT_KL_BUDGET:
+            kl = _exact_kl(policy, reference, x)
         else:
             if rng is None:
                 rng = np.random.default_rng(0)
@@ -350,6 +387,8 @@ class RLHFConfig:
             raise InvalidInput("learning_rate must be >= 0")
         if self.iterations < 0 or self.samples_per_prompt < 1 or self.epochs < 1:
             raise InvalidInput("iterations >= 0, samples_per_prompt >= 1, epochs >= 1")
+        if self.seed < 0:
+            raise InvalidInput("seed must be >= 0")  # numpy seeds are non-negative
 
 
 def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
@@ -373,18 +412,19 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
     for x in prompts:
         for _ in range(config.samples_per_prompt):
             y = policy.sample_answer(x, rng)
-            reward = combined_reward(rm, policy, reference, x, y, config.beta)
             old_logp = answer_log_prob(policy, x, y)
+            reward = _combined_reward(rm, reference, x, y, config.beta, old_logp)
             batch.append((x, y, old_logp, reward))
             rewards.append(reward)
 
     clip_lo, clip_hi = 1.0 - config.ppo_clip, 1.0 + config.ppo_clip
     clipped = 0
     total = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         grads: dict[tuple, np.ndarray] = {}
         for x, y, old_logp, advantage in batch:
-            new_logp = answer_log_prob(policy, x, y)
+            # the policy first changes at the end of epoch 0
+            new_logp = old_logp if epoch == 0 else answer_log_prob(policy, x, y)
             ratio = float(np.exp(new_logp - old_logp))
             total += 1
             if not (clip_lo <= ratio <= clip_hi):
@@ -406,10 +446,13 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
                 raise NumericalError("non-finite policy gradient", iteration=iteration)
         policy.apply_gradient(grads, config.learning_rate)
 
+    # the diagnostic draws (past the exact budget) from its own generator, so
+    # it cannot change the training samples
+    kl_rng = np.random.default_rng([config.seed, iteration])
     return {
         "iteration": iteration,
         "mean_reward": float(np.mean(rewards)),
-        "mean_kl": mean_kl(policy, reference, prompts, rng=rng),
+        "mean_kl": mean_kl(policy, reference, prompts, rng=kl_rng),
         "clip_fraction": clipped / total if total else 0.0,
     }
 
@@ -571,21 +614,56 @@ def save_policy(policy: PolicyModel, path) -> None:
         fh.write("\n")
 
 
+def _load_model_json(path, keys: tuple) -> dict:
+    """A model file's JSON object; ParseError naming the file unless every key is there."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: bad JSON: {exc.msg}", line=exc.lineno)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text")
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in payload:
+            raise ParseError(f"{path}: missing key {key!r}")
+    return payload
+
+
+def _model_value(path, what: str, value, kind):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{path}: non-numeric {what}: {value!r}")
+
+
+def _model_row(path, what: str, values, length: int) -> np.ndarray:
+    if not isinstance(values, list):
+        raise ParseError(f"{path}: {what} must be a list")
+    if len(values) != length:
+        raise ParseError(f"{path}: {what} has {len(values)} entries, expected {length}")
+    return np.array([_model_value(path, what, v, float) for v in values], dtype=np.float64)
+
+
 def load_policy(path) -> PolicyModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _load_model_json(
+        path, ("vocab_size", "context_length", "init_scale", "seed", "role", "rows"))
     policy = PolicyModel(
-        vocab_size=int(payload["vocab_size"]),
-        context_length=int(payload["context_length"]),
-        init_scale=float(payload["init_scale"]),
-        seed=int(payload["seed"]),
+        vocab_size=_model_value(path, "vocab_size", payload["vocab_size"], int),
+        context_length=_model_value(path, "context_length", payload["context_length"], int),
+        init_scale=_model_value(path, "init_scale", payload["init_scale"], float),
+        seed=_model_value(path, "seed", payload["seed"], int),
         role=payload["role"],
     )
-    rows = {
-        _decode_state(k): np.array([float(v) for v in row], dtype=np.float64)
-        for k, row in payload["rows"].items()
-    }
-    policy._rows = rows
+    if not isinstance(payload["rows"], dict):
+        raise ParseError(f"{path}: rows must be an object")
+    for text, row in payload["rows"].items():
+        try:
+            key = _decode_state(text)
+        except ValueError:
+            raise ParseError(f"{path}: bad state {text!r}")
+        policy._rows[key] = _model_row(path, f"row {text!r}", row, policy.vocab_size)
     return policy
 
 
@@ -600,9 +678,7 @@ def save_reward_model(rm: RewardModel, path) -> None:
 
 
 def load_reward_model(path) -> RewardModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return RewardModel(
-        vocab_size=int(payload["vocab_size"]),
-        weights=[float(w) for w in payload["weights"]],
-    )
+    payload = _load_model_json(path, ("vocab_size", "weights"))
+    vocab_size = _model_value(path, "vocab_size", payload["vocab_size"], int)
+    weights = _model_row(path, "weights", payload["weights"], 2 * vocab_size + 1)
+    return RewardModel(vocab_size, weights=weights)

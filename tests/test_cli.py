@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from breedkit import cli
+from breedkit import cli, prefopt
 
 from conftest import (
     bench_config,
@@ -230,6 +230,78 @@ class TestPrefopt:
         cfg = write_config(config, tmp_path / "p.json")
         rc, summary = run_cli(["prefopt", "--config", cfg], capsys)
         assert rc == 2
+
+
+def _truncate(data):
+    return data[: len(data) // 2]
+
+
+def _edit_json(edit):
+    """Byte mutation: decode the JSON object, ``edit`` it in place, re-encode."""
+    def mutate(data):
+        payload = json.loads(data)
+        edit(payload)
+        return json.dumps(payload).encode()
+    return mutate
+
+
+def _text_in_row(payload):
+    next(iter(payload["rows"].values()))[0] = "abc"
+
+
+def _short_row(payload):
+    next(iter(payload["rows"].values())).pop()
+
+
+def _text_vocab_size(payload):
+    payload["vocab_size"] = "six"
+
+
+def _null_weight(payload):
+    payload["weights"][2] = None
+
+
+def _extra_weight(payload):
+    payload["weights"].append("0.0")
+
+
+class TestPrefoptModelFiles:
+    """A malformed policy/reference/reward file ends the ppo stage in exit 1, one stdout line."""
+
+    @pytest.mark.parametrize("name,mutate,detail", [
+        ("policy.json", _truncate, "bad JSON"),
+        ("policy.json", _edit_json(lambda p: p.pop("rows")), "missing key 'rows'"),
+        ("policy.json", _edit_json(_text_in_row), "non-numeric row"),
+        ("policy.json", _edit_json(_text_vocab_size), "non-numeric vocab_size"),
+        ("policy.json", _edit_json(_short_row), "has 5 entries, expected 6"),
+        ("reference.json", _truncate, "bad JSON"),
+        ("reference.json", lambda data: b"\xff" + data, "not UTF-8"),
+        ("reward.json", _truncate, "bad JSON"),
+        ("reward.json", _edit_json(lambda p: p.pop("weights")), "missing key 'weights'"),
+        ("reward.json", _edit_json(_null_weight), "non-numeric weights"),
+        ("reward.json", _edit_json(_extra_weight), "has 14 entries, expected 13"),
+    ])
+    def test_malformed_model_file_is_a_parse_error(self, name, mutate, detail, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        policy = prefopt.PolicyModel(vocab_size=6, context_length=2, init_scale=1.0, seed=13)
+        policy.logits_row((0, 1), ())
+        prefopt.save_policy(policy, out / "policy.json")
+        prefopt.save_policy(policy.snapshot(), out / "reference.json")
+        prefopt.save_reward_model(prefopt.RewardModel(6), out / "reward.json")
+        path = out / name
+        path.write_bytes(mutate(path.read_bytes()))
+        config = prefopt_config(out)
+        config["prefopt"]["stages"] = ["ppo"]
+        cfg = write_config(config, tmp_path / "p.json")
+        rc = cli.main(["prefopt", "--config", cfg])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        summary = json.loads(lines[0])
+        assert summary["error"] == "ParseError"
+        assert str(path) in summary["message"]
+        assert detail in summary["message"]
 
 
 class TestKb:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -413,6 +414,73 @@ class TestRlhf:
         assert {h["round"] for h in history} == {0, 1}
         # the oracle prefers token 0, so the policy should drift toward it
         assert min(policy.step_probabilities(x, ())[0] for x in prompts) > 0.5
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInput, match="seed"):
+            prefopt.RLHFConfig(seed=-1)
+
+
+def enumerated_kl(policy, reference, prompts):
+    """KL(pi || ref) averaged over prompts, summed over every answer."""
+    total = 0.0
+    for x in prompts:
+        for y in itertools.product(range(policy.vocab_size), repeat=policy.context_length):
+            logp = prefopt.answer_log_prob(policy, x, y)
+            total += math.exp(logp) * (logp - prefopt.answer_log_prob(reference, x, y))
+    return total / len(prompts)
+
+
+class TestMeanKl:
+    # (70, 2) has 4900 answers but 71 prefix states: exact under the 4096-state budget
+    @pytest.mark.parametrize("vocab_size,context_length", [(2, 1), (4, 2), (8, 3), (3, 5), (70, 2)])
+    def test_chain_rule_matches_enumeration(self, vocab_size, context_length):
+        policy = prefopt.PolicyModel(vocab_size, context_length, init_scale=1.5, seed=21)
+        reference = prefopt.PolicyModel(vocab_size, context_length, init_scale=0.8, seed=4,
+                                        role="reference")
+        rng = np.random.default_rng(vocab_size * 10 + context_length)
+        prompts = [tuple(int(t) for t in rng.integers(0, vocab_size, 2)) for _ in range(3)]
+        expected = enumerated_kl(policy, reference, prompts)
+        got = prefopt.mean_kl(policy, reference, prompts, rng=np.random.default_rng(0))
+        assert got > 0.0
+        # the two sums run in different orders (gaps seen here: <= 5e-15 relative)
+        assert abs(got - expected) <= 1e-12 + 1e-9 * abs(expected)
+        # the exact path draws nothing, so the generator cannot matter
+        assert prefopt.mean_kl(policy, reference, prompts, rng=np.random.default_rng(1)) == got
+
+    def test_policy_against_own_snapshot_is_exactly_zero(self):
+        policy = prefopt.PolicyModel(vocab_size=5, context_length=3, init_scale=2.0, seed=8)
+        policy.set_logits((1, 2), (4,), [3.0, -1.0, 0.5, 0.0, 2.0])
+        prompts = [(1, 2), (0,), (4, 4, 3)]
+        assert prefopt.mean_kl(policy, policy.snapshot(), prompts) == 0.0
+
+    def test_mismatched_reference_rejected(self):
+        policy = prefopt.PolicyModel(vocab_size=4, context_length=2)
+        reference = prefopt.PolicyModel(vocab_size=5, context_length=2, role="reference")
+        with pytest.raises(InvalidInput, match="vocab_size"):
+            prefopt.mean_kl(policy, reference, [(0,)])
+
+    def test_sampled_diagnostic_leaves_training_alone(self, monkeypatch):
+        # 1 + 20 + 400 + 8000 = 8421 prefix states: past the budget, so mean_kl samples
+        vocab_size, context_length = 20, 4
+        prompts = [(0, 1), (7,)]
+        config = prefopt.RLHFConfig(beta=0.1, learning_rate=0.5, ppo_clip=0.2,
+                                    iterations=3, seed=9, samples_per_prompt=4)
+
+        def train():
+            policy = prefopt.PolicyModel(vocab_size, context_length, init_scale=0.5, seed=5)
+            rm = prefopt.RewardModel(vocab_size)
+            rm.weights = np.random.default_rng(2).standard_normal(2 * vocab_size + 1)
+            return policy, prefopt.run_rlhf(policy, policy.snapshot(), rm, prompts, config)
+
+        policy, history = train()
+        with monkeypatch.context() as m:
+            m.setattr(prefopt, "mean_kl", lambda *args, **kwargs: 0.0)
+            bare_policy, bare_history = train()
+        assert all(np.isfinite(h["mean_kl"]) and h["mean_kl"] != 0.0 for h in history)
+        assert [h["mean_reward"] for h in history] == [h["mean_reward"] for h in bare_history]
+        # the diagnostic's samples add untouched rows, which read as the lazy default
+        for x, prefix in policy._rows.keys() | bare_policy._rows.keys():
+            assert np.array_equal(policy.logits_row(x, prefix), bare_policy.logits_row(x, prefix))
 
 
 class TestDatasetsAndPersistence:
