@@ -8,7 +8,7 @@ data" answer, never a fabricated one.
 
 import datetime
 
-from breedkit import kb
+from breedkit import bench, kb
 
 varieties = [
     kb.GermplasmRecord(
@@ -67,6 +67,6 @@ print("unknown observation point -> no records (not fabricated)")
 # Consistency check used by the price benchmark subtask: +-10 % inclusive.
 record = prices[0]
 for answer in (150.0, 165.0, 166.0):
-    verdict = kb.price_consistent(answer, record)
+    verdict = bench.within_relative_tolerance(answer, record.price)
     print(f"answer {answer:.0f} vs {record.price:.0f}: "
           f"{'consistent' if verdict else 'inconsistent'}")

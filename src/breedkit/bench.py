@@ -16,10 +16,10 @@ each, a ballot's score mass is (1 + x) * x / 2.
 
 from __future__ import annotations
 
-import csv
-import json
+import os
 from dataclasses import dataclass
 
+from ._io import csv_rows, write_csv, write_json
 from .errors import (
     EmptyInput,
     InvalidBallot,
@@ -420,31 +420,27 @@ def _opt_bool(raw, lineno):
 
 
 def load_trials(path) -> list[TrialRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"model_id", "task", "subtask", "question_id", "trial_index"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: need columns {sorted(needed)}", line=1)
-        trials = []
-        for i, rec in enumerate(reader, start=2):
-            try:
-                trials.append(
-                    TrialRecord(
-                        model_id=rec["model_id"].strip(),
-                        task_spec=TaskSpec(task=rec["task"].strip(), subtask=rec["subtask"].strip()),
-                        question_id=rec["question_id"].strip(),
-                        trial_index=int(rec["trial_index"]),
-                        answer_numeric=_opt_float(rec.get("answer_numeric")),
-                        answer_label=(rec.get("answer_label") or "").strip() or None,
-                        judged_correct=_opt_bool(rec.get("judged_correct"), i),
-                        reference_value=_opt_float(rec.get("reference_value")),
-                        reference_label=(rec.get("reference_label") or "").strip() or None,
-                        stability_protocol=(rec.get("stability_protocol") or "").strip() or None,
-                        text_pass=_opt_bool(rec.get("text_pass"), i),
-                    )
+    needed = ("model_id", "task", "subtask", "question_id", "trial_index")
+    trials = []
+    for i, rec in csv_rows(path, needed):
+        try:
+            trials.append(
+                TrialRecord(
+                    model_id=rec["model_id"].strip(),
+                    task_spec=TaskSpec(task=rec["task"].strip(), subtask=rec["subtask"].strip()),
+                    question_id=rec["question_id"].strip(),
+                    trial_index=int(rec["trial_index"]),
+                    answer_numeric=_opt_float(rec.get("answer_numeric")),
+                    answer_label=(rec.get("answer_label") or "").strip() or None,
+                    judged_correct=_opt_bool(rec.get("judged_correct"), i),
+                    reference_value=_opt_float(rec.get("reference_value")),
+                    reference_label=(rec.get("reference_label") or "").strip() or None,
+                    stability_protocol=(rec.get("stability_protocol") or "").strip() or None,
+                    text_pass=_opt_bool(rec.get("text_pass"), i),
                 )
-            except (ValueError, InvalidInput) as exc:
-                raise ParseError(f"bad trial row: {exc}", line=i)
+            )
+        except (ValueError, InvalidInput) as exc:
+            raise ParseError(f"bad trial row: {exc}", line=i)
     if not trials:
         raise EmptyInput(f"no trials in {path}")
     return trials
@@ -453,24 +449,18 @@ def load_trials(path) -> list[TrialRecord]:
 def load_ballots(path) -> list[ReasoningBallot]:
     """Ballot CSV rows (test_id, model_id, score [, axis]) grouped per test."""
     grouped: dict = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"test_id", "model_id", "score"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: need columns {sorted(needed)}", line=1)
-        has_axis = "axis" in reader.fieldnames
-        for i, rec in enumerate(reader, start=2):
-            test_id = rec["test_id"].strip()
-            axis = (rec.get("axis") or "").strip() if has_axis else ""
-            key = (test_id, axis or "overall")
-            entry = grouped.setdefault(key, {})
-            model = rec["model_id"].strip()
-            if model in entry:
-                raise ParseError(f"ballot {test_id}: duplicate model {model}", line=i)
-            try:
-                entry[model] = int(rec["score"])
-            except ValueError:
-                raise ParseError(f"non-integer score {rec['score']!r}", line=i)
+    for i, rec in csv_rows(path, ("test_id", "model_id", "score")):
+        test_id = rec["test_id"].strip()
+        axis = (rec.get("axis") or "").strip()
+        key = (test_id, axis or "overall")
+        entry = grouped.setdefault(key, {})
+        model = rec["model_id"].strip()
+        if model in entry:
+            raise ParseError(f"ballot {test_id}: duplicate model {model}", line=i)
+        try:
+            entry[model] = int(rec["score"])
+        except ValueError:
+            raise ParseError(f"non-integer score {rec['score']!r}", line=i)
     if not grouped:
         raise EmptyInput(f"no ballots in {path}")
     return [
@@ -481,15 +471,11 @@ def load_ballots(path) -> list[ReasoningBallot]:
 
 def write_report(report: BenchmarkReport, out_dir) -> dict:
     """Write report.json plus one CSV per figure family; returns the paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
     json_path = os.path.join(out_dir, "report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, report.to_json_dict())
     paths["report"] = json_path
 
     tables = (
@@ -499,10 +485,7 @@ def write_report(report: BenchmarkReport, out_dir) -> dict:
     )
     for name, header, rows in tables:
         path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        write_csv(path, header,
+                  ([repr(v) if isinstance(v, float) else v for v in row] for row in rows))
         paths[name] = path
     return paths

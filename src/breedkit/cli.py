@@ -13,12 +13,12 @@ Exit codes: 0 success, 1 module error (summary carries the error name),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 from . import bench, fusion, geodata, kb, prefopt, spectral, structural
+from ._io import csv_rows, write_csv, write_json
 from .errors import BreedkitError, ParseError
 
 # MS band centers (nm) used when the config does not override wavelengths.
@@ -138,26 +138,12 @@ def _output_dir(config: dict) -> str:
     return out
 
 
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +199,18 @@ def _measurement_number(rec: dict, key: str, lineno: int) -> float:
 def _load_measurements(path: str) -> dict:
     """plot_id -> {SPAD?, LAI?, measured_CH?, yield_kg_ha?}."""
     out: dict = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "plot_id" not in reader.fieldnames:
-            raise BreedkitError(f"{path}: measurements CSV needs a plot_id column")
-        for lineno, rec in enumerate(reader, start=2):
-            entry: dict = {}
-            for key in ("SPAD", "LAI", "measured_CH"):
-                if (rec.get(key) or "").strip():
-                    entry[key] = _measurement_number(rec, key, lineno)
-            if (rec.get("raw_mass_kg") or "").strip():
-                entry["yield_kg_ha"] = fusion.standardize_yield(
-                    _measurement_number(rec, "raw_mass_kg", lineno),
-                    _measurement_number(rec, "plot_area_ha", lineno),
-                    _measurement_number(rec, "moisture", lineno),
-                )
-            out[rec["plot_id"].strip()] = entry
+    for lineno, rec in csv_rows(path, ("plot_id",)):
+        entry: dict = {}
+        for key in ("SPAD", "LAI", "measured_CH"):
+            if (rec.get(key) or "").strip():
+                entry[key] = _measurement_number(rec, key, lineno)
+        if (rec.get("raw_mass_kg") or "").strip():
+            entry["yield_kg_ha"] = fusion.standardize_yield(
+                _measurement_number(rec, "raw_mass_kg", lineno),
+                _measurement_number(rec, "plot_area_ha", lineno),
+                _measurement_number(rec, "moisture", lineno),
+            )
+        out[rec["plot_id"].strip()] = entry
     return out
 
 
@@ -354,7 +336,7 @@ def _cmd_fuse(config: dict) -> dict:
     result = fusion.kfold_cv(matrix, k=k, lam=lam, seed=seed)
 
     metrics_path = os.path.join(out_dir, "metrics.json")
-    _write_json(metrics_path, {
+    write_json(metrics_path, {
         "domains": sorted(set(matrix.domains)),
         "n_plots": matrix.n_rows,
         "n_features": len(matrix.columns),
@@ -370,7 +352,7 @@ def _cmd_fuse(config: dict) -> dict:
         ],
     })
     scatter_path = os.path.join(out_dir, "scatter.csv")
-    _write_csv(
+    write_csv(
         scatter_path,
         ("plot_id", "germplasm_id", "measured", "predicted", "exceeds_4230_2"),
         ([pid, gid, _fmt(meas), _fmt(pred), _fmt(flag)]
@@ -416,8 +398,8 @@ def _cmd_prefopt(config: dict) -> dict:
             iterations=_get_int(config, "prefopt.sft.iterations", required=False, default=100),
         )
         diag_path = os.path.join(out_dir, "sft_diagnostics.csv")
-        _write_csv(diag_path, ("iteration", "loss"),
-                   ([h["iteration"], _fmt(h["loss"])] for h in history))
+        write_csv(diag_path, ("iteration", "loss"),
+                  ([h["iteration"], _fmt(h["loss"])] for h in history))
         prefopt.save_policy(policy, policy_path)
         prefopt.save_policy(policy.snapshot(), reference_path)
         outputs.update(sft_diagnostics=diag_path, policy=policy_path, reference=reference_path)
@@ -433,8 +415,8 @@ def _cmd_prefopt(config: dict) -> dict:
             iterations=_get_int(config, "prefopt.rm.iterations", required=False, default=100),
         )
         diag_path = os.path.join(out_dir, "rm_diagnostics.csv")
-        _write_csv(diag_path, ("iteration", "loss"),
-                   ([h["iteration"], _fmt(h["loss"])] for h in history))
+        write_csv(diag_path, ("iteration", "loss"),
+                  ([h["iteration"], _fmt(h["loss"])] for h in history))
         prefopt.save_reward_model(rm, reward_path)
         outputs.update(rm_diagnostics=diag_path, reward=reward_path)
         _log(f"prefopt rm: final loss {history[-1]['loss']:.6f}")
@@ -460,7 +442,7 @@ def _cmd_prefopt(config: dict) -> dict:
         )
         history = prefopt.run_rlhf(policy, reference, rm, prompts, ppo_config)
         diag_path = os.path.join(out_dir, "ppo_diagnostics.csv")
-        _write_csv(
+        write_csv(
             diag_path,
             ("iteration", "mean_reward", "mean_kl", "clip_fraction"),
             ([h["iteration"], _fmt(h["mean_reward"]), _fmt(h["mean_kl"]),
@@ -507,7 +489,7 @@ def _cmd_kb(config: dict) -> dict:
         criteria = [kb.parse_criterion(str(c)) for c in raw_criteria]
         hits = kb.screen_germplasm(records, criteria)
         path = os.path.join(out_dir, "screen_results.csv")
-        _write_csv(
+        write_csv(
             path,
             ("variety_name", "origin", "plant_height", "maturity", "crude_protein"),
             ([
@@ -529,7 +511,7 @@ def _cmd_kb(config: dict) -> dict:
             variety=_get(config, "kb.variety", kind=str, required=False),
         )
         path = os.path.join(out_dir, "price_results.csv")
-        _write_csv(
+        write_csv(
             path,
             ("observation_point", "variety_name", "price", "specification", "planting_area", "date"),
             ([r.observation_point, r.variety_name, _fmt(r.price), _fmt(r.specification),

@@ -9,7 +9,6 @@ cross-validation with normalization constants fit on the training folds only.
 
 from __future__ import annotations
 
-import csv
 import datetime as _dt
 import warnings
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kb
+from ._io import csv_rows, write_csv
 from .errors import (
     EmptyDataset,
     InvalidInput,
@@ -449,45 +449,39 @@ FEATURE_CSV_COLUMNS = (
 
 def write_feature_records(records, path) -> None:
     """Write PlotFeatureRecord rows with a fixed column order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FEATURE_CSV_COLUMNS)
-        for rec in records:
-            row = [rec.plot_id, rec.germplasm_id, rec.date, rec.site]
-            for name in RS_FEATURES + PHENOTYPING_FEATURES:
-                value = rec.features.get(name)
-                row.append("" if value is None else repr(float(value)))
-            row.append("" if rec.yield_kg_ha is None else repr(float(rec.yield_kg_ha)))
-            writer.writerow(row)
+    write_csv(path, FEATURE_CSV_COLUMNS, (_feature_row(rec) for rec in records))
+
+
+def _feature_row(rec: PlotFeatureRecord) -> list:
+    values = [rec.features.get(name) for name in RS_FEATURES + PHENOTYPING_FEATURES]
+    values.append(rec.yield_kg_ha)
+    return [rec.plot_id, rec.germplasm_id, rec.date, rec.site] + [
+        "" if value is None else repr(float(value)) for value in values
+    ]
 
 
 def load_feature_records(path) -> list[PlotFeatureRecord]:
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"plot_id", "germplasm_id", "date"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: need columns {sorted(needed)}", line=1)
-        for i, rec in enumerate(reader, start=2):
-            features = {}
-            for name in RS_FEATURES + PHENOTYPING_FEATURES:
-                raw = (rec.get(name) or "").strip()
-                if raw:
-                    try:
-                        features[name] = float(raw)
-                    except ValueError:
-                        raise ParseError(f"non-numeric {name}: {raw!r}", line=i)
-            raw_yield = (rec.get("yield_kg_ha") or "").strip()
-            records.append(
-                PlotFeatureRecord(
-                    plot_id=rec["plot_id"].strip(),
-                    germplasm_id=rec["germplasm_id"].strip(),
-                    date=rec["date"].strip(),
-                    site=(rec.get("site") or "").strip(),
-                    features=features,
-                    yield_kg_ha=float(raw_yield) if raw_yield else None,
-                )
+    for i, rec in csv_rows(path, ("plot_id", "germplasm_id", "date")):
+        features = {}
+        for name in RS_FEATURES + PHENOTYPING_FEATURES:
+            raw = (rec.get(name) or "").strip()
+            if raw:
+                try:
+                    features[name] = float(raw)
+                except ValueError:
+                    raise ParseError(f"non-numeric {name}: {raw!r}", line=i)
+        raw_yield = (rec.get("yield_kg_ha") or "").strip()
+        records.append(
+            PlotFeatureRecord(
+                plot_id=rec["plot_id"].strip(),
+                germplasm_id=rec["germplasm_id"].strip(),
+                date=rec["date"].strip(),
+                site=(rec.get("site") or "").strip(),
+                features=features,
+                yield_kg_ha=float(raw_yield) if raw_yield else None,
             )
+        )
     if not records:
         raise EmptyDataset(f"no feature rows in {path}")
     return records
@@ -496,25 +490,21 @@ def load_feature_records(path) -> list[PlotFeatureRecord]:
 def load_weather(path) -> list[WeatherRecord]:
     required = ("site", "date", "t_mean", "dew_point", "precip", "net_radiation", "wind_speed")
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-            raise ParseError(f"{path}: need columns {sorted(required)}", line=1)
-        for i, rec in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    WeatherRecord(
-                        site=rec["site"].strip(),
-                        date=str(_dt.date.fromisoformat(rec["date"].strip())),
-                        t_mean=float(rec["t_mean"]),
-                        dew_point=float(rec["dew_point"]),
-                        precip=float(rec["precip"]),
-                        net_radiation=float(rec["net_radiation"]),
-                        wind_speed=float(rec["wind_speed"]),
-                    )
+    for i, rec in csv_rows(path, required):
+        try:
+            rows.append(
+                WeatherRecord(
+                    site=rec["site"].strip(),
+                    date=str(_dt.date.fromisoformat(rec["date"].strip())),
+                    t_mean=float(rec["t_mean"]),
+                    dew_point=float(rec["dew_point"]),
+                    precip=float(rec["precip"]),
+                    net_radiation=float(rec["net_radiation"]),
+                    wind_speed=float(rec["wind_speed"]),
                 )
-            except (ValueError, InvalidInput) as exc:
-                raise ParseError(f"bad weather row: {exc}", line=i)
+            )
+        except (ValueError, InvalidInput) as exc:
+            raise ParseError(f"bad weather row: {exc}", line=i)
     if not rows:
         raise EmptyDataset(f"no weather rows in {path}")
     return rows

@@ -19,12 +19,12 @@ nothing here resamples implicitly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import csv_rows
 from .errors import (
     EmptyInput,
     EmptyPlot,
@@ -303,24 +303,27 @@ class BufferRing:
 
 @dataclass(frozen=True)
 class UnionRegion:
-    """Union of two regions, each anything with a ``contains(px, py)``."""
+    """A plot and one of its buffer rings: inside the plot, or in the ring.
 
-    a: object
-    b: object
+    The ring lies outside the plot, so the union is inside | (inner < d <= outer)
+    with d the distance to the plot boundary: one polygon test and one distance
+    per point.
+    """
+
+    plot: PlotGeometry
+    ring: BufferRing
+
+    def __post_init__(self):
+        if self.ring.plot is not self.plot:
+            raise InvalidInput("a UnionRegion's ring must be a ring of its plot")
 
     def contains(self, px, py) -> np.ndarray:
-        return self.a.contains(px, py) | self.b.contains(px, py)
+        d = distance_to_boundary(px, py, self.plot.vertices)
+        return self.plot.contains(px, py) | ((d > self.ring.inner) & (d <= self.ring.outer))
 
-    def bounds(self) -> tuple[float, float, float, float] | None:
-        """Bounds enclosing both regions; None when either has none."""
-        a, b = _region_bounds(self.a), _region_bounds(self.b)
-        if a is None or b is None:
-            return None
-        return min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3])
-
-
-def _region_bounds(region):
-    return region.bounds() if hasattr(region, "bounds") else None
+    def bounds(self) -> tuple[float, float, float, float]:
+        """The ring's bounds, which enclose the plot."""
+        return self.ring.bounds()
 
 
 def buffer_ring(plot: PlotGeometry, inner: float, outer: float) -> BufferRing:
@@ -599,22 +602,17 @@ def _index_window(lo: float, hi: float, n: int) -> slice:
 def plot_cells(grid: RasterGrid, region) -> PlotCells:
     """The cells of ``grid`` whose centers lie in ``region``.
 
-    ``region`` is a PlotGeometry, a BufferRing, a UnionRegion of those, or any
-    object with a vectorized ``contains(px, py)``; polygon boundaries count as
-    inside. Only the window around ``region.bounds()`` is tested (the whole
-    grid when the region has no bounds). Raises EmptyPlot when no cell of the
-    grid is selected.
+    ``region`` is a PlotGeometry, a BufferRing or a UnionRegion; polygon
+    boundaries count as inside. Only the window around ``region.bounds()`` is
+    tested. Raises EmptyPlot when no cell of the grid is selected.
     """
-    rows, cols = slice(0, grid.n_rows), slice(0, grid.n_cols)
-    bounds = _region_bounds(region)
-    if bounds is not None:
-        x0, y0, x1, y1 = bounds
-        size = grid.cell_size
-        # inverse of the cell-center formula in the module docstring
-        cols = _index_window((x0 - grid.origin_x) / size - 0.5,
-                             (x1 - grid.origin_x) / size - 0.5, grid.n_cols)
-        rows = _index_window(grid.n_rows - 0.5 - (y1 - grid.origin_y) / size,
-                             grid.n_rows - 0.5 - (y0 - grid.origin_y) / size, grid.n_rows)
+    x0, y0, x1, y1 = region.bounds()
+    size = grid.cell_size
+    # inverse of the cell-center formula in the module docstring
+    cols = _index_window((x0 - grid.origin_x) / size - 0.5,
+                         (x1 - grid.origin_x) / size - 0.5, grid.n_cols)
+    rows = _index_window(grid.n_rows - 0.5 - (y1 - grid.origin_y) / size,
+                         grid.n_rows - 0.5 - (y0 - grid.origin_y) / size, grid.n_rows)
     cx, cy = grid.cell_centers(rows, cols)
     member = np.asarray(region.contains(cx, cy), dtype=bool)
     name = getattr(region, "plot_id", None)
@@ -642,30 +640,22 @@ def plot_mask(grid: RasterGrid, region) -> RasterGrid:
 
 def load_plots(path) -> list[PlotGeometry]:
     """Read plot polygons from CSV (plot_id, germplasm_id, vertex_index, x, y)."""
-    required = {"plot_id", "germplasm_id", "vertex_index", "x", "y"}
     by_plot: dict[str, dict] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParseError(
-                f"plot CSV must have columns {sorted(required)}, got {reader.fieldnames}",
-                line=1,
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            pid = rec["plot_id"].strip()
-            if not pid:
-                raise ParseError("empty plot_id", line=lineno)
-            entry = by_plot.setdefault(pid, {"germplasm_id": rec["germplasm_id"].strip(), "vertices": {}})
-            if rec["germplasm_id"].strip() != entry["germplasm_id"]:
-                raise ParseError(f"plot {pid}: conflicting germplasm_id", line=lineno)
-            try:
-                idx = int(rec["vertex_index"])
-                xy = (float(rec["x"]), float(rec["y"]))
-            except (TypeError, ValueError):
-                raise ParseError(f"bad vertex row for plot {pid}", line=lineno)
-            if idx in entry["vertices"]:
-                raise ParseError(f"plot {pid}: duplicate vertex_index {idx}", line=lineno)
-            entry["vertices"][idx] = xy
+    for lineno, rec in csv_rows(path, ("plot_id", "germplasm_id", "vertex_index", "x", "y")):
+        pid = rec["plot_id"].strip()
+        if not pid:
+            raise ParseError("empty plot_id", line=lineno)
+        entry = by_plot.setdefault(pid, {"germplasm_id": rec["germplasm_id"].strip(), "vertices": {}})
+        if rec["germplasm_id"].strip() != entry["germplasm_id"]:
+            raise ParseError(f"plot {pid}: conflicting germplasm_id", line=lineno)
+        try:
+            idx = int(rec["vertex_index"])
+            xy = (float(rec["x"]), float(rec["y"]))
+        except (TypeError, ValueError):
+            raise ParseError(f"bad vertex row for plot {pid}", line=lineno)
+        if idx in entry["vertices"]:
+            raise ParseError(f"plot {pid}: duplicate vertex_index {idx}", line=lineno)
+        entry["vertices"][idx] = xy
     if not by_plot:
         raise EmptyInput(f"no plot rows in {path}")
     plots = []

@@ -1,16 +1,16 @@
-"""Structured knowledge base: germplasm traits, seed prices, technique docs.
+"""Structured knowledge base: germplasm traits and seed prices.
 
-Three read-only record stores loaded from UTF-8 CSV. Matching is exact-string
+Two read-only record stores loaded from UTF-8 CSV. Matching is exact-string
 or numeric only; Chinese and English values both pass through as opaque
 strings. Queries are pure and deterministic.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as _dt
 from dataclasses import dataclass, field
 
+from ._io import csv_rows
 from .errors import EmptyInput, InvalidInput, ParseError, UnknownField
 
 QUALITY_FIELDS = ("crude_protein", "lysine", "sedimentation_value")
@@ -76,23 +76,6 @@ class PriceRecord:
             raise InvalidInput("price must be > 0")
         if not self.specification > 0:
             raise InvalidInput("specification must be > 0")
-
-
-@dataclass(frozen=True)
-class DocRecord:
-    """One cultivation or plant-protection document."""
-
-    doc_id: str
-    category: str
-    title: str
-    body: str
-    source: str = ""
-
-    def __post_init__(self):
-        if self.category not in ("cultivation", "plant_protection"):
-            raise InvalidInput(f"doc category must be cultivation/plant_protection, got {self.category!r}")
-        if not self.body:
-            raise InvalidInput(f"doc {self.doc_id}: body must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -253,11 +236,6 @@ def query_price(records, observation_point: str, date, variety: str | None = Non
     )
 
 
-def price_consistent(answer_price: float, kb_record: PriceRecord) -> bool:
-    """True iff the answer is within +-10 % of the recorded price, inclusive."""
-    return abs(answer_price - kb_record.price) <= 0.10 * kb_record.price
-
-
 def _parse_date(date) -> _dt.date:
     if isinstance(date, _dt.date):
         return date
@@ -272,24 +250,10 @@ def _parse_date(date) -> _dt.date:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path, required: tuple) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-            raise ParseError(
-                f"{path}: need columns {sorted(required)}, got {reader.fieldnames}", line=1
-            )
-        rows = list(reader)
-    if not rows:
-        raise EmptyInput(f"no rows in {path}")
-    return rows
-
-
 def load_germplasm(path) -> list[GermplasmRecord]:
     """Read germplasm.csv; trait columns are optional and may be blank."""
-    rows = _read_rows(path, ("variety_name",))
     records = []
-    for rec in rows:
+    for _, rec in csv_rows(path, ("variety_name",)):
         quality = {}
         for key in QUALITY_FIELDS:
             num = _as_number(rec.get(key, ""))
@@ -312,13 +276,15 @@ def load_germplasm(path) -> list[GermplasmRecord]:
                 agronomic=agronomic,
             )
         )
+    if not records:
+        raise EmptyInput(f"no rows in {path}")
     return records
 
 
 def load_prices(path) -> list[PriceRecord]:
     required = ("observation_point", "variety_name", "price", "specification", "planting_area", "date")
     records = []
-    for i, rec in enumerate(_read_rows(path, required), start=2):
+    for i, rec in csv_rows(path, required):
         try:
             records.append(
                 PriceRecord(
@@ -332,23 +298,6 @@ def load_prices(path) -> list[PriceRecord]:
             )
         except (ValueError, InvalidInput) as exc:
             raise ParseError(f"bad price row: {exc}", line=i)
-    return records
-
-
-def load_docs(path) -> list[DocRecord]:
-    required = ("doc_id", "category", "title", "body")
-    records = []
-    for i, rec in enumerate(_read_rows(path, required), start=2):
-        try:
-            records.append(
-                DocRecord(
-                    doc_id=rec["doc_id"].strip(),
-                    category=rec["category"].strip(),
-                    title=rec["title"].strip(),
-                    body=rec["body"],
-                    source=rec.get("source", "").strip(),
-                )
-            )
-        except InvalidInput as exc:
-            raise ParseError(f"bad doc row: {exc}", line=i)
+    if not records:
+        raise EmptyInput(f"no rows in {path}")
     return records

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_json
 from .errors import (
     EmptyInput,
     InvalidInput,
@@ -144,6 +145,13 @@ class PolicyModel:
         copy.frozen = role == "reference"
         copy._rows = {k: v.copy() for k, v in self._rows.items()}
         return copy
+
+    def _frozen_view(self) -> "PolicyModel":
+        """Frozen model sharing this one's rows: reading it stores no new row."""
+        view = PolicyModel(self.vocab_size, self.context_length,
+                           init_scale=self.init_scale, seed=self.seed, role="reference")
+        view._rows = self._rows
+        return view
 
     # -- sampling -----------------------------------------------------
 
@@ -342,12 +350,13 @@ def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
     states sum_{t<T} V**t fits the budget; it costs one softmax row per prefix
     state and model. Past the budget, a sample estimate of E_pi[log pi - log
     ref] over ``n_samples`` answers per prompt drawn with ``rng`` (seed 0 when
-    None). Every state the walk or the samples visit gets a policy row, as in
-    ``logits_row``.
+    None). The policy's rows are read without storing the ones the walk or the
+    samples create, so its table stays as training left it.
     """
     if (reference.vocab_size, reference.context_length) != (
             policy.vocab_size, policy.context_length):
         raise InvalidInput("policy and reference must share vocab_size and context_length")
+    policy = policy._frozen_view()
     prompts = [_as_tokens(x, policy.vocab_size, "prompt") for x in prompts]
     n_states = sum(policy.vocab_size ** t for t in range(policy.context_length))
     total = 0.0
@@ -609,9 +618,7 @@ def save_policy(policy: PolicyModel, path) -> None:
             for k, row in policy._rows.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _load_model_json(path, keys: tuple) -> dict:
@@ -672,9 +679,7 @@ def save_reward_model(rm: RewardModel, path) -> None:
         "vocab_size": rm.vocab_size,
         "weights": [repr(float(w)) for w in rm.weights],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_reward_model(path) -> RewardModel:

@@ -11,12 +11,12 @@ functions of the ratio.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import csv_rows
 from .errors import EmptyInput, EmptyPlot, InvalidInput, ParseError
 from .geodata import PlotCells, PlotGeometry, RasterGrid, UnionRegion, require_same_geometry
 from .spectral import PlotStatistic, _as_cells, _positive_cells
@@ -252,19 +252,14 @@ def load_head_counts(path) -> dict:
     Returns plot_id -> list of counts in file order.
     """
     counts: dict[str, list[int]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"plot_id", "image_id", "count"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: need columns {sorted(needed)}", line=1)
-        for i, rec in enumerate(reader, start=2):
-            try:
-                value = int(rec["count"])
-            except ValueError:
-                raise ParseError(f"non-integer count {rec['count']!r}", line=i)
-            if value < 0:
-                raise ParseError("count must be >= 0", line=i)
-            counts.setdefault(rec["plot_id"].strip(), []).append(value)
+    for i, rec in csv_rows(path, ("plot_id", "image_id", "count")):
+        try:
+            value = int(rec["count"])
+        except ValueError:
+            raise ParseError(f"non-integer count {rec['count']!r}", line=i)
+        if value < 0:
+            raise ParseError("count must be >= 0", line=i)
+        counts.setdefault(rec["plot_id"].strip(), []).append(value)
     if not counts:
         raise EmptyInput(f"no head-count rows in {path}")
     return counts

@@ -176,6 +176,18 @@ class TestScoreStability:
             bench.within_relative_tolerance(1.0, 0.0)
 
 
+class TestWithinRelativeTolerance:
+    # the price-consistency boundaries, at a recorded price of 150
+    def test_identity(self):
+        assert bench.within_relative_tolerance(150.0, 150.0)
+
+    def test_exact_plus_ten_percent(self):
+        assert bench.within_relative_tolerance(165.0, 150.0)
+
+    def test_just_over_ten_percent(self):
+        assert not bench.within_relative_tolerance(166.0, 150.0)
+
+
 class TestScoreReasoning:
     def test_always_top_of_five(self):
         ballots = [

@@ -159,6 +159,17 @@ class TestExtractErrorContract:
         assert summary["error"] == "ParseError"
         assert summary["message"] == f"line 2: missing {column}"
 
+    def test_measurements_without_plot_id_is_a_parse_error(self, tmp_path, capsys):
+        rows = open(scene_path("measurements.csv")).read().splitlines()
+        path = tmp_path / "measurements.csv"
+        path.write_text("\n".join([rows[0].replace("plot_id", "plot")] + rows[1:]) + "\n")
+        config = extract_config(tmp_path / "out")
+        config["extract"]["measurements"] = str(path)
+        rc, summary = self.run_extract(config, tmp_path, capsys)
+        assert rc == 1
+        assert summary["error"] == "ParseError"
+        assert summary["message"].startswith(f"line 1: {path}: need columns ['plot_id']")
+
     def test_non_numeric_wavelength_names_its_field(self, tmp_path, capsys):
         config = extract_config(tmp_path / "out")
         config["extract"]["hs_bands"][2]["wavelength_nm"] = "650nm"

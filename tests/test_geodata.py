@@ -366,6 +366,23 @@ class TestBufferRing:
         assert union.contains(np.array(1.1), np.array(0.5))
         assert not union.contains(np.array(1.5), np.array(0.5))
 
+    def test_union_is_plot_or_ring(self):
+        rng = np.random.default_rng(7)
+        px, py = rng.uniform(-3.0, 9.0, (2, 20000))
+        for concave in (False, True):
+            plot = random_simple_polygon(rng, concave=concave)
+            ring = geodata.buffer_ring(plot, 0.2, 0.9)
+            union = geodata.UnionRegion(plot, ring)
+            expected = plot.contains(px, py) | ring.contains(px, py)
+            assert np.array_equal(union.contains(px, py), expected)
+            assert expected.sum() > 1000 and (~expected).sum() > 1000
+
+    def test_union_rejects_a_ring_of_another_plot(self):
+        plot = square_plot(0.0, 0.0, 1.0, 1.0)
+        twin = square_plot(0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(InvalidInput):
+            geodata.UnionRegion(plot, geodata.buffer_ring(twin, 0.0, 0.2))
+
 
 def random_region(rng, grid, kind, through_centers):
     """A random plot, ring or plot-plus-ring region sized and placed around ``grid``.

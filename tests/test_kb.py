@@ -182,17 +182,6 @@ class TestQueryPrice:
             kb.query_price(self.FIXTURE, "Miyun District", "last tuesday")
 
 
-class TestPriceConsistent:
-    def test_identity(self):
-        assert kb.price_consistent(150.0, price("P", "2024-06-01"))
-
-    def test_exact_plus_ten_percent(self):
-        assert kb.price_consistent(165.0, price("P", "2024-06-01"))
-
-    def test_just_over_ten_percent(self):
-        assert not kb.price_consistent(166.0, price("P", "2024-06-01"))
-
-
 class TestLoaders:
     def test_germplasm_csv(self, tmp_path):
         path = tmp_path / "germplasm.csv"
@@ -228,20 +217,3 @@ class TestLoaders:
         )
         with pytest.raises(ParseError):
             kb.load_prices(path)
-
-    def test_docs_csv(self, tmp_path):
-        path = tmp_path / "docs.csv"
-        path.write_text(
-            "doc_id,category,title,body,source\n"
-            'd1,cultivation,Sowing,"Sow winter wheat in October at 2-3 cm depth.",manual\n'
-            'd2,plant_protection,Rust control,"Apply fungicide at first sign of stripe rust.",manual\n'
-        )
-        docs = kb.load_docs(path)
-        assert docs[0].category == "cultivation"
-        assert "October" in docs[0].body
-
-    def test_docs_reject_bad_category(self, tmp_path):
-        path = tmp_path / "docs.csv"
-        path.write_text("doc_id,category,title,body\nd1,finance,T,B\n")
-        with pytest.raises(ParseError):
-            kb.load_docs(path)

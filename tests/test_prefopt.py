@@ -459,9 +459,8 @@ class TestMeanKl:
         with pytest.raises(InvalidInput, match="vocab_size"):
             prefopt.mean_kl(policy, reference, [(0,)])
 
-    def test_sampled_diagnostic_leaves_training_alone(self, monkeypatch):
-        # 1 + 20 + 400 + 8000 = 8421 prefix states: past the budget, so mean_kl samples
-        vocab_size, context_length = 20, 4
+    @staticmethod
+    def check_diagnostic_leaves_training_alone(monkeypatch, vocab_size, context_length):
         prompts = [(0, 1), (7,)]
         config = prefopt.RLHFConfig(beta=0.1, learning_rate=0.5, ppo_clip=0.2,
                                     iterations=3, seed=9, samples_per_prompt=4)
@@ -478,9 +477,18 @@ class TestMeanKl:
             bare_policy, bare_history = train()
         assert all(np.isfinite(h["mean_kl"]) and h["mean_kl"] != 0.0 for h in history)
         assert [h["mean_reward"] for h in history] == [h["mean_reward"] for h in bare_history]
-        # the diagnostic's samples add untouched rows, which read as the lazy default
-        for x, prefix in policy._rows.keys() | bare_policy._rows.keys():
-            assert np.array_equal(policy.logits_row(x, prefix), bare_policy.logits_row(x, prefix))
+        # the diagnostic reads rows without storing them: same table, same rows
+        assert policy._rows.keys() == bare_policy._rows.keys()
+        for key, row in policy._rows.items():
+            assert np.array_equal(row, bare_policy._rows[key])
+
+    def test_sampled_diagnostic_leaves_training_alone(self, monkeypatch):
+        # 1 + 20 + 400 + 8000 = 8421 prefix states: past the budget, so mean_kl samples
+        self.check_diagnostic_leaves_training_alone(monkeypatch, 20, 4)
+
+    def test_exact_diagnostic_leaves_training_alone(self, monkeypatch):
+        # 1 + 8 + 64 = 73 prefix states: inside the budget, so mean_kl walks them all
+        self.check_diagnostic_leaves_training_alone(monkeypatch, 8, 3)
 
 
 class TestDatasetsAndPersistence:
