@@ -20,11 +20,12 @@ nothing here resamples implicitly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import csv_rows
+from ._io import csv_rows, replacing
 from .errors import (
     EmptyInput,
     EmptyPlot,
@@ -422,7 +423,6 @@ def load_raster(path) -> RasterGrid:
                 raise ParseError(f"non-numeric NODATA_value: {parts[1]!r}", line=data_start + 1)
             data_start += 1
 
-    rows = []
     row_lines = [
         (i, ln) for i, ln in enumerate(lines[data_start:], start=data_start) if ln.strip()
     ]
@@ -431,6 +431,41 @@ def load_raster(path) -> RasterGrid:
             f"expected {n_rows} data rows, found {len(row_lines)}",
             line=len(lines),
         )
+    values = _read_numbers([ln for _, ln in row_lines], comments=None)
+    if values is None or values.shape != (n_rows, n_cols):
+        values = _parse_grid_rows(row_lines, n_cols)
+
+    return RasterGrid(
+        values=values,
+        cell_size=cell_size,
+        origin_x=origin_x,
+        origin_y=origin_y,
+        nodata=nodata,
+    )
+
+
+def _read_numbers(source, comments) -> np.ndarray | None:
+    """Whitespace-separated numbers as a 2-D float64 array, by numpy's C reader.
+
+    ``source`` is a list of lines or an open text file. Returns None where
+    the line parser must decide instead: a token numpy rejects, rows of
+    unequal length, no rows, or a non-finite value.
+    """
+    try:
+        values = np.loadtxt(source, dtype=np.float64, comments=comments, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[0] == 0 or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_grid_rows(row_lines, n_cols: int) -> np.ndarray:
+    """The parser of record for grid data rows, ``(index, line)`` pairs.
+
+    Accepts what Python's ``float`` accepts and names the first bad line.
+    """
+    rows = []
     for i, ln in row_lines:
         tokens = ln.split()
         if len(tokens) != n_cols:
@@ -445,19 +480,12 @@ def load_raster(path) -> RasterGrid:
             if not math.isfinite(v):
                 raise ParseError("non-finite cell value", line=i + 1)
         rows.append(row)
-
-    return RasterGrid(
-        values=np.array(rows, dtype=np.float64),
-        cell_size=cell_size,
-        origin_x=origin_x,
-        origin_y=origin_y,
-        nodata=nodata,
-    )
+    return np.array(rows, dtype=np.float64)
 
 
 def write_raster(grid: RasterGrid, path) -> None:
     """Write a grid as an ASCII grid; round-trips through load_raster exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(f"ncols {grid.n_cols}\n")
         fh.write(f"nrows {grid.n_rows}\n")
         fh.write(f"xllcorner {repr(grid.origin_x)}\n")
@@ -474,8 +502,44 @@ def write_raster(grid: RasterGrid, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+# A '#' that begins a line after spaces or tabs (the first line aside).
+_COMMENT_START = re.compile(r"\n[ \t]*#")
+# A line that begins, after spaces or tabs, with a character that can start a number.
+_DATA_START = re.compile(r"^[ \t]*[-+.0-9A-Za-z]", re.M)
+
+
 def load_point_cloud(path) -> PointCloud:
     """Read a plain-text point cloud: one "x y z" per line, '#' comments skipped."""
+    points = None
+    if _numpy_reads_like_lines(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            points = _read_numbers(fh, comments="#")
+    if points is None or points.shape[1] != 3:
+        points = _parse_cloud_lines(path)
+    return PointCloud(points=points)
+
+
+def _numpy_reads_like_lines(path) -> bool:
+    """Whether numpy's reader skips exactly the lines the line parser skips.
+
+    numpy ends a line at any '#', where the line parser skips only lines that
+    begin with one, so every '#' must begin a line. A file with no data line
+    is left to the line parser, whose EmptyInput needs no numpy warning.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return False
+    first = re.match(r"[ \t]*#", text) is not None
+    return (
+        text.count("#") == len(_COMMENT_START.findall(text)) + first
+        and _DATA_START.search(text) is not None
+    )
+
+
+def _parse_cloud_lines(path) -> np.ndarray:
+    """The parser of record for point clouds; names the first bad line."""
     points = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, start=1):
@@ -493,11 +557,11 @@ def load_point_cloud(path) -> PointCloud:
                 raise ParseError(f"non-numeric coordinate: {stripped!r}", line=lineno)
     if not points:
         raise EmptyInput(f"no points in {path}")
-    return PointCloud(points=np.array(points, dtype=np.float64))
+    return np.array(points, dtype=np.float64)
 
 
 def write_point_cloud(cloud: PointCloud, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for x, y, z in cloud.points:
             fh.write(f"{repr(float(x))} {repr(float(y))} {repr(float(z))}\n")
 

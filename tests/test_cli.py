@@ -368,6 +368,31 @@ class TestKb:
         rows = open(summary["outputs"]["results"]).read().splitlines()
         assert len(rows) == 1  # header only
 
+    def test_price_row_missing_cells_is_a_parse_error(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(
+            "observation_point,variety_name,price,specification,planting_area,date\n"
+            "Miyun District,Nongda 3486,150\n",
+            encoding="utf-8",
+        )
+        config = {
+            "output_dir": str(tmp_path / "out"),
+            "kb": {
+                "action": "price",
+                "prices": str(prices),
+                "observation_point": "Miyun District",
+                "date": "2024-06-01",
+            },
+        }
+        cfg = write_config(config, tmp_path / "k.json")
+        rc = cli.main(["kb", "--config", cfg])
+        stdout = capsys.readouterr().out.strip().splitlines()
+        assert rc == 1
+        assert len(stdout) == 1
+        summary = json.loads(stdout[0])
+        assert summary["error"] == "ParseError"
+        assert summary["message"].startswith("line 2:")
+
     def test_bench_subcommand(self, tmp_path, capsys):
         cfg = write_config(bench_config(tmp_path / "out"), tmp_path / "b.json")
         rc, summary = run_cli(["bench", "--config", cfg], capsys)

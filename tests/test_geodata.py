@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,146 @@ class TestPointCloudIO:
     def test_non_finite_point_rejected(self):
         with pytest.raises(InvalidInput):
             geodata.PointCloud(points=np.array([[0.0, 0.0, np.nan]]))
+
+
+# ---------------------------------------------------------------------------
+# numpy fast path vs the line parser
+# ---------------------------------------------------------------------------
+
+# Tokens that numpy's reader and Python's float() may read differently.
+ODD_TOKENS = ("nan", "-inf", "Infinity", "1e400", "1e-400", "1_0", "#", "1#", "0x10",
+              "\u0661\u0662", "\uff11", "-0", ".5", "5.", "+1.5E-3", "e5", "--1", "1\x00")
+# Separators: ASCII and Unicode whitespace (str.split splits on all of them),
+# line breaks that str.splitlines knows, and non-whitespace look-alikes.
+ODD_SEPARATORS = (" ", "\t", "  ", "\f", "\v", "\x1c", "\xa0", "\u2003", "\u3000", "\x85",
+                  "\u2028", "\u200b", "\ufeff", ",")
+
+
+def _mutate(rng, lines: list) -> list:
+    """One random edit of a file's data lines."""
+    lines = list(lines)
+    i = int(rng.integers(len(lines)))
+    tokens = lines[i].split(" ")
+    kind = int(rng.integers(9))
+    if kind == 0:
+        del tokens[int(rng.integers(len(tokens)))]
+    elif kind == 1:
+        tokens.insert(int(rng.integers(len(tokens) + 1)), "1.5")
+    elif kind == 2:
+        tokens[int(rng.integers(len(tokens)))] = str(rng.choice(ODD_TOKENS))
+    elif kind == 3:
+        lines.insert(i, str(rng.choice(["", "   ", "\t", "\f", "\xa0"])))
+    elif kind == 4:
+        lines.insert(i, str(rng.choice(["# note", "  # indented", "\t#", "#", "\f# note"])))
+    elif kind == 5:
+        tokens.append(str(rng.choice(["# note", "#note"])))
+    elif kind == 6:
+        j = int(rng.integers(len(tokens)))
+        tokens[j] += str(rng.choice(ODD_SEPARATORS)) + tokens[j]
+    elif kind == 7:
+        tokens[0] = str(rng.choice(ODD_SEPARATORS)) + tokens[0]
+        tokens[-1] += str(rng.choice(ODD_SEPARATORS))
+    if kind not in (3, 4):
+        lines[i] = " ".join(tokens)
+    return lines
+
+
+def _write(rng, path, lines: list) -> None:
+    eol = str(rng.choice(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if rng.random() < 0.8 else "")
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _numbers(rng, n: int) -> list:
+    values = rng.normal(0.0, 50.0, n).round(int(rng.integers(0, 8)))
+    return [str(rng.choice([repr(float(v)), f"{v:.3e}", f"{v:g}"])) for v in values]
+
+
+def _grid_case(rng) -> list:
+    n_rows, n_cols = [(1, 1), (1, 7), (6, 1), (5, 4)][int(rng.integers(4))]
+    header = [f"ncols {n_cols}", f"nrows {n_rows}", "xllcorner 0.5", "yllcorner -2",
+              "cellsize 0.25", "NODATA_value -9999"]
+    rows = [" ".join(_numbers(rng, n_cols)) for _ in range(n_rows)]
+    for _ in range(int(rng.integers(3))):
+        rows = _mutate(rng, rows)
+    return header + rows
+
+
+def _cloud_case(rng) -> list:
+    n_points = [1, 2, 17][int(rng.integers(3))]
+    lines = ["# cloud"] if rng.random() < 0.5 else []
+    lines += [" ".join(_numbers(rng, 3)) for _ in range(n_points)]
+    for _ in range(int(rng.integers(3))):
+        lines = _mutate(rng, lines)
+    return lines
+
+
+def _outcome(load, path):
+    """The float64 array a loader returns for ``path``, or its exception's type, text and line."""
+    try:
+        result = load(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return result.values if isinstance(result, geodata.RasterGrid) else result.points
+
+
+@pytest.mark.filterwarnings("error")
+class TestFastPathMatchesLineParser:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("load, case", [(geodata.load_raster, _grid_case),
+                                            (geodata.load_point_cloud, _cloud_case)],
+                             ids=["raster", "cloud"])
+    def test_same_values_or_same_error(self, load, case, seed, tmp_path, monkeypatch):
+        rng = np.random.default_rng(seed)
+        read_numbers = geodata._read_numbers
+        fast_reads = []
+
+        def counted(*args, **kwargs):
+            values = read_numbers(*args, **kwargs)
+            fast_reads.append(values is not None)
+            return values
+
+        for k in range(150):
+            path = tmp_path / f"case{k}.txt"
+            _write(rng, path, case(rng))
+            monkeypatch.setattr(geodata, "_read_numbers", counted)
+            new = _outcome(load, path)
+            monkeypatch.setattr(geodata, "_read_numbers", lambda *args, **kwargs: None)
+            old = _outcome(load, path)  # the line parser alone
+            if isinstance(old, np.ndarray):
+                assert isinstance(new, np.ndarray) and new.dtype == np.float64, path.read_bytes()
+                assert np.array_equal(new, old), path.read_bytes()
+                assert np.array_equal(np.signbit(new), np.signbit(old)), path.read_bytes()
+            else:
+                assert new == old, path.read_bytes()
+        assert sum(fast_reads) >= 30  # the comparison exercises the fast path
+
+    @pytest.mark.parametrize("load, text", [
+        (geodata.load_raster, "ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n-0\n"),
+        (geodata.load_raster, "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                              "1 2 3\n\n4 5e-3 -9999\n"),
+        (geodata.load_point_cloud, "1 2 3\n"),
+        (geodata.load_point_cloud, "# a cloud\n  # indented\n\n1 2 3\r\n-4.5 5e1 6\n"),
+    ])
+    def test_valid_files_take_the_fast_path(self, load, text, tmp_path, monkeypatch):
+        path = tmp_path / "valid.txt"
+        path.write_bytes(text.encode("utf-8"))
+
+        def refuse(*args):
+            raise AssertionError("line parser called")
+
+        monkeypatch.setattr(geodata, "_parse_grid_rows", refuse)
+        monkeypatch.setattr(geodata, "_parse_cloud_lines", refuse)
+        load(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "#a\n  # b\n\n"])
+    def test_cloud_without_points_is_empty_input_without_warning(self, text, tmp_path):
+        path = tmp_path / "c.xyz"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyInput):
+                geodata.load_point_cloud(path)
 
 
 # ---------------------------------------------------------------------------
