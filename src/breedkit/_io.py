@@ -1,6 +1,12 @@
 """The CSV and JSON artifact format, decided in one place.
 
-Input tables are UTF-8 CSV with a header row, read one row at a time.
+Input tables are UTF-8 CSV with a header row. ``csv_rows`` reads them one
+row at a time and is the parser of record: it numbers each row by its
+physical line. ``csv_columns`` reads the same cells column by column, for
+loaders that convert a whole column at once; a loader that finds a cell it
+cannot convert or validate re-reads the file with ``csv_rows``, so the error
+it raises names the same line with the same message. An input file that is
+not UTF-8 raises ParseError naming the file.
 Output tables are CSV with ``\\n`` line ends; callers format their own cells.
 JSON artifacts carry sorted keys, a two-space indent and a final newline.
 Every artifact is written to a temporary file beside its target and then
@@ -13,8 +19,23 @@ import csv
 import json
 import os
 from contextlib import contextmanager
+from itertools import islice
 
 from .errors import ParseError
+
+
+@contextmanager
+def decoding(path):
+    """Turn a UnicodeDecodeError inside the block into a ParseError naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+def _check_header(path, fieldnames, required) -> None:
+    if fieldnames is None or not set(required).issubset(fieldnames):
+        raise ParseError(f"{path}: need columns {sorted(required)}, got {fieldnames}", line=1)
 
 
 def csv_rows(path, required):
@@ -25,14 +46,37 @@ def csv_rows(path, required):
     short row read as blank. Raises ParseError at line 1 when the header
     lacks a ``required`` column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with decoding(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-            raise ParseError(
-                f"{path}: need columns {sorted(required)}, got {reader.fieldnames}", line=1
-            )
+        _check_header(path, reader.fieldnames, required)
         for row in reader:
             yield reader.line_num, row
+
+
+# Rows transposed at a time by csv_columns: few enough that a block's row
+# lists are freed before they add up to a garbage collection
+_BLOCK_ROWS = 512
+
+
+def csv_columns(path, required) -> dict:
+    """``{column name: list of cells}`` for every header column, in one pass.
+
+    The cells are the ones ``csv_rows`` yields for that column, row by row:
+    the header check, the skipped blank lines and the blank cells of short
+    rows are the same, and of two columns with one name the later one wins.
+    """
+    with decoding(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _check_header(path, header, required)
+        width = len(header)
+        columns = [[] for _ in range(width)]
+        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+            rows = [row if len(row) >= width else row + [""] * (width - len(row))
+                    for row in block if row]
+            for column, cells in zip(columns, zip(*rows)):
+                column.extend(cells)
+    return {name: columns[i] for i, name in enumerate(header)}
 
 
 @contextmanager

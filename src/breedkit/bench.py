@@ -422,12 +422,16 @@ def _opt_bool(raw, lineno):
 def load_trials(path) -> list[TrialRecord]:
     needed = ("model_id", "task", "subtask", "question_id", "trial_index")
     trials = []
+    specs: dict = {}  # one shared TaskSpec per (task, subtask) pair
     for i, rec in csv_rows(path, needed):
         try:
+            pair = (rec["task"].strip(), rec["subtask"].strip())
+            if pair not in specs:
+                specs[pair] = TaskSpec(*pair)
             trials.append(
                 TrialRecord(
                     model_id=rec["model_id"].strip(),
-                    task_spec=TaskSpec(task=rec["task"].strip(), subtask=rec["subtask"].strip()),
+                    task_spec=specs[pair],
                     question_id=rec["question_id"].strip(),
                     trial_index=int(rec["trial_index"]),
                     answer_numeric=_opt_float(rec.get("answer_numeric")),

@@ -63,6 +63,8 @@ def _load_config(args) -> dict:
                 config = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError("config", f"invalid JSON: {exc}")
+            except UnicodeDecodeError:
+                raise ConfigError("config", "not UTF-8 text")
         if not isinstance(config, dict):
             raise ConfigError("config", "top level must be an object")
     for item in args.set or []:

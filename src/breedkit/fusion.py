@@ -10,13 +10,14 @@ cross-validation with normalization constants fit on the training folds only.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kb
-from ._io import csv_rows, write_csv
+from ._io import csv_columns, csv_rows, write_csv
 from .errors import (
     EmptyDataset,
     InvalidInput,
@@ -69,7 +70,7 @@ class PlotFeatureRecord:
         if self.yield_kg_ha is not None and self.yield_kg_ha < 0:
             raise InvalidInput(f"plot {self.plot_id}: yield must be >= 0")
         for name, value in self.features.items():
-            if value is not None and not np.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise InvalidInput(f"plot {self.plot_id}: feature {name} is not finite")
 
 
@@ -190,6 +191,32 @@ def _aggregate_weather(records) -> dict:
     }
 
 
+# numpy sums 8 or more values pairwise, and np.bincount adds in order;
+# below this count the two give the same bits
+PAIRWISE_SUM_MIN = 8
+
+
+def _plot_means(keys, raw, n_plots: int):
+    """Per-plot means of each list in ``raw`` over its entries that are not None.
+
+    ``keys[i]`` is the plot of entry ``i``. Returns ``(means, present)``, each
+    of shape plots × lists; a plot without values has mean NaN and is not
+    present. One np.bincount per list sums and counts every plot, adding in
+    entry order as np.mean does below PAIRWISE_SUM_MIN values. A cell with
+    more values takes np.mean of them, so every mean has np.mean's bits.
+    """
+    has = np.array([[v is not None for v in row] for row in raw], dtype=bool)
+    values = np.array(raw, dtype=np.float64)  # None reads as NaN
+    counts = np.array([np.bincount(keys, weights=h, minlength=n_plots) for h in has])
+    sums = np.array([np.bincount(keys, weights=v, minlength=n_plots)
+                     for v in np.where(has, values, 0.0)])
+    means = np.full(sums.shape, np.nan)
+    np.divide(sums, counts, out=means, where=counts > 0)
+    for j, g in zip(*np.nonzero(counts >= PAIRWISE_SUM_MIN)):
+        means[j, g] = np.mean(values[j, (keys == g) & has[j]])
+    return means.T, (counts > 0).T
+
+
 def assemble(
     records,
     weather=(),
@@ -200,11 +227,13 @@ def assemble(
     """Build one feature row per plot from the selected domains.
 
     Multiple dates for a plot average per feature over the dates where the
-    feature is present. Weather aggregates over the growing season (means,
-    precipitation total), joined by site when the record carries one.
-    Germplasm trait flags come from the knowledge-base records via
-    ``kb.trait_flags``. Rows missing any selected feature are dropped and
-    reported on the returned matrix.
+    feature is present, all plots at once (see ``_plot_means``); each mean
+    equals ``np.mean`` over that plot's values in record order, bit for bit.
+    Weather aggregates over the growing season (means, precipitation
+    total), joined by site when the record carries one. Germplasm trait
+    flags come from the knowledge-base records via ``kb.trait_flags``, built
+    only when that domain is selected. Rows missing any selected feature are
+    dropped and reported on the returned matrix.
     """
     domains = tuple(domains)
     if not domains:
@@ -216,31 +245,17 @@ def assemble(
     if not records:
         raise EmptyDataset("no plot feature records")
 
-    # per-plot feature means across dates
-    plots: dict[str, dict] = {}
+    # each plot's index, in order of first appearance
+    plot_index: dict[str, int] = {}
+    germplasm_ids, sites, keys = [], [], []
     for rec in records:
-        entry = plots.setdefault(
-            rec.plot_id,
-            {"germplasm_id": rec.germplasm_id, "site": rec.site, "features": {}, "yields": []},
-        )
-        if rec.germplasm_id != entry["germplasm_id"]:
+        g = plot_index.setdefault(rec.plot_id, len(germplasm_ids))
+        if g == len(germplasm_ids):
+            germplasm_ids.append(rec.germplasm_id)
+            sites.append(rec.site)
+        elif rec.germplasm_id != germplasm_ids[g]:
             raise InvalidInput(f"plot {rec.plot_id}: conflicting germplasm_id")
-        for name, value in rec.features.items():
-            if value is not None:
-                entry["features"].setdefault(name, []).append(float(value))
-        if rec.yield_kg_ha is not None:
-            entry["yields"].append(float(rec.yield_kg_ha))
-
-    weather = list(weather)
-    weather_by_site: dict[str, dict] = {}
-
-    def weather_summary(site: str) -> dict:
-        if site not in weather_by_site:
-            rows = [w for w in weather if w.site == site] if site else weather
-            weather_by_site[site] = _aggregate_weather(rows)
-        return weather_by_site[site]
-
-    flags_by_variety = {g.variety_name: kb.trait_flags(g, trait_thresholds) for g in germplasm}
+        keys.append(g)
 
     candidates = []
     if "RS" in domains:
@@ -252,46 +267,66 @@ def assemble(
     if "germplasm" in domains:
         candidates += list(GERMPLASM_FEATURES)
 
-    values_by_plot = {}
-    for plot_id in sorted(plots):
-        entry = plots[plot_id]
-        if not entry["yields"]:
+    raw = [[rec.features.get(c) for rec in records] for c in candidates]
+    raw.append([rec.yield_kg_ha for rec in records])
+    means, present = _plot_means(np.array(keys, dtype=np.intp), raw, len(germplasm_ids))
+    y, has_yield = means[:, -1], present[:, -1]
+    means, present = means[:, :-1], present[:, :-1]
+
+    plot_ids = sorted(plot_index)
+    for plot_id in plot_ids:
+        if not has_yield[plot_index[plot_id]]:
             raise InvalidInput(f"plot {plot_id} has no yield")
-        values = {name: float(np.mean(vals)) for name, vals in entry["features"].items()}
-        if "weather" in domains:
-            values.update(weather_summary(entry["site"]))
-        if "germplasm" in domains:
-            values.update(flags_by_variety.get(entry["germplasm_id"], {}))
-        values_by_plot[plot_id] = values
+
+    # season weather and trait flags replace any record values of their columns
+    if "weather" in domains:
+        weather = list(weather)
+        weather_by_site: dict[str, dict] = {}
+        cols = [candidates.index(c) for c in WEATHER_FEATURES]
+        for g, site in enumerate(sites):
+            if site not in weather_by_site:
+                rows = [w for w in weather if w.site == site] if site else weather
+                weather_by_site[site] = _aggregate_weather(rows)
+            summary = weather_by_site[site]
+            if summary:
+                means[g, cols] = [summary[c] for c in WEATHER_FEATURES]
+                present[g, cols] = True
+    if "germplasm" in domains:
+        flags_by_variety = {g.variety_name: kb.trait_flags(g, trait_thresholds) for g in germplasm}
+        cols = [candidates.index(c) for c in GERMPLASM_FEATURES]
+        for g, germplasm_id in enumerate(germplasm_ids):
+            flags = flags_by_variety.get(germplasm_id)
+            if flags:
+                means[g, cols] = [flags[c] for c in GERMPLASM_FEATURES]
+                present[g, cols] = True
 
     # a selected column must exist somewhere; columns absent from every plot
     # are pruned, rows missing a surviving column are dropped and reported
-    columns = [c for c in candidates if any(c in v for v in values_by_plot.values())]
+    kept_cols = np.flatnonzero(present.any(axis=0))
+    columns = tuple(candidates[j] for j in kept_cols)
     if not columns:
         raise EmptyDataset(f"no data for any column of domains {domains}")
 
-    rows, ys, kept_plots, kept_germs, dropped = [], [], [], [], []
-    for plot_id in sorted(plots):
-        entry = plots[plot_id]
-        values = values_by_plot[plot_id]
-        missing = tuple(c for c in columns if c not in values)
-        if missing:
-            dropped.append((plot_id, missing))
-            continue
-        rows.append([values[c] for c in columns])
-        ys.append(float(np.mean(entry["yields"])))
-        kept_plots.append(plot_id)
-        kept_germs.append(entry["germplasm_id"])
+    present = present[:, kept_cols]
+    complete = present.all(axis=1)
+    kept_ids, kept, dropped = [], [], []
+    for plot_id in plot_ids:
+        g = plot_index[plot_id]
+        if complete[g]:
+            kept_ids.append(plot_id)
+            kept.append(g)
+        else:
+            dropped.append((plot_id, tuple(c for c, p in zip(columns, present[g]) if not p)))
 
-    if not rows:
+    if not kept:
         raise EmptyDataset(f"no plots survive assembly; dropped: {dropped}")
     return FeatureMatrix(
-        X=np.array(rows, dtype=np.float64),
-        y=np.array(ys, dtype=np.float64),
-        columns=tuple(columns),
+        X=means[np.ix_(kept, kept_cols)],
+        y=y[kept],
+        columns=columns,
         domains=tuple(FEATURE_DOMAIN[c] for c in columns),
-        plot_ids=tuple(kept_plots),
-        germplasm_ids=tuple(kept_germs),
+        plot_ids=tuple(kept_ids),
+        germplasm_ids=tuple(germplasm_ids[g] for g in kept),
         dropped=tuple(dropped),
     )
 
@@ -461,6 +496,52 @@ def _feature_row(rec: PlotFeatureRecord) -> list:
 
 
 def load_feature_records(path) -> list[PlotFeatureRecord]:
+    """One PlotFeatureRecord per row of a feature table.
+
+    The table is read by column. A cell that fails to convert or validate
+    sends the file through the row loop, which raises the error and names
+    its line.
+    """
+    try:
+        records = _feature_records_by_column(path)
+    except (ValueError, InvalidInput):
+        records = _feature_records_by_row(path)
+    if not records:
+        raise EmptyDataset(f"no feature rows in {path}")
+    return records
+
+
+def _floats(cells) -> list:
+    """``float`` of each cell, None for a blank one."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return [float(c) if c.strip() else None for c in cells]
+
+
+def _feature_records_by_column(path) -> list[PlotFeatureRecord]:
+    columns = csv_columns(path, ("plot_id", "germplasm_id", "date"))
+    blank = ("",) * len(columns["plot_id"])
+    names = RS_FEATURES + PHENOTYPING_FEATURES
+    rows = zip(*(_floats(columns.get(name, blank)) for name in names))
+    return [
+        PlotFeatureRecord(
+            plot_id=plot_id.strip(),
+            germplasm_id=germplasm_id.strip(),
+            date=date.strip(),
+            site=site.strip(),
+            features={name: v for name, v in zip(names, row) if v is not None},
+            yield_kg_ha=yield_kg_ha,
+        )
+        for plot_id, germplasm_id, date, site, row, yield_kg_ha in zip(
+            columns["plot_id"], columns["germplasm_id"], columns["date"],
+            columns.get("site", blank), rows, _floats(columns.get("yield_kg_ha", blank)),
+        )
+    ]
+
+
+def _feature_records_by_row(path) -> list[PlotFeatureRecord]:
+    """The parser of record for feature tables."""
     records = []
     for i, rec in csv_rows(path, ("plot_id", "germplasm_id", "date")):
         features = {}
@@ -472,6 +553,10 @@ def load_feature_records(path) -> list[PlotFeatureRecord]:
                 except ValueError:
                     raise ParseError(f"non-numeric {name}: {raw!r}", line=i)
         raw_yield = (rec.get("yield_kg_ha") or "").strip()
+        try:
+            yield_kg_ha = float(raw_yield) if raw_yield else None
+        except ValueError:
+            raise ParseError(f"non-numeric yield_kg_ha: {raw_yield!r}", line=i)
         records.append(
             PlotFeatureRecord(
                 plot_id=rec["plot_id"].strip(),
@@ -479,11 +564,9 @@ def load_feature_records(path) -> list[PlotFeatureRecord]:
                 date=rec["date"].strip(),
                 site=(rec.get("site") or "").strip(),
                 features=features,
-                yield_kg_ha=float(raw_yield) if raw_yield else None,
+                yield_kg_ha=yield_kg_ha,
             )
         )
-    if not records:
-        raise EmptyDataset(f"no feature rows in {path}")
     return records
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import csv_rows, replacing
+from ._io import csv_rows, decoding, replacing
 from .errors import (
     EmptyInput,
     EmptyPlot,
@@ -385,7 +385,7 @@ def load_raster(path) -> RasterGrid:
     xllcorner, yllcorner, cellsize, then an optional NODATA_value. Data rows
     follow top row first; each row must hold exactly ncols numeric cells.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with decoding(path), open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
 
     def header(idx: int, key: str):
@@ -541,7 +541,7 @@ def _numpy_reads_like_lines(path) -> bool:
 def _parse_cloud_lines(path) -> np.ndarray:
     """The parser of record for point clouds; names the first bad line."""
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with decoding(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, start=1):
             stripped = ln.strip()
             if not stripped or stripped.startswith("#"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass, field
 
-from ._io import csv_rows
+from ._io import csv_columns, csv_rows
 from .errors import EmptyInput, InvalidInput, ParseError, UnknownField
 
 QUALITY_FIELDS = ("crude_protein", "lysine", "sedimentation_value")
@@ -281,10 +281,51 @@ def load_germplasm(path) -> list[GermplasmRecord]:
     return records
 
 
+PRICE_CSV_COLUMNS = (
+    "observation_point", "variety_name", "price", "specification", "planting_area", "date",
+)
+
+
 def load_prices(path) -> list[PriceRecord]:
-    required = ("observation_point", "variety_name", "price", "specification", "planting_area", "date")
+    """One PriceRecord per row of a price table.
+
+    The table is read by column. A cell that fails to convert or validate
+    sends the file through the row loop, which raises the error and names
+    its line.
+    """
+    try:
+        records = _prices_by_column(path)
+    except (ValueError, InvalidInput):
+        records = _prices_by_row(path)
+    if not records:
+        raise EmptyInput(f"no rows in {path}")
+    return records
+
+
+def _prices_by_column(path) -> list[PriceRecord]:
+    columns = csv_columns(path, PRICE_CSV_COLUMNS)
+    dates = {text: _parse_date(text) for text in set(map(str.strip, columns["date"]))}
+    return [
+        PriceRecord(
+            observation_point=point.strip(),
+            variety_name=variety.strip(),
+            price=price,
+            specification=specification,
+            planting_area=area.strip(),
+            date=dates[date.strip()],
+        )
+        for point, variety, price, specification, area, date in zip(
+            columns["observation_point"], columns["variety_name"],
+            map(float, columns["price"]), map(float, columns["specification"]),
+            columns["planting_area"], columns["date"],
+        )
+    ]
+
+
+def _prices_by_row(path) -> list[PriceRecord]:
+    """The parser of record for price tables."""
     records = []
-    for i, rec in csv_rows(path, required):
+    for i, rec in csv_rows(path, PRICE_CSV_COLUMNS):
         try:
             records.append(
                 PriceRecord(
@@ -298,6 +339,4 @@ def load_prices(path) -> list[PriceRecord]:
             )
         except (ValueError, InvalidInput) as exc:
             raise ParseError(f"bad price row: {exc}", line=i)
-    if not records:
-        raise EmptyInput(f"no rows in {path}")
     return records

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_json
+from ._io import decoding, write_json
 from .errors import (
     EmptyInput,
     InvalidInput,
@@ -551,7 +551,7 @@ def alternate_rm_ppo(policy: PolicyModel, reference: PolicyModel, rm: RewardMode
 
 def _load_jsonl(path, required: tuple) -> list[dict]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with decoding(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, start=1):
             if not ln.strip():
                 continue
@@ -624,12 +624,10 @@ def save_policy(policy: PolicyModel, path) -> None:
 def _load_model_json(path, keys: tuple) -> dict:
     """A model file's JSON object; ParseError naming the file unless every key is there."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with decoding(path), open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: bad JSON: {exc.msg}", line=exc.lineno)
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text")
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: expected a JSON object")
     for key in keys:

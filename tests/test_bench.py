@@ -7,6 +7,7 @@ from breedkit.errors import (
     InvalidBallot,
     InvalidInput,
     InvalidTrialSet,
+    ParseError,
     UndefinedDeviation,
 )
 
@@ -299,6 +300,26 @@ class TestCsvInterfaces:
         assert trials[2].judged_correct is True
         assert trials[3].stability_protocol == "consistency"
         assert trials[4].text_pass is True
+        assert trials[0].task_spec is trials[3].task_spec  # one TaskSpec per (task, subtask)
+        assert trials[0].task_spec == bench.TaskSpec("phenotyping_estimation", "Yield")
+
+    @pytest.mark.parametrize("task, subtask, message", [
+        ("phenotyping_estimation", "HQ", "subtask 'HQ' does not belong to task 'phenotyping_estimation'"),
+        ("weather", "Yield", "unknown task 'weather'"),
+    ])
+    def test_invalid_task_pair_is_a_parse_error_at_its_first_row(self, task, subtask, message,
+                                                                   tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "model_id,task,subtask,question_id,trial_index\n"
+            "m1,phenotyping_estimation,Yield,q1,0\n"
+            f"m1,{task},{subtask},q2,0\n"
+            f"m1,{task},{subtask},q3,0\n"
+        )
+        with pytest.raises(ParseError) as info:
+            bench.load_trials(path)
+        assert info.value.line == 3
+        assert str(info.value) == f"line 3: bad trial row: {message}"
 
     def test_ballots_round_trip(self, tmp_path):
         path = tmp_path / "ballots.csv"

@@ -402,6 +402,69 @@ class TestKb:
         assert "logical_deduction" in report["reasoning"]["tuned-a"]
 
 
+def _kb_config(out_dir, action):
+    if action == "screen":
+        return {"output_dir": str(out_dir), "kb": {
+            "action": "screen", "germplasm": scene_path("germplasm.csv"),
+            "criteria": ["plant_height<=80"]}}
+    return {"output_dir": str(out_dir), "kb": {
+        "action": "price", "prices": scene_path("prices.csv"),
+        "observation_point": "Miyun District", "date": "2024-06-01"}}
+
+
+# (subcommand, config for an output directory, the config entry naming the input)
+NON_UTF8_INPUTS = [
+    ("extract", extract_config, ("extract", "head_counts")),
+    ("extract", extract_config, ("extract", "plots")),
+    ("extract", extract_config, ("extract", "measurements")),
+    ("extract", extract_config, ("extract", "ms_bands", "red")),
+    ("extract", extract_config, ("extract", "dsm", "point_cloud")),
+    ("fuse", lambda out: fuse_config(out, scene_path("golden/features.csv")), ("fuse", "features")),
+    ("fuse", lambda out: fuse_config(out, scene_path("golden/features.csv")), ("fuse", "weather")),
+    ("fuse", lambda out: fuse_config(out, scene_path("golden/features.csv")), ("fuse", "germplasm")),
+    ("prefopt", prefopt_config, ("prefopt", "sft_data")),
+    ("prefopt", prefopt_config, ("prefopt", "ppo_data")),
+    ("bench", bench_config, ("bench", "trials")),
+    ("bench", bench_config, ("bench", "ballots")),
+    ("kb", lambda out: _kb_config(out, "screen"), ("kb", "germplasm")),
+    ("kb", lambda out: _kb_config(out, "price"), ("kb", "prices")),
+]
+
+
+class TestNonUtf8Input:
+    """An input file that is not UTF-8 ends in the CLI error contract."""
+
+    @pytest.mark.parametrize("subcommand, make_config, entry", NON_UTF8_INPUTS,
+                             ids=[".".join(e) for _, _, e in NON_UTF8_INPUTS])
+    def test_exit_1_with_one_summary_line_and_no_temporary_file(
+            self, subcommand, make_config, entry, tmp_path, capsys):
+        config = make_config(tmp_path / "out")
+        node = config
+        for key in entry[:-1]:
+            node = node[key]
+        data = open(node[entry[-1]], "rb").read()
+        latin1 = tmp_path / ("latin1_" + os.path.basename(node[entry[-1]]))
+        latin1.write_bytes(data.replace(b"\n", b"\n\xe9", 1))  # a Latin-1 e-acute
+        node[entry[-1]] = str(latin1)
+        cfg = write_config(config, tmp_path / "cfg.json")
+        rc = cli.main([subcommand, "--config", cfg])
+        stdout = capsys.readouterr().out.strip().splitlines()
+        assert rc == 1
+        assert len(stdout) == 1
+        summary = json.loads(stdout[0])
+        assert summary["error"] == "ParseError"
+        assert summary["message"] == f"{latin1}: not UTF-8 text"
+        assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"output_dir": "caf\xe9"}')
+        rc, summary = run_cli(["kb", "--config", str(cfg)], capsys)
+        assert rc == 2
+        assert summary == {"status": "config_error", "field": "config",
+                           "message": "not UTF-8 text"}
+
+
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, tmp_path):
         outputs = {}

@@ -7,6 +7,7 @@ from breedkit import fusion, kb
 from breedkit.errors import (
     EmptyDataset,
     InvalidInput,
+    ParseError,
     SingularSystem,
     UndefinedR2,
 )
@@ -345,6 +346,15 @@ class TestFeatureCsvRoundTrip:
         assert back[1].yield_kg_ha is None
         assert back[1].features.get("CH") is None
 
+    def test_non_numeric_yield_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("plot_id,germplasm_id,date,NDVI_MS,yield_kg_ha\n"
+                        "p1,g1,2023-04-01,0.5,5000\n"
+                        "p2,g1,2023-04-01,0.6,n/a\n")
+        with pytest.raises(ParseError) as info:
+            fusion.load_feature_records(path)
+        assert str(info.value) == "line 3: non-numeric yield_kg_ha: 'n/a'"
+
     def test_weather_csv(self, tmp_path):
         path = tmp_path / "weather.csv"
         path.write_text(
@@ -354,3 +364,213 @@ class TestFeatureCsvRoundTrip:
         rows = fusion.load_weather(path)
         assert rows[0].site == "north"
         assert rows[0].t_mean == 10.0
+
+
+def _assemble_row_loop(records, weather=(), germplasm=(), domains=fusion.DOMAINS,
+                       trait_thresholds=kb.DEFAULT_TRAIT_THRESHOLDS):
+    """``fusion.assemble`` as a row loop with one ``np.mean`` per plot and feature.
+
+    The reference the grouped implementation must match bit for bit.
+    """
+    domains = tuple(domains)
+    if not domains:
+        raise InvalidInput("select at least one domain")
+    for d in domains:
+        if d not in fusion.DOMAINS:
+            raise InvalidInput(f"unknown domain {d!r}, expected subset of {fusion.DOMAINS}")
+    records = list(records)
+    if not records:
+        raise EmptyDataset("no plot feature records")
+
+    plots = {}
+    for rec in records:
+        entry = plots.setdefault(
+            rec.plot_id,
+            {"germplasm_id": rec.germplasm_id, "site": rec.site, "features": {}, "yields": []},
+        )
+        if rec.germplasm_id != entry["germplasm_id"]:
+            raise InvalidInput(f"plot {rec.plot_id}: conflicting germplasm_id")
+        for name, value in rec.features.items():
+            if value is not None:
+                entry["features"].setdefault(name, []).append(float(value))
+        if rec.yield_kg_ha is not None:
+            entry["yields"].append(float(rec.yield_kg_ha))
+
+    weather = list(weather)
+    weather_by_site = {}
+
+    def weather_summary(site):
+        if site not in weather_by_site:
+            rows = [w for w in weather if w.site == site] if site else weather
+            weather_by_site[site] = fusion._aggregate_weather(rows)
+        return weather_by_site[site]
+
+    flags_by_variety = {g.variety_name: kb.trait_flags(g, trait_thresholds) for g in germplasm}
+
+    candidates = []
+    if "RS" in domains:
+        candidates += list(fusion.RS_FEATURES)
+    if "phenotyping" in domains:
+        candidates += list(fusion.PHENOTYPING_FEATURES)
+    if "weather" in domains:
+        candidates += list(fusion.WEATHER_FEATURES)
+    if "germplasm" in domains:
+        candidates += list(fusion.GERMPLASM_FEATURES)
+
+    values_by_plot = {}
+    for plot_id in sorted(plots):
+        entry = plots[plot_id]
+        if not entry["yields"]:
+            raise InvalidInput(f"plot {plot_id} has no yield")
+        values = {name: float(np.mean(vals)) for name, vals in entry["features"].items()}
+        if "weather" in domains:
+            values.update(weather_summary(entry["site"]))
+        if "germplasm" in domains:
+            values.update(flags_by_variety.get(entry["germplasm_id"], {}))
+        values_by_plot[plot_id] = values
+
+    columns = [c for c in candidates if any(c in v for v in values_by_plot.values())]
+    if not columns:
+        raise EmptyDataset(f"no data for any column of domains {domains}")
+
+    rows, ys, kept_plots, kept_germs, dropped = [], [], [], [], []
+    for plot_id in sorted(plots):
+        entry = plots[plot_id]
+        values = values_by_plot[plot_id]
+        missing = tuple(c for c in columns if c not in values)
+        if missing:
+            dropped.append((plot_id, missing))
+            continue
+        rows.append([values[c] for c in columns])
+        ys.append(float(np.mean(entry["yields"])))
+        kept_plots.append(plot_id)
+        kept_germs.append(entry["germplasm_id"])
+
+    if not rows:
+        raise EmptyDataset(f"no plots survive assembly; dropped: {dropped}")
+    return fusion.FeatureMatrix(
+        X=np.array(rows, dtype=np.float64),
+        y=np.array(ys, dtype=np.float64),
+        columns=tuple(columns),
+        domains=tuple(fusion.FEATURE_DOMAIN[c] for c in columns),
+        plot_ids=tuple(kept_plots),
+        germplasm_ids=tuple(kept_germs),
+        dropped=tuple(dropped),
+    )
+
+
+DOMAIN_SUBSETS = [
+    tuple(d for i, d in enumerate(fusion.DOMAINS) if mask >> i & 1)
+    for mask in range(1, 2 ** len(fusion.DOMAINS))
+]
+
+
+def _random_scene(rng):
+    """Records, weather and germplasm with 1-20 dates per plot and gaps everywhere."""
+    names = fusion.RS_FEATURES + fusion.PHENOTYPING_FEATURES
+    # a record may also carry a weather or germplasm column, which the
+    # season summary or the trait flags replace when they exist
+    extra = ("t_mean_mean", "HQ")
+    n_plots = int(rng.integers(1, 9))
+    sites = ["", "north", "south", "east"]
+    varieties = [f"g{i}" for i in range(5)]
+    always = set(rng.choice(names, size=int(rng.integers(0, 4)), replace=False))
+    p_blank = float(rng.choice([0.0, 0.1, 0.5]))
+    records = []
+    for p in range(n_plots):
+        plot_id = f"p{int(rng.integers(0, 100)):02d}"
+        germ = str(rng.choice(varieties))
+        site = str(rng.choice(sites))
+        scale = 10.0 ** rng.uniform(-3, 4)
+        no_yield = rng.random() < 0.05
+        for d in range(int(rng.integers(1, 21))):
+            features = {}
+            for name in names + extra:
+                if name in always or rng.random() >= p_blank:
+                    if name in extra and rng.random() < 0.8:
+                        continue
+                    kind = rng.random()
+                    if kind < 0.05:
+                        features[name] = float(rng.choice([0.0, -0.0]))
+                    elif kind < 0.1:
+                        features[name] = int(rng.integers(-5, 5))
+                    else:
+                        features[name] = float(rng.normal() * scale)
+            y = None if no_yield or rng.random() < 0.2 else float(rng.uniform(0, 9000))
+            records.append(fusion.PlotFeatureRecord(
+                plot_id=plot_id, germplasm_id=germ, date=f"2023-04-{d + 1:02d}",
+                site=site, features=features, yield_kg_ha=y))
+    if rng.random() < 0.05:  # a later date of one plot names another variety
+        i = int(rng.integers(0, len(records)))
+        rec = records[i]
+        records.append(fusion.PlotFeatureRecord(
+            plot_id=rec.plot_id, germplasm_id=rec.germplasm_id + "x", date="2023-05-01",
+            site=rec.site, features=dict(rec.features), yield_kg_ha=rec.yield_kg_ha))
+    order = rng.permutation(len(records))
+    records = [records[i] for i in order]
+    weather = [
+        fusion.WeatherRecord(site=site, date=f"2023-04-{day + 1:02d}",
+                             t_mean=float(rng.normal(15, 3)), dew_point=float(rng.normal(8, 2)),
+                             precip=float(rng.uniform(0, 5)), net_radiation=float(rng.uniform(90, 180)),
+                             wind_speed=float(rng.uniform(0, 4)))
+        for site in sites[1:3] for day in range(int(rng.integers(0, 12)))
+    ]
+    germplasm = [
+        kb.GermplasmRecord(variety_name=v, quality={"crude_protein": float(rng.uniform(10, 18))},
+                           resistance={"drought": str(rng.choice(["R", "S"]))},
+                           agronomic={"plant_height": float(rng.uniform(60, 100)),
+                                      "maturity": float(rng.uniform(180, 230))})
+        for v in varieties[:3]
+    ]
+    return records, weather, germplasm
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        m = fn(*args, **kwargs)
+    except (InvalidInput, EmptyDataset) as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok", m.X.shape, m.X.tobytes(), m.y.tobytes(), m.columns, m.domains,
+            m.plot_ids, m.germplasm_ids, m.dropped)
+
+
+class TestAssembleMatchesRowLoop:
+    def test_seeded_scenes_match_bit_for_bit(self):
+        rng = np.random.default_rng(20241018)
+        seen = {"ok": 0, "raised": 0, "pairwise": 0, "dropped": 0}
+        for _ in range(80):
+            records, weather, germplasm = _random_scene(rng)
+            counts = {}
+            for rec in records:
+                for name in rec.features:
+                    counts[rec.plot_id, name] = counts.get((rec.plot_id, name), 0) + 1
+            seen["pairwise"] += any(n >= fusion.PAIRWISE_SUM_MIN for n in counts.values())
+            for domains in DOMAIN_SUBSETS:
+                want = _outcome(_assemble_row_loop, records, weather, germplasm, domains)
+                got = _outcome(fusion.assemble, records, weather, germplasm, domains)
+                assert got == want, domains
+                seen[want[0]] += 1
+                seen["dropped"] += want[0] == "ok" and bool(want[-1])
+        # the scenes reach every branch: results, errors, dropped rows and
+        # plots whose means numpy sums pairwise
+        assert min(seen.values()) >= 20, seen
+
+    def test_errors_match(self):
+        rec = fusion.PlotFeatureRecord
+        cases = [
+            ([rec("p1", "g1", "d1", {"NDVI_MS": 1.0}, 1.0),
+              rec("p1", "g2", "d2", {"NDVI_MS": 2.0}, 1.0)], ("RS",)),
+            ([rec("p2", "g1", "d1", {"NDVI_MS": 1.0}, None),
+              rec("p1", "g1", "d1", {"NDVI_MS": 1.0}, None)], ("RS",)),
+            ([rec("p1", "g1", "d1", {"NDVI_MS": 1.0}, float("nan"))], ("RS",)),
+            ([rec("p1", "g1", "d1", {"SPAD": 1.0}, 1.0)], ("RS",)),
+            ([rec("p1", "g1", "d1", {"SPAD": 1.0}, 1.0),
+              rec("p2", "g1", "d1", {"LAI": 1.0}, 1.0)], ("phenotyping",)),
+            ([], ("RS",)),
+            ([rec("p1", "g1", "d1", {"SPAD": 1.0}, 1.0)], ()),
+            ([rec("p1", "g1", "d1", {"SPAD": 1.0}, 1.0)], ("soil",)),
+        ]
+        for records, domains in cases:
+            want = _outcome(_assemble_row_loop, records, domains=domains)
+            assert want[0] == "raised"
+            assert _outcome(fusion.assemble, records, domains=domains) == want

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ def test_only_the_io_module_reads_and_writes_tables_and_json():
             continue
         with open(os.path.join(SRC_DIR, name), encoding="utf-8") as fh:
             text = fh.read()
-        offenders += [f"{name}: {call}" for call in ("csv.DictReader(", "csv.writer(", "json.dump(")
+        offenders += [f"{name}: {call}"
+                      for call in ("csv.DictReader(", "csv.reader(", "csv.writer(", "json.dump(")
                       if call in text]
     assert offenders == []
 
@@ -78,6 +80,59 @@ def test_row_missing_its_last_cell_loads_or_is_a_parse_error(loader, header, row
     blank = tmp_path / "blank.csv"
     blank.write_text(f"{header}\n{row.rsplit(',', 1)[0]},\n", encoding="utf-8")
     assert loader(short) == loader(blank)
+
+
+@pytest.mark.parametrize("loader, header, row, error", FULL_ROWS,
+                         ids=[f"{f.__module__}.{f.__name__}" for f, *_ in FULL_ROWS])
+def test_non_utf8_table_is_a_parse_error_naming_the_file(loader, header, row, error, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(f"{header}\n{row}\n".encode("utf-8").replace(b"\n", b"\n\xe9", 1))
+    with pytest.raises(ParseError, match="not UTF-8 text") as info:
+        loader(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 512])
+def test_csv_columns_hold_the_cells_csv_rows_yields(block_rows, tmp_path, monkeypatch):
+    monkeypatch.setattr(_io, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(11)
+    lines = ["a,b,c,b"]
+    for i in range(40):
+        width = int(rng.integers(0, 6))  # blank, short, full and long rows
+        lines.append(",".join(f"{i}.{j}" for j in range(width)))
+        if i == 20:
+            lines.append('"x\ny",1,2,3')
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [row for _, row in _io.csv_rows(path, ("a",))]
+    columns = _io.csv_columns(path, ("a",))
+    assert list(columns) == ["a", "b", "c"]
+    for name, cells in columns.items():
+        assert cells == [row[name] for row in rows]
+
+
+@pytest.mark.parametrize("read", [lambda p: list(_io.csv_rows(p, ("a",))),
+                                  lambda p: _io.csv_columns(p, ("a",))],
+                         ids=["csv_rows", "csv_columns"])
+def test_csv_readers_raise_a_parse_error_for_non_utf8_text(read, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n1,caf\xe9\n")
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: not UTF-8 text"
+
+
+@pytest.mark.parametrize("loader, text", [
+    (geodata.load_raster, "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 \xe9\n"),
+    (geodata.load_point_cloud, "# caf\xe9\n0 0 1\n"),
+    (geodata.load_point_cloud, "0 0 1\n1 1 \xe9\n"),
+])
+def test_non_utf8_grid_or_cloud_is_a_parse_error_naming_the_file(loader, text, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8 text") as info:
+        loader(path)
+    assert str(path) in str(info.value)
 
 
 def test_rows_are_numbered_by_physical_line(tmp_path):
@@ -123,3 +178,131 @@ class TestAtomicWrites:
         _io.write_json(tmp_path / "out.json", {"b": 1, "a": [1.5]})
         assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8")) == {"a": [1.5], "b": 1}
         assert os.listdir(tmp_path) == ["out.json"]
+
+
+# ---------------------------------------------------------------------------
+# column path vs the row loop (the parser of record)
+# ---------------------------------------------------------------------------
+
+FEATURE_NAMES = fusion.RS_FEATURES + fusion.PHENOTYPING_FEATURES
+
+
+def _feature_rows(n=7):
+    rng = np.random.default_rng(3)
+    rows = []
+    for i in range(n):
+        cells = [f"p{i}", f"g{i % 3}", "2024-05-01", "north"]
+        cells += [repr(float(v)) for v in rng.normal(size=len(FEATURE_NAMES))]
+        cells.append(repr(float(rng.uniform(3000, 9000))))
+        if i % 2:
+            cells[4 + i] = ""  # a blank feature
+        rows.append(cells)
+    return list(fusion.FEATURE_CSV_COLUMNS), rows
+
+
+def _price_rows(n=7):
+    rows = [[f"Point {i % 2}", f"V{i}", f"{20 + 3 * i}.5", "25", "Region", f"2024-06-{i + 1:02d}"]
+            for i in range(n)]
+    return list(kb.PRICE_CSV_COLUMNS), rows
+
+
+def _table_text(header, rows, multiline_before=None):
+    """CSV text. The row before row ``multiline_before`` gets a quoted two-line
+    text cell and is followed by two blank lines."""
+    def line(cells):
+        return ",".join(f'"{c}"' if "\n" in c or "," in c else c for c in cells) + "\n"
+
+    text = line(header)
+    for i, cells in enumerate(rows):
+        if multiline_before is not None and i == multiline_before - 1:
+            cells = list(cells)
+            cells[header.index("site" if "site" in header else "planting_area")] += "\nwest"
+            text += line(cells) + "\n\n"
+        else:
+            text += line(cells)
+    return text
+
+
+# (column, bad cell) pairs; every one fails to convert or validate
+FEATURE_BAD_CELLS = [
+    ("NDVI_MS", "abc"), ("SPAD", "1,5"), ("yield_kg_ha", "x"), ("plot_id", ""),
+    ("plot_id", "  "), ("LAI", "nan"), ("CH", "-inf"), ("WH_density", "1e400"),
+    ("yield_kg_ha", "-1"), ("yield_kg_ha", "-0.5"),
+]
+PRICE_BAD_CELLS = [
+    ("price", "abc"), ("price", ""), ("price", "0"), ("price", "-3"), ("price", "nan"),
+    ("specification", "x"), ("specification", "0"), ("date", "2024-13-01"), ("date", ""),
+    ("date", "June 1"),
+]
+LOADERS = {
+    "features": (fusion.load_feature_records, fusion._feature_records_by_column,
+                 fusion._feature_records_by_row, _feature_rows, FEATURE_BAD_CELLS),
+    "prices": (kb.load_prices, kb._prices_by_column, kb._prices_by_row, _price_rows,
+               PRICE_BAD_CELLS),
+}
+BAD_CASES = [
+    (table, column, cell, where)
+    for table, (*_, bad_cells) in LOADERS.items()
+    for column, cell in bad_cells
+    for where in ("first", "middle", "last", "after multi-line")
+]
+
+
+def _outcome(fn, path):
+    try:
+        return ("ok", fn(path))
+    except Exception as exc:  # the comparison covers whatever the row loop raises
+        return ("raised", type(exc), str(exc), getattr(exc, "line", None))
+
+
+@pytest.mark.parametrize("table, column, cell, where", BAD_CASES)
+def test_bad_cell_raises_what_the_row_loop_raises(table, column, cell, where, tmp_path):
+    load, by_column, by_row, make_rows, _ = LOADERS[table]
+    header, rows = make_rows()
+    row = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1,
+           "after multi-line": len(rows) - 2}[where]
+    rows[row][header.index(column)] = cell
+    path = tmp_path / f"{table}.csv"
+    path.write_text(_table_text(header, rows, multiline_before=row if where == "after multi-line"
+                                else None), encoding="utf-8")
+    with pytest.raises((ValueError, fusion.InvalidInput)):
+        by_column(path)  # the column path gives up ...
+    want = _outcome(by_row, path)
+    assert want[0] == "raised"
+    assert _outcome(load, path) == want  # ... and the loader raises the row loop's error
+    if want[1] is ParseError:
+        assert want[3] == row + 2 + 3 * (where == "after multi-line")
+
+
+def _valid_variants(header, rows):
+    """Files the column path must read as the row loop does, without falling back."""
+    yield _table_text(header, rows)
+    yield _table_text(header, rows, multiline_before=3)
+    yield _table_text(header, rows).replace("\n", "\r\n")
+    yield _table_text(header, rows).replace("\n", "\n\n")
+    padded = [[f"  {c}\t" for c in cells] for cells in rows]
+    yield _table_text(header, padded)
+    yield _table_text(header + ["note"], [cells + ["x", "extra"] for cells in rows])
+    yield _table_text(header + [header[1]], [cells + ["later"] for cells in rows])
+    yield _table_text(header, []).rstrip("\n")
+
+
+@pytest.mark.parametrize("table", sorted(LOADERS))
+def test_valid_tables_read_as_the_row_loop_reads_them(table, tmp_path, monkeypatch):
+    load, by_column, by_row, make_rows, _ = LOADERS[table]
+    header, rows = make_rows()
+    variants = list(_valid_variants(header, rows))
+    if table == "features":  # optional columns absent; a short row reads as blank cells
+        keep = [i for i, name in enumerate(header) if name not in ("site", "yield_kg_ha", "CH")]
+        variants.append(_table_text([header[i] for i in keep],
+                                    [[cells[i] for i in keep] for cells in rows]))
+        variants.append(_table_text(header, [cells[:-3] for cells in rows]))
+    for k, text in enumerate(variants):
+        path = tmp_path / f"{table}{k}.csv"
+        path.write_text(text, encoding="utf-8")
+        want = _outcome(by_row, path)
+        assert want[0] == "ok"
+        assert _outcome(by_column, path) == want, k
+        monkeypatch.setattr(sys.modules[by_row.__module__], by_row.__name__, None)
+        assert _outcome(load, path)[0] == ("ok" if want[1] else "raised")
+        monkeypatch.undo()
