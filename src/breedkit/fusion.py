@@ -191,29 +191,31 @@ def _aggregate_weather(records) -> dict:
     }
 
 
-# numpy sums 8 or more values pairwise, and np.bincount adds in order;
-# below this count the two give the same bits
-PAIRWISE_SUM_MIN = 8
-
-
 def _plot_means(keys, raw, n_plots: int):
     """Per-plot means of each list in ``raw`` over its entries that are not None.
 
     ``keys[i]`` is the plot of entry ``i``. Returns ``(means, present)``, each
     of shape plots × lists; a plot without values has mean NaN and is not
-    present. One np.bincount per list sums and counts every plot, adding in
-    entry order as np.mean does below PAIRWISE_SUM_MIN values. A cell with
-    more values takes np.mean of them, so every mean has np.mean's bits.
+    present. Entries are stably sorted by plot once, so each plot's values
+    lie together in entry order. The plots of a list that hold the same
+    number ``n`` of values are gathered into one ``(plots, n)`` array and
+    summed along its rows: numpy sums each contiguous row as it sums the
+    1-D array in ``np.mean`` (pairwise from 8 values), so every mean has
+    ``np.mean``'s bits. The cost is O(entries · lists) whatever the counts.
     """
-    has = np.array([[v is not None for v in row] for row in raw], dtype=bool)
-    values = np.array(raw, dtype=np.float64)  # None reads as NaN
-    counts = np.array([np.bincount(keys, weights=h, minlength=n_plots) for h in has])
-    sums = np.array([np.bincount(keys, weights=v, minlength=n_plots)
-                     for v in np.where(has, values, 0.0)])
-    means = np.full(sums.shape, np.nan)
-    np.divide(sums, counts, out=means, where=counts > 0)
-    for j, g in zip(*np.nonzero(counts >= PAIRWISE_SUM_MIN)):
-        means[j, g] = np.mean(values[j, (keys == g) & has[j]])
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    values = np.array(raw, dtype=np.float64)[:, order]  # None reads as NaN
+    has = np.array([[v is not None for v in row] for row in raw], dtype=bool)[:, order]
+    means = np.full((len(raw), n_plots), np.nan)
+    counts = np.zeros((len(raw), n_plots), dtype=np.intp)
+    for j in range(len(raw)):
+        present = values[j, has[j]]  # grouped by plot, entry order within a plot
+        counts[j] = count = np.bincount(sorted_keys[has[j]], minlength=n_plots)
+        start = np.cumsum(count) - count
+        for n in np.unique(count[count > 0]):
+            plots = np.flatnonzero(count == n)
+            means[j, plots] = present[start[plots, None] + np.arange(n)].sum(axis=1) / n
     return means.T, (counts > 0).T
 
 

@@ -534,6 +534,10 @@ def _outcome(fn, *args, **kwargs):
             m.plot_ids, m.germplasm_ids, m.dropped)
 
 
+# numpy's sum adds 8 or more values pairwise, fewer in sequence
+PAIRWISE_SUM_MIN = 8
+
+
 class TestAssembleMatchesRowLoop:
     def test_seeded_scenes_match_bit_for_bit(self):
         rng = np.random.default_rng(20241018)
@@ -544,7 +548,7 @@ class TestAssembleMatchesRowLoop:
             for rec in records:
                 for name in rec.features:
                     counts[rec.plot_id, name] = counts.get((rec.plot_id, name), 0) + 1
-            seen["pairwise"] += any(n >= fusion.PAIRWISE_SUM_MIN for n in counts.values())
+            seen["pairwise"] += any(n >= PAIRWISE_SUM_MIN for n in counts.values())
             for domains in DOMAIN_SUBSETS:
                 want = _outcome(_assemble_row_loop, records, weather, germplasm, domains)
                 got = _outcome(fusion.assemble, records, weather, germplasm, domains)
@@ -554,6 +558,25 @@ class TestAssembleMatchesRowLoop:
         # the scenes reach every branch: results, errors, dropped rows and
         # plots whose means numpy sums pairwise
         assert min(seen.values()) >= 20, seen
+
+    def test_long_seasons_match_bit_for_bit(self):
+        # past numpy's 128-value pairwise block, with gaps that give every
+        # plot of a column its own count
+        rng = np.random.default_rng(7)
+        names = fusion.RS_FEATURES + fusion.PHENOTYPING_FEATURES
+        records = [
+            fusion.PlotFeatureRecord(
+                plot_id=f"p{p}", germplasm_id="g1", date=str(d), site="",
+                features={n: float(rng.normal() * 10.0 ** rng.uniform(-3, 6))
+                          for n in names if rng.random() < 0.9},
+                yield_kg_ha=float(rng.uniform(0, 9000)))
+            for p in range(6) for d in range(int(rng.integers(100, 300)))
+        ]
+        records = [records[i] for i in rng.permutation(len(records))]
+        for domains in (("RS",), ("RS", "phenotyping")):
+            want = _outcome(_assemble_row_loop, records, domains=domains)
+            assert want[0] == "ok"
+            assert _outcome(fusion.assemble, records, domains=domains) == want
 
     def test_errors_match(self):
         rec = fusion.PlotFeatureRecord
