@@ -38,10 +38,14 @@ plot = geodata.PlotGeometry(
     vertices=np.array([[0.5, 0.5], [3.5, 0.5], [3.5, 3.5], [0.5, 3.5]]),
 )
 
+# The plot's cells are selected once per grid geometry; every layer on that
+# geometry (each index map is a RasterGrid on the bands' geometry) reuses them.
+cells = geodata.plot_cells(bands.geometry_reference(), plot)
+
 print("vegetation indices (plot means):")
 for name in spectral.VI_NAMES:
     vi = spectral.vi_map(bands, name)
-    stat = spectral.plot_statistic(vi, plot)
+    stat = spectral.plot_statistic(vi, cells, feature_name=name)
     print(f"  {name:6s} = {stat.value:+.4f}  over {stat.n_cells} cells")
 
 # --- vegetation cover -------------------------------------------------------
@@ -77,7 +81,7 @@ print(f"PL: ratio {pl.ratio:.3f} -> {pl.level}")
 # Weed pressure is judged over the plot plus a 10-20 cm ring outside it.
 weed_mask = grid((rng.random(shape) < 0.45).astype(float))
 ring = geodata.buffer_ring(plot, inner=0.1, outer=0.2)
-wl = structural.classify_weed(weed_mask, plot, ring)
+wl = structural.classify_weed(weed_mask, geodata.UnionRegion(plot, ring))
 print(f"WL: ratio {wl.ratio:.3f} -> {wl.level}")
 
 # --- wheat-head density -------------------------------------------------------

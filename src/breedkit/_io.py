@@ -6,7 +6,8 @@ physical line. ``csv_columns`` reads the same cells column by column, for
 loaders that convert a whole column at once; a loader that finds a cell it
 cannot convert or validate re-reads the file with ``csv_rows``, so the error
 it raises names the same line with the same message. An input file that is
-not UTF-8 raises ParseError naming the file.
+not UTF-8, or that the ``csv`` module rejects (a cell over its field-size
+limit), raises ParseError naming the file.
 Output tables are CSV with ``\\n`` line ends; callers format their own cells.
 JSON artifacts carry sorted keys, a two-space indent and a final newline.
 Every artifact is written to a temporary file beside its target and then
@@ -33,6 +34,15 @@ def decoding(path):
         raise ParseError(f"{path}: not UTF-8 text") from None
 
 
+@contextmanager
+def _csv_errors(path, reader):
+    """Turn a csv.Error inside the block into a ParseError naming ``path`` and the line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
+
+
 def _check_header(path, fieldnames, required) -> None:
     if fieldnames is None or not set(required).issubset(fieldnames):
         raise ParseError(f"{path}: need columns {sorted(required)}, got {fieldnames}", line=1)
@@ -48,9 +58,11 @@ def csv_rows(path, required):
     """
     with decoding(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, restval="")
-        _check_header(path, reader.fieldnames, required)
-        for row in reader:
-            yield reader.line_num, row
+        # the inner reader: DictReader.line_num moves only once a row is read
+        with _csv_errors(path, reader.reader):
+            _check_header(path, reader.fieldnames, required)
+            for row in reader:
+                yield reader.line_num, row
 
 
 # Rows transposed at a time by csv_columns: few enough that a block's row
@@ -67,15 +79,16 @@ def csv_columns(path, required) -> dict:
     """
     with decoding(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(path, header, required)
-        width = len(header)
-        columns = [[] for _ in range(width)]
-        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
-            rows = [row if len(row) >= width else row + [""] * (width - len(row))
-                    for row in block if row]
-            for column, cells in zip(columns, zip(*rows)):
-                column.extend(cells)
+        with _csv_errors(path, reader):
+            header = next(reader, None)
+            _check_header(path, header, required)
+            width = len(header)
+            columns = [[] for _ in range(width)]
+            for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+                rows = [row if len(row) >= width else row + [""] * (width - len(row))
+                        for row in block if row]
+                for column, cells in zip(columns, zip(*rows)):
+                    column.extend(cells)
     return {name: columns[i] for i, name in enumerate(header)}
 
 

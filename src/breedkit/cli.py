@@ -21,7 +21,7 @@ from . import bench, fusion, geodata, kb, prefopt, spectral, structural
 from ._io import csv_rows, write_csv, write_json
 from .errors import BreedkitError, ParseError
 
-# MS band centers (nm) used when the config does not override wavelengths.
+# MS band centers (nm). MS indices pick their bands by name, so these only tag the bands.
 MS_BAND_CENTERS_NM = {
     "blue": 450.0,
     "green": 560.0,
@@ -167,10 +167,8 @@ def _load_elevation(config: dict, path: str) -> geodata.RasterGrid:
 
 def _load_ms_bands(config: dict) -> geodata.BandSet:
     bands = {}
-    for name, default_nm in MS_BAND_CENTERS_NM.items():
-        grid = geodata.load_raster(_get_path(config, f"extract.ms_bands.{name}"))
-        nm = _get_number(config, f"extract.ms_bands.{name}_nm", required=False, default=default_nm)
-        bands[name] = (grid, nm)
+    for name, nm in MS_BAND_CENTERS_NM.items():
+        bands[name] = (geodata.load_raster(_get_path(config, f"extract.ms_bands.{name}")), nm)
     return geodata.BandSet(bands=bands, sensor_kind="MS")
 
 
@@ -266,7 +264,7 @@ def _cmd_extract(config: dict) -> dict:
                                                             kndvi_sigma=kndvi_sigma)
 
     for mask in (veg_mask, lodging_mask, weed_mask):
-        spectral.require_binary_mask(mask)
+        geodata.require_binary_mask(mask)
 
     records = []
     for plot in plots:
@@ -275,10 +273,10 @@ def _cmd_extract(config: dict) -> dict:
         restrict = veg_mask if restrict_vi else None
         for column, layer in vi_layers.items():
             features[column] = spectral.plot_statistic(
-                layer, _cells_on(cells, layer.grid, plot), restrict_to=restrict,
+                layer, _cells_on(cells, layer, plot), restrict_to=restrict,
                 feature_name=column,
             ).value
-        chm_cells = _cells_on(cells, chm.grid, plot)
+        chm_cells = _cells_on(cells, chm, plot)
         features["CH"] = structural.plot_canopy_height(chm, chm_cells, percentile=ch_percentile).value
         features["CV"] = structural.canopy_volume(chm, chm_cells).volume
         features["FVC"] = spectral.fvc(veg_mask, _cells_on(cells, veg_mask, plot)).value
@@ -286,7 +284,7 @@ def _cmd_extract(config: dict) -> dict:
             lodging_mask, _cells_on(cells, lodging_mask, plot)
         ).ratio
         ring = geodata.buffer_ring(plot, ring_inner, ring_outer)
-        features["WL_ratio"] = structural.classify_weed(weed_mask, plot, ring).ratio
+        features["WL_ratio"] = structural.classify_weed(weed_mask, geodata.UnionRegion(plot, ring)).ratio
         if plot.plot_id not in head_counts:
             raise BreedkitError(f"no head counts for plot {plot.plot_id}")
         features["WH_density"] = structural.wheat_head_density(

@@ -67,6 +67,8 @@ class PlotFeatureRecord:
     def __post_init__(self):
         if not self.plot_id:
             raise InvalidInput("plot_id must be non-empty")
+        if self.yield_kg_ha is not None and not math.isfinite(self.yield_kg_ha):
+            raise InvalidInput(f"plot {self.plot_id}: yield is not finite")
         if self.yield_kg_ha is not None and self.yield_kg_ha < 0:
             raise InvalidInput(f"plot {self.plot_id}: yield must be >= 0")
         for name, value in self.features.items():

@@ -31,6 +31,7 @@ from .errors import (
     EmptyPlot,
     GeometryMismatch,
     InvalidInput,
+    InvalidMask,
     MissingBand,
     ParseError,
 )
@@ -632,7 +633,8 @@ class PlotCells:
     ``member`` is True where a window cell's center lies in the region.
     Reading ``window(grid)[member]`` gives the region's cells in the same
     row-major order as a full-grid mask, so reductions over it are
-    bit-identical to reductions over the full grid.
+    bit-identical to reductions over the full grid. ``values`` and ``count``
+    are the reads every per-plot feature makes.
     """
 
     plot_id: str | None
@@ -649,6 +651,45 @@ class PlotCells:
                 f"{self.geometry}, not {grid.geometry}"
             )
         return grid.values[self.rows, self.cols]
+
+    def values(self, grid: RasterGrid, restrict_to: RasterGrid | None = None) -> np.ndarray:
+        """``grid``'s non-nodata values over the cells, in row-major order.
+
+        ``restrict_to``: optional binary mask on the same geometry; when
+        given, only cells where it is 1 count. InvalidMask if a window cell
+        of the mask is not 0, 1 or nodata.
+        """
+        window = self.window(grid)
+        selected = self.member & (window != grid.nodata)
+        if restrict_to is not None:
+            selected &= _binary_ones(self.window(restrict_to), restrict_to.nodata)
+        return window[selected]
+
+    def count(self, mask: RasterGrid) -> tuple[int, int]:
+        """(cells where the binary ``mask`` is 1, all cells); nodata counts as 0.
+
+        InvalidMask if a window cell of ``mask`` is not 0, 1 or nodata.
+        """
+        ones = _binary_ones(self.window(mask), mask.nodata)
+        return int((self.member & ones).sum()), int(self.member.sum())
+
+
+def _binary_ones(values: np.ndarray, nodata: float) -> np.ndarray:
+    """True where mask ``values`` are 1; InvalidMask on anything but 0, 1 or nodata."""
+    ok = (values == 0.0) | (values == 1.0) | (values == nodata)
+    if not ok.all():
+        bad = values[~ok].flat[0]
+        raise InvalidMask(f"mask holds non-binary value {bad}")
+    return values == 1.0
+
+
+def require_binary_mask(mask: RasterGrid) -> None:
+    """Raise InvalidMask unless every cell of ``mask`` is 0, 1 or nodata.
+
+    ``PlotCells`` reads check only the window they read, so a caller that
+    reduces many plots over one mask validates it here once.
+    """
+    _binary_ones(mask.values, mask.nodata)
 
 
 def _index_window(lo: float, hi: float, n: int) -> slice:
@@ -668,8 +709,11 @@ def plot_cells(grid: RasterGrid, region) -> PlotCells:
 
     ``region`` is a PlotGeometry, a BufferRing or a UnionRegion; polygon
     boundaries count as inside. Only the window around ``region.bounds()`` is
-    tested. Raises EmptyPlot when no cell of the grid is selected.
+    tested. Raises EmptyPlot when no cell of the grid is selected. A
+    PlotCells ``region`` is returned as it is; its reads check the geometry.
     """
+    if isinstance(region, PlotCells):
+        return region
     x0, y0, x1, y1 = region.bounds()
     size = grid.cell_size
     # inverse of the cell-center formula in the module docstring

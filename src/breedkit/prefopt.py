@@ -559,6 +559,8 @@ def _load_jsonl(path, required: tuple) -> list[dict]:
                 obj = json.loads(ln)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc}", line=lineno)
+            if not isinstance(obj, dict):
+                raise ParseError("expected a JSON object", line=lineno)
             for key in required:
                 if key not in obj or not isinstance(obj[key], list):
                     raise ParseError(f"need list field {key!r}", line=lineno)

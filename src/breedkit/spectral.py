@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPlot, InvalidInput, InvalidMask, MissingBand
+from .errors import EmptyPlot, InvalidInput, MissingBand
 from .geodata import BandSet, PlotCells, PlotGeometry, RasterGrid, plot_cells
 
 VI_NAMES = ("NDVI", "SAVI", "kNDVI", "NIRv", "PSRI")
@@ -33,18 +33,6 @@ HS_BAND_TARGETS = {"red": 650.0, "green": 560.0, "nir": 840.0}
 HS_TOLERANCE_NM = 10.0
 
 PSRI_HS_TARGETS = (680.0, 500.0, 750.0)
-
-
-@dataclass(frozen=True)
-class VegetationIndexMap:
-    """A named per-pixel index layer."""
-
-    index_name: str
-    grid: RasterGrid
-
-    def __post_init__(self):
-        if self.index_name not in VI_NAMES:
-            raise InvalidInput(f"unknown index {self.index_name!r}, expected one of {VI_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +88,7 @@ def vi_map(
     index_name: str,
     L: float = 0.5,
     kndvi_sigma: float | None = None,
-) -> VegetationIndexMap:
+) -> RasterGrid:
     """Compute one vegetation index over every cell of the band set.
 
     ``kndvi_sigma``: fixed length scale for kNDVI; None selects the
@@ -144,10 +132,10 @@ def vi_map(
             defined &= green_ok & (nir != 0.0)
 
     values = np.where(defined, out, nodata)
-    return VegetationIndexMap(index_name=index_name, grid=ref.with_values(values))
+    return ref.with_values(values)
 
 
-def psri_hs(bands: BandSet) -> VegetationIndexMap:
+def psri_hs(bands: BandSet) -> RasterGrid:
     """Hyperspectral senescence index (R680 - R500) / R750.
 
     Each target wavelength resolves to the nearest band within +-10 nm
@@ -164,63 +152,23 @@ def psri_hs(bands: BandSet) -> VegetationIndexMap:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (g680.values - g500.values) / g750.values
     values = np.where(defined, out, g680.nodata)
-    return VegetationIndexMap(index_name="PSRI", grid=g680.with_values(values))
-
-
-def _as_grid(layer) -> RasterGrid:
-    return layer.grid if isinstance(layer, VegetationIndexMap) else layer
-
-
-def _binary_members(values: np.ndarray, nodata: float) -> np.ndarray:
-    """True where mask ``values`` are 1; InvalidMask on anything but 0, 1 or nodata."""
-    ok = (values == 0.0) | (values == 1.0) | (values == nodata)
-    if not ok.all():
-        bad = values[~ok].flat[0]
-        raise InvalidMask(f"mask holds non-binary value {bad}")
-    return values == 1.0
-
-
-def require_binary_mask(mask: RasterGrid) -> None:
-    """Raise InvalidMask unless every cell of ``mask`` is 0, 1 or nodata.
-
-    The per-plot functions below check only the window they read, so a
-    caller that reduces many plots over one mask validates it here once.
-    """
-    _binary_members(mask.values, mask.nodata)
-
-
-def _as_cells(grid: RasterGrid, plot) -> PlotCells:
-    """``plot``'s cells on ``grid``: PlotCells pass through, a PlotGeometry is selected."""
-    return plot if isinstance(plot, PlotCells) else plot_cells(grid, plot)
-
-
-def _positive_cells(mask: RasterGrid, cells: PlotCells) -> tuple[int, int]:
-    """(cells where the binary ``mask`` is 1, all cells) over ``cells``."""
-    positive = _binary_members(cells.window(mask), mask.nodata)
-    return int((cells.member & positive).sum()), int(cells.member.sum())
+    return g680.with_values(values)
 
 
 def plot_statistic(
-    layer,
+    grid: RasterGrid,
     plot: PlotGeometry | PlotCells,
     restrict_to: RasterGrid | None = None,
-    feature_name: str | None = None,
+    feature_name: str = "value",
 ) -> PlotStatistic:
     """Mean of a layer over the plot's cells.
 
-    ``plot``: a PlotGeometry, or its PlotCells on the layer's grid geometry.
+    ``plot``: a PlotGeometry, or its PlotCells on the grid's geometry.
     ``restrict_to``: optional binary mask (e.g. vegetation segmentation) on
     the same geometry; when given, only cells where it equals 1 participate.
     """
-    grid = _as_grid(layer)
-    if feature_name is None:
-        feature_name = layer.index_name if isinstance(layer, VegetationIndexMap) else "value"
-    cells = _as_cells(grid, plot)
-    window = cells.window(grid)
-    selected = cells.member & (window != grid.nodata)
-    if restrict_to is not None:
-        selected &= _binary_members(cells.window(restrict_to), restrict_to.nodata)
-    vals = window[selected]
+    cells = plot_cells(grid, plot)
+    vals = cells.values(grid, restrict_to)
     if vals.size == 0:
         raise EmptyPlot(f"plot {cells.plot_id}: no usable cells for {feature_name}")
     return PlotStatistic(
@@ -236,8 +184,8 @@ def fvc(vegetation_mask: RasterGrid, plot: PlotGeometry | PlotCells) -> PlotStat
 
     Nodata cells count in the denominator as non-vegetation.
     """
-    cells = _as_cells(vegetation_mask, plot)
-    n_veg, n_plot = _positive_cells(vegetation_mask, cells)
+    cells = plot_cells(vegetation_mask, plot)
+    n_veg, n_plot = cells.count(vegetation_mask)
     return PlotStatistic(
         plot_id=cells.plot_id,
         feature_name="FVC",

@@ -18,20 +18,15 @@ import numpy as np
 
 from ._io import csv_rows
 from .errors import EmptyInput, EmptyPlot, InvalidInput, ParseError
-from .geodata import PlotCells, PlotGeometry, RasterGrid, UnionRegion, require_same_geometry
-from .spectral import PlotStatistic, _as_cells, _positive_cells
+from .geodata import (
+    PlotCells, PlotGeometry, RasterGrid, UnionRegion, plot_cells, require_same_geometry,
+)
+from .spectral import PlotStatistic
 
 DEFAULT_NOISE_FLOOR_M = 0.05
 
 LODGING_LABELS = ("no_lodging", "slight", "severe", "special")
 WEED_LABELS = ("no_weeds", "slight", "moderate", "severe")
-
-
-@dataclass(frozen=True)
-class CanopyHeightModel:
-    """Per-cell canopy height (meters); defined where DSM and DEM both are."""
-
-    grid: RasterGrid
 
 
 @dataclass(frozen=True)
@@ -92,11 +87,12 @@ def canopy_height_model(
     dsm: RasterGrid,
     dem: RasterGrid,
     noise_floor: float = DEFAULT_NOISE_FLOOR_M,
-) -> CanopyHeightModel:
-    """CH = DSM - DEM per cell, with negative-noise handling.
+) -> RasterGrid:
+    """Canopy height CH = DSM - DEM per cell (meters), with negative-noise handling.
 
-    Differences below ``-noise_floor`` are treated as registration error and
-    become nodata; differences in [-noise_floor, 0) clamp to 0.
+    CH is defined where DSM and DEM both are. Differences below
+    ``-noise_floor`` are treated as registration error and become nodata;
+    differences in [-noise_floor, 0) clamp to 0.
     """
     require_same_geometry(dsm, dem)
     if noise_floor < 0:
@@ -105,7 +101,7 @@ def canopy_height_model(
     defined = dsm.defined & dem.defined & (diff >= -noise_floor)
     clamped = np.maximum(diff, 0.0)
     values = np.where(defined, clamped, dsm.nodata)
-    return CanopyHeightModel(grid=dsm.with_values(values))
+    return dsm.with_values(values)
 
 
 def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
@@ -119,20 +115,14 @@ def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
     return float(ordered[rank - 1])
 
 
-def _defined_values(grid: RasterGrid, cells: PlotCells) -> np.ndarray:
-    """The non-nodata values of ``grid`` over ``cells``, in row-major order."""
-    window = cells.window(grid)
-    return window[cells.member & (window != grid.nodata)]
-
-
 def plot_canopy_height(
-    chm: CanopyHeightModel,
+    chm: RasterGrid,
     plot: PlotGeometry | PlotCells,
     percentile: float = 0.95,
 ) -> PlotStatistic:
     """Percentile of canopy height over the plot cells (nearest-rank)."""
-    cells = _as_cells(chm.grid, plot)
-    vals = _defined_values(chm.grid, cells)
+    cells = plot_cells(chm, plot)
+    vals = cells.values(chm)
     if vals.size == 0:
         raise EmptyPlot(f"plot {cells.plot_id}: no defined canopy-height cells")
     return PlotStatistic(
@@ -143,19 +133,18 @@ def plot_canopy_height(
     )
 
 
-def canopy_volume(surface, plot: PlotGeometry | PlotCells) -> CanopyVolumeResult:
+def canopy_volume(surface: RasterGrid, plot: PlotGeometry | PlotCells) -> CanopyVolumeResult:
     """Cut-and-fill volume of a surface over a plot.
 
     For each reference plane z_ref in {min z, mean z over the plot cells},
     volume = sum over cells of |z - z_ref| * cell_area; the reported volume
     is the average of the two.
     """
-    grid = surface.grid if isinstance(surface, CanopyHeightModel) else surface
-    cells = _as_cells(grid, plot)
-    z = _defined_values(grid, cells)
+    cells = plot_cells(surface, plot)
+    z = cells.values(surface)
     if z.size == 0:
         raise EmptyPlot(f"plot {cells.plot_id}: no defined surface cells")
-    cell_area = grid.cell_size * grid.cell_size
+    cell_area = surface.cell_size * surface.cell_size
     v_low = float(np.sum(np.abs(z - z.min())) * cell_area)
     v_mean = float(np.sum(np.abs(z - np.mean(z))) * cell_area)
     return CanopyVolumeResult(
@@ -192,8 +181,8 @@ def weed_level(ratio: float) -> str:
 
 
 def _region_ratio(mask: RasterGrid, region) -> float:
-    """positive-mask cells / all cells, over the region's cells (PlotCells or a region)."""
-    n_pos, n_all = _positive_cells(mask, _as_cells(mask, region))
+    """1-cells of the binary ``mask`` / all cells, over the region's cells."""
+    n_pos, n_all = plot_cells(mask, region).count(mask)
     return n_pos / n_all
 
 
@@ -207,9 +196,11 @@ def classify_lodging(
     return CategoricalLevel(kind="PL", ratio=ratio, level=lodging_level(ratio, special=special))
 
 
-def classify_weed(weed_mask: RasterGrid, plot: PlotGeometry, ring) -> CategoricalLevel:
-    """Weed level from the weed-pixel ratio over the plot plus its outer ring."""
-    region = UnionRegion(plot, ring)
+def classify_weed(weed_mask: RasterGrid, region: UnionRegion | PlotCells) -> CategoricalLevel:
+    """Weed level from the weed-pixel ratio over a plot plus its outer ring.
+
+    ``region``: the UnionRegion of the plot and its ring, or its PlotCells.
+    """
     ratio = _region_ratio(weed_mask, region)
     return CategoricalLevel(kind="WL", ratio=ratio, level=weed_level(ratio))
 

@@ -57,10 +57,10 @@ def test_criterion_1_feature_formula_oracles():
         }, sensor_kind="HS")
 
         maps = {
-            name: spectral.vi_map(ms, name).grid.values.tolist()
+            name: spectral.vi_map(ms, name).values.tolist()
             for name in ("NDVI", "SAVI", "kNDVI", "NIRv", "PSRI")
         }
-        maps["PSRI_HS"] = spectral.psri_hs(hs).grid.values.tolist()
+        maps["PSRI_HS"] = spectral.psri_hs(hs).values.tolist()
 
         red_l, green_l, nir_l = red.tolist(), green.tolist(), nir.tolist()
         r500_l, r680_l, r750_l = r500.tolist(), r680.tolist(), r750.tolist()
@@ -119,7 +119,7 @@ def test_criterion_2_structural_oracles():
 
     dsm = make_grid(rng.uniform(4, 9, (8, 8)))
     chm = structural.canopy_height_model(dsm, dsm)
-    assert np.array_equal(chm.grid.values, np.zeros((8, 8)))
+    assert np.array_equal(chm.values, np.zeros((8, 8)))
 
     pts = np.column_stack([
         rng.uniform(-3, 14, 10_000),

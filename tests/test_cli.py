@@ -170,6 +170,20 @@ class TestExtractErrorContract:
         assert summary["error"] == "ParseError"
         assert summary["message"].startswith(f"line 1: {path}: need columns ['plot_id']")
 
+    def test_cell_over_the_csv_field_limit_is_a_parse_error(self, tmp_path, capsys):
+        rows = open(scene_path("head_counts.csv")).read().splitlines()
+        cells = rows[2].split(",")
+        cells[rows[0].split(",").index("image_id")] = "x" * 140_000
+        rows[2] = ",".join(cells)
+        path = tmp_path / "head_counts.csv"
+        path.write_text("\n".join(rows) + "\n")
+        config = extract_config(tmp_path / "out")
+        config["extract"]["head_counts"] = str(path)
+        rc, summary = self.run_extract(config, tmp_path, capsys)
+        assert rc == 1
+        assert summary["error"] == "ParseError"
+        assert summary["message"].startswith(f"line 3: {path}: field larger than field limit")
+
     def test_non_numeric_wavelength_names_its_field(self, tmp_path, capsys):
         config = extract_config(tmp_path / "out")
         config["extract"]["hs_bands"][2]["wavelength_nm"] = "650nm"
@@ -234,6 +248,22 @@ class TestPrefopt:
         ppo = open(outs["ppo_diagnostics"]).read().splitlines()
         assert ppo[0] == "iteration,mean_reward,mean_kl,clip_fraction"
         assert len(ppo) == 16
+
+    def test_jsonl_record_that_is_not_an_object_is_a_parse_error(self, tmp_path, capsys):
+        lines = open(scene_path("sft.jsonl")).read().splitlines()
+        path = tmp_path / "sft.jsonl"
+        path.write_text("\n".join([lines[0], "5"] + lines[1:]) + "\n")
+        config = prefopt_config(tmp_path / "out")
+        config["prefopt"]["sft_data"] = str(path)
+        cfg = write_config(config, tmp_path / "p.json")
+        rc = cli.main(["prefopt", "--config", cfg])
+        stdout = capsys.readouterr().out.strip().splitlines()
+        assert rc == 1
+        assert len(stdout) == 1
+        summary = json.loads(stdout[0])
+        assert summary["error"] == "ParseError"
+        assert summary["message"] == "line 2: expected a JSON object"
+        assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
 
     def test_ppo_alone_requires_model_files(self, tmp_path, capsys):
         config = prefopt_config(tmp_path / "out")

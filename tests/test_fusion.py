@@ -124,6 +124,11 @@ class TestAssemble:
         with pytest.raises(InvalidInput, match="yield"):
             fusion.assemble(recs, domains=("RS",))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_yield_rejected_naming_the_plot(self, bad):
+        with pytest.raises(InvalidInput, match="^plot p1: yield is not finite$"):
+            record("p1", NDVI_MS=0.5, yield_kg_ha=bad)
+
     def test_zero_surviving_rows(self):
         recs = [record("p1", NDVI_MS=0.5)]  # no phenotyping columns at all
         with pytest.raises(EmptyDataset):
@@ -355,6 +360,14 @@ class TestFeatureCsvRoundTrip:
             fusion.load_feature_records(path)
         assert str(info.value) == "line 3: non-numeric yield_kg_ha: 'n/a'"
 
+    def test_non_finite_yield_is_rejected_naming_the_plot(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("plot_id,germplasm_id,date,NDVI_MS,yield_kg_ha\n"
+                        "p1,g1,2023-04-01,0.5,5000\n"
+                        "p2,g1,2023-04-01,0.6,nan\n")
+        with pytest.raises(InvalidInput, match="^plot p2: yield is not finite$"):
+            fusion.load_feature_records(path)
+
     def test_weather_csv(self, tmp_path):
         path = tmp_path / "weather.csv"
         path.write_text(
@@ -585,7 +598,6 @@ class TestAssembleMatchesRowLoop:
               rec("p1", "g2", "d2", {"NDVI_MS": 2.0}, 1.0)], ("RS",)),
             ([rec("p2", "g1", "d1", {"NDVI_MS": 1.0}, None),
               rec("p1", "g1", "d1", {"NDVI_MS": 1.0}, None)], ("RS",)),
-            ([rec("p1", "g1", "d1", {"NDVI_MS": 1.0}, float("nan"))], ("RS",)),
             ([rec("p1", "g1", "d1", {"SPAD": 1.0}, 1.0)], ("RS",)),
             ([rec("p1", "g1", "d1", {"SPAD": 1.0}, 1.0),
               rec("p2", "g1", "d1", {"LAI": 1.0}, 1.0)], ("phenotyping",)),

@@ -12,6 +12,7 @@ from breedkit.errors import (
     EmptyPlot,
     GeometryMismatch,
     InvalidInput,
+    InvalidMask,
     ParseError,
 )
 
@@ -619,6 +620,45 @@ class TestPlotCells:
         assert cells.window(same)[cells.member].tolist() == [10.0, 12.0, 18.0, 20.0]
         with pytest.raises(GeometryMismatch):
             cells.window(make_grid(np.zeros((4, 4)), origin=(0.5, 0.0)))
+
+    def test_values_skip_nodata_and_cells_outside_the_mask(self):
+        grid = make_grid(np.arange(32.0).reshape(4, 8))
+        cells = geodata.plot_cells(grid, square_plot(1.0, 1.0, 3.0, 3.0))  # 9, 10, 17, 18
+        layer = grid.with_values(np.where(grid.values == 10.0, -9999.0, grid.values))
+        assert cells.values(layer).tolist() == [9.0, 17.0, 18.0]
+        mask = np.zeros((4, 8))
+        mask[1, 1:3] = 1.0
+        mask[2, 1:3] = -9999.0, 1.0
+        mask[0, 7] = 2.0  # outside the window: only the window is checked
+        mask = grid.with_values(mask)
+        assert cells.values(layer, restrict_to=mask).tolist() == [9.0, 18.0]
+        assert cells.values(grid, restrict_to=mask).tolist() == [9.0, 10.0, 18.0]
+
+    def test_count_is_ones_over_all_cells(self):
+        grid = make_grid(np.zeros((4, 8)))
+        cells = geodata.plot_cells(grid, square_plot(1.0, 1.0, 3.0, 3.0))
+        values = np.ones((4, 8))
+        values[1, 1:3] = 0.0, -9999.0  # nodata counts as 0
+        values[0, 7] = 2.0  # outside the window
+        mask = grid.with_values(values.copy())
+        assert cells.count(mask) == (2, 4)
+        values[1, 0] = 0.5  # in the window's margin, outside the plot
+        bad = grid.with_values(values)
+        for read in (cells.count, lambda m: cells.values(grid, restrict_to=m)):
+            with pytest.raises(InvalidMask):
+                read(bad)
+        with pytest.raises(InvalidMask):
+            geodata.require_binary_mask(mask)
+
+    def test_plot_cells_pass_through_and_check_geometry_on_read(self):
+        grid = make_grid(np.zeros((4, 4)))
+        cells = geodata.plot_cells(grid, square_plot(1.0, 1.0, 3.0, 3.0))
+        other = make_grid(np.zeros((4, 4)), cell_size=0.5)
+        assert geodata.plot_cells(other, cells) is cells
+        with pytest.raises(GeometryMismatch):
+            cells.values(other)
+        with pytest.raises(GeometryMismatch):
+            cells.count(other)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import sys
@@ -46,6 +47,27 @@ def test_only_the_io_module_reads_and_writes_tables_and_json():
         offenders += [f"{name}: {call}"
                       for call in ("csv.DictReader(", "csv.reader(", "csv.writer(", "json.dump(")
                       if call in text]
+    assert offenders == []
+
+
+def test_no_module_uses_a_private_name_of_another_module():
+    offenders = []
+    for name in sorted(os.listdir(SRC_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC_DIR, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        package_imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                           and (node.level or (node.module or "").startswith("breedkit"))]
+        # ``from . import geodata`` binds modules; ``from .geodata import x`` binds names
+        modules = {alias.asname or alias.name for node in package_imports
+                   if node.module in (None, "breedkit") for alias in node.names}
+        offenders += [f"{name}: from {node.module} import {alias.name}"
+                      for node in package_imports if node.module not in (None, "breedkit")
+                      for alias in node.names if alias.name.startswith("_")]
+        offenders += [f"{name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                      and isinstance(node.value, ast.Name) and node.value.id in modules]
     assert offenders == []
 
 
@@ -111,15 +133,33 @@ def test_csv_columns_hold_the_cells_csv_rows_yields(block_rows, tmp_path, monkey
         assert cells == [row[name] for row in rows]
 
 
-@pytest.mark.parametrize("read", [lambda p: list(_io.csv_rows(p, ("a",))),
-                                  lambda p: _io.csv_columns(p, ("a",))],
-                         ids=["csv_rows", "csv_columns"])
+CSV_READERS = pytest.mark.parametrize("read", [lambda p: list(_io.csv_rows(p, ("a",))),
+                                               lambda p: _io.csv_columns(p, ("a",))],
+                                      ids=["csv_rows", "csv_columns"])
+
+
+@CSV_READERS
 def test_csv_readers_raise_a_parse_error_for_non_utf8_text(read, tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"a,b\n1,caf\xe9\n")
     with pytest.raises(ParseError) as info:
         read(path)
     assert str(info.value) == f"{path}: not UTF-8 text"
+
+
+@CSV_READERS
+@pytest.mark.parametrize("lines, line", [
+    (["a,b", "1,2", "3," + "x" * 140_000], 3),
+    (["a,b", '1,"2\n2"', '"' + "x" * 140_000 + '",4'], 4),
+    (["a," + "x" * 140_000, "1,2"], 1),
+], ids=["cell", "after_a_multi_line_cell", "header"])
+def test_csv_readers_raise_a_parse_error_for_a_cell_over_the_field_limit(read, lines, line, tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: {path}: field larger than field limit")
 
 
 @pytest.mark.parametrize("loader, text", [

@@ -11,6 +11,7 @@ from breedkit.errors import (
     InvalidRanking,
     InvalidToken,
     NumericalError,
+    ParseError,
 )
 
 
@@ -512,6 +513,19 @@ class TestDatasetsAndPersistence:
         bad.write_text('{"prompt": [0]}\n')
         with pytest.raises(Exception):
             prefopt.load_sft_dataset(bad)
+
+    @pytest.mark.parametrize("record", ["5", "null", "[1]", '"s"'])
+    @pytest.mark.parametrize("load, good", [
+        (prefopt.load_sft_dataset, '{"prompt": [0], "answer": [1]}'),
+        (prefopt.load_preference_dataset, '{"prompt": [0], "chosen": [1], "rejected": [2]}'),
+        (prefopt.load_prompt_dataset, '{"prompt": [0]}'),
+    ], ids=["sft", "preference", "prompt"])
+    def test_jsonl_record_that_is_not_an_object_is_a_parse_error(self, load, good, record, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(f"{good}\n{record}\n")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == "line 2: expected a JSON object"
 
     def test_policy_round_trip(self, tmp_path):
         policy = prefopt.PolicyModel(vocab_size=4, context_length=2, init_scale=1.0, seed=3)

@@ -66,38 +66,38 @@ class TestViMap:
     def test_ndvi_direct_value(self):
         bands = make_ms_bands({"nir": np.array([[0.5]]), "red": np.array([[0.1]])})
         vi = spectral.vi_map(bands, "NDVI")
-        assert vi.grid.values[0, 0] == pytest.approx(0.4 / 0.6, abs=1e-12)
+        assert vi.values[0, 0] == pytest.approx(0.4 / 0.6, abs=1e-12)
 
     def test_nir_equal_red_symmetry(self):
         bands = make_ms_bands({"nir": np.array([[0.3]]), "red": np.array([[0.3]])})
-        assert spectral.vi_map(bands, "NDVI").grid.values[0, 0] == 0.0
-        assert spectral.vi_map(bands, "kNDVI").grid.values[0, 0] == 0.0
-        assert spectral.vi_map(bands, "NIRv").grid.values[0, 0] == 0.0
+        assert spectral.vi_map(bands, "NDVI").values[0, 0] == 0.0
+        assert spectral.vi_map(bands, "kNDVI").values[0, 0] == 0.0
+        assert spectral.vi_map(bands, "NIRv").values[0, 0] == 0.0
 
     def test_savi_direct_value(self):
         bands = make_ms_bands({"nir": np.array([[0.5]]), "red": np.array([[0.1]])})
         vi = spectral.vi_map(bands, "SAVI", L=0.5)
-        assert vi.grid.values[0, 0] == pytest.approx(1.5 * 0.4 / 1.1, abs=1e-12)
+        assert vi.values[0, 0] == pytest.approx(1.5 * 0.4 / 1.1, abs=1e-12)
 
     def test_psri_ms_direct_value(self):
         bands = make_ms_bands({
             "red": np.array([[0.2]]), "green": np.array([[0.1]]), "nir": np.array([[0.5]]),
         })
-        assert spectral.vi_map(bands, "PSRI").grid.values[0, 0] == pytest.approx(0.2, abs=1e-15)
+        assert spectral.vi_map(bands, "PSRI").values[0, 0] == pytest.approx(0.2, abs=1e-15)
 
     def test_kndvi_is_tanh_ndvi_squared(self):
         rng = np.random.default_rng(2)
         arrays = {"nir": rng.uniform(0, 1, (8, 8)), "red": rng.uniform(0, 1, (8, 8))}
         bands = make_ms_bands(arrays)
-        ndvi = spectral.vi_map(bands, "NDVI").grid.values
-        kndvi = spectral.vi_map(bands, "kNDVI").grid.values
+        ndvi = spectral.vi_map(bands, "NDVI").values
+        kndvi = spectral.vi_map(bands, "kNDVI").values
         assert np.array_equal(kndvi, np.tanh(ndvi * ndvi))
         assert kndvi.min() >= 0.0 and kndvi.max() <= math.tanh(1.0)
 
     def test_kndvi_explicit_sigma(self):
         bands = make_ms_bands({"nir": np.array([[0.6]]), "red": np.array([[0.2]])})
         vi = spectral.vi_map(bands, "kNDVI", kndvi_sigma=0.25)
-        assert vi.grid.values[0, 0] == pytest.approx(math.tanh((0.4 / 0.5) ** 2), rel=1e-12)
+        assert vi.values[0, 0] == pytest.approx(math.tanh((0.4 / 0.5) ** 2), rel=1e-12)
         with pytest.raises(InvalidInput):
             spectral.vi_map(bands, "kNDVI", kndvi_sigma=0.0)
 
@@ -118,7 +118,7 @@ class TestViMap:
             "PSRI": lambda i, j: psri_ms_oracle(red[i, j], green[i, j], nir[i, j]),
         }
         for name, oracle in oracles.items():
-            vi = spectral.vi_map(bands, name).grid
+            vi = spectral.vi_map(bands, name)
             for i in range(shape[0]):
                 for j in range(shape[1]):
                     expected = oracle(i, j)
@@ -132,16 +132,16 @@ class TestViMap:
             "nir": np.array([[0.0, 0.5]]), "red": np.array([[0.0, 0.1]]),
             "green": np.array([[0.2, 0.2]]),
         })
-        ndvi = spectral.vi_map(bands, "NDVI").grid
+        ndvi = spectral.vi_map(bands, "NDVI")
         assert ndvi.values[0, 0] == ndvi.nodata
         assert ndvi.values[0, 1] != ndvi.nodata
-        psri = spectral.vi_map(bands, "PSRI").grid
+        psri = spectral.vi_map(bands, "PSRI")
         assert psri.values[0, 0] == psri.nodata
 
     def test_nodata_propagates(self):
         nir = np.array([[0.5, -9999.0]])
         bands = make_ms_bands({"nir": nir, "red": np.array([[0.1, 0.1]])})
-        ndvi = spectral.vi_map(bands, "NDVI").grid
+        ndvi = spectral.vi_map(bands, "NDVI")
         assert ndvi.values[0, 1] == ndvi.nodata
 
     def test_missing_band(self):
@@ -163,8 +163,8 @@ class TestViMap:
     def test_ndvi_monotone_in_nir(self, nir, red, bump):
         lo = make_ms_bands({"nir": np.array([[nir]]), "red": np.array([[red]])})
         hi = make_ms_bands({"nir": np.array([[min(nir + bump, 1.0)]]), "red": np.array([[red]])})
-        v_lo = spectral.vi_map(lo, "NDVI").grid.values[0, 0]
-        v_hi = spectral.vi_map(hi, "NDVI").grid.values[0, 0]
+        v_lo = spectral.vi_map(lo, "NDVI").values[0, 0]
+        v_hi = spectral.vi_map(hi, "NDVI").values[0, 0]
         if nir + bump <= 1.0:
             assert v_hi > v_lo
         assert -1.0 <= v_lo <= 1.0
@@ -176,7 +176,7 @@ class TestHsIndices:
             680: np.array([[0.3]]), 500: np.array([[0.1]]), 750: np.array([[0.4]]),
         })
         vi = spectral.psri_hs(bands)
-        assert vi.grid.values[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert vi.values[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_tie_breaks_toward_lower_wavelength(self):
         bands = make_hs_bands({
@@ -185,7 +185,7 @@ class TestHsIndices:
         })
         assert spectral.resolve_band(bands, 680.0) == "b678"
         vi = spectral.psri_hs(bands)
-        assert vi.grid.values[0, 0] == pytest.approx((0.25 - 0.1) / 0.5, abs=1e-15)
+        assert vi.values[0, 0] == pytest.approx((0.25 - 0.1) / 0.5, abs=1e-15)
 
     def test_missing_target_band(self):
         bands = make_hs_bands({450: np.array([[0.1]]), 650: np.array([[0.2]])})
@@ -200,8 +200,8 @@ class TestHsIndices:
         ms = make_ms_bands({"red": red, "nir": nir})
         hs = make_hs_bands({650: red, 840: nir})
         for index in ("NDVI", "SAVI", "kNDVI", "NIRv"):
-            a = spectral.vi_map(ms, index).grid.values
-            b = spectral.vi_map(hs, index).grid.values
+            a = spectral.vi_map(ms, index).values
+            b = spectral.vi_map(hs, index).values
             assert np.array_equal(a, b)
 
     def test_hs_set_requires_two_bands(self):
@@ -288,7 +288,7 @@ class TestPlotStatistic:
         mask = make_grid(values)
         assert spectral.fvc(mask, square_plot(0.0, 0.0, 2.0, 2.0)).value == 0.0
         with pytest.raises(InvalidMask):
-            spectral.require_binary_mask(mask)
+            geodata.require_binary_mask(mask)
 
 
 class TestFvc:

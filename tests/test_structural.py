@@ -14,31 +14,31 @@ class TestCanopyHeightModel:
         dsm = make_grid(np.array([[10.0]]))
         dem = make_grid(np.array([[8.0]]))
         chm = structural.canopy_height_model(dsm, dem)
-        assert chm.grid.values[0, 0] == 2.0
+        assert chm.values[0, 0] == 2.0
 
     def test_identical_inputs_give_zero(self):
         rng = np.random.default_rng(1)
         dsm = make_grid(rng.uniform(5, 9, (6, 6)))
         chm = structural.canopy_height_model(dsm, dsm)
-        assert np.array_equal(chm.grid.values, np.zeros((6, 6)))
+        assert np.array_equal(chm.values, np.zeros((6, 6)))
 
     def test_noise_floor_clamps_small_negatives(self):
         dsm = make_grid(np.array([[7.98]]))
         dem = make_grid(np.array([[8.0]]))
         chm = structural.canopy_height_model(dsm, dem, noise_floor=0.05)
-        assert chm.grid.values[0, 0] == 0.0
+        assert chm.values[0, 0] == 0.0
 
     def test_large_negatives_become_nodata(self):
         dsm = make_grid(np.array([[7.0]]))
         dem = make_grid(np.array([[8.0]]))
         chm = structural.canopy_height_model(dsm, dem, noise_floor=0.05)
-        assert chm.grid.values[0, 0] == chm.grid.nodata
+        assert chm.values[0, 0] == chm.nodata
 
     def test_nodata_propagates(self):
         dsm = make_grid(np.array([[-9999.0, 10.0]]))
         dem = make_grid(np.array([[8.0, -9999.0]]))
         chm = structural.canopy_height_model(dsm, dem)
-        assert (chm.grid.values == chm.grid.nodata).all()
+        assert (chm.values == chm.nodata).all()
 
     def test_misaligned_inputs_rejected(self):
         dsm = make_grid(np.zeros((2, 2)))
@@ -49,15 +49,13 @@ class TestCanopyHeightModel:
 
 class TestPlotCanopyHeight:
     def test_nearest_rank_median(self):
-        grid = make_grid(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        chm = structural.CanopyHeightModel(grid=grid)
+        chm = make_grid(np.array([[1.0, 2.0, 3.0, 4.0]]))
         plot = square_plot(0.0, 0.0, 4.0, 1.0)
         stat = structural.plot_canopy_height(chm, plot, percentile=0.5)
         assert stat.value == 2.0
 
     def test_constant_surface_any_percentile(self):
-        grid = make_grid(np.full((3, 3), 1.7))
-        chm = structural.CanopyHeightModel(grid=grid)
+        chm = make_grid(np.full((3, 3), 1.7))
         plot = square_plot(0.0, 0.0, 3.0, 3.0)
         for p in (0.05, 0.5, 0.95, 1.0):
             assert structural.plot_canopy_height(chm, plot, percentile=p).value == 1.7
@@ -65,7 +63,7 @@ class TestPlotCanopyHeight:
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 2, (8, 8))
-        chm = structural.CanopyHeightModel(grid=make_grid(values))
+        chm = make_grid(values)
         plot = square_plot(1.0, 1.0, 7.0, 7.0)
         member = values[1:7, 1:7].ravel()
         for p in (0.1, 0.5, 0.9, 0.95):
@@ -73,8 +71,7 @@ class TestPlotCanopyHeight:
             assert structural.plot_canopy_height(chm, plot, percentile=p).value == expected
 
     def test_empty_plot(self):
-        grid = make_grid(np.full((2, 2), -9999.0))
-        chm = structural.CanopyHeightModel(grid=grid)
+        chm = make_grid(np.full((2, 2), -9999.0))
         with pytest.raises(EmptyPlot):
             structural.plot_canopy_height(chm, square_plot(0.0, 0.0, 2.0, 2.0))
 
@@ -133,11 +130,6 @@ class TestCanopyVolume:
         c = structural.canopy_volume(make_grid(values * 3.0), plot_a)
         assert c.volume == pytest.approx(3.0 * a.volume, rel=1e-9)
 
-    def test_accepts_canopy_height_model(self):
-        grid = make_grid(np.array([[0.0, 2.0]]))
-        chm = structural.CanopyHeightModel(grid=grid)
-        assert structural.canopy_volume(chm, square_plot(0.0, 0.0, 2.0, 1.0)).volume == pytest.approx(2.0)
-
 
 class TestLodging:
     def test_label_boundaries(self):
@@ -192,7 +184,7 @@ class TestWeed:
         mask = make_grid(values, cell_size=0.5)
         plot = square_plot(1.0, 1.0, 2.0, 2.0)
         ring = geodata.buffer_ring(plot, 0.0, 0.5)
-        level = structural.classify_weed(mask, plot, ring)
+        level = structural.classify_weed(mask, geodata.UnionRegion(plot, ring))
         assert level.ratio == pytest.approx(4 / 16)
         assert level.level == "slight"
 
@@ -200,7 +192,7 @@ class TestWeed:
         mask = make_grid(np.ones((6, 6)), cell_size=0.5)
         plot = square_plot(1.0, 1.0, 2.0, 2.0)
         ring = geodata.buffer_ring(plot, 0.0, 0.5)
-        level = structural.classify_weed(mask, plot, ring)
+        level = structural.classify_weed(mask, geodata.UnionRegion(plot, ring))
         assert level.ratio == 1.0
         assert level.level == "severe"
 
@@ -208,13 +200,18 @@ class TestWeed:
 class TestPlotCellsInput:
     def test_structural_features_identical_from_plot_cells(self):
         rng = np.random.default_rng(8)
-        chm = structural.CanopyHeightModel(make_grid(rng.uniform(0.0, 1.0, (10, 10)), cell_size=0.4))
-        lodging = chm.grid.with_values((rng.random((10, 10)) < 0.5).astype(float))
+        chm = make_grid(rng.uniform(0.0, 1.0, (10, 10)), cell_size=0.4)
+        lodging = chm.with_values((rng.random((10, 10)) < 0.5).astype(float))
+        weed = chm.with_values((rng.random((10, 10)) < 0.3).astype(float))
         plot = square_plot(0.5, 0.9, 3.1, 2.7)
-        cells = geodata.plot_cells(chm.grid, plot)
+        cells = geodata.plot_cells(chm, plot)
         assert structural.plot_canopy_height(chm, cells) == structural.plot_canopy_height(chm, plot)
         assert structural.canopy_volume(chm, cells) == structural.canopy_volume(chm, plot)
         assert structural.classify_lodging(lodging, cells) == structural.classify_lodging(lodging, plot)
+        region = geodata.UnionRegion(plot, geodata.buffer_ring(plot, 0.1, 0.5))
+        by_cells = structural.classify_weed(weed, geodata.plot_cells(weed, region))
+        assert by_cells == structural.classify_weed(weed, region)
+        assert by_cells.ratio != structural.classify_weed(weed, cells).ratio  # the ring counts
 
 
 class TestWheatHeadDensity:
