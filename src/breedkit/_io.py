@@ -96,11 +96,12 @@ def csv_columns(path, required) -> dict:
 def replacing(path, newline=None):
     """Open a new text file that replaces ``path`` once the block succeeds.
 
-    The file is written beside ``path`` under a temporary name and renamed
-    over it on success; on any failure it is deleted and ``path`` is left
-    untouched.
+    The file is written beside ``path`` under a temporary name, creating the
+    directory if needed, and renamed over it on success; on any failure it is
+    deleted and ``path`` is left untouched.
     """
     head, tail = os.path.split(path)
+    os.makedirs(head or os.curdir, exist_ok=True)
     tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline=newline)
     try:

@@ -143,12 +143,11 @@ def validate_ballot(ballot: ReasoningBallot) -> int:
     return x
 
 
-def within_relative_tolerance(answer: float, reference: float,
-                              tolerance: float = RELATIVE_TOLERANCE) -> bool:
-    """True iff |answer - reference| <= tolerance * |reference| (inclusive)."""
+def within_relative_tolerance(answer: float, reference: float) -> bool:
+    """True iff |answer - reference| <= RELATIVE_TOLERANCE * |reference| (inclusive)."""
     if reference == 0.0:
         raise UndefinedDeviation("relative deviation undefined for reference 0")
-    return abs(answer - reference) <= tolerance * abs(reference)
+    return abs(answer - reference) <= RELATIVE_TOLERANCE * abs(reference)
 
 
 def _single_group(trials) -> tuple[str, TaskSpec, list]:
@@ -475,7 +474,6 @@ def load_ballots(path) -> list[ReasoningBallot]:
 
 def write_report(report: BenchmarkReport, out_dir) -> dict:
     """Write report.json plus one CSV per figure family; returns the paths."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
     json_path = os.path.join(out_dir, "report.json")

@@ -87,57 +87,123 @@ def _load_config(args) -> dict:
     return config
 
 
-def _get(config: dict, path: str, kind=None, required=True, default=None):
-    """The value at a dotted ``path``; a segment ``key[i]`` indexes a list."""
-    node = config
-    for key in path.replace("[", ".[").split("."):
-        if key.startswith("["):
-            key = int(key[1:-1])
-            present = isinstance(node, list) and key < len(node)
-        else:
-            present = isinstance(node, dict) and key in node
-        if not present:
-            if required:
-                raise ConfigError(path, "missing required field")
-            return default
-        node = node[key]
-    if kind is not None and not isinstance(node, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(path, f"expected {names}, got {type(node).__name__}")
-    return node
+PATH = "path"  # field kind: a string naming an existing file
+_SCALARS = {float: ("a number", (int, float)), int: ("an integer", int), bool: ("a boolean", bool)}
+_STAGES = ("sft", "rm", "ppo")
+
+# Each subcommand's config section. A field is a kind (str, bool, list, float
+# for any number, int, PATH), a nested object (a dict of fields), a list of
+# objects ([dict]), or (kind, default) when optional. null reads as absent.
+_SCHEMA = {
+    "extract": {
+        "plots": PATH,
+        "date": str,
+        "site": (str, ""),
+        "ms_bands": {name: PATH for name in MS_BAND_CENTERS_NM},
+        "hs_bands": [{"path": PATH, "wavelength_nm": float}],
+        "vegetation_mask": PATH,
+        "lodging_mask": PATH,
+        "weed_mask": PATH,
+        # each needs raster, or point_cloud and cell_size (checked by _cmd_extract)
+        **{surface: {"raster": (PATH, None), "point_cloud": (PATH, None),
+                     "cell_size": (float, None), "aggregator": (str, "mean")}
+           for surface in ("dsm", "dem")},
+        "head_counts": PATH,
+        "measurements": (PATH, None),
+        "flight": {"altitude_m": float, "fov_h_deg": float, "fov_v_deg": float},
+        "params": {
+            "savi_l": (float, 0.5), "kndvi_sigma": (float, None), "ch_percentile": (float, 0.95),
+            "noise_floor_m": (float, structural.DEFAULT_NOISE_FLOOR_M),
+            "ring_inner_m": (float, 0.1), "ring_outer_m": (float, 0.2),
+            "vi_restrict_to_vegetation": (bool, False),
+        },
+    },
+    "fuse": {
+        "features": PATH,
+        "weather": (PATH, None),
+        "germplasm": (PATH, None),
+        "domains": (list, fusion.DOMAINS),
+        "lambda": (float, 1.0),
+        "k": int,
+        "seed": int,  # mandatory: fold shuffling is stochastic
+    },
+    "prefopt": {
+        "stages": (list, _STAGES),
+        "vocab_size": int,
+        "context_length": int,
+        "seed": int,  # mandatory: sampling is stochastic
+        # each selected stage needs its data file (checked by _cmd_prefopt)
+        "sft_data": (PATH, None),
+        "rm_data": (PATH, None),
+        "ppo_data": (PATH, None),
+        "sft": {"learning_rate": (float, 0.5), "iterations": (int, 100)},
+        "rm": {"learning_rate": (float, 0.5), "iterations": (int, 100)},
+        "ppo": {"beta": (float, 0.1), "learning_rate": (float, 0.1), "ppo_clip": (float, 0.2),
+                "iterations": (int, 100), "samples_per_prompt": (int, 4), "epochs": (int, 1)},
+    },
+    "bench": {"trials": PATH, "ballots": (PATH, None)},
+    "kb": {
+        "action": str,
+        # screen needs germplasm and criteria; price needs prices,
+        # observation_point and date (checked by _cmd_kb)
+        "germplasm": (PATH, None), "criteria": (list, None),
+        "prices": (PATH, None), "observation_point": (str, None), "date": (str, None),
+        "variety": (str, None),
+    },
+}
 
 
-def _get_path(config: dict, path: str, required=True):
-    value = _get(config, path, kind=str, required=required)
-    if value is None:
-        return None
-    if not os.path.isfile(value):
+def _check(value, spec, path: str):
+    """``value`` checked against the field ``spec`` at dotted ``path``.
+
+    Returns plain values: every number as a float, every field of an object,
+    with absent optional fields at their defaults. An absent object reads as
+    ``{}``. Raises ConfigError naming the first offending field.
+    """
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(path, f"expected an object, got {type(value).__name__}")
+        for key in value:
+            if key not in spec:
+                raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+        out = {}
+        for key, field in spec.items():
+            field_path = f"{path}.{key}" if path else key
+            item = value.get(key)
+            if isinstance(field, tuple):
+                field, default = field
+                if item is None:
+                    out[key] = default
+                    continue
+            elif item is None:
+                if not isinstance(field, dict):
+                    raise ConfigError(field_path, "missing required field")
+                item = {}
+            out[key] = _check(item, field, field_path)
+        return out
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected list, got {type(value).__name__}")
+        return [_check(item, spec[0], f"{path}[{i}]") for i, item in enumerate(value)]
+    if spec in _SCALARS:
+        name, kinds = _SCALARS[spec]
+        # bool is a subclass of int: only a bool field takes true or false
+        if isinstance(value, bool) != (spec is bool) or not isinstance(value, kinds):
+            raise ConfigError(path, f"expected {name}, got {value!r}")
+        return float(value) if spec is float else value
+    kind = str if spec is PATH else spec
+    if not isinstance(value, kind):
+        raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    if spec is PATH and not os.path.isfile(value):
         raise ConfigError(path, f"file not found: {value}")
     return value
 
 
-def _get_number(config: dict, path: str, required=True, default=None):
-    value = _get(config, path, required=required, default=default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _get_int(config: dict, path: str, required=True, default=None):
-    value = _get(config, path, required=required, default=default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _output_dir(config: dict) -> str:
-    out = _get(config, "output_dir", kind=str)
-    os.makedirs(out, exist_ok=True)
-    return out
+def _require(section: dict, path: str, *keys) -> None:
+    """ConfigError for the first of ``keys`` that ``section`` leaves unset."""
+    for key in keys:
+        if section[key] is None:
+            raise ConfigError(f"{path}.{key}", "missing required field")
 
 
 def _fmt(value) -> str:
@@ -153,37 +219,11 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_elevation(config: dict, path: str) -> geodata.RasterGrid:
-    spec = _get(config, path, kind=dict)
-    if "raster" in spec:
-        return geodata.load_raster(_get_path(config, f"{path}.raster"))
-    if "point_cloud" in spec:
-        cloud = geodata.load_point_cloud(_get_path(config, f"{path}.point_cloud"))
-        cell_size = _get_number(config, f"{path}.cell_size")
-        aggregator = _get(config, f"{path}.aggregator", kind=str, required=False, default="mean")
-        return geodata.rasterize_elevation(cloud, cell_size, aggregator)
-    raise ConfigError(path, "need either 'raster' or 'point_cloud'")
-
-
-def _load_ms_bands(config: dict) -> geodata.BandSet:
-    bands = {}
-    for name, nm in MS_BAND_CENTERS_NM.items():
-        bands[name] = (geodata.load_raster(_get_path(config, f"extract.ms_bands.{name}")), nm)
-    return geodata.BandSet(bands=bands, sensor_kind="MS")
-
-
-def _load_hs_bands(config: dict) -> geodata.BandSet:
-    entries = _get(config, "extract.hs_bands", kind=list)
-    bands = {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"extract.hs_bands[{i}]", "expected an object")
-        if "path" not in entry or "wavelength_nm" not in entry:
-            raise ConfigError(f"extract.hs_bands[{i}]", "need 'path' and 'wavelength_nm'")
-        grid = geodata.load_raster(_get_path(config, f"extract.hs_bands[{i}].path"))
-        nm = _get_number(config, f"extract.hs_bands[{i}].wavelength_nm")
-        bands[f"b{nm:g}"] = (grid, nm)
-    return geodata.BandSet(bands=bands, sensor_kind="HS")
+def _load_elevation(spec: dict) -> geodata.RasterGrid:
+    if spec["raster"] is not None:
+        return geodata.load_raster(spec["raster"])
+    cloud = geodata.load_point_cloud(spec["point_cloud"])
+    return geodata.rasterize_elevation(cloud, spec["cell_size"], spec["aggregator"])
 
 
 def _measurement_number(rec: dict, key: str, lineno: int) -> float:
@@ -221,47 +261,40 @@ def _cells_on(cells: dict, grid: geodata.RasterGrid, plot) -> geodata.PlotCells:
     return cells[grid.geometry]
 
 
-def _cmd_extract(config: dict) -> dict:
-    out_dir = _output_dir(config)
-    plots = geodata.load_plots(_get_path(config, "extract.plots"))
-    date = _get(config, "extract.date", kind=str)
-    site = _get(config, "extract.site", kind=str, required=False, default="")
+def _cmd_extract(cfg: dict, out_dir: str) -> dict:
+    for surface in ("dsm", "dem"):
+        if cfg[surface]["raster"] is None:
+            if cfg[surface]["point_cloud"] is None:
+                raise ConfigError(f"extract.{surface}", "need either 'raster' or 'point_cloud'")
+            _require(cfg[surface], f"extract.{surface}", "cell_size")
+    params = cfg["params"]
+    flight = cfg["flight"]
 
-    savi_l = _get_number(config, "extract.params.savi_l", required=False, default=0.5)
-    kndvi_sigma = _get_number(config, "extract.params.kndvi_sigma", required=False)
-    ch_percentile = _get_number(config, "extract.params.ch_percentile", required=False, default=0.95)
-    noise_floor = _get_number(config, "extract.params.noise_floor_m", required=False,
-                              default=structural.DEFAULT_NOISE_FLOOR_M)
-    ring_inner = _get_number(config, "extract.params.ring_inner_m", required=False, default=0.1)
-    ring_outer = _get_number(config, "extract.params.ring_outer_m", required=False, default=0.2)
-    restrict_vi = bool(_get(config, "extract.params.vi_restrict_to_vegetation",
-                            required=False, default=False))
-
-    ms = _load_ms_bands(config)
-    hs = _load_hs_bands(config)
-    veg_mask = geodata.load_raster(_get_path(config, "extract.vegetation_mask"))
-    lodging_mask = geodata.load_raster(_get_path(config, "extract.lodging_mask"))
-    weed_mask = geodata.load_raster(_get_path(config, "extract.weed_mask"))
-    dsm = _load_elevation(config, "extract.dsm")
-    dem = _load_elevation(config, "extract.dem")
-    chm = structural.canopy_height_model(dsm, dem, noise_floor=noise_floor)
-    head_counts = structural.load_head_counts(_get_path(config, "extract.head_counts"))
-    altitude = _get_number(config, "extract.flight.altitude_m")
-    fov_h = _get_number(config, "extract.flight.fov_h_deg")
-    fov_v = _get_number(config, "extract.flight.fov_v_deg")
-
-    measurements_path = _get_path(config, "extract.measurements", required=False)
-    measurements = _load_measurements(measurements_path) if measurements_path else {}
+    plots = geodata.load_plots(cfg["plots"])
+    ms = geodata.BandSet(bands={name: (geodata.load_raster(cfg["ms_bands"][name]), nm)
+                                for name, nm in MS_BAND_CENTERS_NM.items()}, sensor_kind="MS")
+    hs_bands = {}
+    for band in cfg["hs_bands"]:
+        nm = band["wavelength_nm"]
+        hs_bands[f"b{nm:g}"] = (geodata.load_raster(band["path"]), nm)
+    hs = geodata.BandSet(bands=hs_bands, sensor_kind="HS")
+    veg_mask = geodata.load_raster(cfg["vegetation_mask"])
+    lodging_mask = geodata.load_raster(cfg["lodging_mask"])
+    weed_mask = geodata.load_raster(cfg["weed_mask"])
+    chm = structural.canopy_height_model(_load_elevation(cfg["dsm"]), _load_elevation(cfg["dem"]),
+                                         noise_floor=params["noise_floor_m"])
+    head_counts = structural.load_head_counts(cfg["head_counts"])
+    measurements = _load_measurements(cfg["measurements"]) if cfg["measurements"] else {}
 
     vi_layers = {}
     for index_name in spectral.VI_NAMES:
-        vi_layers[f"{index_name}_MS"] = spectral.vi_map(ms, index_name, L=savi_l,
-                                                        kndvi_sigma=kndvi_sigma)
+        vi_layers[f"{index_name}_MS"] = spectral.vi_map(ms, index_name, L=params["savi_l"],
+                                                        kndvi_sigma=params["kndvi_sigma"])
         if index_name == "PSRI":
             vi_layers["PSRI_HS"] = spectral.psri_hs(hs)
         else:
-            vi_layers[f"{index_name}_HS"] = spectral.vi_map(hs, index_name, L=savi_l,
-                                                            kndvi_sigma=kndvi_sigma)
+            vi_layers[f"{index_name}_HS"] = spectral.vi_map(hs, index_name, L=params["savi_l"],
+                                                            kndvi_sigma=params["kndvi_sigma"])
 
     for mask in (veg_mask, lodging_mask, weed_mask):
         geodata.require_binary_mask(mask)
@@ -270,25 +303,26 @@ def _cmd_extract(config: dict) -> dict:
     for plot in plots:
         features = {}
         cells: dict = {}  # this plot's PlotCells per grid geometry
-        restrict = veg_mask if restrict_vi else None
+        restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
         for column, layer in vi_layers.items():
             features[column] = spectral.plot_statistic(
                 layer, _cells_on(cells, layer, plot), restrict_to=restrict,
                 feature_name=column,
             ).value
         chm_cells = _cells_on(cells, chm, plot)
-        features["CH"] = structural.plot_canopy_height(chm, chm_cells, percentile=ch_percentile).value
+        features["CH"] = structural.plot_canopy_height(
+            chm, chm_cells, percentile=params["ch_percentile"]).value
         features["CV"] = structural.canopy_volume(chm, chm_cells).volume
         features["FVC"] = spectral.fvc(veg_mask, _cells_on(cells, veg_mask, plot)).value
         features["PL_ratio"] = structural.classify_lodging(
             lodging_mask, _cells_on(cells, lodging_mask, plot)
         ).ratio
-        ring = geodata.buffer_ring(plot, ring_inner, ring_outer)
+        ring = geodata.buffer_ring(plot, params["ring_inner_m"], params["ring_outer_m"])
         features["WL_ratio"] = structural.classify_weed(weed_mask, geodata.UnionRegion(plot, ring)).ratio
         if plot.plot_id not in head_counts:
             raise BreedkitError(f"no head counts for plot {plot.plot_id}")
         features["WH_density"] = structural.wheat_head_density(
-            head_counts[plot.plot_id], altitude, fov_h, fov_v
+            head_counts[plot.plot_id], flight["altitude_m"], flight["fov_h_deg"], flight["fov_v_deg"]
         ).density
 
         extra = measurements.get(plot.plot_id, {})
@@ -299,8 +333,8 @@ def _cmd_extract(config: dict) -> dict:
             fusion.PlotFeatureRecord(
                 plot_id=plot.plot_id,
                 germplasm_id=plot.germplasm_id,
-                date=date,
-                site=site,
+                date=cfg["date"],
+                site=cfg["site"],
                 features=features,
                 yield_kg_ha=extra.get("yield_kg_ha"),
             )
@@ -317,23 +351,14 @@ def _cmd_extract(config: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fuse(config: dict) -> dict:
-    out_dir = _output_dir(config)
-    records = fusion.load_feature_records(_get_path(config, "fuse.features"))
-    weather_path = _get_path(config, "fuse.weather", required=False)
-    germplasm_path = _get_path(config, "fuse.germplasm", required=False)
-    domains = _get(config, "fuse.domains", kind=list, required=False,
-                   default=list(fusion.DOMAINS))
-    lam = _get_number(config, "fuse.lambda", required=False, default=1.0)
-    k = _get_int(config, "fuse.k")
-    seed = _get_int(config, "fuse.seed")  # mandatory: fold shuffling is stochastic
-
-    weather = fusion.load_weather(weather_path) if weather_path else ()
-    germplasm = kb.load_germplasm(germplasm_path) if germplasm_path else ()
-    matrix = fusion.assemble(records, weather=weather, germplasm=germplasm, domains=domains)
+def _cmd_fuse(cfg: dict, out_dir: str) -> dict:
+    records = fusion.load_feature_records(cfg["features"])
+    weather = fusion.load_weather(cfg["weather"]) if cfg["weather"] else ()
+    germplasm = kb.load_germplasm(cfg["germplasm"]) if cfg["germplasm"] else ()
+    matrix = fusion.assemble(records, weather=weather, germplasm=germplasm, domains=cfg["domains"])
     for plot_id, missing in matrix.dropped:
         _log(f"fuse: dropped plot {plot_id}, missing {', '.join(missing)}")
-    result = fusion.kfold_cv(matrix, k=k, lam=lam, seed=seed)
+    result = fusion.kfold_cv(matrix, k=cfg["k"], lam=cfg["lambda"], seed=cfg["seed"])
 
     metrics_path = os.path.join(out_dir, "metrics.json")
     write_json(metrics_path, {
@@ -372,74 +397,53 @@ def _cmd_fuse(config: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_prefopt(config: dict) -> dict:
-    out_dir = _output_dir(config)
-    stages = _get(config, "prefopt.stages", kind=list, required=False,
-                  default=["sft", "rm", "ppo"])
+def _write_losses(out_dir: str, stage: str, history: list) -> str:
+    """Write ``stage``'s per-iteration losses; log the last one."""
+    path = os.path.join(out_dir, f"{stage}_diagnostics.csv")
+    write_csv(path, ("iteration", "loss"), ([h["iteration"], _fmt(h["loss"])] for h in history))
+    if history:
+        _log(f"prefopt {stage}: final loss {history[-1]['loss']:.6f}")
+    return path
+
+
+def _cmd_prefopt(cfg: dict, out_dir: str) -> dict:
+    stages = cfg["stages"]
     for stage in stages:
-        if stage not in ("sft", "rm", "ppo"):
+        if stage not in _STAGES:
             raise ConfigError("prefopt.stages", f"unknown stage {stage!r}")
-    vocab_size = _get_int(config, "prefopt.vocab_size")
-    context_length = _get_int(config, "prefopt.context_length")
-    seed = _get_int(config, "prefopt.seed")  # mandatory: sampling is stochastic
+    _require(cfg, "prefopt", *(f"{stage}_data" for stage in _STAGES if stage in stages))
+    policy_path, reference_path, reward_path = (
+        os.path.join(out_dir, f"{name}.json") for name in ("policy", "reference", "reward"))
+    if "ppo" in stages:  # ppo reads the models that sft and rm write
+        for name, path, stage in (("policy", policy_path, "sft"),
+                                  ("reference", reference_path, "sft"),
+                                  ("reward", reward_path, "rm")):
+            if stage not in stages and not os.path.isfile(path):
+                raise ConfigError(f"prefopt.{name}", f"{path} missing; run earlier stages first")
 
     outputs: dict = {}
-    policy_path = os.path.join(out_dir, "policy.json")
-    reference_path = os.path.join(out_dir, "reference.json")
-    reward_path = os.path.join(out_dir, "reward.json")
-
     if "sft" in stages:
-        dataset = prefopt.load_sft_dataset(_get_path(config, "prefopt.sft_data"))
-        policy = prefopt.PolicyModel(vocab_size, context_length, seed=seed)
-        history = prefopt.train_sft(
-            policy,
-            dataset,
-            learning_rate=_get_number(config, "prefopt.sft.learning_rate", required=False, default=0.5),
-            iterations=_get_int(config, "prefopt.sft.iterations", required=False, default=100),
-        )
-        diag_path = os.path.join(out_dir, "sft_diagnostics.csv")
-        write_csv(diag_path, ("iteration", "loss"),
-                  ([h["iteration"], _fmt(h["loss"])] for h in history))
+        dataset = prefopt.load_sft_dataset(cfg["sft_data"])
+        policy = prefopt.PolicyModel(cfg["vocab_size"], cfg["context_length"], seed=cfg["seed"])
+        history = prefopt.train_sft(policy, dataset, **cfg["sft"])
         prefopt.save_policy(policy, policy_path)
         prefopt.save_policy(policy.snapshot(), reference_path)
-        outputs.update(sft_diagnostics=diag_path, policy=policy_path, reference=reference_path)
-        _log(f"prefopt sft: final loss {history[-1]['loss']:.6f}")
+        outputs.update(sft_diagnostics=_write_losses(out_dir, "sft", history),
+                       policy=policy_path, reference=reference_path)
 
     if "rm" in stages:
-        dataset = prefopt.load_preference_dataset(_get_path(config, "prefopt.rm_data"))
-        rm = prefopt.RewardModel(vocab_size)
-        history = prefopt.train_reward(
-            rm,
-            dataset,
-            learning_rate=_get_number(config, "prefopt.rm.learning_rate", required=False, default=0.5),
-            iterations=_get_int(config, "prefopt.rm.iterations", required=False, default=100),
-        )
-        diag_path = os.path.join(out_dir, "rm_diagnostics.csv")
-        write_csv(diag_path, ("iteration", "loss"),
-                  ([h["iteration"], _fmt(h["loss"])] for h in history))
+        dataset = prefopt.load_preference_dataset(cfg["rm_data"])
+        rm = prefopt.RewardModel(cfg["vocab_size"])
+        history = prefopt.train_reward(rm, dataset, **cfg["rm"])
         prefopt.save_reward_model(rm, reward_path)
-        outputs.update(rm_diagnostics=diag_path, reward=reward_path)
-        _log(f"prefopt rm: final loss {history[-1]['loss']:.6f}")
+        outputs.update(rm_diagnostics=_write_losses(out_dir, "rm", history), reward=reward_path)
 
     if "ppo" in stages:
-        for name, path in (("policy", policy_path), ("reference", reference_path),
-                           ("reward", reward_path)):
-            if not os.path.isfile(path):
-                raise ConfigError(f"prefopt.{name}", f"{path} missing; run earlier stages first")
-        prompts = prefopt.load_prompt_dataset(_get_path(config, "prefopt.ppo_data"))
+        prompts = prefopt.load_prompt_dataset(cfg["ppo_data"])
         policy = prefopt.load_policy(policy_path)
         reference = prefopt.load_policy(reference_path)
         rm = prefopt.load_reward_model(reward_path)
-        ppo_config = prefopt.RLHFConfig(
-            beta=_get_number(config, "prefopt.ppo.beta", required=False, default=0.1),
-            learning_rate=_get_number(config, "prefopt.ppo.learning_rate", required=False, default=0.1),
-            ppo_clip=_get_number(config, "prefopt.ppo.ppo_clip", required=False, default=0.2),
-            iterations=_get_int(config, "prefopt.ppo.iterations", required=False, default=100),
-            seed=seed,
-            samples_per_prompt=_get_int(config, "prefopt.ppo.samples_per_prompt",
-                                        required=False, default=4),
-            epochs=_get_int(config, "prefopt.ppo.epochs", required=False, default=1),
-        )
+        ppo_config = prefopt.RLHFConfig(seed=cfg["seed"], **cfg["ppo"])
         history = prefopt.run_rlhf(policy, reference, rm, prompts, ppo_config)
         diag_path = os.path.join(out_dir, "ppo_diagnostics.csv")
         write_csv(
@@ -462,11 +466,9 @@ def _cmd_prefopt(config: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bench(config: dict) -> dict:
-    out_dir = _output_dir(config)
-    trials = bench.load_trials(_get_path(config, "bench.trials"))
-    ballots_path = _get_path(config, "bench.ballots", required=False)
-    ballots = bench.load_ballots(ballots_path) if ballots_path else ()
+def _cmd_bench(cfg: dict, out_dir: str) -> dict:
+    trials = bench.load_trials(cfg["trials"])
+    ballots = bench.load_ballots(cfg["ballots"]) if cfg["ballots"] else ()
     report = bench.build_report(trials, ballots)
     paths = bench.write_report(report, out_dir)
     _log(f"bench: scored {len(report.models)} models")
@@ -478,15 +480,14 @@ def _cmd_bench(config: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_kb(config: dict) -> dict:
-    out_dir = _output_dir(config)
-    action = _get(config, "kb.action", kind=str)
+def _cmd_kb(cfg: dict, out_dir: str) -> dict:
+    action = cfg["action"]
     if action == "screen":
-        records = kb.load_germplasm(_get_path(config, "kb.germplasm"))
-        raw_criteria = _get(config, "kb.criteria", kind=list)
-        if not raw_criteria:
+        _require(cfg, "kb", "germplasm", "criteria")
+        if not cfg["criteria"]:
             raise ConfigError("kb.criteria", "need at least one criterion")
-        criteria = [kb.parse_criterion(str(c)) for c in raw_criteria]
+        records = kb.load_germplasm(cfg["germplasm"])
+        criteria = [kb.parse_criterion(str(c)) for c in cfg["criteria"]]
         hits = kb.screen_germplasm(records, criteria)
         path = os.path.join(out_dir, "screen_results.csv")
         write_csv(
@@ -502,24 +503,21 @@ def _cmd_kb(config: dict) -> dict:
         )
         _log(f"kb screen: {len(hits)} matching varieties")
         return {"results": path, "n_matches": len(hits)}
-    if action == "price":
-        records = kb.load_prices(_get_path(config, "kb.prices"))
-        hits = kb.query_price(
-            records,
-            observation_point=_get(config, "kb.observation_point", kind=str),
-            date=_get(config, "kb.date", kind=str),
-            variety=_get(config, "kb.variety", kind=str, required=False),
-        )
-        path = os.path.join(out_dir, "price_results.csv")
-        write_csv(
-            path,
-            ("observation_point", "variety_name", "price", "specification", "planting_area", "date"),
-            ([r.observation_point, r.variety_name, _fmt(r.price), _fmt(r.specification),
-              r.planting_area, r.date.isoformat()] for r in hits),
-        )
-        _log(f"kb price: {len(hits)} records" if hits else "kb price: no data")
-        return {"results": path, "found": bool(hits), "n_records": len(hits)}
-    raise ConfigError("kb.action", f"expected 'screen' or 'price', got {action!r}")
+    if action != "price":
+        raise ConfigError("kb.action", f"expected 'screen' or 'price', got {action!r}")
+    _require(cfg, "kb", "prices", "observation_point", "date")
+    records = kb.load_prices(cfg["prices"])
+    hits = kb.query_price(records, observation_point=cfg["observation_point"],
+                          date=cfg["date"], variety=cfg["variety"])
+    path = os.path.join(out_dir, "price_results.csv")
+    write_csv(
+        path,
+        ("observation_point", "variety_name", "price", "specification", "planting_area", "date"),
+        ([r.observation_point, r.variety_name, _fmt(r.price), _fmt(r.specification),
+          r.planting_area, r.date.isoformat()] for r in hits),
+    )
+    _log(f"kb price: {len(hits)} records" if hits else "kb price: no data")
+    return {"results": path, "found": bool(hits), "n_records": len(hits)}
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
-        outputs = _COMMANDS[args.subcommand](config)
+        name = args.subcommand
+        config = _check(_load_config(args), {"output_dir": str, name: _SCHEMA[name]}, "")
+        outputs = _COMMANDS[name](config[name], config["output_dir"])
     except ConfigError as exc:
         _summary({"status": "config_error", "field": exc.field, "message": exc.message})
         return 2

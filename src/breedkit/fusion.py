@@ -400,7 +400,6 @@ class CrossValidationResult:
     k: int
     lam: float
     seed: int
-    reference_kg_ha: float = YIELD_REFERENCE_KG_HA
 
 
 def kfold_cv(
@@ -408,7 +407,6 @@ def kfold_cv(
     k: int,
     lam: float = 1.0,
     seed: int = 0,
-    reference_kg_ha: float = YIELD_REFERENCE_KG_HA,
 ) -> CrossValidationResult:
     """Seeded k-fold cross-validation of the ridge model.
 
@@ -423,6 +421,8 @@ def kfold_cv(
         raise InvalidInput(f"k must be >= 2, got {k}")
     if k > n:
         raise InvalidInput(f"k={k} exceeds the {n} available rows")
+    if seed < 0:
+        raise InvalidInput("seed must be >= 0")  # numpy seeds are non-negative
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     folds = np.array_split(order, k)
@@ -459,7 +459,7 @@ def kfold_cv(
     pooled_r2, pooled_rmse = metrics(m.y, oof_pred)
     rows = tuple(
         (m.plot_ids[i], m.germplasm_ids[i], float(m.y[i]), float(oof_pred[i]),
-         bool(oof_pred[i] > reference_kg_ha))
+         bool(oof_pred[i] > YIELD_REFERENCE_KG_HA))
         for i in range(n)
     )
     return CrossValidationResult(
@@ -470,7 +470,6 @@ def kfold_cv(
         k=k,
         lam=lam,
         seed=seed,
-        reference_kg_ha=reference_kg_ha,
     )
 
 
@@ -561,16 +560,19 @@ def _feature_records_by_row(path) -> list[PlotFeatureRecord]:
             yield_kg_ha = float(raw_yield) if raw_yield else None
         except ValueError:
             raise ParseError(f"non-numeric yield_kg_ha: {raw_yield!r}", line=i)
-        records.append(
-            PlotFeatureRecord(
-                plot_id=rec["plot_id"].strip(),
-                germplasm_id=rec["germplasm_id"].strip(),
-                date=rec["date"].strip(),
-                site=(rec.get("site") or "").strip(),
-                features=features,
-                yield_kg_ha=yield_kg_ha,
+        try:
+            records.append(
+                PlotFeatureRecord(
+                    plot_id=rec["plot_id"].strip(),
+                    germplasm_id=rec["germplasm_id"].strip(),
+                    date=rec["date"].strip(),
+                    site=(rec.get("site") or "").strip(),
+                    features=features,
+                    yield_kg_ha=yield_kg_ha,
+                )
             )
-        )
+        except InvalidInput as exc:
+            raise ParseError(str(exc), line=i)
     return records
 
 

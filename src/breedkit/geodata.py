@@ -730,17 +730,6 @@ def plot_cells(grid: RasterGrid, region) -> PlotCells:
     return PlotCells(plot_id=name, geometry=grid.geometry, rows=rows, cols=cols, member=member)
 
 
-def plot_mask(grid: RasterGrid, region) -> RasterGrid:
-    """Binary mask over ``grid``: 1 where the cell center lies in ``region``.
-
-    The full-grid form of ``plot_cells``; same regions, same EmptyPlot.
-    """
-    cells = plot_cells(grid, region)
-    values = np.zeros(grid.values.shape)
-    values[cells.rows, cells.cols] = cells.member
-    return grid.with_values(values, nodata=DEFAULT_NODATA)
-
-
 # ---------------------------------------------------------------------------
 # Plot geometry CSV
 # ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@ from .errors import (
 )
 
 # mean_kl is exact while the prefix states sum_{t<T} V**t (one softmax row per
-# model each) fit this budget; past it, it samples answers
+# model each) fit this budget; past it, it samples this many answers per prompt
 _EXACT_KL_BUDGET = 4096
+_KL_SAMPLES = 256
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -342,14 +343,14 @@ def _exact_kl(policy: PolicyModel, reference: PolicyModel, x: tuple) -> float:
 
 
 def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
-            rng: np.random.Generator | None = None, n_samples: int = 256) -> float:
+            rng: np.random.Generator | None = None) -> float:
     """KL(pi || ref) of the answer distribution, averaged over prompts.
 
     Exact by the chain rule, KL = sum over prefixes shorter than T of
     pi(prefix) * KL(pi(.|prefix) || ref(.|prefix)), while the number of prefix
     states sum_{t<T} V**t fits the budget; it costs one softmax row per prefix
     state and model. Past the budget, a sample estimate of E_pi[log pi - log
-    ref] over ``n_samples`` answers per prompt drawn with ``rng`` (seed 0 when
+    ref] over ``_KL_SAMPLES`` answers per prompt drawn with ``rng`` (seed 0 when
     None). The policy's rows are read without storing the ones the walk or the
     samples create, so its table stays as training left it.
     """
@@ -366,7 +367,7 @@ def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
         else:
             if rng is None:
                 rng = np.random.default_rng(0)
-            draws = [policy.sample_answer(x, rng) for _ in range(n_samples)]
+            draws = [policy.sample_answer(x, rng) for _ in range(_KL_SAMPLES)]
             kl = float(np.mean([
                 answer_log_prob(policy, x, y) - answer_log_prob(reference, x, y)
                 for y in draws
@@ -479,6 +480,8 @@ def run_rlhf(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
 def train_sft(policy: PolicyModel, dataset, learning_rate: float = 0.5,
               iterations: int = 100) -> list[dict]:
     """Full-batch gradient descent on the SFT loss; per-iteration diagnostics."""
+    if iterations < 0:
+        raise InvalidInput("iterations must be >= 0")
     history = []
     for i in range(iterations):
         loss, grads = sft_loss_and_grad(policy, dataset)
@@ -493,6 +496,8 @@ def train_sft(policy: PolicyModel, dataset, learning_rate: float = 0.5,
 def train_reward(rm: RewardModel, dataset, learning_rate: float = 0.5,
                  iterations: int = 100) -> list[dict]:
     """Full-batch gradient descent on the pairwise reward loss."""
+    if iterations < 0:
+        raise InvalidInput("iterations must be >= 0")
     history = []
     for i in range(iterations):
         loss, grad = rm_loss_and_grad(rm, dataset)

@@ -51,10 +51,10 @@ class PlotStatistic:
             raise InvalidInput(f"{self.feature_name} for plot {self.plot_id} is not finite")
 
 
-def resolve_band(bands: BandSet, target_nm: float, tolerance_nm: float = HS_TOLERANCE_NM) -> str:
+def resolve_band(bands: BandSet, target_nm: float) -> str:
     """Name of the band whose center wavelength is nearest ``target_nm``.
 
-    Only bands within ``tolerance_nm`` qualify; ties go to the lower
+    Only bands within ``HS_TOLERANCE_NM`` qualify; ties go to the lower
     wavelength. Raises MissingBand(target_nm) when nothing is close enough.
     """
     best_name = None
@@ -63,7 +63,7 @@ def resolve_band(bands: BandSet, target_nm: float, tolerance_nm: float = HS_TOLE
         if wavelength is None:
             continue
         dist = abs(wavelength - target_nm)
-        if dist > tolerance_nm:
+        if dist > HS_TOLERANCE_NM:
             continue
         key = (dist, wavelength)
         if best_key is None or key < best_key:

@@ -82,6 +82,16 @@ def prefopt_config(out_dir: str) -> dict:
     }
 
 
+def kb_config(out_dir: str, action: str) -> dict:
+    if action == "screen":
+        return {"output_dir": str(out_dir), "kb": {
+            "action": "screen", "germplasm": scene_path("germplasm.csv"),
+            "criteria": ["plant_height<=80"]}}
+    return {"output_dir": str(out_dir), "kb": {
+        "action": "price", "prices": scene_path("prices.csv"),
+        "observation_point": "Miyun District", "date": "2024-06-01"}}
+
+
 def write_config(config: dict, path) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2)

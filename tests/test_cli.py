@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breedkit import cli, prefopt
 
@@ -11,6 +16,7 @@ from conftest import (
     bench_config,
     extract_config,
     fuse_config,
+    kb_config,
     prefopt_config,
     scene_path,
     write_config,
@@ -273,6 +279,169 @@ class TestPrefopt:
         assert rc == 2
 
 
+def _node(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+def _set(config, path, value):
+    _node(config, path[:-1])[path[-1]] = value
+
+
+def _run_one_line(args, capsys):
+    rc = cli.main(args)
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    return rc, json.loads(lines[0])
+
+
+class TestConfigSchema:
+    """The declared schema: unknown fields, null, kinds, and conditional fields."""
+
+    @pytest.mark.parametrize("subcommand, make_config, path, value, field, message", [
+        ("extract", extract_config, ("extract", "params"), {"ch_percentil": 0.5},
+         "extract.params.ch_percentil", "unknown field"),
+        ("extract", extract_config, ("extract", "ms_bands", "red_nm"), 650,
+         "extract.ms_bands.red_nm", "unknown field"),
+        ("bench", bench_config, ("trial",), {}, "trial", "unknown field"),
+        ("extract", extract_config, ("extract", "params"), {"vi_restrict_to_vegetation": "no"},
+         "extract.params.vi_restrict_to_vegetation", "expected a boolean, got 'no'"),
+        ("extract", extract_config, ("extract", "flight", "altitude_m"), None,
+         "extract.flight.altitude_m", "missing required field"),
+        ("extract", extract_config, ("extract", "hs_bands", 1), "hs_560.asc",
+         "extract.hs_bands[1]", "expected an object, got str"),
+        ("extract", extract_config, ("extract", "dem", "cell_size"), None,
+         "extract.dem.cell_size", "missing required field"),
+        ("extract", extract_config, ("extract", "dsm"), {"aggregator": "max"},
+         "extract.dsm", "need either 'raster' or 'point_cloud'"),
+        ("fuse", lambda out: fuse_config(out, scene_path("golden/features.csv")),
+         ("fuse", "k"), True, "fuse.k", "expected an integer, got True"),
+        ("prefopt", prefopt_config, ("prefopt", "seed"), None,
+         "prefopt.seed", "missing required field"),
+        ("prefopt", prefopt_config, ("prefopt", "rm_data"), None,
+         "prefopt.rm_data", "missing required field"),
+        ("kb", lambda out: kb_config(out, "price"), ("kb", "date"), None,
+         "kb.date", "missing required field"),
+        ("kb", lambda out: kb_config(out, "screen"), ("kb", "action"), "browse",
+         "kb.action", "expected 'screen' or 'price', got 'browse'"),
+    ])
+    def test_exits_2_naming_the_field_and_writes_nothing(
+            self, subcommand, make_config, path, value, field, message, tmp_path, capsys):
+        config = make_config(tmp_path / "out")
+        _set(config, path, value)
+        cfg = write_config(config, tmp_path / "cfg.json")
+        rc, summary = _run_one_line([subcommand, "--config", cfg], capsys)
+        assert rc == 2
+        assert summary == {"status": "config_error", "field": field, "message": message}
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_field_set_on_the_command_line(self, tmp_path, capsys):
+        cfg = write_config(extract_config(tmp_path / "out"), tmp_path / "cfg.json")
+        rc, summary = _run_one_line(
+            ["extract", "--config", cfg, "--set", "extract.params.ch_percentil=0.5"], capsys)
+        assert rc == 2
+        assert summary["field"] == "extract.params.ch_percentil"
+        assert not (tmp_path / "out").exists()
+
+    def test_null_optional_fields_take_their_defaults(self, tmp_path, capsys):
+        config = extract_config(tmp_path / "out")
+        config["extract"]["params"] = {"savi_l": None, "ch_percentile": None,
+                                       "vi_restrict_to_vegetation": None}
+        config["extract"]["dsm"]["raster"] = None
+        cfg = write_config(config, tmp_path / "cfg.json")
+        rc, summary = _run_one_line(["extract", "--config", cfg], capsys)
+        assert rc == 0
+        got = open(summary["outputs"]["features"], "rb").read()
+        assert got == open(scene_path("golden/features.csv"), "rb").read()
+
+    @pytest.mark.parametrize("subcommand, make_config, path, value, rc_want", [
+        ("prefopt", prefopt_config, ("prefopt", "sft", "iterations"), 0, 0),
+        ("prefopt", prefopt_config, ("prefopt", "rm", "iterations"), 0, 0),
+        ("prefopt", prefopt_config, ("prefopt", "sft", "iterations"), -1, 1),
+        ("prefopt", prefopt_config, ("prefopt", "rm", "iterations"), -1, 1),
+        ("fuse", lambda out: fuse_config(out, scene_path("golden/features.csv")),
+         ("fuse", "seed"), -1, 1),
+    ])
+    def test_numeric_edge_values_end_in_the_contract(
+            self, subcommand, make_config, path, value, rc_want, tmp_path, capsys):
+        config = make_config(tmp_path / "out")
+        _set(config, path, value)
+        cfg = write_config(config, tmp_path / "cfg.json")
+        rc, summary = _run_one_line([subcommand, "--config", cfg], capsys)
+        assert rc == rc_want
+        if rc == 1:
+            assert summary["error"] == "InvalidInput"
+
+
+# (subcommand, config for an output directory) for every subcommand and kb action
+CONTRACT_CONFIGS = [
+    ("extract", extract_config),
+    ("fuse", lambda out: fuse_config(out, scene_path("golden/features.csv"))),
+    ("prefopt", prefopt_config),
+    ("bench", bench_config),
+    ("kb", lambda out: kb_config(out, "screen")),
+    ("kb", lambda out: kb_config(out, "price")),
+]
+HOSTILE_VALUES = [None, True, -1, 0, 0.5, "x", [], {}]
+
+
+def _leaves(node, path=()):
+    """Paths of the scalar leaves of a config, list elements included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _objects(node, path=()):
+    """Paths of the objects of a config, the top level included."""
+    if isinstance(node, dict):
+        yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _objects(value, path + (key,))
+
+
+class TestConfigContract:
+    """Any one-field change to a working config ends in the CLI contract."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_changed_field_exits_0_1_or_2_with_one_line_and_no_temporary_file(self, data):
+        subcommand, make_config = data.draw(st.sampled_from(CONTRACT_CONFIGS))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            config = make_config(out)
+            change = data.draw(st.sampled_from(["replace", "delete", "add"]))
+            if change == "add":
+                _set(config, data.draw(st.sampled_from(list(_objects(config)))) + ("zz_unknown",), 1)
+            else:
+                path = data.draw(st.sampled_from(list(_leaves(config))))
+                if change == "delete":
+                    del _node(config, path[:-1])[path[-1]]
+                else:
+                    _set(config, path, data.draw(st.sampled_from(HOSTILE_VALUES)))
+            cfg = write_config(config, os.path.join(tmp, "cfg.json"))
+            cwd = os.getcwd()
+            os.chdir(tmp)  # a relative output_dir such as "x" lands in the temporary directory
+            try:
+                with contextlib.redirect_stdout(io.StringIO()) as captured:
+                    rc = cli.main([subcommand, "--config", cfg])
+            finally:
+                os.chdir(cwd)
+            lines = captured.getvalue().strip().splitlines()
+            assert rc in (0, 1, 2)
+            assert len(lines) == 1
+            json.loads(lines[0])
+            assert [f for _, _, files in os.walk(tmp) for f in files if f.endswith(".tmp")] == []
+            if rc == 2:
+                assert not os.path.exists(out)
+
+
 def _truncate(data):
     return data[: len(data) // 2]
 
@@ -432,16 +601,6 @@ class TestKb:
         assert "logical_deduction" in report["reasoning"]["tuned-a"]
 
 
-def _kb_config(out_dir, action):
-    if action == "screen":
-        return {"output_dir": str(out_dir), "kb": {
-            "action": "screen", "germplasm": scene_path("germplasm.csv"),
-            "criteria": ["plant_height<=80"]}}
-    return {"output_dir": str(out_dir), "kb": {
-        "action": "price", "prices": scene_path("prices.csv"),
-        "observation_point": "Miyun District", "date": "2024-06-01"}}
-
-
 # (subcommand, config for an output directory, the config entry naming the input)
 NON_UTF8_INPUTS = [
     ("extract", extract_config, ("extract", "head_counts")),
@@ -456,8 +615,8 @@ NON_UTF8_INPUTS = [
     ("prefopt", prefopt_config, ("prefopt", "ppo_data")),
     ("bench", bench_config, ("bench", "trials")),
     ("bench", bench_config, ("bench", "ballots")),
-    ("kb", lambda out: _kb_config(out, "screen"), ("kb", "germplasm")),
-    ("kb", lambda out: _kb_config(out, "price"), ("kb", "prices")),
+    ("kb", lambda out: kb_config(out, "screen"), ("kb", "germplasm")),
+    ("kb", lambda out: kb_config(out, "price"), ("kb", "prices")),
 ]
 
 

@@ -365,7 +365,7 @@ class TestFeatureCsvRoundTrip:
         path.write_text("plot_id,germplasm_id,date,NDVI_MS,yield_kg_ha\n"
                         "p1,g1,2023-04-01,0.5,5000\n"
                         "p2,g1,2023-04-01,0.6,nan\n")
-        with pytest.raises(InvalidInput, match="^plot p2: yield is not finite$"):
+        with pytest.raises(ParseError, match="^line 3: plot p2: yield is not finite$"):
             fusion.load_feature_records(path)
 
     def test_weather_csv(self, tmp_path):

@@ -434,25 +434,32 @@ class TestPlotGeometry:
             )
 
 
-class TestPlotMask:
+def selected(grid, region) -> np.ndarray:
+    """``plot_cells(grid, region)``'s members expanded into a full-grid boolean array."""
+    cells = geodata.plot_cells(grid, region)
+    full = np.zeros(grid.values.shape, dtype=bool)
+    full[cells.rows, cells.cols] = cells.member
+    return full
+
+
+class TestPlotSelection:
     def test_square_covering_four_centers(self):
         grid = make_grid(np.zeros((4, 4)))
         plot = square_plot(1.0, 1.0, 3.0, 3.0)
-        mask = geodata.plot_mask(grid, plot)
-        assert mask.values.sum() == 4.0
-        assert mask.values[1:3, 1:3].sum() == 4.0
+        member = selected(grid, plot)
+        assert member.sum() == 4
+        assert member[1:3, 1:3].sum() == 4
 
     def test_plot_outside_grid(self):
         grid = make_grid(np.zeros((4, 4)))
         with pytest.raises(EmptyPlot):
-            geodata.plot_mask(grid, square_plot(10.0, 10.0, 12.0, 12.0))
+            geodata.plot_cells(grid, square_plot(10.0, 10.0, 12.0, 12.0))
 
     def test_boundary_counts_as_inside(self):
         grid = make_grid(np.zeros((2, 2)))
         # right edge passes exactly through the centers at x = 0.5
         plot = square_plot(0.0, 0.0, 0.5, 2.0)
-        mask = geodata.plot_mask(grid, plot)
-        assert mask.values[:, 0].tolist() == [1.0, 1.0]
+        assert selected(grid, plot)[:, 0].tolist() == [True, True]
 
     def test_agrees_with_oracle_on_random_polygons(self):
         rng = np.random.default_rng(31)
@@ -461,11 +468,9 @@ class TestPlotMask:
         for trial in range(100):
             plot = random_simple_polygon(rng, concave=trial % 2 == 0)
             try:
-                mask = geodata.plot_mask(grid, plot)
+                member = selected(grid, plot)
             except EmptyPlot:
                 member = np.zeros((12, 12), dtype=bool)
-            else:
-                member = mask.values == 1.0
             expected = np.array([
                 [point_in_polygon_oracle(float(cx[i, j]), float(cy[i, j]), plot.vertices)
                  for j in range(12)]
@@ -572,15 +577,12 @@ class TestPlotCells:
             cases += 1
             expected = region.contains(cx, cy)
             try:
-                cells = geodata.plot_cells(grid, region)
+                got = selected(grid, region)
             except EmptyPlot:
                 assert not expected.any()
                 outcomes["empty"] += 1
                 continue
-            got = np.zeros(grid.values.shape, dtype=bool)
-            got[cells.rows, cells.cols] = cells.member
             assert np.array_equal(got, expected)
-            assert np.array_equal(geodata.plot_mask(grid, region).values == 1.0, expected)
             outcomes["selected"] += 1
         assert min(outcomes.values()) > 50
 
