@@ -261,8 +261,7 @@ def score_stability(trials) -> StabilityScore:
     )
 
 
-def score_reasoning(ballots, model_id: str, n_models: int | None = None,
-                    n_tests: int | None = None) -> float:
+def score_reasoning(ballots, model_id: str) -> float:
     """A model's share of all reasoning score mass over N ballots.
 
     proportion = sum of the model's scores / (N * (1 + x) * x / 2).
@@ -274,10 +273,6 @@ def score_reasoning(ballots, model_id: str, n_models: int | None = None,
     if len(xs) != 1:
         raise InvalidBallot(f"ballots disagree on the number of models: {sorted(xs)}")
     x = xs.pop()
-    if n_models is not None and n_models != x:
-        raise InvalidBallot(f"ballots cover {x} models, expected {n_models}")
-    if n_tests is not None and n_tests != len(ballots):
-        raise InvalidBallot(f"{len(ballots)} ballots, expected {n_tests}")
     for b in ballots:
         if model_id not in b.scores:
             raise InvalidBallot(f"ballot {b.test_id} does not score model {model_id!r}")

@@ -21,16 +21,6 @@ from . import bench, fusion, geodata, kb, prefopt, spectral, structural
 from ._io import csv_rows, write_csv, write_json
 from .errors import BreedkitError, ParseError
 
-# MS band centers (nm). MS indices pick their bands by name, so these only tag the bands.
-MS_BAND_CENTERS_NM = {
-    "blue": 450.0,
-    "green": 560.0,
-    "red": 650.0,
-    "red_edge": 730.0,
-    "nir": 840.0,
-}
-
-
 class ConfigError(Exception):
     """Configuration problem; carries the dotted field path."""
 
@@ -78,7 +68,9 @@ def _load_config(args) -> dict:
         node = config
         keys = path.split(".")
         for key in keys[:-1]:
-            node = node.setdefault(key, {})
+            if node.get(key) is None:  # null reads as absent
+                node[key] = {}
+            node = node[key]
             if not isinstance(node, dict):
                 raise ConfigError(path, "override path collides with a non-object value")
         node[keys[-1]] = value
@@ -88,6 +80,7 @@ def _load_config(args) -> dict:
 
 
 PATH = "path"  # field kind: a string naming an existing file
+DIR = "dir"  # field kind: a string naming a directory, existing or to be made
 _SCALARS = {float: ("a number", (int, float)), int: ("an integer", int), bool: ("a boolean", bool)}
 _STAGES = ("sft", "rm", "ppo")
 
@@ -99,7 +92,7 @@ _SCHEMA = {
         "plots": PATH,
         "date": str,
         "site": (str, ""),
-        "ms_bands": {name: PATH for name in MS_BAND_CENTERS_NM},
+        "ms_bands": {name: PATH for name in spectral.MS_BAND_CENTERS_NM},
         "hs_bands": [{"path": PATH, "wavelength_nm": float}],
         "vegetation_mask": PATH,
         "lodging_mask": PATH,
@@ -191,11 +184,17 @@ def _check(value, spec, path: str):
         if isinstance(value, bool) != (spec is bool) or not isinstance(value, kinds):
             raise ConfigError(path, f"expected {name}, got {value!r}")
         return float(value) if spec is float else value
-    kind = str if spec is PATH else spec
+    kind = str if spec in (PATH, DIR) else spec
     if not isinstance(value, kind):
         raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
     if spec is PATH and not os.path.isfile(value):
         raise ConfigError(path, f"file not found: {value}")
+    if spec is DIR:
+        head = os.path.abspath(value)
+        while not os.path.lexists(head):  # the nearest existing path must be a directory
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            raise ConfigError(path, f"not a directory: {head}")
     return value
 
 
@@ -241,7 +240,7 @@ def _load_measurements(path: str) -> dict:
     out: dict = {}
     for lineno, rec in csv_rows(path, ("plot_id",)):
         entry: dict = {}
-        for key in ("SPAD", "LAI", "measured_CH"):
+        for key in fusion.PHENOTYPING_FEATURES:
             if (rec.get(key) or "").strip():
                 entry[key] = _measurement_number(rec, key, lineno)
         if (rec.get("raw_mass_kg") or "").strip():
@@ -272,7 +271,8 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
 
     plots = geodata.load_plots(cfg["plots"])
     ms = geodata.BandSet(bands={name: (geodata.load_raster(cfg["ms_bands"][name]), nm)
-                                for name, nm in MS_BAND_CENTERS_NM.items()}, sensor_kind="MS")
+                                for name, nm in spectral.MS_BAND_CENTERS_NM.items()},
+                         sensor_kind="MS")
     hs_bands = {}
     for band in cfg["hs_bands"]:
         nm = band["wavelength_nm"]
@@ -317,8 +317,8 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
         features["PL_ratio"] = structural.classify_lodging(
             lodging_mask, _cells_on(cells, lodging_mask, plot)
         ).ratio
-        ring = geodata.buffer_ring(plot, params["ring_inner_m"], params["ring_outer_m"])
-        features["WL_ratio"] = structural.classify_weed(weed_mask, geodata.UnionRegion(plot, ring)).ratio
+        ring = geodata.BufferRing(plot, params["ring_inner_m"], params["ring_outer_m"])
+        features["WL_ratio"] = structural.classify_weed(weed_mask, geodata.UnionRegion(ring)).ratio
         if plot.plot_id not in head_counts:
             raise BreedkitError(f"no head counts for plot {plot.plot_id}")
         features["WH_density"] = structural.wheat_head_density(
@@ -326,7 +326,7 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
         ).density
 
         extra = measurements.get(plot.plot_id, {})
-        for key in ("SPAD", "LAI", "measured_CH"):
+        for key in fusion.PHENOTYPING_FEATURES:
             if key in extra:
                 features[key] = extra[key]
         records.append(
@@ -560,7 +560,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         name = args.subcommand
-        config = _check(_load_config(args), {"output_dir": str, name: _SCHEMA[name]}, "")
+        config = _check(_load_config(args), {"output_dir": DIR, name: _SCHEMA[name]}, "")
         outputs = _COMMANDS[name](config[name], config["output_dir"])
     except ConfigError as exc:
         _summary({"status": "config_error", "field": exc.field, "message": exc.message})

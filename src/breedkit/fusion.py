@@ -226,7 +226,6 @@ def assemble(
     weather=(),
     germplasm=(),
     domains=DOMAINS,
-    trait_thresholds: kb.TraitThresholds = kb.DEFAULT_TRAIT_THRESHOLDS,
 ) -> FeatureMatrix:
     """Build one feature row per plot from the selected domains.
 
@@ -296,7 +295,7 @@ def assemble(
                 means[g, cols] = [summary[c] for c in WEATHER_FEATURES]
                 present[g, cols] = True
     if "germplasm" in domains:
-        flags_by_variety = {g.variety_name: kb.trait_flags(g, trait_thresholds) for g in germplasm}
+        flags_by_variety = {g.variety_name: kb.trait_flags(g) for g in germplasm}
         cols = [candidates.index(c) for c in GERMPLASM_FEATURES]
         for g, germplasm_id in enumerate(germplasm_ids):
             flags = flags_by_variety.get(germplasm_id)

@@ -101,14 +101,14 @@ class RasterGrid:
         y = self.origin_y + (self.n_rows - rows - 0.5) * self.cell_size
         return np.meshgrid(x, y)
 
-    def with_values(self, values: np.ndarray, nodata: float | None = None) -> "RasterGrid":
-        """A new grid sharing this grid's georeferencing."""
+    def with_values(self, values: np.ndarray) -> "RasterGrid":
+        """A new grid sharing this grid's georeferencing and nodata value."""
         return RasterGrid(
             values=values,
             cell_size=self.cell_size,
             origin_x=self.origin_x,
             origin_y=self.origin_y,
-            nodata=self.nodata if nodata is None else nodata,
+            nodata=self.nodata,
         )
 
 
@@ -305,32 +305,23 @@ class BufferRing:
 
 @dataclass(frozen=True)
 class UnionRegion:
-    """A plot and one of its buffer rings: inside the plot, or in the ring.
+    """A buffer ring's plot and the ring: inside the plot, or in the ring.
 
     The ring lies outside the plot, so the union is inside | (inner < d <= outer)
     with d the distance to the plot boundary: one polygon test and one distance
     per point.
     """
 
-    plot: PlotGeometry
     ring: BufferRing
 
-    def __post_init__(self):
-        if self.ring.plot is not self.plot:
-            raise InvalidInput("a UnionRegion's ring must be a ring of its plot")
-
     def contains(self, px, py) -> np.ndarray:
-        d = distance_to_boundary(px, py, self.plot.vertices)
-        return self.plot.contains(px, py) | ((d > self.ring.inner) & (d <= self.ring.outer))
+        plot = self.ring.plot
+        d = distance_to_boundary(px, py, plot.vertices)
+        return plot.contains(px, py) | ((d > self.ring.inner) & (d <= self.ring.outer))
 
     def bounds(self) -> tuple[float, float, float, float]:
         """The ring's bounds, which enclose the plot."""
         return self.ring.bounds()
-
-
-def buffer_ring(plot: PlotGeometry, inner: float, outer: float) -> BufferRing:
-    """Region predicate for the annulus ``(inner, outer]`` outside ``plot``."""
-    return BufferRing(plot=plot, inner=inner, outer=outer)
 
 
 @dataclass(frozen=True)

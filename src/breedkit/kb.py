@@ -153,54 +153,40 @@ def screen_germplasm(records, criteria) -> list[GermplasmRecord]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraitThresholds:
-    """Configurable predicates behind the HQ/DS/DR/MP/AM trait flags.
+# Documented conventions, not values from any monitoring standard.
+HQ_MIN_CRUDE_PROTEIN = 14.0
+RESISTANT_LEVELS = ("HR", "R", "MR")
+MP_MAX_DAYS = 200.0
+MP_CLASSES = ("early",)
+AM_MAX_HEIGHT_CM = 80.0
 
-    Defaults are documented conventions, not values from any monitoring
-    standard: HQ = crude protein >= 14 %; DS = disease resistance level in
-    ``resistant_levels`` for at least one (or all, if ``ds_require_all``) of
-    stripe rust / leaf rust / powdery mildew; DR likewise for drought;
-    MP = maturity <= 200 days (or a class in ``mp_classes``); AM = plant
-    height <= 80 cm.
+
+def trait_flags(record: GermplasmRecord) -> dict:
+    """0/1 indicator for each of the five screening traits.
+
+    HQ = crude protein >= ``HQ_MIN_CRUDE_PROTEIN`` %; DS = disease resistance
+    level in ``RESISTANT_LEVELS`` for at least one of stripe rust / leaf rust /
+    powdery mildew; DR likewise for drought; MP = maturity <= ``MP_MAX_DAYS``
+    days (or a class in ``MP_CLASSES``); AM = plant height <=
+    ``AM_MAX_HEIGHT_CM`` cm.
     """
-
-    hq_min_crude_protein: float = 14.0
-    resistant_levels: tuple = ("HR", "R", "MR")
-    ds_require_all: bool = False
-    mp_max_days: float = 200.0
-    mp_classes: tuple = ("early",)
-    am_max_height_cm: float = 80.0
-
-
-DEFAULT_TRAIT_THRESHOLDS = TraitThresholds()
-
-
-def trait_flags(record: GermplasmRecord, thresholds: TraitThresholds = DEFAULT_TRAIT_THRESHOLDS) -> dict:
-    """0/1 indicator for each of the five screening traits."""
     protein = _as_number(record.quality.get("crude_protein"))
-    hq = protein is not None and protein >= thresholds.hq_min_crude_protein
+    hq = protein is not None and protein >= HQ_MIN_CRUDE_PROTEIN
 
     disease = [record.resistance.get(k) for k in ("stripe_rust", "leaf_rust", "powdery_mildew")]
-    resistant = [lvl in thresholds.resistant_levels for lvl in disease if lvl is not None]
-    if not resistant:
-        ds = False
-    elif thresholds.ds_require_all:
-        ds = all(resistant) and len(resistant) == 3
-    else:
-        ds = any(resistant)
+    ds = any(level in RESISTANT_LEVELS for level in disease)
 
-    dr = record.resistance.get("drought") in thresholds.resistant_levels
+    dr = record.resistance.get("drought") in RESISTANT_LEVELS
 
     maturity = record.agronomic.get("maturity")
     m_num = _as_number(maturity)
     if m_num is not None:
-        mp = m_num <= thresholds.mp_max_days
+        mp = m_num <= MP_MAX_DAYS
     else:
-        mp = maturity in thresholds.mp_classes
+        mp = maturity in MP_CLASSES
 
     height = _as_number(record.agronomic.get("plant_height"))
-    am = height is not None and height <= thresholds.am_max_height_cm
+    am = height is not None and height <= AM_MAX_HEIGHT_CM
 
     return {"HQ": int(hq), "DS": int(ds), "DR": int(dr), "MP": int(mp), "AM": int(am)}
 

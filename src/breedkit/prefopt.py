@@ -80,8 +80,11 @@ class PolicyModel:
         self.init_scale = float(init_scale)
         self.seed = int(seed)
         self.role = role
-        self.frozen = role == "reference"
         self._rows: dict[tuple, np.ndarray] = {}
+
+    @property
+    def frozen(self) -> bool:
+        return self.role == "reference"
 
     # -- state access -------------------------------------------------
 
@@ -139,11 +142,10 @@ class PolicyModel:
                 row = self._make_row(key)
             self._rows[key] = row + learning_rate * grad
 
-    def snapshot(self, role: str = "reference") -> "PolicyModel":
+    def snapshot(self) -> "PolicyModel":
         """Frozen copy of the current parameters."""
         copy = PolicyModel(self.vocab_size, self.context_length,
-                           init_scale=self.init_scale, seed=self.seed, role=role)
-        copy.frozen = role == "reference"
+                           init_scale=self.init_scale, seed=self.seed, role="reference")
         copy._rows = {k: v.copy() for k, v in self._rows.items()}
         return copy
 
@@ -156,10 +158,9 @@ class PolicyModel:
 
     # -- sampling -----------------------------------------------------
 
-    def sample_answer(self, x, rng: np.random.Generator, length: int | None = None) -> tuple:
-        length = self.context_length if length is None else length
+    def sample_answer(self, x, rng: np.random.Generator) -> tuple:
         answer = ()
-        for _ in range(length):
+        for _ in range(self.context_length):
             probs = self.step_probabilities(x, answer)
             answer = answer + (int(rng.choice(self.vocab_size, p=probs)),)
         return answer

@@ -26,10 +26,16 @@ from .geodata import BandSet, PlotCells, PlotGeometry, RasterGrid, plot_cells
 
 VI_NAMES = ("NDVI", "SAVI", "kNDVI", "NIRv", "PSRI")
 
-# Hyperspectral sets carry wavelength-tagged bands; these targets stand in for
-# the named MS bands when computing MS-style indices from an HS set. Values
-# are the MS band centers (nm).
-HS_BAND_TARGETS = {"red": 650.0, "green": 560.0, "nir": 840.0}
+# MS band centers (nm). MS indices pick their bands by name; an HS set, whose
+# bands are wavelength-tagged, stands in for a named band with its band nearest
+# that band's center.
+MS_BAND_CENTERS_NM = {
+    "blue": 450.0,
+    "green": 560.0,
+    "red": 650.0,
+    "red_edge": 730.0,
+    "nir": 840.0,
+}
 HS_TOLERANCE_NM = 10.0
 
 PSRI_HS_TARGETS = (680.0, 500.0, 750.0)
@@ -79,7 +85,7 @@ def _band_values(bands: BandSet, name: str) -> tuple[np.ndarray, np.ndarray]:
     if bands.sensor_kind == "MS":
         grid = bands.grid(name)
     else:
-        grid = bands.grid(resolve_band(bands, HS_BAND_TARGETS[name]))
+        grid = bands.grid(resolve_band(bands, MS_BAND_CENTERS_NM[name]))
     return grid.values, grid.defined
 
 

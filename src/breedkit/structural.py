@@ -59,13 +59,14 @@ class CanopyVolumeResult:
 
     volume_lowest_plane: float
     volume_mean_plane: float
-    volume: float
 
     def __post_init__(self):
         if self.volume_lowest_plane < 0 or self.volume_mean_plane < 0:
             raise InvalidInput("component volumes must be >= 0")
-        if self.volume != (self.volume_lowest_plane + self.volume_mean_plane) / 2.0:
-            raise InvalidInput("volume must be the mean of the two plane volumes")
+
+    @property
+    def volume(self) -> float:
+        return (self.volume_lowest_plane + self.volume_mean_plane) / 2.0
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,14 @@ class WheatHeadDensity:
 
     heads_per_image: float
     ground_area: float
-    density: float
 
     def __post_init__(self):
         if not self.ground_area > 0:
             raise InvalidInput("ground_area must be > 0")
-        if self.density != self.heads_per_image / self.ground_area:
-            raise InvalidInput("density must equal heads_per_image / ground_area")
+
+    @property
+    def density(self) -> float:
+        return self.heads_per_image / self.ground_area
 
 
 def canopy_height_model(
@@ -147,11 +149,7 @@ def canopy_volume(surface: RasterGrid, plot: PlotGeometry | PlotCells) -> Canopy
     cell_area = surface.cell_size * surface.cell_size
     v_low = float(np.sum(np.abs(z - z.min())) * cell_area)
     v_mean = float(np.sum(np.abs(z - np.mean(z))) * cell_area)
-    return CanopyVolumeResult(
-        volume_lowest_plane=v_low,
-        volume_mean_plane=v_mean,
-        volume=(v_low + v_mean) / 2.0,
-    )
+    return CanopyVolumeResult(volume_lowest_plane=v_low, volume_mean_plane=v_mean)
 
 
 def lodging_level(ratio: float, special: bool = False) -> str:
@@ -230,11 +228,7 @@ def wheat_head_density(
     height = 2.0 * altitude * math.tan(math.radians(fov_v) / 2.0)
     area = width * height
     mean_heads = float(np.mean(np.asarray(counts, dtype=np.float64)))
-    return WheatHeadDensity(
-        heads_per_image=mean_heads,
-        ground_area=area,
-        density=mean_heads / area,
-    )
+    return WheatHeadDensity(heads_per_image=mean_heads, ground_area=area)
 
 
 def load_head_counts(path) -> dict:

@@ -219,10 +219,6 @@ class TestScoreReasoning:
     def test_expected_counts_validated(self):
         ballots = [bench.ReasoningBallot(test_id="t", scores={"a": 1, "b": 2})]
         with pytest.raises(InvalidBallot):
-            bench.score_reasoning(ballots, "a", n_models=3)
-        with pytest.raises(InvalidBallot):
-            bench.score_reasoning(ballots, "a", n_tests=5)
-        with pytest.raises(InvalidBallot):
             bench.score_reasoning(ballots, "missing")
 
 

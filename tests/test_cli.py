@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -355,6 +357,31 @@ class TestConfigSchema:
         got = open(summary["outputs"]["features"], "rb").read()
         assert got == open(scene_path("golden/features.csv"), "rb").read()
 
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_output_dir_at_or_under_a_file_exits_2(self, under, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        cfg = write_config(bench_config(blocker / under), tmp_path / "cfg.json")
+        rc, summary = _run_one_line(["bench", "--config", cfg], capsys)
+        assert rc == 2
+        assert summary == {"status": "config_error", "field": "output_dir",
+                           "message": f"not a directory: {blocker}"}
+        assert blocker.read_text() == "a file, not a directory"
+
+    def test_set_fills_an_object_the_file_sets_to_null(self, tmp_path, capsys):
+        config = bench_config(tmp_path / "want")
+        rc, _ = _run_one_line(["bench", "--config", write_config(config, tmp_path / "a.json")], capsys)
+        assert rc == 0
+        cfg = write_config({"output_dir": str(tmp_path / "got"), "bench": None}, tmp_path / "b.json")
+        rc, _ = _run_one_line(["bench", "--config", cfg,
+                               "--set", f"bench.trials={config['bench']['trials']}",
+                               "--set", f"bench.ballots={config['bench']['ballots']}"], capsys)
+        assert rc == 0
+        names = sorted(os.listdir(tmp_path / "want"))
+        assert names and sorted(os.listdir(tmp_path / "got")) == names
+        for name in names:
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
     @pytest.mark.parametrize("subcommand, make_config, path, value, rc_want", [
         ("prefopt", prefopt_config, ("prefopt", "sft", "iterations"), 0, 0),
         ("prefopt", prefopt_config, ("prefopt", "rm", "iterations"), 0, 0),
@@ -406,40 +433,68 @@ def _objects(node, path=()):
             yield from _objects(value, path + (key,))
 
 
+def _contract_run(tmp, args):
+    """Run the CLI in ``tmp``; check the contract; remove what the run left; return the summary."""
+    before = set(os.listdir(tmp))
+    cwd = os.getcwd()
+    os.chdir(tmp)  # a relative output_dir such as "x" lands in the temporary directory
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as captured:
+            rc = cli.main(args)
+    finally:
+        os.chdir(cwd)
+    lines = captured.getvalue().strip().splitlines()
+    assert rc in (0, 1, 2)
+    assert len(lines) == 1
+    assert [f for _, _, files in os.walk(tmp) for f in files if f.endswith(".tmp")] == []
+    if rc == 2:
+        assert not os.path.exists(os.path.join(tmp, "out"))
+    for name in set(os.listdir(tmp)) - before:
+        shutil.rmtree(os.path.join(tmp, name))
+    return rc, json.loads(lines[0])
+
+
 class TestConfigContract:
-    """Any one-field change to a working config ends in the CLI contract."""
+    """Any one-field change to a working config ends in the CLI contract, and ends
+    the same whether it arrives in the config file or through ``--set``."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_one_changed_field_exits_0_1_or_2_with_one_line_and_no_temporary_file(self, data):
         subcommand, make_config = data.draw(st.sampled_from(CONTRACT_CONFIGS))
         with tempfile.TemporaryDirectory() as tmp:
-            out = os.path.join(tmp, "out")
-            config = make_config(out)
+            config = make_config(os.path.join(tmp, "out"))
+            changed = copy.deepcopy(config)
             change = data.draw(st.sampled_from(["replace", "delete", "add"]))
             if change == "add":
-                _set(config, data.draw(st.sampled_from(list(_objects(config)))) + ("zz_unknown",), 1)
+                path = data.draw(st.sampled_from(list(_objects(config)))) + ("zz_unknown",)
+                _set(changed, path, 1)
             else:
                 path = data.draw(st.sampled_from(list(_leaves(config))))
                 if change == "delete":
-                    del _node(config, path[:-1])[path[-1]]
+                    del _node(changed, path[:-1])[path[-1]]
                 else:
-                    _set(config, path, data.draw(st.sampled_from(HOSTILE_VALUES)))
-            cfg = write_config(config, os.path.join(tmp, "cfg.json"))
-            cwd = os.getcwd()
-            os.chdir(tmp)  # a relative output_dir such as "x" lands in the temporary directory
-            try:
-                with contextlib.redirect_stdout(io.StringIO()) as captured:
-                    rc = cli.main([subcommand, "--config", cfg])
-            finally:
-                os.chdir(cwd)
-            lines = captured.getvalue().strip().splitlines()
-            assert rc in (0, 1, 2)
-            assert len(lines) == 1
-            json.loads(lines[0])
-            assert [f for _, _, files in os.walk(tmp) for f in files if f.endswith(".tmp")] == []
-            if rc == 2:
-                assert not os.path.exists(out)
+                    _set(changed, path, data.draw(st.sampled_from(HOSTILE_VALUES)))
+            by_file = _contract_run(
+                tmp, [subcommand, "--config", write_config(changed, os.path.join(tmp, "a.json"))])
+
+            # --set names object fields only, so the change arrives as the whole
+            # value of the deepest one; a deleted field arrives as null. An
+            # enclosing object may be null in the file and filled field by field.
+            keys = path[:next((i for i, k in enumerate(path) if isinstance(k, int)), len(path))]
+            value = _node(changed, keys[:-1]).get(keys[-1])
+            base = copy.deepcopy(config)
+            overrides = []
+            depth = data.draw(st.integers(0, len(keys) - 1))
+            if depth:
+                _set(base, keys[:depth], None)
+                for key, item in _node(config, keys[:depth]).items():
+                    overrides.append(".".join(keys[:depth] + (key,)) + "=" + json.dumps(item))
+            overrides.append(".".join(keys) + "=" + json.dumps(value))
+            by_set = _contract_run(
+                tmp, [subcommand, "--config", write_config(base, os.path.join(tmp, "b.json")),
+                      *(arg for item in overrides for arg in ("--set", item))])
+            assert by_set == by_file
 
 
 def _truncate(data):

@@ -379,8 +379,7 @@ class TestFeatureCsvRoundTrip:
         assert rows[0].t_mean == 10.0
 
 
-def _assemble_row_loop(records, weather=(), germplasm=(), domains=fusion.DOMAINS,
-                       trait_thresholds=kb.DEFAULT_TRAIT_THRESHOLDS):
+def _assemble_row_loop(records, weather=(), germplasm=(), domains=fusion.DOMAINS):
     """``fusion.assemble`` as a row loop with one ``np.mean`` per plot and feature.
 
     The reference the grouped implementation must match bit for bit.
@@ -418,7 +417,7 @@ def _assemble_row_loop(records, weather=(), germplasm=(), domains=fusion.DOMAINS
             weather_by_site[site] = fusion._aggregate_weather(rows)
         return weather_by_site[site]
 
-    flags_by_variety = {g.variety_name: kb.trait_flags(g, trait_thresholds) for g in germplasm}
+    flags_by_variety = {g.variety_name: kb.trait_flags(g) for g in germplasm}
 
     candidates = []
     if "RS" in domains:

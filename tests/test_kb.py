@@ -111,13 +111,9 @@ class TestTraitFlags:
         record = germ("G", maturity="late")
         assert kb.trait_flags(record)["MP"] == 0
 
-    def test_ds_require_all(self):
+    def test_ds_needs_one_resistant_disease(self):
         record = germ("H", stripe="R", leaf="S", mildew="R")
         assert kb.trait_flags(record)["DS"] == 1
-        strict = kb.TraitThresholds(ds_require_all=True)
-        assert kb.trait_flags(record, strict)["DS"] == 0
-        full = germ("I", stripe="R", leaf="MR", mildew="HR")
-        assert kb.trait_flags(full, strict)["DS"] == 1
 
 
 class TestQueryPrice:
