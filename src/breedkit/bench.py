@@ -16,6 +16,7 @@ each, a ballot's score mass is (1 + x) * x / 2.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -111,6 +112,10 @@ class TrialRecord:
     def __post_init__(self):
         if self.trial_index < 0:
             raise InvalidInput("trial_index must be >= 0")
+        for name, value in (("answer_numeric", self.answer_numeric),
+                            ("reference_value", self.reference_value)):
+            if value is not None and not math.isfinite(value):
+                raise InvalidInput(f"{name} must be finite, got {value}")
         if self.stability_protocol is not None and self.stability_protocol not in STABILITY_PROTOCOLS:
             raise InvalidInput(
                 f"stability_protocol must be one of {STABILITY_PROTOCOLS}"

@@ -92,7 +92,7 @@ _SCHEMA = {
         "plots": PATH,
         "date": str,
         "site": (str, ""),
-        "ms_bands": {name: PATH for name in spectral.MS_BAND_CENTERS_NM},
+        "ms_bands": {name: PATH for name in geodata.MS_BAND_CENTERS_NM},
         "hs_bands": [{"path": PATH, "wavelength_nm": float}],
         "vegetation_mask": PATH,
         "lodging_mask": PATH,
@@ -271,7 +271,7 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
 
     plots = geodata.load_plots(cfg["plots"])
     ms = geodata.BandSet(bands={name: (geodata.load_raster(cfg["ms_bands"][name]), nm)
-                                for name, nm in spectral.MS_BAND_CENTERS_NM.items()},
+                                for name, nm in geodata.MS_BAND_CENTERS_NM.items()},
                          sensor_kind="MS")
     hs_bands = {}
     for band in cfg["hs_bands"]:

@@ -324,6 +324,17 @@ class UnionRegion:
         return self.ring.bounds()
 
 
+# MS band centers (nm). MS indices pick their bands by name; an HS set stands in
+# for a named band with its wavelength-tagged band nearest that band's center.
+MS_BAND_CENTERS_NM = {
+    "blue": 450.0,
+    "green": 560.0,
+    "red": 650.0,
+    "red_edge": 730.0,
+    "nir": 840.0,
+}
+
+
 @dataclass(frozen=True)
 class BandSet:
     """Aligned reflectance bands from one sensor.
@@ -342,7 +353,7 @@ class BandSet:
         if not self.bands:
             raise EmptyInput("band set has no bands")
         if self.sensor_kind == "MS":
-            for name in ("blue", "green", "red", "red_edge", "nir"):
+            for name in MS_BAND_CENTERS_NM:
                 if name not in self.bands:
                     raise MissingBand(name)
         elif len(self.bands) < 2:

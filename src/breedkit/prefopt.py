@@ -114,11 +114,18 @@ class PolicyModel:
             self._rows[key] = row
         return row
 
-    def log_softmax_row(self, x, prefix) -> np.ndarray:
-        return _log_softmax(self.logits_row(x, prefix))
-
     def step_probabilities(self, x, prefix) -> np.ndarray:
-        return np.exp(self.log_softmax_row(x, prefix))
+        return np.exp(_log_softmax(self.logits_row(x, prefix)))
+
+    def _answer_log_softmax(self, x, y) -> tuple:
+        """(prompt, answer, stacked log softmax rows: row t is log pi(. | x, y[:t])), checked once."""
+        x = _as_tokens(x, self.vocab_size, "prompt")
+        y = _as_tokens(y, self.vocab_size, "answer")
+        if len(y) > self.context_length:  # the prefix y[:T] has no state
+            t = self.context_length
+            raise InvalidInput(f"prefix length {t} exceeds context_length {t}")
+        rows = np.array([self._row((x, y[:t])) for t in range(len(y))])
+        return x, y, _log_softmax(rows.reshape(len(y), self.vocab_size))
 
     # -- mutation -----------------------------------------------------
 
@@ -144,8 +151,7 @@ class PolicyModel:
 
     def snapshot(self) -> "PolicyModel":
         """Frozen copy of the current parameters."""
-        copy = PolicyModel(self.vocab_size, self.context_length,
-                           init_scale=self.init_scale, seed=self.seed, role="reference")
+        copy = self._frozen_view()
         copy._rows = {k: v.copy() for k, v in self._rows.items()}
         return copy
 
@@ -159,20 +165,35 @@ class PolicyModel:
     # -- sampling -----------------------------------------------------
 
     def sample_answer(self, x, rng: np.random.Generator) -> tuple:
+        x = _as_tokens(x, self.vocab_size, "prompt")
         answer = ()
         for _ in range(self.context_length):
-            probs = self.step_probabilities(x, answer)
+            probs = np.exp(_log_softmax(self._row((x, answer))))
             answer = answer + (int(rng.choice(self.vocab_size, p=probs)),)
         return answer
 
 
-def answer_log_prob(policy: PolicyModel, x, y) -> float:
-    """log pi(y|x) = sum over steps of log pi(y_t | x, y_{1:t-1})."""
-    y = _as_tokens(y, policy.vocab_size, "answer")
+def _picked_sum(log_probs: np.ndarray, y: tuple) -> float:
+    """sum_t log_probs[t, y_t], added in step order."""
     total = 0.0
     for t, token in enumerate(y):
-        total += float(policy.log_softmax_row(x, y[:t])[token])
+        total += float(log_probs[t, token])
     return total
+
+
+def _add_step_grads(grads: dict, x: tuple, y: tuple, log_probs, scale: float) -> None:
+    """grads[(x, y[:t])] += scale * (onehot(y_t) - pi(. | x, y[:t])) for each step t."""
+    probs = np.exp(log_probs)
+    for t, token in enumerate(y):
+        g = grads.setdefault((x, y[:t]), np.zeros(probs.shape[1]))
+        g -= scale * probs[t]
+        g[token] += scale
+
+
+def answer_log_prob(policy: PolicyModel, x, y) -> float:
+    """log pi(y|x) = sum over steps of log pi(y_t | x, y_{1:t-1})."""
+    _, y, log_probs = policy._answer_log_softmax(x, y)
+    return _picked_sum(log_probs, y)
 
 
 def sft_loss_and_grad(policy: PolicyModel, dataset) -> tuple[float, dict]:
@@ -187,15 +208,10 @@ def sft_loss_and_grad(policy: PolicyModel, dataset) -> tuple[float, dict]:
     loss = 0.0
     grads: dict[tuple, np.ndarray] = {}
     for x, y in pairs:
-        x = _as_tokens(x, policy.vocab_size, "prompt")
-        y = _as_tokens(y, policy.vocab_size, "answer")
+        x, y, log_probs = policy._answer_log_softmax(x, y)
         for t, token in enumerate(y):
-            prefix = y[:t]
-            log_probs = policy.log_softmax_row(x, prefix)
-            loss -= float(log_probs[token])
-            g = grads.setdefault((x, prefix), np.zeros(policy.vocab_size))
-            g += np.exp(log_probs)
-            g[token] -= 1.0
+            loss -= float(log_probs[t, token])
+        _add_step_grads(grads, x, y, log_probs, -1.0)
     n = len(pairs)
     return loss / n, {k: v / n for k, v in grads.items()}
 
@@ -307,16 +323,9 @@ def combined_reward(rm: RewardModel, policy: PolicyModel, reference: PolicyModel
         raise InvalidInput("beta must be >= 0")
     if not reference.frozen:
         raise InvalidInput("reference model must be frozen")
-    policy_logp = answer_log_prob(policy, x, y) if beta != 0.0 else 0.0
-    return _combined_reward(rm, reference, x, y, beta, policy_logp)
-
-
-def _combined_reward(rm: RewardModel, reference: PolicyModel, x, y, beta: float,
-                     policy_logp: float) -> float:
-    """combined_reward given log pi(y|x), which rlhf_step has already computed."""
     penalty = 0.0
     if beta != 0.0:
-        penalty = beta * (policy_logp - answer_log_prob(reference, x, y))
+        penalty = beta * (answer_log_prob(policy, x, y) - answer_log_prob(reference, x, y))
     return rm.score(x, y) - penalty
 
 
@@ -412,32 +421,27 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
     ascended once per epoch; with a single epoch the ratio is identically 1,
     so clipping only engages for epochs > 1.
     """
-    prompts = [tuple(int(t) for t in x) for x in prompts]
+    prompts = [_as_tokens(x, policy.vocab_size, "prompt") for x in prompts]
     if not prompts:
         raise EmptyInput("no prompts")
     if not reference.frozen:
         raise InvalidInput("reference model must be frozen")
 
     batch = []
-    rewards = []
     for x in prompts:
         for _ in range(config.samples_per_prompt):
             y = policy.sample_answer(x, rng)
-            old_logp = answer_log_prob(policy, x, y)
-            reward = _combined_reward(rm, reference, x, y, config.beta, old_logp)
-            batch.append((x, y, old_logp, reward))
-            rewards.append(reward)
+            batch.append((x, y, answer_log_prob(policy, x, y),
+                          combined_reward(rm, policy, reference, x, y, config.beta)))
 
     clip_lo, clip_hi = 1.0 - config.ppo_clip, 1.0 + config.ppo_clip
     clipped = 0
-    total = 0
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         grads: dict[tuple, np.ndarray] = {}
         for x, y, old_logp, advantage in batch:
-            # the policy first changes at the end of epoch 0
-            new_logp = old_logp if epoch == 0 else answer_log_prob(policy, x, y)
-            ratio = float(np.exp(new_logp - old_logp))
-            total += 1
+            # the policy first changes at the end of epoch 0: there the ratio is 1
+            _, _, log_probs = policy._answer_log_softmax(x, y)
+            ratio = float(np.exp(_picked_sum(log_probs, y) - old_logp))
             if not (clip_lo <= ratio <= clip_hi):
                 clipped += 1
                 unclipped = ratio * advantage
@@ -445,16 +449,9 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
                 if capped <= unclipped:
                     continue  # clipped branch is the min: zero gradient
             # d surrogate / d logits = A * ratio * d log pi / d logits
-            scale = advantage * ratio / len(batch)
-            for t, token in enumerate(y):
-                prefix = y[:t]
-                probs = policy.step_probabilities(x, prefix)
-                g = grads.setdefault((x, prefix), np.zeros(policy.vocab_size))
-                g -= scale * probs
-                g[token] += scale
-        for key, grad in grads.items():
-            if not np.isfinite(grad).all():
-                raise NumericalError("non-finite policy gradient", iteration=iteration)
+            _add_step_grads(grads, x, y, log_probs, advantage * ratio / len(batch))
+        if not all(np.isfinite(grad).all() for grad in grads.values()):
+            raise NumericalError("non-finite policy gradient", iteration=iteration)
         policy.apply_gradient(grads, config.learning_rate)
 
     # the diagnostic draws (past the exact budget) from its own generator, so
@@ -462,9 +459,9 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
     kl_rng = np.random.default_rng([config.seed, iteration])
     return {
         "iteration": iteration,
-        "mean_reward": float(np.mean(rewards)),
+        "mean_reward": float(np.mean([reward for *_, reward in batch])),
         "mean_kl": mean_kl(policy, reference, prompts, rng=kl_rng),
-        "clip_fraction": clipped / total if total else 0.0,
+        "clip_fraction": clipped / (config.epochs * len(batch)),
     }
 
 
@@ -568,8 +565,11 @@ def _load_jsonl(path, required: tuple) -> list[dict]:
             if not isinstance(obj, dict):
                 raise ParseError("expected a JSON object", line=lineno)
             for key in required:
-                if key not in obj or not isinstance(obj[key], list):
+                if not isinstance(obj.get(key), list):
                     raise ParseError(f"need list field {key!r}", line=lineno)
+                for t in obj[key]:
+                    if type(t) is not int:  # isinstance would let true and false through
+                        raise ParseError(f"{key} token {json.dumps(t)} is not an integer", line=lineno)
             rows.append(obj)
     if not rows:
         raise EmptyInput(f"no records in {path}")

@@ -22,20 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPlot, InvalidInput, MissingBand
-from .geodata import BandSet, PlotCells, PlotGeometry, RasterGrid, plot_cells
+from .geodata import MS_BAND_CENTERS_NM, BandSet, PlotCells, PlotGeometry, RasterGrid, plot_cells
 
 VI_NAMES = ("NDVI", "SAVI", "kNDVI", "NIRv", "PSRI")
 
-# MS band centers (nm). MS indices pick their bands by name; an HS set, whose
-# bands are wavelength-tagged, stands in for a named band with its band nearest
-# that band's center.
-MS_BAND_CENTERS_NM = {
-    "blue": 450.0,
-    "green": 560.0,
-    "red": 650.0,
-    "red_edge": 730.0,
-    "nir": 840.0,
-}
 HS_TOLERANCE_NM = 10.0
 
 PSRI_HS_TARGETS = (680.0, 500.0, 750.0)

@@ -25,9 +25,6 @@ from .spectral import PlotStatistic
 
 DEFAULT_NOISE_FLOOR_M = 0.05
 
-LODGING_LABELS = ("no_lodging", "slight", "severe", "special")
-WEED_LABELS = ("no_weeds", "slight", "moderate", "severe")
-
 
 @dataclass(frozen=True)
 class CategoricalLevel:
@@ -35,22 +32,19 @@ class CategoricalLevel:
 
     kind: str
     ratio: float
-    level: str
+    special: bool = False  # PL only: the special flag overrides the ratio
 
     def __post_init__(self):
         if self.kind not in ("PL", "WL"):
             raise InvalidInput(f"kind must be PL or WL, got {self.kind!r}")
-        labels = LODGING_LABELS if self.kind == "PL" else WEED_LABELS
-        if self.level not in labels:
-            raise InvalidInput(f"{self.kind} label {self.level!r} not in {labels}")
         if not (0.0 <= self.ratio <= 1.0):
             raise InvalidInput(f"ratio must be in [0, 1], got {self.ratio}")
-        if self.level != "special":
-            rule = lodging_level if self.kind == "PL" else weed_level
-            if self.level != rule(self.ratio):
-                raise InvalidInput(
-                    f"{self.kind} label {self.level!r} inconsistent with ratio {self.ratio}"
-                )
+        if self.special and self.kind != "PL":
+            raise InvalidInput("only a PL level can be special")
+
+    @property
+    def level(self) -> str:
+        return lodging_level(self.ratio, self.special) if self.kind == "PL" else weed_level(self.ratio)
 
 
 @dataclass(frozen=True)
@@ -191,7 +185,7 @@ def classify_lodging(
 ) -> CategoricalLevel:
     """Lodging level from the lodged-pixel ratio inside the plot."""
     ratio = _region_ratio(lodging_mask, plot)
-    return CategoricalLevel(kind="PL", ratio=ratio, level=lodging_level(ratio, special=special))
+    return CategoricalLevel(kind="PL", ratio=ratio, special=special)
 
 
 def classify_weed(weed_mask: RasterGrid, region: UnionRegion | PlotCells) -> CategoricalLevel:
@@ -200,7 +194,7 @@ def classify_weed(weed_mask: RasterGrid, region: UnionRegion | PlotCells) -> Cat
     ``region``: the UnionRegion of the plot and its ring, or its PlotCells.
     """
     ratio = _region_ratio(weed_mask, region)
-    return CategoricalLevel(kind="WL", ratio=ratio, level=weed_level(ratio))
+    return CategoricalLevel(kind="WL", ratio=ratio)
 
 
 def wheat_head_density(

@@ -317,6 +317,24 @@ class TestCsvInterfaces:
         assert info.value.line == 3
         assert str(info.value) == f"line 3: bad trial row: {message}"
 
+    @pytest.mark.parametrize("answer,reference,name,value", [
+        ("nan", "4000", "answer_numeric", "nan"),
+        ("4100", "inf", "reference_value", "inf"),
+        ("-inf", "4000", "answer_numeric", "-inf"),
+        ("4100", "NaN", "reference_value", "nan"),
+    ])
+    def test_non_finite_number_is_a_parse_error(self, answer, reference, name, value, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "model_id,task,subtask,question_id,trial_index,answer_numeric,reference_value\n"
+            "m1,phenotyping_estimation,Yield,q1,0,4100,4000\n"
+            f"m1,phenotyping_estimation,Yield,q2,0,{answer},{reference}\n"
+        )
+        with pytest.raises(ParseError) as info:
+            bench.load_trials(path)
+        assert info.value.line == 3
+        assert str(info.value) == f"line 3: bad trial row: {name} must be finite, got {value}"
+
     def test_ballots_round_trip(self, tmp_path):
         path = tmp_path / "ballots.csv"
         path.write_text(

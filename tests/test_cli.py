@@ -273,6 +273,27 @@ class TestPrefopt:
         assert summary["message"] == "line 2: expected a JSON object"
         assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
 
+    @pytest.mark.parametrize("name,token", [("sft.jsonl", "1.7"), ("rm_pairs.jsonl", '"a"'),
+                                            ("rm_pairs.jsonl", "null")])
+    def test_jsonl_token_that_is_not_an_integer_is_a_parse_error(self, name, token, tmp_path,
+                                                                 capsys):
+        lines = open(scene_path(name)).read().splitlines()
+        record = json.loads(lines[1])
+        key = "answer" if name == "sft.jsonl" else "chosen"
+        path = tmp_path / name
+        path.write_text("\n".join([lines[0], json.dumps(record).replace(
+            f'"{key}": [', f'"{key}": [{token}, ', 1)] + lines[2:]) + "\n")
+        config = prefopt_config(tmp_path / "out")
+        config["prefopt"]["sft_data" if name == "sft.jsonl" else "rm_data"] = str(path)
+        rc = cli.main(["prefopt", "--config", write_config(config, tmp_path / "p.json")])
+        stdout = capsys.readouterr().out.strip().splitlines()
+        assert rc == 1
+        assert len(stdout) == 1
+        summary = json.loads(stdout[0])
+        assert summary["error"] == "ParseError"
+        assert summary["message"] == f"line 2: {key} token {token} is not an integer"
+        assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
+
     def test_ppo_alone_requires_model_files(self, tmp_path, capsys):
         config = prefopt_config(tmp_path / "out")
         config["prefopt"]["stages"] = ["ppo"]

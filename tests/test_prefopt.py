@@ -527,6 +527,35 @@ class TestDatasetsAndPersistence:
             load(path)
         assert str(info.value) == "line 2: expected a JSON object"
 
+    @pytest.mark.parametrize("load,record,message", [
+        (prefopt.load_sft_dataset, '{"prompt": [0], "answer": [1, "a"]}', 'answer token "a"'),
+        (prefopt.load_sft_dataset, '{"prompt": [null], "answer": [1]}', "prompt token null"),
+        (prefopt.load_sft_dataset, '{"prompt": [0], "answer": [1.7]}', "answer token 1.7"),
+        (prefopt.load_sft_dataset, '{"prompt": [0], "answer": [1.0]}', "answer token 1.0"),
+        (prefopt.load_preference_dataset, '{"prompt": [0], "chosen": [true], "rejected": [2]}',
+         "chosen token true"),
+        (prefopt.load_preference_dataset, '{"prompt": [0], "chosen": [1], "rejected": [[2]]}',
+         "rejected token [2]"),
+        (prefopt.load_prompt_dataset, '{"prompt": [0, {"t": 1}]}', 'prompt token {"t": 1}'),
+    ])
+    def test_token_that_is_not_a_json_integer_is_a_parse_error(self, load, record, message,
+                                                                tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"prompt": [0], "answer": [1], "chosen": [1], "rejected": [2]}\n'
+                        f"{record}\n")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == f"line 2: {message} is not an integer"
+
+    def test_integer_token_outside_the_vocabulary_is_the_models_check(self, tmp_path):
+        path = tmp_path / "sft.jsonl"
+        path.write_text('{"prompt": [0], "answer": [10000000000000000000000]}\n')
+        pairs = prefopt.load_sft_dataset(path)
+        assert pairs == [((0,), (10**22,))]
+        policy = prefopt.PolicyModel(vocab_size=4, context_length=2)
+        with pytest.raises(InvalidToken, match="answer token 10000000000000000000000 outside"):
+            prefopt.sft_loss_and_grad(policy, pairs)
+
     def test_policy_round_trip(self, tmp_path):
         policy = prefopt.PolicyModel(vocab_size=4, context_length=2, init_scale=1.0, seed=3)
         policy.logits_row((0, 1), ())
@@ -544,3 +573,166 @@ class TestDatasetsAndPersistence:
         prefopt.save_reward_model(rm, path)
         back = prefopt.load_reward_model(path)
         assert np.array_equal(back.weights, rm.weights)
+
+
+# ---------------------------------------------------------------------------
+# Per-step reference: every answer read one prefix state at a time
+# ---------------------------------------------------------------------------
+
+
+def _step_log_softmax(policy, x, prefix):
+    """One state's log softmax row, with the per-step checks of ``logits_row``."""
+    return prefopt._log_softmax(policy.logits_row(x, prefix))
+
+
+def _answer_log_prob_loop(policy, x, y):
+    y = prefopt._as_tokens(y, policy.vocab_size, "answer")
+    total = 0.0
+    for t, token in enumerate(y):
+        total += float(_step_log_softmax(policy, x, y[:t])[token])
+    return total
+
+
+def _sft_loss_and_grad_loop(policy, dataset):
+    pairs = list(dataset)
+    loss = 0.0
+    grads = {}
+    for x, y in pairs:
+        x = prefopt._as_tokens(x, policy.vocab_size, "prompt")
+        y = prefopt._as_tokens(y, policy.vocab_size, "answer")
+        for t, token in enumerate(y):
+            log_probs = _step_log_softmax(policy, x, y[:t])
+            loss -= float(log_probs[token])
+            g = grads.setdefault((x, y[:t]), np.zeros(policy.vocab_size))
+            g += np.exp(log_probs)
+            g[token] -= 1.0
+    n = len(pairs)
+    return loss / n, {k: v / n for k, v in grads.items()}
+
+
+def _rlhf_step_loop(policy, reference, rm, prompts, config, rng, iteration):
+    """``prefopt.rlhf_step`` as a per-step loop: the reference it must match bit for bit."""
+    prompts = [tuple(int(t) for t in x) for x in prompts]
+    batch = []
+    for x in prompts:
+        for _ in range(config.samples_per_prompt):
+            y = ()
+            for _ in range(policy.context_length):
+                probs = policy.step_probabilities(x, y)
+                y = y + (int(rng.choice(policy.vocab_size, p=probs)),)
+            old_logp = _answer_log_prob_loop(policy, x, y)
+            penalty = 0.0
+            if config.beta != 0.0:
+                penalty = config.beta * (old_logp - _answer_log_prob_loop(reference, x, y))
+            batch.append((x, y, old_logp, rm.score(x, y) - penalty))
+    clip_lo, clip_hi = 1.0 - config.ppo_clip, 1.0 + config.ppo_clip
+    clipped = total = 0
+    for epoch in range(config.epochs):
+        grads = {}
+        for x, y, old_logp, advantage in batch:
+            new_logp = old_logp if epoch == 0 else _answer_log_prob_loop(policy, x, y)
+            ratio = float(np.exp(new_logp - old_logp))
+            total += 1
+            if not (clip_lo <= ratio <= clip_hi):
+                clipped += 1
+                if min(max(ratio, clip_lo), clip_hi) * advantage <= ratio * advantage:
+                    continue
+            scale = advantage * ratio / len(batch)
+            for t, token in enumerate(y):
+                g = grads.setdefault((x, y[:t]), np.zeros(policy.vocab_size))
+                g -= scale * policy.step_probabilities(x, y[:t])
+                g[token] += scale
+        policy.apply_gradient(grads, config.learning_rate)
+    kl_rng = np.random.default_rng([config.seed, iteration])
+    return {
+        "iteration": iteration,
+        "mean_reward": float(np.mean([b[3] for b in batch])),
+        "mean_kl": prefopt.mean_kl(policy, reference, prompts, rng=kl_rng),
+        "clip_fraction": clipped / total,
+    }
+
+
+def _hex_rows(policy):
+    return [(key, [float(v).hex() for v in row]) for key, row in policy._rows.items()]
+
+
+def _hex_grads(loss_and_grads):
+    loss, grads = loss_and_grads
+    return loss.hex(), [(key, [float(v).hex() for v in g]) for key, g in grads.items()]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and the message must match too
+        return type(exc).__name__, str(exc)
+
+
+class TestStepRowsMatchPerStepLoop:
+    """One stacked read per answer gives the per-step loop's floats, bit for bit."""
+
+    @staticmethod
+    def _models(vocab, length, seed):
+        policy = prefopt.PolicyModel(vocab, length, init_scale=1.5, seed=seed)
+        reference = prefopt.PolicyModel(vocab, length, init_scale=1.5, seed=seed + 1).snapshot()
+        return policy, reference
+
+    @staticmethod
+    def _answer(rng, vocab, length):
+        return tuple(int(t) for t in rng.integers(0, vocab, size=length))
+
+    def test_answer_log_prob_and_sft(self):
+        rng = np.random.default_rng(41)
+        for vocab in range(2, 9):
+            for length in range(1, 13):
+                policy, _ = self._models(vocab, length, seed=vocab * 100 + length)
+                dataset = [
+                    (self._answer(rng, vocab, int(rng.integers(0, 4))),
+                     self._answer(rng, vocab, int(rng.integers(0, length + 1))))
+                    for _ in range(6)
+                ]
+                for x, y in dataset:
+                    assert (prefopt.answer_log_prob(policy, x, y).hex()
+                            == _answer_log_prob_loop(policy, x, y).hex())
+                assert (_hex_grads(prefopt.sft_loss_and_grad(policy, dataset))
+                        == _hex_grads(_sft_loss_and_grad_loop(policy, dataset)))
+
+    # (2, 12) is the exact-KL budget's largest T at V=2; (4, 8) takes the sampled KL
+    @pytest.mark.parametrize("vocab,length", [(2, 1), (2, 12), (3, 5), (4, 8), (5, 3), (8, 2)])
+    def test_run_rlhf(self, vocab, length):
+        config = prefopt.RLHFConfig(beta=0.3, learning_rate=2.0, iterations=2, seed=vocab,
+                                    samples_per_prompt=3, epochs=3)
+        rng = np.random.default_rng(length)
+        prompts = [self._answer(rng, vocab, 2) for _ in range(2)]
+        rm = prefopt.RewardModel(vocab, weights=rng.normal(size=2 * vocab + 1))
+        policy, reference = self._models(vocab, length, seed=7)
+        got = prefopt.run_rlhf(policy, reference, rm, prompts, config)
+        oracle, _ = self._models(vocab, length, seed=7)
+        step_rng = np.random.default_rng(config.seed)
+        want = [_rlhf_step_loop(oracle, reference, rm, prompts, config, step_rng, i)
+                for i in range(config.iterations)]
+        hexed = [{k: float(v).hex() for k, v in d.items()} for d in got]
+        assert hexed == [{k: float(v).hex() for k, v in d.items()} for d in want]
+        assert _hex_rows(policy) == _hex_rows(oracle)
+        assert max(d["clip_fraction"] for d in got) > 0.0  # the clipped branch is compared too
+
+    @pytest.mark.parametrize("x,y,error", [
+        ((0, 4), (1, 2), ("InvalidToken", "prompt token 4 outside vocabulary of size 4")),
+        ((0, 1), (1, 4), ("InvalidToken", "answer token 4 outside vocabulary of size 4")),
+        ((0, 1), (1, 2, 3, 0, 1), ("InvalidInput", "prefix length 3 exceeds context_length 3")),
+    ], ids=["prompt", "answer", "too-long"])
+    def test_errors_match(self, x, y, error):
+        policy, _ = self._models(4, 3, seed=2)
+        assert _outcome(_answer_log_prob_loop, policy, x, y) == error
+        assert _outcome(prefopt.answer_log_prob, policy, x, y) == error
+        assert _outcome(prefopt.sft_loss_and_grad, policy, [(x, y)]) == error
+
+    def test_empty_answer_checks_the_prompt(self):
+        # the per-step loop never reads a state for an empty answer, so it
+        # never checked the prompt; one read per answer does
+        policy, _ = self._models(4, 3, seed=2)
+        assert _answer_log_prob_loop(policy, (0, 4), ()) == 0.0
+        with pytest.raises(InvalidToken, match="prompt token 4 outside vocabulary of size 4"):
+            prefopt.answer_log_prob(policy, (0, 4), ())
+        with pytest.raises(InvalidToken, match="prompt token 4"):
+            prefopt.sft_loss_and_grad(policy, [((0, 4), ())])

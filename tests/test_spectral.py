@@ -149,6 +149,17 @@ class TestViMap:
         with pytest.raises(MissingBand):
             geodata.BandSet(bands={"red": (grid, 650.0)}, sensor_kind="MS")
 
+    def test_ms_set_needs_each_named_band(self):
+        # one declaration of the MS band names: BandSet checks them, spectral reads them
+        assert spectral.MS_BAND_CENTERS_NM is geodata.MS_BAND_CENTERS_NM
+        assert tuple(geodata.MS_BAND_CENTERS_NM) == ("blue", "green", "red", "red_edge", "nir")
+        grid = make_grid(np.array([[0.1]]))
+        for missing in geodata.MS_BAND_CENTERS_NM:
+            bands = {name: (grid, nm) for name, nm in geodata.MS_BAND_CENTERS_NM.items()
+                     if name != missing}
+            with pytest.raises(MissingBand, match=missing):
+                geodata.BandSet(bands=bands, sensor_kind="MS")
+
     def test_unknown_index(self):
         bands = make_ms_bands({"nir": np.array([[0.5]]), "red": np.array([[0.1]])})
         with pytest.raises(InvalidInput):

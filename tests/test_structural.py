@@ -158,6 +158,23 @@ class TestLodging:
         plot = square_plot(0.0, 0.0, 2.0, 2.0)
         assert structural.classify_lodging(mask, plot, special=True).level == "special"
 
+    def test_level_is_derived_from_kind_ratio_and_special(self):
+        assert structural.CategoricalLevel("PL", 0.25).level == "slight"
+        assert structural.CategoricalLevel("PL", 0.0, special=True).level == "special"
+        assert structural.CategoricalLevel("WL", 0.25).level == "slight"
+        assert structural.CategoricalLevel("WL", 0.8).level == "severe"
+
+    @pytest.mark.parametrize("kind,ratio,special,message", [
+        ("XX", 0.5, False, "kind must be PL or WL"),
+        ("PL", 1.5, False, "ratio must be in"),
+        ("WL", -0.1, False, "ratio must be in"),
+        ("PL", float("nan"), True, "ratio must be in"),
+        ("WL", 0.5, True, "only a PL level can be special"),
+    ])
+    def test_invalid_level_rejected(self, kind, ratio, special, message):
+        with pytest.raises(InvalidInput, match=message):
+            structural.CategoricalLevel(kind, ratio, special=special)
+
     def test_non_binary_mask_rejected(self):
         mask = make_grid(np.array([[2.0]]))
         with pytest.raises(InvalidMask):
