@@ -8,6 +8,9 @@ cannot convert or validate re-reads the file with ``csv_rows``, so the error
 it raises names the same line with the same message. An input file that is
 not UTF-8, or that the ``csv`` module rejects (a cell over its field-size
 limit), raises ParseError naming the file.
+Every number in a data file must be finite. ``finite_number`` reads one
+cell by that rule; a cell that is not a number, or is ``nan`` or ``inf``, is
+a ParseError at its line.
 Output tables are CSV with ``\\n`` line ends; callers format their own cells.
 JSON artifacts carry sorted keys, a two-space indent and a final newline.
 Every artifact is written to a temporary file beside its target and then
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from itertools import islice
@@ -41,6 +45,17 @@ def _csv_errors(path, reader):
         yield
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
+
+
+def finite_number(text: str, what: str, line: int) -> float:
+    """``float(text)``; ParseError at ``line`` naming ``what`` unless it is a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"non-numeric {what}: {text!r}", line=line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what}: {text!r}", line=line)
+    return value
 
 
 def _check_header(path, fieldnames, required) -> None:

@@ -18,8 +18,8 @@ import os
 import sys
 
 from . import bench, fusion, geodata, kb, prefopt, spectral, structural
-from ._io import csv_rows, write_csv, write_json
-from .errors import BreedkitError, ParseError
+from ._io import csv_rows, finite_number, write_csv, write_json
+from .errors import BreedkitError, InvalidInput, ParseError
 
 class ConfigError(Exception):
     """Configuration problem; carries the dotted field path."""
@@ -229,14 +229,11 @@ def _measurement_number(rec: dict, key: str, lineno: int) -> float:
     raw = (rec.get(key) or "").strip()
     if not raw:
         raise ParseError(f"missing {key}", line=lineno)
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"non-numeric {key}: {raw!r}", line=lineno)
+    return finite_number(raw, key, lineno)
 
 
 def _load_measurements(path: str) -> dict:
-    """plot_id -> {SPAD?, LAI?, measured_CH?, yield_kg_ha?}."""
+    """plot_id -> {SPAD?, LAI?, measured_CH?, yield_kg_ha?}; a bad number is a ParseError at its line."""
     out: dict = {}
     for lineno, rec in csv_rows(path, ("plot_id",)):
         entry: dict = {}
@@ -244,11 +241,14 @@ def _load_measurements(path: str) -> dict:
             if (rec.get(key) or "").strip():
                 entry[key] = _measurement_number(rec, key, lineno)
         if (rec.get("raw_mass_kg") or "").strip():
-            entry["yield_kg_ha"] = fusion.standardize_yield(
-                _measurement_number(rec, "raw_mass_kg", lineno),
-                _measurement_number(rec, "plot_area_ha", lineno),
-                _measurement_number(rec, "moisture", lineno),
-            )
+            try:
+                entry["yield_kg_ha"] = fusion.standardize_yield(
+                    _measurement_number(rec, "raw_mass_kg", lineno),
+                    _measurement_number(rec, "plot_area_ha", lineno),
+                    _measurement_number(rec, "moisture", lineno),
+                )
+            except InvalidInput as exc:
+                raise ParseError(str(exc), line=lineno)
         out[rec["plot_id"].strip()] = entry
     return out
 

@@ -60,7 +60,7 @@ class UndefinedR2(BreedkitError):
 
 
 class InvalidToken(BreedkitError):
-    """A token id is outside the model vocabulary."""
+    """A token is not an integer, or is outside the model vocabulary."""
 
 
 class NumericalError(BreedkitError):

@@ -76,6 +76,9 @@ class PlotFeatureRecord:
                 raise InvalidInput(f"plot {self.plot_id}: feature {name} is not finite")
 
 
+_WEATHER_VALUES = ("t_mean", "dew_point", "precip", "net_radiation", "wind_speed")
+
+
 @dataclass(frozen=True)
 class WeatherRecord:
     """One day of station weather."""
@@ -89,10 +92,12 @@ class WeatherRecord:
     wind_speed: float
 
     def __post_init__(self):
-        if self.precip < 0:
-            raise InvalidInput("precip must be >= 0")
-        if self.wind_speed < 0:
-            raise InvalidInput("wind_speed must be >= 0")
+        for name in _WEATHER_VALUES:
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInput(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("precip", "wind_speed"):
+            if getattr(self, name) < 0:
+                raise InvalidInput(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -125,15 +130,9 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    def domain_of(self, column: str) -> str:
-        return self.domains[self.columns.index(column)]
-
     def restrict(self, domains) -> "FeatureMatrix":
         """Column subset for an ablation run."""
-        wanted = tuple(domains)
-        for d in wanted:
-            if d not in DOMAINS:
-                raise InvalidInput(f"unknown domain {d!r}, expected subset of {DOMAINS}")
+        wanted = _known_domains(domains)
         keep = [i for i, d in enumerate(self.domains) if d in wanted]
         if not keep:
             raise EmptyDataset(f"no columns in domains {wanted}")
@@ -146,6 +145,15 @@ class FeatureMatrix:
             germplasm_ids=self.germplasm_ids,
             dropped=self.dropped,
         )
+
+
+def _known_domains(domains) -> tuple:
+    """``domains`` as a tuple; InvalidInput for a name not in DOMAINS."""
+    domains = tuple(domains)
+    for d in domains:
+        if d not in DOMAINS:
+            raise InvalidInput(f"unknown domain {d!r}, expected subset of {DOMAINS}")
+    return domains
 
 
 @dataclass(frozen=True)
@@ -238,12 +246,9 @@ def assemble(
     only when that domain is selected. Rows missing any selected feature are
     dropped and reported on the returned matrix.
     """
-    domains = tuple(domains)
+    domains = _known_domains(domains)
     if not domains:
         raise InvalidInput("select at least one domain")
-    for d in domains:
-        if d not in DOMAINS:
-            raise InvalidInput(f"unknown domain {d!r}, expected subset of {DOMAINS}")
     records = list(records)
     if not records:
         raise EmptyDataset("no plot feature records")
@@ -260,15 +265,7 @@ def assemble(
             raise InvalidInput(f"plot {rec.plot_id}: conflicting germplasm_id")
         keys.append(g)
 
-    candidates = []
-    if "RS" in domains:
-        candidates += list(RS_FEATURES)
-    if "phenotyping" in domains:
-        candidates += list(PHENOTYPING_FEATURES)
-    if "weather" in domains:
-        candidates += list(WEATHER_FEATURES)
-    if "germplasm" in domains:
-        candidates += list(GERMPLASM_FEATURES)
+    candidates = [c for c, d in FEATURE_DOMAIN.items() if d in domains]
 
     raw = [[rec.features.get(c) for rec in records] for c in candidates]
     raw.append([rec.yield_kg_ha for rec in records])
@@ -576,19 +573,14 @@ def _feature_records_by_row(path) -> list[PlotFeatureRecord]:
 
 
 def load_weather(path) -> list[WeatherRecord]:
-    required = ("site", "date", "t_mean", "dew_point", "precip", "net_radiation", "wind_speed")
     rows = []
-    for i, rec in csv_rows(path, required):
+    for i, rec in csv_rows(path, ("site", "date") + _WEATHER_VALUES):
         try:
             rows.append(
                 WeatherRecord(
                     site=rec["site"].strip(),
                     date=str(_dt.date.fromisoformat(rec["date"].strip())),
-                    t_mean=float(rec["t_mean"]),
-                    dew_point=float(rec["dew_point"]),
-                    precip=float(rec["precip"]),
-                    net_radiation=float(rec["net_radiation"]),
-                    wind_speed=float(rec["wind_speed"]),
+                    **{name: float(rec[name]) for name in _WEATHER_VALUES},
                 )
             )
         except (ValueError, InvalidInput) as exc:

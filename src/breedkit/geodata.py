@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import csv_rows, decoding, replacing
+from ._io import csv_rows, decoding, finite_number, replacing
 from .errors import (
     EmptyInput,
     EmptyPlot,
@@ -397,10 +397,7 @@ def load_raster(path) -> RasterGrid:
         parts = lines[idx].split()
         if len(parts) != 2 or parts[0].lower() != key:
             raise ParseError(f"expected '{key} <value>', got {lines[idx]!r}", line=idx + 1)
-        try:
-            return float(parts[1])
-        except ValueError:
-            raise ParseError(f"non-numeric value for '{key}': {parts[1]!r}", line=idx + 1)
+        return finite_number(parts[1], f"value for '{key}'", idx + 1)
 
     n_cols_f = header(0, "ncols")
     n_rows_f = header(1, "nrows")
@@ -420,10 +417,7 @@ def load_raster(path) -> RasterGrid:
         if parts and parts[0].lower() == "nodata_value":
             if len(parts) != 2:
                 raise ParseError("expected 'NODATA_value <value>'", line=data_start + 1)
-            try:
-                nodata = float(parts[1])
-            except ValueError:
-                raise ParseError(f"non-numeric NODATA_value: {parts[1]!r}", line=data_start + 1)
+            nodata = finite_number(parts[1], "NODATA_value", data_start + 1)
             data_start += 1
 
     row_lines = [
@@ -554,10 +548,7 @@ def _parse_cloud_lines(path) -> np.ndarray:
                 raise ParseError(
                     f"expected 3 fields 'x y z', found {len(parts)}", line=lineno
                 )
-            try:
-                points.append([float(p) for p in parts])
-            except ValueError:
-                raise ParseError(f"non-numeric coordinate: {stripped!r}", line=lineno)
+            points.append([finite_number(p, "coordinate", lineno) for p in parts])
     if not points:
         raise EmptyInput(f"no points in {path}")
     return np.array(points, dtype=np.float64)
@@ -749,9 +740,9 @@ def load_plots(path) -> list[PlotGeometry]:
             raise ParseError(f"plot {pid}: conflicting germplasm_id", line=lineno)
         try:
             idx = int(rec["vertex_index"])
-            xy = (float(rec["x"]), float(rec["y"]))
-        except (TypeError, ValueError):
+        except ValueError:
             raise ParseError(f"bad vertex row for plot {pid}", line=lineno)
+        xy = tuple(finite_number(rec[k], f"{k} of plot {pid}", lineno) for k in ("x", "y"))
         if idx in entry["vertices"]:
             raise ParseError(f"plot {pid}: duplicate vertex_index {idx}", line=lineno)
         entry["vertices"][idx] = xy

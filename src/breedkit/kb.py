@@ -8,6 +8,8 @@ strings. Queries are pure and deterministic.
 from __future__ import annotations
 
 import datetime as _dt
+import math
+import operator
 from dataclasses import dataclass, field
 
 from ._io import csv_columns, csv_rows
@@ -17,7 +19,12 @@ QUALITY_FIELDS = ("crude_protein", "lysine", "sedimentation_value")
 RESISTANCE_FIELDS = ("stripe_rust", "leaf_rust", "powdery_mildew", "drought", "cold")
 AGRONOMIC_FIELDS = ("maturity", "plant_height", "thousand_grain_weight", "grain_hardness")
 
-CRITERION_OPS = ("<=", ">=", "!=", "==", "<", ">")
+# Each criterion operator and its comparison. The key order is the parse
+# precedence: a two-character operator comes before the one it starts with.
+CRITERION_OPS = {
+    "<=": operator.le, ">=": operator.ge, "!=": operator.ne, "==": operator.eq,
+    "<": operator.lt, ">": operator.gt,
+}
 
 PRICE_DATE_WINDOW_DAYS = 31
 
@@ -37,8 +44,8 @@ class GermplasmRecord:
             raise InvalidInput("variety_name must be non-empty")
         for group in (self.quality, self.agronomic):
             for key, value in group.items():
-                if isinstance(value, (int, float)) and value < 0:
-                    raise InvalidInput(f"{self.variety_name}: {key} must be >= 0")
+                if isinstance(value, (int, float)) and not 0 <= value < math.inf:
+                    raise InvalidInput(f"{self.variety_name}: {key} must be finite and >= 0")
 
     def get_field(self, name: str):
         """Flat field lookup across identity, quality, resistance, agronomic."""
@@ -72,10 +79,10 @@ class PriceRecord:
     date: _dt.date
 
     def __post_init__(self):
-        if not self.price > 0:
-            raise InvalidInput("price must be > 0")
-        if not self.specification > 0:
-            raise InvalidInput("specification must be > 0")
+        if not 0 < self.price < math.inf:
+            raise InvalidInput("price must be finite and > 0")
+        if not 0 < self.specification < math.inf:
+            raise InvalidInput("specification must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ class Criterion:
 
     def __post_init__(self):
         if self.op not in CRITERION_OPS:
-            raise InvalidInput(f"criterion op must be one of {CRITERION_OPS}, got {self.op!r}")
+            raise InvalidInput(f"criterion op must be one of {tuple(CRITERION_OPS)}, got {self.op!r}")
 
     def matches(self, record: GermplasmRecord) -> bool:
         actual = record.get_field(self.field)
@@ -101,17 +108,7 @@ class Criterion:
         elif self.op not in ("==", "!="):
             # ordering comparisons need numbers on both sides
             return False
-        if self.op == "==":
-            return actual == want
-        if self.op == "!=":
-            return actual != want
-        if self.op == "<=":
-            return actual <= want
-        if self.op == ">=":
-            return actual >= want
-        if self.op == "<":
-            return actual < want
-        return actual > want
+        return CRITERION_OPS[self.op](actual, want)
 
 
 def _as_number(value):
@@ -133,7 +130,7 @@ def parse_criterion(text: str) -> Criterion:
                 raise InvalidInput(f"malformed criterion {text!r}")
             num = _as_number(raw)
             return Criterion(field=fieldname, op=op, value=num if num is not None else raw)
-    raise InvalidInput(f"criterion {text!r} has no operator (expected one of {CRITERION_OPS})")
+    raise InvalidInput(f"criterion {text!r} has no operator (expected one of {tuple(CRITERION_OPS)})")
 
 
 def screen_germplasm(records, criteria) -> list[GermplasmRecord]:
@@ -237,14 +234,22 @@ def _parse_date(date) -> _dt.date:
 
 
 def load_germplasm(path) -> list[GermplasmRecord]:
-    """Read germplasm.csv; trait columns are optional and may be blank."""
+    """Read germplasm.csv; trait columns are optional and may be blank.
+
+    Quality cells are numbers; an agronomic cell that is not one is a class
+    label (``early``). A bad number is a ParseError at its line.
+    """
     records = []
-    for _, rec in csv_rows(path, ("variety_name",)):
+    for i, rec in csv_rows(path, ("variety_name",)):
         quality = {}
         for key in QUALITY_FIELDS:
-            num = _as_number(rec.get(key, ""))
-            if num is not None:
-                quality[key] = num
+            raw = rec.get(key, "").strip()
+            if not raw:
+                continue
+            num = _as_number(raw)
+            if num is None:
+                raise ParseError(f"non-numeric {key}: {raw!r}", line=i)
+            quality[key] = num
         resistance = {k: rec[k].strip() for k in RESISTANCE_FIELDS if rec.get(k, "").strip()}
         agronomic = {}
         for key in AGRONOMIC_FIELDS:
@@ -253,15 +258,18 @@ def load_germplasm(path) -> list[GermplasmRecord]:
                 continue
             num = _as_number(raw)
             agronomic[key] = num if num is not None else raw
-        records.append(
-            GermplasmRecord(
-                variety_name=rec["variety_name"].strip(),
-                origin=rec.get("origin", "").strip(),
-                quality=quality,
-                resistance=resistance,
-                agronomic=agronomic,
+        try:
+            records.append(
+                GermplasmRecord(
+                    variety_name=rec["variety_name"].strip(),
+                    origin=rec.get("origin", "").strip(),
+                    quality=quality,
+                    resistance=resistance,
+                    agronomic=agronomic,
+                )
             )
-        )
+        except InvalidInput as exc:
+            raise ParseError(str(exc), line=i)
     if not records:
         raise EmptyInput(f"no rows in {path}")
     return records

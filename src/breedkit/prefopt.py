@@ -49,8 +49,23 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
+def _tokens(seq, what: str, error=InvalidToken) -> tuple:
+    """``seq`` as a tuple of Python ints: the one rule for what a token is.
+
+    An item is a token when it is an ``int`` or a numpy integer, and not a
+    bool. Anything else (``1.7``, ``"1"``, ``True``, ``np.float64(2.0)``)
+    raises ``error`` naming it, rather than being truncated or parsed.
+    """
+    items = tuple(seq)
+    for t in items:
+        # an exact int passes the first test, so the common case costs one check
+        if type(t) is not int and (isinstance(t, bool) or not isinstance(t, (int, np.integer))):
+            raise error(f"{what} {t!r} is not an integer")
+    return tuple(map(int, items))
+
+
 def _as_tokens(seq, vocab_size: int, what: str) -> tuple:
-    tokens = tuple(int(t) for t in seq)
+    tokens = _tokens(seq, what + " token")
     for t in tokens:
         if not (0 <= t < vocab_size):
             raise InvalidToken(f"{what} token {t} outside vocabulary of size {vocab_size}")
@@ -225,9 +240,8 @@ class PreferenceExample:
     rejected: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "prompt", tuple(int(t) for t in self.prompt))
-        object.__setattr__(self, "preferred", tuple(int(t) for t in self.preferred))
-        object.__setattr__(self, "rejected", tuple(int(t) for t in self.rejected))
+        for name in ("prompt", "preferred", "rejected"):
+            object.__setattr__(self, name, _tokens(getattr(self, name), f"{name} token"))
         if self.preferred == self.rejected:
             raise InvalidRanking("preferred and rejected answers must differ")
 
@@ -297,18 +311,18 @@ def pairwise_expand(prompt, answers, ranking=None) -> list[PreferenceExample]:
     ``ranking``: optional index order, best first; by default the answers
     are taken as already ordered best to worst.
     """
-    answers = [tuple(int(t) for t in a) for a in answers]
+    answers = [_tokens(a, "answer token") for a in answers]
     if len(answers) < 2:
         raise InvalidInput("need at least K=2 answers to form pairs")
     if ranking is None:
-        ranking = list(range(len(answers)))
-    ranking = [int(i) for i in ranking]
+        ranking = range(len(answers))
+    ranking = _tokens(ranking, "ranking index", InvalidRanking)
     if sorted(ranking) != list(range(len(answers))):
         raise InvalidRanking(f"ranking must be a total order of 0..{len(answers) - 1}")
     ordered = [answers[i] for i in ranking]
     if len(set(ordered)) != len(ordered):
         raise InvalidRanking("duplicate answers in ranking")
-    prompt = tuple(int(t) for t in prompt)
+    prompt = _tokens(prompt, "prompt token")
     return [
         PreferenceExample(prompt=prompt, preferred=ordered[i], rejected=ordered[j])
         for i in range(len(ordered))
@@ -431,17 +445,19 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
     for x in prompts:
         for _ in range(config.samples_per_prompt):
             y = policy.sample_answer(x, rng)
-            batch.append((x, y, answer_log_prob(policy, x, y),
-                          combined_reward(rm, policy, reference, x, y, config.beta)))
+            batch.append((x, y, combined_reward(rm, policy, reference, x, y, config.beta)))
 
     clip_lo, clip_hi = 1.0 - config.ppo_clip, 1.0 + config.ppo_clip
     clipped = 0
+    old_logp: dict[int, float] = {}  # log pi_old(y|x) per sample
     for _ in range(config.epochs):
         grads: dict[tuple, np.ndarray] = {}
-        for x, y, old_logp, advantage in batch:
-            # the policy first changes at the end of epoch 0: there the ratio is 1
+        for i, (x, y, advantage) in enumerate(batch):
+            # the policy first changes at the end of epoch 0, so epoch 0 reads
+            # the policy that sampled: there log pi_old is set and the ratio is 1
             _, _, log_probs = policy._answer_log_softmax(x, y)
-            ratio = float(np.exp(_picked_sum(log_probs, y) - old_logp))
+            logp = _picked_sum(log_probs, y)
+            ratio = float(np.exp(logp - old_logp.setdefault(i, logp)))
             if not (clip_lo <= ratio <= clip_hi):
                 clipped += 1
                 unclipped = ratio * advantage
@@ -503,47 +519,6 @@ def train_reward(rm: RewardModel, dataset, learning_rate: float = 0.5,
             raise NumericalError("non-finite reward-model loss/gradient", iteration=i)
         rm.weights = rm.weights - learning_rate * grad
         history.append({"iteration": i, "loss": loss})
-    return history
-
-
-def alternate_rm_ppo(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
-                     prompts, preference_oracle, config: RLHFConfig,
-                     rounds: int = 2, answers_per_prompt: int = 4,
-                     rm_learning_rate: float = 0.5, rm_iterations: int = 50) -> list[dict]:
-    """Iterate reward-model refresh and policy optimization.
-
-    Each round samples ``answers_per_prompt`` distinct answers per prompt
-    from the current policy, ranks them with ``preference_oracle(prompt,
-    answers) -> index order (best first)``, expands the ranking into pairs,
-    retrains the reward model on the fresh pairs, then resumes PPO.
-    """
-    if answers_per_prompt < 2:
-        raise InvalidInput("answers_per_prompt must be >= 2")
-    rng = np.random.default_rng(config.seed)
-    history = []
-    for round_index in range(rounds):
-        examples = []
-        for x in prompts:
-            x = tuple(int(t) for t in x)
-            answers, seen = [], set()
-            attempts = 0
-            while len(answers) < answers_per_prompt and attempts < 64 * answers_per_prompt:
-                y = policy.sample_answer(x, rng)
-                attempts += 1
-                if y not in seen:
-                    seen.add(y)
-                    answers.append(y)
-            if len(answers) < 2:
-                continue  # policy has collapsed for this prompt; nothing to rank
-            ranking = preference_oracle(x, answers)
-            examples.extend(pairwise_expand(x, answers, ranking))
-        if examples:
-            train_reward(rm, examples, learning_rate=rm_learning_rate, iterations=rm_iterations)
-        for i in range(config.iterations):
-            diag = rlhf_step(policy, reference, rm, prompts, config, rng,
-                             iteration=round_index * config.iterations + i)
-            diag["round"] = round_index
-            history.append(diag)
     return history
 
 

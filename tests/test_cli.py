@@ -730,6 +730,92 @@ class TestNonUtf8Input:
                            "message": "not UTF-8 text"}
 
 
+def _cell(column, value):
+    """Edit of one CSV line: the cell under ``column`` becomes ``value``."""
+    def edit(lines, index):
+        cells = lines[index].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        return ",".join(cells)
+    return edit
+
+
+def _token(position, value):
+    """Edit of one whitespace-separated line: its token at ``position`` becomes ``value``."""
+    def edit(lines, index):
+        tokens = lines[index].split()
+        tokens[position] = value
+        return " ".join(tokens)
+    return edit
+
+
+def _fuse_on_golden(out):
+    return fuse_config(out, scene_path("golden/features.csv"))
+
+
+# (subcommand, config, entry naming the input, line, edit of that line, message part)
+BAD_NUMBERS = [
+    ("extract", extract_config, ("extract", "measurements"), 3, _cell("SPAD", "nan"),
+     "non-finite SPAD: 'nan'"),
+    ("extract", extract_config, ("extract", "measurements"), 3, _cell("raw_mass_kg", "inf"),
+     "non-finite raw_mass_kg: 'inf'"),
+    ("extract", extract_config, ("extract", "measurements"), 2, _cell("moisture", "1.5"),
+     "moisture must be in [0, 1), got 1.5"),
+    ("extract", extract_config, ("extract", "plots"), 3, _cell("x", "nan"),
+     "non-finite x of plot p1: 'nan'"),
+    ("extract", extract_config, ("extract", "dsm", "point_cloud"), 3, _token(2, "nan"),
+     "non-finite coordinate"),
+    ("extract", extract_config, ("extract", "dem", "point_cloud"), 4, _token(0, "-inf"),
+     "non-finite coordinate"),
+    ("extract", extract_config, ("extract", "ms_bands", "red"), 3, _token(1, "nan"),
+     "non-finite value for 'xllcorner'"),
+    ("extract", extract_config, ("extract", "ms_bands", "nir"), 6, _token(1, "inf"),
+     "non-finite NODATA_value"),
+    ("fuse", _fuse_on_golden, ("fuse", "weather"), 3, _cell("t_mean", "nan"),
+     "bad weather row: t_mean must be finite, got nan"),
+    ("fuse", _fuse_on_golden, ("fuse", "weather"), 4, _cell("precip", "inf"),
+     "bad weather row: precip must be finite, got inf"),
+    ("fuse", _fuse_on_golden, ("fuse", "germplasm"), 2, _cell("crude_protein", "abc"),
+     "non-numeric crude_protein: 'abc'"),
+    ("kb", lambda out: kb_config(out, "screen"), ("kb", "germplasm"), 3, _cell("lysine", "nan"),
+     "lysine must be finite and >= 0"),
+    ("kb", lambda out: kb_config(out, "screen"), ("kb", "germplasm"), 2,
+     _cell("plant_height", "inf"), "plant_height must be finite and >= 0"),
+    ("kb", lambda out: kb_config(out, "price"), ("kb", "prices"), 3, _cell("price", "inf"),
+     "price must be finite and > 0"),
+]
+
+
+class TestBadNumberInInput:
+    """A number cell that is not finite, or that its loader rejects, is a
+    ParseError at its line through the CLI contract."""
+
+    @pytest.mark.parametrize(
+        "subcommand, make_config, entry, line, edit, message", BAD_NUMBERS,
+        ids=[f"{'.'.join(e)}:{n}:{m.split(':')[0]}" for _, _, e, n, _, m in BAD_NUMBERS])
+    def test_exit_1_with_one_summary_line_and_no_artifact(
+            self, subcommand, make_config, entry, line, edit, message, tmp_path, capsys):
+        config = make_config(tmp_path / "out")
+        node = config
+        for key in entry[:-1]:
+            node = node[key]
+        lines = open(node[entry[-1]], encoding="utf-8").read().splitlines()
+        lines[line - 1] = edit(lines, line - 1)
+        edited = tmp_path / os.path.basename(node[entry[-1]])
+        edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        node[entry[-1]] = str(edited)
+        cfg = write_config(config, tmp_path / "cfg.json")
+        rc = cli.main([subcommand, "--config", cfg])
+        stdout = capsys.readouterr().out.strip().splitlines()
+        assert rc == 1
+        assert len(stdout) == 1
+        summary = json.loads(stdout[0])
+        assert summary["error"] == "ParseError"
+        assert summary["message"].startswith(f"line {line}: ")
+        assert message in summary["message"]
+        assert not os.path.exists(tmp_path / "out")  # no artifact, not even a partial one
+        assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
+
+
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, tmp_path):
         outputs = {}

@@ -336,7 +336,7 @@ class TestDomainAblation:
         rs_only = fusion.kfold_cv(m.restrict(("RS",)), k=5, lam=1.0, seed=2)
         assert full.pooled_r2 >= rs_only.pooled_r2
         assert m.restrict(("RS",)).columns == ("c0", "c1")
-        assert m.domain_of("c2") == "phenotyping"
+        assert m.restrict(("phenotyping",)).columns == ("c2", "c3")
 
 
 class TestFeatureCsvRoundTrip:

@@ -71,6 +71,43 @@ def test_no_module_uses_a_private_name_of_another_module():
     assert offenders == []
 
 
+REPO_DIR = os.path.join(os.path.dirname(__file__), "..")
+
+# public names that no code outside the tests refers to, each with why it stays
+UNREFERENCED_PUBLIC_NAMES = {
+    "geodata.write_raster": "the ASCII grid writer: tests round-trip load_raster through it, "
+                            "and a binary raster reader is proved against the grids it writes",
+    "geodata.write_point_cloud": "the point-cloud writer, kept for the same round trips",
+}
+
+
+def test_every_public_function_and_class_is_referenced_outside_the_tests():
+    paths = [os.path.join(dirpath, name)
+             for top in ("src", "demos", "scripts", "perfbench")
+             for dirpath, _, files in os.walk(os.path.join(REPO_DIR, top))
+             for name in files if name.endswith(".py")]
+    referenced = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):  # from .module import name
+                    referenced.add(node.name)
+    unreferenced = []
+    for name in sorted(os.listdir(SRC_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC_DIR, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            unreferenced += [f"{name[:-3]}.{node.name}" for node in tree.body
+                             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                             and not node.name.startswith("_") and node.name not in referenced]
+    # the allowlist names exactly the unreferenced ones, so it cannot go stale
+    assert sorted(unreferenced) == sorted(UNREFERENCED_PUBLIC_NAMES)
+
+
 # each loader with a full header and one complete data row
 FULL_ROWS = [
     (geodata.load_plots, "plot_id,germplasm_id,vertex_index,x,y", "p1,g1,0,0.0,1.0", ParseError),

@@ -50,6 +50,16 @@ class TestScreenGermplasm:
         hits = kb.screen_germplasm(FIXTURE, [kb.Criterion("plant_height", "<=", 80.0)])
         assert [r.variety_name for r in hits] == ["Alpha", "Charlie"]
 
+    # Echo's height is 88 exactly; parsing also tests that "<=" wins over "<"
+    @pytest.mark.parametrize("op, want", [
+        ("<=", ["Alpha", "Charlie", "Echo"]), ("<", ["Alpha", "Charlie"]),
+        (">=", ["Bravo", "Delta", "Echo"]), (">", ["Bravo", "Delta"]),
+        ("==", ["Echo"]), ("!=", ["Alpha", "Bravo", "Charlie", "Delta"]),
+    ])
+    def test_each_operator_at_its_boundary(self, op, want):
+        hits = kb.screen_germplasm(FIXTURE, [kb.parse_criterion(f"plant_height{op}88")])
+        assert [r.variety_name for r in hits] == want
+
     def test_empty_result_is_valid(self):
         hits = kb.screen_germplasm(FIXTURE, [kb.Criterion("plant_height", "<=", 10.0)])
         assert hits == []

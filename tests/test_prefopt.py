@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -397,25 +398,6 @@ class TestRlhf:
         policy.set_logits((0,), (), [5.0, 0.0, 0.0, 0.0])
         assert reference.logits_row((0,), ())[0] == 1.0
 
-    def test_alternating_rm_ppo_driver(self):
-        policy = prefopt.PolicyModel(vocab_size=4, context_length=1)
-        reference = policy.snapshot()
-        rm = prefopt.RewardModel(4)
-        prompts = [(0,), (1,)]
-
-        def oracle(prompt, answers):
-            # prefer answers with smaller leading token
-            return sorted(range(len(answers)), key=lambda i: answers[i])
-
-        config = prefopt.RLHFConfig(beta=0.0, learning_rate=0.5, ppo_clip=0.2,
-                                    iterations=30, seed=4, samples_per_prompt=8)
-        history = prefopt.alternate_rm_ppo(policy, reference, rm, prompts, oracle, config,
-                                           rounds=2, answers_per_prompt=3)
-        assert len(history) == 60
-        assert {h["round"] for h in history} == {0, 1}
-        # the oracle prefers token 0, so the policy should drift toward it
-        assert min(policy.step_probabilities(x, ())[0] for x in prompts) > 0.5
-
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidInput, match="seed"):
             prefopt.RLHFConfig(seed=-1)
@@ -736,3 +718,73 @@ class TestStepRowsMatchPerStepLoop:
             prefopt.answer_log_prob(policy, (0, 4), ())
         with pytest.raises(InvalidToken, match="prompt token 4"):
             prefopt.sft_loss_and_grad(policy, [((0, 4), ())])
+
+
+def _token_models():
+    policy = prefopt.PolicyModel(4, 2, init_scale=0.5, seed=3)
+    return policy, policy.snapshot(), prefopt.RewardModel(4, weights=np.arange(9.0) / 9)
+
+
+def _ppo_config():
+    return prefopt.RLHFConfig(iterations=1, samples_per_prompt=2, epochs=2, seed=5)
+
+
+def _example(prompt, preferred, rejected):
+    """A preference pair that skips PreferenceExample's own token check."""
+    return types.SimpleNamespace(prompt=prompt, preferred=preferred, rejected=rejected)
+
+
+def _combined_reward(t):
+    policy, reference, rm = _token_models()
+    return prefopt.combined_reward(rm, policy, reference, (t,), (2,), 0.3)
+
+
+# every public prefopt entry that takes tokens, called with ``t`` as one of them
+TOKEN_ENTRIES = {
+    "PolicyModel.logits_row": lambda t: _token_models()[0].logits_row((t,), (0,)),
+    "PolicyModel.step_probabilities": lambda t: _token_models()[0].step_probabilities((0,), (t,)),
+    "PolicyModel.set_logits": lambda t: _token_models()[0].set_logits((t,), (), np.zeros(4)),
+    "PolicyModel.sample_answer":
+        lambda t: _token_models()[0].sample_answer((t,), np.random.default_rng(0)),
+    "answer_log_prob.prompt": lambda t: prefopt.answer_log_prob(_token_models()[0], (t,), (2,)),
+    "answer_log_prob.answer": lambda t: prefopt.answer_log_prob(_token_models()[0], (0,), (t, 2)),
+    "sft_loss_and_grad": lambda t: prefopt.sft_loss_and_grad(_token_models()[0], [((0,), (t,))]),
+    "train_sft": lambda t: prefopt.train_sft(_token_models()[0], [((t,), (2,))], iterations=2),
+    "PreferenceExample": lambda t: prefopt.PreferenceExample((0,), (t,), (3,)),
+    "RewardModel.features": lambda t: _token_models()[2].features((t,), (2,)),
+    "RewardModel.score": lambda t: _token_models()[2].score((0,), (t,)),
+    "rm_loss_and_grad": lambda t: prefopt.rm_loss_and_grad(
+        _token_models()[2], [_example((t,), (1,), (2,))]),
+    "train_reward": lambda t: prefopt.train_reward(
+        _token_models()[2], [_example((0,), (2,), (t,))], iterations=2),
+    "pairwise_expand.prompt": lambda t: prefopt.pairwise_expand((t,), [(2,), (3,)]),
+    "pairwise_expand.answers": lambda t: prefopt.pairwise_expand((0,), [(2,), (t,)]),
+    "combined_reward": _combined_reward,
+    "mean_kl": lambda t: prefopt.mean_kl(*_token_models()[:2], [(t,)]),
+    "rlhf_step": lambda t: prefopt.rlhf_step(*_token_models(), [(t,)], _ppo_config(),
+                                             np.random.default_rng(0)),
+    "run_rlhf": lambda t: prefopt.run_rlhf(*_token_models(), [(0,), (t,)], _ppo_config()),
+}
+
+
+@pytest.mark.parametrize("bad", [1.7, "1", True, np.float64(2.0)],
+                         ids=["float", "str", "bool", "np.float64"])
+@pytest.mark.parametrize("entry", sorted(TOKEN_ENTRIES))
+def test_a_token_must_be_an_integer(entry, bad):
+    with pytest.raises(InvalidToken, match="is not an integer"):
+        TOKEN_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("entry", sorted(TOKEN_ENTRIES))
+def test_numpy_integer_tokens_act_as_ints(entry):
+    # repr tells a Python int from an np.int64 inside any returned tuple
+    assert repr(TOKEN_ENTRIES[entry](np.int64(1))) == repr(TOKEN_ENTRIES[entry](1))
+
+
+@pytest.mark.parametrize("bad", [1.0, "0", True, np.float64(1.0)],
+                         ids=["float", "str", "bool", "np.float64"])
+def test_ranking_indices_follow_the_token_rule(bad):
+    with pytest.raises(InvalidRanking, match="ranking index .* is not an integer"):
+        prefopt.pairwise_expand((0,), [(1,), (2,)], ranking=[bad, 0])
+    assert (prefopt.pairwise_expand((0,), [(1,), (2,)], ranking=[np.int64(1), np.int64(0)])
+            == prefopt.pairwise_expand((0,), [(1,), (2,)], ranking=[1, 0]))
