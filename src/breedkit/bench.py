@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 from ._io import csv_rows, write_csv, write_json
 from .errors import (
@@ -31,32 +32,38 @@ from .errors import (
 )
 from .fusion import metrics
 
-TASK_SUBTASKS = {
-    "phenotyping_estimation": ("Yield", "SPAD", "LAI", "CH", "CV", "WH", "PL"),
-    "environmental_stress": ("WL", "FVC"),
-    "germplasm_screening": ("HQ", "DS", "DR", "MP", "AM"),
-    "cultivation_recommendation": ("CT", "PPT"),
-    "seed_price_query": ("SP",),
+# subtask -> (task, answer kind)
+SUBTASKS = {
+    "Yield": ("phenotyping_estimation", "numeric_regression"),
+    "SPAD": ("phenotyping_estimation", "numeric_regression"),
+    "LAI": ("phenotyping_estimation", "numeric_regression"),
+    "CH": ("phenotyping_estimation", "numeric_regression"),
+    "CV": ("phenotyping_estimation", "numeric_regression"),
+    "WH": ("phenotyping_estimation", "numeric_regression"),
+    "PL": ("phenotyping_estimation", "categorical"),
+    "WL": ("environmental_stress", "categorical"),
+    "FVC": ("environmental_stress", "numeric_regression"),
+    "HQ": ("germplasm_screening", "judged_correctness"),
+    "DS": ("germplasm_screening", "judged_correctness"),
+    "DR": ("germplasm_screening", "judged_correctness"),
+    "MP": ("germplasm_screening", "judged_correctness"),
+    "AM": ("germplasm_screening", "judged_correctness"),
+    "CT": ("cultivation_recommendation", "judged_correctness"),
+    "PPT": ("cultivation_recommendation", "judged_correctness"),
+    "SP": ("seed_price_query", "price_consistency"),
 }
 
-SUBTASK_KIND = {
-    "Yield": "numeric_regression",
-    "SPAD": "numeric_regression",
-    "LAI": "numeric_regression",
-    "CH": "numeric_regression",
-    "CV": "numeric_regression",
-    "WH": "numeric_regression",
-    "FVC": "numeric_regression",
-    "PL": "categorical",
-    "WL": "categorical",
-    "HQ": "judged_correctness",
-    "DS": "judged_correctness",
-    "DR": "judged_correctness",
-    "MP": "judged_correctness",
-    "AM": "judged_correctness",
-    "CT": "judged_correctness",
-    "PPT": "judged_correctness",
-    "SP": "price_consistency",
+# answer kind -> (fields every trial needs, metric name, pass rule). A kind
+# with a pass rule reports its share of passing trials under the metric
+# name; numeric regression reports fusion.metrics' r2 and rmse instead.
+ANSWER_KINDS = {
+    "numeric_regression": (("answer_numeric", "reference_value"), None, None),
+    "categorical": (("answer_label", "reference_label"), "accuracy",
+                    lambda t: t.answer_label == t.reference_label),
+    "judged_correctness": (("judged_correct",), "proportion_correct",
+                           lambda t: t.judged_correct),
+    "price_consistency": (("answer_numeric", "reference_value"), "price_consistency",
+                          lambda t: within_relative_tolerance(t.answer_numeric, t.reference_value)),
 }
 
 REASONING_AXES = ("logical_deduction", "inductive_reasoning", "explanation")
@@ -74,23 +81,16 @@ class TaskSpec:
     subtask: str
 
     def __post_init__(self):
-        if self.task not in TASK_SUBTASKS:
+        if all(task != self.task for task, _ in SUBTASKS.values()):
             raise InvalidInput(f"unknown task {self.task!r}")
-        if self.subtask not in TASK_SUBTASKS[self.task]:
+        if SUBTASKS.get(self.subtask, (None,))[0] != self.task:
             raise InvalidInput(
                 f"subtask {self.subtask!r} does not belong to task {self.task!r}"
             )
 
     @property
     def answer_kind(self) -> str:
-        return SUBTASK_KIND[self.subtask]
-
-
-def task_of_subtask(subtask: str) -> str:
-    for task, subtasks in TASK_SUBTASKS.items():
-        if subtask in subtasks:
-            return task
-    raise InvalidInput(f"unknown subtask {subtask!r}")
+        return SUBTASKS[self.subtask][1]
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,8 @@ class TrialRecord:
     def __post_init__(self):
         if self.trial_index < 0:
             raise InvalidInput("trial_index must be >= 0")
+        if not (self.model_id and self.question_id):
+            raise InvalidInput("empty model_id" if not self.model_id else "empty question_id")
         for name, value in (("answer_numeric", self.answer_numeric),
                             ("reference_value", self.reference_value)):
             if value is not None and not math.isfinite(value):
@@ -155,7 +157,13 @@ def within_relative_tolerance(answer: float, reference: float) -> bool:
     return abs(answer - reference) <= RELATIVE_TOLERANCE * abs(reference)
 
 
-def _single_group(trials) -> tuple[str, TaskSpec, list]:
+def _reject_duplicates(trials) -> None:
+    keys = {(t.model_id, t.question_id, t.trial_index) for t in trials}
+    if len(keys) != len(trials):
+        raise InvalidTrialSet("duplicate (model_id, question_id, trial_index)")
+
+
+def _single_group(trials) -> tuple[TaskSpec, list]:
     trials = list(trials)
     if not trials:
         raise EmptyInput("no trials")
@@ -166,10 +174,8 @@ def _single_group(trials) -> tuple[str, TaskSpec, list]:
             f"trials mix models {sorted(model_ids)} / subtasks "
             f"{sorted(s.subtask for s in specs)}"
         )
-    index_keys = [(t.question_id, t.trial_index) for t in trials]
-    if len(set(index_keys)) != len(index_keys):
-        raise InvalidTrialSet("duplicate (question_id, trial_index)")
-    return trials[0].model_id, trials[0].task_spec, trials
+    _reject_duplicates(trials)
+    return trials[0].task_spec, trials
 
 
 def score_accuracy(trials) -> dict:
@@ -179,35 +185,17 @@ def score_accuracy(trials) -> dict:
     regression, accuracy for categorical, proportion_correct for judged
     subtasks, and price_consistency for the price subtask.
     """
-    _, spec, trials = _single_group(trials)
+    spec, trials = _single_group(trials)
     kind = spec.answer_kind
+    fields, metric, passes = ANSWER_KINDS[kind]
+    if any(None in map(attrgetter(name), trials) for name in fields):
+        raise InvalidTrialSet(f"{spec.subtask}: {kind} trials need {' and '.join(fields)}")
     result = {"kind": kind, "n": len(trials)}
-
-    if kind == "numeric_regression":
-        if any(t.answer_numeric is None or t.reference_value is None for t in trials):
-            raise InvalidTrialSet(f"{spec.subtask}: regression trials need answer_numeric and reference_value")
-        y_true = [t.reference_value for t in trials]
-        y_pred = [t.answer_numeric for t in trials]
-        r2, rmse = metrics(y_true, y_pred)
+    if passes is None:
+        r2, rmse = metrics([t.reference_value for t in trials], [t.answer_numeric for t in trials])
         result.update(r2=r2, rmse=rmse)
-    elif kind == "categorical":
-        if any(t.answer_label is None or t.reference_label is None for t in trials):
-            raise InvalidTrialSet(f"{spec.subtask}: categorical trials need answer_label and reference_label")
-        hits = sum(1 for t in trials if t.answer_label == t.reference_label)
-        result.update(accuracy=hits / len(trials))
-    elif kind == "judged_correctness":
-        if any(t.judged_correct is None for t in trials):
-            raise InvalidTrialSet(f"{spec.subtask}: judged trials need judged_correct")
-        hits = sum(1 for t in trials if t.judged_correct)
-        result.update(proportion_correct=hits / len(trials))
-    else:  # price_consistency
-        if any(t.answer_numeric is None or t.reference_value is None for t in trials):
-            raise InvalidTrialSet("SP: price trials need answer_numeric and reference_value")
-        hits = sum(
-            1 for t in trials
-            if within_relative_tolerance(t.answer_numeric, t.reference_value)
-        )
-        result.update(price_consistency=hits / len(trials))
+    else:
+        result[metric] = sum(map(passes, trials)) / len(trials)
     return result
 
 
@@ -232,9 +220,7 @@ def score_stability(trials) -> StabilityScore:
     trials = list(trials)
     if not trials:
         raise EmptyInput("no stability trials")
-    index_keys = [(t.model_id, t.question_id, t.trial_index) for t in trials]
-    if len(set(index_keys)) != len(index_keys):
-        raise InvalidTrialSet("duplicate (model_id, question_id, trial_index)")
+    _reject_duplicates(trials)
     passes = {p: 0 for p in STABILITY_PROTOCOLS}
     counts = {p: 0 for p in STABILITY_PROTOCOLS}
     excluded = []
@@ -258,10 +244,8 @@ def score_stability(trials) -> StabilityScore:
         counts[t.stability_protocol] += 1
         passes[t.stability_protocol] += int(ok)
     return StabilityScore(
-        consistency=(passes["consistency"] / counts["consistency"]) if counts["consistency"] else None,
-        robustness=(passes["robustness"] / counts["robustness"]) if counts["robustness"] else None,
-        n_consistency=counts["consistency"],
-        n_robustness=counts["robustness"],
+        **{p: passes[p] / counts[p] if counts[p] else None for p in STABILITY_PROTOCOLS},
+        **{f"n_{p}": counts[p] for p in STABILITY_PROTOCOLS},
         excluded=tuple(excluded),
     )
 
@@ -295,24 +279,13 @@ class BenchmarkReport:
     models: tuple
 
     def to_json_dict(self) -> dict:
-        out = {"models": list(self.models), "accuracy": {}, "stability": {}, "reasoning": {}}
-        for model in self.models:
-            out["accuracy"][model] = {
-                sub: dict(sorted(vals.items())) for sub, vals in sorted(self.accuracy.get(model, {}).items())
-            }
-            out["stability"][model] = {
-                sub: {
-                    "consistency": s.consistency,
-                    "robustness": s.robustness,
-                    "n_consistency": s.n_consistency,
-                    "n_robustness": s.n_robustness,
-                    "excluded": [list(e) for e in s.excluded],
-                }
-                for sub, s in sorted(self.stability.get(model, {}).items())
-            }
-            if model in self.reasoning:
-                out["reasoning"][model] = dict(sorted(self.reasoning[model].items()))
-        return out
+        return {
+            "models": list(self.models),
+            "accuracy": {model: self.accuracy.get(model, {}) for model in self.models},
+            "stability": {model: {sub: asdict(s) for sub, s in self.stability.get(model, {}).items()}
+                          for model in self.models},
+            "reasoning": self.reasoning,
+        }
 
     def accuracy_rows(self) -> list[tuple]:
         rows = []
@@ -321,17 +294,17 @@ class BenchmarkReport:
                 for metric_name in sorted(vals):
                     if metric_name in ("kind", "n"):
                         continue
-                    rows.append((model, task_of_subtask(subtask), subtask, metric_name, vals[metric_name]))
+                    rows.append((model, SUBTASKS[subtask][0], subtask, metric_name, vals[metric_name]))
         return rows
 
     def stability_rows(self) -> list[tuple]:
         rows = []
         for model in self.models:
             for subtask, s in sorted(self.stability.get(model, {}).items()):
-                if s.consistency is not None:
-                    rows.append((model, subtask, "consistency", s.consistency, s.n_consistency))
-                if s.robustness is not None:
-                    rows.append((model, subtask, "robustness", s.robustness, s.n_robustness))
+                for protocol in STABILITY_PROTOCOLS:
+                    share = getattr(s, protocol)
+                    if share is not None:
+                        rows.append((model, subtask, protocol, share, getattr(s, f"n_{protocol}")))
         return rows
 
     def reasoning_rows(self) -> list[tuple]:
@@ -353,23 +326,19 @@ def build_report(trials, ballots=()) -> BenchmarkReport:
     if not trials and not ballots:
         raise EmptyInput("no trials or ballots")
 
-    accuracy_groups: dict = {}
-    stability_groups: dict = {}
+    groups: dict = {}  # (is a stability trial, model, subtask) -> trials
     models = set()
     for t in trials:
         models.add(t.model_id)
-        target = stability_groups if t.stability_protocol is not None else accuracy_groups
-        target.setdefault((t.model_id, t.task_spec.subtask), []).append(t)
+        key = (t.stability_protocol is not None, t.model_id, t.task_spec.subtask)
+        groups.setdefault(key, []).append(t)
 
     accuracy: dict = {}
-    for (model, subtask), group in sorted(accuracy_groups.items()):
-        group = sorted(group, key=lambda t: (t.question_id, t.trial_index))
-        accuracy.setdefault(model, {})[subtask] = score_accuracy(group)
-
     stability: dict = {}
-    for (model, subtask), group in sorted(stability_groups.items()):
-        group = sorted(group, key=lambda t: (t.question_id, t.trial_index))
-        stability.setdefault(model, {})[subtask] = score_stability(group)
+    for (is_stability, model, subtask), group in sorted(groups.items()):
+        section, score = (stability, score_stability) if is_stability else (accuracy, score_accuracy)
+        group.sort(key=lambda t: (t.question_id, t.trial_index))
+        section.setdefault(model, {})[subtask] = score(group)
 
     reasoning: dict = {}
     if ballots:
@@ -453,11 +422,12 @@ def load_ballots(path) -> list[ReasoningBallot]:
     """Ballot CSV rows (test_id, model_id, score [, axis]) grouped per test."""
     grouped: dict = {}
     for i, rec in csv_rows(path, ("test_id", "model_id", "score")):
-        test_id = rec["test_id"].strip()
+        test_id, model = (rec[name].strip() for name in ("test_id", "model_id"))
+        for name, value in (("test_id", test_id), ("model_id", model)):
+            if not value:
+                raise ParseError(f"empty {name}", line=i)
         axis = (rec.get("axis") or "").strip()
-        key = (test_id, axis or "overall")
-        entry = grouped.setdefault(key, {})
-        model = rec["model_id"].strip()
+        entry = grouped.setdefault((test_id, axis or "overall"), {})
         if model in entry:
             raise ParseError(f"ballot {test_id}: duplicate model {model}", line=i)
         try:

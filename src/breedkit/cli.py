@@ -183,7 +183,12 @@ def _check(value, spec, path: str):
         # bool is a subclass of int: only a bool field takes true or false
         if isinstance(value, bool) != (spec is bool) or not isinstance(value, kinds):
             raise ConfigError(path, f"expected {name}, got {value!r}")
-        return float(value) if spec is float else value
+        if spec is not float:
+            return value
+        # False for NaN, the infinities (JSON reads both) and integers past the float range
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        return float(value)
     kind = str if spec in (PATH, DIR) else spec
     if not isinstance(value, kind):
         raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")

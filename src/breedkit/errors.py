@@ -64,7 +64,8 @@ class InvalidToken(BreedkitError):
 
 
 class NumericalError(BreedkitError):
-    """Training produced a non-finite quantity. Carries the iteration index."""
+    """Training or scoring produced a non-finite quantity. Carries the
+    training iteration index when there is one."""
 
     def __init__(self, message, iteration=None):
         if iteration is not None:

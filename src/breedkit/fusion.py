@@ -21,6 +21,7 @@ from ._io import csv_columns, csv_rows, write_csv
 from .errors import (
     EmptyDataset,
     InvalidInput,
+    NumericalError,
     ParseError,
     SingularSystem,
     UndefinedR2,
@@ -372,17 +373,27 @@ def fit_ridge(m: FeatureMatrix, lam: float = 1.0) -> RidgeModel:
 
 
 def metrics(y_true, y_pred) -> tuple[float, float]:
-    """(R^2, RMSE). R^2 = 1 - SSE/SST; undefined for zero-variance y_true."""
+    """(R^2, RMSE). R^2 = 1 - SSE/SST; undefined for zero-variance y_true.
+
+    Finite inputs can still overflow: a non-finite SSE, SST or R^2 is a
+    NumericalError, checked before the zero-variance case.
+    """
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
     if y_true.shape != y_pred.shape or y_true.ndim != 1 or y_true.size == 0:
         raise InvalidInput("metrics need equal-length non-empty vectors")
-    sse = float(np.sum((y_true - y_pred) ** 2))
-    sst = float(np.sum((y_true - y_true.mean()) ** 2))
+    with np.errstate(over="ignore"):
+        sse = float(np.sum((y_true - y_pred) ** 2))
+        sst = float(np.sum((y_true - y_true.mean()) ** 2))
+    if not (math.isfinite(sse) and math.isfinite(sst)):
+        raise NumericalError(f"metrics overflow: SSE={sse}, SST={sst}")
     rmse = float(np.sqrt(sse / y_true.size))
     if sst == 0.0:
         raise UndefinedR2("y_true has zero variance")
-    return 1.0 - sse / sst, rmse
+    r2 = 1.0 - sse / sst
+    if not math.isfinite(r2):  # SSE over a subnormal SST
+        raise NumericalError(f"metrics overflow: SSE={sse}, SST={sst}")
+    return r2, rmse
 
 
 @dataclass(frozen=True)
@@ -446,7 +457,7 @@ def kfold_cv(
         seen[test_idx] = True
         try:
             r2, rmse = metrics(m.y[test_idx], pred)
-        except UndefinedR2:  # zero-variance fold: RMSE is still defined
+        except UndefinedR2:  # zero-variance fold: RMSE is still defined (SSE was finite)
             r2 = None
             rmse = float(np.sqrt(np.mean((m.y[test_idx] - pred) ** 2)))
         per_fold.append((fold_index, r2, rmse))

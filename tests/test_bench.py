@@ -13,7 +13,7 @@ from breedkit.errors import (
 
 
 def spec(subtask):
-    return bench.TaskSpec(task=bench.task_of_subtask(subtask), subtask=subtask)
+    return bench.TaskSpec(task=bench.SUBTASKS[subtask][0], subtask=subtask)
 
 
 def trial(subtask, question="q1", index=0, model="m1", **kwargs):
@@ -41,13 +41,16 @@ class TestTaskSpec:
         assert spec("SP").answer_kind == "price_consistency"
 
     def test_full_enumeration(self):
-        assert set(bench.TASK_SUBTASKS["phenotyping_estimation"]) == {
-            "Yield", "SPAD", "LAI", "CH", "CV", "WH", "PL"
+        by_task: dict = {}
+        for subtask, (task, _) in bench.SUBTASKS.items():
+            by_task.setdefault(task, set()).add(subtask)
+        assert by_task == {
+            "phenotyping_estimation": {"Yield", "SPAD", "LAI", "CH", "CV", "WH", "PL"},
+            "environmental_stress": {"WL", "FVC"},
+            "germplasm_screening": {"HQ", "DS", "DR", "MP", "AM"},
+            "cultivation_recommendation": {"CT", "PPT"},
+            "seed_price_query": {"SP"},
         }
-        assert set(bench.TASK_SUBTASKS["environmental_stress"]) == {"WL", "FVC"}
-        assert set(bench.TASK_SUBTASKS["germplasm_screening"]) == {"HQ", "DS", "DR", "MP", "AM"}
-        assert set(bench.TASK_SUBTASKS["cultivation_recommendation"]) == {"CT", "PPT"}
-        assert set(bench.TASK_SUBTASKS["seed_price_query"]) == {"SP"}
 
 
 class TestScoreAccuracy:
@@ -94,6 +97,27 @@ class TestScoreAccuracy:
             trial("PL", question="q2", answer_label="severe", reference_label="slight"),
         ]
         assert bench.score_accuracy(trials)["accuracy"] == 0.5
+
+    @pytest.mark.parametrize("kind, field", [
+        (kind, field) for kind, (fields, _, _) in bench.ANSWER_KINDS.items() for field in fields
+    ])
+    def test_a_trial_without_a_required_field_is_rejected(self, kind, field):
+        subtask = next(sub for sub, (_, k) in bench.SUBTASKS.items() if k == kind)
+        answers = dict(answer_numeric=100.0, reference_value=100.0, answer_label="slight",
+                       reference_label="slight", judged_correct=True)
+        trials = [trial(subtask, question="q1", **answers),
+                  trial(subtask, question="q2", **{**answers, field: None})]
+        with pytest.raises(InvalidTrialSet, match=field):
+            bench.score_accuracy(trials)
+
+    def test_each_kind_needs_its_fields(self):
+        assert {kind: fields for kind, (fields, _, _) in bench.ANSWER_KINDS.items()} == {
+            "numeric_regression": ("answer_numeric", "reference_value"),
+            "categorical": ("answer_label", "reference_label"),
+            "judged_correctness": ("judged_correct",),
+            "price_consistency": ("answer_numeric", "reference_value"),
+        }
+        assert {kind for _, kind in bench.SUBTASKS.values()} == set(bench.ANSWER_KINDS)
 
     def test_mixed_groups_rejected(self):
         mixed = [trial("HQ", judged_correct=True), trial("DS", judged_correct=True)]
@@ -334,6 +358,26 @@ class TestCsvInterfaces:
             bench.load_trials(path)
         assert info.value.line == 3
         assert str(info.value) == f"line 3: bad trial row: {name} must be finite, got {value}"
+
+    @pytest.mark.parametrize("row, name", [
+        (",phenotyping_estimation,Yield,q2,0", "model_id"),
+        ("m1,phenotyping_estimation,Yield, ,0", "question_id"),
+    ])
+    def test_empty_identifier_is_a_parse_error(self, row, name, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_text("model_id,task,subtask,question_id,trial_index\n"
+                        f"m1,phenotyping_estimation,Yield,q1,0\n{row}\n")
+        with pytest.raises(ParseError) as info:
+            bench.load_trials(path)
+        assert str(info.value) == f"line 3: bad trial row: empty {name}"
+
+    @pytest.mark.parametrize("row, name", [(",m2,1", "test_id"), ("t1, ,1", "model_id")])
+    def test_empty_ballot_identifier_is_a_parse_error(self, row, name, tmp_path):
+        path = tmp_path / "ballots.csv"
+        path.write_text(f"test_id,model_id,score\nt1,m1,2\n{row}\n")
+        with pytest.raises(ParseError) as info:
+            bench.load_ballots(path)
+        assert str(info.value) == f"line 3: empty {name}"
 
     def test_ballots_round_trip(self, tmp_path):
         path = tmp_path / "ballots.csv"

@@ -340,6 +340,12 @@ class TestConfigSchema:
          "extract.dsm", "need either 'raster' or 'point_cloud'"),
         ("fuse", lambda out: fuse_config(out, scene_path("golden/features.csv")),
          ("fuse", "k"), True, "fuse.k", "expected an integer, got True"),
+        ("fuse", lambda out: fuse_config(out, scene_path("golden/features.csv")),
+         ("fuse", "lambda"), float("nan"), "fuse.lambda", "expected a finite number, got nan"),
+        ("prefopt", prefopt_config, ("prefopt", "ppo", "beta"), float("-inf"),
+         "prefopt.ppo.beta", "expected a finite number, got -inf"),
+        ("extract", extract_config, ("extract", "flight", "altitude_m"), 10 ** 400,
+         "extract.flight.altitude_m", f"expected a finite number, got {10 ** 400!r}"),
         ("prefopt", prefopt_config, ("prefopt", "seed"), None,
          "prefopt.seed", "missing required field"),
         ("prefopt", prefopt_config, ("prefopt", "rm_data"), None,
@@ -365,6 +371,17 @@ class TestConfigSchema:
             ["extract", "--config", cfg, "--set", "extract.params.ch_percentil=0.5"], capsys)
         assert rc == 2
         assert summary["field"] == "extract.params.ch_percentil"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_set_on_the_command_line(self, value, tmp_path, capsys):
+        cfg = write_config(fuse_config(tmp_path / "out", scene_path("golden/features.csv")),
+                           tmp_path / "cfg.json")
+        rc, summary = _run_one_line(["fuse", "--config", cfg, "--set", f"fuse.lambda={value}"],
+                                    capsys)
+        assert rc == 2
+        assert summary["field"] == "fuse.lambda"
+        assert summary["message"].startswith("expected a finite number, got ")
         assert not (tmp_path / "out").exists()
 
     def test_null_optional_fields_take_their_defaults(self, tmp_path, capsys):
@@ -431,7 +448,7 @@ CONTRACT_CONFIGS = [
     ("kb", lambda out: kb_config(out, "screen")),
     ("kb", lambda out: kb_config(out, "price")),
 ]
-HOSTILE_VALUES = [None, True, -1, 0, 0.5, "x", [], {}]
+HOSTILE_VALUES = [None, True, -1, 0, 0.5, "x", [], {}, float("nan"), float("inf")]
 
 
 def _leaves(node, path=()):
@@ -676,6 +693,16 @@ class TestKb:
         assert set(report["models"]) == {"tuned-a", "tuned-b", "baseline"}
         assert "logical_deduction" in report["reasoning"]["tuned-a"]
 
+    def test_bench_matches_golden_files(self, tmp_path, capsys):
+        cfg = write_config(bench_config(tmp_path / "out"), tmp_path / "b.json")
+        rc, summary = run_cli(["bench", "--config", cfg], capsys)
+        assert rc == 0
+        golden = scene_path("golden/bench")
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(os.listdir(golden))
+        for name in os.listdir(golden):
+            got = (tmp_path / "out" / name).read_bytes()
+            assert got == open(os.path.join(golden, name), "rb").read(), name
+
 
 # (subcommand, config for an output directory, the config entry naming the input)
 NON_UTF8_INPUTS = [
@@ -813,6 +840,39 @@ class TestBadNumberInInput:
         assert summary["message"].startswith(f"line {line}: ")
         assert message in summary["message"]
         assert not os.path.exists(tmp_path / "out")  # no artifact, not even a partial one
+        assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
+
+
+# (input, line, edit of that line, error name, message)
+BAD_BENCH_INPUTS = [
+    ("trials", 2, _cell("model_id", ""), "ParseError", "line 2: bad trial row: empty model_id"),
+    ("trials", 4, _cell("question_id", " "), "ParseError",
+     "line 4: bad trial row: empty question_id"),
+    ("ballots", 3, _cell("test_id", ""), "ParseError", "line 3: empty test_id"),
+    ("ballots", 2, _cell("model_id", ""), "ParseError", "line 2: empty model_id"),
+    ("trials", 2, _cell("answer_numeric", "1e308"), "NumericalError", "metrics overflow: SSE=inf"),
+]
+
+
+class TestBadBenchInput:
+    """An empty identifier or an overflowing metric ends in the CLI contract
+    and leaves no report."""
+
+    @pytest.mark.parametrize("entry, line, edit, error, message", BAD_BENCH_INPUTS)
+    def test_exit_1_with_one_summary_line_and_no_artifact(
+            self, entry, line, edit, error, message, tmp_path, capsys):
+        config = bench_config(tmp_path / "out")
+        lines = open(config["bench"][entry], encoding="utf-8").read().splitlines()
+        lines[line - 1] = edit(lines, line - 1)
+        edited = tmp_path / f"{entry}.csv"
+        edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config["bench"][entry] = str(edited)
+        rc, summary = _run_one_line(["bench", "--config", write_config(config, tmp_path / "c.json")],
+                                    capsys)
+        assert rc == 1
+        assert summary["error"] == error
+        assert summary["message"].startswith(message)
+        assert not (tmp_path / "out").exists()
         assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
 
 

@@ -7,6 +7,7 @@ from breedkit import fusion, kb
 from breedkit.errors import (
     EmptyDataset,
     InvalidInput,
+    NumericalError,
     ParseError,
     SingularSystem,
     UndefinedR2,
@@ -251,6 +252,16 @@ class TestMetrics:
         with pytest.raises(InvalidInput):
             fusion.metrics([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("y_true, y_pred, message", [
+        ([1e308, -1e308], [1e308, -1e308], "SSE=0.0, SST=inf"),
+        ([1e308, -1e308], [-1e308, 1e308], "SSE=inf, SST=inf"),
+        ([2.0, 2.0], [1e308, -1e308], "SSE=inf, SST=0.0"),  # before the zero-variance case
+        ([0.0, 1e-160], [1.0, 1.0], "SSE=2.0, SST=5e-321"),  # R^2 overflows
+    ])
+    def test_overflow_is_a_numerical_error(self, y_true, y_pred, message):
+        with pytest.raises(NumericalError, match=message):
+            fusion.metrics(y_true, y_pred)
+
 
 class TestKfoldCv:
     def test_leave_one_out_recovers_planted_model(self):
@@ -265,6 +276,15 @@ class TestKfoldCv:
         result = fusion.kfold_cv(m, k=5, lam=1.0, seed=2)
         fold_rmse = sorted(rmse for _, _, rmse in result.per_fold)
         assert fold_rmse == sorted(abs(meas - pred) for _, _, meas, pred, _ in result.rows)
+
+    def test_overflowing_single_row_fold_is_a_numerical_error(self):
+        m = planted_matrix(np.random.default_rng(1), n=4)
+        m = fusion.FeatureMatrix(
+            X=m.X, y=np.array([1e300, -1e300, 1e300, -1e300]), columns=m.columns,
+            domains=m.domains, plot_ids=m.plot_ids, germplasm_ids=m.germplasm_ids,
+        )
+        with pytest.raises(NumericalError, match="SSE=inf, SST=0.0"):
+            fusion.kfold_cv(m, k=4, lam=1.0, seed=0)
 
     def test_same_seed_identical_results(self):
         m = planted_matrix(np.random.default_rng(13), n=24, noise=1.0)
