@@ -419,15 +419,22 @@ def load_trials(path) -> list[TrialRecord]:
 
 
 def load_ballots(path) -> list[ReasoningBallot]:
-    """Ballot CSV rows (test_id, model_id, score [, axis]) grouped per test."""
+    """Ballot CSV rows (test_id, model_id, score [, axis]) grouped per test.
+
+    Groups are checked in sorted order once every row is read: a bad axis is
+    a ParseError at the group's first row, scores that are not a permutation
+    one at its last row.
+    """
     grouped: dict = {}
+    lines: dict = {}  # group -> [first line, last line]
     for i, rec in csv_rows(path, ("test_id", "model_id", "score")):
         test_id, model = (rec[name].strip() for name in ("test_id", "model_id"))
         for name, value in (("test_id", test_id), ("model_id", model)):
             if not value:
                 raise ParseError(f"empty {name}", line=i)
-        axis = (rec.get("axis") or "").strip()
-        entry = grouped.setdefault((test_id, axis or "overall"), {})
+        key = (test_id, (rec.get("axis") or "").strip() or "overall")
+        entry = grouped.setdefault(key, {})
+        lines.setdefault(key, [i, i])[1] = i
         if model in entry:
             raise ParseError(f"ballot {test_id}: duplicate model {model}", line=i)
         try:
@@ -436,10 +443,16 @@ def load_ballots(path) -> list[ReasoningBallot]:
             raise ParseError(f"non-integer score {rec['score']!r}", line=i)
     if not grouped:
         raise EmptyInput(f"no ballots in {path}")
-    return [
-        ReasoningBallot(test_id=test_id, scores=scores, axis=axis)
-        for (test_id, axis), scores in sorted(grouped.items())
-    ]
+    ballots = []
+    for (test_id, axis), scores in sorted(grouped.items()):
+        first, last = lines[(test_id, axis)]
+        try:
+            ballots.append(ReasoningBallot(test_id=test_id, scores=scores, axis=axis))
+        except InvalidBallot as exc:
+            raise ParseError(str(exc), line=last)
+        except InvalidInput as exc:
+            raise ParseError(str(exc), line=first)
+    return ballots
 
 
 def write_report(report: BenchmarkReport, out_dir) -> dict:

@@ -258,11 +258,14 @@ def _load_measurements(path: str) -> dict:
     return out
 
 
-def _cells_on(cells: dict, grid: geodata.RasterGrid, plot) -> geodata.PlotCells:
-    """``plot``'s cells on ``grid``, selected once per grid geometry into ``cells``."""
-    if grid.geometry not in cells:
-        cells[grid.geometry] = geodata.plot_cells(grid, plot)
-    return cells[grid.geometry]
+def _cells_on(selected: dict, grid: geodata.RasterGrid, regions: list, i: int) -> geodata.PlotCells:
+    """``regions[i]``'s cells on ``grid``; every region is selected at once per grid geometry.
+
+    A region that selects no cell goes through ``plot_cells``, which raises its EmptyPlot.
+    """
+    if grid.geometry not in selected:
+        selected[grid.geometry] = geodata.select_cells(grid, regions)
+    return selected[grid.geometry][i] or geodata.plot_cells(grid, regions[i])
 
 
 def _cmd_extract(cfg: dict, out_dir: str) -> dict:
@@ -305,25 +308,32 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
         geodata.require_binary_mask(mask)
 
     records = []
-    for plot in plots:
+    plot_cells_on: dict = {}  # every plot's PlotCells (or None) per grid geometry
+    union_cells_on: dict = {}  # every plot-plus-ring region's PlotCells on the weed mask
+    unions = None
+    for i, plot in enumerate(plots):
         features = {}
-        cells: dict = {}  # this plot's PlotCells per grid geometry
         restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
         for column, layer in vi_layers.items():
             features[column] = spectral.plot_statistic(
-                layer, _cells_on(cells, layer, plot), restrict_to=restrict,
+                layer, _cells_on(plot_cells_on, layer, plots, i), restrict_to=restrict,
                 feature_name=column,
             ).value
-        chm_cells = _cells_on(cells, chm, plot)
+        chm_cells = _cells_on(plot_cells_on, chm, plots, i)
         features["CH"] = structural.plot_canopy_height(
             chm, chm_cells, percentile=params["ch_percentile"]).value
         features["CV"] = structural.canopy_volume(chm, chm_cells).volume
-        features["FVC"] = spectral.fvc(veg_mask, _cells_on(cells, veg_mask, plot)).value
+        features["FVC"] = spectral.fvc(veg_mask, _cells_on(plot_cells_on, veg_mask, plots, i)).value
         features["PL_ratio"] = structural.classify_lodging(
-            lodging_mask, _cells_on(cells, lodging_mask, plot)
+            lodging_mask, _cells_on(plot_cells_on, lodging_mask, plots, i)
         ).ratio
-        ring = geodata.BufferRing(plot, params["ring_inner_m"], params["ring_outer_m"])
-        features["WL_ratio"] = structural.classify_weed(weed_mask, geodata.UnionRegion(ring)).ratio
+        if unions is None:
+            # built here: a bad ring width fails after the first plot's other errors
+            unions = [geodata.UnionRegion(geodata.BufferRing(p, params["ring_inner_m"],
+                                                             params["ring_outer_m"]))
+                      for p in plots]
+        features["WL_ratio"] = structural.classify_weed(
+            weed_mask, _cells_on(union_cells_on, weed_mask, unions, i)).ratio
         if plot.plot_id not in head_counts:
             raise BreedkitError(f"no head counts for plot {plot.plot_id}")
         features["WH_density"] = structural.wheat_head_density(

@@ -95,11 +95,16 @@ class RasterGrid:
 
         The default window is the whole grid, shape (n_rows, n_cols).
         """
-        cols = np.arange(self.n_cols, dtype=np.float64)[cols]
-        rows = np.arange(self.n_rows, dtype=np.float64)[rows]
+        x, y = self._center_axes()
+        return np.meshgrid(x[cols], y[rows])
+
+    def _center_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x of every column's centers, y of every row's centers), by the module formula."""
+        cols = np.arange(self.n_cols, dtype=np.float64)
+        rows = np.arange(self.n_rows, dtype=np.float64)
         x = self.origin_x + (cols + 0.5) * self.cell_size
         y = self.origin_y + (self.n_rows - rows - 0.5) * self.cell_size
-        return np.meshgrid(x, y)
+        return x, y
 
     def with_values(self, values: np.ndarray) -> "RasterGrid":
         """A new grid sharing this grid's georeferencing and nodata value."""
@@ -182,11 +187,12 @@ class PlotGeometry:
 def _polygon_area(vertices: np.ndarray) -> float:
     x = vertices[:, 0]
     y = vertices[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+    nxt = [*range(1, len(x)), 0]  # each vertex's successor
+    return 0.5 * abs(float(np.dot(x, y[nxt]) - np.dot(x[nxt], y)))
 
 
 def _has_degenerate_edge(vertices: np.ndarray) -> bool:
-    nxt = np.roll(vertices, -1, axis=0)
+    nxt = vertices[[*range(1, len(vertices)), 0]]
     return bool(np.any(np.all(vertices == nxt, axis=1)))
 
 
@@ -229,25 +235,43 @@ def _polygon_is_simple(vertices: np.ndarray) -> bool:
     return True
 
 
+def _edges(px, py, vertices):
+    """(px, py, result shape, [(x1, y1, x2, y2) of edge k = vertex k to k + 1 (mod n)]).
+
+    The points become float64 arrays, and the edge endpoints are shaped so a
+    stack's leading axes pair with the points' leading axes.
+    """
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    *lead, n, _ = vertices.shape
+    points = np.broadcast(px, py)
+    v = vertices.reshape((*lead, *(1,) * (points.ndim - len(lead)), n, 2))
+    shape = np.broadcast_shapes(points.shape, v.shape[:-2])
+    x, y = v[..., 0], v[..., 1]
+    edges = [(x[..., k], y[..., k], x[..., (k + 1) % n], y[..., (k + 1) % n]) for k in range(n)]
+    return px, py, shape, edges
+
+
 def point_in_polygon(px, py, vertices: np.ndarray) -> np.ndarray:
     """Even-odd point-in-polygon test with the boundary counted as inside.
 
     Accepts scalars or arrays for ``px``/``py``; broadcasting applies.
+    ``vertices`` is one polygon, shape (n, 2), or a stack of polygons with
+    the same vertex count, shape (..., n, 2); a stack's leading axes pair
+    with the leading axes of ``px``/``py`` (e.g. P polygons against points
+    shaped (P, 1, w) and (P, h, 1)). Every element gets the arithmetic a
+    single-polygon call would give it.
     """
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    inside = np.zeros(np.broadcast(px, py).shape, dtype=bool)
+    px, py, shape, edges = _edges(px, py, vertices)
+    inside = np.zeros(shape, dtype=bool)
     on_edge = np.zeros_like(inside)
-    n = vertices.shape[0]
-    for k in range(n):
-        x1, y1 = float(vertices[k, 0]), float(vertices[k, 1])
-        x2, y2 = float(vertices[(k + 1) % n, 0]), float(vertices[(k + 1) % n, 1])
+    for x1, y1, x2, y2 in edges:
         cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
         in_box = (
-            (px >= min(x1, x2))
-            & (px <= max(x1, x2))
-            & (py >= min(y1, y2))
-            & (py <= max(y1, y2))
+            (px >= np.minimum(x1, x2))
+            & (px <= np.maximum(x1, x2))
+            & (py >= np.minimum(y1, y2))
+            & (py <= np.maximum(y1, y2))
         )
         on_edge |= (cross == 0.0) & in_box
         crosses = (y1 > py) != (y2 > py)
@@ -258,20 +282,32 @@ def point_in_polygon(px, py, vertices: np.ndarray) -> np.ndarray:
 
 
 def distance_to_boundary(px, py, vertices: np.ndarray) -> np.ndarray:
-    """Euclidean distance from points to the polygon boundary (min over edges)."""
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    best = np.full(np.broadcast(px, py).shape, np.inf)
-    n = vertices.shape[0]
-    for k in range(n):
-        x1, y1 = float(vertices[k, 0]), float(vertices[k, 1])
-        x2, y2 = float(vertices[(k + 1) % n, 0]), float(vertices[(k + 1) % n, 1])
+    """Euclidean distance from points to the polygon boundary (min over edges).
+
+    ``vertices`` and broadcasting as in :func:`point_in_polygon`.
+    """
+    px, py, shape, edges = _edges(px, py, vertices)
+    best = np.full(shape, np.inf)
+    for x1, y1, x2, y2 in edges:
         dx, dy = x2 - x1, y2 - y1
         seg_len2 = dx * dx + dy * dy
         t = np.clip(((px - x1) * dx + (py - y1) * dy) / seg_len2, 0.0, 1.0)
         d2 = (px - (x1 + t * dx)) ** 2 + (py - (y1 + t * dy)) ** 2
         best = np.minimum(best, d2)
     return np.sqrt(best)
+
+
+def _member(kind: str, px, py, vertices, inner, outer) -> np.ndarray:
+    """Membership in a "plot", its "ring" (inner < boundary distance <= outer,
+    outside the plot) or their "union". ``vertices`` is one polygon or a
+    stack; ``inner``/``outer`` are scalars or shaped like the stack.
+    """
+    inside = point_in_polygon(px, py, vertices)
+    if kind == "plot":
+        return inside
+    d = distance_to_boundary(px, py, vertices)
+    in_band = (d > inner) & (d <= outer)
+    return inside | in_band if kind == "union" else ~inside & in_band
 
 
 @dataclass(frozen=True)
@@ -293,9 +329,7 @@ class BufferRing:
             )
 
     def contains(self, px, py) -> np.ndarray:
-        d = distance_to_boundary(px, py, self.plot.vertices)
-        outside = ~self.plot.contains(px, py)
-        return outside & (d > self.inner) & (d <= self.outer)
+        return _member("ring", px, py, self.plot.vertices, self.inner, self.outer)
 
     def bounds(self) -> tuple[float, float, float, float]:
         """The plot's bounds padded by the outer width."""
@@ -315,9 +349,7 @@ class UnionRegion:
     ring: BufferRing
 
     def contains(self, px, py) -> np.ndarray:
-        plot = self.ring.plot
-        d = distance_to_boundary(px, py, plot.vertices)
-        return plot.contains(px, py) | ((d > self.ring.inner) & (d <= self.ring.outer))
+        return _member("union", px, py, self.ring.plot.vertices, self.ring.inner, self.ring.outer)
 
     def bounds(self) -> tuple[float, float, float, float]:
         """The ring's bounds, which enclose the plot."""
@@ -692,35 +724,90 @@ def _index_window(lo: float, hi: float, n: int) -> slice:
     """
     if not lo <= hi:  # empty range, or NaN georeferencing
         return slice(0, 0)
-    start = int(np.clip(np.ceil(lo) - 1, 0, n))
-    stop = int(np.clip(np.floor(hi) + 2, start, n))
+    # clamping to [-2, n + 1] keeps ceil/floor finite and changes no index
+    lo, hi = min(max(lo, -2.0), n + 1.0), min(max(hi, -2.0), n + 1.0)
+    start = min(max(math.ceil(lo) - 1, 0), n)
+    stop = min(max(math.floor(hi) + 2, start), n)
     return slice(start, stop)
 
 
-def plot_cells(grid: RasterGrid, region) -> PlotCells:
-    """The cells of ``grid`` whose centers lie in ``region``.
+# Window cells tested at once by select_cells. It bounds the float temporaries
+# of one stacked test to about 1 MiB, whatever the number of regions; a larger
+# window is tested on its own.
+_BLOCK_CELLS = 1 << 14
 
-    ``region`` is a PlotGeometry, a BufferRing or a UnionRegion; polygon
-    boundaries count as inside. Only the window around ``region.bounds()`` is
-    tested. Raises EmptyPlot when no cell of the grid is selected. A
-    PlotCells ``region`` is returned as it is; its reads check the geometry.
+
+def _region_parts(region) -> tuple:
+    """(kind, vertices, inner, outer): ``_member``'s arguments for a region."""
+    if isinstance(region, PlotGeometry):
+        return "plot", region.vertices, 0.0, 0.0
+    if isinstance(region, UnionRegion):
+        return "union", region.ring.plot.vertices, region.ring.inner, region.ring.outer
+    if isinstance(region, BufferRing):
+        return "ring", region.plot.vertices, region.inner, region.outer
+    raise InvalidInput(f"not a PlotGeometry, BufferRing or UnionRegion: {type(region).__name__}")
+
+
+def select_cells(grid: RasterGrid, regions: list) -> list[PlotCells | None]:
+    """The cells of ``grid`` whose centers lie in each of ``regions``, in order.
+
+    Each region is a PlotGeometry, a BufferRing or a UnionRegion; polygon
+    boundaries count as inside. Only the window around ``region.bounds()``
+    (one cell of margin per side, clipped to the grid) is tested. An entry is
+    None where its region selects no cell of the grid.
+
+    Regions of one kind with the same vertex count and window shape are
+    tested as one stack, ``_BLOCK_CELLS`` window cells at a time (or one
+    region, if its window is larger): one pass of the per-edge formulas
+    serves the whole block, and every cell gets the arithmetic a
+    single-region test would give it.
+    """
+    size = grid.cell_size
+    groups: dict = {}
+    for i, region in enumerate(regions):
+        kind, vertices, inner, outer = _region_parts(region)
+        x0, y0, x1, y1 = region.bounds()
+        # inverse of the cell-center formula in the module docstring
+        cols = _index_window((x0 - grid.origin_x) / size - 0.5,
+                             (x1 - grid.origin_x) / size - 0.5, grid.n_cols)
+        rows = _index_window(grid.n_rows - 0.5 - (y1 - grid.origin_y) / size,
+                             grid.n_rows - 0.5 - (y0 - grid.origin_y) / size, grid.n_rows)
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        if shape[0] and shape[1]:
+            groups.setdefault((kind, len(vertices), shape), []).append(
+                (i, getattr(region, "plot_id", None), rows, cols, vertices, inner, outer))
+
+    geometry = grid.geometry
+    x_axis, y_axis = grid._center_axes()
+    selected: list = [None] * len(regions)
+    for (kind, _, (h, w)), members in groups.items():
+        step = max(1, _BLOCK_CELLS // (h * w))
+        for b in range(0, len(members), step):
+            i, name, rows, cols, vertices, inner, outer = zip(*members[b:b + step])
+            px = x_axis[np.array([c.start for c in cols])[:, None] + np.arange(w)]
+            py = y_axis[np.array([r.start for r in rows])[:, None] + np.arange(h)]
+            member = _member(kind, px[:, None, :], py[:, :, None], np.stack(vertices),
+                             np.array(inner)[:, None, None], np.array(outer)[:, None, None])
+            member.setflags(write=False)
+            for k in np.flatnonzero(member.any(axis=(1, 2))):
+                selected[i[k]] = PlotCells(plot_id=name[k], geometry=geometry,
+                                           rows=rows[k], cols=cols[k], member=member[k])
+    return selected
+
+
+def plot_cells(grid: RasterGrid, region) -> PlotCells:
+    """The cells of ``grid`` whose centers lie in ``region``: ``select_cells`` of one region.
+
+    Raises EmptyPlot when no cell of the grid is selected. A PlotCells
+    ``region`` is returned as it is; its reads check the geometry.
     """
     if isinstance(region, PlotCells):
         return region
-    x0, y0, x1, y1 = region.bounds()
-    size = grid.cell_size
-    # inverse of the cell-center formula in the module docstring
-    cols = _index_window((x0 - grid.origin_x) / size - 0.5,
-                         (x1 - grid.origin_x) / size - 0.5, grid.n_cols)
-    rows = _index_window(grid.n_rows - 0.5 - (y1 - grid.origin_y) / size,
-                         grid.n_rows - 0.5 - (y0 - grid.origin_y) / size, grid.n_rows)
-    cx, cy = grid.cell_centers(rows, cols)
-    member = np.asarray(region.contains(cx, cy), dtype=bool)
-    name = getattr(region, "plot_id", None)
-    if not member.any():
+    (cells,) = select_cells(grid, [region])
+    if cells is None:
+        name = getattr(region, "plot_id", None)
         raise EmptyPlot(f"region {name or type(region).__name__} selects no cells of the grid")
-    member.setflags(write=False)
-    return PlotCells(plot_id=name, geometry=grid.geometry, rows=rows, cols=cols, member=member)
+    return cells
 
 
 # ---------------------------------------------------------------------------

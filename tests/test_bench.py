@@ -398,6 +398,38 @@ class TestCsvInterfaces:
         ballots = bench.load_ballots(path)
         assert ballots[0].axis == "overall"
 
+    def test_bad_axis_is_a_parse_error_at_its_row(self, tmp_path):
+        path = tmp_path / "ballots.csv"
+        path.write_text("test_id,model_id,score,axis\n"
+                        "t1,m1,1,overall\nt1,m2,2,overall\n"
+                        "t2,m1,1,nonsense\nt2,m2,2,nonsense\n")
+        with pytest.raises(ParseError) as info:
+            bench.load_ballots(path)
+        assert str(info.value) == (
+            f"line 4: axis must be 'overall' or one of {bench.REASONING_AXES}")
+
+    def test_bad_permutation_is_a_parse_error_at_its_last_row(self, tmp_path):
+        path = tmp_path / "ballots.csv"
+        path.write_text("test_id,model_id,score\nt1,m1,1\nt2,m1,1\nt1,m2,3\nt2,m2,2\n")
+        with pytest.raises(ParseError) as info:
+            bench.load_ballots(path)
+        assert str(info.value) == "line 4: ballot t1: scores must be a permutation of 1..2"
+
+    def test_ballot_groups_fail_in_sorted_order(self, tmp_path):
+        # t2's bad axis comes first in the file; t1's bad permutation sorts first
+        path = tmp_path / "ballots.csv"
+        path.write_text("test_id,model_id,score,axis\n"
+                        "t2,m1,1,nonsense\nt1,m1,1,\nt1,m2,1,\n")
+        with pytest.raises(ParseError) as info:
+            bench.load_ballots(path)
+        assert str(info.value) == "line 4: ballot t1: scores must be a permutation of 1..2"
+        # a bad row anywhere still fails before any group
+        path.write_text("test_id,model_id,score,axis\n"
+                        "t1,m1,1,nonsense\nt1,m2,x,nonsense\n")
+        with pytest.raises(ParseError) as info:
+            bench.load_ballots(path)
+        assert str(info.value) == "line 3: non-integer score 'x'"
+
     def test_write_report_files(self, tmp_path):
         trials = [trial("HQ", question=f"q{i}", judged_correct=True) for i in range(3)]
         report = bench.build_report(trials, ())

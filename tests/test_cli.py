@@ -135,6 +135,35 @@ class TestExtractErrorContract:
         assert summary["error"] == "InvalidMask"
         assert "0.5" in summary["message"]
 
+    @pytest.mark.parametrize("edits, error, message", [
+        (("p1 has no head counts", "p2 off the grid"), "BreedkitError",
+         "no head counts for plot p1"),
+        (("p2 off the grid",), "EmptyPlot", "region p2 selects no cells of the grid"),
+        (("p2 off the grid", "ring widths reversed"), "InvalidInput",
+         "ring widths must satisfy 0 <= inner < outer, got (0.3, 0.2)"),
+    ])
+    def test_plot_errors_keep_their_order(self, edits, error, message, tmp_path, capsys):
+        # every plot is selected before the first plot's features; the errors
+        # must still come plot by plot, as each plot's features are computed
+        config = extract_config(tmp_path / "out")
+        if "p1 has no head counts" in edits:
+            rows = open(scene_path("head_counts.csv")).read().splitlines()
+            (tmp_path / "head_counts.csv").write_text(
+                "\n".join(r for r in rows if not r.startswith("p1,")) + "\n")
+            config["extract"]["head_counts"] = str(tmp_path / "head_counts.csv")
+        if "p2 off the grid" in edits:
+            rows = [r.split(",") for r in open(scene_path("plots.csv")).read().splitlines()]
+            for r in rows:
+                if r[0] == "p2":
+                    r[3] = repr(float(r[3]) + 40.0)
+            (tmp_path / "plots.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+            config["extract"]["plots"] = str(tmp_path / "plots.csv")
+        if "ring widths reversed" in edits:
+            config["extract"]["params"] = {"ring_inner_m": 0.3, "ring_outer_m": 0.2}
+        rc, summary = self.run_extract(config, tmp_path, capsys)
+        assert (rc, summary) == (1, {"status": "error", "error": error, "message": message})
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("column", [
         "SPAD", "LAI", "measured_CH", "raw_mass_kg", "plot_area_ha", "moisture",
     ])
@@ -850,6 +879,10 @@ BAD_BENCH_INPUTS = [
      "line 4: bad trial row: empty question_id"),
     ("ballots", 3, _cell("test_id", ""), "ParseError", "line 3: empty test_id"),
     ("ballots", 2, _cell("model_id", ""), "ParseError", "line 2: empty model_id"),
+    ("ballots", 4, _cell("axis", "deduction"), "ParseError",
+     "line 4: axis must be 'overall' or one of ("),
+    ("ballots", 3, _cell("score", "1"), "ParseError",
+     "line 4: ballot t0: scores must be a permutation of 1..3"),
     ("trials", 2, _cell("answer_numeric", "1e308"), "NumericalError", "metrics overflow: SSE=inf"),
 ]
 

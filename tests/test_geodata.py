@@ -657,6 +657,98 @@ class TestPlotCells:
             cells.count(other)
 
 
+def shifted(region, offset, plot_id):
+    """``region`` moved by ``offset`` (x, y), its plot renamed ``plot_id``."""
+    if isinstance(region, geodata.PlotGeometry):
+        return geodata.PlotGeometry(plot_id, "g", region.vertices + offset)
+    if isinstance(region, geodata.UnionRegion):
+        return geodata.UnionRegion(shifted(region.ring, offset, plot_id))
+    return geodata.BufferRing(shifted(region.plot, offset, plot_id), region.inner, region.outer)
+
+
+class TestSelectCells:
+    @pytest.mark.parametrize("block", [None, 40])
+    @pytest.mark.parametrize("origin, cell_size", [
+        ((0.0, 0.0), 0.5),
+        ((500123.37, 4100456.11), 0.05),
+        ((500123.37, 4100456.11), 1.0 / 3.0),
+    ])
+    def test_stacked_selection_equals_one_region_at_a_time(
+            self, origin, cell_size, block, monkeypatch):
+        if block is not None:  # several blocks per group
+            monkeypatch.setattr(geodata, "_BLOCK_CELLS", block)
+        rng = np.random.default_rng(2024)
+        grid = make_grid(np.zeros((20, 28)), cell_size=cell_size, origin=origin)
+        cx, cy = grid.cell_centers()
+        regions = []
+        while len(regions) < 600:
+            kind = ("plot", "ring", "plot+ring")[len(regions) // 3 % 3]
+            try:
+                region = random_region(rng, grid, kind, through_centers=len(regions) // 3 % 2 == 0)
+            except InvalidInput:  # snapping made the polygon degenerate
+                continue
+            # whole-cell moves keep the window shape, so the copies stack with it
+            moves = rng.integers(-3, 4, (2, 2)) * cell_size
+            regions += [region] + [shifted(region, m, f"r{len(regions)}.{k}")
+                                   for k, m in enumerate(moves)]
+        got = geodata.select_cells(grid, regions)
+        assert len(got) == len(regions)
+        stacks: dict = {}
+        outcomes = {"empty": 0, "selected": 0, "clipped": 0}
+        for region, cells in zip(regions, got):
+            try:
+                one = geodata.plot_cells(grid, region)
+            except EmptyPlot:
+                assert cells is None
+                assert not region.contains(cx, cy).any()
+                outcomes["empty"] += 1
+                continue
+            assert (cells.plot_id, cells.geometry, cells.rows, cells.cols) == (
+                one.plot_id, one.geometry, one.rows, one.cols)
+            assert cells.member.dtype == bool and np.array_equal(cells.member, one.member)
+            full = np.zeros(grid.values.shape, dtype=bool)
+            full[cells.rows, cells.cols] = cells.member
+            assert np.array_equal(full, region.contains(cx, cy))
+            outcomes["selected"] += 1
+            outcomes["clipped"] += cells.rows.start == 0 or cells.cols.stop == grid.n_cols
+            plot = getattr(getattr(region, "ring", region), "plot", region)
+            key = (type(region), len(plot.vertices), cells.member.shape)
+            stacks[key] = stacks.get(key, 0) + 1
+        assert min(outcomes.values()) > 50
+        assert len({n for _, n, _ in stacks}) == 5  # 4 to 8 vertices
+        # many regions were tested in stacks, which span several blocks of 40 cells
+        assert sum(n for n in stacks.values() if n > 1) > 60
+
+    def test_stacked_polygon_tests_equal_one_polygon_calls(self):
+        rng = np.random.default_rng(5)
+        polygons = [random_simple_polygon(rng, concave=k % 2 == 1).vertices for k in range(40)]
+        # vertices at signed zeros, with edges along both axes
+        polygons += [np.array([[-0.0, -0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                     np.array([[0.0, -1.0], [1.0, -0.0], [0.0, 1.0], [-1.0, 0.0]])]
+        by_count: dict = {}
+        for vertices in polygons:
+            by_count.setdefault(len(vertices), []).append(vertices)
+        for stack in by_count.values():
+            stack = np.stack(stack)
+            nxt = np.roll(stack, -1, axis=1)
+            points = np.concatenate([
+                stack,  # on every vertex
+                (stack + nxt) / 2,  # on or next to every edge
+                np.broadcast_to([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 1.0], [0.5, -0.0]],
+                                (len(stack), 5, 2)),
+                rng.uniform(-1.0, 8.0, (len(stack), 30, 2)),
+            ], axis=1)
+            px, py = points[..., 0], points[..., 1]
+            inside = geodata.point_in_polygon(px, py, stack)
+            dist = geodata.distance_to_boundary(px, py, stack)
+            assert inside.shape == dist.shape == px.shape
+            for k, vertices in enumerate(stack):
+                assert np.array_equal(inside[k], geodata.point_in_polygon(px[k], py[k], vertices))
+                one = geodata.distance_to_boundary(px[k], py[k], vertices)
+                assert dist[k].tobytes() == one.tobytes()
+            assert inside[:, :len(stack[0])].all()  # vertices count as inside
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
