@@ -1,16 +1,10 @@
 """The CSV and JSON artifact format, decided in one place.
 
-Input tables are UTF-8 CSV with a header row. ``csv_rows`` reads them one
-row at a time and is the parser of record: it numbers each row by its
-physical line. ``csv_columns`` reads the same cells column by column, for
-loaders that convert a whole column at once; a loader that finds a cell it
-cannot convert or validate re-reads the file with ``csv_rows``, so the error
-it raises names the same line with the same message. An input file that is
-not UTF-8, or that the ``csv`` module rejects (a cell over its field-size
-limit), raises ParseError naming the file.
-Every number in a data file must be finite. ``finite_number`` reads one
-cell by that rule; a cell that is not a number, or is ``nan`` or ``inf``, is
-a ParseError at its line.
+Input tables are UTF-8 CSV with a header row, read by ``csv_rows`` only. An
+input file that is not UTF-8, or that the ``csv`` module rejects (a cell
+over its field-size limit), raises ParseError naming the file.
+Every number in a data file must be finite (``finite_number``), and every
+date is spelled ``YYYY-MM-DD`` (``iso_date``).
 Output tables are CSV with ``\\n`` line ends; callers format their own cells.
 JSON artifacts carry sorted keys, a two-space indent and a final newline.
 Every artifact is written to a temporary file beside its target and then
@@ -20,13 +14,17 @@ renamed over it, so a failed write leaves the target as it was.
 from __future__ import annotations
 
 import csv
+import datetime
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
-from itertools import islice
+from operator import itemgetter
 
 from .errors import ParseError
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @contextmanager
@@ -58,39 +56,32 @@ def finite_number(text: str, what: str, line: int) -> float:
     return value
 
 
+def iso_date(text: str) -> datetime.date:
+    """The date ``text`` spells as ``YYYY-MM-DD``; ValueError for any other spelling.
+
+    ``date.fromisoformat`` also takes ``YYYYMMDD`` and week dates from Python
+    3.11 on, so the spelling is checked first and every version reads alike.
+    """
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return datetime.date.fromisoformat(text)
+
+
 def _check_header(path, fieldnames, required) -> None:
     if fieldnames is None or not set(required).issubset(fieldnames):
         raise ParseError(f"{path}: need columns {sorted(required)}, got {fieldnames}", line=1)
 
 
-def csv_rows(path, required):
-    """Yield ``(line number, row dict)`` for each data row.
+def csv_rows(path, required, optional=()):
+    """Yield ``(line number, cells)`` for each data row.
 
-    A row is numbered by the physical line it ends on, so quoted multi-line
-    cells and blank lines do not shift later numbers. Cells missing from a
-    short row read as blank. Raises ParseError at line 1 when the header
-    lacks a ``required`` column.
-    """
-    with decoding(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        # the inner reader: DictReader.line_num moves only once a row is read
-        with _csv_errors(path, reader.reader):
-            _check_header(path, reader.fieldnames, required)
-            for row in reader:
-                yield reader.line_num, row
-
-
-# Rows transposed at a time by csv_columns: few enough that a block's row
-# lists are freed before they add up to a garbage collection
-_BLOCK_ROWS = 512
-
-
-def csv_columns(path, required) -> dict:
-    """``{column name: list of cells}`` for every header column, in one pass.
-
-    The cells are the ones ``csv_rows`` yields for that column, row by row:
-    the header check, the skipped blank lines and the blank cells of short
-    rows are the same, and of two columns with one name the later one wins.
+    ``cells`` is a tuple of one string per column of ``required`` and then
+    of ``optional``. A row is numbered by the physical line it ends on, so
+    quoted multi-line cells and blank lines do not shift later numbers.
+    Blank lines are skipped; a cell missing from a short row, or of an
+    optional column the header lacks, reads as blank; cells beyond the
+    header are ignored; of two columns with one name the later one wins.
+    Raises ParseError at line 1 when the header lacks a ``required`` column.
     """
     with decoding(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -98,13 +89,17 @@ def csv_columns(path, required) -> dict:
             header = next(reader, None)
             _check_header(path, header, required)
             width = len(header)
-            columns = [[] for _ in range(width)]
-            for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
-                rows = [row if len(row) >= width else row + [""] * (width - len(row))
-                        for row in block if row]
-                for column, cells in zip(columns, zip(*rows)):
-                    column.extend(cells)
-    return {name: columns[i] for i, name in enumerate(header)}
+            index = {name: i for i, name in enumerate(header)}
+            # a column the header lacks reads the blank cell one past the header
+            where = [index.get(name, width) for name in required + optional]
+            absent = width in where
+            take = itemgetter(*where) if len(where) > 1 else lambda row: tuple(row[i] for i in where)
+            blank = [""] * width
+            for row in reader:
+                if row:
+                    if absent or len(row) != width:
+                        row = (row + blank)[:width] + [""]
+                    yield reader.line_num, take(row)
 
 
 @contextmanager

@@ -372,12 +372,12 @@ TRIAL_CSV_COLUMNS = (
 
 
 def _opt_float(raw):
-    raw = (raw or "").strip()
+    raw = raw.strip()
     return float(raw) if raw else None
 
 
 def _opt_bool(raw, lineno):
-    raw = (raw or "").strip().lower()
+    raw = raw.strip().lower()
     if not raw:
         return None
     if raw in ("1", "true", "yes"):
@@ -388,27 +388,28 @@ def _opt_bool(raw, lineno):
 
 
 def load_trials(path) -> list[TrialRecord]:
-    needed = ("model_id", "task", "subtask", "question_id", "trial_index")
     trials = []
     specs: dict = {}  # one shared TaskSpec per (task, subtask) pair
-    for i, rec in csv_rows(path, needed):
+    for i, (model, task, subtask, question, trial_index, answer_numeric, answer_label, judged_correct,
+            reference_value, reference_label, protocol, text_pass) in csv_rows(
+            path, TRIAL_CSV_COLUMNS[:5], TRIAL_CSV_COLUMNS[5:]):
         try:
-            pair = (rec["task"].strip(), rec["subtask"].strip())
+            pair = (task.strip(), subtask.strip())
             if pair not in specs:
                 specs[pair] = TaskSpec(*pair)
             trials.append(
                 TrialRecord(
-                    model_id=rec["model_id"].strip(),
+                    model_id=model.strip(),
                     task_spec=specs[pair],
-                    question_id=rec["question_id"].strip(),
-                    trial_index=int(rec["trial_index"]),
-                    answer_numeric=_opt_float(rec.get("answer_numeric")),
-                    answer_label=(rec.get("answer_label") or "").strip() or None,
-                    judged_correct=_opt_bool(rec.get("judged_correct"), i),
-                    reference_value=_opt_float(rec.get("reference_value")),
-                    reference_label=(rec.get("reference_label") or "").strip() or None,
-                    stability_protocol=(rec.get("stability_protocol") or "").strip() or None,
-                    text_pass=_opt_bool(rec.get("text_pass"), i),
+                    question_id=question.strip(),
+                    trial_index=int(trial_index),
+                    answer_numeric=_opt_float(answer_numeric),
+                    answer_label=answer_label.strip() or None,
+                    judged_correct=_opt_bool(judged_correct, i),
+                    reference_value=_opt_float(reference_value),
+                    reference_label=reference_label.strip() or None,
+                    stability_protocol=protocol.strip() or None,
+                    text_pass=_opt_bool(text_pass, i),
                 )
             )
         except (ValueError, InvalidInput) as exc:
@@ -427,20 +428,20 @@ def load_ballots(path) -> list[ReasoningBallot]:
     """
     grouped: dict = {}
     lines: dict = {}  # group -> [first line, last line]
-    for i, rec in csv_rows(path, ("test_id", "model_id", "score")):
-        test_id, model = (rec[name].strip() for name in ("test_id", "model_id"))
+    for i, (test_id, model, score, axis) in csv_rows(path, ("test_id", "model_id", "score"), ("axis",)):
+        test_id, model = test_id.strip(), model.strip()
         for name, value in (("test_id", test_id), ("model_id", model)):
             if not value:
                 raise ParseError(f"empty {name}", line=i)
-        key = (test_id, (rec.get("axis") or "").strip() or "overall")
+        key = (test_id, axis.strip() or "overall")
         entry = grouped.setdefault(key, {})
         lines.setdefault(key, [i, i])[1] = i
         if model in entry:
             raise ParseError(f"ballot {test_id}: duplicate model {model}", line=i)
         try:
-            entry[model] = int(rec["score"])
+            entry[model] = int(score)
         except ValueError:
-            raise ParseError(f"non-integer score {rec['score']!r}", line=i)
+            raise ParseError(f"non-integer score {score!r}", line=i)
     if not grouped:
         raise EmptyInput(f"no ballots in {path}")
     ballots = []

@@ -230,31 +230,39 @@ def _load_elevation(spec: dict) -> geodata.RasterGrid:
     return geodata.rasterize_elevation(cloud, spec["cell_size"], spec["aggregator"])
 
 
-def _measurement_number(rec: dict, key: str, lineno: int) -> float:
-    raw = (rec.get(key) or "").strip()
+_YIELD_INPUTS = ("raw_mass_kg", "plot_area_ha", "moisture")
+
+
+def _measurement_number(raw: str, key: str, lineno: int) -> float:
+    raw = raw.strip()
     if not raw:
         raise ParseError(f"missing {key}", line=lineno)
     return finite_number(raw, key, lineno)
 
 
 def _load_measurements(path: str) -> dict:
-    """plot_id -> {SPAD?, LAI?, measured_CH?, yield_kg_ha?}; a bad number is a ParseError at its line."""
+    """plot_id -> {SPAD?, LAI?, measured_CH?, yield_kg_ha?}, one row per plot.
+
+    An empty or repeated plot_id, or a bad number, is a ParseError at its line.
+    """
     out: dict = {}
-    for lineno, rec in csv_rows(path, ("plot_id",)):
-        entry: dict = {}
-        for key in fusion.PHENOTYPING_FEATURES:
-            if (rec.get(key) or "").strip():
-                entry[key] = _measurement_number(rec, key, lineno)
-        if (rec.get("raw_mass_kg") or "").strip():
+    for lineno, (plot_id, *cells) in csv_rows(path, ("plot_id",),
+                                              fusion.PHENOTYPING_FEATURES + _YIELD_INPUTS):
+        plot_id = plot_id.strip()
+        if not plot_id:
+            raise ParseError("empty plot_id", line=lineno)
+        if plot_id in out:
+            raise ParseError(f"plot {plot_id}: duplicate measurement row", line=lineno)
+        rec = dict(zip(fusion.PHENOTYPING_FEATURES + _YIELD_INPUTS, cells))
+        entry = {key: _measurement_number(rec[key], key, lineno)
+                 for key in fusion.PHENOTYPING_FEATURES if rec[key].strip()}
+        if rec["raw_mass_kg"].strip():
             try:
                 entry["yield_kg_ha"] = fusion.standardize_yield(
-                    _measurement_number(rec, "raw_mass_kg", lineno),
-                    _measurement_number(rec, "plot_area_ha", lineno),
-                    _measurement_number(rec, "moisture", lineno),
-                )
+                    *(_measurement_number(rec[key], key, lineno) for key in _YIELD_INPUTS))
             except InvalidInput as exc:
                 raise ParseError(str(exc), line=lineno)
-        out[rec["plot_id"].strip()] = entry
+        out[plot_id] = entry
     return out
 
 

@@ -9,7 +9,6 @@ cross-validation with normalization constants fit on the training folds only.
 
 from __future__ import annotations
 
-import datetime as _dt
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kb
-from ._io import csv_columns, csv_rows, write_csv
+from ._io import csv_rows, iso_date, write_csv
 from .errors import (
     EmptyDataset,
     InvalidInput,
@@ -506,94 +505,41 @@ def _feature_row(rec: PlotFeatureRecord) -> list:
 
 
 def load_feature_records(path) -> list[PlotFeatureRecord]:
-    """One PlotFeatureRecord per row of a feature table.
-
-    The table is read by column. A cell that fails to convert or validate
-    sends the file through the row loop, which raises the error and names
-    its line.
-    """
-    try:
-        records = _feature_records_by_column(path)
-    except (ValueError, InvalidInput):
-        records = _feature_records_by_row(path)
-    if not records:
-        raise EmptyDataset(f"no feature rows in {path}")
-    return records
-
-
-def _floats(cells) -> list:
-    """``float`` of each cell, None for a blank one."""
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        return [float(c) if c.strip() else None for c in cells]
-
-
-def _feature_records_by_column(path) -> list[PlotFeatureRecord]:
-    columns = csv_columns(path, ("plot_id", "germplasm_id", "date"))
-    blank = ("",) * len(columns["plot_id"])
+    """One PlotFeatureRecord per row of a feature table; a blank cell is an absent value."""
     names = RS_FEATURES + PHENOTYPING_FEATURES
-    rows = zip(*(_floats(columns.get(name, blank)) for name in names))
-    return [
-        PlotFeatureRecord(
-            plot_id=plot_id.strip(),
-            germplasm_id=germplasm_id.strip(),
-            date=date.strip(),
-            site=site.strip(),
-            features={name: v for name, v in zip(names, row) if v is not None},
-            yield_kg_ha=yield_kg_ha,
-        )
-        for plot_id, germplasm_id, date, site, row, yield_kg_ha in zip(
-            columns["plot_id"], columns["germplasm_id"], columns["date"],
-            columns.get("site", blank), rows, _floats(columns.get("yield_kg_ha", blank)),
-        )
-    ]
-
-
-def _feature_records_by_row(path) -> list[PlotFeatureRecord]:
-    """The parser of record for feature tables."""
     records = []
-    for i, rec in csv_rows(path, ("plot_id", "germplasm_id", "date")):
+    for i, (plot_id, germplasm_id, date, site, *cells, raw_yield) in csv_rows(
+            path, FEATURE_CSV_COLUMNS[:3], FEATURE_CSV_COLUMNS[3:]):
         features = {}
-        for name in RS_FEATURES + PHENOTYPING_FEATURES:
-            raw = (rec.get(name) or "").strip()
+        for name, raw in zip(names, cells):
+            raw = raw.strip()
             if raw:
                 try:
                     features[name] = float(raw)
                 except ValueError:
                     raise ParseError(f"non-numeric {name}: {raw!r}", line=i)
-        raw_yield = (rec.get("yield_kg_ha") or "").strip()
+        raw_yield = raw_yield.strip()
         try:
             yield_kg_ha = float(raw_yield) if raw_yield else None
         except ValueError:
             raise ParseError(f"non-numeric yield_kg_ha: {raw_yield!r}", line=i)
         try:
-            records.append(
-                PlotFeatureRecord(
-                    plot_id=rec["plot_id"].strip(),
-                    germplasm_id=rec["germplasm_id"].strip(),
-                    date=rec["date"].strip(),
-                    site=(rec.get("site") or "").strip(),
-                    features=features,
-                    yield_kg_ha=yield_kg_ha,
-                )
-            )
+            records.append(PlotFeatureRecord(
+                plot_id=plot_id.strip(), germplasm_id=germplasm_id.strip(), date=date.strip(),
+                features=features, yield_kg_ha=yield_kg_ha, site=site.strip()))
         except InvalidInput as exc:
             raise ParseError(str(exc), line=i)
+    if not records:
+        raise EmptyDataset(f"no feature rows in {path}")
     return records
 
 
 def load_weather(path) -> list[WeatherRecord]:
     rows = []
-    for i, rec in csv_rows(path, ("site", "date") + _WEATHER_VALUES):
+    for i, (site, date, *values) in csv_rows(path, ("site", "date") + _WEATHER_VALUES):
         try:
-            rows.append(
-                WeatherRecord(
-                    site=rec["site"].strip(),
-                    date=str(_dt.date.fromisoformat(rec["date"].strip())),
-                    **{name: float(rec[name]) for name in _WEATHER_VALUES},
-                )
-            )
+            date = str(iso_date(date.strip()))
+            rows.append(WeatherRecord(site.strip(), date, *map(float, values)))
         except (ValueError, InvalidInput) as exc:
             raise ParseError(f"bad weather row: {exc}", line=i)
     if not rows:

@@ -818,18 +818,19 @@ def plot_cells(grid: RasterGrid, region) -> PlotCells:
 def load_plots(path) -> list[PlotGeometry]:
     """Read plot polygons from CSV (plot_id, germplasm_id, vertex_index, x, y)."""
     by_plot: dict[str, dict] = {}
-    for lineno, rec in csv_rows(path, ("plot_id", "germplasm_id", "vertex_index", "x", "y")):
-        pid = rec["plot_id"].strip()
+    for lineno, (pid, germplasm_id, vertex_index, x, y) in csv_rows(
+            path, ("plot_id", "germplasm_id", "vertex_index", "x", "y")):
+        pid, germplasm_id = pid.strip(), germplasm_id.strip()
         if not pid:
             raise ParseError("empty plot_id", line=lineno)
-        entry = by_plot.setdefault(pid, {"germplasm_id": rec["germplasm_id"].strip(), "vertices": {}})
-        if rec["germplasm_id"].strip() != entry["germplasm_id"]:
+        entry = by_plot.setdefault(pid, {"germplasm_id": germplasm_id, "vertices": {}})
+        if germplasm_id != entry["germplasm_id"]:
             raise ParseError(f"plot {pid}: conflicting germplasm_id", line=lineno)
         try:
-            idx = int(rec["vertex_index"])
+            idx = int(vertex_index)
         except ValueError:
             raise ParseError(f"bad vertex row for plot {pid}", line=lineno)
-        xy = tuple(finite_number(rec[k], f"{k} of plot {pid}", lineno) for k in ("x", "y"))
+        xy = tuple(finite_number(v, f"{k} of plot {pid}", lineno) for k, v in (("x", x), ("y", y)))
         if idx in entry["vertices"]:
             raise ParseError(f"plot {pid}: duplicate vertex_index {idx}", line=lineno)
         entry["vertices"][idx] = xy

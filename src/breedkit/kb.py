@@ -12,12 +12,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from ._io import csv_columns, csv_rows
+from ._io import csv_rows, iso_date
 from .errors import EmptyInput, InvalidInput, ParseError, UnknownField
 
 QUALITY_FIELDS = ("crude_protein", "lysine", "sedimentation_value")
 RESISTANCE_FIELDS = ("stripe_rust", "leaf_rust", "powdery_mildew", "drought", "cold")
 AGRONOMIC_FIELDS = ("maturity", "plant_height", "thousand_grain_weight", "grain_hardness")
+GERMPLASM_FIELDS = ("variety_name", "origin") + QUALITY_FIELDS + RESISTANCE_FIELDS + AGRONOMIC_FIELDS
 
 # Each criterion operator and its comparison. The key order is the parse
 # precedence: a two-character operator comes before the one it starts with.
@@ -56,14 +57,12 @@ class GermplasmRecord:
         for group in (self.quality, self.resistance, self.agronomic):
             if name in group:
                 return group[name]
-        known = (
-            ("variety_name", "origin")
-            + QUALITY_FIELDS
-            + RESISTANCE_FIELDS
-            + AGRONOMIC_FIELDS
-        )
-        if name in known:
-            return None  # known field, value absent for this record
+        _check_field(name)
+        return None  # known field, value absent for this record
+
+
+def _check_field(name: str) -> None:
+    if name not in GERMPLASM_FIELDS:
         raise UnknownField(f"unknown germplasm field {name!r}")
 
 
@@ -140,7 +139,7 @@ def screen_germplasm(records, criteria) -> list[GermplasmRecord]:
         raise InvalidInput("criteria must be non-empty")
     for c in criteria:
         # surface unknown fields even if no record would be tested against them
-        GermplasmRecord(variety_name="_probe").get_field(c.field)
+        _check_field(c.field)
     hits = [r for r in records if all(c.matches(r) for c in criteria)]
     return sorted(hits, key=lambda r: r.variety_name)
 
@@ -223,7 +222,7 @@ def _parse_date(date) -> _dt.date:
     if isinstance(date, _dt.date):
         return date
     try:
-        return _dt.date.fromisoformat(str(date))
+        return iso_date(str(date))
     except ValueError:
         raise InvalidInput(f"unparseable ISO date: {date!r}")
 
@@ -240,34 +239,25 @@ def load_germplasm(path) -> list[GermplasmRecord]:
     label (``early``). A bad number is a ParseError at its line.
     """
     records = []
-    for i, rec in csv_rows(path, ("variety_name",)):
+    for i, cells in csv_rows(path, GERMPLASM_FIELDS[:1], GERMPLASM_FIELDS[1:]):
+        rec = dict(zip(GERMPLASM_FIELDS, map(str.strip, cells)))
         quality = {}
         for key in QUALITY_FIELDS:
-            raw = rec.get(key, "").strip()
-            if not raw:
-                continue
-            num = _as_number(raw)
-            if num is None:
-                raise ParseError(f"non-numeric {key}: {raw!r}", line=i)
-            quality[key] = num
-        resistance = {k: rec[k].strip() for k in RESISTANCE_FIELDS if rec.get(k, "").strip()}
+            if rec[key]:
+                num = _as_number(rec[key])
+                if num is None:
+                    raise ParseError(f"non-numeric {key}: {rec[key]!r}", line=i)
+                quality[key] = num
+        resistance = {key: rec[key] for key in RESISTANCE_FIELDS if rec[key]}
         agronomic = {}
         for key in AGRONOMIC_FIELDS:
-            raw = rec.get(key, "").strip()
-            if not raw:
-                continue
-            num = _as_number(raw)
-            agronomic[key] = num if num is not None else raw
+            if rec[key]:
+                num = _as_number(rec[key])
+                agronomic[key] = num if num is not None else rec[key]
         try:
-            records.append(
-                GermplasmRecord(
-                    variety_name=rec["variety_name"].strip(),
-                    origin=rec.get("origin", "").strip(),
-                    quality=quality,
-                    resistance=resistance,
-                    agronomic=agronomic,
-                )
-            )
+            records.append(GermplasmRecord(variety_name=rec["variety_name"], origin=rec["origin"],
+                                           quality=quality, resistance=resistance,
+                                           agronomic=agronomic))
         except InvalidInput as exc:
             raise ParseError(str(exc), line=i)
     if not records:
@@ -281,56 +271,18 @@ PRICE_CSV_COLUMNS = (
 
 
 def load_prices(path) -> list[PriceRecord]:
-    """One PriceRecord per row of a price table.
-
-    The table is read by column. A cell that fails to convert or validate
-    sends the file through the row loop, which raises the error and names
-    its line.
-    """
-    try:
-        records = _prices_by_column(path)
-    except (ValueError, InvalidInput):
-        records = _prices_by_row(path)
-    if not records:
-        raise EmptyInput(f"no rows in {path}")
-    return records
-
-
-def _prices_by_column(path) -> list[PriceRecord]:
-    columns = csv_columns(path, PRICE_CSV_COLUMNS)
-    dates = {text: _parse_date(text) for text in set(map(str.strip, columns["date"]))}
-    return [
-        PriceRecord(
-            observation_point=point.strip(),
-            variety_name=variety.strip(),
-            price=price,
-            specification=specification,
-            planting_area=area.strip(),
-            date=dates[date.strip()],
-        )
-        for point, variety, price, specification, area, date in zip(
-            columns["observation_point"], columns["variety_name"],
-            map(float, columns["price"]), map(float, columns["specification"]),
-            columns["planting_area"], columns["date"],
-        )
-    ]
-
-
-def _prices_by_row(path) -> list[PriceRecord]:
-    """The parser of record for price tables."""
+    """One PriceRecord per row of a price table; each distinct date text is parsed once."""
     records = []
-    for i, rec in csv_rows(path, PRICE_CSV_COLUMNS):
+    dates: dict = {}
+    for i, (point, variety, price, specification, area, date) in csv_rows(path, PRICE_CSV_COLUMNS):
         try:
-            records.append(
-                PriceRecord(
-                    observation_point=rec["observation_point"].strip(),
-                    variety_name=rec["variety_name"].strip(),
-                    price=float(rec["price"]),
-                    specification=float(rec["specification"]),
-                    planting_area=rec["planting_area"].strip(),
-                    date=_parse_date(rec["date"].strip()),
-                )
-            )
+            price, specification, date = float(price), float(specification), date.strip()
+            if date not in dates:
+                dates[date] = _parse_date(date)
+            records.append(PriceRecord(point.strip(), variety.strip(), price, specification,
+                                       area.strip(), dates[date]))
         except (ValueError, InvalidInput) as exc:
             raise ParseError(f"bad price row: {exc}", line=i)
+    if not records:
+        raise EmptyInput(f"no rows in {path}")
     return records

@@ -231,14 +231,14 @@ def load_head_counts(path) -> dict:
     Returns plot_id -> list of counts in file order.
     """
     counts: dict[str, list[int]] = {}
-    for i, rec in csv_rows(path, ("plot_id", "image_id", "count")):
+    for i, (plot_id, _, count) in csv_rows(path, ("plot_id", "image_id", "count")):
         try:
-            value = int(rec["count"])
+            value = int(count)
         except ValueError:
-            raise ParseError(f"non-integer count {rec['count']!r}", line=i)
+            raise ParseError(f"non-integer count {count!r}", line=i)
         if value < 0:
             raise ParseError("count must be >= 0", line=i)
-        counts.setdefault(rec["plot_id"].strip(), []).append(value)
+        counts.setdefault(plot_id.strip(), []).append(value)
     if not counts:
         raise EmptyInput(f"no head-count rows in {path}")
     return counts

@@ -196,6 +196,17 @@ class TestExtractErrorContract:
         assert summary["error"] == "ParseError"
         assert summary["message"] == f"line 2: missing {column}"
 
+    def test_duplicate_measurement_row_is_a_parse_error(self, tmp_path, capsys):
+        rows = open(scene_path("measurements.csv")).read().splitlines()
+        path = tmp_path / "measurements.csv"
+        path.write_text("\n".join(rows + ["p1,,9.9,,,,"]) + "\n")
+        config = extract_config(tmp_path / "out")
+        config["extract"]["measurements"] = str(path)
+        rc, summary = self.run_extract(config, tmp_path, capsys)
+        assert (rc, summary) == (1, {"status": "error", "error": "ParseError",
+                                     "message": f"line {len(rows) + 1}: plot p1: duplicate measurement row"})
+        assert not (tmp_path / "out" / "features.csv").exists()
+
     def test_measurements_without_plot_id_is_a_parse_error(self, tmp_path, capsys):
         rows = open(scene_path("measurements.csv")).read().splitlines()
         path = tmp_path / "measurements.csv"

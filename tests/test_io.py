@@ -1,13 +1,13 @@
 import ast
+import datetime
 import json
 import os
-import sys
 
 import numpy as np
 import pytest
 
 from breedkit import _io, bench, cli, fusion, geodata, kb, structural
-from breedkit.errors import ParseError
+from breedkit.errors import EmptyDataset, EmptyInput, ParseError
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "breedkit")
 
@@ -151,50 +151,40 @@ def test_non_utf8_table_is_a_parse_error_naming_the_file(loader, header, row, er
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 512])
-def test_csv_columns_hold_the_cells_csv_rows_yields(block_rows, tmp_path, monkeypatch):
-    monkeypatch.setattr(_io, "_BLOCK_ROWS", block_rows)
-    rng = np.random.default_rng(11)
-    lines = ["a,b,c,b"]
-    for i in range(40):
-        width = int(rng.integers(0, 6))  # blank, short, full and long rows
-        lines.append(",".join(f"{i}.{j}" for j in range(width)))
-        if i == 20:
-            lines.append('"x\ny",1,2,3')
+def test_csv_rows_yield_one_cell_per_named_column(tmp_path):
     path = tmp_path / "table.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    rows = [row for _, row in _io.csv_rows(path, ("a",))]
-    columns = _io.csv_columns(path, ("a",))
-    assert list(columns) == ["a", "b", "c"]
-    for name, cells in columns.items():
-        assert cells == [row[name] for row in rows]
+    path.write_text('a,b,c,b\n1,2,3,4\n\n5,6\n7,8,9,10,11,12\n"x\ny",13,14,15\n', encoding="utf-8")
+    # blank lines are skipped; a short row reads blank cells, a long row drops
+    # its extra ones; of the two b columns the later wins; d is absent
+    assert list(_io.csv_rows(path, ("a", "b"), ("c", "d"))) == [
+        (2, ("1", "4", "3", "")),
+        (4, ("5", "", "", "")),
+        (5, ("7", "10", "9", "")),
+        (7, ("x\ny", "15", "14", "")),
+    ]
+    assert list(_io.csv_rows(path, ("c",))) == [(2, ("3",)), (4, ("",)), (5, ("9",)), (7, ("14",))]
+    assert [cells for _, cells in _io.csv_rows(path, ("a",), ("b",))] == [
+        ("1", "4"), ("5", ""), ("7", "10"), ("x\ny", "15")]
 
 
-CSV_READERS = pytest.mark.parametrize("read", [lambda p: list(_io.csv_rows(p, ("a",))),
-                                               lambda p: _io.csv_columns(p, ("a",))],
-                                      ids=["csv_rows", "csv_columns"])
-
-
-@CSV_READERS
-def test_csv_readers_raise_a_parse_error_for_non_utf8_text(read, tmp_path):
+def test_csv_rows_raise_a_parse_error_for_non_utf8_text(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"a,b\n1,caf\xe9\n")
     with pytest.raises(ParseError) as info:
-        read(path)
+        list(_io.csv_rows(path, ("a",)))
     assert str(info.value) == f"{path}: not UTF-8 text"
 
 
-@CSV_READERS
 @pytest.mark.parametrize("lines, line", [
     (["a,b", "1,2", "3," + "x" * 140_000], 3),
     (["a,b", '1,"2\n2"', '"' + "x" * 140_000 + '",4'], 4),
     (["a," + "x" * 140_000, "1,2"], 1),
 ], ids=["cell", "after_a_multi_line_cell", "header"])
-def test_csv_readers_raise_a_parse_error_for_a_cell_over_the_field_limit(read, lines, line, tmp_path):
+def test_csv_rows_raise_a_parse_error_for_a_cell_over_the_field_limit(lines, line, tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ParseError) as info:
-        read(path)
+        list(_io.csv_rows(path, ("a",)))
     assert info.value.line == line
     assert str(info.value).startswith(f"line {line}: {path}: field larger than field limit")
 
@@ -219,6 +209,61 @@ def test_rows_are_numbered_by_physical_line(tmp_path):
     with pytest.raises(ParseError) as info:
         structural.load_head_counts(path)
     assert info.value.line == 5
+
+
+DATED_TABLES = [
+    (kb.load_prices, "observation_point,variety_name,price,specification,planting_area,date",
+     "Miyun,N,150,50,large,{date}", "bad price row: unparseable ISO date: {date!r}"),
+    (fusion.load_weather, "site,date,t_mean,dew_point,precip,net_radiation,wind_speed",
+     "s1,{date},18.5,9.0,0.0,12.1,2.5", "bad weather row: Invalid isoformat string: {date!r}"),
+]
+
+
+# Python 3.11's date.fromisoformat takes both spellings, 3.10's neither
+@pytest.mark.parametrize("date", ["20240601", "2024-W22-6"])
+@pytest.mark.parametrize("loader, header, row, message", DATED_TABLES,
+                         ids=[f.__name__ for f, *_ in DATED_TABLES])
+def test_a_date_not_spelled_yyyy_mm_dd_is_a_parse_error_at_its_line(loader, header, row, message,
+                                                                    date, tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header, row.format(date="2024-06-01"), row.format(date=date)]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        loader(path)
+    assert (str(info.value), info.value.line) == ("line 3: " + message.format(date=date), 3)
+
+
+@pytest.mark.parametrize("text", ["2024-06-01", "2024-02-29", "0001-01-01"])
+def test_iso_date_reads_yyyy_mm_dd(text):
+    assert _io.iso_date(text).isoformat() == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("20240601", "Invalid isoformat string: '20240601'"),
+    ("2024-W22-6", "Invalid isoformat string: '2024-W22-6'"),
+    ("2024-06-01 ", "Invalid isoformat string: '2024-06-01 '"),
+    ("2024-06-01\n", "Invalid isoformat string: '2024-06-01\\n'"),
+    ("٢٠٢٤-06-01", "Invalid isoformat string: '٢٠٢٤-06-01'"),
+    ("2023-02-29", "day is out of range for month"),
+], ids=["compact", "week_date", "trailing_space", "trailing_newline", "arabic_indic_digits", "no_such_day"])
+def test_iso_date_rejects_every_other_spelling(text, message):
+    with pytest.raises(ValueError) as info:
+        _io.iso_date(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["p1,40.5", "p2,41.0", "p1,9.9"], "line 4: plot p1: duplicate measurement row"),
+    (["p1,40.5", " p1 ,"], "line 3: plot p1: duplicate measurement row"),
+    (["p1,40.5", ",41.0"], "line 3: empty plot_id"),
+    (["  ,41.0"], "line 2: empty plot_id"),
+])
+def test_a_measurement_row_names_one_new_plot(rows, message, tmp_path):
+    path = tmp_path / "measurements.csv"
+    path.write_text("\n".join(["plot_id,SPAD"] + rows) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        cli._load_measurements(path)
+    assert str(info.value) == message
 
 
 class TestAtomicWrites:
@@ -258,7 +303,8 @@ class TestAtomicWrites:
 
 
 # ---------------------------------------------------------------------------
-# column path vs the row loop (the parser of record)
+# feature and price tables: each bad cell is a ParseError at its line, and
+# every valid spelling of a table holds the records its rows spell
 # ---------------------------------------------------------------------------
 
 FEATURE_NAMES = fusion.RS_FEATURES + fusion.PHENOTYPING_FEATURES
@@ -283,103 +329,156 @@ def _price_rows(n=7):
     return list(kb.PRICE_CSV_COLUMNS), rows
 
 
-def _table_text(header, rows, multiline_before=None):
-    """CSV text. The row before row ``multiline_before`` gets a quoted two-line
-    text cell and is followed by two blank lines."""
+def _multi_line(header, rows, i):
+    """``rows`` with row ``i``'s text cell spread over two lines."""
+    rows = [list(cells) for cells in rows]
+    rows[i][header.index("site" if "site" in header else "planting_area")] += "\nwest"
+    return rows
+
+
+def _table_text(header, rows, blank_after=None):
+    """CSV text; two blank lines follow row ``blank_after``."""
     def line(cells):
         return ",".join(f'"{c}"' if "\n" in c or "," in c else c for c in cells) + "\n"
 
-    text = line(header)
-    for i, cells in enumerate(rows):
-        if multiline_before is not None and i == multiline_before - 1:
-            cells = list(cells)
-            cells[header.index("site" if "site" in header else "planting_area")] += "\nwest"
-            text += line(cells) + "\n\n"
-        else:
-            text += line(cells)
-    return text
+    return line(header) + "".join(line(cells) + "\n\n" * (i == blank_after)
+                                  for i, cells in enumerate(rows))
 
 
-# (column, bad cell) pairs; every one fails to convert or validate
-FEATURE_BAD_CELLS = [
-    ("NDVI_MS", "abc"), ("SPAD", "1,5"), ("yield_kg_ha", "x"), ("plot_id", ""),
-    ("plot_id", "  "), ("LAI", "nan"), ("CH", "-inf"), ("WH_density", "1e400"),
-    ("yield_kg_ha", "-1"), ("yield_kg_ha", "-0.5"),
-]
-PRICE_BAD_CELLS = [
-    ("price", "abc"), ("price", ""), ("price", "0"), ("price", "-3"), ("price", "nan"),
-    ("specification", "x"), ("specification", "0"), ("date", "2024-13-01"), ("date", ""),
-    ("date", "June 1"),
-]
+def _features(header, rows):
+    """The feature records ``rows`` spell, each cell read as the test reads it."""
+    records = []
+    for cells in rows:
+        rec = {name: cell.strip() for name, cell in zip(header, cells)}  # a later column wins
+        records.append(fusion.PlotFeatureRecord(
+            plot_id=rec["plot_id"], germplasm_id=rec["germplasm_id"], date=rec["date"],
+            site=rec.get("site", ""),
+            features={name: float(rec[name]) for name in FEATURE_NAMES if rec.get(name)},
+            yield_kg_ha=float(rec["yield_kg_ha"]) if rec.get("yield_kg_ha") else None))
+    return records
+
+
+def _prices(header, rows):
+    """The price records ``rows`` spell, each cell read as the test reads it."""
+    records = []
+    for cells in rows:
+        rec = {name: cell.strip() for name, cell in zip(header, cells)}
+        records.append(kb.PriceRecord(
+            observation_point=rec["observation_point"], variety_name=rec["variety_name"],
+            price=float(rec["price"]), specification=float(rec["specification"]),
+            planting_area=rec["planting_area"], date=datetime.date.fromisoformat(rec["date"])))
+    return records
+
+
+# (column, bad cell) -> the ParseError message after its "line N: " prefix
+FEATURE_BAD_CELLS = {
+    ("NDVI_MS", "abc"): "non-numeric NDVI_MS: 'abc'",
+    ("SPAD", "1,5"): "non-numeric SPAD: '1,5'",
+    ("yield_kg_ha", "x"): "non-numeric yield_kg_ha: 'x'",
+    ("plot_id", ""): "plot_id must be non-empty",
+    ("plot_id", "  "): "plot_id must be non-empty",
+    ("LAI", "nan"): "plot {plot}: feature LAI is not finite",
+    ("CH", "-inf"): "plot {plot}: feature CH is not finite",
+    ("WH_density", "1e400"): "plot {plot}: feature WH_density is not finite",
+    ("yield_kg_ha", "-1"): "plot {plot}: yield must be >= 0",
+    ("yield_kg_ha", "-0.5"): "plot {plot}: yield must be >= 0",
+}
+PRICE_BAD_CELLS = {
+    ("price", "abc"): "bad price row: could not convert string to float: 'abc'",
+    ("price", ""): "bad price row: could not convert string to float: ''",
+    ("price", "0"): "bad price row: price must be finite and > 0",
+    ("price", "-3"): "bad price row: price must be finite and > 0",
+    ("price", "nan"): "bad price row: price must be finite and > 0",
+    ("specification", "x"): "bad price row: could not convert string to float: 'x'",
+    ("specification", "0"): "bad price row: specification must be finite and > 0",
+    ("date", "2024-13-01"): "bad price row: unparseable ISO date: '2024-13-01'",
+    ("date", ""): "bad price row: unparseable ISO date: ''",
+    ("date", "June 1"): "bad price row: unparseable ISO date: 'June 1'",
+}
 LOADERS = {
-    "features": (fusion.load_feature_records, fusion._feature_records_by_column,
-                 fusion._feature_records_by_row, _feature_rows, FEATURE_BAD_CELLS),
-    "prices": (kb.load_prices, kb._prices_by_column, kb._prices_by_row, _price_rows,
-               PRICE_BAD_CELLS),
+    "features": (fusion.load_feature_records, _feature_rows, _features, FEATURE_BAD_CELLS,
+                 (EmptyDataset, "no feature rows in {path}")),
+    "prices": (kb.load_prices, _price_rows, _prices, PRICE_BAD_CELLS,
+               (EmptyInput, "no rows in {path}")),
 }
 BAD_CASES = [
     (table, column, cell, where)
-    for table, (*_, bad_cells) in LOADERS.items()
+    for table, (_, _, _, bad_cells, _) in LOADERS.items()
     for column, cell in bad_cells
     for where in ("first", "middle", "last", "after multi-line")
 ]
 
 
-def _outcome(fn, path):
-    try:
-        return ("ok", fn(path))
-    except Exception as exc:  # the comparison covers whatever the row loop raises
-        return ("raised", type(exc), str(exc), getattr(exc, "line", None))
-
-
 @pytest.mark.parametrize("table, column, cell, where", BAD_CASES)
-def test_bad_cell_raises_what_the_row_loop_raises(table, column, cell, where, tmp_path):
-    load, by_column, by_row, make_rows, _ = LOADERS[table]
+def test_bad_cell_is_a_parse_error_at_its_line(table, column, cell, where, tmp_path):
+    load, make_rows, _, bad_cells, _ = LOADERS[table]
     header, rows = make_rows()
     row = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1,
            "after multi-line": len(rows) - 2}[where]
     rows[row][header.index(column)] = cell
     path = tmp_path / f"{table}.csv"
-    path.write_text(_table_text(header, rows, multiline_before=row if where == "after multi-line"
-                                else None), encoding="utf-8")
-    with pytest.raises((ValueError, fusion.InvalidInput)):
-        by_column(path)  # the column path gives up ...
-    want = _outcome(by_row, path)
-    assert want[0] == "raised"
-    assert _outcome(load, path) == want  # ... and the loader raises the row loop's error
-    if want[1] is ParseError:
-        assert want[3] == row + 2 + 3 * (where == "after multi-line")
+    if where == "after multi-line":
+        path.write_text(_table_text(header, _multi_line(header, rows, row - 1), blank_after=row - 1),
+                        encoding="utf-8")
+    else:
+        path.write_text(_table_text(header, rows), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load(path)
+    line = row + 2 + 3 * (where == "after multi-line")
+    message = bad_cells[column, cell].format(plot=rows[row][0])
+    assert type(info.value) is ParseError
+    assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({"price": "abc", "specification": "x", "date": "June 1"}, "could not convert string to float: 'abc'"),
+    ({"specification": "x", "date": "June 1"}, "could not convert string to float: 'x'"),
+    ({"price": "0", "specification": "0", "date": "June 1"}, "unparseable ISO date: 'June 1'"),
+    ({"price": "0", "specification": "0"}, "price must be finite and > 0"),
+])
+def test_a_price_row_is_checked_price_then_specification_then_date(cells, message, tmp_path):
+    header, rows = _price_rows()
+    for column, cell in cells.items():
+        rows[1][header.index(column)] = cell
+    path = tmp_path / "prices.csv"
+    path.write_text(_table_text(header, rows), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        kb.load_prices(path)
+    assert str(info.value) == f"line 3: bad price row: {message}"
 
 
 def _valid_variants(header, rows):
-    """Files the column path must read as the row loop does, without falling back."""
-    yield _table_text(header, rows)
-    yield _table_text(header, rows, multiline_before=3)
-    yield _table_text(header, rows).replace("\n", "\r\n")
-    yield _table_text(header, rows).replace("\n", "\n\n")
+    """``(header, rows, text)``: spellings of a table that hold the records of ``rows``."""
+    text = _table_text(header, rows)
+    yield header, rows, text
+    multi_line = _multi_line(header, rows, 2)
+    yield header, multi_line, _table_text(header, multi_line, blank_after=2)
+    yield header, rows, text.replace("\n", "\r\n")
+    yield header, rows, text.replace("\n", "\n\n")
     padded = [[f"  {c}\t" for c in cells] for cells in rows]
-    yield _table_text(header, padded)
-    yield _table_text(header + ["note"], [cells + ["x", "extra"] for cells in rows])
-    yield _table_text(header + [header[1]], [cells + ["later"] for cells in rows])
-    yield _table_text(header, []).rstrip("\n")
+    yield header, padded, _table_text(header, padded)
+    extra = [cells + ["x", "extra"] for cells in rows]
+    yield header + ["note"], extra, _table_text(header + ["note"], extra)
+    later = [cells + ["later"] for cells in rows]
+    yield header + [header[1]], later, _table_text(header + [header[1]], later)
 
 
 @pytest.mark.parametrize("table", sorted(LOADERS))
-def test_valid_tables_read_as_the_row_loop_reads_them(table, tmp_path, monkeypatch):
-    load, by_column, by_row, make_rows, _ = LOADERS[table]
+def test_valid_tables_hold_the_records_their_rows_spell(table, tmp_path):
+    load, make_rows, records, _, (empty_error, empty_message) = LOADERS[table]
     header, rows = make_rows()
     variants = list(_valid_variants(header, rows))
     if table == "features":  # optional columns absent; a short row reads as blank cells
         keep = [i for i, name in enumerate(header) if name not in ("site", "yield_kg_ha", "CH")]
-        variants.append(_table_text([header[i] for i in keep],
-                                    [[cells[i] for i in keep] for cells in rows]))
-        variants.append(_table_text(header, [cells[:-3] for cells in rows]))
-    for k, text in enumerate(variants):
+        kept = [header[i] for i in keep], [[cells[i] for i in keep] for cells in rows]
+        short = header, [cells[:-3] for cells in rows]
+        variants += [(*kept, _table_text(*kept)), (*short, _table_text(*short))]
+    for k, (variant_header, variant_rows, text) in enumerate(variants):
         path = tmp_path / f"{table}{k}.csv"
         path.write_text(text, encoding="utf-8")
-        want = _outcome(by_row, path)
-        assert want[0] == "ok"
-        assert _outcome(by_column, path) == want, k
-        monkeypatch.setattr(sys.modules[by_row.__module__], by_row.__name__, None)
-        assert _outcome(load, path)[0] == ("ok" if want[1] else "raised")
-        monkeypatch.undo()
+        assert load(path) == records(variant_header, variant_rows), k
+    path = tmp_path / f"{table}_empty.csv"
+    path.write_text(_table_text(header, []).rstrip("\n"), encoding="utf-8")
+    with pytest.raises(empty_error) as info:
+        load(path)
+    assert str(info.value) == empty_message.format(path=path)

@@ -84,6 +84,19 @@ class TestScreenGermplasm:
         with pytest.raises(UnknownField):
             kb.screen_germplasm(FIXTURE, [kb.Criterion("grain_color", "==", "red")])
 
+    def test_every_declared_field_is_known_and_no_other(self):
+        bare = kb.GermplasmRecord(variety_name="Zulu")
+        assert [bare.get_field(name) for name in kb.GERMPLASM_FIELDS] == ["Zulu", ""] + [None] * 12
+        for records in ([], FIXTURE):  # unknown even with no record to test
+            for name in kb.GERMPLASM_FIELDS:
+                kb.screen_germplasm(records, [kb.Criterion(name, "==", "x")])
+            with pytest.raises(UnknownField) as info:
+                kb.screen_germplasm(records, [kb.Criterion("grain_color", "==", "red")])
+            assert str(info.value) == "unknown germplasm field 'grain_color'"
+        with pytest.raises(UnknownField) as info:
+            bare.get_field("grain_color")
+        assert str(info.value) == "unknown germplasm field 'grain_color'"
+
     def test_string_equality_matching(self):
         hits = kb.screen_germplasm(FIXTURE, [kb.Criterion("drought", "==", "R")])
         assert [r.variety_name for r in hits] == ["Alpha", "Echo"]
@@ -186,6 +199,13 @@ class TestQueryPrice:
     def test_bad_date(self):
         with pytest.raises(InvalidInput):
             kb.query_price(self.FIXTURE, "Miyun District", "last tuesday")
+
+    # Python 3.11's date.fromisoformat takes these, 3.10's does not
+    @pytest.mark.parametrize("date", ["20240601", "2024-W22-6", "2024-6-1", " 2024-06-01"])
+    def test_date_must_be_spelled_yyyy_mm_dd(self, date):
+        with pytest.raises(InvalidInput) as info:
+            kb.query_price(self.FIXTURE, "Miyun District", date)
+        assert str(info.value) == f"unparseable ISO date: {date!r}"
 
 
 class TestLoaders:
