@@ -535,13 +535,18 @@ def load_feature_records(path) -> list[PlotFeatureRecord]:
 
 
 def load_weather(path) -> list[WeatherRecord]:
+    """Read daily station weather; a repeated (site, date) is a ParseError at its line."""
     rows = []
+    seen = set()
     for i, (site, date, *values) in csv_rows(path, ("site", "date") + _WEATHER_VALUES):
         try:
-            date = str(iso_date(date.strip()))
-            rows.append(WeatherRecord(site.strip(), date, *map(float, values)))
+            record = WeatherRecord(site.strip(), str(iso_date(date.strip())), *map(float, values))
         except (ValueError, InvalidInput) as exc:
             raise ParseError(f"bad weather row: {exc}", line=i)
+        if (record.site, record.date) in seen:
+            raise ParseError(f"site {record.site}: duplicate weather row for {record.date}", line=i)
+        seen.add((record.site, record.date))
+        rows.append(record)
     if not rows:
         raise EmptyDataset(f"no weather rows in {path}")
     return rows

@@ -19,8 +19,8 @@ nothing here resamples implicitly.
 
 from __future__ import annotations
 
+import itertools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,16 +453,16 @@ def load_raster(path) -> RasterGrid:
             data_start += 1
 
     row_lines = [
-        (i, ln) for i, ln in enumerate(lines[data_start:], start=data_start) if ln.strip()
+        (n, ln) for n, ln in enumerate(lines[data_start:], start=data_start + 1) if ln.strip()
     ]
     if len(row_lines) != n_rows:
         raise ParseError(
             f"expected {n_rows} data rows, found {len(row_lines)}",
             line=len(lines),
         )
-    values = _read_numbers([ln for _, ln in row_lines], comments=None)
+    values = _read_numbers([ln for _, ln in row_lines])
     if values is None or values.shape != (n_rows, n_cols):
-        values = _parse_grid_rows(row_lines, n_cols)
+        values = _parse_rows(row_lines, n_cols, "cells", "cell")
 
     return RasterGrid(
         values=values,
@@ -473,15 +473,16 @@ def load_raster(path) -> RasterGrid:
     )
 
 
-def _read_numbers(source, comments) -> np.ndarray | None:
+def _read_numbers(lines) -> np.ndarray | None:
     """Whitespace-separated numbers as a 2-D float64 array, by numpy's C reader.
 
-    ``source`` is a list of lines or an open text file. Returns None where
+    ``lines`` is an iterable of data lines; numpy sees no comment or blank
+    line, so a '#' is a token it rejects like any other. Returns None where
     the line parser must decide instead: a token numpy rejects, rows of
-    unequal length, no rows, or a non-finite value.
+    unequal length, no rows, a non-finite value, or text that is not UTF-8.
     """
     try:
-        values = np.loadtxt(source, dtype=np.float64, comments=comments, ndmin=2)
+        values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
     if values.shape[0] == 0 or not np.isfinite(values).all():
@@ -489,26 +490,19 @@ def _read_numbers(source, comments) -> np.ndarray | None:
     return values
 
 
-def _parse_grid_rows(row_lines, n_cols: int) -> np.ndarray:
-    """The parser of record for grid data rows, ``(index, line)`` pairs.
+def _parse_rows(numbered_lines, width: int, units: str, what: str) -> np.ndarray:
+    """The parser of record for rows of numbers, ``(line number, line)`` pairs.
 
-    Accepts what Python's ``float`` accepts and names the first bad line.
+    Each row must hold ``width`` tokens, each a finite number by
+    ``finite_number``; ParseError names the first bad line and, in it, the
+    first bad token.
     """
     rows = []
-    for i, ln in row_lines:
+    for lineno, ln in numbered_lines:
         tokens = ln.split()
-        if len(tokens) != n_cols:
-            raise ParseError(
-                f"expected {n_cols} cells, found {len(tokens)}", line=i + 1
-            )
-        try:
-            row = [float(t) for t in tokens]
-        except ValueError:
-            raise ParseError(f"non-numeric cell in row: {ln!r}", line=i + 1)
-        for v in row:
-            if not math.isfinite(v):
-                raise ParseError("non-finite cell value", line=i + 1)
-        rows.append(row)
+        if len(tokens) != width:
+            raise ParseError(f"expected {width} {units}, found {len(tokens)}", line=lineno)
+        rows.append([finite_number(t, what, lineno) for t in tokens])
     return np.array(rows, dtype=np.float64)
 
 
@@ -531,59 +525,25 @@ def write_raster(grid: RasterGrid, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-# A '#' that begins a line after spaces or tabs (the first line aside).
-_COMMENT_START = re.compile(r"\n[ \t]*#")
-# A line that begins, after spaces or tabs, with a character that can start a number.
-_DATA_START = re.compile(r"^[ \t]*[-+.0-9A-Za-z]", re.M)
-
-
 def load_point_cloud(path) -> PointCloud:
-    """Read a plain-text point cloud: one "x y z" per line, '#' comments skipped."""
-    points = None
-    if _numpy_reads_like_lines(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            points = _read_numbers(fh, comments="#")
-    if points is None or points.shape[1] != 3:
-        points = _parse_cloud_lines(path)
-    return PointCloud(points=points)
+    """Read a plain-text point cloud: one "x y z" per line.
 
-
-def _numpy_reads_like_lines(path) -> bool:
-    """Whether numpy's reader skips exactly the lines the line parser skips.
-
-    numpy ends a line at any '#', where the line parser skips only lines that
-    begin with one, so every '#' must begin a line. A file with no data line
-    is left to the line parser, whose EmptyInput needs no numpy warning.
+    Blank lines and lines whose first non-space character is '#' are skipped.
+    The file is read once; only a file numpy rejects is read again, by the
+    line parser, to name its first bad line.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return False
-    first = re.match(r"[ \t]*#", text) is not None
-    return (
-        text.count("#") == len(_COMMENT_START.findall(text)) + first
-        and _DATA_START.search(text) is not None
-    )
-
-
-def _parse_cloud_lines(path) -> np.ndarray:
-    """The parser of record for point clouds; names the first bad line."""
-    points = []
     with decoding(path), open(path, "r", encoding="utf-8") as fh:
-        for lineno, ln in enumerate(fh, start=1):
-            stripped = ln.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 fields 'x y z', found {len(parts)}", line=lineno
-                )
-            points.append([finite_number(p, "coordinate", lineno) for p in parts])
-    if not points:
-        raise EmptyInput(f"no points in {path}")
-    return np.array(points, dtype=np.float64)
+        lines = (ln for ln in fh if (text := ln.lstrip()) and text[0] != "#")
+        first = next(lines, None)
+        if first is None:
+            raise EmptyInput(f"no points in {path}")
+        points = _read_numbers(itertools.chain((first,), lines))
+    if points is None or points.shape[1] != 3:
+        with decoding(path), open(path, "r", encoding="utf-8") as fh:
+            numbered = ((n, ln) for n, ln in enumerate(fh, start=1)
+                        if (text := ln.lstrip()) and text[0] != "#")
+            points = _parse_rows(numbered, 3, "fields 'x y z'", "coordinate")
+    return PointCloud(points=points)
 
 
 def write_point_cloud(cloud: PointCloud, path) -> None:

@@ -228,17 +228,25 @@ def wheat_head_density(
 def load_head_counts(path) -> dict:
     """Read per-image head counts from CSV (plot_id, image_id, count).
 
-    Returns plot_id -> list of counts in file order.
+    Returns plot_id -> list of counts in file order. An empty plot_id or a
+    repeated (plot_id, image_id) is a ParseError at its line.
     """
     counts: dict[str, list[int]] = {}
-    for i, (plot_id, _, count) in csv_rows(path, ("plot_id", "image_id", "count")):
+    seen = set()
+    for i, (plot_id, image_id, count) in csv_rows(path, ("plot_id", "image_id", "count")):
+        plot_id, image_id = plot_id.strip(), image_id.strip()
+        if not plot_id:
+            raise ParseError("empty plot_id", line=i)
+        if (plot_id, image_id) in seen:
+            raise ParseError(f"plot {plot_id}: duplicate image_id {image_id}", line=i)
+        seen.add((plot_id, image_id))
         try:
             value = int(count)
         except ValueError:
             raise ParseError(f"non-integer count {count!r}", line=i)
         if value < 0:
             raise ParseError("count must be >= 0", line=i)
-        counts.setdefault(plot_id.strip(), []).append(value)
+        counts.setdefault(plot_id, []).append(value)
     if not counts:
         raise EmptyInput(f"no head-count rows in {path}")
     return counts

@@ -207,6 +207,21 @@ class TestExtractErrorContract:
                                      "message": f"line {len(rows) + 1}: plot p1: duplicate measurement row"})
         assert not (tmp_path / "out" / "features.csv").exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("p1,img0,52", "plot p1: duplicate image_id img0"),
+        (" ,img9,3", "empty plot_id"),
+    ])
+    def test_bad_head_count_row_is_a_parse_error(self, row, message, tmp_path, capsys):
+        rows = open(scene_path("head_counts.csv")).read().splitlines()
+        path = tmp_path / "head_counts.csv"
+        path.write_text("\n".join(rows + [row]) + "\n")
+        config = extract_config(tmp_path / "out")
+        config["extract"]["head_counts"] = str(path)
+        rc, summary = self.run_extract(config, tmp_path, capsys)
+        assert (rc, summary) == (1, {"status": "error", "error": "ParseError",
+                                     "message": f"line {len(rows) + 1}: {message}"})
+        assert not (tmp_path / "out" / "features.csv").exists()
+
     def test_measurements_without_plot_id_is_a_parse_error(self, tmp_path, capsys):
         rows = open(scene_path("measurements.csv")).read().splitlines()
         path = tmp_path / "measurements.csv"
@@ -280,6 +295,22 @@ class TestFuse:
         assert summary["status"] == "error"
         assert summary["error"] == "InvalidInput"
 
+
+    def test_repeated_weather_row_is_a_parse_error(self, tmp_path, capsys):
+        rows = open(scene_path("weather.csv")).read().splitlines()
+        path = tmp_path / "weather.csv"
+        path.write_text("\n".join(rows + [rows[2]]) + "\n")
+        config = fuse_config(tmp_path / "out", scene_path("golden/features.csv"))
+        config["fuse"]["weather"] = str(path)
+        cfg = write_config(config, tmp_path / "f.json")
+        rc = cli.main(["fuse", "--config", cfg])
+        stdout = capsys.readouterr().out.strip().splitlines()
+        site, date = rows[2].split(",")[:2]
+        assert rc == 1
+        assert [json.loads(line) for line in stdout] == [{
+            "status": "error", "error": "ParseError",
+            "message": f"line {len(rows) + 1}: site {site}: duplicate weather row for {date}"}]
+        assert not (tmp_path / "out" / "metrics.json").exists()
 
 class TestPrefopt:
     def test_stages_write_diagnostics(self, tmp_path, capsys):

@@ -398,6 +398,17 @@ class TestFeatureCsvRoundTrip:
         assert rows[0].site == "north"
         assert rows[0].t_mean == 10.0
 
+    def test_weather_csv_rejects_a_repeated_site_and_date(self, tmp_path):
+        path = tmp_path / "weather.csv"
+        path.write_text(
+            "site,date,t_mean,dew_point,precip,net_radiation,wind_speed\n"
+            "north,2023-04-01,10,5,2,100,1\n"
+            "south,2023-04-01,10,5,2,100,1\n"
+            " north ,2023-04-01,11,5,2,100,1\n"
+        )
+        with pytest.raises(ParseError, match="^line 4: site north: duplicate weather row for 2023-04-01$"):
+            fusion.load_weather(path)
+
 
 def _assemble_row_loop(records, weather=(), germplasm=(), domains=fusion.DOMAINS):
     """``fusion.assemble`` as a row loop with one ``np.mean`` per plot and feature.

@@ -331,9 +331,21 @@ class TestFastPathMatchesLineParser:
         def refuse(*args):
             raise AssertionError("line parser called")
 
-        monkeypatch.setattr(geodata, "_parse_grid_rows", refuse)
-        monkeypatch.setattr(geodata, "_parse_cloud_lines", refuse)
+        monkeypatch.setattr(geodata, "_parse_rows", refuse)
         load(path)
+
+    def test_valid_cloud_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.xyz"
+        path.write_text("# a cloud\n1 2 3\n4 5 6\n")
+        opened = []
+
+        def counted(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(geodata, "open", counted, raising=False)
+        assert geodata.load_point_cloud(path).points.tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert opened == [path]
 
     @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "#a\n  # b\n\n"])
     def test_cloud_without_points_is_empty_input_without_warning(self, text, tmp_path):
@@ -343,6 +355,49 @@ class TestFastPathMatchesLineParser:
             warnings.simplefilter("error")
             with pytest.raises(EmptyInput):
                 geodata.load_point_cloud(path)
+
+
+_HEAD = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+
+# (loader, file text, error type, message with {path} for the file, line)
+BAD_NUMBER_FILES = [
+    (geodata.load_raster, _HEAD + "1 2\nnan foo\n", ParseError,
+     "line 7: non-finite cell: 'nan'", 7),
+    (geodata.load_raster, _HEAD + "1 2\nfoo nan\n", ParseError,
+     "line 7: non-numeric cell: 'foo'", 7),
+    (geodata.load_raster, _HEAD + "1 2\n3 inf\n", ParseError,
+     "line 7: non-finite cell: 'inf'", 7),
+    (geodata.load_raster, _HEAD.replace("\n", "\r\n") + "1 2\r\n3\r\n", ParseError,
+     "line 7: expected 2 cells, found 1", 7),
+    (geodata.load_raster, _HEAD.replace("\n", "\r") + "1 2\r3 x4\r", ParseError,
+     "line 7: non-numeric cell: 'x4'", 7),
+    (geodata.load_raster, _HEAD + "1 2\n3 4\n\udce9\n", ParseError,
+     "{path}: not UTF-8 text", None),
+    (geodata.load_point_cloud, "0 0 1\n1 2 3 # note\n", ParseError,
+     "line 2: expected 3 fields 'x y z', found 5", 2),
+    (geodata.load_point_cloud, "# c\r\n0 0 1\r\n1 2\r\n", ParseError,
+     "line 3: expected 3 fields 'x y z', found 2", 3),
+    (geodata.load_point_cloud, "0 0 1\r1 2 nan\r", ParseError,
+     "line 2: non-finite coordinate: 'nan'", 2),
+    (geodata.load_point_cloud, "0 0 1\n1 2 3\n\udce9\n", ParseError,
+     "{path}: not UTF-8 text", None),
+    (geodata.load_point_cloud, "# only\n\n  # indented\n", EmptyInput,
+     "no points in {path}", None),
+    (geodata.load_point_cloud, "#a\r\n\r\n", EmptyInput, "no points in {path}", None),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("load, text, error, message, line", BAD_NUMBER_FILES,
+                         ids=[f"{load.__name__}-{text!r}" for load, text, *_ in BAD_NUMBER_FILES])
+def test_bad_number_files(load, text, error, message, line, tmp_path):
+    # "\udce9" is written as the lone byte 0xe9, which is not UTF-8
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(error) as caught:
+        load(path)
+    assert str(caught.value) == message.format(path=path)
+    assert getattr(caught.value, "line", None) == line
 
 
 # ---------------------------------------------------------------------------

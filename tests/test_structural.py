@@ -266,6 +266,17 @@ class TestHeadCountCsv:
         counts = structural.load_head_counts(path)
         assert counts == {"p1": [40, 60], "p2": [10]}
 
+    @pytest.mark.parametrize("rows, message", [
+        ("p1,i1,40\np1,i1,40\n", "^line 3: plot p1: duplicate image_id i1$"),
+        ("p1,i1,40\n p1 ,i1 ,41\n", "^line 3: plot p1: duplicate image_id i1$"),
+        ("p1,i1,40\n,i2,3\n", "^line 3: empty plot_id$"),
+    ])
+    def test_rejects_repeated_or_unnamed_rows(self, rows, message, tmp_path):
+        path = tmp_path / "heads.csv"
+        path.write_text("plot_id,image_id,count\n" + rows)
+        with pytest.raises(ParseError, match=message):
+            structural.load_head_counts(path)
+
     def test_rejects_non_integer(self, tmp_path):
         path = tmp_path / "heads.csv"
         path.write_text("plot_id,image_id,count\np1,i1,4.5\n")
