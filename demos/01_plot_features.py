@@ -80,7 +80,7 @@ print(f"PL: ratio {pl.ratio:.3f} -> {pl.level}")
 
 # Weed pressure is judged over the plot plus a 10-20 cm ring outside it.
 weed_mask = grid((rng.random(shape) < 0.45).astype(float))
-region = geodata.UnionRegion(geodata.BufferRing(plot, inner=0.1, outer=0.2))
+region = geodata.PlotWithRing(plot, inner=0.1, outer=0.2)
 wl = structural.classify_weed(weed_mask, region)
 print(f"WL: ratio {wl.ratio:.3f} -> {wl.level}")
 

@@ -317,8 +317,8 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
 
     records = []
     plot_cells_on: dict = {}  # every plot's PlotCells (or None) per grid geometry
-    union_cells_on: dict = {}  # every plot-plus-ring region's PlotCells on the weed mask
-    unions = None
+    ring_cells_on: dict = {}  # every plot-plus-ring region's PlotCells on the weed mask
+    rings = None
     for i, plot in enumerate(plots):
         features = {}
         restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
@@ -335,13 +335,12 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
         features["PL_ratio"] = structural.classify_lodging(
             lodging_mask, _cells_on(plot_cells_on, lodging_mask, plots, i)
         ).ratio
-        if unions is None:
+        if rings is None:
             # built here: a bad ring width fails after the first plot's other errors
-            unions = [geodata.UnionRegion(geodata.BufferRing(p, params["ring_inner_m"],
-                                                             params["ring_outer_m"]))
-                      for p in plots]
+            rings = [geodata.PlotWithRing(p, params["ring_inner_m"], params["ring_outer_m"])
+                     for p in plots]
         features["WL_ratio"] = structural.classify_weed(
-            weed_mask, _cells_on(union_cells_on, weed_mask, unions, i)).ratio
+            weed_mask, _cells_on(ring_cells_on, weed_mask, rings, i)).ratio
         if plot.plot_id not in head_counts:
             raise BreedkitError(f"no head counts for plot {plot.plot_id}")
         features["WH_density"] = structural.wheat_head_density(
@@ -382,6 +381,9 @@ def _cmd_fuse(cfg: dict, out_dir: str) -> dict:
     for plot_id, missing in matrix.dropped:
         _log(f"fuse: dropped plot {plot_id}, missing {', '.join(missing)}")
     result = fusion.kfold_cv(matrix, k=cfg["k"], lam=cfg["lambda"], seed=cfg["seed"])
+    for fold, columns in enumerate(result.dropped_columns):
+        if columns:
+            _log(f"fuse: fold {fold} dropped zero-variance columns {', '.join(columns)}")
 
     metrics_path = os.path.join(out_dir, "metrics.json")
     write_json(metrics_path, {

@@ -406,6 +406,7 @@ class CrossValidationResult:
     k: int
     lam: float
     seed: int
+    dropped_columns: tuple  # per fold, the zero-variance columns its training fit dropped
 
 
 def kfold_cv(
@@ -420,7 +421,9 @@ def kfold_cv(
     normalization and weights are fit on the training folds only. Pooled
     metrics are computed over the concatenated out-of-fold predictions.
     Per-fold R^2 is None when that fold's measured values have zero variance
-    (always the case for leave-one-out).
+    (always the case for leave-one-out). A column constant over a fold's
+    training rows is dropped from that fold's fit without a warning and
+    recorded in ``dropped_columns``.
     """
     n = m.n_rows
     if k < 2:
@@ -436,6 +439,7 @@ def kfold_cv(
     oof_pred = np.empty(n, dtype=np.float64)
     seen = np.zeros(n, dtype=bool)
     per_fold = []
+    dropped = []
     for fold_index, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(order, test_idx, assume_unique=True)
         assert not np.intersect1d(train_idx, test_idx).size, "fold leakage"
@@ -448,8 +452,9 @@ def kfold_cv(
             germplasm_ids=tuple(m.germplasm_ids[i] for i in train_idx),
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.filterwarnings("ignore", "dropping zero-variance columns", UserWarning)
             model = fit_ridge(train, lam=lam)
+        dropped.append(model.dropped_columns)
         keep = [m.columns.index(c) for c in model.columns]
         pred = model.predict(m.X[test_idx][:, keep])
         oof_pred[test_idx] = pred
@@ -476,6 +481,7 @@ def kfold_cv(
         k=k,
         lam=lam,
         seed=seed,
+        dropped_columns=tuple(dropped),
     )
 
 

@@ -170,10 +170,6 @@ class PlotGeometry:
         arr.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
 
-    def contains(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Point-in-polygon test, boundary-inclusive. Vectorized over px/py."""
-        return point_in_polygon(px, py, self.vertices)
-
     def area(self) -> float:
         return _polygon_area(self.vertices)
 
@@ -297,25 +293,25 @@ def distance_to_boundary(px, py, vertices: np.ndarray) -> np.ndarray:
     return np.sqrt(best)
 
 
-def _member(kind: str, px, py, vertices, inner, outer) -> np.ndarray:
-    """Membership in a "plot", its "ring" (inner < boundary distance <= outer,
-    outside the plot) or their "union". ``vertices`` is one polygon or a
-    stack; ``inner``/``outer`` are scalars or shaped like the stack.
+def _member(px, py, vertices, inner, outer) -> np.ndarray:
+    """Membership in a plot (``outer`` None) or in a plot plus its ring:
+    inside, or inner < boundary distance <= outer. ``vertices`` is one polygon
+    or a stack; ``inner``/``outer`` are scalars or shaped like the stack.
     """
     inside = point_in_polygon(px, py, vertices)
-    if kind == "plot":
+    if outer is None:
         return inside
     d = distance_to_boundary(px, py, vertices)
-    in_band = (d > inner) & (d <= outer)
-    return inside | in_band if kind == "union" else ~inside & in_band
+    return inside | ((d > inner) & (d <= outer))
 
 
 @dataclass(frozen=True)
-class BufferRing:
-    """Annular region outside a plot: boundary distance in (inner, outer].
+class PlotWithRing:
+    """A plot plus the ring outside it: boundary distance in (inner, outer].
 
-    This is the "specific area" a weed-level aggregation adds to the plot
-    interior. Points on or inside the polygon are never part of the ring.
+    This is the area a weed-level aggregation judges: the plot interior and a
+    "specific area" around it. A point belongs if it is inside the plot or in
+    the ring, so membership is one polygon test and one distance per point.
     """
 
     plot: PlotGeometry
@@ -328,32 +324,14 @@ class BufferRing:
                 f"ring widths must satisfy 0 <= inner < outer, got ({self.inner}, {self.outer})"
             )
 
-    def contains(self, px, py) -> np.ndarray:
-        return _member("ring", px, py, self.plot.vertices, self.inner, self.outer)
+    @property
+    def plot_id(self) -> str:
+        return self.plot.plot_id
 
     def bounds(self) -> tuple[float, float, float, float]:
         """The plot's bounds padded by the outer width."""
         x0, y0, x1, y1 = self.plot.bounds()
         return x0 - self.outer, y0 - self.outer, x1 + self.outer, y1 + self.outer
-
-
-@dataclass(frozen=True)
-class UnionRegion:
-    """A buffer ring's plot and the ring: inside the plot, or in the ring.
-
-    The ring lies outside the plot, so the union is inside | (inner < d <= outer)
-    with d the distance to the plot boundary: one polygon test and one distance
-    per point.
-    """
-
-    ring: BufferRing
-
-    def contains(self, px, py) -> np.ndarray:
-        return _member("union", px, py, self.ring.plot.vertices, self.ring.inner, self.ring.outer)
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        """The ring's bounds, which enclose the plot."""
-        return self.ring.bounds()
 
 
 # MS band centers (nm). MS indices pick their bands by name; an HS set stands in
@@ -622,7 +600,7 @@ class PlotCells:
     are the reads every per-plot feature makes.
     """
 
-    plot_id: str | None
+    plot_id: str
     geometry: tuple  # RasterGrid.geometry of the grid the cells were selected on
     rows: slice
     cols: slice
@@ -698,25 +676,23 @@ _BLOCK_CELLS = 1 << 14
 
 
 def _region_parts(region) -> tuple:
-    """(kind, vertices, inner, outer): ``_member``'s arguments for a region."""
+    """(vertices, inner, outer): ``_member``'s arguments for a region."""
     if isinstance(region, PlotGeometry):
-        return "plot", region.vertices, 0.0, 0.0
-    if isinstance(region, UnionRegion):
-        return "union", region.ring.plot.vertices, region.ring.inner, region.ring.outer
-    if isinstance(region, BufferRing):
-        return "ring", region.plot.vertices, region.inner, region.outer
-    raise InvalidInput(f"not a PlotGeometry, BufferRing or UnionRegion: {type(region).__name__}")
+        return region.vertices, None, None
+    if isinstance(region, PlotWithRing):
+        return region.plot.vertices, region.inner, region.outer
+    raise InvalidInput(f"not a PlotGeometry or PlotWithRing: {type(region).__name__}")
 
 
 def select_cells(grid: RasterGrid, regions: list) -> list[PlotCells | None]:
     """The cells of ``grid`` whose centers lie in each of ``regions``, in order.
 
-    Each region is a PlotGeometry, a BufferRing or a UnionRegion; polygon
-    boundaries count as inside. Only the window around ``region.bounds()``
-    (one cell of margin per side, clipped to the grid) is tested. An entry is
-    None where its region selects no cell of the grid.
+    Each region is a PlotGeometry or a PlotWithRing; polygon boundaries count
+    as inside. Only the window around ``region.bounds()`` (one cell of margin
+    per side, clipped to the grid) is tested. An entry is None where its
+    region selects no cell of the grid.
 
-    Regions of one kind with the same vertex count and window shape are
+    Plots, and plots with a ring, of one vertex count and window shape are
     tested as one stack, ``_BLOCK_CELLS`` window cells at a time (or one
     region, if its window is larger): one pass of the per-edge formulas
     serves the whole block, and every cell gets the arithmetic a
@@ -725,7 +701,7 @@ def select_cells(grid: RasterGrid, regions: list) -> list[PlotCells | None]:
     size = grid.cell_size
     groups: dict = {}
     for i, region in enumerate(regions):
-        kind, vertices, inner, outer = _region_parts(region)
+        vertices, inner, outer = _region_parts(region)
         x0, y0, x1, y1 = region.bounds()
         # inverse of the cell-center formula in the module docstring
         cols = _index_window((x0 - grid.origin_x) / size - 0.5,
@@ -734,20 +710,23 @@ def select_cells(grid: RasterGrid, regions: list) -> list[PlotCells | None]:
                              grid.n_rows - 0.5 - (y0 - grid.origin_y) / size, grid.n_rows)
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         if shape[0] and shape[1]:
-            groups.setdefault((kind, len(vertices), shape), []).append(
-                (i, getattr(region, "plot_id", None), rows, cols, vertices, inner, outer))
+            groups.setdefault((outer is None, len(vertices), shape), []).append(
+                (i, region.plot_id, rows, cols, vertices, inner, outer))
 
     geometry = grid.geometry
     x_axis, y_axis = grid._center_axes()
     selected: list = [None] * len(regions)
-    for (kind, _, (h, w)), members in groups.items():
+    for (plain, _, (h, w)), members in groups.items():
         step = max(1, _BLOCK_CELLS // (h * w))
         for b in range(0, len(members), step):
             i, name, rows, cols, vertices, inner, outer = zip(*members[b:b + step])
             px = x_axis[np.array([c.start for c in cols])[:, None] + np.arange(w)]
             py = y_axis[np.array([r.start for r in rows])[:, None] + np.arange(h)]
-            member = _member(kind, px[:, None, :], py[:, :, None], np.stack(vertices),
-                             np.array(inner)[:, None, None], np.array(outer)[:, None, None])
+            if plain:
+                inner = outer = None
+            else:
+                inner, outer = np.array(inner)[:, None, None], np.array(outer)[:, None, None]
+            member = _member(px[:, None, :], py[:, :, None], np.stack(vertices), inner, outer)
             member.setflags(write=False)
             for k in np.flatnonzero(member.any(axis=(1, 2))):
                 selected[i[k]] = PlotCells(plot_id=name[k], geometry=geometry,
@@ -765,8 +744,7 @@ def plot_cells(grid: RasterGrid, region) -> PlotCells:
         return region
     (cells,) = select_cells(grid, [region])
     if cells is None:
-        name = getattr(region, "plot_id", None)
-        raise EmptyPlot(f"region {name or type(region).__name__} selects no cells of the grid")
+        raise EmptyPlot(f"region {region.plot_id} selects no cells of the grid")
     return cells
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from ._io import csv_rows
 from .errors import EmptyInput, EmptyPlot, InvalidInput, ParseError
 from .geodata import (
-    PlotCells, PlotGeometry, RasterGrid, UnionRegion, plot_cells, require_same_geometry,
+    PlotCells, PlotGeometry, PlotWithRing, RasterGrid, plot_cells, require_same_geometry,
 )
 from .spectral import PlotStatistic
 
@@ -188,10 +188,10 @@ def classify_lodging(
     return CategoricalLevel(kind="PL", ratio=ratio, special=special)
 
 
-def classify_weed(weed_mask: RasterGrid, region: UnionRegion | PlotCells) -> CategoricalLevel:
+def classify_weed(weed_mask: RasterGrid, region: PlotWithRing | PlotCells) -> CategoricalLevel:
     """Weed level from the weed-pixel ratio over a plot plus its outer ring.
 
-    ``region``: the UnionRegion of the plot and its ring, or its PlotCells.
+    ``region``: the PlotWithRing of the plot and its ring, or its PlotCells.
     """
     ratio = _region_ratio(weed_mask, region)
     return CategoricalLevel(kind="WL", ratio=ratio)

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -285,6 +286,24 @@ class TestFuse:
         rc, summary = run_cli(["fuse", "--config", cfg], capsys)
         assert rc == 2
         assert summary["field"] == "fuse.seed"
+
+    def test_fold_column_drops_are_logged_outside_the_artifacts(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text("plot_id,germplasm_id,date,NDVI_MS,WL_ratio,yield_kg_ha\n" + "".join(
+            f"p{i},g{i},2023-04-22,{0.5 + 0.03 * i ** 2:g},{0.25 if i == 3 else 0.0:g},{5000 + 90 * i}\n"
+            for i in range(6)))
+        config = fuse_config(tmp_path / "out", features)
+        config["fuse"].update(weather=None, germplasm=None, domains=["RS"])
+        rc = cli.main(["fuse", "--config", write_config(config, tmp_path / "f.json")])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert len(captured.out.splitlines()) == 1
+        assert json.loads(captured.out)["status"] == "ok"
+        drops = [line for line in captured.err.splitlines() if "dropped zero-variance" in line]
+        assert len(drops) == 1
+        assert re.fullmatch(r"fuse: fold [0-2] dropped zero-variance columns WL_ratio", drops[0])
+        metrics = open(tmp_path / "out" / "metrics.json").read()
+        assert "WL_ratio" not in metrics and json.loads(metrics)["n_features"] == 2
 
     def test_module_error_exits_1_with_error_name(self, features_csv, tmp_path, capsys):
         config = fuse_config(tmp_path / "out", features_csv)

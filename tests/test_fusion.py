@@ -309,6 +309,31 @@ class TestKfoldCv:
         for _, _, _, predicted, expected in flagged_rows:
             assert (predicted > fusion.YIELD_REFERENCE_KG_HA) == expected
 
+    def test_fold_local_constant_column_is_recorded_without_warning(self):
+        m = planted_matrix(np.random.default_rng(18), n=6, weights=(1.0, 0.0), noise=0.5)
+        X = m.X.copy()
+        X[:, 1] = 0.0
+        X[2, 1] = 1.0  # constant over the training rows of the fold that tests row 2
+        m = fusion.FeatureMatrix(X=X, y=m.y, columns=("f0", "spike"), domains=m.domains,
+                                 plot_ids=m.plot_ids, germplasm_ids=m.germplasm_ids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fusion.kfold_cv(m, k=3, lam=1.0, seed=0)
+        assert sorted(result.dropped_columns) == [(), (), ("spike",)]
+
+    def test_other_warnings_of_a_fold_fit_are_not_hidden(self, monkeypatch):
+        fit_ridge = fusion.fit_ridge
+
+        def warning_fit(train, lam):
+            warnings.warn("some other trouble", RuntimeWarning)
+            return fit_ridge(train, lam=lam)
+
+        monkeypatch.setattr(fusion, "fit_ridge", warning_fit)
+        m = planted_matrix(np.random.default_rng(19), n=6, noise=0.5)
+        with pytest.warns(RuntimeWarning, match="some other trouble"):
+            result = fusion.kfold_cv(m, k=3, lam=1.0, seed=0)
+        assert result.dropped_columns == ((), (), ())
+
     def test_fold_sizes_balanced(self):
         m = planted_matrix(np.random.default_rng(15), n=10, noise=0.5)
         result = fusion.kfold_cv(m, k=3, lam=1.0, seed=0)

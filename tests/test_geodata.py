@@ -534,54 +534,62 @@ class TestPlotSelection:
             assert np.array_equal(member, expected)
 
 
-class TestBufferRing:
+def contains(region, px, py):
+    """Membership in ``region`` from the public polygon functions: inside the
+    plot, or for a PlotWithRing also at boundary distance in (inner, outer]."""
+    if isinstance(region, geodata.PlotGeometry):
+        return geodata.point_in_polygon(px, py, region.vertices)
+    vertices = region.plot.vertices
+    d = geodata.distance_to_boundary(px, py, vertices)
+    return geodata.point_in_polygon(px, py, vertices) | ((d > region.inner) & (d <= region.outer))
+
+
+class TestPlotWithRing:
     def test_ring_area_matches_offset_formula(self):
-        plot = square_plot(0.0, 0.0, 1.0, 1.0)
-        ring = geodata.BufferRing(plot, 0.0, 0.1)
         step = 0.002
-        xs = np.arange(-0.2 + step / 2, 1.2, step)
-        ys = np.arange(-0.2 + step / 2, 1.2, step)
-        gx, gy = np.meshgrid(xs, ys)
-        area = float(ring.contains(gx, gy).sum()) * step * step
+        grid = make_grid(np.zeros((700, 700)), cell_size=step, origin=(-0.2, -0.2))
+        plot = square_plot(0.0, 0.0, 1.0, 1.0)
+        ring = selected(grid, geodata.PlotWithRing(plot, 0.0, 0.1)) & ~selected(grid, plot)
+        area = float(ring.sum()) * step * step
         expected = 4 * 0.1 + math.pi * 0.01
         assert abs(area - expected) / expected < 0.01
 
     def test_inner_equal_outer_rejected(self):
         plot = square_plot(0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(InvalidInput):
-            geodata.BufferRing(plot, 0.1, 0.1)
+        with pytest.raises(InvalidInput, match=r"0 <= inner < outer, got \(0.1, 0.1\)"):
+            geodata.PlotWithRing(plot, 0.1, 0.1)
+
+    @staticmethod
+    def members_on_row(region):
+        """{x: selected} along y = 0.5 for cell centers at x = 0, 1/16, ..., 31/16.
+
+        The coordinates and their distances to the unit square are exact in binary.
+        """
+        grid = make_grid(np.zeros((1, 32)), cell_size=0.0625, origin=(-0.03125, 0.46875))
+        x = grid.cell_centers()[0][0]
+        assert x[8] == 0.5 and x[20] == 1.25
+        return dict(zip(x.tolist(), selected(grid, region)[0].tolist()))
 
     def test_point_at_distance_inside_ring(self):
         plot = square_plot(0.0, 0.0, 1.0, 1.0)
-        ring = geodata.BufferRing(plot, 0.1, 0.2)
-        assert ring.contains(np.array(1.15), np.array(0.5))  # distance 0.15
-        assert not ring.contains(np.array(1.05), np.array(0.5))  # 0.05 <= inner
-        assert ring.contains(np.array(1.2), np.array(0.5))  # exactly outer, inclusive
-        assert not ring.contains(np.array(1.25), np.array(0.5))  # beyond outer
-        assert not ring.contains(np.array(0.5), np.array(0.5))  # interior point
+        member = self.members_on_row(geodata.PlotWithRing(plot, 0.125, 0.25))
+        ring = {x: m and not 0.0 <= x <= 1.0 for x, m in member.items()}
+        assert ring[1.1875]  # distance 0.1875
+        assert not ring[1.0625] and not ring[1.125]  # distance <= inner
+        assert ring[1.25]  # exactly outer, inclusive
+        assert not ring[1.3125]  # beyond outer
+        assert member[0.5] and not ring[0.5]  # interior point: the plot's, not the ring's
 
     def test_union_with_plot(self):
         plot = square_plot(0.0, 0.0, 1.0, 1.0)
-        ring = geodata.BufferRing(plot, 0.0, 0.2)
-        union = geodata.UnionRegion(ring)
-        assert union.contains(np.array(0.5), np.array(0.5))
-        assert union.contains(np.array(1.1), np.array(0.5))
-        assert not union.contains(np.array(1.5), np.array(0.5))
-
-    def test_union_is_plot_or_ring(self):
-        rng = np.random.default_rng(7)
-        px, py = rng.uniform(-3.0, 9.0, (2, 20000))
-        for concave in (False, True):
-            plot = random_simple_polygon(rng, concave=concave)
-            ring = geodata.BufferRing(plot, 0.2, 0.9)
-            union = geodata.UnionRegion(ring)
-            expected = plot.contains(px, py) | ring.contains(px, py)
-            assert np.array_equal(union.contains(px, py), expected)
-            assert expected.sum() > 1000 and (~expected).sum() > 1000
+        member = self.members_on_row(geodata.PlotWithRing(plot, 0.0, 0.25))
+        assert member[0.5]
+        assert member[1.125]
+        assert not member[1.5]
 
 
-def random_region(rng, grid, kind, through_centers):
-    """A random plot, ring or plot-plus-ring region sized and placed around ``grid``.
+def random_region(rng, grid, with_ring, through_centers):
+    """A random plot, or plot plus ring, sized and placed around ``grid``.
 
     Placement ranges from wholly inside to wholly off the grid. With
     ``through_centers`` every vertex sits exactly on a cell center, so edges
@@ -598,11 +606,10 @@ def random_region(rng, grid, kind, through_centers):
         grid.origin_y + xy[:, 1] * grid.cell_size,
     ])
     plot = geodata.PlotGeometry("r", "g", vertices)
-    if kind == "plot":
+    if not with_ring:
         return plot
     inner = rng.uniform(0.0, 2.0) * grid.cell_size
-    ring = geodata.BufferRing(plot, inner, inner + rng.uniform(0.1, 4.0) * grid.cell_size)
-    return ring if kind == "ring" else geodata.UnionRegion(ring)
+    return geodata.PlotWithRing(plot, inner, inner + rng.uniform(0.1, 4.0) * grid.cell_size)
 
 
 class TestPlotCells:
@@ -618,13 +625,13 @@ class TestPlotCells:
         outcomes = {"empty": 0, "selected": 0}
         cases = 0
         while cases < 600:
-            kind = ("plot", "ring", "plot+ring")[cases % 3]
             try:
-                region = random_region(rng, grid, kind, through_centers=cases % 2 == 0)
+                region = random_region(rng, grid, with_ring=cases % 2 == 1,
+                                       through_centers=cases // 2 % 2 == 0)
             except InvalidInput:  # snapping made the polygon degenerate
                 continue
             cases += 1
-            expected = region.contains(cx, cy)
+            expected = contains(region, cx, cy)
             try:
                 got = selected(grid, region)
             except EmptyPlot:
@@ -660,9 +667,18 @@ class TestPlotCells:
     def test_ring_window_is_padded_by_outer_width(self):
         grid = make_grid(np.zeros((100, 100)))
         plot = square_plot(10.0, 20.0, 15.0, 22.0)
-        ring = geodata.BufferRing(plot, 0.0, 3.0)
-        cells = geodata.plot_cells(grid, geodata.UnionRegion(ring))
+        cells = geodata.plot_cells(grid, geodata.PlotWithRing(plot, 0.0, 3.0))
         assert cells.member.shape == (10, 13)  # 8 x 11 centers within 3 of the plot
+
+    def test_ring_region_is_named_by_its_plot(self):
+        grid = make_grid(np.zeros((100, 100)))
+        on = geodata.PlotWithRing(square_plot(10.0, 20.0, 15.0, 22.0, plot_id="p7"), 0.0, 3.0)
+        assert geodata.plot_cells(grid, on).plot_id == "p7"
+        off = geodata.PlotWithRing(square_plot(110.0, 20.0, 115.0, 22.0, plot_id="p2"), 0.0, 3.0)
+        with pytest.raises(EmptyPlot, match=r"^region p2 selects no cells of the grid$"):
+            geodata.plot_cells(grid, off)
+        with pytest.raises(InvalidInput, match="^not a PlotGeometry or PlotWithRing: PlotCells$"):
+            geodata.select_cells(grid, [geodata.plot_cells(grid, on)])
 
     def test_window_reads_other_layers_of_the_same_geometry_only(self):
         grid = make_grid(np.arange(16.0).reshape(4, 4))
@@ -716,9 +732,7 @@ def shifted(region, offset, plot_id):
     """``region`` moved by ``offset`` (x, y), its plot renamed ``plot_id``."""
     if isinstance(region, geodata.PlotGeometry):
         return geodata.PlotGeometry(plot_id, "g", region.vertices + offset)
-    if isinstance(region, geodata.UnionRegion):
-        return geodata.UnionRegion(shifted(region.ring, offset, plot_id))
-    return geodata.BufferRing(shifted(region.plot, offset, plot_id), region.inner, region.outer)
+    return geodata.PlotWithRing(shifted(region.plot, offset, plot_id), region.inner, region.outer)
 
 
 class TestSelectCells:
@@ -737,9 +751,9 @@ class TestSelectCells:
         cx, cy = grid.cell_centers()
         regions = []
         while len(regions) < 600:
-            kind = ("plot", "ring", "plot+ring")[len(regions) // 3 % 3]
+            j = len(regions) // 3
             try:
-                region = random_region(rng, grid, kind, through_centers=len(regions) // 3 % 2 == 0)
+                region = random_region(rng, grid, with_ring=j % 2 == 1, through_centers=j // 2 % 2 == 0)
             except InvalidInput:  # snapping made the polygon degenerate
                 continue
             # whole-cell moves keep the window shape, so the copies stack with it
@@ -755,7 +769,7 @@ class TestSelectCells:
                 one = geodata.plot_cells(grid, region)
             except EmptyPlot:
                 assert cells is None
-                assert not region.contains(cx, cy).any()
+                assert not contains(region, cx, cy).any()
                 outcomes["empty"] += 1
                 continue
             assert (cells.plot_id, cells.geometry, cells.rows, cells.cols) == (
@@ -763,10 +777,10 @@ class TestSelectCells:
             assert cells.member.dtype == bool and np.array_equal(cells.member, one.member)
             full = np.zeros(grid.values.shape, dtype=bool)
             full[cells.rows, cells.cols] = cells.member
-            assert np.array_equal(full, region.contains(cx, cy))
+            assert np.array_equal(full, contains(region, cx, cy))
             outcomes["selected"] += 1
             outcomes["clipped"] += cells.rows.start == 0 or cells.cols.stop == grid.n_cols
-            plot = getattr(getattr(region, "ring", region), "plot", region)
+            plot = getattr(region, "plot", region)
             key = (type(region), len(plot.vertices), cells.member.shape)
             stacks[key] = stacks.get(key, 0) + 1
         assert min(outcomes.values()) > 50

@@ -200,16 +200,14 @@ class TestWeed:
         values[2:4, 2:4] = 1.0  # all 4 plot cells weedy
         mask = make_grid(values, cell_size=0.5)
         plot = square_plot(1.0, 1.0, 2.0, 2.0)
-        ring = geodata.BufferRing(plot, 0.0, 0.5)
-        level = structural.classify_weed(mask, geodata.UnionRegion(ring))
+        level = structural.classify_weed(mask, geodata.PlotWithRing(plot, 0.0, 0.5))
         assert level.ratio == pytest.approx(4 / 16)
         assert level.level == "slight"
 
     def test_ratio_one_is_severe(self):
         mask = make_grid(np.ones((6, 6)), cell_size=0.5)
         plot = square_plot(1.0, 1.0, 2.0, 2.0)
-        ring = geodata.BufferRing(plot, 0.0, 0.5)
-        level = structural.classify_weed(mask, geodata.UnionRegion(ring))
+        level = structural.classify_weed(mask, geodata.PlotWithRing(plot, 0.0, 0.5))
         assert level.ratio == 1.0
         assert level.level == "severe"
 
@@ -225,7 +223,7 @@ class TestPlotCellsInput:
         assert structural.plot_canopy_height(chm, cells) == structural.plot_canopy_height(chm, plot)
         assert structural.canopy_volume(chm, cells) == structural.canopy_volume(chm, plot)
         assert structural.classify_lodging(lodging, cells) == structural.classify_lodging(lodging, plot)
-        region = geodata.UnionRegion(geodata.BufferRing(plot, 0.1, 0.5))
+        region = geodata.PlotWithRing(plot, 0.1, 0.5)
         by_cells = structural.classify_weed(weed, geodata.plot_cells(weed, region))
         assert by_cells == structural.classify_weed(weed, region)
         assert by_cells.ratio != structural.classify_weed(weed, cells).ratio  # the ring counts
