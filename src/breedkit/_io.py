@@ -5,7 +5,11 @@ input file that is not UTF-8, or that the ``csv`` module rejects (a cell
 over its field-size limit), raises ParseError naming the file.
 Every number in a data file must be finite (``finite_number``), and every
 date is spelled ``YYYY-MM-DD`` (``iso_date``).
-Output tables are CSV with ``\\n`` line ends; callers format their own cells.
+Output tables are CSV with ``\\n`` line ends, and callers pass cells as values,
+which ``write_csv`` spells with ``str``: a float (a numpy float64 too) as its
+shortest repr (``0.1``, ``-0.0``, ``1e+16``), an int or a date as ``3`` or
+``2024-06-01``, and None as an empty cell. A boolean has no spelling of its
+own, so the caller writes it as text.
 JSON artifacts carry sorted keys, a two-space indent and a final newline.
 Every artifact is written to a temporary file beside its target and then
 renamed over it, so a failed write leaves the target as it was.
@@ -124,7 +128,7 @@ def replacing(path, newline=None):
 
 
 def write_csv(path, header, rows) -> None:
-    """Write ``header`` and then each row of the iterable ``rows``."""
+    """Write ``header`` and then each row of the iterable ``rows``, cells spelled as above."""
     with replacing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

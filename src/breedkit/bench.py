@@ -471,7 +471,6 @@ def write_report(report: BenchmarkReport, out_dir) -> dict:
     )
     for name, header, rows in tables:
         path = os.path.join(out_dir, f"{name}.csv")
-        write_csv(path, header,
-                  ([repr(v) if isinstance(v, float) else v for v in row] for row in rows))
+        write_csv(path, header, rows)
         paths[name] = path
     return paths

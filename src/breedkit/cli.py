@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from operator import attrgetter
 
 from . import bench, fusion, geodata, kb, prefopt, spectral, structural
 from ._io import csv_rows, finite_number, write_csv, write_json
@@ -210,14 +211,6 @@ def _require(section: dict, path: str, *keys) -> None:
             raise ConfigError(f"{path}.{key}", "missing required field")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # extract
 # ---------------------------------------------------------------------------
@@ -282,6 +275,11 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
             if cfg[surface]["point_cloud"] is None:
                 raise ConfigError(f"extract.{surface}", "need either 'raster' or 'point_cloud'")
             _require(cfg[surface], f"extract.{surface}", "cell_size")
+    hs_names = [f"b{band['wavelength_nm']:g}" for band in cfg["hs_bands"]]
+    for i, name in enumerate(hs_names):
+        if name in hs_names[:i]:
+            raise ConfigError(f"extract.hs_bands[{i}].wavelength_nm",
+                              f"band name {name} is taken by hs_bands[{hs_names.index(name)}]")
     params = cfg["params"]
     flight = cfg["flight"]
 
@@ -289,11 +287,9 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
     ms = geodata.BandSet(bands={name: (geodata.load_raster(cfg["ms_bands"][name]), nm)
                                 for name, nm in geodata.MS_BAND_CENTERS_NM.items()},
                          sensor_kind="MS")
-    hs_bands = {}
-    for band in cfg["hs_bands"]:
-        nm = band["wavelength_nm"]
-        hs_bands[f"b{nm:g}"] = (geodata.load_raster(band["path"]), nm)
-    hs = geodata.BandSet(bands=hs_bands, sensor_kind="HS")
+    hs = geodata.BandSet(bands={name: (geodata.load_raster(band["path"]), band["wavelength_nm"])
+                                for name, band in zip(hs_names, cfg["hs_bands"])},
+                         sensor_kind="HS")
     veg_mask = geodata.load_raster(cfg["vegetation_mask"])
     lodging_mask = geodata.load_raster(cfg["lodging_mask"])
     weed_mask = geodata.load_raster(cfg["weed_mask"])
@@ -405,7 +401,7 @@ def _cmd_fuse(cfg: dict, out_dir: str) -> dict:
     write_csv(
         scatter_path,
         ("plot_id", "germplasm_id", "measured", "predicted", "exceeds_4230_2"),
-        ([pid, gid, _fmt(meas), _fmt(pred), _fmt(flag)]
+        ([pid, gid, meas, pred, "true" if flag else "false"]
          for pid, gid, meas, pred, flag in result.rows),
     )
     _log(f"fuse: pooled R2={result.pooled_r2:.6f} RMSE={result.pooled_rmse:.3f}")
@@ -422,10 +418,16 @@ def _cmd_fuse(cfg: dict, out_dir: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _write_history(out_dir: str, stage: str, history: list, columns: tuple) -> str:
+    """Write ``columns`` of each of ``stage``'s per-iteration records; return the path."""
+    path = os.path.join(out_dir, f"{stage}_diagnostics.csv")
+    write_csv(path, columns, ([h[c] for c in columns] for h in history))
+    return path
+
+
 def _write_losses(out_dir: str, stage: str, history: list) -> str:
     """Write ``stage``'s per-iteration losses; log the last one."""
-    path = os.path.join(out_dir, f"{stage}_diagnostics.csv")
-    write_csv(path, ("iteration", "loss"), ([h["iteration"], _fmt(h["loss"])] for h in history))
+    path = _write_history(out_dir, stage, history, ("iteration", "loss"))
     if history:
         _log(f"prefopt {stage}: final loss {history[-1]['loss']:.6f}")
     return path
@@ -470,13 +472,8 @@ def _cmd_prefopt(cfg: dict, out_dir: str) -> dict:
         rm = prefopt.load_reward_model(reward_path)
         ppo_config = prefopt.RLHFConfig(seed=cfg["seed"], **cfg["ppo"])
         history = prefopt.run_rlhf(policy, reference, rm, prompts, ppo_config)
-        diag_path = os.path.join(out_dir, "ppo_diagnostics.csv")
-        write_csv(
-            diag_path,
-            ("iteration", "mean_reward", "mean_kl", "clip_fraction"),
-            ([h["iteration"], _fmt(h["mean_reward"]), _fmt(h["mean_kl"]),
-              _fmt(h["clip_fraction"])] for h in history),
-        )
+        diag_path = _write_history(out_dir, "ppo", history,
+                                   ("iteration", "mean_reward", "mean_kl", "clip_fraction"))
         prefopt.save_policy(policy, policy_path)
         outputs.update(ppo_diagnostics=diag_path, policy=policy_path)
         if history:
@@ -515,17 +512,8 @@ def _cmd_kb(cfg: dict, out_dir: str) -> dict:
         criteria = [kb.parse_criterion(str(c)) for c in cfg["criteria"]]
         hits = kb.screen_germplasm(records, criteria)
         path = os.path.join(out_dir, "screen_results.csv")
-        write_csv(
-            path,
-            ("variety_name", "origin", "plant_height", "maturity", "crude_protein"),
-            ([
-                r.variety_name,
-                r.origin,
-                _fmt(r.agronomic["plant_height"]) if "plant_height" in r.agronomic else "",
-                _fmt(r.agronomic["maturity"]) if "maturity" in r.agronomic else "",
-                _fmt(r.quality["crude_protein"]) if "crude_protein" in r.quality else "",
-            ] for r in hits),
-        )
+        columns = ("variety_name", "origin", "plant_height", "maturity", "crude_protein")
+        write_csv(path, columns, ([r.get_field(c) for c in columns] for r in hits))
         _log(f"kb screen: {len(hits)} matching varieties")
         return {"results": path, "n_matches": len(hits)}
     if action != "price":
@@ -535,12 +523,7 @@ def _cmd_kb(cfg: dict, out_dir: str) -> dict:
     hits = kb.query_price(records, observation_point=cfg["observation_point"],
                           date=cfg["date"], variety=cfg["variety"])
     path = os.path.join(out_dir, "price_results.csv")
-    write_csv(
-        path,
-        ("observation_point", "variety_name", "price", "specification", "planting_area", "date"),
-        ([r.observation_point, r.variety_name, _fmt(r.price), _fmt(r.specification),
-          r.planting_area, r.date.isoformat()] for r in hits),
-    )
+    write_csv(path, kb.PRICE_CSV_COLUMNS, map(attrgetter(*kb.PRICE_CSV_COLUMNS), hits))
     _log(f"kb price: {len(hits)} records" if hits else "kb price: no data")
     return {"results": path, "found": bool(hits), "n_records": len(hits)}
 

@@ -506,7 +506,7 @@ def _feature_row(rec: PlotFeatureRecord) -> list:
     values = [rec.features.get(name) for name in RS_FEATURES + PHENOTYPING_FEATURES]
     values.append(rec.yield_kg_ha)
     return [rec.plot_id, rec.germplasm_id, rec.date, rec.site] + [
-        "" if value is None else repr(float(value)) for value in values
+        None if value is None else float(value) for value in values
     ]
 
 

@@ -120,7 +120,10 @@ def _as_number(value):
 
 
 def parse_criterion(text: str) -> Criterion:
-    """Parse "field<=value" style criteria (ops: <=, >=, !=, ==, <, >)."""
+    """Parse "field<=value" style criteria (ops: <=, >=, !=, ==, <, >).
+
+    A value that reads as a number must be finite; any other value is text.
+    """
     for op in CRITERION_OPS:
         if op in text:
             fieldname, _, raw = text.partition(op)
@@ -128,6 +131,8 @@ def parse_criterion(text: str) -> Criterion:
             if not fieldname or not raw:
                 raise InvalidInput(f"malformed criterion {text!r}")
             num = _as_number(raw)
+            if num is not None and not math.isfinite(num):
+                raise InvalidInput(f"criterion {text!r} compares with a non-finite number")
             return Criterion(field=fieldname, op=op, value=num if num is not None else raw)
     raise InvalidInput(f"criterion {text!r} has no operator (expected one of {tuple(CRITERION_OPS)})")
 

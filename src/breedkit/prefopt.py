@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import decoding, write_json
+from ._io import decoding, finite_number, write_json
 from .errors import (
     EmptyInput,
     InvalidInput,
@@ -620,10 +620,17 @@ def _load_model_json(path, keys: tuple) -> dict:
 
 
 def _model_value(path, what: str, value, kind):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{path}: non-numeric {what}: {value!r}")
+    """``value`` as ``kind``, float or int; ParseError naming ``path`` and ``what`` otherwise.
+
+    Every field must be a finite number: a JSON number, or a numeric string as
+    ``save_policy`` writes. An int field must be a JSON integer as well.
+    """
+    number = finite_number(str(value), f"{what} in {path}", None)
+    if kind is float:
+        return number
+    if type(value) is not int:  # a float, or a numeric string
+        raise ParseError(f"non-integer {what} in {path}: {value!r}")
+    return value
 
 
 def _model_row(path, what: str, values, length: int) -> np.ndarray:

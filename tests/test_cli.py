@@ -428,6 +428,10 @@ class TestConfigSchema:
          "extract.dem.cell_size", "missing required field"),
         ("extract", extract_config, ("extract", "dsm"), {"aggregator": "max"},
          "extract.dsm", "need either 'raster' or 'point_cloud'"),
+        ("extract", extract_config, ("extract", "hs_bands", 4, "wavelength_nm"), 680,
+         "extract.hs_bands[4].wavelength_nm", "band name b680 is taken by hs_bands[3]"),
+        ("extract", extract_config, ("extract", "hs_bands", 0, "wavelength_nm"), 680.0001,
+         "extract.hs_bands[3].wavelength_nm", "band name b680 is taken by hs_bands[0]"),
         ("fuse", lambda out: fuse_config(out, scene_path("golden/features.csv")),
          ("fuse", "k"), True, "fuse.k", "expected an integer, got True"),
         ("fuse", lambda out: fuse_config(out, scene_path("golden/features.csv")),
@@ -658,6 +662,10 @@ def _extra_weight(payload):
     payload["weights"].append("0.0")
 
 
+def _nan_in_row(payload):
+    next(iter(payload["rows"].values()))[0] = "nan"
+
+
 class TestPrefoptModelFiles:
     """A malformed policy/reference/reward file ends the ppo stage in exit 1, one stdout line."""
 
@@ -667,6 +675,9 @@ class TestPrefoptModelFiles:
         ("policy.json", _edit_json(_text_in_row), "non-numeric row"),
         ("policy.json", _edit_json(_text_vocab_size), "non-numeric vocab_size"),
         ("policy.json", _edit_json(_short_row), "has 5 entries, expected 6"),
+        ("policy.json", _edit_json(_nan_in_row), "non-finite row"),
+        ("policy.json", _edit_json(lambda p: p.update(vocab_size=6.9)), "non-integer vocab_size"),
+        ("policy.json", _edit_json(lambda p: p.update(seed="13")), "non-integer seed"),
         ("reference.json", _truncate, "bad JSON"),
         ("reference.json", lambda data: b"\xff" + data, "not UTF-8"),
         ("reward.json", _truncate, "bad JSON"),
@@ -749,6 +760,48 @@ class TestKb:
         assert summary["outputs"]["found"] is False
         rows = open(summary["outputs"]["results"]).read().splitlines()
         assert len(rows) == 1  # header only
+
+    @pytest.mark.parametrize("action", ["screen", "price"])
+    def test_kb_matches_golden_files(self, action, tmp_path, capsys):
+        cfg = write_config(kb_config(tmp_path / "out", action), tmp_path / "k.json")
+        rc, summary = run_cli(["kb", "--config", cfg], capsys)
+        assert rc == 0
+        golden = scene_path("golden/kb")
+        assert os.listdir(tmp_path / "out") == [f"{action}_results.csv"]
+        got = (tmp_path / "out" / f"{action}_results.csv").read_bytes()
+        assert got == open(os.path.join(golden, f"{action}_results.csv"), "rb").read()
+
+    def test_screen_spells_labels_blanks_and_large_numbers(self, tmp_path, capsys):
+        germplasm = tmp_path / "germplasm.csv"
+        germplasm.write_text(
+            "variety_name,origin,crude_protein,maturity,plant_height\n"
+            "Golf,Peru,,210,0.1\n"
+            "Echo,Chile,1e16,early,\n"
+            "Foxtrot,,14,,123456789012345678\n",
+            encoding="utf-8",
+        )
+        config = {"output_dir": str(tmp_path / "out"), "kb": {
+            "action": "screen", "germplasm": str(germplasm), "criteria": ["variety_name!=Zulu"]}}
+        rc, summary = run_cli(["kb", "--config", write_config(config, tmp_path / "k.json")], capsys)
+        assert rc == 0
+        assert open(summary["outputs"]["results"], "rb").read() == (
+            b"variety_name,origin,plant_height,maturity,crude_protein\n"
+            b"Echo,Chile,,early,1e+16\n"
+            b"Foxtrot,,1.2345678901234568e+17,,14.0\n"
+            b"Golf,Peru,0.1,210.0,\n"
+        )
+
+    @pytest.mark.parametrize("criterion",
+                             ["crude_protein>=nan", "plant_height<inf", "plant_height<1e999"])
+    def test_non_finite_criterion_is_invalid_input(self, criterion, tmp_path, capsys):
+        config = kb_config(tmp_path / "out", "screen")
+        config["kb"]["criteria"] = [criterion]
+        rc, summary = _run_one_line(["kb", "--config", write_config(config, tmp_path / "k.json")],
+                                    capsys)
+        assert rc == 1
+        assert summary["error"] == "InvalidInput"
+        assert repr(criterion) in summary["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_price_row_missing_cells_is_a_parse_error(self, tmp_path, capsys):
         prices = tmp_path / "prices.csv"

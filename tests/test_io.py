@@ -266,6 +266,13 @@ def test_a_measurement_row_names_one_new_plot(rows, message, tmp_path):
     assert str(info.value) == message
 
 
+def test_csv_cells_are_spelled_by_str(tmp_path):
+    path = tmp_path / "out.csv"
+    _io.write_csv(path, ("a", "b", "c", "d", "e", "f", "g", "h"), [
+        [0.1, -0.0, 1e16, 1e-05, np.float64(0.1), None, 3, datetime.date(2024, 6, 1)]])
+    assert path.read_bytes() == b"a,b,c,d,e,f,g,h\n0.1,-0.0,1e+16,1e-05,0.1,,3,2024-06-01\n"
+
+
 class TestAtomicWrites:
     def rows_failing_after(self, n):
         for i in range(n):

@@ -120,6 +120,12 @@ class TestScreenGermplasm:
         with pytest.raises(InvalidInput):
             kb.parse_criterion("plant_height")
 
+    @pytest.mark.parametrize("text", ["crude_protein>=nan", "plant_height<inf",
+                                      "plant_height>-Infinity", "plant_height<1e999"])
+    def test_a_numeric_criterion_value_must_be_finite(self, text):
+        with pytest.raises(InvalidInput, match=f"criterion {text!r} compares with a non-finite"):
+            kb.parse_criterion(text)
+
 
 class TestTraitFlags:
     def test_default_thresholds(self):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import re
 import types
 
 import numpy as np
@@ -555,6 +557,56 @@ class TestDatasetsAndPersistence:
         prefopt.save_reward_model(rm, path)
         back = prefopt.load_reward_model(path)
         assert np.array_equal(back.weights, rm.weights)
+
+
+def _first_row(payload):
+    return next(iter(payload["rows"].values()))
+
+
+def _saved_models(tmp_path):
+    """A saved policy and reward model as (loader, path, JSON payload) pairs."""
+    policy = prefopt.PolicyModel(vocab_size=4, context_length=2, init_scale=1.0, seed=3)
+    policy.logits_row((0, 1), ())
+    prefopt.save_policy(policy, tmp_path / "policy.json")
+    prefopt.save_reward_model(prefopt.RewardModel(4), tmp_path / "reward.json")
+    return {name: (load, tmp_path / f"{name}.json",
+                   json.loads((tmp_path / f"{name}.json").read_text(encoding="utf-8")))
+            for name, load in (("policy", prefopt.load_policy),
+                               ("reward", prefopt.load_reward_model))}
+
+
+class TestModelFileNumbers:
+    """A float field takes a finite JSON number or numeric string; an int field a JSON integer."""
+
+    @pytest.mark.parametrize("model, edit, message", [
+        ("policy", lambda p: _first_row(p).__setitem__(0, "nan"), "non-finite row '0,1;'"),
+        ("policy", lambda p: _first_row(p).__setitem__(1, True), "non-numeric row '0,1;'"),
+        ("policy", lambda p: p.update(init_scale="inf"), "non-finite init_scale"),
+        ("policy", lambda p: p.update(init_scale=False), "non-numeric init_scale"),
+        ("reward", lambda p: p["weights"].__setitem__(2, float("-inf")), "non-finite weights"),
+        ("reward", lambda p: p["weights"].__setitem__(2, [0.5]), "non-numeric weights"),
+        ("policy", lambda p: p.update(vocab_size=4.0), "non-integer vocab_size"),
+        ("policy", lambda p: p.update(context_length="2"), "non-integer context_length"),
+        ("policy", lambda p: p.update(seed=True), "non-numeric seed"),
+        ("reward", lambda p: p.update(vocab_size=4.5), "non-integer vocab_size"),
+    ])
+    def test_a_bad_number_is_a_parse_error_naming_file_and_field(self, model, edit, message,
+                                                                 tmp_path):
+        load, path, payload = _saved_models(tmp_path)[model]
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(message)) as info:
+            load(path)
+        assert str(path) in str(info.value)
+
+    def test_float_fields_take_json_numbers_and_numeric_strings(self, tmp_path):
+        load, path, payload = _saved_models(tmp_path)["policy"]
+        _first_row(payload)[:] = [0.5, -1, "2.5", "1e-3"]
+        payload["init_scale"] = "1.0"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        back = load(path)
+        assert back.init_scale == 1.0
+        assert back.logits_row((0, 1), ()).tolist() == [0.5, -1.0, 2.5, 0.001]
 
 
 # ---------------------------------------------------------------------------
