@@ -52,10 +52,10 @@ def _load_config(args) -> dict:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("config", f"invalid JSON: {exc}")
             except UnicodeDecodeError:
                 raise ConfigError("config", "not UTF-8 text")
+            except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+                raise ConfigError("config", f"invalid JSON: {exc}")
         if not isinstance(config, dict):
             raise ConfigError("config", "top level must be an object")
     for item in args.set or []:
@@ -66,6 +66,8 @@ def _load_config(args) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw  # bare strings are convenient on the command line
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise ConfigError(path, f"invalid JSON value: {exc}")
         node = config
         keys = path.split(".")
         for key in keys[:-1]:
@@ -298,31 +300,45 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
     head_counts = structural.load_head_counts(cfg["head_counts"])
     measurements = _load_measurements(cfg["measurements"]) if cfg["measurements"] else {}
 
-    vi_layers = {}
+    # Each index layer is built, read for every plot, and freed before the
+    # next is built. The first plot whose index columns fail keeps its error,
+    # and later plots are read no further, since the plot loop stops there.
+    # The error is raised where that loop reaches the plot, so layer-build and
+    # mask errors still come first.
+    restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
+    plot_cells_on: dict = {}  # every plot's PlotCells (or None) per grid geometry
+    index_values = [{} for _ in plots]
+    first_failed, error = len(plots), None
     for index_name in spectral.VI_NAMES:
-        vi_layers[f"{index_name}_MS"] = spectral.vi_map(ms, index_name, L=params["savi_l"],
-                                                        kndvi_sigma=params["kndvi_sigma"])
-        if index_name == "PSRI":
-            vi_layers["PSRI_HS"] = spectral.psri_hs(hs)
-        else:
-            vi_layers[f"{index_name}_HS"] = spectral.vi_map(hs, index_name, L=params["savi_l"],
-                                                            kndvi_sigma=params["kndvi_sigma"])
+        for sensor, bands in (("MS", ms), ("HS", hs)):
+            column = f"{index_name}_{sensor}"
+            if column == "PSRI_HS":
+                layer = spectral.psri_hs(hs)
+            else:
+                layer = spectral.vi_map(bands, index_name, L=params["savi_l"],
+                                        kndvi_sigma=params["kndvi_sigma"])
+            for i in range(first_failed):
+                try:
+                    index_values[i][column] = spectral.plot_statistic(
+                        layer, _cells_on(plot_cells_on, layer, plots, i), restrict_to=restrict,
+                        feature_name=column,
+                    ).value
+                except BreedkitError as exc:
+                    # the traceback's frames would keep the layer alive
+                    first_failed, error = i, exc.with_traceback(None)
+                    break
+            del layer
 
     for mask in (veg_mask, lodging_mask, weed_mask):
         geodata.require_binary_mask(mask)
 
     records = []
-    plot_cells_on: dict = {}  # every plot's PlotCells (or None) per grid geometry
     ring_cells_on: dict = {}  # every plot-plus-ring region's PlotCells on the weed mask
     rings = None
     for i, plot in enumerate(plots):
-        features = {}
-        restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
-        for column, layer in vi_layers.items():
-            features[column] = spectral.plot_statistic(
-                layer, _cells_on(plot_cells_on, layer, plots, i), restrict_to=restrict,
-                feature_name=column,
-            ).value
+        if i == first_failed:
+            raise error
+        features = index_values[i]
         chm_cells = _cells_on(plot_cells_on, chm, plots, i)
         features["CH"] = structural.plot_canopy_height(
             chm, chm_cells, percentile=params["ch_percentile"]).value

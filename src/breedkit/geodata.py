@@ -533,8 +533,11 @@ def write_point_cloud(cloud: PointCloud, path) -> None:
 def rasterize_elevation(cloud: PointCloud, cell_size: float, aggregator: str = "mean") -> RasterGrid:
     """Bin point z-values onto a grid snapped outward to ``cell_size``.
 
-    Cells with no points hold nodata. The mean aggregator sums each cell's
-    values in ascending z order, so the result does not depend on point order.
+    Cells with no points hold nodata. No aggregator depends on point order.
+    ``min`` and ``max`` reduce the points straight into the grid, with no
+    sort. Where a cell's extreme is zero, ``min`` gives -0.0 if any of the
+    cell's zero points is -0.0, and ``max`` gives 0.0 if any is 0.0. ``mean``
+    sums each cell's values in ascending z order.
     """
     if not cell_size > 0:
         raise InvalidInput(f"cell_size must be > 0, got {cell_size}")
@@ -548,30 +551,45 @@ def rasterize_elevation(cloud: PointCloud, cell_size: float, aggregator: str = "
     n_cols = max(1, int(math.ceil((x.max() - origin_x) / cell_size)))
     n_rows = max(1, int(math.ceil((y.max() - origin_y) / cell_size)))
 
-    col = np.minimum((x - origin_x) // cell_size, n_cols - 1).astype(np.int64)
-    row_from_bottom = np.minimum((y - origin_y) // cell_size, n_rows - 1).astype(np.int64)
-    row = n_rows - 1 - row_from_bottom
-    flat = row * n_cols + col
+    # Each point's flat cell index, built in place so that at most two
+    # cloud-sized arrays are alive. Rows and columns are whole numbers far
+    # below 2**53, so combining them in float64 is exact.
+    flat = y - origin_y
+    flat //= cell_size
+    np.minimum(flat, n_rows - 1, out=flat)  # the row counted from the bottom
+    np.subtract(n_rows - 1, flat, out=flat)
+    flat *= n_cols
+    col = x - origin_x
+    col //= cell_size
+    np.minimum(col, n_cols - 1, out=col)
+    flat += col
+    del col
+    flat = flat.astype(np.int64)
 
-    order = np.lexsort((z, flat))
-    flat_sorted = flat[order]
-    z_sorted = z[order]
-    boundaries = np.flatnonzero(np.diff(flat_sorted)) + 1
-    starts = np.concatenate(([0], boundaries))
-    cell_ids = flat_sorted[starts]
-
-    values = np.full(n_rows * n_cols, DEFAULT_NODATA)
-    if aggregator == "min":
-        agg = np.minimum.reduceat(z_sorted, starts)
-    elif aggregator == "max":
-        agg = np.maximum.reduceat(z_sorted, starts)
-    else:
+    if aggregator == "mean":
+        order = np.lexsort((z, flat))
+        flat = flat[order]
+        z_sorted = z[order]
+        del order
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(flat)) + 1))
+        cell_ids = flat[starts]
         # bincount accumulates sequentially, so summing in ascending-z order
         # keeps the mean exactly permutation-invariant
         counts = np.diff(np.concatenate((starts, [len(z_sorted)])))
-        sums = np.bincount(flat_sorted, weights=z_sorted, minlength=n_rows * n_cols)
-        agg = sums[cell_ids] / counts
-    values[cell_ids] = agg
+        sums = np.bincount(flat, weights=z_sorted, minlength=n_rows * n_cols)
+        values = np.full(n_rows * n_cols, DEFAULT_NODATA)
+        values[cell_ids] = sums[cell_ids] / counts
+    else:
+        reduce, fill, zero = ((np.minimum, np.inf, -0.0) if aggregator == "min"
+                              else (np.maximum, -np.inf, 0.0))
+        values = np.full(n_rows * n_cols, fill)
+        reduce.at(values, flat, z)
+        # -0.0 == 0.0, so the reduction keeps whichever zero came first; the
+        # sign the aggregator prefers wins instead, whatever the point order
+        zeros = np.flatnonzero(z == 0.0)
+        ties = flat[zeros[np.signbit(z[zeros]) == np.signbit(zero)]]
+        values[ties[values[ties] == 0.0]] = zero
+        values[values == fill] = DEFAULT_NODATA  # every point is finite
 
     return RasterGrid(
         values=values.reshape(n_rows, n_cols),

@@ -535,8 +535,8 @@ def _load_jsonl(path, required: tuple) -> list[dict]:
                 continue
             try:
                 obj = json.loads(ln)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", line=lineno)
+            except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+                raise ParseError(f"{path}: bad JSON: {exc}", line=lineno)
             if not isinstance(obj, dict):
                 raise ParseError("expected a JSON object", line=lineno)
             for key in required:
@@ -611,6 +611,8 @@ def _load_model_json(path, keys: tuple) -> dict:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: bad JSON: {exc.msg}", line=exc.lineno)
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ParseError(f"{path}: bad JSON: {exc}")
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: expected a JSON object")
     for key in keys:

@@ -8,12 +8,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breedkit import cli, prefopt
+from breedkit import cli, geodata, prefopt, spectral
 
 from conftest import (
     bench_config,
@@ -113,6 +116,18 @@ class TestExtract:
         assert got != golden  # restricting to vegetation pixels shifts the means
 
 
+def restrict_p2_to_no_vegetation(config, tmp_path):
+    """Restrict the indices to vegetation, with none in p2's window: p2 has no usable cells."""
+    mask = geodata.load_raster(scene_path("vegetation_mask.asc"))
+    (p2,) = [p for p in geodata.load_plots(scene_path("plots.csv")) if p.plot_id == "p2"]
+    (cells,) = geodata.select_cells(mask, [p2])
+    values = mask.values.copy()
+    values[cells.rows, cells.cols] = 0.0
+    geodata.write_raster(mask.with_values(values), tmp_path / "vegetation_mask.asc")
+    config["extract"]["vegetation_mask"] = str(tmp_path / "vegetation_mask.asc")
+    config["extract"]["params"] = {"vi_restrict_to_vegetation": True}
+
+
 class TestExtractErrorContract:
     def run_extract(self, config, tmp_path, capsys):
         cfg = write_config(config, tmp_path / "cfg.json")
@@ -142,6 +157,15 @@ class TestExtractErrorContract:
         (("p2 off the grid",), "EmptyPlot", "region p2 selects no cells of the grid"),
         (("p2 off the grid", "ring widths reversed"), "InvalidInput",
          "ring widths must satisfy 0 <= inner < outer, got (0.3, 0.2)"),
+        (("p2 has no vegetation",), "EmptyPlot", "plot p2: no usable cells for NDVI_MS"),
+        # p1 fails after its index columns, p2 at its first index column
+        (("p1 has no head counts", "p2 has no vegetation"), "BreedkitError",
+         "no head counts for plot p1"),
+        # a layer that cannot be built, or a non-binary mask, fails before any plot
+        (("p2 has no vegetation", "kndvi_sigma is 0"), "InvalidInput", "kndvi_sigma must be > 0"),
+        (("p2 has no vegetation", "no 680 nm band"), "MissingBand", "missing band: 680.0"),
+        (("p2 has no vegetation", "non-binary lodging mask"), "InvalidMask",
+         "mask holds non-binary value 0.5"),
     ])
     def test_plot_errors_keep_their_order(self, edits, error, message, tmp_path, capsys):
         # every plot is selected before the first plot's features; the errors
@@ -161,6 +185,18 @@ class TestExtractErrorContract:
             config["extract"]["plots"] = str(tmp_path / "plots.csv")
         if "ring widths reversed" in edits:
             config["extract"]["params"] = {"ring_inner_m": 0.3, "ring_outer_m": 0.2}
+        if "p2 has no vegetation" in edits:
+            restrict_p2_to_no_vegetation(config, tmp_path)
+        if "kndvi_sigma is 0" in edits:
+            config["extract"]["params"]["kndvi_sigma"] = 0.0
+        if "no 680 nm band" in edits:
+            config["extract"]["hs_bands"] = [band for band in config["extract"]["hs_bands"]
+                                             if band["wavelength_nm"] != 680]
+        if "non-binary lodging mask" in edits:
+            lines = open(scene_path("lodging_mask.asc")).read().splitlines()
+            lines[6] = "0.5" + lines[6][3:]  # the first cell of the top row is 0.0
+            (tmp_path / "lodging_mask.asc").write_text("\n".join(lines) + "\n")
+            config["extract"]["lodging_mask"] = str(tmp_path / "lodging_mask.asc")
         rc, summary = self.run_extract(config, tmp_path, capsys)
         assert (rc, summary) == (1, {"status": "error", "error": error, "message": message})
         assert not (tmp_path / "out").exists()
@@ -255,6 +291,96 @@ class TestExtractErrorContract:
         assert rc == 2
         assert summary["status"] == "config_error"
         assert summary["field"] == "extract.hs_bands[2].wavelength_nm"
+
+
+def write_field(root, n, points_per_cell, seed=0):
+    """An extract config over a generated n x n field of 1 m cells; returns it and its raster count.
+
+    Each cloud has ``points_per_cell`` points in every cell, and one square plot
+    sits inside each tile of a 4 x 4 split of the field.
+    """
+    rng = np.random.default_rng(seed)
+
+    def raster(name, values):
+        path = str(root / f"{name}.asc")
+        geodata.write_raster(geodata.RasterGrid(values, cell_size=1.0, origin_x=0.0, origin_y=0.0),
+                             path)
+        return path
+
+    extract = {
+        "ms_bands": {name: raster(f"ms_{name}", rng.uniform(0.05, 0.6, (n, n)))
+                     for name in geodata.MS_BAND_CENTERS_NM},
+        "hs_bands": [{"path": raster(f"hs_{nm}", rng.uniform(0.05, 0.6, (n, n))),
+                      "wavelength_nm": nm} for nm in (500, 560, 650, 680, 750, 840)],
+        **{f"{kind}_mask": raster(kind, (rng.random((n, n)) < 0.5).astype(float))
+           for kind in ("vegetation", "lodging", "weed")},
+    }
+    n_rasters = len(extract["ms_bands"]) + len(extract["hs_bands"]) + 3
+    cell = np.repeat(np.arange(n * n), points_per_cell)
+    x = cell % n + rng.uniform(0.2, 0.8, cell.size)
+    y = cell // n + rng.uniform(0.2, 0.8, cell.size)
+    for surface, name, aggregator, z in (("dsm", "canopy", "max", 1.0 + rng.random(cell.size)),
+                                         ("dem", "ground", "min", 0.1 * rng.random(cell.size))):
+        path = str(root / f"{name}.xyz")
+        geodata.write_point_cloud(geodata.PointCloud(np.column_stack([x, y, z])), path)
+        extract[surface] = {"point_cloud": path, "cell_size": 1.0, "aggregator": aggregator}
+    side = n // 4
+    plot_rows, head_rows = ["plot_id,germplasm_id,vertex_index,x,y"], ["plot_id,image_id,count"]
+    for k in range(16):
+        x0, y0 = (k % 4) * side + 2, (k // 4) * side + 2
+        x1, y1 = x0 + side - 4, y0 + side - 4
+        plot_rows += [f"q{k},g{k},{v},{vx},{vy}"
+                      for v, (vx, vy) in enumerate(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))]
+        head_rows.append(f"q{k},img0,50")
+    for name, rows in (("plots", plot_rows), ("head_counts", head_rows)):
+        (root / f"{name}.csv").write_text("\n".join(rows) + "\n")
+        extract[name] = str(root / f"{name}.csv")
+    extract.update(date="2024-05-20",
+                   flight={"altitude_m": 3.0, "fov_h_deg": 62.2, "fov_v_deg": 48.8})
+    return {"output_dir": str(root / "out"), "extract": extract}, n_rasters
+
+
+class TestExtractMemory:
+    @pytest.mark.parametrize("p2_has_no_vegetation", [False, True])
+    def test_one_index_layer_is_alive_at_a_time(self, p2_has_no_vegetation, tmp_path, capsys,
+                                                monkeypatch):
+        # p2's error is kept until the plot loop reaches it; it must not keep its layer alive
+        layers = []
+
+        def tracked(build):
+            def wrapper(*args, **kwargs):
+                assert all(ref() is None for ref in layers), "an earlier index layer is alive"
+                layer = build(*args, **kwargs)
+                layers.append(weakref.ref(layer))
+                return layer
+            return wrapper
+
+        monkeypatch.setattr(cli.spectral, "vi_map", tracked(spectral.vi_map))
+        monkeypatch.setattr(cli.spectral, "psri_hs", tracked(spectral.psri_hs))
+        config = extract_config(tmp_path / "out")
+        if p2_has_no_vegetation:
+            restrict_p2_to_no_vegetation(config, tmp_path)
+        rc, _ = run_cli(["extract", "--config", write_config(config, tmp_path / "cfg.json")],
+                        capsys)
+        assert (rc, len(layers)) == (1 if p2_has_no_vegetation else 0, 10)
+
+    def test_traced_peak_is_bounded_by_the_input_sizes(self, tmp_path):
+        n, points_per_cell = 120, 2
+        config, n_rasters = write_field(tmp_path, n, points_per_cell)
+        cfg = write_config(config, tmp_path / "cfg.json")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["extract", "--config", cfg]) == 0  # the first run's lazy imports
+            tracemalloc.start()
+            try:
+                assert cli.main(["extract", "--config", cfg]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        grid = n * n * 8
+        points = n * n * points_per_cell
+        # every raster, one cloud, two grid layers and two cloud-sized index arrays
+        bound = n_rasters * grid + points * 3 * 8 + 2 * grid + 2 * points * 8
+        assert peak < bound, (peak, bound)
 
 
 class TestFuse:
@@ -584,6 +710,37 @@ def _contract_run(tmp, args):
     for name in set(os.listdir(tmp)) - before:
         shutil.rmtree(os.path.join(tmp, name))
     return rc, json.loads(lines[0])
+
+
+class TestIntegerPastTheDigitLimit:
+    """A JSON integer past 4300 digits, which json reads with int(), ends in the CLI contract."""
+
+    LONG = "9" * 5000
+
+    def test_in_the_config_file(self, tmp_path, capsys):
+        config = bench_config(tmp_path / "out")
+        config["bench"]["ballots"] = "@"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config).replace('"@"', self.LONG))
+        rc, summary = _run_one_line(["bench", "--config", str(path)], capsys)
+        assert (rc, summary["status"], summary["field"]) == (2, "config_error", "config")
+        assert summary["message"].startswith("invalid JSON: ")
+
+    def test_in_a_set_value(self, tmp_path, capsys):
+        cfg = write_config(bench_config(tmp_path / "out"), tmp_path / "cfg.json")
+        rc, summary = _run_one_line(
+            ["bench", "--config", cfg, "--set", f"bench.ballots={self.LONG}"], capsys)
+        assert (rc, summary["status"], summary["field"]) == (2, "config_error", "bench.ballots")
+
+    def test_in_a_data_file(self, tmp_path, capsys):
+        data = tmp_path / "sft.jsonl"
+        data.write_text(f'{{"prompt": [0], "answer": [{self.LONG}]}}\n')
+        config = prefopt_config(tmp_path / "out")
+        config["prefopt"].update(stages=["sft"], sft_data=str(data))
+        rc, summary = _run_one_line(
+            ["prefopt", "--config", write_config(config, tmp_path / "cfg.json")], capsys)
+        assert (rc, summary["error"]) == (1, "ParseError")
+        assert summary["message"].startswith(f"line 1: {data}: bad JSON: ")
 
 
 class TestConfigContract:

@@ -73,10 +73,11 @@ def rasterize_oracle(points, cell_size, aggregator):
     values = np.full((n_rows, n_cols), -9999.0)
     for (row, col), zs in buckets.items():
         zs = sorted(zs)
+        # of two tied zeros, -0.0 is the lower
         if aggregator == "min":
-            values[row, col] = zs[0]
+            values[row, col] = min(zs, key=lambda z: (z, math.copysign(1.0, z)))
         elif aggregator == "max":
-            values[row, col] = zs[-1]
+            values[row, col] = max(zs, key=lambda z: (z, math.copysign(1.0, z)))
         else:
             acc = 0.0
             for z in zs:
@@ -434,14 +435,30 @@ class TestRasterizeElevation:
         assert (grid.origin_x, grid.origin_y) == (ox, oy)
         assert np.array_equal(grid.values, expected)
 
-    def test_permutation_invariant(self):
+    @pytest.mark.parametrize("aggregator", ["min", "max", "mean"])
+    def test_permutation_invariant(self, aggregator):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 4, size=(500, 3))
-        cloud = geodata.PointCloud(points=pts)
-        shuffled = geodata.PointCloud(points=pts[rng.permutation(500)])
-        a = geodata.rasterize_elevation(cloud, 0.5, "mean")
-        b = geodata.rasterize_elevation(shuffled, 0.5, "mean")
-        assert np.array_equal(a.values, b.values)
+        pts[::2, 2] = rng.choice([0.0, -0.0], 250)  # signed-zero ties in most cells
+        want = geodata.rasterize_elevation(geodata.PointCloud(points=pts), 0.5, aggregator)
+        for _ in range(20):
+            shuffled = geodata.PointCloud(points=pts[rng.permutation(500)])
+            got = geodata.rasterize_elevation(shuffled, 0.5, aggregator)
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("aggregator", ["min", "max"])
+    def test_min_max_match_the_oracle_bit_for_bit(self, aggregator):
+        # lattice points: duplicates, several points per cell, and zeros of both signs
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            pts = np.column_stack([rng.integers(0, 8, n) * 0.25, rng.integers(0, 8, n) * 0.25,
+                                   rng.choice([-1.5, -0.0, 0.0, 0.0, 2.0], n)])
+            pts = np.concatenate([pts, pts[rng.integers(0, n, n // 3)]])
+            grid = geodata.rasterize_elevation(geodata.PointCloud(points=pts), 0.5, aggregator)
+            expected = rasterize_oracle(pts.tolist(), 0.5, aggregator)[0]
+            assert grid.values.shape == expected.shape
+            assert grid.values.tobytes() == expected.tobytes()
 
     def test_bad_cell_size(self):
         cloud = geodata.PointCloud(points=np.array([[0.0, 0.0, 1.0]]))

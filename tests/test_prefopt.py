@@ -531,6 +531,14 @@ class TestDatasetsAndPersistence:
             load(path)
         assert str(info.value) == f"line 2: {message} is not an integer"
 
+    def test_integer_past_the_digit_limit_is_a_parse_error_at_its_line(self, tmp_path):
+        path = tmp_path / "sft.jsonl"
+        path.write_text('{"prompt": [0], "answer": [1]}\n'
+                        f'{{"prompt": [0], "answer": [{"9" * 5000}]}}\n')
+        with pytest.raises(ParseError) as info:
+            prefopt.load_sft_dataset(path)
+        assert str(info.value).startswith(f"line 2: {path}: bad JSON: ")
+
     def test_integer_token_outside_the_vocabulary_is_the_models_check(self, tmp_path):
         path = tmp_path / "sft.jsonl"
         path.write_text('{"prompt": [0], "answer": [10000000000000000000000]}\n')
@@ -598,6 +606,15 @@ class TestModelFileNumbers:
         with pytest.raises(ParseError, match=re.escape(message)) as info:
             load(path)
         assert str(path) in str(info.value)
+
+    def test_integer_past_the_digit_limit_is_a_parse_error_naming_the_file(self, tmp_path):
+        # json reads it with int(), which refuses more than 4300 digits by default
+        load, path, payload = _saved_models(tmp_path)["policy"]
+        payload["seed"] = "@"
+        path.write_text(json.dumps(payload).replace('"@"', "9" * 5000), encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: bad JSON: ")
 
     def test_float_fields_take_json_numbers_and_numeric_strings(self, tmp_path):
         load, path, payload = _saved_models(tmp_path)["policy"]
