@@ -93,7 +93,7 @@ class TaskSpec:
         return SUBTASKS[self.subtask][1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One recorded model answer (plus any manual judgment) for one test."""
 
@@ -390,25 +390,29 @@ def _opt_bool(raw, lineno):
 def load_trials(path) -> list[TrialRecord]:
     trials = []
     specs: dict = {}  # one shared TaskSpec per (task, subtask) pair
+    texts: dict = {}  # one shared string per distinct text cell
     for i, (model, task, subtask, question, trial_index, answer_numeric, answer_label, judged_correct,
             reference_value, reference_label, protocol, text_pass) in csv_rows(
             path, TRIAL_CSV_COLUMNS[:5], TRIAL_CSV_COLUMNS[5:]):
+        model, question, answer_label, reference_label, protocol = (
+            model.strip(), question.strip(), answer_label.strip(), reference_label.strip(),
+            protocol.strip())
         try:
             pair = (task.strip(), subtask.strip())
             if pair not in specs:
                 specs[pair] = TaskSpec(*pair)
             trials.append(
                 TrialRecord(
-                    model_id=model.strip(),
+                    model_id=texts.setdefault(model, model),
                     task_spec=specs[pair],
-                    question_id=question.strip(),
+                    question_id=texts.setdefault(question, question),
                     trial_index=int(trial_index),
                     answer_numeric=_opt_float(answer_numeric),
-                    answer_label=answer_label.strip() or None,
+                    answer_label=texts.setdefault(answer_label, answer_label) or None,
                     judged_correct=_opt_bool(judged_correct, i),
                     reference_value=_opt_float(reference_value),
-                    reference_label=reference_label.strip() or None,
-                    stability_protocol=protocol.strip() or None,
+                    reference_label=texts.setdefault(reference_label, reference_label) or None,
+                    stability_protocol=texts.setdefault(protocol, protocol) or None,
                     text_pass=_opt_bool(text_pass, i),
                 )
             )

@@ -53,7 +53,7 @@ FEATURE_DOMAIN = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlotFeatureRecord:
     """All extracted features for one plot on one date, plus provenance."""
 
@@ -79,7 +79,7 @@ class PlotFeatureRecord:
 _WEATHER_VALUES = ("t_mean", "dew_point", "precip", "net_radiation", "wind_speed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeatherRecord:
     """One day of station weather."""
 
@@ -514,6 +514,7 @@ def load_feature_records(path) -> list[PlotFeatureRecord]:
     """One PlotFeatureRecord per row of a feature table; a blank cell is an absent value."""
     names = RS_FEATURES + PHENOTYPING_FEATURES
     records = []
+    texts: dict = {}  # one shared string per distinct text cell
     for i, (plot_id, germplasm_id, date, site, *cells, raw_yield) in csv_rows(
             path, FEATURE_CSV_COLUMNS[:3], FEATURE_CSV_COLUMNS[3:]):
         features = {}
@@ -529,10 +530,14 @@ def load_feature_records(path) -> list[PlotFeatureRecord]:
             yield_kg_ha = float(raw_yield) if raw_yield else None
         except ValueError:
             raise ParseError(f"non-numeric yield_kg_ha: {raw_yield!r}", line=i)
+        plot_id, germplasm_id = plot_id.strip(), germplasm_id.strip()
+        date, site = date.strip(), site.strip()
         try:
             records.append(PlotFeatureRecord(
-                plot_id=plot_id.strip(), germplasm_id=germplasm_id.strip(), date=date.strip(),
-                features=features, yield_kg_ha=yield_kg_ha, site=site.strip()))
+                plot_id=texts.setdefault(plot_id, plot_id),
+                germplasm_id=texts.setdefault(germplasm_id, germplasm_id),
+                date=texts.setdefault(date, date), features=features, yield_kg_ha=yield_kg_ha,
+                site=texts.setdefault(site, site)))
         except InvalidInput as exc:
             raise ParseError(str(exc), line=i)
     if not records:
@@ -544,9 +549,12 @@ def load_weather(path) -> list[WeatherRecord]:
     """Read daily station weather; a repeated (site, date) is a ParseError at its line."""
     rows = []
     seen = set()
+    texts: dict = {}  # one shared string per distinct site and date
     for i, (site, date, *values) in csv_rows(path, ("site", "date") + _WEATHER_VALUES):
         try:
-            record = WeatherRecord(site.strip(), str(iso_date(date.strip())), *map(float, values))
+            site, date = site.strip(), str(iso_date(date.strip()))
+            record = WeatherRecord(texts.setdefault(site, site), texts.setdefault(date, date),
+                                   *map(float, values))
         except (ValueError, InvalidInput) as exc:
             raise ParseError(f"bad weather row: {exc}", line=i)
         if (record.site, record.date) in seen:

@@ -62,7 +62,8 @@ class RasterGrid:
             raise InvalidInput(f"cell_size must be > 0, got {self.cell_size}")
         if not np.isfinite(self.nodata):
             raise InvalidInput("nodata sentinel must be finite")
-        if not np.isfinite(arr[arr != self.nodata]).all():
+        # nodata is finite, so this is the same check as on the cells other than nodata
+        if not np.isfinite(arr).all():
             raise InvalidInput("grid values must be finite or the nodata sentinel")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

@@ -30,7 +30,7 @@ CRITERION_OPS = {
 PRICE_DATE_WINDOW_DAYS = 31
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GermplasmRecord:
     """One variety with quality, resistance, and agronomic traits."""
 
@@ -66,7 +66,7 @@ def _check_field(name: str) -> None:
         raise UnknownField(f"unknown germplasm field {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceRecord:
     """One seed-price observation."""
 
@@ -244,6 +244,7 @@ def load_germplasm(path) -> list[GermplasmRecord]:
     label (``early``). A bad number is a ParseError at its line.
     """
     records = []
+    texts: dict = {}  # one shared string per distinct text cell
     for i, cells in csv_rows(path, GERMPLASM_FIELDS[:1], GERMPLASM_FIELDS[1:]):
         rec = dict(zip(GERMPLASM_FIELDS, map(str.strip, cells)))
         quality = {}
@@ -253,14 +254,16 @@ def load_germplasm(path) -> list[GermplasmRecord]:
                 if num is None:
                     raise ParseError(f"non-numeric {key}: {rec[key]!r}", line=i)
                 quality[key] = num
-        resistance = {key: rec[key] for key in RESISTANCE_FIELDS if rec[key]}
+        resistance = {key: texts.setdefault(rec[key], rec[key]) for key in RESISTANCE_FIELDS if rec[key]}
         agronomic = {}
         for key in AGRONOMIC_FIELDS:
             if rec[key]:
                 num = _as_number(rec[key])
-                agronomic[key] = num if num is not None else rec[key]
+                agronomic[key] = num if num is not None else texts.setdefault(rec[key], rec[key])
+        name, origin = rec["variety_name"], rec["origin"]
         try:
-            records.append(GermplasmRecord(variety_name=rec["variety_name"], origin=rec["origin"],
+            records.append(GermplasmRecord(variety_name=texts.setdefault(name, name),
+                                           origin=texts.setdefault(origin, origin),
                                            quality=quality, resistance=resistance,
                                            agronomic=agronomic))
         except InvalidInput as exc:
@@ -279,13 +282,16 @@ def load_prices(path) -> list[PriceRecord]:
     """One PriceRecord per row of a price table; each distinct date text is parsed once."""
     records = []
     dates: dict = {}
+    texts: dict = {}  # one shared string per distinct text cell
     for i, (point, variety, price, specification, area, date) in csv_rows(path, PRICE_CSV_COLUMNS):
         try:
             price, specification, date = float(price), float(specification), date.strip()
             if date not in dates:
                 dates[date] = _parse_date(date)
-            records.append(PriceRecord(point.strip(), variety.strip(), price, specification,
-                                       area.strip(), dates[date]))
+            point, variety, area = point.strip(), variety.strip(), area.strip()
+            records.append(PriceRecord(texts.setdefault(point, point),
+                                       texts.setdefault(variety, variety), price, specification,
+                                       texts.setdefault(area, area), dates[date]))
         except (ValueError, InvalidInput) as exc:
             raise ParseError(f"bad price row: {exc}", line=i)
     if not records:

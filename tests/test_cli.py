@@ -440,6 +440,16 @@ class TestFuse:
         assert summary["status"] == "error"
         assert summary["error"] == "InvalidInput"
 
+    def test_fuse_matches_golden_files(self, tmp_path, capsys):
+        cfg = write_config(fuse_config(tmp_path / "out", scene_path("golden/features.csv")),
+                           tmp_path / "f.json")
+        rc, summary = run_cli(["fuse", "--config", cfg], capsys)
+        assert rc == 0
+        golden = scene_path("golden/fuse")
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(os.listdir(golden))
+        for name in os.listdir(golden):
+            got = (tmp_path / "out" / name).read_bytes()
+            assert got == open(os.path.join(golden, name), "rb").read(), name
 
     def test_repeated_weather_row_is_a_parse_error(self, tmp_path, capsys):
         rows = open(scene_path("weather.csv")).read().splitlines()

@@ -852,6 +852,28 @@ class TestGridInvariants:
         with pytest.raises(ValueError):
             grid.values[0, 0] = 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_is_invalid(self, bad):
+        values = np.zeros((2, 3))
+        values[1, 2] = bad
+        with pytest.raises(InvalidInput, match="grid values must be finite or the nodata sentinel"):
+            make_grid(values)
+
+    @pytest.mark.parametrize("nodata", [np.nan, np.inf])
+    def test_non_finite_nodata_is_invalid(self, nodata):
+        with pytest.raises(InvalidInput, match="nodata sentinel must be finite"):
+            make_grid(np.full((2, 3), nodata), nodata=nodata)
+
+    @pytest.mark.parametrize("values, nodata", [
+        (np.full((2, 3), -9999.0), -9999.0),  # every cell is nodata
+        (np.array([[0.0, -0.0, 0.5], [0.0, 0.0, -0.0]]), -0.0),  # 0.0 cells equal -0.0 nodata
+        (np.array([[0.0, 1.0, 0.5], [0.0, 2.0, 3.0]]), -0.0),
+    ])
+    def test_finite_grid_with_nodata_cells_loads(self, values, nodata):
+        grid = make_grid(values, nodata=nodata)
+        assert np.array_equal(grid.values, values)
+        assert np.array_equal(np.signbit(grid.values), np.signbit(values))
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_round_trip_property(self, seed):

@@ -1,13 +1,18 @@
 import ast
+import dataclasses
 import datetime
+import gc
 import json
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from breedkit import _io, bench, cli, fusion, geodata, kb, structural
 from breedkit.errors import EmptyDataset, EmptyInput, ParseError
+from conftest import scene_path
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "breedkit")
 
@@ -489,3 +494,99 @@ def test_valid_tables_hold_the_records_their_rows_spell(table, tmp_path):
     with pytest.raises(empty_error) as info:
         load(path)
     assert str(info.value) == empty_message.format(path=path)
+
+
+# ---------------------------------------------------------------------------
+# per-row records: slotted, frozen values; equal text cells of one load share
+# one string
+# ---------------------------------------------------------------------------
+
+RECORDS = {
+    "PlotFeatureRecord": lambda: fusion.PlotFeatureRecord(
+        plot_id="p1", germplasm_id="g1", date="2024-05-01", features={"CH": 0.5},
+        yield_kg_ha=5000.0, site="north"),
+    "WeatherRecord": lambda: fusion.WeatherRecord("north", "2024-05-01", 12.0, 5.0, 0.5, 140.0, 2.0),
+    "TrialRecord": lambda: bench.TrialRecord(
+        model_id="m1", task_spec=bench.TaskSpec("phenotyping_estimation", "Yield"),
+        question_id="q1", trial_index=0, answer_numeric=4100.0, reference_value=4000.0,
+        stability_protocol="consistency"),
+    "GermplasmRecord": lambda: kb.GermplasmRecord(
+        variety_name="Alpha", origin="China", quality={"crude_protein": 15.2},
+        resistance={"stripe_rust": "MR"}, agronomic={"maturity": "early"}),
+    "PriceRecord": lambda: kb.PriceRecord(
+        "Miyun District", "Nongda 3486", 150.0, 25.0, "Beijing", datetime.date(2024, 6, 1)),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=list(RECORDS))
+def test_per_row_records_are_slotted_frozen_values(make):
+    record = make()
+    assert not hasattr(record, "__dict__")
+    for field in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field.name, getattr(record, field.name))
+    assert record == make()
+
+
+def _repeated_features(tmp_path):
+    header, rows = _feature_rows(4)
+    later = [cells[:2] + ["2024-06-01"] + cells[3:] for cells in rows]
+    path = tmp_path / "features.csv"
+    path.write_text(_table_text(header, rows + later), encoding="utf-8")
+    return [rec.plot_id for rec in fusion.load_feature_records(path)]
+
+
+# one text column each loader reads, as a list of that column's cells in one load
+SHARED_TEXT = {
+    "trial model_id": lambda tmp_path: [
+        t.model_id for t in bench.load_trials(scene_path("trials.csv"))],
+    "price observation_point": lambda tmp_path: [
+        r.observation_point for r in kb.load_prices(scene_path("prices.csv"))],
+    "feature plot_id": _repeated_features,
+    "germplasm leaf_rust": lambda tmp_path: [
+        r.resistance["leaf_rust"] for r in kb.load_germplasm(scene_path("germplasm.csv"))],
+    "weather site": lambda tmp_path: [
+        r.site for r in fusion.load_weather(scene_path("weather.csv"))],
+}
+
+
+@pytest.mark.parametrize("column", SHARED_TEXT.values(), ids=list(SHARED_TEXT))
+def test_equal_text_cells_of_one_load_are_one_string(column, tmp_path):
+    values = [value for value in column(tmp_path) if len(value) > 1]  # CPython shares the rest anyway
+    first: dict = {}
+    for value in values:
+        assert first.setdefault(value, value) is value, value
+    assert len(first) < len(values)  # some value repeats
+
+
+def test_loaded_trials_keep_no_more_than_their_records_and_distinct_strings(tmp_path):
+    path = tmp_path / "trials.csv"
+    protocols = ("consistency", "robustness")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(bench.TRIAL_CSV_COLUMNS) + "\n")
+        for q in range(200):
+            for m in range(4):
+                for t in range(6):
+                    fh.write(f"model-{m},phenotyping_estimation,Yield,question-{q:03d},{t},"
+                             f"{4000 + q + 0.5 * t},,,{4000.0 + q},,{protocols[t % 2]},\n")
+    bench.load_trials(path)  # warm every cache the loader touches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trials = bench.load_trials(path)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trials) == 4800
+    # Each row keeps its record (sys.getsizeof counts the GC header) and its two
+    # floats; trial_index is a small int, which CPython caches. The list's size
+    # counts its slots. Each distinct text is kept once. The 4 KiB slack covers
+    # the one shared TaskSpec and its two strings.
+    texts = {t.model_id for t in trials} | {t.question_id for t in trials} | set(protocols)
+    bound = (sys.getsizeof(trials)
+             + len(trials) * (sys.getsizeof(trials[0]) + 2 * sys.getsizeof(1.0))
+             + sum(map(sys.getsizeof, texts))
+             + 4096)
+    assert kept <= bound
