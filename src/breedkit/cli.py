@@ -20,7 +20,7 @@ from operator import attrgetter
 
 from . import bench, fusion, geodata, kb, prefopt, spectral, structural
 from ._io import csv_rows, finite_number, write_csv, write_json
-from .errors import BreedkitError, InvalidInput, ParseError
+from .errors import BreedkitError, InvalidInput, MissingBand, ParseError
 
 class ConfigError(Exception):
     """Configuration problem; carries the dotted field path."""
@@ -271,6 +271,27 @@ def _cells_on(selected: dict, grid: geodata.RasterGrid, regions: list, i: int) -
     return selected[grid.geometry][i] or geodata.plot_cells(grid, regions[i])
 
 
+def _bands_an_index_reads(hs: geodata.BandSet) -> geodata.BandSet:
+    """``hs`` with only the bands the HS index layers read.
+
+    Those are the first band, whose geometry and nodata ``vi_map`` takes,
+    and the band ``resolve_band`` picks for each of
+    ``spectral.HS_INDEX_TARGETS_NM``. Where fewer than two bands are left,
+    some target resolves to none and its layer fails; ``hs`` is kept whole,
+    since a BandSet needs two bands.
+    """
+    kept = {next(iter(hs.bands))}
+    for target in spectral.HS_INDEX_TARGETS_NM:
+        try:
+            kept.add(spectral.resolve_band(hs, target))
+        except MissingBand:
+            pass
+    if len(kept) < 2:
+        return hs
+    return geodata.BandSet(bands={name: band for name, band in hs.bands.items() if name in kept},
+                           sensor_kind="HS")
+
+
 def _cmd_extract(cfg: dict, out_dir: str) -> dict:
     for surface in ("dsm", "dem"):
         if cfg[surface]["raster"] is None:
@@ -289,45 +310,57 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
     ms = geodata.BandSet(bands={name: (geodata.load_raster(cfg["ms_bands"][name]), nm)
                                 for name, nm in geodata.MS_BAND_CENTERS_NM.items()},
                          sensor_kind="MS")
-    hs = geodata.BandSet(bands={name: (geodata.load_raster(band["path"]), band["wavelength_nm"])
-                                for name, band in zip(hs_names, cfg["hs_bands"])},
-                         sensor_kind="HS")
+    hs = _bands_an_index_reads(geodata.BandSet(
+        bands={name: (geodata.load_raster(band["path"]), band["wavelength_nm"])
+               for name, band in zip(hs_names, cfg["hs_bands"])},
+        sensor_kind="HS"))
     veg_mask = geodata.load_raster(cfg["vegetation_mask"])
+
+    # Each index layer is built, read for every plot, and freed before the
+    # next is built. Then both band sets are freed, and only then do the
+    # lodging and weed masks and the clouds load, into the space the bands
+    # leave (loaded before the bands were freed, the two masks kept that
+    # space from being reused, and the peak resident set of some scenes
+    # read 2 MiB higher). A layer that cannot be built stops the loop; its
+    # error is raised once every input has loaded. The first plot whose
+    # index columns fail keeps its error, raised where the plot loop reaches
+    # the plot. So input errors come first, then layer-build and mask errors.
+    # Both are kept without their tracebacks, whose frames would keep a
+    # layer or a band set alive.
+    restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
+    plot_cells_on: dict = {}  # every plot's PlotCells (or None) per grid geometry
+    index_values = [{} for _ in plots]
+    first_failed, error, layer_error = len(plots), None, None
+    try:
+        for index_name in spectral.VI_NAMES:
+            for sensor, bands in (("MS", ms), ("HS", hs)):
+                column = f"{index_name}_{sensor}"
+                if column == "PSRI_HS":
+                    layer = spectral.psri_hs(hs)
+                else:
+                    layer = spectral.vi_map(bands, index_name, L=params["savi_l"],
+                                            kndvi_sigma=params["kndvi_sigma"])
+                for i in range(first_failed):
+                    try:
+                        index_values[i][column] = spectral.plot_statistic(
+                            layer, _cells_on(plot_cells_on, layer, plots, i),
+                            restrict_to=restrict, feature_name=column,
+                        ).value
+                    except BreedkitError as exc:
+                        first_failed, error = i, exc.with_traceback(None)
+                        break
+                del layer
+    except BreedkitError as exc:
+        layer_error = exc.with_traceback(None)
+    del ms, hs, bands
     lodging_mask = geodata.load_raster(cfg["lodging_mask"])
     weed_mask = geodata.load_raster(cfg["weed_mask"])
     chm = structural.canopy_height_model(_load_elevation(cfg["dsm"]), _load_elevation(cfg["dem"]),
                                          noise_floor=params["noise_floor_m"])
     head_counts = structural.load_head_counts(cfg["head_counts"])
     measurements = _load_measurements(cfg["measurements"]) if cfg["measurements"] else {}
-
-    # Each index layer is built, read for every plot, and freed before the
-    # next is built. The first plot whose index columns fail keeps its error,
-    # and later plots are read no further, since the plot loop stops there.
-    # The error is raised where that loop reaches the plot, so layer-build and
-    # mask errors still come first.
-    restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
-    plot_cells_on: dict = {}  # every plot's PlotCells (or None) per grid geometry
-    index_values = [{} for _ in plots]
-    first_failed, error = len(plots), None
-    for index_name in spectral.VI_NAMES:
-        for sensor, bands in (("MS", ms), ("HS", hs)):
-            column = f"{index_name}_{sensor}"
-            if column == "PSRI_HS":
-                layer = spectral.psri_hs(hs)
-            else:
-                layer = spectral.vi_map(bands, index_name, L=params["savi_l"],
-                                        kndvi_sigma=params["kndvi_sigma"])
-            for i in range(first_failed):
-                try:
-                    index_values[i][column] = spectral.plot_statistic(
-                        layer, _cells_on(plot_cells_on, layer, plots, i), restrict_to=restrict,
-                        feature_name=column,
-                    ).value
-                except BreedkitError as exc:
-                    # the traceback's frames would keep the layer alive
-                    first_failed, error = i, exc.with_traceback(None)
-                    break
-            del layer
+    if layer_error is not None:
+        raise layer_error
 
     for mask in (veg_mask, lodging_mask, weed_mask):
         geodata.require_binary_mask(mask)

@@ -398,9 +398,56 @@ def load_raster(path) -> RasterGrid:
     Header lines (case-insensitive keys, fixed order): ncols, nrows,
     xllcorner, yllcorner, cellsize, then an optional NODATA_value. Data rows
     follow top row first; each row must hold exactly ncols numeric cells.
+
+    The header is read line by line, and the data lines stream from the open
+    file into numpy's reader, so the file's text is never held whole. Any
+    other file is read again whole, split as ``str.splitlines`` splits it,
+    and the line parser names its first fault.
     """
     with decoding(path), open(path, "r", encoding="utf-8") as fh:
+        grid = _stream_raster(fh)
+    if grid is not None:
+        return grid
+    with decoding(path), open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    n_rows, n_cols, data_start, georef = _raster_header(lines)
+    row_lines = [
+        (n, ln) for n, ln in enumerate(lines[data_start:], start=data_start + 1) if ln.strip()
+    ]
+    if len(row_lines) != n_rows:
+        raise ParseError(
+            f"expected {n_rows} data rows, found {len(row_lines)}",
+            line=len(lines),
+        )
+    return RasterGrid(values=_parse_rows(row_lines, n_cols, "cells", "cell"), **georef)
+
+
+def _stream_raster(fh) -> RasterGrid | None:
+    """The grid in the open file ``fh``, its data lines streamed into ``_read_numbers``.
+
+    None where the whole-text reader must decide: a header it would reject
+    (it reports that only after any decoding error later in the file), no
+    data line, rows numpy does not read as exactly nrows x ncols finite
+    values, or a line ``_splits_further`` flags.
+    """
+    head = list(itertools.islice(fh, 6))
+    if any(map(_splits_further, head)):
+        return None
+    try:
+        n_rows, n_cols, data_start, georef = _raster_header(head)
+    except ParseError:
+        return None
+    values = _read_numbers(_data_lines(itertools.chain(head[data_start:], fh)))
+    if values is None or values.shape != (n_rows, n_cols):
+        return None
+    return RasterGrid(values=values, **georef)
+
+
+def _raster_header(lines) -> tuple[int, int, int, dict]:
+    """(nrows, ncols, index of the first data line, RasterGrid georeferencing) of a grid file.
+
+    Only ``lines[:6]`` are read. ParseError names the first bad header line.
+    """
 
     def header(idx: int, key: str):
         if idx >= len(lines):
@@ -417,7 +464,6 @@ def load_raster(path) -> RasterGrid:
     cell_size = header(4, "cellsize")
     if n_cols_f != int(n_cols_f) or n_rows_f != int(n_rows_f) or n_cols_f < 1 or n_rows_f < 1:
         raise ParseError("ncols/nrows must be positive integers", line=1)
-    n_cols, n_rows = int(n_cols_f), int(n_rows_f)
     if cell_size <= 0:
         raise ParseError("cellsize must be > 0", line=5)
 
@@ -430,26 +476,28 @@ def load_raster(path) -> RasterGrid:
                 raise ParseError("expected 'NODATA_value <value>'", line=data_start + 1)
             nodata = finite_number(parts[1], "NODATA_value", data_start + 1)
             data_start += 1
+    georef = {"cell_size": cell_size, "origin_x": origin_x, "origin_y": origin_y, "nodata": nodata}
+    return int(n_rows_f), int(n_cols_f), data_start, georef
 
-    row_lines = [
-        (n, ln) for n, ln in enumerate(lines[data_start:], start=data_start + 1) if ln.strip()
-    ]
-    if len(row_lines) != n_rows:
-        raise ParseError(
-            f"expected {n_rows} data rows, found {len(row_lines)}",
-            line=len(lines),
-        )
-    values = _read_numbers([ln for _, ln in row_lines])
-    if values is None or values.shape != (n_rows, n_cols):
-        values = _parse_rows(row_lines, n_cols, "cells", "cell")
 
-    return RasterGrid(
-        values=values,
-        cell_size=cell_size,
-        origin_x=origin_x,
-        origin_y=origin_y,
-        nodata=nodata,
-    )
+def _splits_further(line: str) -> bool:
+    """Whether ``str.splitlines`` breaks ``line`` where file iteration does not.
+
+    numpy's reader takes those breaks (``\\v \\f \\x1c-\\x1e \\x85 \\u2028
+    \\u2029``) for blanks inside a row, while the whole-text reader ends the
+    row there. Plain ``in`` tests keep this cheap on long ASCII lines.
+    """
+    return ("\v" in line or "\f" in line or "\x1c" in line or "\x1d" in line or "\x1e" in line
+            or not line.isascii() and ("\x85" in line or "\u2028" in line or "\u2029" in line))
+
+
+def _data_lines(lines):
+    """The non-blank ``lines``; ValueError at the first one ``_splits_further`` flags."""
+    for ln in lines:
+        if _splits_further(ln):
+            raise ValueError("a line break that file iteration does not know")
+        if ln.strip():
+            yield ln
 
 
 def _read_numbers(lines) -> np.ndarray | None:
@@ -457,14 +505,20 @@ def _read_numbers(lines) -> np.ndarray | None:
 
     ``lines`` is an iterable of data lines; numpy sees no comment or blank
     line, so a '#' is a token it rejects like any other. Returns None where
-    the line parser must decide instead: a token numpy rejects, rows of
-    unequal length, no rows, a non-finite value, or text that is not UTF-8.
+    the line parser must decide instead: no line, a token numpy rejects,
+    rows of unequal length, a non-finite value, text that is not UTF-8, or a
+    ValueError that ``lines`` raises itself.
     """
+    lines = iter(lines)
     try:
-        values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        first = next(lines, None)
+        if first is None:  # numpy would warn of empty input
+            return None
+        values = np.loadtxt(itertools.chain((first,), lines), dtype=np.float64, comments=None,
+                            ndmin=2)
     except ValueError:
         return None
-    if values.shape[0] == 0 or not np.isfinite(values).all():
+    if not np.isfinite(values).all():
         return None
     return values
 

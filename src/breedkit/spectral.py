@@ -30,6 +30,11 @@ HS_TOLERANCE_NM = 10.0
 
 PSRI_HS_TARGETS = (680.0, 500.0, 750.0)
 
+# every wavelength an index resolves in an HS set: vi_map's red, green and
+# nir centres (``_band_values``), then psri_hs's targets
+HS_INDEX_TARGETS_NM = (*(MS_BAND_CENTERS_NM[name] for name in ("red", "green", "nir")),
+                       *PSRI_HS_TARGETS)
+
 
 @dataclass(frozen=True)
 class PlotStatistic:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from breedkit import cli, geodata, prefopt, spectral
+from breedkit.errors import BreedkitError
 
 from conftest import (
     bench_config,
@@ -128,6 +129,56 @@ def restrict_p2_to_no_vegetation(config, tmp_path):
     config["extract"]["params"] = {"vi_restrict_to_vegetation": True}
 
 
+def edit_extract_inputs(config, edits, tmp_path):
+    """Break the scene's extract inputs as each of ``edits`` names."""
+    if "p1 has no head counts" in edits:
+        rows = open(scene_path("head_counts.csv")).read().splitlines()
+        (tmp_path / "head_counts.csv").write_text(
+            "\n".join(r for r in rows if not r.startswith("p1,")) + "\n")
+        config["extract"]["head_counts"] = str(tmp_path / "head_counts.csv")
+    if "p2 off the grid" in edits:
+        rows = [r.split(",") for r in open(scene_path("plots.csv")).read().splitlines()]
+        for r in rows:
+            if r[0] == "p2":
+                r[3] = repr(float(r[3]) + 40.0)
+        (tmp_path / "plots.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+        config["extract"]["plots"] = str(tmp_path / "plots.csv")
+    if "ring widths reversed" in edits:
+        config["extract"]["params"] = {"ring_inner_m": 0.3, "ring_outer_m": 0.2}
+    if "p2 has no vegetation" in edits:
+        restrict_p2_to_no_vegetation(config, tmp_path)
+    if "kndvi_sigma is 0" in edits:
+        config["extract"].setdefault("params", {})["kndvi_sigma"] = 0.0
+    if "no 680 nm band" in edits:
+        config["extract"]["hs_bands"] = [band for band in config["extract"]["hs_bands"]
+                                         if band["wavelength_nm"] != 680]
+    if "non-binary lodging mask" in edits:
+        lines = open(scene_path("lodging_mask.asc")).read().splitlines()
+        lines[6] = "0.5" + lines[6][3:]  # the first cell of the top row is 0.0
+        (tmp_path / "lodging_mask.asc").write_text("\n".join(lines) + "\n")
+        config["extract"]["lodging_mask"] = str(tmp_path / "lodging_mask.asc")
+    if "non-numeric weed mask cell" in edits:
+        lines = open(scene_path("weed_mask.asc")).read().splitlines()
+        lines[6] = "abc" + lines[6][3:]  # the first cell of the top row
+        (tmp_path / "weed_mask.asc").write_text("\n".join(lines) + "\n")
+        config["extract"]["weed_mask"] = str(tmp_path / "weed_mask.asc")
+    if "non-numeric DSM line" in edits:
+        lines = open(scene_path("canopy_cloud.xyz")).read().splitlines()
+        lines[2] = lines[2].rsplit(" ", 1)[0] + " abc"
+        (tmp_path / "canopy_cloud.xyz").write_text("\n".join(lines) + "\n")
+        config["extract"]["dsm"]["point_cloud"] = str(tmp_path / "canopy_cloud.xyz")
+    if "missing DEM file" in edits:
+        config["extract"]["dem"]["point_cloud"] = str(tmp_path / "missing.xyz")
+    if "duplicate head-count row" in edits:
+        rows = open(scene_path("head_counts.csv")).read().splitlines()
+        (tmp_path / "head_counts.csv").write_text("\n".join(rows + ["p1,img0,52"]) + "\n")
+        config["extract"]["head_counts"] = str(tmp_path / "head_counts.csv")
+    if "duplicate measurement row" in edits:
+        rows = open(scene_path("measurements.csv")).read().splitlines()
+        (tmp_path / "measurements.csv").write_text("\n".join(rows + ["p1,,9.9,,,,"]) + "\n")
+        config["extract"]["measurements"] = str(tmp_path / "measurements.csv")
+
+
 class TestExtractErrorContract:
     def run_extract(self, config, tmp_path, capsys):
         cfg = write_config(config, tmp_path / "cfg.json")
@@ -171,34 +222,34 @@ class TestExtractErrorContract:
         # every plot is selected before the first plot's features; the errors
         # must still come plot by plot, as each plot's features are computed
         config = extract_config(tmp_path / "out")
-        if "p1 has no head counts" in edits:
-            rows = open(scene_path("head_counts.csv")).read().splitlines()
-            (tmp_path / "head_counts.csv").write_text(
-                "\n".join(r for r in rows if not r.startswith("p1,")) + "\n")
-            config["extract"]["head_counts"] = str(tmp_path / "head_counts.csv")
-        if "p2 off the grid" in edits:
-            rows = [r.split(",") for r in open(scene_path("plots.csv")).read().splitlines()]
-            for r in rows:
-                if r[0] == "p2":
-                    r[3] = repr(float(r[3]) + 40.0)
-            (tmp_path / "plots.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
-            config["extract"]["plots"] = str(tmp_path / "plots.csv")
-        if "ring widths reversed" in edits:
-            config["extract"]["params"] = {"ring_inner_m": 0.3, "ring_outer_m": 0.2}
-        if "p2 has no vegetation" in edits:
-            restrict_p2_to_no_vegetation(config, tmp_path)
-        if "kndvi_sigma is 0" in edits:
-            config["extract"]["params"]["kndvi_sigma"] = 0.0
-        if "no 680 nm band" in edits:
-            config["extract"]["hs_bands"] = [band for band in config["extract"]["hs_bands"]
-                                             if band["wavelength_nm"] != 680]
-        if "non-binary lodging mask" in edits:
-            lines = open(scene_path("lodging_mask.asc")).read().splitlines()
-            lines[6] = "0.5" + lines[6][3:]  # the first cell of the top row is 0.0
-            (tmp_path / "lodging_mask.asc").write_text("\n".join(lines) + "\n")
-            config["extract"]["lodging_mask"] = str(tmp_path / "lodging_mask.asc")
+        edit_extract_inputs(config, edits, tmp_path)
         rc, summary = self.run_extract(config, tmp_path, capsys)
         assert (rc, summary) == (1, {"status": "error", "error": error, "message": message})
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("index_error", [
+        "kndvi_sigma is 0", "no 680 nm band", "p2 has no vegetation",
+    ])
+    @pytest.mark.parametrize("input_error, rc, summary", [
+        ("non-numeric weed mask cell", 1, {"status": "error", "error": "ParseError",
+                                           "message": "line 7: non-numeric cell: 'abc'"}),
+        ("non-numeric DSM line", 1, {"status": "error", "error": "ParseError",
+                                     "message": "line 3: non-numeric coordinate: 'abc'"}),
+        ("missing DEM file", 2, {"status": "config_error", "field": "extract.dem.point_cloud",
+                                 "message": "file not found: {tmp_path}/missing.xyz"}),
+        ("duplicate head-count row", 1, {"status": "error", "error": "ParseError",
+                                         "message": "line 8: plot p1: duplicate image_id img0"}),
+        ("duplicate measurement row", 1, {"status": "error", "error": "ParseError",
+                                          "message": "line 5: plot p1: duplicate measurement row"}),
+    ], ids=["weed_mask", "dsm", "dem", "head_counts", "measurements"])
+    def test_input_errors_come_before_index_errors(self, input_error, rc, summary, index_error,
+                                                   tmp_path, capsys):
+        # the index columns are read before two of the masks, the clouds and
+        # the tables load; an index error must still lose to every input error
+        config = extract_config(tmp_path / "out")
+        edit_extract_inputs(config, (input_error, index_error), tmp_path)
+        summary = dict(summary, message=summary["message"].format(tmp_path=tmp_path))
+        assert self.run_extract(config, tmp_path, capsys) == (rc, summary)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("column", [
@@ -381,6 +432,143 @@ class TestExtractMemory:
         # every raster, one cloud, two grid layers and two cloud-sized index arrays
         bound = n_rasters * grid + points * 3 * 8 + 2 * grid + 2 * points * 8
         assert peak < bound, (peak, bound)
+
+
+    @pytest.mark.parametrize("edit", [None, "p2 has no vegetation", "kndvi_sigma is 0"])
+    def test_no_band_is_alive_while_the_clouds_rasterize(self, edit, tmp_path, capsys,
+                                                         monkeypatch):
+        # a kept plot or layer error must not keep a band set alive either
+        config = extract_config(tmp_path / "out")
+        edit_extract_inputs(config, (edit,), tmp_path)
+        band_paths = {*config["extract"]["ms_bands"].values(),
+                      *(band["path"] for band in config["extract"]["hs_bands"])}
+        bands, alive = [], []
+        load_raster, rasterize_elevation = geodata.load_raster, geodata.rasterize_elevation
+
+        def tracked(path):
+            grid = load_raster(path)
+            if path in band_paths:
+                bands.append(weakref.ref(grid))
+            return grid
+
+        def counted(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in bands))
+            return rasterize_elevation(*args, **kwargs)
+
+        monkeypatch.setattr(geodata, "load_raster", tracked)
+        monkeypatch.setattr(geodata, "rasterize_elevation", counted)
+        rc, _ = run_cli(["extract", "--config", write_config(config, tmp_path / "cfg.json")],
+                        capsys)
+        assert (rc, len(bands), alive) == (0 if edit is None else 1, 11, [0, 0])
+
+    def test_an_hs_band_no_index_reads_is_freed_before_the_first_layer(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        config = extract_config(tmp_path / "out")
+        unread = str(tmp_path / "hs_900.asc")  # 60 nm from the nearest target
+        shutil.copy(scene_path("hs_840.asc"), unread)
+        config["extract"]["hs_bands"].append({"path": unread, "wavelength_nm": 900})
+        band, alive = [], []
+        load_raster, vi_map = geodata.load_raster, spectral.vi_map
+
+        def tracked(path):
+            grid = load_raster(path)
+            if path == unread:
+                band.append(weakref.ref(grid))
+            return grid
+
+        def checked(*args, **kwargs):
+            alive.append(band[0]() is not None)
+            return vi_map(*args, **kwargs)
+
+        monkeypatch.setattr(geodata, "load_raster", tracked)
+        monkeypatch.setattr(cli.spectral, "vi_map", checked)
+        rc, summary = run_cli(["extract", "--config", write_config(config, tmp_path / "cfg.json")],
+                              capsys)
+        assert (rc, alive[0]) == (0, False)
+        got = open(summary["outputs"]["features"], "rb").read()
+        assert got == open(scene_path("golden/features.csv"), "rb").read()
+
+    def test_traced_peak_of_the_cloud_phase_has_no_band_term(self, tmp_path):
+        n, points_per_cell = 120, 2
+        config, n_rasters = write_field(tmp_path, n, points_per_cell)
+        cfg = write_config(config, tmp_path / "cfg.json")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["extract", "--config", cfg]) == 0  # the first run's lazy imports
+            tracemalloc.start()
+            try:
+                assert cli.main(["extract", "--config", cfg]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        grid = n * n * 8
+        points = n * n * points_per_cell
+        # while the rasters load and the index layers are read: every raster,
+        # and six grids for one index layer with the transients of building
+        # it and of selecting every plot on it (3.5 and 4.4 grids measured)
+        bands_phase = n_rasters * grid + 6 * grid
+        # while the clouds load: the three masks, the DSM and DEM grids, one
+        # cloud and two cloud-sized index arrays, and no band
+        cloud_phase = 3 * grid + 2 * grid + points * 3 * 8 + 2 * points * 8
+        bound = max(bands_phase, cloud_phase)
+        assert peak < bound, (peak, bound)
+
+
+class TestHsBandsAnIndexReads:
+    @staticmethod
+    def band_set(rng, wavelengths):
+        bands = {}
+        for i, nm in enumerate(wavelengths):
+            nodata = float(rng.choice([-9999.0, -1.0, 7.5]))
+            values = rng.choice([0.0, 0.25, 0.5, 1.0], size=(3, 4)) * rng.random((3, 4))
+            values[rng.random((3, 4)) < 0.2] = nodata
+            grid = geodata.RasterGrid(values, cell_size=0.5, origin_x=1.0, origin_y=2.0,
+                                      nodata=nodata)
+            bands[f"w{i}"] = (grid, float(nm))
+        return geodata.BandSet(bands=bands, sensor_kind="HS")
+
+    @staticmethod
+    def outcome(build):
+        """The layer's bits and nodata, or its error's type and message."""
+        try:
+            layer = build()
+        except BreedkitError as exc:
+            return type(exc), str(exc)
+        return layer.values.tobytes(), layer.nodata, layer.geometry
+
+    @staticmethod
+    def wavelengths(rng) -> list:
+        picks = []
+        for t in spectral.HS_INDEX_TARGETS_NM:
+            if rng.random() < 0.85:  # within the tolerance, or exactly at its edge
+                d = float(rng.choice([10.0, rng.uniform(0.0, 10.0)]))
+            else:
+                d = float(rng.choice([10.5, rng.uniform(11.0, 40.0)]))
+            picks += [t - d, t + d] if rng.random() < 0.3 else [t + float(rng.choice([-d, d]))]
+        if rng.random() < 0.4:
+            picks.insert(0, float(rng.choice([400.0, 1000.0])))  # a first band no index reads
+        return list(dict.fromkeys(picks))
+
+    def test_same_layers_or_same_errors_as_the_full_set(self):
+        rng = np.random.default_rng(20)
+        fixed = [[1000.0, 1100.0], [650.0, 1000.0], [1000.0, 680.0], [640.0, 660.0],
+                 [500.0, 670.0, 690.0, 750.0, 1000.0], [400.0, 490.0, 510.0, 550.0, 570.0,
+                                                          640.0, 660.0, 740.0, 760.0, 850.0]]
+        cases = fixed + [self.wavelengths(rng) for _ in range(300)]
+        narrowed = 0
+        for wavelengths in cases:
+            if len(wavelengths) < 2:
+                continue
+            full = self.band_set(rng, wavelengths)
+            kept = cli._bands_an_index_reads(full)
+            narrowed += len(kept.bands) < len(full.bands)
+            builds = [lambda bands: spectral.psri_hs(bands)] + [
+                lambda bands, name=name, sigma=sigma: spectral.vi_map(bands, name,
+                                                                      kndvi_sigma=sigma)
+                for name in spectral.VI_NAMES for sigma in (None, 0.3)]
+            for build in builds:
+                want = self.outcome(lambda: build(full))
+                assert self.outcome(lambda: build(kept)) == want, wavelengths
+        assert narrowed >= 50
 
 
 class TestFuse:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -399,6 +400,51 @@ def test_bad_number_files(load, text, error, message, line, tmp_path):
         load(path)
     assert str(caught.value) == message.format(path=path)
     assert getattr(caught.value, "line", None) == line
+
+
+_ROW_HEAD = "ncols 4\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [
+    _ROW_HEAD + "1 2{}3 4\n",
+    _ROW_HEAD + "1 2 3 4{}\n",
+    _ROW_HEAD + "{}\n1 2 3 4\n",
+    _ROW_HEAD.replace("ncols 4", "ncols 4{}") + "1 2 3 4\n",
+    _ROW_HEAD.replace("\n", "{}", 1) + "1 2 3 4\n",
+])
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                         ids=repr)
+def test_raster_is_split_as_splitlines_splits_it(text, brk, tmp_path, monkeypatch):
+    # numpy's reader takes these breaks for blanks, and file iteration does
+    # not break a line at them; the grid must be what the whole-text reader reads
+    path = tmp_path / "grid.asc"
+    path.write_bytes(text.format(brk).encode("utf-8"))
+    streamed = _outcome(geodata.load_raster, path)
+    monkeypatch.setattr(geodata, "_read_numbers", lambda *args, **kwargs: None)
+    whole = _outcome(geodata.load_raster, path)
+    if isinstance(whole, np.ndarray):
+        assert isinstance(streamed, np.ndarray) and np.array_equal(streamed, whole)
+    else:
+        assert streamed == whole
+
+
+def test_raster_text_is_not_held_whole(tmp_path):
+    n = 200
+    rng = np.random.default_rng(5)
+    grid = geodata.RasterGrid(rng.uniform(0.05, 0.6, (n, n)), cell_size=1.0, origin_x=0.0,
+                              origin_y=0.0)
+    path = tmp_path / "grid.asc"
+    geodata.write_raster(grid, path)
+    assert path.stat().st_size > 2 * grid.values.nbytes
+    tracemalloc.start()
+    try:
+        loaded = geodata.load_raster(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.values, grid.values)
+    assert peak < 2 * grid.values.nbytes, peak
 
 
 # ---------------------------------------------------------------------------
