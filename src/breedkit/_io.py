@@ -12,7 +12,9 @@ shortest repr (``0.1``, ``-0.0``, ``1e+16``), an int or a date as ``3`` or
 own, so the caller writes it as text.
 JSON artifacts carry sorted keys, a two-space indent and a final newline.
 Every artifact is written to a temporary file beside its target and then
-renamed over it, so a failed write leaves the target as it was.
+renamed over it, so a failed write leaves the target as it was. An artifact
+whose bytes are already in place is left as it is, so its mtime does not
+change.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import json
 import math
 import os
 import re
+import stat
 from contextlib import contextmanager
 from operator import itemgetter
 
 from .errors import ParseError
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_COMPARE_BLOCK = 1 << 16  # bytes of each file the same-bytes compare reads at a time
 
 
 @contextmanager
@@ -106,13 +110,35 @@ def csv_rows(path, required, optional=()):
                     yield reader.line_num, take(row)
 
 
+def _holds_bytes_of(path, tmp) -> bool:
+    """Whether ``path`` is a regular file (not a link to one) with the bytes of ``tmp``.
+
+    Compared block by block; False when either file cannot be read.
+    """
+    try:
+        target = os.lstat(path)
+        if not stat.S_ISREG(target.st_mode) or target.st_size != os.stat(tmp).st_size:
+            return False
+        with open(path, "rb") as old, open(tmp, "rb") as new:
+            while (chunk := new.read(_COMPARE_BLOCK)) == old.read(_COMPARE_BLOCK):
+                if not chunk:
+                    return True
+            return False
+    except OSError:
+        return False
+
+
 @contextmanager
 def replacing(path, newline=None):
     """Open a new text file that replaces ``path`` once the block succeeds.
 
     The file is written beside ``path`` under a temporary name, creating the
     directory if needed, and renamed over it on success; on any failure it is
-    deleted and ``path`` is left untouched.
+    deleted and ``path`` is left untouched. An artifact whose bytes are
+    already in place is left as it is, so its mtime does not change: when
+    ``path`` is a regular file holding the new bytes, the temporary file is
+    deleted instead, which spares the flush a filesystem such as ext4 makes
+    on a rename over an existing file.
     """
     head, tail = os.path.split(path)
     os.makedirs(head or os.curdir, exist_ok=True)
@@ -121,7 +147,10 @@ def replacing(path, newline=None):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        if _holds_bytes_of(path, tmp):
+            os.remove(tmp)
+        else:
+            os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise

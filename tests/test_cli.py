@@ -1378,6 +1378,45 @@ class TestBadBenchInput:
         assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
 
 
+# (subcommand, config for an output directory, the golden directory its artifacts
+# equal; prefopt has none, so its second run is held to its first)
+RERUNS = [
+    ("extract", extract_config, "golden"),
+    ("fuse", _fuse_on_golden, "golden/fuse"),
+    ("prefopt", prefopt_config, None),
+    ("bench", bench_config, "golden/bench"),
+    ("kb", lambda out: kb_config(out, "screen"), "golden/kb"),
+    ("kb", lambda out: kb_config(out, "price"), "golden/kb"),
+]
+
+
+class TestRerun:
+    SENTINEL_NS = 10**18  # an mtime no run in the test can give
+
+    @pytest.mark.parametrize("command, config, golden", RERUNS,
+                             ids=["extract", "fuse", "prefopt", "bench", "kb-screen", "kb-price"])
+    def test_rerun_leaves_every_unchanged_artifact_in_place(self, command, config, golden,
+                                                            tmp_path, capsys):
+        out = tmp_path / "out"
+        args = [command, "--config", write_config(config(out), tmp_path / "cfg.json")]
+        assert _run_one_line(args, capsys)[0] == 0
+        first = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        for name in first:
+            os.utime(out / name, ns=(self.SENTINEL_NS, self.SENTINEL_NS))
+        assert _run_one_line(args, capsys)[0] == 0
+        assert sorted(os.listdir(out)) == sorted(first)
+        assert [f for f in os.listdir(out) if f.endswith(".tmp")] == []
+        for name, data in first.items():
+            want = data if golden is None else open(scene_path(f"{golden}/{name}"), "rb").read()
+            assert (out / name).read_bytes() == want, name
+        # prefopt's sft stage writes policy.json and its ppo stage writes the trained
+        # policy over it in the same call, so a rerun replaces it twice on its way back
+        # to the same bytes: only its bytes are held
+        kept = set(first) - ({"policy.json"} if command == "prefopt" else set())
+        assert {name for name in kept
+                if os.stat(out / name).st_mtime_ns != self.SENTINEL_NS} == set()
+
+
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, tmp_path):
         outputs = {}

@@ -313,6 +313,78 @@ class TestAtomicWrites:
         assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8")) == {"a": [1.5], "b": 1}
         assert os.listdir(tmp_path) == ["out.json"]
 
+    # an mtime no write in the test can give: a target that keeps it was not replaced
+    SENTINEL_NS = 10**18
+
+    def age(self, path):
+        os.utime(path, ns=(self.SENTINEL_NS, self.SENTINEL_NS))
+
+    @pytest.mark.parametrize("write, payload", [
+        (lambda path, rows: _io.write_csv(path, ("a", "b"), rows), [[1, 2.5], [None, "x"]]),
+        (lambda path, rows: _io.write_csv(path, ("a", "b"), rows), [[i, i / 7] for i in range(9000)]),
+        (_io.write_json, {"b": [1.5, None], "a": "x"}),
+    ], ids=["csv", "csv-over-one-block", "json"])
+    def test_same_bytes_leave_the_target_and_its_mtime(self, write, payload, tmp_path):
+        path = tmp_path / "out"
+        write(path, payload)
+        before = path.read_bytes()
+        self.age(path)
+        write(path, payload)
+        assert path.read_bytes() == before
+        assert os.stat(path).st_mtime_ns == self.SENTINEL_NS
+        assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("old, new", [
+        ([[1, 2]], [[1, 3]]),
+        ([[i, "x"] for i in range(20000)], [[i, "x"] for i in range(19999)] + [[19999, "y"]]),
+        ([[1, 2], [3, 4]], [[1, 2]]),
+        ([[1, 2]], [[1, 2], [3, 4]]),
+    ], ids=["one-byte-changed", "one-byte-changed-past-the-first-block", "shorter", "longer"])
+    def test_changed_bytes_replace_the_target_and_its_mtime(self, old, new, tmp_path):
+        path = tmp_path / "out.csv"
+        _io.write_csv(path, ("a", "b"), old)
+        self.age(path)
+        _io.write_csv(path, ("a", "b"), new)
+        want = "a,b\n" + "".join(f"{a},{b}\n" for a, b in new)
+        assert path.read_text(encoding="utf-8") == want
+        assert os.stat(path).st_mtime_ns != self.SENTINEL_NS
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_a_symlink_is_replaced_by_a_file_and_its_target_kept(self, tmp_path):
+        real, path = tmp_path / "real.json", tmp_path / "out.json"
+        _io.write_json(real, {"a": 1})
+        self.age(real)
+        os.symlink(real, path)
+        _io.write_json(path, {"a": 1})  # the bytes the link leads to
+        assert not path.is_symlink()
+        assert path.read_text(encoding="utf-8") == '{\n  "a": 1\n}\n'
+        assert real.read_text(encoding="utf-8") == '{\n  "a": 1\n}\n'
+        assert os.stat(real).st_mtime_ns == self.SENTINEL_NS
+        assert sorted(os.listdir(tmp_path)) == ["out.json", "real.json"]
+
+    def test_a_directory_at_the_target_fails_and_leaves_no_file(self, tmp_path):
+        (tmp_path / "out.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            _io.write_csv(tmp_path / "out.csv", ("a", "b"), [[1, 2]])
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert os.listdir(tmp_path / "out.csv") == []
+
+    def test_a_target_that_cannot_be_read_is_replaced(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        _io.write_csv(path, ("a", "b"), [[1, 2]])
+        self.age(path)
+
+        def unreadable(file, mode="r", **kwargs):
+            if mode == "rb" and os.fspath(file) == os.fspath(path):
+                raise PermissionError(file)
+            return open(file, mode, **kwargs)
+
+        monkeypatch.setattr(_io, "open", unreadable, raising=False)
+        _io.write_csv(path, ("a", "b"), [[1, 2]])
+        assert path.read_text(encoding="utf-8") == "a,b\n1,2\n"
+        assert os.stat(path).st_mtime_ns != self.SENTINEL_NS
+        assert os.listdir(tmp_path) == ["out.csv"]
+
 
 # ---------------------------------------------------------------------------
 # feature and price tables: each bad cell is a ParseError at its line, and
