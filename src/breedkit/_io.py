@@ -14,7 +14,8 @@ JSON artifacts carry sorted keys, a two-space indent and a final newline.
 Every artifact is written to a temporary file beside its target and then
 renamed over it, so a failed write leaves the target as it was. An artifact
 whose bytes are already in place is left as it is, so its mtime does not
-change.
+change; nor do its mode, owner or hard links, which a replaced artifact
+takes fresh from the write.
 """
 
 from __future__ import annotations
@@ -135,10 +136,12 @@ def replacing(path, newline=None):
     The file is written beside ``path`` under a temporary name, creating the
     directory if needed, and renamed over it on success; on any failure it is
     deleted and ``path`` is left untouched. An artifact whose bytes are
-    already in place is left as it is, so its mtime does not change: when
-    ``path`` is a regular file holding the new bytes, the temporary file is
-    deleted instead, which spares the flush a filesystem such as ext4 makes
-    on a rename over an existing file.
+    already in place is left as it is, so its mtime does not change, as in
+    make: when ``path`` is a regular file holding the new bytes, the
+    temporary file is deleted instead, and ``path`` keeps all of its
+    metadata (mtime, mode, owner, hard links). A rerun into the same
+    directory also skips the flush a filesystem such as ext4 makes on a
+    rename over an existing file.
     """
     head, tail = os.path.split(path)
     os.makedirs(head or os.curdir, exist_ok=True)

@@ -350,6 +350,26 @@ class TestAtomicWrites:
         assert os.stat(path).st_mtime_ns != self.SENTINEL_NS
         assert os.listdir(tmp_path) == ["out.csv"]
 
+    @pytest.mark.parametrize("rows, left_in_place", [([[1, 2]], True), ([[1, 3]], False)],
+                             ids=["same-bytes", "changed-bytes"])
+    def test_mode_and_hard_links_go_with_the_file(self, rows, left_in_place, tmp_path):
+        # a target left in place keeps all of its metadata; a replaced one is a
+        # fresh file, with a fresh write's mode and no link to the old one
+        path, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        _io.write_csv(path, ("a", "b"), [[1, 2]])
+        os.link(path, link)
+        os.chmod(path, 0o444)
+        _io.write_csv(tmp_path / "fresh.csv", ("a", "b"), rows)
+        fresh_mode = os.stat(tmp_path / "fresh.csv").st_mode
+        _io.write_csv(path, ("a", "b"), rows)
+        assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert link.read_text(encoding="utf-8") == "a,b\n1,2\n"
+        if left_in_place:
+            assert (os.stat(path).st_mode & 0o777, os.stat(path).st_nlink) == (0o444, 2)
+        else:
+            assert (os.stat(path).st_mode, os.stat(path).st_nlink) == (fresh_mode, 1)
+        assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "link.csv", "out.csv"]
+
     def test_a_symlink_is_replaced_by_a_file_and_its_target_kept(self, tmp_path):
         real, path = tmp_path / "real.json", tmp_path / "out.json"
         _io.write_json(real, {"a": 1})
