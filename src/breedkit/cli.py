@@ -467,19 +467,16 @@ def _cmd_fuse(cfg: dict, out_dir: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _write_history(out_dir: str, stage: str, history: list, columns: tuple) -> str:
-    """Write ``columns`` of each of ``stage``'s per-iteration records; return the path."""
-    path = os.path.join(out_dir, f"{stage}_diagnostics.csv")
-    write_csv(path, columns, ([h[c] for c in columns] for h in history))
-    return path
+_DIAGNOSTICS = {
+    "sft": ("iteration", "loss"),
+    "rm": ("iteration", "loss"),
+    "ppo": ("iteration", "mean_reward", "mean_kl", "clip_fraction"),
+}
 
 
-def _write_losses(out_dir: str, stage: str, history: list) -> str:
-    """Write ``stage``'s per-iteration losses; log the last one."""
-    path = _write_history(out_dir, stage, history, ("iteration", "loss"))
+def _log_final_loss(stage: str, history: list) -> None:
     if history:
         _log(f"prefopt {stage}: final loss {history[-1]['loss']:.6f}")
-    return path
 
 
 def _cmd_prefopt(cfg: dict, out_dir: str) -> dict:
@@ -497,38 +494,54 @@ def _cmd_prefopt(cfg: dict, out_dir: str) -> dict:
             if stage not in stages and not os.path.isfile(path):
                 raise ConfigError(f"prefopt.{name}", f"{path} missing; run earlier stages first")
 
+    # each stage hands its models to the next in memory, and the artifacts are
+    # written after the last stage: a failing stage leaves out_dir as it was,
+    # and policy.json is written once, holding the last stage's policy
     outputs: dict = {}
+    histories: dict = {}
+    policy = reference = rm = None
     if "sft" in stages:
         dataset = prefopt.load_sft_dataset(cfg["sft_data"])
         policy = prefopt.PolicyModel(cfg["vocab_size"], cfg["context_length"], seed=cfg["seed"])
-        history = prefopt.train_sft(policy, dataset, **cfg["sft"])
-        prefopt.save_policy(policy, policy_path)
-        prefopt.save_policy(policy.snapshot(), reference_path)
-        outputs.update(sft_diagnostics=_write_losses(out_dir, "sft", history),
+        histories["sft"] = history = prefopt.train_sft(policy, dataset, **cfg["sft"])
+        reference = policy.snapshot()
+        _log_final_loss("sft", history)
+        outputs.update(sft_diagnostics=os.path.join(out_dir, "sft_diagnostics.csv"),
                        policy=policy_path, reference=reference_path)
 
     if "rm" in stages:
         dataset = prefopt.load_preference_dataset(cfg["rm_data"])
         rm = prefopt.RewardModel(cfg["vocab_size"])
-        history = prefopt.train_reward(rm, dataset, **cfg["rm"])
-        prefopt.save_reward_model(rm, reward_path)
-        outputs.update(rm_diagnostics=_write_losses(out_dir, "rm", history), reward=reward_path)
+        histories["rm"] = history = prefopt.train_reward(rm, dataset, **cfg["rm"])
+        _log_final_loss("rm", history)
+        outputs.update(rm_diagnostics=os.path.join(out_dir, "rm_diagnostics.csv"),
+                       reward=reward_path)
 
     if "ppo" in stages:
         prompts = prefopt.load_prompt_dataset(cfg["ppo_data"])
-        policy = prefopt.load_policy(policy_path)
-        reference = prefopt.load_policy(reference_path)
-        rm = prefopt.load_reward_model(reward_path)
+        if policy is None:  # sft ran in an earlier call
+            policy = prefopt.load_policy(policy_path)
+            reference = prefopt.load_policy(reference_path)
+        if rm is None:  # rm ran in an earlier call
+            rm = prefopt.load_reward_model(reward_path)
         ppo_config = prefopt.RLHFConfig(seed=cfg["seed"], **cfg["ppo"])
-        history = prefopt.run_rlhf(policy, reference, rm, prompts, ppo_config)
-        diag_path = _write_history(out_dir, "ppo", history,
-                                   ("iteration", "mean_reward", "mean_kl", "clip_fraction"))
-        prefopt.save_policy(policy, policy_path)
-        outputs.update(ppo_diagnostics=diag_path, policy=policy_path)
+        histories["ppo"] = history = prefopt.run_rlhf(policy, reference, rm, prompts, ppo_config)
+        outputs.update(ppo_diagnostics=os.path.join(out_dir, "ppo_diagnostics.csv"),
+                       policy=policy_path)
         if history:
             _log(f"prefopt ppo: mean reward {history[-1]['mean_reward']:.6f}, "
                  f"KL {history[-1]['mean_kl']:.6f}")
 
+    for stage, history in histories.items():
+        columns = _DIAGNOSTICS[stage]
+        write_csv(outputs[f"{stage}_diagnostics"], columns,
+                  ([h[c] for c in columns] for h in history))
+    if "sft" in stages:
+        prefopt.save_policy(reference, reference_path)
+    if "rm" in stages:
+        prefopt.save_reward_model(rm, reward_path)
+    if policy is not None:
+        prefopt.save_policy(policy, policy_path)
     return outputs
 
 

@@ -517,7 +517,10 @@ def train_reward(rm: RewardModel, dataset, learning_rate: float = 0.5,
         loss, grad = rm_loss_and_grad(rm, dataset)
         if not np.isfinite(loss) or not np.isfinite(grad).all():
             raise NumericalError("non-finite reward-model loss/gradient", iteration=i)
-        rm.weights = rm.weights - learning_rate * grad
+        weights = rm.weights - learning_rate * grad
+        if not np.isfinite(weights).all():  # a step past the float range
+            raise NumericalError("non-finite reward-model weights", iteration=i)
+        rm.weights = weights
         history.append({"iteration": i, "loss": loss})
     return history
 

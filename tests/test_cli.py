@@ -1409,12 +1409,146 @@ class TestRerun:
         for name, data in first.items():
             want = data if golden is None else open(scene_path(f"{golden}/{name}"), "rb").read()
             assert (out / name).read_bytes() == want, name
-        # prefopt's sft stage writes policy.json and its ppo stage writes the trained
-        # policy over it in the same call, so a rerun replaces it twice on its way back
-        # to the same bytes: only its bytes are held
-        kept = set(first) - ({"policy.json"} if command == "prefopt" else set())
-        assert {name for name in kept
+        assert {name for name in first
                 if os.stat(out / name).st_mtime_ns != self.SENTINEL_NS} == set()
+
+
+PREFOPT_ARTIFACTS = ("policy.json", "ppo_diagnostics.csv", "reference.json", "reward.json",
+                     "rm_diagnostics.csv", "sft_diagnostics.csv")
+
+
+def _prefopt_other_config(out_dir):
+    """prefopt_config with another seed and vocabulary, and two PPO epochs."""
+    config = prefopt_config(out_dir)
+    config["prefopt"].update(seed=29, vocab_size=7)
+    config["prefopt"]["ppo"]["epochs"] = 2
+    return config
+
+
+def _edit_second_line(tmp_path, name, edit):
+    """A copy of scene file ``name`` with ``edit`` applied to its 2nd line; return its path."""
+    lines = open(scene_path(name)).read().splitlines()
+    lines[1] = edit(lines[1])
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _not_an_object(line):
+    return "5"
+
+
+def _answer_token_1_7(line):
+    return line.replace('"answer": [', '"answer": [1.7, ', 1)
+
+
+def _chosen_token_a(line):
+    return line.replace('"chosen": [', '"chosen": ["a", ', 1)
+
+
+class TestPrefoptStages:
+    """Stages hand their models on in memory; the artifacts are written after the last one."""
+
+    @pytest.mark.parametrize("make_config", [prefopt_config, _prefopt_other_config],
+                             ids=["conftest", "other"])
+    def test_one_call_writes_what_a_call_per_stage_writes(self, make_config, tmp_path, capsys):
+        artifacts = {}
+        for run, calls in (("one", [["sft", "rm", "ppo"]]),
+                           ("per_stage", [["sft"], ["rm"], ["ppo"]])):
+            out = tmp_path / run
+            for stages in calls:
+                config = make_config(out)
+                config["prefopt"]["stages"] = stages
+                args = ["prefopt", "--config", write_config(config, tmp_path / f"{run}.json")]
+                assert _run_one_line(args, capsys)[0] == 0
+            artifacts[run] = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert sorted(artifacts["one"]) == list(PREFOPT_ARTIFACTS)
+        assert artifacts["one"] == artifacts["per_stage"]
+
+    @pytest.mark.parametrize("previous_run", [False, True], ids=["fresh", "previous_run"])
+    def test_failing_stage_leaves_output_dir_as_it_was(self, previous_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        before = {}
+        if previous_run:  # its seed and vocabulary differ, so every artifact would change
+            args = ["prefopt", "--config",
+                    write_config(_prefopt_other_config(out), tmp_path / "previous.json")]
+            assert _run_one_line(args, capsys)[0] == 0
+            before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+            assert sorted(before) == list(PREFOPT_ARTIFACTS)
+            for name in before:
+                os.utime(out / name, ns=(TestRerun.SENTINEL_NS, TestRerun.SENTINEL_NS))
+        config = prefopt_config(out)
+        config["prefopt"]["ppo_data"] = _edit_second_line(tmp_path, "ppo_prompts.jsonl",
+                                                          _not_an_object)
+        rc, summary = _run_one_line(
+            ["prefopt", "--config", write_config(config, tmp_path / "p.json")], capsys)
+        assert (rc, summary) == (1, {"status": "error", "error": "ParseError",
+                                     "message": "line 2: expected a JSON object"})
+        assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
+        if not previous_run:
+            assert not out.exists()
+            return
+        assert sorted(os.listdir(out)) == sorted(before)
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data, name
+            assert os.stat(out / name).st_mtime_ns == TestRerun.SENTINEL_NS, name
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("stages", [["rm"], ["sft", "rm", "ppo"]], ids=["rm", "all"])
+    def test_reward_model_past_the_float_range_is_a_numerical_error(self, stages, tmp_path,
+                                                                    capsys):
+        # ppo takes the reward model from memory, not from reward.json, whose loader
+        # rejects an infinite weight; training rejects it, so no call writes such a file
+        rm_data = tmp_path / "rm.jsonl"
+        rm_data.write_text('{"prompt": [0], "chosen": [1, 1, 1], "rejected": [5, 5, 5]}\n')
+        out = tmp_path / "out"
+        config = prefopt_config(out)
+        config["prefopt"].update(stages=stages, context_length=3, rm_data=str(rm_data),
+                                 rm={"learning_rate": 1.5e308, "iterations": 1})
+        rc, summary = _run_one_line(
+            ["prefopt", "--config", write_config(config, tmp_path / "p.json")], capsys)
+        assert (rc, summary) == (1, {"status": "error", "error": "NumericalError",
+                                     "message": "iteration 0: non-finite reward-model weights"})
+        assert not out.exists()
+
+    def test_summary_and_log_of_a_clean_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["prefopt", "--config",
+                         write_config(prefopt_config(out), tmp_path / "p.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.replace(str(out), "OUT") == (
+            '{"outputs": {"policy": "OUT/policy.json", '
+            '"ppo_diagnostics": "OUT/ppo_diagnostics.csv", '
+            '"reference": "OUT/reference.json", "reward": "OUT/reward.json", '
+            '"rm_diagnostics": "OUT/rm_diagnostics.csv", '
+            '"sft_diagnostics": "OUT/sft_diagnostics.csv"}, '
+            '"status": "ok", "subcommand": "prefopt"}\n')
+        assert captured.err == ("prefopt sft: final loss 0.524726\n"
+                                "prefopt rm: final loss 0.091585\n"
+                                "prefopt ppo: mean reward 1.328033, KL 0.022845\n")
+
+    # the earliest failing step's error ends the run, after the log lines of the
+    # stages before it; ppo.beta is checked after the model files are read
+    @pytest.mark.parametrize("data_edits, beta, stdout, stderr", [
+        ({"sft_data": ("sft.jsonl", _answer_token_1_7),
+          "ppo_data": ("ppo_prompts.jsonl", _not_an_object)}, 0.05,
+         '{"error": "ParseError", "message": "line 2: answer token 1.7 is not an integer", '
+         '"status": "error"}\n', ""),
+        ({"rm_data": ("rm_pairs.jsonl", _chosen_token_a)}, -1,
+         '{"error": "ParseError", "message": "line 2: chosen token \\"a\\" is not an integer", '
+         '"status": "error"}\n', "prefopt sft: final loss 0.524726\n"),
+        ({}, -1, '{"error": "InvalidInput", "message": "beta must be >= 0", "status": "error"}\n',
+         "prefopt sft: final loss 0.524726\nprefopt rm: final loss 0.091585\n"),
+    ], ids=["sft_token_and_ppo_line", "rm_token_and_beta", "beta"])
+    def test_first_error_wins(self, data_edits, beta, stdout, stderr, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = prefopt_config(out)
+        for field, (name, edit) in data_edits.items():
+            config["prefopt"][field] = _edit_second_line(tmp_path, name, edit)
+        config["prefopt"]["ppo"]["beta"] = beta
+        assert cli.main(["prefopt", "--config", write_config(config, tmp_path / "p.json")]) == 1
+        assert capsys.readouterr() == (stdout, stderr)
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -217,6 +217,16 @@ class TestRewardModelLoss:
         )
         assert correct / len(held) >= 0.95
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_step_past_the_float_range_raises_with_iteration(self):
+        # the first step's gradient is -1.5 on token 1 and 1.5 on token 5, so a
+        # learning rate of 1.5e308 moves both weights past the float range
+        rm = prefopt.RewardModel(6)
+        pairs = [prefopt.PreferenceExample((0,), (1, 1, 1), (5, 5, 5))]
+        with pytest.raises(NumericalError, match="iteration 0: non-finite reward-model weights"):
+            prefopt.train_reward(rm, pairs, learning_rate=1.5e308, iterations=1)
+        assert not rm.weights.any()
+
 
 class TestCombinedReward:
     def test_policy_equal_reference_reduces_to_rm(self):
