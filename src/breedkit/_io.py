@@ -3,7 +3,8 @@
 Input tables are UTF-8 CSV with a header row, read by ``csv_rows`` only. An
 input file that is not UTF-8, or that the ``csv`` module rejects (a cell
 over its field-size limit), raises ParseError naming the file.
-Every number in a data file must be finite (``finite_number``), and every
+A number read by ``finite_number`` must be finite and spelled in ASCII
+without '_', as numpy's reader takes it (so must an ``integer``), and every
 date is spelled ``YYYY-MM-DD`` (``iso_date``).
 Output tables are CSV with ``\\n`` line ends, and callers pass cells as values,
 which ``write_csv`` spells with ``str``: a float (a numpy float64 too) as its
@@ -54,15 +55,37 @@ def _csv_errors(path, reader):
         raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
 
 
+def _python_only(text: str) -> bool:
+    """Whether ``text`` holds a '_' or a non-ASCII character.
+
+    Python's ``float`` and ``int`` take those (``1_000``, full-width
+    digits, non-ASCII spaces); numpy's reader does not, and neither does
+    any number parsed here.
+    """
+    return "_" in text or not text.isascii()
+
+
 def finite_number(text: str, what: str, line: int) -> float:
-    """``float(text)``; ParseError at ``line`` naming ``what`` unless it is a finite number."""
+    """``float(text)``; ParseError at ``line`` naming ``what`` unless it is a finite number.
+
+    A spelling with a '_' or a non-ASCII character is not a number.
+    """
     try:
+        if _python_only(text):
+            raise ValueError
         value = float(text)
     except ValueError:
         raise ParseError(f"non-numeric {what}: {text!r}", line=line) from None
     if not math.isfinite(value):
         raise ParseError(f"non-finite {what}: {text!r}", line=line)
     return value
+
+
+def integer(text: str) -> int:
+    """``int(text)``; ValueError for a spelling with a '_' or a non-ASCII character as well."""
+    if _python_only(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def iso_date(text: str) -> datetime.date:

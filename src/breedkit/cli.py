@@ -261,16 +261,6 @@ def _load_measurements(path: str) -> dict:
     return out
 
 
-def _cells_on(selected: dict, grid: geodata.RasterGrid, regions: list, i: int) -> geodata.PlotCells:
-    """``regions[i]``'s cells on ``grid``; every region is selected at once per grid geometry.
-
-    A region that selects no cell goes through ``plot_cells``, which raises its EmptyPlot.
-    """
-    if grid.geometry not in selected:
-        selected[grid.geometry] = geodata.select_cells(grid, regions)
-    return selected[grid.geometry][i] or geodata.plot_cells(grid, regions[i])
-
-
 def _bands_an_index_reads(hs: geodata.BandSet) -> geodata.BandSet:
     """``hs`` with only the bands the HS index layers read.
 
@@ -322,15 +312,33 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
     # leave (loaded before the bands were freed, the two masks kept that
     # space from being reused, and the peak resident set of some scenes
     # read 2 MiB higher). A layer that cannot be built stops the loop; its
-    # error is raised once every input has loaded. The first plot whose
-    # index columns fail keeps its error, raised where the plot loop reaches
-    # the plot. So input errors come first, then layer-build and mask errors.
-    # Both are kept without their tracebacks, whose frames would keep a
-    # layer or a band set alive.
+    # error is raised once every input has loaded. Every cell feature is
+    # reduced for all plots at once, over one stack of every plot's cells
+    # per grid geometry; of the plots that fail, the first keeps the error
+    # of the first feature it fails, in the order one plot's features are
+    # computed, and it is raised where the plot loop reaches the plot. So
+    # input errors come first, then layer-build and mask errors. Both are
+    # kept without their tracebacks, whose frames would keep a layer or a
+    # band set alive.
     restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
-    plot_cells_on: dict = {}  # every plot's PlotCells (or None) per grid geometry
-    index_values = [{} for _ in plots]
+    stacks: dict = {}  # every plot's cells per grid geometry
+
+    def cells_on(grid: geodata.RasterGrid) -> geodata.PlotCellStack:
+        if grid.geometry not in stacks:
+            stacks[grid.geometry] = geodata.stack_cells(grid, plots)
+        return stacks[grid.geometry]
+
+    columns: dict = {}  # feature name -> its value for every plot
     first_failed, error, layer_error = len(plots), None, None
+
+    def kept(result):
+        """The values of a grouped reduction's (values, failure), keeping the first failure."""
+        nonlocal first_failed, error
+        values, failure = result
+        if failure is not None and failure[0] < first_failed:
+            first_failed, error = failure[0], failure[1].with_traceback(None)
+        return values
+
     try:
         for index_name in spectral.VI_NAMES:
             for sensor, bands in (("MS", ms), ("HS", hs)):
@@ -340,15 +348,8 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
                 else:
                     layer = spectral.vi_map(bands, index_name, L=params["savi_l"],
                                             kndvi_sigma=params["kndvi_sigma"])
-                for i in range(first_failed):
-                    try:
-                        index_values[i][column] = spectral.plot_statistic(
-                            layer, _cells_on(plot_cells_on, layer, plots, i),
-                            restrict_to=restrict, feature_name=column,
-                        ).value
-                    except BreedkitError as exc:
-                        first_failed, error = i, exc.with_traceback(None)
-                        break
+                columns[column] = kept(spectral.plot_statistics(layer, cells_on(layer),
+                                                                restrict, column))
                 del layer
     except BreedkitError as exc:
         layer_error = exc.with_traceback(None)
@@ -365,29 +366,29 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
     for mask in (veg_mask, lodging_mask, weed_mask):
         geodata.require_binary_mask(mask)
 
+    chm_cells = cells_on(chm)
+    columns["CH"] = kept(structural.plot_canopy_heights(chm, chm_cells, params["ch_percentile"]))
+    columns["CV"] = kept(structural.canopy_volumes(chm, chm_cells))
+    for column, mask in (("FVC", veg_mask), ("PL_ratio", lodging_mask)):
+        cells = cells_on(mask)
+        columns[column] = kept((cells.ratios(mask), cells.first_failure()))
+    try:  # a bad ring width fails after the first plot's other errors
+        rings = [geodata.PlotWithRing(p, params["ring_inner_m"], params["ring_outer_m"])
+                 for p in plots]
+    except InvalidInput as exc:
+        kept((None, (0, exc)))
+    else:
+        cells = geodata.stack_cells(weed_mask, rings)
+        columns["WL_ratio"] = kept((cells.ratios(weed_mask), cells.first_failure()))
+
+    values = {column: plot_values.tolist() for column, plot_values in columns.items()}
     records = []
-    ring_cells_on: dict = {}  # every plot-plus-ring region's PlotCells on the weed mask
-    rings = None
     for i, plot in enumerate(plots):
         if i == first_failed:
             raise error
-        features = index_values[i]
-        chm_cells = _cells_on(plot_cells_on, chm, plots, i)
-        features["CH"] = structural.plot_canopy_height(
-            chm, chm_cells, percentile=params["ch_percentile"]).value
-        features["CV"] = structural.canopy_volume(chm, chm_cells).volume
-        features["FVC"] = spectral.fvc(veg_mask, _cells_on(plot_cells_on, veg_mask, plots, i)).value
-        features["PL_ratio"] = structural.classify_lodging(
-            lodging_mask, _cells_on(plot_cells_on, lodging_mask, plots, i)
-        ).ratio
-        if rings is None:
-            # built here: a bad ring width fails after the first plot's other errors
-            rings = [geodata.PlotWithRing(p, params["ring_inner_m"], params["ring_outer_m"])
-                     for p in plots]
-        features["WL_ratio"] = structural.classify_weed(
-            weed_mask, _cells_on(ring_cells_on, weed_mask, rings, i)).ratio
         if plot.plot_id not in head_counts:
             raise BreedkitError(f"no head counts for plot {plot.plot_id}")
+        features = {column: plot_values[i] for column, plot_values in values.items()}
         features["WH_density"] = structural.wheat_head_density(
             head_counts[plot.plot_id], flight["altitude_m"], flight["fov_h_deg"], flight["fov_v_deg"]
         ).density

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import csv_rows, decoding, finite_number, replacing
+from ._io import csv_rows, decoding, finite_number, integer, replacing
 from .errors import (
     EmptyInput,
     EmptyPlot,
@@ -500,22 +500,25 @@ def _data_lines(lines):
             yield ln
 
 
-def _read_numbers(lines) -> np.ndarray | None:
+def _read_numbers(lines, nonempty: bool = False) -> np.ndarray | None:
     """Whitespace-separated numbers as a 2-D float64 array, by numpy's C reader.
 
-    ``lines`` is an iterable of data lines; numpy sees no comment or blank
-    line, so a '#' is a token it rejects like any other. Returns None where
-    the line parser must decide instead: no line, a token numpy rejects,
-    rows of unequal length, a non-finite value, text that is not UTF-8, or a
-    ValueError that ``lines`` raises itself.
+    ``lines`` is an iterable of data lines, or with ``nonempty`` an open
+    text file whose next line is a data line, which numpy reads as it is;
+    numpy sees no comment or blank line it would not skip, so a '#' is a
+    token it rejects like any other. Returns None where the line parser
+    must decide instead: no line, a token numpy rejects, rows of unequal
+    length, a non-finite value, text that is not UTF-8, or a ValueError
+    that ``lines`` raises itself.
     """
-    lines = iter(lines)
     try:
-        first = next(lines, None)
-        if first is None:  # numpy would warn of empty input
-            return None
-        values = np.loadtxt(itertools.chain((first,), lines), dtype=np.float64, comments=None,
-                            ndmin=2)
+        if not nonempty:
+            lines = iter(lines)
+            first = next(lines, None)
+            if first is None:  # numpy would warn of empty input
+                return None
+            lines = itertools.chain((first,), lines)
+        values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
     if not np.isfinite(values).all():
@@ -562,15 +565,25 @@ def load_point_cloud(path) -> PointCloud:
     """Read a plain-text point cloud: one "x y z" per line.
 
     Blank lines and lines whose first non-space character is '#' are skipped.
-    The file is read once; only a file numpy rejects is read again, by the
-    line parser, to name its first bad line.
+    The leading ones are skipped line by line, and numpy's reader reads the
+    rest of the open file. Where it rejects that (a comment line further on
+    is a token it rejects), the data lines are streamed into it instead, and
+    only a file numpy still rejects is read again, by the line parser, to
+    name its first bad line.
     """
     with decoding(path), open(path, "r", encoding="utf-8") as fh:
-        lines = (ln for ln in fh if (text := ln.lstrip()) and text[0] != "#")
-        first = next(lines, None)
-        if first is None:
-            raise EmptyInput(f"no points in {path}")
-        points = _read_numbers(itertools.chain((first,), lines))
+        while True:
+            start = fh.tell()
+            line = fh.readline()
+            if not line:
+                raise EmptyInput(f"no points in {path}")
+            if (text := line.lstrip()) and text[0] != "#":
+                break
+        fh.seek(start)
+        points = _read_numbers(fh, nonempty=True)
+        if points is None:
+            fh.seek(start)
+            points = _read_numbers(ln for ln in fh if (text := ln.lstrip()) and text[0] != "#")
     if points is None or points.shape[1] != 3:
         with decoding(path), open(path, "r", encoding="utf-8") as fh:
             numbered = ((n, ln) for n, ln in enumerate(fh, start=1)
@@ -681,11 +694,7 @@ class PlotCells:
 
     def window(self, grid: RasterGrid) -> np.ndarray:
         """``grid``'s values inside the window; ``grid`` must have this geometry."""
-        if grid.geometry != self.geometry:
-            raise GeometryMismatch(
-                f"cells of region {self.plot_id} were selected on grid "
-                f"{self.geometry}, not {grid.geometry}"
-            )
+        _require_geometry(self.plot_id, self.geometry, grid)
         return grid.values[self.rows, self.cols]
 
     def values(self, grid: RasterGrid, restrict_to: RasterGrid | None = None) -> np.ndarray:
@@ -710,6 +719,86 @@ class PlotCells:
         return int((self.member & ones).sum()), int(self.member.sum())
 
 
+def _require_geometry(plot_id: str, geometry: tuple, grid: RasterGrid) -> None:
+    """GeometryMismatch unless ``grid`` has the ``geometry`` region ``plot_id``'s cells were selected on."""
+    if grid.geometry != geometry:
+        raise GeometryMismatch(
+            f"cells of region {plot_id} were selected on grid {geometry}, not {grid.geometry}"
+        )
+
+
+def _selects_no_cells(plot_id: str) -> EmptyPlot:
+    return EmptyPlot(f"region {plot_id} selects no cells of the grid")
+
+
+@dataclass(frozen=True)
+class PlotCellStack:
+    """Every region's cells on one grid geometry, one region after another.
+
+    ``flat`` holds each cell's flat grid index (row * n_cols + col), region
+    by region in order and each region's cells in the row-major order of
+    ``PlotCells.values``; ``sizes[i]`` counts region i's cells, 0 where it
+    selects none. A read gathers a grid over every region at once. Unlike
+    the ``PlotCells`` reads, these check no mask cell: they take a mask's
+    cells that equal 1, so a caller validates each mask with
+    ``require_binary_mask``.
+    """
+
+    plot_ids: tuple
+    geometry: tuple  # RasterGrid.geometry of the grid the cells were selected on
+    flat: np.ndarray  # intp
+    sizes: np.ndarray  # intp, one per region
+
+    def gather(self, grid: RasterGrid) -> np.ndarray:
+        """``grid``'s values over the cells; ``grid`` must have this geometry."""
+        _require_geometry(self.plot_ids[0], self.geometry, grid)
+        return grid.values.take(self.flat)
+
+    def values(self, grid: RasterGrid,
+               restrict_to: RasterGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(``grid``'s non-nodata values, region after region; each region's count of them).
+
+        ``restrict_to``: optional binary mask on the same geometry; when
+        given, only cells where it is 1 count.
+        """
+        values = self.gather(grid)
+        usable = values != grid.nodata
+        if restrict_to is not None:
+            usable &= self.gather(restrict_to) == 1.0
+        if usable.all():
+            return values, self.sizes
+        return values[usable], self._counts(usable)
+
+    def ratios(self, mask: RasterGrid) -> np.ndarray:
+        """Each region's cells where the binary ``mask`` is 1 over all its cells (NaN for none).
+
+        ``PlotCells.count``'s ratio, for every region at once; nodata counts as 0.
+        """
+        return np.divide(self._counts(self.gather(mask) == 1.0), self.sizes,
+                         out=np.full(self.sizes.shape, np.nan), where=self.sizes > 0)
+
+    def _counts(self, where: np.ndarray) -> np.ndarray:
+        """Each region's count of True cells in ``where``."""
+        owner = np.repeat(np.arange(self.sizes.size), self.sizes)
+        return np.bincount(owner[where], minlength=self.sizes.size)
+
+    def first_failure(self, *checks) -> tuple[int, Exception] | None:
+        """(i, error) for the first region i to fail, or None.
+
+        A region fails when it selects no cell (EmptyPlot, as ``plot_cells``
+        raises it), or else one of ``checks``: (failed, error) pairs in the
+        order a one-region function makes them, ``failed`` a bool per region
+        or one for all, ``error(i)`` region i's error.
+        """
+        first, error = self.sizes.size, None
+        for failed, make in ((self.sizes == 0, lambda i: _selects_no_cells(self.plot_ids[i])),
+                             *checks):
+            hits = np.flatnonzero(np.broadcast_to(failed, self.sizes.shape)[:first])
+            if hits.size:
+                first, error = int(hits[0]), make
+        return None if error is None else (first, error(first))
+
+
 def _binary_ones(values: np.ndarray, nodata: float) -> np.ndarray:
     """True where mask ``values`` are 1; InvalidMask on anything but 0, 1 or nodata."""
     ok = (values == 0.0) | (values == 1.0) | (values == nodata)
@@ -722,8 +811,9 @@ def _binary_ones(values: np.ndarray, nodata: float) -> np.ndarray:
 def require_binary_mask(mask: RasterGrid) -> None:
     """Raise InvalidMask unless every cell of ``mask`` is 0, 1 or nodata.
 
-    ``PlotCells`` reads check only the window they read, so a caller that
-    reduces many plots over one mask validates it here once.
+    ``PlotCells`` reads check only the window they read, and
+    ``PlotCellStack`` reads check no cell, so a caller that reduces many
+    plots over one mask validates it here once.
     """
     _binary_ones(mask.values, mask.nodata)
 
@@ -757,19 +847,12 @@ def _region_parts(region) -> tuple:
     raise InvalidInput(f"not a PlotGeometry or PlotWithRing: {type(region).__name__}")
 
 
-def select_cells(grid: RasterGrid, regions: list) -> list[PlotCells | None]:
-    """The cells of ``grid`` whose centers lie in each of ``regions``, in order.
+def _member_blocks(grid: RasterGrid, regions: list):
+    """Yield (region indices, plot ids, row slices, column slices, member stack) per block.
 
-    Each region is a PlotGeometry or a PlotWithRing; polygon boundaries count
-    as inside. Only the window around ``region.bounds()`` (one cell of margin
-    per side, clipped to the grid) is tested. An entry is None where its
-    region selects no cell of the grid.
-
-    Plots, and plots with a ring, of one vertex count and window shape are
-    tested as one stack, ``_BLOCK_CELLS`` window cells at a time (or one
-    region, if its window is larger): one pass of the per-edge formulas
-    serves the whole block, and every cell gets the arithmetic a
-    single-region test would give it.
+    The blocks are ``select_cells``' stacks; ``member[k]`` is True where a
+    cell center of the k-th region's window lies in it. A region whose
+    window is empty is in no block.
     """
     size = grid.cell_size
     groups: dict = {}
@@ -786,9 +869,7 @@ def select_cells(grid: RasterGrid, regions: list) -> list[PlotCells | None]:
             groups.setdefault((outer is None, len(vertices), shape), []).append(
                 (i, region.plot_id, rows, cols, vertices, inner, outer))
 
-    geometry = grid.geometry
     x_axis, y_axis = grid._center_axes()
-    selected: list = [None] * len(regions)
     for (plain, _, (h, w)), members in groups.items():
         step = max(1, _BLOCK_CELLS // (h * w))
         for b in range(0, len(members), step):
@@ -800,11 +881,60 @@ def select_cells(grid: RasterGrid, regions: list) -> list[PlotCells | None]:
             else:
                 inner, outer = np.array(inner)[:, None, None], np.array(outer)[:, None, None]
             member = _member(px[:, None, :], py[:, :, None], np.stack(vertices), inner, outer)
-            member.setflags(write=False)
-            for k in np.flatnonzero(member.any(axis=(1, 2))):
-                selected[i[k]] = PlotCells(plot_id=name[k], geometry=geometry,
-                                           rows=rows[k], cols=cols[k], member=member[k])
+            yield i, name, rows, cols, member
+
+
+def select_cells(grid: RasterGrid, regions: list) -> list[PlotCells | None]:
+    """The cells of ``grid`` whose centers lie in each of ``regions``, in order.
+
+    Each region is a PlotGeometry or a PlotWithRing; polygon boundaries count
+    as inside. Only the window around ``region.bounds()`` (one cell of margin
+    per side, clipped to the grid) is tested. An entry is None where its
+    region selects no cell of the grid.
+
+    Plots, and plots with a ring, of one vertex count and window shape are
+    tested as one stack, ``_BLOCK_CELLS`` window cells at a time (or one
+    region, if its window is larger): one pass of the per-edge formulas
+    serves the whole block, and every cell gets the arithmetic a
+    single-region test would give it.
+    """
+    geometry = grid.geometry
+    selected: list = [None] * len(regions)
+    for i, name, rows, cols, member in _member_blocks(grid, regions):
+        member.setflags(write=False)
+        for k in np.flatnonzero(member.any(axis=(1, 2))):
+            selected[i[k]] = PlotCells(plot_id=name[k], geometry=geometry,
+                                       rows=rows[k], cols=cols[k], member=member[k])
     return selected
+
+
+def stack_cells(grid: RasterGrid, regions: list) -> PlotCellStack:
+    """Every region's cells on ``grid``, as ``select_cells`` selects them, in one PlotCellStack.
+
+    The flat index is taken from the member stacks of ``select_cells``'
+    blocks, a block at a time, so no region is visited on its own.
+    """
+    blocks = list(_member_blocks(grid, regions))
+    sizes = np.zeros(len(regions), dtype=np.intp)
+    for i, _, _, _, member in blocks:
+        sizes[list(i)] = member.sum(axis=(1, 2))
+    starts = np.cumsum(sizes) - sizes
+    flat = np.empty(int(sizes.sum()), dtype=np.intp)
+    for i, _, rows, cols, member in blocks:
+        i = list(i)
+        k, cell, col = np.nonzero(member)  # region by region, row-major in each window
+        cell += np.array([s.start for s in rows])[k]
+        cell *= grid.n_cols
+        cell += col
+        cell += np.array([s.start for s in cols])[k]
+        # the block's regions follow one another in ``cell``; each goes to its start in ``flat``
+        to = np.repeat(starts[i] - (np.cumsum(sizes[i]) - sizes[i]), sizes[i])
+        to += np.arange(cell.size)
+        flat[to] = cell
+    flat.setflags(write=False)
+    sizes.setflags(write=False)
+    return PlotCellStack(plot_ids=tuple(region.plot_id for region in regions),
+                         geometry=grid.geometry, flat=flat, sizes=sizes)
 
 
 def plot_cells(grid: RasterGrid, region) -> PlotCells:
@@ -817,7 +947,7 @@ def plot_cells(grid: RasterGrid, region) -> PlotCells:
         return region
     (cells,) = select_cells(grid, [region])
     if cells is None:
-        raise EmptyPlot(f"region {region.plot_id} selects no cells of the grid")
+        raise _selects_no_cells(region.plot_id)
     return cells
 
 
@@ -838,7 +968,7 @@ def load_plots(path) -> list[PlotGeometry]:
         if germplasm_id != entry["germplasm_id"]:
             raise ParseError(f"plot {pid}: conflicting germplasm_id", line=lineno)
         try:
-            idx = int(vertex_index)
+            idx = integer(vertex_index)
         except ValueError:
             raise ParseError(f"bad vertex row for plot {pid}", line=lineno)
         xy = tuple(finite_number(v, f"{k} of plot {pid}", lineno) for k, v in (("x", x), ("y", y)))

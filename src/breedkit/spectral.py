@@ -13,6 +13,14 @@ Index formulas (R, G, NIR are band reflectances):
 Cells where a formula's denominator is zero hold nodata instead of raising,
 so an isolated bad pixel cannot abort a plot. Plot aggregation is the
 arithmetic mean over the selected non-nodata cells.
+
+The grouped reductions reduce every plot of a ``geodata.PlotCellStack`` at
+once: ``plot_means`` over values laid out region after region, and
+``plot_statistics`` over a layer. Plots with the same number of usable cells
+are reduced as one block (``rows_by_size``), bit for bit as one plot
+at a time. The per-plot functions ``plot_statistic`` and ``fvc`` are their
+one-plot case: they read one ``PlotCells`` (checking its window of a mask)
+and raise where the grouped form reports a failure.
 """
 
 from __future__ import annotations
@@ -21,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPlot, InvalidInput, MissingBand
-from .geodata import MS_BAND_CENTERS_NM, BandSet, PlotCells, PlotGeometry, RasterGrid, plot_cells
+from .errors import EmptyPlot, GeometryMismatch, InvalidInput, MissingBand
+from .geodata import (
+    MS_BAND_CENTERS_NM, BandSet, PlotCells, PlotCellStack, PlotGeometry, RasterGrid, plot_cells,
+)
 
 VI_NAMES = ("NDVI", "SAVI", "kNDVI", "NIRv", "PSRI")
 
@@ -49,7 +59,15 @@ class PlotStatistic:
         if self.n_cells < 1:
             raise InvalidInput("n_cells must be >= 1")
         if not np.isfinite(self.value):
-            raise InvalidInput(f"{self.feature_name} for plot {self.plot_id} is not finite")
+            raise _not_finite(self.feature_name, self.plot_id)
+
+
+def _not_finite(feature_name: str, plot_id: str) -> InvalidInput:
+    return InvalidInput(f"{feature_name} for plot {plot_id} is not finite")
+
+
+def _no_usable_cells(feature_name: str, plot_id: str) -> EmptyPlot:
+    return EmptyPlot(f"plot {plot_id}: no usable cells for {feature_name}")
 
 
 def resolve_band(bands: BandSet, target_nm: float) -> str:
@@ -156,6 +174,43 @@ def psri_hs(bands: BandSet) -> RasterGrid:
     return g680.with_values(values)
 
 
+def rows_by_size(values: np.ndarray, sizes: np.ndarray):
+    """Yield (regions, block) for each size n > 0 in ``sizes``, smallest first.
+
+    ``values`` holds ``sizes[i]`` values of each region i, one region after
+    another, as ``PlotCellStack.values`` returns them. ``block`` is the
+    C-contiguous [regions x n] array of the values of the regions with n
+    values, one row each: a view where those regions follow one another,
+    else a copy. numpy reduces such a block along axis 1 row by row, each
+    row with the arithmetic of a 1-D reduction of it, so a reduction over a
+    block is bit-identical to one over each region on its own.
+    """
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(sizes, kind="stable")
+    for regions in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        if regions.size == 0 or sizes[regions[0]] == 0:
+            continue
+        n, first = int(sizes[regions[0]]), starts[regions[0]]
+        if regions[-1] - regions[0] == regions.size - 1:
+            yield regions, values[first:first + regions.size * n].reshape(regions.size, n)
+        else:
+            yield regions, values[starts[regions][:, None] + np.arange(n)]
+
+
+def plot_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The mean of each region's values, NaN for a region with none.
+
+    ``values`` holds ``sizes[i]`` values of each region i, one region after
+    another. Regions with the same count are summed as one block, bit for
+    bit as ``np.mean`` of each region's values.
+    """
+    means = np.full(len(sizes), np.nan)
+    for regions, block in rows_by_size(values, sizes):
+        means[regions] = np.add.reduce(block, axis=1) / block.shape[1]
+    return means
+
+
 def plot_statistic(
     grid: RasterGrid,
     plot: PlotGeometry | PlotCells,
@@ -171,19 +226,46 @@ def plot_statistic(
     cells = plot_cells(grid, plot)
     vals = cells.values(grid, restrict_to)
     if vals.size == 0:
-        raise EmptyPlot(f"plot {cells.plot_id}: no usable cells for {feature_name}")
+        raise _no_usable_cells(feature_name, cells.plot_id)
     return PlotStatistic(
         plot_id=cells.plot_id,
         feature_name=feature_name,
-        value=float(np.mean(vals)),
+        value=float(plot_means(vals, [vals.size])[0]),
         n_cells=int(vals.size),
+    )
+
+
+def plot_statistics(
+    grid: RasterGrid,
+    cells: PlotCellStack,
+    restrict_to: RasterGrid | None = None,
+    feature_name: str = "value",
+) -> tuple[np.ndarray, tuple | None]:
+    """``plot_statistic`` of every region of ``cells``: (means, failure).
+
+    ``failure`` is ``cells.first_failure``: (i, error) for the first region i
+    ``plot_statistic`` raises for, with its error, or None; ``means`` is NaN
+    where a region has no usable cell. ``restrict_to`` on another geometry
+    fails the first region. Mask cells are not checked (see
+    ``PlotCellStack``), and an overflowing mean is a failure, not a warning.
+    """
+    try:
+        values, counts = cells.values(grid, restrict_to)
+    except GeometryMismatch as exc:
+        return np.full(cells.sizes.shape, np.nan), cells.first_failure((True, lambda i: exc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = plot_means(values, counts)
+    return means, cells.first_failure(
+        (counts == 0, lambda i: _no_usable_cells(feature_name, cells.plot_ids[i])),
+        (~np.isfinite(means), lambda i: _not_finite(feature_name, cells.plot_ids[i])),
     )
 
 
 def fvc(vegetation_mask: RasterGrid, plot: PlotGeometry | PlotCells) -> PlotStatistic:
     """Fractional vegetation cover: vegetation cells / all plot cells.
 
-    Nodata cells count in the denominator as non-vegetation.
+    Nodata cells count in the denominator as non-vegetation. The FVC of
+    every plot at once is ``PlotCellStack.ratios``.
     """
     cells = plot_cells(vegetation_mask, plot)
     n_veg, n_plot = cells.count(vegetation_mask)

@@ -7,6 +7,10 @@ horizontal reference planes (the plot's lowest and mean elevation), averaged.
 Lodging and weed levels are pixel-ratio classifications with lower-exclusive,
 upper-inclusive interval boundaries; their label rules are exposed as pure
 functions of the ratio.
+
+``plot_canopy_heights`` and ``canopy_volumes`` reduce every plot of a
+``geodata.PlotCellStack`` at once, as ``spectral.plot_statistics`` does;
+``plot_canopy_height`` and ``canopy_volume`` are their one-plot case.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import csv_rows
+from ._io import csv_rows, integer
 from .errors import EmptyInput, EmptyPlot, InvalidInput, ParseError
 from .geodata import (
-    PlotCells, PlotGeometry, PlotWithRing, RasterGrid, plot_cells, require_same_geometry,
+    PlotCells, PlotCellStack, PlotGeometry, PlotWithRing, RasterGrid, plot_cells,
+    require_same_geometry,
 )
-from .spectral import PlotStatistic
+from .spectral import PlotStatistic, plot_means, rows_by_size
 
 DEFAULT_NOISE_FLOOR_M = 0.05
 
@@ -100,15 +105,36 @@ def canopy_height_model(
     return dsm.with_values(values)
 
 
-def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
-    """Nearest-rank percentile: the ceil(p*n)-th smallest value."""
+def nearest_rank_percentiles(values: np.ndarray, sizes: np.ndarray, percentile: float) -> np.ndarray:
+    """Each region's nearest-rank percentile: its ceil(p*n)-th smallest value (NaN for none).
+
+    ``values`` holds ``sizes[i]`` values of each region i, one region after
+    another; regions with the same count are sorted as one block.
+    """
     if not (0.0 < percentile <= 1.0):
         raise InvalidInput(f"percentile must be in (0, 1], got {percentile}")
-    ordered = np.sort(np.asarray(values, dtype=np.float64).ravel())
-    if ordered.size == 0:
+    out = np.full(len(sizes), np.nan)
+    for regions, block in rows_by_size(values, sizes):
+        n = block.shape[1]
+        out[regions] = np.sort(block, axis=1)[:, max(1, math.ceil(percentile * n)) - 1]
+    return out
+
+
+def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
+    """Nearest-rank percentile: the ceil(p*n)-th smallest value."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    (value,) = nearest_rank_percentiles(values, [values.size], percentile)
+    if values.size == 0:
         raise InvalidInput("percentile of an empty set")
-    rank = max(1, math.ceil(percentile * ordered.size))
-    return float(ordered[rank - 1])
+    return float(value)
+
+
+def _no_canopy_height(plot_id: str) -> EmptyPlot:
+    return EmptyPlot(f"plot {plot_id}: no defined canopy-height cells")
+
+
+def _no_surface(plot_id: str) -> EmptyPlot:
+    return EmptyPlot(f"plot {plot_id}: no defined surface cells")
 
 
 def plot_canopy_height(
@@ -120,13 +146,45 @@ def plot_canopy_height(
     cells = plot_cells(chm, plot)
     vals = cells.values(chm)
     if vals.size == 0:
-        raise EmptyPlot(f"plot {cells.plot_id}: no defined canopy-height cells")
+        raise _no_canopy_height(cells.plot_id)
     return PlotStatistic(
         plot_id=cells.plot_id,
         feature_name="CH",
         value=nearest_rank_percentile(vals, percentile),
         n_cells=int(vals.size),
     )
+
+
+def plot_canopy_heights(
+    chm: RasterGrid,
+    cells: PlotCellStack,
+    percentile: float = 0.95,
+) -> tuple[np.ndarray, tuple | None]:
+    """``plot_canopy_height`` of every region of ``cells``: (heights, failure).
+
+    As ``spectral.plot_statistics``; a percentile out of range fails every
+    region, after its own checks for cells.
+    """
+    values, counts = cells.values(chm)
+    undefined = (counts == 0, lambda i: _no_canopy_height(cells.plot_ids[i]))
+    try:
+        heights = nearest_rank_percentiles(values, counts, percentile)
+    except InvalidInput as exc:
+        return np.full(counts.shape, np.nan), cells.first_failure(undefined, (True, lambda i: exc))
+    return heights, cells.first_failure(undefined)
+
+
+def _cut_and_fill(z: np.ndarray, sizes: np.ndarray, cell_area: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each region's cut-and-fill volumes against its lowest and its mean elevation (NaN for none).
+
+    ``z`` holds ``sizes[i]`` elevations of each region i, one region after another.
+    """
+    planes = plot_means(z, sizes)
+    low, mean = np.full(len(sizes), np.nan), np.full(len(sizes), np.nan)
+    for regions, block in rows_by_size(z, sizes):
+        low[regions] = np.add.reduce(np.abs(block - block.min(axis=1, keepdims=True)), axis=1)
+        mean[regions] = np.add.reduce(np.abs(block - planes[regions, None]), axis=1)
+    return low * cell_area, mean * cell_area
 
 
 def canopy_volume(surface: RasterGrid, plot: PlotGeometry | PlotCells) -> CanopyVolumeResult:
@@ -139,11 +197,21 @@ def canopy_volume(surface: RasterGrid, plot: PlotGeometry | PlotCells) -> Canopy
     cells = plot_cells(surface, plot)
     z = cells.values(surface)
     if z.size == 0:
-        raise EmptyPlot(f"plot {cells.plot_id}: no defined surface cells")
-    cell_area = surface.cell_size * surface.cell_size
-    v_low = float(np.sum(np.abs(z - z.min())) * cell_area)
-    v_mean = float(np.sum(np.abs(z - np.mean(z))) * cell_area)
-    return CanopyVolumeResult(volume_lowest_plane=v_low, volume_mean_plane=v_mean)
+        raise _no_surface(cells.plot_id)
+    low, mean = _cut_and_fill(z, [z.size], surface.cell_size * surface.cell_size)
+    return CanopyVolumeResult(volume_lowest_plane=float(low[0]), volume_mean_plane=float(mean[0]))
+
+
+def canopy_volumes(surface: RasterGrid, cells: PlotCellStack) -> tuple[np.ndarray, tuple | None]:
+    """``canopy_volume(...).volume`` of every region of ``cells``: (volumes, failure).
+
+    As ``spectral.plot_statistics``; a volume that overflows is not finite, and gives no warning.
+    """
+    z, counts = cells.values(surface)
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, mean = _cut_and_fill(z, counts, surface.cell_size * surface.cell_size)
+        volumes = (low + mean) / 2.0
+    return volumes, cells.first_failure((counts == 0, lambda i: _no_surface(cells.plot_ids[i])))
 
 
 def lodging_level(ratio: float, special: bool = False) -> str:
@@ -173,7 +241,10 @@ def weed_level(ratio: float) -> str:
 
 
 def _region_ratio(mask: RasterGrid, region) -> float:
-    """1-cells of the binary ``mask`` / all cells, over the region's cells."""
+    """1-cells of the binary ``mask`` / all cells, over the region's cells.
+
+    The ratio of every region at once is ``PlotCellStack.ratios``.
+    """
     n_pos, n_all = plot_cells(mask, region).count(mask)
     return n_pos / n_all
 
@@ -241,7 +312,7 @@ def load_head_counts(path) -> dict:
             raise ParseError(f"plot {plot_id}: duplicate image_id {image_id}", line=i)
         seen.add((plot_id, image_id))
         try:
-            value = int(count)
+            value = integer(count)
         except ValueError:
             raise ParseError(f"non-integer count {count!r}", line=i)
         if value < 0:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breedkit import cli, geodata, prefopt, spectral
+from breedkit import cli, fusion, geodata, prefopt, spectral, structural
 from breedkit.errors import BreedkitError
 
 from conftest import (
@@ -389,6 +389,186 @@ def write_field(root, n, points_per_cell, seed=0):
     extract.update(date="2024-05-20",
                    flight={"altitude_m": 3.0, "fov_h_deg": 62.2, "fov_v_deg": 48.8})
     return {"output_dir": str(root / "out"), "extract": extract}, n_rasters
+
+
+def per_plot_extract(cfg: dict, out_dir: str) -> dict:
+    """extract with its per-plot loop: each feature of each plot by its public per-plot function.
+
+    The oracle of the grouped reductions: plots are read one at a time, in
+    order, each plot's features in the order the CLI computes them, so each
+    error is the one a plot-by-plot run meets first.
+    """
+    for surface in ("dsm", "dem"):
+        if cfg[surface]["raster"] is None:
+            if cfg[surface]["point_cloud"] is None:
+                raise cli.ConfigError(f"extract.{surface}", "need either 'raster' or 'point_cloud'")
+            cli._require(cfg[surface], f"extract.{surface}", "cell_size")
+    hs_names = [f"b{band['wavelength_nm']:g}" for band in cfg["hs_bands"]]
+    for i, name in enumerate(hs_names):
+        if name in hs_names[:i]:
+            raise cli.ConfigError(f"extract.hs_bands[{i}].wavelength_nm",
+                                  f"band name {name} is taken by hs_bands[{hs_names.index(name)}]")
+    params, flight = cfg["params"], cfg["flight"]
+    plots = geodata.load_plots(cfg["plots"])
+    ms = geodata.BandSet(bands={name: (geodata.load_raster(cfg["ms_bands"][name]), nm)
+                                for name, nm in geodata.MS_BAND_CENTERS_NM.items()},
+                         sensor_kind="MS")
+    hs = cli._bands_an_index_reads(geodata.BandSet(
+        bands={name: (geodata.load_raster(band["path"]), band["wavelength_nm"])
+               for name, band in zip(hs_names, cfg["hs_bands"])},
+        sensor_kind="HS"))
+    veg_mask = geodata.load_raster(cfg["vegetation_mask"])
+    restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
+
+    def cells(grid, regions, i):
+        selected = geodata.select_cells(grid, regions)[i]
+        return selected or geodata.plot_cells(grid, regions[i])
+
+    index_values = [{} for _ in plots]
+    first_failed, error, layer_error = len(plots), None, None
+    try:
+        for index_name in spectral.VI_NAMES:
+            for sensor, bands in (("MS", ms), ("HS", hs)):
+                column = f"{index_name}_{sensor}"
+                if column == "PSRI_HS":
+                    layer = spectral.psri_hs(hs)
+                else:
+                    layer = spectral.vi_map(bands, index_name, L=params["savi_l"],
+                                            kndvi_sigma=params["kndvi_sigma"])
+                for i in range(first_failed):
+                    try:
+                        index_values[i][column] = spectral.plot_statistic(
+                            layer, cells(layer, plots, i), restrict_to=restrict,
+                            feature_name=column).value
+                    except BreedkitError as exc:
+                        first_failed, error = i, exc
+                        break
+    except BreedkitError as exc:
+        layer_error = exc
+    lodging_mask = geodata.load_raster(cfg["lodging_mask"])
+    weed_mask = geodata.load_raster(cfg["weed_mask"])
+    chm = structural.canopy_height_model(
+        cli._load_elevation(cfg["dsm"]), cli._load_elevation(cfg["dem"]),
+        noise_floor=params["noise_floor_m"])
+    head_counts = structural.load_head_counts(cfg["head_counts"])
+    measurements = cli._load_measurements(cfg["measurements"]) if cfg["measurements"] else {}
+    if layer_error is not None:
+        raise layer_error
+    for mask in (veg_mask, lodging_mask, weed_mask):
+        geodata.require_binary_mask(mask)
+
+    records, rings = [], None
+    for i, plot in enumerate(plots):
+        if i == first_failed:
+            raise error
+        features = index_values[i]
+        features["CH"] = structural.plot_canopy_height(
+            chm, cells(chm, plots, i), percentile=params["ch_percentile"]).value
+        features["CV"] = structural.canopy_volume(chm, cells(chm, plots, i)).volume
+        features["FVC"] = spectral.fvc(veg_mask, cells(veg_mask, plots, i)).value
+        features["PL_ratio"] = structural.classify_lodging(
+            lodging_mask, cells(lodging_mask, plots, i)).ratio
+        if rings is None:
+            rings = [geodata.PlotWithRing(p, params["ring_inner_m"], params["ring_outer_m"])
+                     for p in plots]
+        features["WL_ratio"] = structural.classify_weed(weed_mask, cells(weed_mask, rings, i)).ratio
+        if plot.plot_id not in head_counts:
+            raise BreedkitError(f"no head counts for plot {plot.plot_id}")
+        features["WH_density"] = structural.wheat_head_density(
+            head_counts[plot.plot_id], flight["altitude_m"], flight["fov_h_deg"], flight["fov_v_deg"]
+        ).density
+        extra = measurements.get(plot.plot_id, {})
+        features.update((key, extra[key]) for key in fusion.PHENOTYPING_FEATURES if key in extra)
+        records.append(fusion.PlotFeatureRecord(
+            plot_id=plot.plot_id, germplasm_id=plot.germplasm_id, date=cfg["date"],
+            site=cfg["site"], features=features, yield_kg_ha=extra.get("yield_kg_ha")))
+    features_path = os.path.join(out_dir, "features.csv")
+    fusion.write_feature_records(records, features_path)
+    return {"features": features_path, "n_plots": len(records)}
+
+
+def vary_field(root, seed):
+    """A write_field config with plots of 2 to 7 x 2 to 7 cells and random nodata cells.
+
+    About 5 % of each raster's cells hold nodata, and about 5 % of the
+    cells have no canopy point, so the CHM is nodata there too.
+    """
+    config, _ = write_field(root, 40, 1, seed=seed)
+    rng = np.random.default_rng(seed)
+    extract = config["extract"]
+    for path in [*extract["ms_bands"].values(), *(b["path"] for b in extract["hs_bands"]),
+                 extract["vegetation_mask"], extract["lodging_mask"], extract["weed_mask"]]:
+        grid = geodata.load_raster(path)
+        values = grid.values.copy()
+        values[rng.random(values.shape) < 0.05] = grid.nodata
+        geodata.write_raster(grid.with_values(values), path)
+    lines = open(extract["dsm"]["point_cloud"]).read().splitlines()  # one point per cell
+    kept = [line for line in lines if rng.random() >= 0.05]
+    open(extract["dsm"]["point_cloud"], "w").write("\n".join(kept) + "\n")
+    rows = ["plot_id,germplasm_id,vertex_index,x,y"]
+    for k in range(16):
+        x0, y0 = (k % 4) * 10 + int(rng.integers(0, 3)), (k // 4) * 10 + int(rng.integers(0, 3))
+        x1, y1 = x0 + int(rng.integers(2, 8)), y0 + int(rng.integers(2, 8))
+        rows += [f"q{k},g{k},{v},{x},{y}"
+                 for v, (x, y) in enumerate(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))]
+    open(extract["plots"], "w").write("\n".join(rows) + "\n")
+    return config
+
+
+class TestExtractAgainstPerPlotLoop:
+    @staticmethod
+    def outcome(config, tmp_path, capsys):
+        """(exit code, summary line, features.csv bytes or None) of one extract run."""
+        rc = cli.main(["extract", "--config", write_config(config, tmp_path / "cfg.json")])
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        path = tmp_path / "out" / "features.csv"
+        features = path.read_bytes() if path.exists() else None
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        return rc, line, features
+
+    def assert_same_as_per_plot(self, config, tmp_path, capsys, monkeypatch):
+        config["output_dir"] = str(tmp_path / "out")
+        got = self.outcome(config, tmp_path, capsys)
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._COMMANDS, "extract", per_plot_extract)
+            want = self.outcome(config, tmp_path, capsys)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_varied_fields(self, seed, restrict, tmp_path, capsys, monkeypatch):
+        config = vary_field(tmp_path, seed)
+        config["extract"]["params"] = {"vi_restrict_to_vegetation": restrict}
+        rc, _, features = self.assert_same_as_per_plot(config, tmp_path, capsys, monkeypatch)
+        assert rc == 1 or features.count(b"\n") == 17
+
+    @pytest.mark.parametrize("edits", [
+        ("p1 has no head counts", "p2 off the grid"),
+        ("p2 off the grid",),
+        ("p2 off the grid", "ring widths reversed"),
+        ("p2 has no vegetation",),
+        ("p1 has no head counts", "p2 has no vegetation"),
+        ("p2 has no vegetation", "kndvi_sigma is 0"),
+        ("p2 has no vegetation", "no 680 nm band"),
+        ("p2 has no vegetation", "non-binary lodging mask"),
+    ])
+    def test_plot_error_edits(self, edits, tmp_path, capsys, monkeypatch):
+        config = extract_config(tmp_path / "out")
+        edit_extract_inputs(config, edits, tmp_path)
+        rc, _, features = self.assert_same_as_per_plot(config, tmp_path, capsys, monkeypatch)
+        assert (rc, features) == (1, None)
+
+    def test_restrict_mask_on_another_geometry(self, tmp_path, capsys, monkeypatch):
+        mask = geodata.load_raster(scene_path("vegetation_mask.asc"))
+        moved = geodata.RasterGrid(mask.values, cell_size=mask.cell_size,
+                                   origin_x=mask.origin_x + 0.01, origin_y=mask.origin_y)
+        geodata.write_raster(moved, tmp_path / "vegetation_mask.asc")
+        config = extract_config(tmp_path / "out")
+        config["extract"]["vegetation_mask"] = str(tmp_path / "vegetation_mask.asc")
+        config["extract"]["params"] = {"vi_restrict_to_vegetation": True}
+        rc, line, _ = self.assert_same_as_per_plot(config, tmp_path, capsys, monkeypatch)
+        assert (rc, json.loads(line)["error"]) == (1, "GeometryMismatch")
 
 
 class TestExtractMemory:

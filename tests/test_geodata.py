@@ -447,6 +447,39 @@ def test_raster_text_is_not_held_whole(tmp_path):
     assert peak < 2 * grid.values.nbytes, peak
 
 
+class TestPointCloudHandsNumpyTheFile:
+    """numpy reads a cloud's open file past its leading blank and comment lines."""
+
+    @pytest.mark.parametrize("text, reads", [
+        ("# cloud\n\n  # xyz\n1 2 3\n4 5 6\n", [(True, True)]),
+        ("1 2 3\r\n\r\n4 5 6\r\n", [(True, True)]),  # CRLF, with a blank line
+        ("1 2 3\n   \n\t\n4 5 6", [(True, True)]),  # whitespace-only lines numpy skips
+        # a comment further on is a token numpy rejects: the data lines are streamed
+        ("# cloud\n1 2 3\n# mid\n4 5 6\n  #\n", [(True, False), (False, True)]),
+        ("1 2 3\n4 x 6\n", [(True, False), (False, False)]),  # the line parser names the token
+        ("# only\n\n  # comments\n", []),
+    ])
+    def test_same_points_or_error_as_the_line_parser(self, text, reads, tmp_path, monkeypatch):
+        path = tmp_path / "c.xyz"
+        path.write_bytes(text.encode("utf-8"))
+        read_numbers, seen = geodata._read_numbers, []
+
+        def counted(lines, nonempty=False):
+            values = read_numbers(lines, nonempty)
+            seen.append((nonempty, values is not None))
+            return values
+
+        monkeypatch.setattr(geodata, "_read_numbers", counted)
+        new = _outcome(geodata.load_point_cloud, path)
+        assert seen == reads
+        monkeypatch.setattr(geodata, "_read_numbers", lambda *args, **kwargs: None)
+        old = _outcome(geodata.load_point_cloud, path)
+        if isinstance(old, np.ndarray):
+            assert new.tobytes() == old.tobytes()
+        else:
+            assert new == old
+
+
 # ---------------------------------------------------------------------------
 # rasterize_elevation
 # ---------------------------------------------------------------------------

@@ -198,6 +198,7 @@ def test_csv_rows_raise_a_parse_error_for_a_cell_over_the_field_limit(lines, lin
     (geodata.load_raster, "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 \xe9\n"),
     (geodata.load_point_cloud, "# caf\xe9\n0 0 1\n"),
     (geodata.load_point_cloud, "0 0 1\n1 1 \xe9\n"),
+    (geodata.load_point_cloud, "0 0 1\n# caf\xe9\n1 1 1\n"),  # numpy reads the file past line 1
 ])
 def test_non_utf8_grid_or_cloud_is_a_parse_error_naming_the_file(loader, text, tmp_path):
     path = tmp_path / "latin1.txt"
@@ -682,3 +683,47 @@ def test_loaded_trials_keep_no_more_than_their_records_and_distinct_strings(tmp_
              + sum(map(sys.getsizeof, texts))
              + 4096)
     assert kept <= bound
+
+
+# Spellings Python's float() and int() take but numpy's reader does not.
+PYTHON_ONLY_NUMBERS = ["1_000", "1e1_0", "\uff12", "\uff11.\uff15", "\u0661\u0662",
+                       "\xa01.5", "1.5\u2003"]
+
+
+@pytest.mark.parametrize("text", PYTHON_ONLY_NUMBERS)
+def test_a_python_only_number_spelling_is_non_numeric(text):
+    with pytest.raises(ParseError) as info:
+        _io.finite_number(text, "cell", 3)
+    assert str(info.value) == f"line 3: non-numeric cell: {text!r}"
+    with pytest.raises(ValueError):
+        _io.integer(text)
+
+
+@pytest.mark.parametrize("text, value", [("12", 12), (" 12 ", 12), ("+7", 7), ("-0", 0)])
+def test_integer_reads_ascii_spellings_as_int_does(text, value):
+    assert _io.integer(text) == value
+
+
+GRID = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+
+
+@pytest.mark.parametrize("text", ["1_000", "\uff12"])
+@pytest.mark.parametrize("load, content, message", [
+    (geodata.load_raster, GRID + "1 {}\n", "line 6: non-numeric cell: {!r}"),
+    (geodata.load_raster, GRID.replace("cellsize 1", "cellsize {}") + "1 2\n",
+     "line 5: non-numeric value for 'cellsize': {!r}"),
+    (geodata.load_point_cloud, "# cloud\n0 0 1\n1 {} 2\n", "line 3: non-numeric coordinate: {!r}"),
+    (structural.load_head_counts, "plot_id,image_id,count\np1,i1,4\np1,i2,{}\n",
+     "line 3: non-integer count {!r}"),
+    (geodata.load_plots, "plot_id,germplasm_id,vertex_index,x,y\np1,g,0,0,0\np1,g,{},1,0\n",
+     "line 3: bad vertex row for plot p1"),
+    (geodata.load_plots, "plot_id,germplasm_id,vertex_index,x,y\np1,g,0,0,0\np1,g,1,{},0\n",
+     "line 3: non-numeric x of plot p1: {!r}"),
+    (cli._load_measurements, "plot_id,SPAD\np1,{}\n", "line 2: non-numeric SPAD: {!r}"),
+])
+def test_a_data_file_rejects_a_python_only_number(load, content, message, text, tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text(content.format(text), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert str(info.value) == message.format(text)
