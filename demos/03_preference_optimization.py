@@ -42,6 +42,8 @@ rm = prefopt.RewardModel(VOCAB)
 history = prefopt.train_reward(rm, examples, learning_rate=0.5, iterations=120)
 print(f"RM: {len(examples)} pairs, loss {history[0]['loss']:.3f} -> "
       f"{history[-1]['loss']:.3f} (ln 2 = {np.log(2):.3f} at zero gap)")
+loss, grad = prefopt.rm_loss_and_grad(rm, examples)  # the objective at the trained weights
+print(f"    trained: loss {loss:.3f}, gradient norm {np.linalg.norm(grad):.4f}")
 
 # --- stage 3: PPO against the combined reward --------------------------------
 config = prefopt.RLHFConfig(beta=0.05, learning_rate=0.4, ppo_clip=0.2,

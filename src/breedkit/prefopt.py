@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, sub
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .errors import (
 # model each) fit this budget; past it, it samples this many answers per prompt
 _EXACT_KL_BUDGET = 4096
 _KL_SAMPLES = 256
+_EXACT_KL_BLOCK = 1 << 15  # logits per model that the exact walk reads at once
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -132,15 +135,24 @@ class PolicyModel:
     def step_probabilities(self, x, prefix) -> np.ndarray:
         return np.exp(_log_softmax(self.logits_row(x, prefix)))
 
-    def _answer_log_softmax(self, x, y) -> tuple:
-        """(prompt, answer, stacked log softmax rows: row t is log pi(. | x, y[:t])), checked once."""
+    def _check(self, x, y) -> tuple:
+        """(prompt, answer) as token tuples of states this model has."""
         x = _as_tokens(x, self.vocab_size, "prompt")
         y = _as_tokens(y, self.vocab_size, "answer")
         if len(y) > self.context_length:  # the prefix y[:T] has no state
             t = self.context_length
             raise InvalidInput(f"prefix length {t} exceeds context_length {t}")
-        rows = np.array([self._row((x, y[:t])) for t in range(len(y))])
-        return x, y, _log_softmax(rows.reshape(len(y), self.vocab_size))
+        return x, y
+
+    def _read_answers(self, answers) -> tuple:
+        """Per checked (x, y): log pi(y_t | x, y[:t]) per step, and softmax rows; one stack."""
+        rows = [self._row((x, y[:t])) for x, y in answers for t in range(len(y))]
+        log_probs = _log_softmax(np.array(rows).reshape(len(rows), self.vocab_size))
+        picked = log_probs[np.arange(len(rows)), [t for _, y in answers for t in y]].tolist()
+        probs = np.exp(log_probs)
+        ends = np.cumsum([len(y) for _, y in answers])
+        spans = [slice(end - len(y), end) for end, (_, y) in zip(ends, answers)]
+        return [picked[s] for s in spans], [probs[s] for s in spans]
 
     # -- mutation -----------------------------------------------------
 
@@ -180,35 +192,34 @@ class PolicyModel:
     # -- sampling -----------------------------------------------------
 
     def sample_answer(self, x, rng: np.random.Generator) -> tuple:
-        x = _as_tokens(x, self.vocab_size, "prompt")
-        answer = ()
+        return self._sample(_as_tokens(x, self.vocab_size, "prompt"), rng, {})[0]
+
+    def _sample(self, x: tuple, rng: np.random.Generator, memo: dict) -> tuple:
+        """(answer, its log probability, its softmax rows); ``memo`` keeps rows per state."""
+        answer, logp, step_probs = (), 0.0, []
         for _ in range(self.context_length):
-            probs = np.exp(_log_softmax(self._row((x, answer))))
-            answer = answer + (int(rng.choice(self.vocab_size, p=probs)),)
-        return answer
+            if (x, answer) not in memo:
+                log_row = _log_softmax(self._row((x, answer)))
+                memo[x, answer] = log_row, np.exp(log_row)
+            log_row, probs = memo[x, answer]
+            token = int(rng.choice(self.vocab_size, p=probs))
+            logp += float(log_row[token])
+            step_probs.append(probs)
+            answer = answer + (token,)
+        return answer, logp, step_probs
 
 
-def _picked_sum(log_probs: np.ndarray, y: tuple) -> float:
-    """sum_t log_probs[t, y_t], added in step order."""
-    total = 0.0
+def _add_step_grads(grads: dict, x: tuple, y: tuple, probs, scale: float) -> None:
+    """grads[(x, y[:t])] += scale * (onehot(y_t) - probs[t]), probs[t] = pi(. | x, y[:t])."""
     for t, token in enumerate(y):
-        total += float(log_probs[t, token])
-    return total
-
-
-def _add_step_grads(grads: dict, x: tuple, y: tuple, log_probs, scale: float) -> None:
-    """grads[(x, y[:t])] += scale * (onehot(y_t) - pi(. | x, y[:t])) for each step t."""
-    probs = np.exp(log_probs)
-    for t, token in enumerate(y):
-        g = grads.setdefault((x, y[:t]), np.zeros(probs.shape[1]))
+        g = grads.setdefault((x, y[:t]), np.zeros(len(probs[t])))
         g -= scale * probs[t]
         g[token] += scale
 
 
 def answer_log_prob(policy: PolicyModel, x, y) -> float:
     """log pi(y|x) = sum over steps of log pi(y_t | x, y_{1:t-1})."""
-    _, y, log_probs = policy._answer_log_softmax(x, y)
-    return _picked_sum(log_probs, y)
+    return reduce(add, policy._read_answers([policy._check(x, y)])[0][0], 0.0)
 
 
 def sft_loss_and_grad(policy: PolicyModel, dataset) -> tuple[float, dict]:
@@ -217,16 +228,14 @@ def sft_loss_and_grad(policy: PolicyModel, dataset) -> tuple[float, dict]:
     The gradient maps (prompt, prefix) state -> d loss / d logits row, the
     per-step softmax-cross-entropy gradient (softmax - onehot) / n_pairs.
     """
-    pairs = list(dataset)
+    pairs = [policy._check(x, y) for x, y in dataset]
     if not pairs:
         raise EmptyInput("SFT dataset is empty")
     loss = 0.0
     grads: dict[tuple, np.ndarray] = {}
-    for x, y in pairs:
-        x, y, log_probs = policy._answer_log_softmax(x, y)
-        for t, token in enumerate(y):
-            loss -= float(log_probs[t, token])
-        _add_step_grads(grads, x, y, log_probs, -1.0)
+    for (x, y), steps, probs in zip(pairs, *policy._read_answers(pairs)):
+        loss = reduce(sub, steps, loss)
+        _add_step_grads(grads, x, y, probs, -1.0)
     n = len(pairs)
     return loss / n, {k: v / n for k, v in grads.items()}
 
@@ -287,22 +296,30 @@ def _sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def rm_loss_and_grad(rm: RewardModel, dataset) -> tuple[float, np.ndarray]:
-    """-mean log sigmoid(score_w - score_l) and its exact weight gradient."""
+def _feature_gaps(rm: RewardModel, dataset) -> list:
     examples = list(dataset)
     if not examples:
         raise EmptyInput("preference dataset is empty")
+    return [rm.features(ex.prompt, ex.preferred) - rm.features(ex.prompt, ex.rejected)
+            for ex in examples]
+
+
+def _rm_loss_and_grad(weights: np.ndarray, gaps: list) -> tuple[float, np.ndarray]:
     loss = 0.0
-    grad = np.zeros_like(rm.weights)
-    for ex in examples:
-        delta_phi = rm.features(ex.prompt, ex.preferred) - rm.features(ex.prompt, ex.rejected)
-        gap = float(rm.weights @ delta_phi)
+    grad = np.zeros_like(weights)
+    for delta_phi in gaps:
+        gap = float(weights @ delta_phi)
         # -log sigmoid(gap), computed stably
         loss += float(np.logaddexp(0.0, -gap))
         # d/dw = -(1 - sigmoid(gap)) * delta_phi = -sigmoid(-gap) * delta_phi
         grad -= _sigmoid(-gap) * delta_phi
-    n = len(examples)
+    n = len(gaps)
     return loss / n, grad / n
+
+
+def rm_loss_and_grad(rm: RewardModel, dataset) -> tuple[float, np.ndarray]:
+    """-mean log sigmoid(score_w - score_l) and its exact weight gradient."""
+    return _rm_loss_and_grad(rm.weights, _feature_gaps(rm, dataset))
 
 
 def pairwise_expand(prompt, answers, ranking=None) -> list[PreferenceExample]:
@@ -337,32 +354,50 @@ def combined_reward(rm: RewardModel, policy: PolicyModel, reference: PolicyModel
         raise InvalidInput("beta must be >= 0")
     if not reference.frozen:
         raise InvalidInput("reference model must be frozen")
-    penalty = 0.0
-    if beta != 0.0:
-        penalty = beta * (answer_log_prob(policy, x, y) - answer_log_prob(reference, x, y))
-    return rm.score(x, y) - penalty
+    logp = answer_log_prob(policy, x, y) if beta != 0.0 else 0.0
+    return _combined_rewards(rm, reference, [(x, y)], [logp], beta)[0]
+
+
+def _combined_rewards(rm: RewardModel, reference: PolicyModel, answers, logps, beta) -> list:
+    """combined_reward of each (x, y) in ``answers`` given its log pi(y|x)."""
+    checked, scores = [], []
+    for x, y in answers:
+        if beta != 0.0:
+            checked.append(reference._check(x, y))
+        scores.append(rm.score(x, y))
+    if beta == 0.0:
+        return scores  # no penalty: score - 0.0 is score
+    return [score - beta * (logp - reduce(add, steps, 0.0))
+            for score, logp, steps in zip(scores, logps, reference._read_answers(checked)[0])]
 
 
 def _exact_kl(policy: PolicyModel, reference: PolicyModel, x: tuple) -> float:
     """KL(pi || ref) of the answers to prompt ``x`` by the chain rule.
 
-    Walks the prefix tree one level at a time. Each level stacks its rows into
-    one log softmax per model, adds sum_prefix pi(prefix) * sum_v
-    pi(v|prefix) * (log pi(v|prefix) - log ref(v|prefix)), and carries
+    Walks the prefix tree one level at a time, in blocks of rows, adding
+    sum_prefix pi(prefix) * KL(pi(.|prefix) || ref(.|prefix)); it carries
     pi(prefix + v) = pi(prefix) * pi(v|prefix) down to the next level.
     """
-    vocab = range(policy.vocab_size)
+    vocab = policy.vocab_size
+    block = max(1, _EXACT_KL_BLOCK // vocab)
     prefixes = [()]
     weights = np.ones(1)  # pi(prefix | x), in the order of ``prefixes``
     kl = 0.0
     for depth in range(policy.context_length):
-        log_pi = _log_softmax(np.array([policy._row((x, p)) for p in prefixes]))
-        log_ref = _log_softmax(np.array([reference._row((x, p)) for p in prefixes]))
-        step = np.exp(log_pi)
-        kl += float(weights @ np.sum(step * (log_pi - log_ref), axis=1))
-        if depth + 1 < policy.context_length:
-            weights = (weights[:, None] * step).ravel()
-            prefixes = [p + (v,) for p in prefixes for v in vocab]
+        sums = np.empty(len(prefixes))
+        steps = np.empty((len(prefixes), vocab)) if depth + 1 < policy.context_length else None
+        for lo in range(0, len(prefixes), block):
+            part = slice(lo, lo + block)
+            log_pi = _log_softmax(np.array([policy._row((x, p)) for p in prefixes[part]]))
+            log_ref = _log_softmax(np.array([reference._row((x, p)) for p in prefixes[part]]))
+            step = np.exp(log_pi)
+            sums[part] = np.sum(step * (log_pi - log_ref), axis=1)
+            if steps is not None:
+                steps[part] = weights[part, None] * step
+        kl += float(weights @ sums)
+        if steps is not None:
+            weights = steps.ravel()
+            prefixes = [p + (v,) for p in prefixes for v in range(vocab)]
     return kl
 
 
@@ -389,13 +424,9 @@ def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
         if n_states <= _EXACT_KL_BUDGET:
             kl = _exact_kl(policy, reference, x)
         else:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            draws = [policy.sample_answer(x, rng) for _ in range(_KL_SAMPLES)]
-            kl = float(np.mean([
-                answer_log_prob(policy, x, y) - answer_log_prob(reference, x, y)
-                for y in draws
-            ]))
+            rng = np.random.default_rng(0) if rng is None else rng
+            draws = [policy._sample(x, rng, {})[:2] for _ in range(_KL_SAMPLES)]
+            kl = float(np.mean([logp - answer_log_prob(reference, x, y) for y, logp in draws]))
         total += kl
     return total / len(prompts)
 
@@ -441,31 +472,29 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
     if not reference.frozen:
         raise InvalidInput("reference model must be frozen")
 
-    batch = []
-    for x in prompts:
-        for _ in range(config.samples_per_prompt):
-            y = policy.sample_answer(x, rng)
-            batch.append((x, y, combined_reward(rm, policy, reference, x, y, config.beta)))
+    memo: dict = {}  # the policy does not change while sampling
+    xs = [x for x in prompts for _ in range(config.samples_per_prompt)]
+    ys, old_logps, step_probs = zip(*(policy._sample(x, rng, memo) for x in xs))
+    answers = list(zip(xs, ys))
+    rewards = _combined_rewards(rm, reference, answers, old_logps, config.beta)
 
     clip_lo, clip_hi = 1.0 - config.ppo_clip, 1.0 + config.ppo_clip
     clipped = 0
-    old_logp: dict[int, float] = {}  # log pi_old(y|x) per sample
-    for _ in range(config.epochs):
+    logps = old_logps  # the policy first changes at the end of epoch 0: there the ratio is 1
+    for epoch in range(config.epochs):
+        if epoch:  # re-read the updated policy, every answer as one stack
+            picked, step_probs = policy._read_answers(answers)
+            logps = [reduce(add, steps, 0.0) for steps in picked]
         grads: dict[tuple, np.ndarray] = {}
-        for i, (x, y, advantage) in enumerate(batch):
-            # the policy first changes at the end of epoch 0, so epoch 0 reads
-            # the policy that sampled: there log pi_old is set and the ratio is 1
-            _, _, log_probs = policy._answer_log_softmax(x, y)
-            logp = _picked_sum(log_probs, y)
-            ratio = float(np.exp(logp - old_logp.setdefault(i, logp)))
+        for (x, y), logp, old_logp, probs, advantage in zip(
+                answers, logps, old_logps, step_probs, rewards):
+            ratio = float(np.exp(logp - old_logp))
             if not (clip_lo <= ratio <= clip_hi):
                 clipped += 1
-                unclipped = ratio * advantage
-                capped = min(max(ratio, clip_lo), clip_hi) * advantage
-                if capped <= unclipped:
+                if min(max(ratio, clip_lo), clip_hi) * advantage <= ratio * advantage:
                     continue  # clipped branch is the min: zero gradient
             # d surrogate / d logits = A * ratio * d log pi / d logits
-            _add_step_grads(grads, x, y, log_probs, advantage * ratio / len(batch))
+            _add_step_grads(grads, x, y, probs, advantage * ratio / len(answers))
         if not all(np.isfinite(grad).all() for grad in grads.values()):
             raise NumericalError("non-finite policy gradient", iteration=iteration)
         policy.apply_gradient(grads, config.learning_rate)
@@ -475,9 +504,9 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
     kl_rng = np.random.default_rng([config.seed, iteration])
     return {
         "iteration": iteration,
-        "mean_reward": float(np.mean([reward for *_, reward in batch])),
+        "mean_reward": float(np.mean(rewards)),
         "mean_kl": mean_kl(policy, reference, prompts, rng=kl_rng),
-        "clip_fraction": clipped / (config.epochs * len(batch)),
+        "clip_fraction": clipped / (config.epochs * len(answers)),
     }
 
 
@@ -512,9 +541,10 @@ def train_reward(rm: RewardModel, dataset, learning_rate: float = 0.5,
     """Full-batch gradient descent on the pairwise reward loss."""
     if iterations < 0:
         raise InvalidInput("iterations must be >= 0")
+    gaps = _feature_gaps(rm, dataset) if iterations else []  # 0 iterations read no example
     history = []
     for i in range(iterations):
-        loss, grad = rm_loss_and_grad(rm, dataset)
+        loss, grad = _rm_loss_and_grad(rm.weights, gaps)
         if not np.isfinite(loss) or not np.isfinite(grad).all():
             raise NumericalError("non-finite reward-model loss/gradient", iteration=i)
         weights = rm.weights - learning_rate * grad

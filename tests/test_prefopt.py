@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -798,6 +799,75 @@ class TestStepRowsMatchPerStepLoop:
         with pytest.raises(InvalidToken, match="prompt token 4"):
             prefopt.sft_loss_and_grad(policy, [((0, 4), ())])
 
+    # beta 0 reads no reference; one epoch takes every row from the sampler; one
+    # sample per prompt makes a batch of one answer per prompt
+    @pytest.mark.parametrize("beta,epochs,samples", [
+        (0.0, 3, 3), (0.3, 1, 3), (0.3, 3, 1), (0.0, 1, 1),
+    ], ids=["beta0", "one-epoch", "one-sample", "beta0-one-epoch-one-sample"])
+    @pytest.mark.parametrize("vocab,length", [(2, 12), (3, 5), (4, 8), (16, 2)])
+    def test_run_rlhf_variants(self, vocab, length, beta, epochs, samples):
+        config = prefopt.RLHFConfig(beta=beta, learning_rate=2.0, iterations=2, seed=vocab,
+                                    samples_per_prompt=samples, epochs=epochs)
+        rng = np.random.default_rng(length)
+        prompts = [self._answer(rng, vocab, 2) for _ in range(3)]
+        rm = prefopt.RewardModel(vocab, weights=rng.normal(size=2 * vocab + 1))
+        policy, reference = self._models(vocab, length, seed=7)
+        got = prefopt.run_rlhf(policy, reference, rm, prompts, config)
+        oracle, _ = self._models(vocab, length, seed=7)
+        step_rng = np.random.default_rng(config.seed)
+        want = [_rlhf_step_loop(oracle, reference, rm, prompts, config, step_rng, i)
+                for i in range(config.iterations)]
+        hexed = [{k: float(v).hex() for k, v in d.items()} for d in got]
+        assert hexed == [{k: float(v).hex() for k, v in d.items()} for d in want]
+        assert _hex_rows(policy) == _hex_rows(oracle)
+
+    # the reference (vocab, context) differs from the policy's (4, 2), and the
+    # reward model reads only tokens 0 and 1: each sample can fail either read
+    @pytest.mark.parametrize("reference_shape", [(3, 2), (4, 1)], ids=["vocab", "context"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_mismatched_models_raise_at_the_first_bad_sample(self, reference_shape, beta):
+        outcomes = set()
+        for seed in range(12):
+            config = prefopt.RLHFConfig(beta=beta, iterations=1, seed=seed,
+                                        samples_per_prompt=3, epochs=2)
+
+            def run(step):
+                policy = prefopt.PolicyModel(4, 2, init_scale=1.0, seed=seed)
+                reference = prefopt.PolicyModel(*reference_shape, init_scale=1.0).snapshot()
+                return _outcome(step, policy, reference, prefopt.RewardModel(2), [(0, 1), (1,)],
+                                config, np.random.default_rng(seed), 0)
+
+            want = run(_rlhf_step_loop)
+            assert run(prefopt.rlhf_step) == want
+            outcomes.add(want)
+        # both reads raise first in some run, so the order of the checks is compared
+        assert len(outcomes) >= (2 if beta and reference_shape == (3, 2) else 1)
+
+    @pytest.mark.parametrize("second", [
+        ((0, 4), (1,)), ((0, 1), (1, 4)), ((0, 1), (1, 2, 3, 0)), ((0, 1), (1.0,)),
+    ], ids=["prompt", "answer", "too-long", "not-an-integer"])
+    def test_sft_raises_the_first_bad_pairs_error(self, second):
+        dataset = [((0, 1), (1, 2)), second, ((4,), (1,))]
+        want = _outcome(_sft_loss_and_grad_loop, self._models(4, 3, seed=2)[0], dataset)
+        assert want[0] in ("InvalidToken", "InvalidInput")
+        assert _outcome(prefopt.sft_loss_and_grad, self._models(4, 3, seed=2)[0], dataset) == want
+
+    # numpy sums a row of 8 or more values pairwise: one stack of such rows
+    # must still reduce each row as that row alone
+    @pytest.mark.parametrize("vocab", [9, 16, 33, 300])
+    def test_stacked_rows_at_wider_vocabularies(self, vocab):
+        rng = np.random.default_rng(vocab)
+        policy, reference = self._models(vocab, 4, seed=vocab)
+        dataset = [(self._answer(rng, vocab, 2), self._answer(rng, vocab, int(rng.integers(0, 5))))
+                   for _ in range(9)]
+        assert (_hex_grads(prefopt.sft_loss_and_grad(policy, dataset))
+                == _hex_grads(_sft_loss_and_grad_loop(policy, dataset)))
+        rm = prefopt.RewardModel(vocab, weights=rng.normal(size=2 * vocab + 1))
+        for x, y in dataset:
+            want = rm.score(x, y) - 0.2 * (_answer_log_prob_loop(policy, x, y)
+                                           - _answer_log_prob_loop(reference, x, y))
+            assert prefopt.combined_reward(rm, policy, reference, x, y, 0.2).hex() == want.hex()
+
 
 def _token_models():
     policy = prefopt.PolicyModel(4, 2, init_scale=0.5, seed=3)
@@ -867,3 +937,122 @@ def test_ranking_indices_follow_the_token_rule(bad):
         prefopt.pairwise_expand((0,), [(1,), (2,)], ranking=[bad, 0])
     assert (prefopt.pairwise_expand((0,), [(1,), (2,)], ranking=[np.int64(1), np.int64(0)])
             == prefopt.pairwise_expand((0,), [(1,), (2,)], ranking=[1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# The KL diagnostic and the reward-model loop against their unbatched forms
+# ---------------------------------------------------------------------------
+
+
+def _exact_kl_unblocked(policy, reference, x):
+    """The exact chain-rule walk, each level read as one stack per model."""
+    prefixes, weights, kl = [()], np.ones(1), 0.0
+    for depth in range(policy.context_length):
+        log_pi = prefopt._log_softmax(np.array([policy._row((x, p)) for p in prefixes]))
+        log_ref = prefopt._log_softmax(np.array([reference._row((x, p)) for p in prefixes]))
+        step = np.exp(log_pi)
+        kl += float(weights @ np.sum(step * (log_pi - log_ref), axis=1))
+        if depth + 1 < policy.context_length:
+            weights = (weights[:, None] * step).ravel()
+            prefixes = [p + (v,) for p in prefixes for v in range(policy.vocab_size)]
+    return kl
+
+
+def _sampled_kl_loop(policy, reference, prompts, rng):
+    """mean_kl past the budget: per-step draws, each answer re-read one state at a time."""
+    total = 0.0
+    for x in prompts:
+        gaps = []
+        for _ in range(prefopt._KL_SAMPLES):
+            y = ()
+            for _ in range(policy.context_length):
+                probs = policy.step_probabilities(x, y)
+                y = y + (int(rng.choice(policy.vocab_size, p=probs)),)
+            gaps.append(_answer_log_prob_loop(policy, x, y) - _answer_log_prob_loop(reference, x, y))
+        total += float(np.mean(gaps))
+    return total / len(prompts)
+
+
+def _kl_models(vocab, length):
+    policy = prefopt.PolicyModel(vocab, length, init_scale=1.5, seed=vocab + length)
+    reference = prefopt.PolicyModel(vocab, length, init_scale=0.8, seed=3).snapshot()
+    return policy, reference
+
+
+class TestKlReadsMatchUnbatchedForms:
+    # (300, 2) reads its last level in three blocks at the default block size;
+    # a block of 1 or 3 rows splits every level of the others as well
+    @pytest.mark.parametrize("block_rows", [None, 1, 3])
+    @pytest.mark.parametrize("vocab,length", [(300, 2), (5, 4), (2, 12), (64, 2), (16, 3)])
+    def test_blocked_walk_matches_one_stack_per_level(self, monkeypatch, vocab, length,
+                                                      block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(prefopt, "_EXACT_KL_BLOCK", block_rows * vocab)
+        policy, reference = _kl_models(vocab, length)
+        for x in [(0,), (1, vocab - 1)]:
+            want = _exact_kl_unblocked(policy.snapshot(), reference, x)
+            assert prefopt.mean_kl(policy, reference, [x]).hex() == want.hex()
+        assert not policy._rows  # the walk stored no row
+
+    def test_exact_walk_memory_is_bounded(self):
+        # 1 + 4095 prefix states fit the budget; one stack of the last level
+        # would hold 4095 x 4095 logits (128 MiB) per model
+        policy, reference = _kl_models(4095, 2)
+        tracemalloc.start()
+        try:
+            kl = prefopt.mean_kl(policy, reference, [(0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kl > 0.0
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("vocab,length", [(16, 4), (4, 8)])
+    def test_sampled_estimate_matches_per_step_loop(self, vocab, length):
+        policy, reference = _kl_models(vocab, length)
+        prompts = [(0, 1), (vocab - 1,)]
+        got = prefopt.mean_kl(policy, reference, prompts, rng=np.random.default_rng(4))
+        want = _sampled_kl_loop(policy.snapshot(), reference, prompts, np.random.default_rng(4))
+        assert got.hex() == want.hex()
+
+
+def _train_reward_loop(rm, dataset, learning_rate, iterations):
+    """train_reward as a loop over rm_loss_and_grad, re-reading every example each time."""
+    history = []
+    for i in range(iterations):
+        loss, grad = prefopt.rm_loss_and_grad(rm, dataset)
+        rm.weights = rm.weights - learning_rate * grad
+        history.append({"iteration": i, "loss": loss})
+    return history
+
+
+class TestTrainRewardMatchesLossLoop:
+    @pytest.mark.parametrize("vocab,iterations", [(3, 1), (6, 25), (40, 8)])
+    def test_weights_and_history_match(self, vocab, iterations):
+        rng = np.random.default_rng(vocab)
+        dataset = []
+        while len(dataset) < 12:
+            x, a, b = (tuple(int(t) for t in rng.integers(0, vocab, n)) for n in (2, 3, 3))
+            if a != b:
+                dataset.append(prefopt.PreferenceExample(x, a, b))
+        weights = rng.normal(size=2 * vocab + 1)
+        rm, oracle = prefopt.RewardModel(vocab, weights), prefopt.RewardModel(vocab, weights)
+        got = prefopt.train_reward(rm, dataset, learning_rate=0.7, iterations=iterations)
+        want = _train_reward_loop(oracle, dataset, 0.7, iterations)
+        assert [(h["iteration"], h["loss"].hex()) for h in got] == [
+            (h["iteration"], h["loss"].hex()) for h in want]
+        assert [w.hex() for w in rm.weights.tolist()] == [w.hex() for w in oracle.weights.tolist()]
+
+    def test_zero_iterations_read_no_example(self):
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("the dataset was read")
+
+        assert prefopt.train_reward(prefopt.RewardModel(3), Unreadable(), iterations=0) == []
+
+    def test_first_bad_example_raises_its_error(self):
+        dataset = [prefopt.PreferenceExample((0,), (1,), (2,)), _example((0,), (3,), (1,)),
+                   _example((5,), (1,), (2,))]
+        want = _outcome(_train_reward_loop, prefopt.RewardModel(3), dataset, 0.5, 2)
+        assert want == ("InvalidToken", "answer token 3 outside vocabulary of size 3")
+        assert _outcome(prefopt.train_reward, prefopt.RewardModel(3), dataset, 0.5, 2) == want
