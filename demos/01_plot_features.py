@@ -38,14 +38,10 @@ plot = geodata.PlotGeometry(
     vertices=np.array([[0.5, 0.5], [3.5, 0.5], [3.5, 3.5], [0.5, 3.5]]),
 )
 
-# The plot's cells are selected once per grid geometry; every layer on that
-# geometry (each index map is a RasterGrid on the bands' geometry) reuses them.
-cells = geodata.plot_cells(bands.geometry_reference(), plot)
-
 print("vegetation indices (plot means):")
 for name in spectral.VI_NAMES:
     vi = spectral.vi_map(bands, name)
-    stat = spectral.plot_statistic(vi, cells, feature_name=name)
+    stat = spectral.plot_statistic(vi, plot, feature_name=name)
     print(f"  {name:6s} = {stat.value:+.4f}  over {stat.n_cells} cells")
 
 # --- vegetation cover -------------------------------------------------------

@@ -673,60 +673,6 @@ def rasterize_elevation(cloud: PointCloud, cell_size: float, aggregator: str = "
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlotCells:
-    """A region's cells on one grid geometry, selected once and reused per layer.
-
-    ``rows`` x ``cols`` is the window of the grid around the region's
-    bounding box (one cell of margin per edge, clipped to the grid);
-    ``member`` is True where a window cell's center lies in the region.
-    Reading ``window(grid)[member]`` gives the region's cells in the same
-    row-major order as a full-grid mask, so reductions over it are
-    bit-identical to reductions over the full grid. ``values`` and ``count``
-    are the reads every per-plot feature makes.
-    """
-
-    plot_id: str
-    geometry: tuple  # RasterGrid.geometry of the grid the cells were selected on
-    rows: slice
-    cols: slice
-    member: np.ndarray  # bool, shape of the window
-
-    def window(self, grid: RasterGrid) -> np.ndarray:
-        """``grid``'s values inside the window; ``grid`` must have this geometry."""
-        _require_geometry(self.plot_id, self.geometry, grid)
-        return grid.values[self.rows, self.cols]
-
-    def values(self, grid: RasterGrid, restrict_to: RasterGrid | None = None) -> np.ndarray:
-        """``grid``'s non-nodata values over the cells, in row-major order.
-
-        ``restrict_to``: optional binary mask on the same geometry; when
-        given, only cells where it is 1 count. InvalidMask if a window cell
-        of the mask is not 0, 1 or nodata.
-        """
-        window = self.window(grid)
-        selected = self.member & (window != grid.nodata)
-        if restrict_to is not None:
-            selected &= _binary_ones(self.window(restrict_to), restrict_to.nodata)
-        return window[selected]
-
-    def count(self, mask: RasterGrid) -> tuple[int, int]:
-        """(cells where the binary ``mask`` is 1, all cells); nodata counts as 0.
-
-        InvalidMask if a window cell of ``mask`` is not 0, 1 or nodata.
-        """
-        ones = _binary_ones(self.window(mask), mask.nodata)
-        return int((self.member & ones).sum()), int(self.member.sum())
-
-
-def _require_geometry(plot_id: str, geometry: tuple, grid: RasterGrid) -> None:
-    """GeometryMismatch unless ``grid`` has the ``geometry`` region ``plot_id``'s cells were selected on."""
-    if grid.geometry != geometry:
-        raise GeometryMismatch(
-            f"cells of region {plot_id} were selected on grid {geometry}, not {grid.geometry}"
-        )
-
-
 def _selects_no_cells(plot_id: str) -> EmptyPlot:
     return EmptyPlot(f"region {plot_id} selects no cells of the grid")
 
@@ -736,12 +682,12 @@ class PlotCellStack:
     """Every region's cells on one grid geometry, one region after another.
 
     ``flat`` holds each cell's flat grid index (row * n_cols + col), region
-    by region in order and each region's cells in the row-major order of
-    ``PlotCells.values``; ``sizes[i]`` counts region i's cells, 0 where it
-    selects none. A read gathers a grid over every region at once. Unlike
-    the ``PlotCells`` reads, these check no mask cell: they take a mask's
-    cells that equal 1, so a caller validates each mask with
-    ``require_binary_mask``.
+    by region in order and each region's cells in row-major order, the
+    order of a full-grid boolean mask; ``sizes[i]`` counts region i's cells,
+    0 where it selects none. A read gathers a grid over every region at
+    once, and checks no mask cell: it takes a mask's cells that equal 1, so
+    a caller validates each mask with ``require_binary_mask``. A stack of no
+    regions reads as empty.
     """
 
     plot_ids: tuple
@@ -750,8 +696,12 @@ class PlotCellStack:
     sizes: np.ndarray  # intp, one per region
 
     def gather(self, grid: RasterGrid) -> np.ndarray:
-        """``grid``'s values over the cells; ``grid`` must have this geometry."""
-        _require_geometry(self.plot_ids[0], self.geometry, grid)
+        """``grid``'s values over the cells; GeometryMismatch unless ``grid`` has this geometry."""
+        if grid.geometry != self.geometry:
+            whose = f"region {self.plot_ids[0]}" if self.plot_ids else "no region"
+            raise GeometryMismatch(
+                f"cells of {whose} were selected on grid {self.geometry}, not {grid.geometry}"
+            )
         return grid.values.take(self.flat)
 
     def values(self, grid: RasterGrid,
@@ -772,7 +722,7 @@ class PlotCellStack:
     def ratios(self, mask: RasterGrid) -> np.ndarray:
         """Each region's cells where the binary ``mask`` is 1 over all its cells (NaN for none).
 
-        ``PlotCells.count``'s ratio, for every region at once; nodata counts as 0.
+        Nodata counts as 0. This is the FVC, PL and WL ratio of every plot.
         """
         return np.divide(self._counts(self.gather(mask) == 1.0), self.sizes,
                          out=np.full(self.sizes.shape, np.nan), where=self.sizes > 0)
@@ -785,10 +735,10 @@ class PlotCellStack:
     def first_failure(self, *checks) -> tuple[int, Exception] | None:
         """(i, error) for the first region i to fail, or None.
 
-        A region fails when it selects no cell (EmptyPlot, as ``plot_cells``
-        raises it), or else one of ``checks``: (failed, error) pairs in the
-        order a one-region function makes them, ``failed`` a bool per region
-        or one for all, ``error(i)`` region i's error.
+        A region fails when it selects no cell (EmptyPlot), or else one of
+        ``checks``: (failed, error) pairs in the order a one-region function
+        makes them, ``failed`` a bool per region or one for all,
+        ``error(i)`` region i's error.
         """
         first, error = self.sizes.size, None
         for failed, make in ((self.sizes == 0, lambda i: _selects_no_cells(self.plot_ids[i])),
@@ -799,23 +749,16 @@ class PlotCellStack:
         return None if error is None else (first, error(first))
 
 
-def _binary_ones(values: np.ndarray, nodata: float) -> np.ndarray:
-    """True where mask ``values`` are 1; InvalidMask on anything but 0, 1 or nodata."""
-    ok = (values == 0.0) | (values == 1.0) | (values == nodata)
-    if not ok.all():
-        bad = values[~ok].flat[0]
-        raise InvalidMask(f"mask holds non-binary value {bad}")
-    return values == 1.0
-
-
 def require_binary_mask(mask: RasterGrid) -> None:
     """Raise InvalidMask unless every cell of ``mask`` is 0, 1 or nodata.
 
-    ``PlotCells`` reads check only the window they read, and
-    ``PlotCellStack`` reads check no cell, so a caller that reduces many
-    plots over one mask validates it here once.
+    ``PlotCellStack`` reads check no cell, so a caller validates each mask
+    here once, whatever the number of plots it reduces over it.
     """
-    _binary_ones(mask.values, mask.nodata)
+    values = mask.values
+    ok = (values == 0.0) | (values == 1.0) | (values == mask.nodata)
+    if not ok.all():
+        raise InvalidMask(f"mask holds non-binary value {values[~ok].flat[0]}")
 
 
 def _index_window(lo: float, hi: float, n: int) -> slice:
@@ -832,7 +775,7 @@ def _index_window(lo: float, hi: float, n: int) -> slice:
     return slice(start, stop)
 
 
-# Window cells tested at once by select_cells. It bounds the float temporaries
+# Window cells tested at once by stack_cells. It bounds the float temporaries
 # of one stacked test to about 1 MiB, whatever the number of regions; a larger
 # window is tested on its own.
 _BLOCK_CELLS = 1 << 14
@@ -847,12 +790,20 @@ def _region_parts(region) -> tuple:
     raise InvalidInput(f"not a PlotGeometry or PlotWithRing: {type(region).__name__}")
 
 
-def _member_blocks(grid: RasterGrid, regions: list):
-    """Yield (region indices, plot ids, row slices, column slices, member stack) per block.
+def stack_cells(grid: RasterGrid, regions: list) -> PlotCellStack:
+    """The cells of ``grid`` whose centers lie in each of ``regions``, in one PlotCellStack.
 
-    The blocks are ``select_cells``' stacks; ``member[k]`` is True where a
-    cell center of the k-th region's window lies in it. A region whose
-    window is empty is in no block.
+    Each region is a PlotGeometry or a PlotWithRing; polygon boundaries count
+    as inside. Only the window around ``region.bounds()`` (one cell of margin
+    per side, clipped to the grid) is tested. A one-plot feature reduces the
+    stack of its one region.
+
+    Plots, and plots with a ring, of one vertex count and window shape are
+    tested as one stack, ``_BLOCK_CELLS`` window cells at a time (or one
+    region, if its window is larger): one pass of the per-edge formulas
+    serves the whole block, and every cell gets the arithmetic a
+    single-region test would give it. The flat index is taken from each
+    block's member stack, so no region is visited on its own.
     """
     size = grid.cell_size
     groups: dict = {}
@@ -867,66 +818,36 @@ def _member_blocks(grid: RasterGrid, regions: list):
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         if shape[0] and shape[1]:
             groups.setdefault((outer is None, len(vertices), shape), []).append(
-                (i, region.plot_id, rows, cols, vertices, inner, outer))
+                (i, rows.start, cols.start, vertices, inner, outer))
 
+    # (region indices, first rows, first columns, member stack) per block;
+    # member[k] is True where a cell center of the k-th region's window lies in it
+    blocks = []
     x_axis, y_axis = grid._center_axes()
     for (plain, _, (h, w)), members in groups.items():
         step = max(1, _BLOCK_CELLS // (h * w))
         for b in range(0, len(members), step):
-            i, name, rows, cols, vertices, inner, outer = zip(*members[b:b + step])
-            px = x_axis[np.array([c.start for c in cols])[:, None] + np.arange(w)]
-            py = y_axis[np.array([r.start for r in rows])[:, None] + np.arange(h)]
+            i, row0, col0, vertices, inner, outer = map(np.array, zip(*members[b:b + step]))
+            px = x_axis[col0[:, None] + np.arange(w)]
+            py = y_axis[row0[:, None] + np.arange(h)]
             if plain:
                 inner = outer = None
             else:
-                inner, outer = np.array(inner)[:, None, None], np.array(outer)[:, None, None]
-            member = _member(px[:, None, :], py[:, :, None], np.stack(vertices), inner, outer)
-            yield i, name, rows, cols, member
+                inner, outer = inner[:, None, None], outer[:, None, None]
+            blocks.append((i, row0, col0, _member(px[:, None, :], py[:, :, None], vertices,
+                                                  inner, outer)))
 
-
-def select_cells(grid: RasterGrid, regions: list) -> list[PlotCells | None]:
-    """The cells of ``grid`` whose centers lie in each of ``regions``, in order.
-
-    Each region is a PlotGeometry or a PlotWithRing; polygon boundaries count
-    as inside. Only the window around ``region.bounds()`` (one cell of margin
-    per side, clipped to the grid) is tested. An entry is None where its
-    region selects no cell of the grid.
-
-    Plots, and plots with a ring, of one vertex count and window shape are
-    tested as one stack, ``_BLOCK_CELLS`` window cells at a time (or one
-    region, if its window is larger): one pass of the per-edge formulas
-    serves the whole block, and every cell gets the arithmetic a
-    single-region test would give it.
-    """
-    geometry = grid.geometry
-    selected: list = [None] * len(regions)
-    for i, name, rows, cols, member in _member_blocks(grid, regions):
-        member.setflags(write=False)
-        for k in np.flatnonzero(member.any(axis=(1, 2))):
-            selected[i[k]] = PlotCells(plot_id=name[k], geometry=geometry,
-                                       rows=rows[k], cols=cols[k], member=member[k])
-    return selected
-
-
-def stack_cells(grid: RasterGrid, regions: list) -> PlotCellStack:
-    """Every region's cells on ``grid``, as ``select_cells`` selects them, in one PlotCellStack.
-
-    The flat index is taken from the member stacks of ``select_cells``'
-    blocks, a block at a time, so no region is visited on its own.
-    """
-    blocks = list(_member_blocks(grid, regions))
     sizes = np.zeros(len(regions), dtype=np.intp)
-    for i, _, _, _, member in blocks:
-        sizes[list(i)] = member.sum(axis=(1, 2))
+    for i, _, _, member in blocks:
+        sizes[i] = member.sum(axis=(1, 2))
     starts = np.cumsum(sizes) - sizes
     flat = np.empty(int(sizes.sum()), dtype=np.intp)
-    for i, _, rows, cols, member in blocks:
-        i = list(i)
+    for i, row0, col0, member in blocks:
         k, cell, col = np.nonzero(member)  # region by region, row-major in each window
-        cell += np.array([s.start for s in rows])[k]
+        cell += row0[k]
         cell *= grid.n_cols
         cell += col
-        cell += np.array([s.start for s in cols])[k]
+        cell += col0[k]
         # the block's regions follow one another in ``cell``; each goes to its start in ``flat``
         to = np.repeat(starts[i] - (np.cumsum(sizes[i]) - sizes[i]), sizes[i])
         to += np.arange(cell.size)
@@ -935,20 +856,6 @@ def stack_cells(grid: RasterGrid, regions: list) -> PlotCellStack:
     sizes.setflags(write=False)
     return PlotCellStack(plot_ids=tuple(region.plot_id for region in regions),
                          geometry=grid.geometry, flat=flat, sizes=sizes)
-
-
-def plot_cells(grid: RasterGrid, region) -> PlotCells:
-    """The cells of ``grid`` whose centers lie in ``region``: ``select_cells`` of one region.
-
-    Raises EmptyPlot when no cell of the grid is selected. A PlotCells
-    ``region`` is returned as it is; its reads check the geometry.
-    """
-    if isinstance(region, PlotCells):
-        return region
-    (cells,) = select_cells(grid, [region])
-    if cells is None:
-        raise _selects_no_cells(region.plot_id)
-    return cells
 
 
 # ---------------------------------------------------------------------------

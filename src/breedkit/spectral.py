@@ -19,8 +19,9 @@ once: ``plot_means`` over values laid out region after region, and
 ``plot_statistics`` over a layer. Plots with the same number of usable cells
 are reduced as one block (``rows_by_size``), bit for bit as one plot
 at a time. The per-plot functions ``plot_statistic`` and ``fvc`` are their
-one-plot case: they read one ``PlotCells`` (checking its window of a mask)
-and raise where the grouped form reports a failure.
+one-region case: they reduce the stack of one plot, check the whole mask
+with ``geodata.require_binary_mask``, and raise the failure the grouped form
+reports.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 
 from .errors import EmptyPlot, GeometryMismatch, InvalidInput, MissingBand
 from .geodata import (
-    MS_BAND_CENTERS_NM, BandSet, PlotCells, PlotCellStack, PlotGeometry, RasterGrid, plot_cells,
+    MS_BAND_CENTERS_NM, BandSet, PlotCellStack, PlotGeometry, PlotWithRing, RasterGrid,
+    require_binary_mask, stack_cells,
 )
 
 VI_NAMES = ("NDVI", "SAVI", "kNDVI", "NIRv", "PSRI")
@@ -213,26 +215,26 @@ def plot_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def plot_statistic(
     grid: RasterGrid,
-    plot: PlotGeometry | PlotCells,
+    plot: PlotGeometry,
     restrict_to: RasterGrid | None = None,
     feature_name: str = "value",
 ) -> PlotStatistic:
-    """Mean of a layer over the plot's cells.
+    """Mean of a layer over the plot's cells: ``plot_statistics`` of one plot.
 
-    ``plot``: a PlotGeometry, or its PlotCells on the grid's geometry.
     ``restrict_to``: optional binary mask (e.g. vegetation segmentation) on
-    the same geometry; when given, only cells where it equals 1 participate.
+    the same geometry; when given, only cells where it equals 1 participate,
+    and InvalidMask unless each of its cells is 0, 1 or nodata.
     """
-    cells = plot_cells(grid, plot)
-    vals = cells.values(grid, restrict_to)
-    if vals.size == 0:
-        raise _no_usable_cells(feature_name, cells.plot_id)
-    return PlotStatistic(
-        plot_id=cells.plot_id,
-        feature_name=feature_name,
-        value=float(plot_means(vals, [vals.size])[0]),
-        n_cells=int(vals.size),
-    )
+    cells = stack_cells(grid, [plot])
+    if restrict_to is not None and cells.sizes[0]:
+        cells.gather(restrict_to)  # a mask of another geometry fails before a non-binary one
+        require_binary_mask(restrict_to)
+    (mean,), failure = plot_statistics(grid, cells, restrict_to, feature_name)
+    if failure is not None:
+        raise failure[1]
+    (n_cells,) = cells.values(grid, restrict_to)[1]
+    return PlotStatistic(plot_id=plot.plot_id, feature_name=feature_name, value=float(mean),
+                         n_cells=int(n_cells))
 
 
 def plot_statistics(
@@ -261,17 +263,18 @@ def plot_statistics(
     )
 
 
-def fvc(vegetation_mask: RasterGrid, plot: PlotGeometry | PlotCells) -> PlotStatistic:
+def fvc(vegetation_mask: RasterGrid, plot: PlotGeometry | PlotWithRing) -> PlotStatistic:
     """Fractional vegetation cover: vegetation cells / all plot cells.
 
-    Nodata cells count in the denominator as non-vegetation. The FVC of
-    every plot at once is ``PlotCellStack.ratios``.
+    Nodata cells count in the denominator as non-vegetation; InvalidMask
+    unless every cell of the mask is 0, 1 or nodata. The FVC of every plot
+    at once is ``PlotCellStack.ratios``, which also gives the lodging and
+    weed ratios.
     """
-    cells = plot_cells(vegetation_mask, plot)
-    n_veg, n_plot = cells.count(vegetation_mask)
-    return PlotStatistic(
-        plot_id=cells.plot_id,
-        feature_name="FVC",
-        value=n_veg / n_plot,
-        n_cells=n_plot,
-    )
+    cells = stack_cells(vegetation_mask, [plot])
+    failure = cells.first_failure()
+    if failure is not None:
+        raise failure[1]
+    require_binary_mask(vegetation_mask)
+    return PlotStatistic(plot_id=plot.plot_id, feature_name="FVC",
+                         value=float(cells.ratios(vegetation_mask)[0]), n_cells=int(cells.sizes[0]))

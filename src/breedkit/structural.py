@@ -10,7 +10,8 @@ functions of the ratio.
 
 ``plot_canopy_heights`` and ``canopy_volumes`` reduce every plot of a
 ``geodata.PlotCellStack`` at once, as ``spectral.plot_statistics`` does;
-``plot_canopy_height`` and ``canopy_volume`` are their one-plot case.
+``plot_canopy_height`` and ``canopy_volume`` are their one-region case, as
+``classify_lodging`` and ``classify_weed`` are of ``PlotCellStack.ratios``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ import numpy as np
 from ._io import csv_rows, integer
 from .errors import EmptyInput, EmptyPlot, InvalidInput, ParseError
 from .geodata import (
-    PlotCells, PlotCellStack, PlotGeometry, PlotWithRing, RasterGrid, plot_cells,
-    require_same_geometry,
+    PlotCellStack, PlotGeometry, PlotWithRing, RasterGrid, require_same_geometry, stack_cells,
 )
-from .spectral import PlotStatistic, plot_means, rows_by_size
+from .spectral import PlotStatistic, fvc, plot_means, rows_by_size
 
 DEFAULT_NOISE_FLOOR_M = 0.05
 
@@ -120,15 +120,6 @@ def nearest_rank_percentiles(values: np.ndarray, sizes: np.ndarray, percentile: 
     return out
 
 
-def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
-    """Nearest-rank percentile: the ceil(p*n)-th smallest value."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    (value,) = nearest_rank_percentiles(values, [values.size], percentile)
-    if values.size == 0:
-        raise InvalidInput("percentile of an empty set")
-    return float(value)
-
-
 def _no_canopy_height(plot_id: str) -> EmptyPlot:
     return EmptyPlot(f"plot {plot_id}: no defined canopy-height cells")
 
@@ -139,20 +130,20 @@ def _no_surface(plot_id: str) -> EmptyPlot:
 
 def plot_canopy_height(
     chm: RasterGrid,
-    plot: PlotGeometry | PlotCells,
+    plot: PlotGeometry,
     percentile: float = 0.95,
 ) -> PlotStatistic:
-    """Percentile of canopy height over the plot cells (nearest-rank)."""
-    cells = plot_cells(chm, plot)
-    vals = cells.values(chm)
-    if vals.size == 0:
-        raise _no_canopy_height(cells.plot_id)
-    return PlotStatistic(
-        plot_id=cells.plot_id,
-        feature_name="CH",
-        value=nearest_rank_percentile(vals, percentile),
-        n_cells=int(vals.size),
-    )
+    """Percentile of canopy height over the plot cells (nearest-rank).
+
+    ``plot_canopy_heights`` of one plot.
+    """
+    cells = stack_cells(chm, [plot])
+    (height,), failure = plot_canopy_heights(chm, cells, percentile)
+    if failure is not None:
+        raise failure[1]
+    (n_cells,) = cells.values(chm)[1]
+    return PlotStatistic(plot_id=plot.plot_id, feature_name="CH", value=float(height),
+                         n_cells=int(n_cells))
 
 
 def plot_canopy_heights(
@@ -187,19 +178,20 @@ def _cut_and_fill(z: np.ndarray, sizes: np.ndarray, cell_area: float) -> tuple[n
     return low * cell_area, mean * cell_area
 
 
-def canopy_volume(surface: RasterGrid, plot: PlotGeometry | PlotCells) -> CanopyVolumeResult:
+def canopy_volume(surface: RasterGrid, plot: PlotGeometry) -> CanopyVolumeResult:
     """Cut-and-fill volume of a surface over a plot.
 
     For each reference plane z_ref in {min z, mean z over the plot cells},
     volume = sum over cells of |z - z_ref| * cell_area; the reported volume
-    is the average of the two.
+    is the average of the two, as ``canopy_volumes`` gives it for every plot.
     """
-    cells = plot_cells(surface, plot)
-    z = cells.values(surface)
-    if z.size == 0:
-        raise _no_surface(cells.plot_id)
-    low, mean = _cut_and_fill(z, [z.size], surface.cell_size * surface.cell_size)
-    return CanopyVolumeResult(volume_lowest_plane=float(low[0]), volume_mean_plane=float(mean[0]))
+    cells = stack_cells(surface, [plot])
+    z, counts = cells.values(surface)
+    failure = cells.first_failure((counts == 0, lambda i: _no_surface(plot.plot_id)))
+    if failure is not None:
+        raise failure[1]
+    (low,), (mean,) = _cut_and_fill(z, counts, surface.cell_size * surface.cell_size)
+    return CanopyVolumeResult(volume_lowest_plane=float(low), volume_mean_plane=float(mean))
 
 
 def canopy_volumes(surface: RasterGrid, cells: PlotCellStack) -> tuple[np.ndarray, tuple | None]:
@@ -240,32 +232,22 @@ def weed_level(ratio: float) -> str:
     return "severe"
 
 
-def _region_ratio(mask: RasterGrid, region) -> float:
-    """1-cells of the binary ``mask`` / all cells, over the region's cells.
-
-    The ratio of every region at once is ``PlotCellStack.ratios``.
-    """
-    n_pos, n_all = plot_cells(mask, region).count(mask)
-    return n_pos / n_all
-
-
 def classify_lodging(
     lodging_mask: RasterGrid,
-    plot: PlotGeometry | PlotCells,
+    plot: PlotGeometry,
     special: bool = False,
 ) -> CategoricalLevel:
-    """Lodging level from the lodged-pixel ratio inside the plot."""
-    ratio = _region_ratio(lodging_mask, plot)
-    return CategoricalLevel(kind="PL", ratio=ratio, special=special)
+    """Lodging level from the lodged-pixel ratio inside the plot, the mask's ``fvc``."""
+    return CategoricalLevel(kind="PL", ratio=fvc(lodging_mask, plot).value, special=special)
 
 
-def classify_weed(weed_mask: RasterGrid, region: PlotWithRing | PlotCells) -> CategoricalLevel:
+def classify_weed(weed_mask: RasterGrid, region: PlotWithRing) -> CategoricalLevel:
     """Weed level from the weed-pixel ratio over a plot plus its outer ring.
 
-    ``region``: the PlotWithRing of the plot and its ring, or its PlotCells.
+    ``region``: the PlotWithRing of the plot and its ring. The ratio is the
+    mask's ``fvc`` of the region.
     """
-    ratio = _region_ratio(weed_mask, region)
-    return CategoricalLevel(kind="WL", ratio=ratio)
+    return CategoricalLevel(kind="WL", ratio=fvc(weed_mask, region).value)
 
 
 def wheat_head_density(

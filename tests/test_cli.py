@@ -118,12 +118,11 @@ class TestExtract:
 
 
 def restrict_p2_to_no_vegetation(config, tmp_path):
-    """Restrict the indices to vegetation, with none in p2's window: p2 has no usable cells."""
+    """Restrict the indices to vegetation, with none in p2's cells: p2 has no usable cells."""
     mask = geodata.load_raster(scene_path("vegetation_mask.asc"))
     (p2,) = [p for p in geodata.load_plots(scene_path("plots.csv")) if p.plot_id == "p2"]
-    (cells,) = geodata.select_cells(mask, [p2])
     values = mask.values.copy()
-    values[cells.rows, cells.cols] = 0.0
+    values.flat[geodata.stack_cells(mask, [p2]).flat] = 0.0
     geodata.write_raster(mask.with_values(values), tmp_path / "vegetation_mask.asc")
     config["extract"]["vegetation_mask"] = str(tmp_path / "vegetation_mask.asc")
     config["extract"]["params"] = {"vi_restrict_to_vegetation": True}
@@ -420,10 +419,6 @@ def per_plot_extract(cfg: dict, out_dir: str) -> dict:
     veg_mask = geodata.load_raster(cfg["vegetation_mask"])
     restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
 
-    def cells(grid, regions, i):
-        selected = geodata.select_cells(grid, regions)[i]
-        return selected or geodata.plot_cells(grid, regions[i])
-
     index_values = [{} for _ in plots]
     first_failed, error, layer_error = len(plots), None, None
     try:
@@ -438,7 +433,7 @@ def per_plot_extract(cfg: dict, out_dir: str) -> dict:
                 for i in range(first_failed):
                     try:
                         index_values[i][column] = spectral.plot_statistic(
-                            layer, cells(layer, plots, i), restrict_to=restrict,
+                            layer, plots[i], restrict_to=restrict,
                             feature_name=column).value
                     except BreedkitError as exc:
                         first_failed, error = i, exc
@@ -463,15 +458,14 @@ def per_plot_extract(cfg: dict, out_dir: str) -> dict:
             raise error
         features = index_values[i]
         features["CH"] = structural.plot_canopy_height(
-            chm, cells(chm, plots, i), percentile=params["ch_percentile"]).value
-        features["CV"] = structural.canopy_volume(chm, cells(chm, plots, i)).volume
-        features["FVC"] = spectral.fvc(veg_mask, cells(veg_mask, plots, i)).value
-        features["PL_ratio"] = structural.classify_lodging(
-            lodging_mask, cells(lodging_mask, plots, i)).ratio
+            chm, plot, percentile=params["ch_percentile"]).value
+        features["CV"] = structural.canopy_volume(chm, plot).volume
+        features["FVC"] = spectral.fvc(veg_mask, plot).value
+        features["PL_ratio"] = structural.classify_lodging(lodging_mask, plot).ratio
         if rings is None:
             rings = [geodata.PlotWithRing(p, params["ring_inner_m"], params["ring_outer_m"])
                      for p in plots]
-        features["WL_ratio"] = structural.classify_weed(weed_mask, cells(weed_mask, rings, i)).ratio
+        features["WL_ratio"] = structural.classify_weed(weed_mask, rings[i]).ratio
         if plot.plot_id not in head_counts:
             raise BreedkitError(f"no head counts for plot {plot.plot_id}")
         features["WH_density"] = structural.wheat_head_density(

@@ -586,11 +586,10 @@ class TestPlotGeometry:
 
 
 def selected(grid, region) -> np.ndarray:
-    """``plot_cells(grid, region)``'s members expanded into a full-grid boolean array."""
-    cells = geodata.plot_cells(grid, region)
-    full = np.zeros(grid.values.shape, dtype=bool)
-    full[cells.rows, cells.cols] = cells.member
-    return full
+    """``stack_cells(grid, [region])``'s cells expanded into a full-grid boolean array."""
+    full = np.zeros(grid.values.size, dtype=bool)
+    full[geodata.stack_cells(grid, [region]).flat] = True
+    return full.reshape(grid.values.shape)
 
 
 class TestPlotSelection:
@@ -603,8 +602,10 @@ class TestPlotSelection:
 
     def test_plot_outside_grid(self):
         grid = make_grid(np.zeros((4, 4)))
-        with pytest.raises(EmptyPlot):
-            geodata.plot_cells(grid, square_plot(10.0, 10.0, 12.0, 12.0))
+        cells = geodata.stack_cells(grid, [square_plot(10.0, 10.0, 12.0, 12.0)])
+        assert cells.sizes.tolist() == [0] and cells.flat.size == 0
+        _, error = cells.first_failure()
+        assert isinstance(error, EmptyPlot)
 
     def test_boundary_counts_as_inside(self):
         grid = make_grid(np.zeros((2, 2)))
@@ -618,10 +619,7 @@ class TestPlotSelection:
         cx, cy = grid.cell_centers()
         for trial in range(100):
             plot = random_simple_polygon(rng, concave=trial % 2 == 0)
-            try:
-                member = selected(grid, plot)
-            except EmptyPlot:
-                member = np.zeros((12, 12), dtype=bool)
+            member = selected(grid, plot)
             expected = np.array([
                 [point_in_polygon_oracle(float(cx[i, j]), float(cy[i, j]), plot.vertices)
                  for j in range(12)]
@@ -708,7 +706,7 @@ def random_region(rng, grid, with_ring, through_centers):
     return geodata.PlotWithRing(plot, inner, inner + rng.uniform(0.1, 4.0) * grid.cell_size)
 
 
-class TestPlotCells:
+class TestOneRegionStack:
     @pytest.mark.parametrize("origin, cell_size", [
         ((0.0, 0.0), 0.5),
         ((500123.37, 4100456.11), 0.05),
@@ -727,15 +725,9 @@ class TestPlotCells:
             except InvalidInput:  # snapping made the polygon degenerate
                 continue
             cases += 1
-            expected = contains(region, cx, cy)
-            try:
-                got = selected(grid, region)
-            except EmptyPlot:
-                assert not expected.any()
-                outcomes["empty"] += 1
-                continue
-            assert np.array_equal(got, expected)
-            outcomes["selected"] += 1
+            got = selected(grid, region)
+            assert np.array_equal(got, contains(region, cx, cy))
+            outcomes["selected" if got.any() else "empty"] += 1
         assert min(outcomes.values()) > 50
 
     def test_plot_matches_oracle_with_edges_through_centers(self):
@@ -745,83 +737,60 @@ class TestPlotCells:
         plot = geodata.PlotGeometry("p", "g", np.array([
             [cx[4, 1], cy[4, 1]], [cx[4, 3], cy[4, 3]], [cx[1, 3], cy[1, 3]], [cx[1, 1], cy[1, 1]],
         ]))
-        cells = geodata.plot_cells(grid, plot)
-        got = np.zeros((6, 6), dtype=bool)
-        got[cells.rows, cells.cols] = cells.member
+        got = selected(grid, plot)
         expected = np.array([[point_in_polygon_oracle(float(cx[i, j]), float(cy[i, j]), plot.vertices)
                               for j in range(6)] for i in range(6)])
         assert np.array_equal(got, expected)
         assert got.sum() == 12
 
-    def test_window_is_the_bounding_box_plus_margin(self):
-        grid = make_grid(np.zeros((100, 100)))
-        cells = geodata.plot_cells(grid, square_plot(10.0, 20.0, 15.0, 22.0, plot_id="p7"))
-        assert cells.plot_id == "p7"
-        assert cells.member.shape == (4, 7)  # 2 x 5 centers inside, one cell of margin per side
-        assert int(cells.member.sum()) == 10
-
-    def test_ring_window_is_padded_by_outer_width(self):
-        grid = make_grid(np.zeros((100, 100)))
-        plot = square_plot(10.0, 20.0, 15.0, 22.0)
-        cells = geodata.plot_cells(grid, geodata.PlotWithRing(plot, 0.0, 3.0))
-        assert cells.member.shape == (10, 13)  # 8 x 11 centers within 3 of the plot
-
     def test_ring_region_is_named_by_its_plot(self):
         grid = make_grid(np.zeros((100, 100)))
         on = geodata.PlotWithRing(square_plot(10.0, 20.0, 15.0, 22.0, plot_id="p7"), 0.0, 3.0)
-        assert geodata.plot_cells(grid, on).plot_id == "p7"
+        cells = geodata.stack_cells(grid, [on])
+        assert cells.plot_ids == ("p7",) and cells.first_failure() is None
         off = geodata.PlotWithRing(square_plot(110.0, 20.0, 115.0, 22.0, plot_id="p2"), 0.0, 3.0)
-        with pytest.raises(EmptyPlot, match=r"^region p2 selects no cells of the grid$"):
-            geodata.plot_cells(grid, off)
-        with pytest.raises(InvalidInput, match="^not a PlotGeometry or PlotWithRing: PlotCells$"):
-            geodata.select_cells(grid, [geodata.plot_cells(grid, on)])
+        _, error = geodata.stack_cells(grid, [off]).first_failure()
+        assert (type(error), str(error)) == (EmptyPlot, "region p2 selects no cells of the grid")
+        with pytest.raises(InvalidInput, match="^not a PlotGeometry or PlotWithRing: PlotCellSt"):
+            geodata.stack_cells(grid, [cells])
 
-    def test_window_reads_other_layers_of_the_same_geometry_only(self):
+    def test_reads_other_layers_of_the_same_geometry_only(self):
         grid = make_grid(np.arange(16.0).reshape(4, 4))
-        cells = geodata.plot_cells(grid, square_plot(1.0, 1.0, 3.0, 3.0))
+        cells = geodata.stack_cells(grid, [square_plot(1.0, 1.0, 3.0, 3.0, plot_id="p7")])
         same = grid.with_values(grid.values * 2)
-        assert cells.window(same)[cells.member].tolist() == [10.0, 12.0, 18.0, 20.0]
-        with pytest.raises(GeometryMismatch):
-            cells.window(make_grid(np.zeros((4, 4)), origin=(0.5, 0.0)))
+        assert cells.gather(same).tolist() == [10.0, 12.0, 18.0, 20.0]
+        other = make_grid(np.zeros((4, 4)), origin=(0.5, 0.0))
+        for read in (cells.gather, cells.values, cells.ratios,
+                     lambda m: cells.values(grid, restrict_to=m)):
+            with pytest.raises(GeometryMismatch, match="^cells of region p7 were selected on grid"):
+                read(other)
 
     def test_values_skip_nodata_and_cells_outside_the_mask(self):
         grid = make_grid(np.arange(32.0).reshape(4, 8))
-        cells = geodata.plot_cells(grid, square_plot(1.0, 1.0, 3.0, 3.0))  # 9, 10, 17, 18
+        cells = geodata.stack_cells(grid, [square_plot(1.0, 1.0, 3.0, 3.0)])  # 9, 10, 17, 18
         layer = grid.with_values(np.where(grid.values == 10.0, -9999.0, grid.values))
-        assert cells.values(layer).tolist() == [9.0, 17.0, 18.0]
+        assert cells.values(layer)[0].tolist() == [9.0, 17.0, 18.0]
         mask = np.zeros((4, 8))
         mask[1, 1:3] = 1.0
         mask[2, 1:3] = -9999.0, 1.0
-        mask[0, 7] = 2.0  # outside the window: only the window is checked
         mask = grid.with_values(mask)
-        assert cells.values(layer, restrict_to=mask).tolist() == [9.0, 18.0]
-        assert cells.values(grid, restrict_to=mask).tolist() == [9.0, 10.0, 18.0]
+        values, counts = cells.values(layer, restrict_to=mask)
+        assert (values.tolist(), counts.tolist()) == ([9.0, 18.0], [2])
+        assert cells.values(grid, restrict_to=mask)[0].tolist() == [9.0, 10.0, 18.0]
 
-    def test_count_is_ones_over_all_cells(self):
+    def test_ratio_is_ones_over_all_cells(self):
         grid = make_grid(np.zeros((4, 8)))
-        cells = geodata.plot_cells(grid, square_plot(1.0, 1.0, 3.0, 3.0))
+        cells = geodata.stack_cells(grid, [square_plot(1.0, 1.0, 3.0, 3.0)])
         values = np.ones((4, 8))
         values[1, 1:3] = 0.0, -9999.0  # nodata counts as 0
-        values[0, 7] = 2.0  # outside the window
         mask = grid.with_values(values.copy())
-        assert cells.count(mask) == (2, 4)
-        values[1, 0] = 0.5  # in the window's margin, outside the plot
+        assert cells.ratios(mask).tolist() == [0.5]
+        geodata.require_binary_mask(mask)
+        values[0, 7] = 2.0  # far from the plot: reads check no mask cell, the whole-mask check does
         bad = grid.with_values(values)
-        for read in (cells.count, lambda m: cells.values(grid, restrict_to=m)):
-            with pytest.raises(InvalidMask):
-                read(bad)
-        with pytest.raises(InvalidMask):
-            geodata.require_binary_mask(mask)
-
-    def test_plot_cells_pass_through_and_check_geometry_on_read(self):
-        grid = make_grid(np.zeros((4, 4)))
-        cells = geodata.plot_cells(grid, square_plot(1.0, 1.0, 3.0, 3.0))
-        other = make_grid(np.zeros((4, 4)), cell_size=0.5)
-        assert geodata.plot_cells(other, cells) is cells
-        with pytest.raises(GeometryMismatch):
-            cells.values(other)
-        with pytest.raises(GeometryMismatch):
-            cells.count(other)
+        assert cells.ratios(bad).tolist() == [0.5]
+        with pytest.raises(InvalidMask, match="^mask holds non-binary value 2.0$"):
+            geodata.require_binary_mask(bad)
 
 
 def shifted(region, offset, plot_id):
@@ -831,7 +800,7 @@ def shifted(region, offset, plot_id):
     return geodata.PlotWithRing(shifted(region.plot, offset, plot_id), region.inner, region.outer)
 
 
-class TestSelectCells:
+class TestStackedSelection:
     @pytest.mark.parametrize("block", [None, 40])
     @pytest.mark.parametrize("origin, cell_size", [
         ((0.0, 0.0), 0.5),
@@ -856,33 +825,45 @@ class TestSelectCells:
             moves = rng.integers(-3, 4, (2, 2)) * cell_size
             regions += [region] + [shifted(region, m, f"r{len(regions)}.{k}")
                                    for k, m in enumerate(moves)]
-        got = geodata.select_cells(grid, regions)
-        assert len(got) == len(regions)
-        stacks: dict = {}
+        groups: dict = {}  # regions per (kind, vertex count, window shape)
+        n_tests = 0
+        member = geodata._member
+
+        def counted(px, py, vertices, inner, outer):
+            nonlocal n_tests
+            n_tests += 1
+            key = (outer is None, vertices.shape[1], py.shape[1], px.shape[2])
+            groups[key] = groups.get(key, 0) + len(px)
+            return member(px, py, vertices, inner, outer)
+
+        monkeypatch.setattr(geodata, "_member", counted)
+        got = geodata.stack_cells(grid, regions)
+        monkeypatch.setattr(geodata, "_member", member)
+        # many regions were tested in stacks, which span several blocks of 40 cells
+        assert sum(n for n in groups.values() if n > 1) > 60
+        assert len({n_vertices for _, n_vertices, _, _ in groups}) == 5  # 4 to 8 vertices
+        assert n_tests > len(groups) if block else n_tests == len(groups)
+        assert got.plot_ids == tuple(region.plot_id for region in regions)
+        assert got.flat.size == got.sizes.sum() and got.sizes.size == len(regions)
+        top = grid.origin_y + grid.n_rows * cell_size
+        right = grid.origin_x + grid.n_cols * cell_size
         outcomes = {"empty": 0, "selected": 0, "clipped": 0}
-        for region, cells in zip(regions, got):
-            try:
-                one = geodata.plot_cells(grid, region)
-            except EmptyPlot:
-                assert cells is None
-                assert not contains(region, cx, cy).any()
+        for region, start, size in zip(regions, np.cumsum(got.sizes) - got.sizes, got.sizes):
+            flat = got.flat[start:start + size]
+            one = geodata.stack_cells(grid, [region])
+            assert one.sizes.tolist() == [size] and flat.tobytes() == one.flat.tobytes()
+            assert (np.diff(flat) > 0).all()  # row-major
+            full = np.zeros(grid.values.size, dtype=bool)
+            full[flat] = True
+            assert np.array_equal(full.reshape(grid.values.shape), contains(region, cx, cy))
+            if size == 0:
                 outcomes["empty"] += 1
                 continue
-            assert (cells.plot_id, cells.geometry, cells.rows, cells.cols) == (
-                one.plot_id, one.geometry, one.rows, one.cols)
-            assert cells.member.dtype == bool and np.array_equal(cells.member, one.member)
-            full = np.zeros(grid.values.shape, dtype=bool)
-            full[cells.rows, cells.cols] = cells.member
-            assert np.array_equal(full, contains(region, cx, cy))
             outcomes["selected"] += 1
-            outcomes["clipped"] += cells.rows.start == 0 or cells.cols.stop == grid.n_cols
-            plot = getattr(region, "plot", region)
-            key = (type(region), len(plot.vertices), cells.member.shape)
-            stacks[key] = stacks.get(key, 0) + 1
+            x0, y0, x1, y1 = region.bounds()
+            outcomes["clipped"] += (x0 < grid.origin_x or y0 < grid.origin_y
+                                    or x1 > right or y1 > top)
         assert min(outcomes.values()) > 50
-        assert len({n for _, n, _ in stacks}) == 5  # 4 to 8 vertices
-        # many regions were tested in stacks, which span several blocks of 40 cells
-        assert sum(n for n in stacks.values() if n > 1) > 60
 
     def test_stacked_polygon_tests_equal_one_polygon_calls(self):
         rng = np.random.default_rng(5)

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from breedkit import geodata, spectral, structural
-from breedkit.errors import BreedkitError, InvalidInput
+from breedkit.errors import BreedkitError, GeometryMismatch, InvalidInput
 
-from test_geodata import make_grid, square_plot
+from test_geodata import contains, make_grid, square_plot
 
 NODATA = -9999.0
 
@@ -68,13 +68,13 @@ def assert_grouped_equals_per_plot(grouped, failure, per_plot):
 def one_plot_oracle(grid, plot, restrict, percentile):
     """The formulas of one plot by numpy's 1-D reductions: mean, nearest-rank, both volume terms.
 
-    None where the plot selects no usable cell.
+    The plot's cells come from a test of every cell center of the grid, in
+    row-major order. None where the plot selects no usable cell.
     """
-    try:
-        cells = geodata.plot_cells(grid, plot)
-    except BreedkitError:
-        return None
-    vals, z = cells.values(grid, restrict), cells.values(grid)
+    usable = geodata.point_in_polygon(*grid.cell_centers(), plot.vertices)
+    usable &= grid.values != grid.nodata
+    z = grid.values[usable]
+    vals = z if restrict is None else grid.values[usable & (restrict.values == 1.0)]
     if vals.size == 0 or z.size == 0:
         return None
     area = grid.cell_size * grid.cell_size
@@ -227,21 +227,16 @@ class TestStackCells:
         plots = [cells_plot(9, 1, 1, 3, 3, "a"), cells_plot(9, -5, 2, 2, 2, "off"),
                  square_plot(2.2, 1.3, 8.7, 6.1, plot_id="b"), cells_plot(9, 4, 6, 3, 3, "c")]
         rings = [geodata.PlotWithRing(p, 0.2, 1.4) for p in plots]
+        cx, cy = grid.cell_centers()
         for regions in (plots, rings):
             stack = geodata.stack_cells(grid, regions)
             assert stack.plot_ids == tuple(r.plot_id for r in regions)
-            start = 0
-            for region, cells, size in zip(regions, geodata.select_cells(grid, regions),
-                                           stack.sizes):
-                values = stack.gather(grid)[start:start + size]
-                start += size
-                if cells is None:
-                    assert size == 0
-                else:
-                    assert values.tobytes() == cells.values(grid).tobytes()
-            assert start == stack.flat.size
+            want = [grid.values[contains(region, cx, cy)] for region in regions]
+            assert stack.sizes.tolist() == [values.size for values in want]
+            assert 0 in stack.sizes
+            assert stack.gather(grid).tobytes() == np.concatenate(want).tobytes()
 
-    def test_reads_take_nodata_and_mask_cells_as_plot_cells_reads_do(self):
+    def test_reads_take_nodata_and_mask_cells_as_a_full_grid_selection_does(self):
         values = np.arange(16.0).reshape(4, 4)
         values[0, 0] = values[3, 3] = NODATA
         grid = make_grid(values)
@@ -250,10 +245,34 @@ class TestStackCells:
         plots = [cells_plot(4, 0, 0, 2, 2, "a"), cells_plot(4, 2, 2, 2, 2, "b"),
                  cells_plot(4, 0, 0, 4, 4, "all")]
         stack = geodata.stack_cells(grid, plots)
+        cx, cy = grid.cell_centers()
+        members = [contains(p, cx, cy) for p in plots]
         for restrict in (None, mask):
             got, counts = stack.values(grid, restrict)
-            one = [geodata.plot_cells(grid, p).values(grid, restrict) for p in plots]
+            usable = grid.values != NODATA
+            if restrict is not None:
+                usable &= restrict.values == 1.0
+            one = [grid.values[member & usable] for member in members]
             assert got.tobytes() == np.concatenate(one).tobytes()
             assert counts.tolist() == [v.size for v in one]
-        counts = [geodata.plot_cells(mask, p).count(mask) for p in plots]
-        assert stack.ratios(mask).tolist() == [ones / n for ones, n in counts]
+        assert stack.ratios(mask).tolist() == [
+            int((mask.values[member] == 1.0).sum()) / int(member.sum()) for member in members]
+
+    def test_a_stack_of_no_regions_reads_as_empty(self):
+        grid = make_grid(np.arange(16.0).reshape(4, 4))
+        mask = grid.with_values(np.ones((4, 4)))
+        cells = geodata.stack_cells(grid, [])
+        assert (cells.plot_ids, cells.flat.size, cells.sizes.size) == ((), 0, 0)
+        assert cells.gather(grid).size == 0
+        values, counts = cells.values(grid, restrict_to=mask)
+        assert values.size == 0 and counts.size == 0
+        assert cells.ratios(mask).size == 0
+        assert cells.first_failure() is None
+        for grouped in (spectral.plot_statistics(grid, cells, mask),
+                        structural.plot_canopy_heights(grid, cells),
+                        structural.canopy_volumes(grid, cells)):
+            assert grouped[0].size == 0 and grouped[1] is None
+        other = make_grid(np.zeros((4, 4)), cell_size=0.5)
+        for read in (cells.gather, cells.values, cells.ratios):
+            with pytest.raises(GeometryMismatch, match="^cells of no region were selected on grid"):
+                read(other)

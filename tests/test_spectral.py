@@ -268,38 +268,35 @@ class TestPlotStatistic:
             assert stat.value == float(np.mean(np.array(selected)))
             assert stat.n_cells == len(selected)
 
-
-    def test_plot_cells_give_the_same_statistic(self):
-        rng = np.random.default_rng(21)
-        grid = make_grid(rng.normal(size=(10, 10)), cell_size=0.6)
-        veg = grid.with_values((rng.random((10, 10)) < 0.7).astype(float))
-        for trial in range(25):
-            plot = random_simple_polygon(rng, concave=trial % 2 == 0)
-            try:
-                cells = geodata.plot_cells(grid, plot)
-            except EmptyPlot:
-                continue
-            for restrict in (None, veg):
-                try:
-                    want = spectral.plot_statistic(grid, plot, restrict_to=restrict)
-                except EmptyPlot:
-                    continue
-                assert spectral.plot_statistic(grid, cells, restrict_to=restrict) == want
-            assert spectral.fvc(veg, cells) == spectral.fvc(veg, plot)
-
-    def test_plot_cells_of_another_geometry_rejected(self):
-        grid = make_grid(np.ones((4, 4)))
-        cells = geodata.plot_cells(grid, square_plot(0.0, 0.0, 2.0, 2.0))
-        with pytest.raises(GeometryMismatch):
-            spectral.plot_statistic(make_grid(np.ones((4, 4)), cell_size=0.5), cells)
-
-    def test_mask_checked_only_over_the_plot_window(self):
+    def test_mask_checked_over_the_whole_grid(self):
         values = np.zeros((8, 8))
         values[0, 7] = 0.5  # far from the plot
         mask = make_grid(values)
-        assert spectral.fvc(mask, square_plot(0.0, 0.0, 2.0, 2.0)).value == 0.0
-        with pytest.raises(InvalidMask):
+        plot = square_plot(0.0, 0.0, 2.0, 2.0)
+        for one_plot in (lambda: spectral.fvc(mask, plot),
+                         lambda: spectral.plot_statistic(mask.with_values(np.ones((8, 8))), plot,
+                                                         restrict_to=mask)):
+            with pytest.raises(InvalidMask, match="^mask holds non-binary value 0.5$"):
+                one_plot()
+        with pytest.raises(InvalidMask, match="^mask holds non-binary value 0.5$"):
             geodata.require_binary_mask(mask)
+
+    def test_errors_keep_their_order(self):
+        # no cells, then a mask of another geometry, then a non-binary mask,
+        # then no usable cells, then a mean that is not finite
+        layer = make_grid(np.array([[-9999.0, 1e308, 1e308, 1.0]]))
+        bad = layer.with_values(np.array([[1.0, 1.0, 1.0, 0.5]]))
+        moved = make_grid(bad.values, origin=(0.5, 0.0))
+        off, nodata = square_plot(9.0, 0.0, 10.0, 1.0, "off"), square_plot(0.0, 0.0, 1.0, 1.0, "nd")
+        over = square_plot(1.0, 0.0, 3.0, 1.0, "over")
+        for plot, restrict, error, message in (
+                (off, moved, EmptyPlot, "region off selects no cells of the grid"),
+                (nodata, moved, GeometryMismatch, "cells of region nd were selected on grid"),
+                (nodata, bad, InvalidMask, "mask holds non-binary value 0.5"),
+                (nodata, None, EmptyPlot, "plot nd: no usable cells for X"),
+                (over, None, InvalidInput, "X for plot over is not finite")):
+            with pytest.raises(error, match=f"^{message}"):
+                spectral.plot_statistic(layer, plot, restrict, "X")
 
 
 class TestFvc:

@@ -77,7 +77,7 @@ class TestPlotCanopyHeight:
 
     def test_bad_percentile(self):
         with pytest.raises(InvalidInput):
-            structural.nearest_rank_percentile(np.array([1.0]), 0.0)
+            structural.nearest_rank_percentiles(np.array([1.0]), [1], 0.0)
 
 
 class TestCanopyVolume:
@@ -210,23 +210,6 @@ class TestWeed:
         level = structural.classify_weed(mask, geodata.PlotWithRing(plot, 0.0, 0.5))
         assert level.ratio == 1.0
         assert level.level == "severe"
-
-
-class TestPlotCellsInput:
-    def test_structural_features_identical_from_plot_cells(self):
-        rng = np.random.default_rng(8)
-        chm = make_grid(rng.uniform(0.0, 1.0, (10, 10)), cell_size=0.4)
-        lodging = chm.with_values((rng.random((10, 10)) < 0.5).astype(float))
-        weed = chm.with_values((rng.random((10, 10)) < 0.3).astype(float))
-        plot = square_plot(0.5, 0.9, 3.1, 2.7)
-        cells = geodata.plot_cells(chm, plot)
-        assert structural.plot_canopy_height(chm, cells) == structural.plot_canopy_height(chm, plot)
-        assert structural.canopy_volume(chm, cells) == structural.canopy_volume(chm, plot)
-        assert structural.classify_lodging(lodging, cells) == structural.classify_lodging(lodging, plot)
-        region = geodata.PlotWithRing(plot, 0.1, 0.5)
-        by_cells = structural.classify_weed(weed, geodata.plot_cells(weed, region))
-        assert by_cells == structural.classify_weed(weed, region)
-        assert by_cells.ratio != structural.classify_weed(weed, cells).ratio  # the ring counts
 
 
 class TestWheatHeadDensity:
