@@ -743,6 +743,36 @@ class TestOneRegionStack:
         assert np.array_equal(got, expected)
         assert got.sum() == 12
 
+    @staticmethod
+    def windows_of(monkeypatch, grid, region):
+        """(the stack of ``region``, the (rows, cols) shape of each window ``_member`` tests)."""
+        shapes = []
+        member = geodata._member
+
+        def recorded(px, py, vertices, inner, outer):
+            shapes.append((py.shape[1], px.shape[2]))
+            return member(px, py, vertices, inner, outer)
+
+        monkeypatch.setattr(geodata, "_member", recorded)
+        return geodata.stack_cells(grid, [region]), shapes
+
+    def test_window_is_the_bounding_box_plus_margin(self, monkeypatch):
+        grid = make_grid(np.zeros((100, 100)))
+        cells, shapes = self.windows_of(
+            monkeypatch, grid, square_plot(10.0, 20.0, 15.0, 22.0, plot_id="p7"))
+        assert cells.plot_ids == ("p7",)
+        assert shapes == [(4, 7)]  # 2 x 5 centers inside, one cell of margin per side
+        assert cells.sizes.tolist() == [10]
+        rows, cols = np.divmod(cells.flat, grid.n_cols)
+        assert (sorted(set(rows.tolist())), sorted(set(cols.tolist()))) == ([78, 79], [10, 11, 12, 13, 14])
+
+    def test_ring_window_is_padded_by_outer_width(self, monkeypatch):
+        grid = make_grid(np.zeros((100, 100)))
+        plot = square_plot(10.0, 20.0, 15.0, 22.0)
+        cells, shapes = self.windows_of(monkeypatch, grid, geodata.PlotWithRing(plot, 0.0, 3.0))
+        assert shapes == [(10, 13)]  # 8 x 11 centers within 3 of the plot
+        assert 10 < cells.sizes[0] < 8 * 11
+
     def test_ring_region_is_named_by_its_plot(self):
         grid = make_grid(np.zeros((100, 100)))
         on = geodata.PlotWithRing(square_plot(10.0, 20.0, 15.0, 22.0, plot_id="p7"), 0.0, 3.0)

@@ -180,6 +180,12 @@ class TestLodging:
         with pytest.raises(InvalidMask):
             structural.classify_lodging(mask, square_plot(0.0, 0.0, 1.0, 1.0))
 
+    def test_mask_checked_over_the_whole_grid(self):
+        values = np.zeros((8, 8))
+        values[0, 7] = 0.5  # far from the plot
+        with pytest.raises(InvalidMask, match="^mask holds non-binary value 0.5$"):
+            structural.classify_lodging(make_grid(values), square_plot(0.0, 0.0, 2.0, 2.0))
+
 
 class TestWeed:
     def test_label_boundaries(self):
@@ -210,6 +216,13 @@ class TestWeed:
         level = structural.classify_weed(mask, geodata.PlotWithRing(plot, 0.0, 0.5))
         assert level.ratio == 1.0
         assert level.level == "severe"
+
+    def test_mask_checked_over_the_whole_grid(self):
+        values = np.zeros((12, 12))
+        values[0, 11] = 2.0  # far from the plot and its ring
+        region = geodata.PlotWithRing(square_plot(1.0, 1.0, 2.0, 2.0), 0.0, 0.5)
+        with pytest.raises(InvalidMask, match="^mask holds non-binary value 2.0$"):
+            structural.classify_weed(make_grid(values, cell_size=0.5), region)
 
 
 class TestWheatHeadDensity:
