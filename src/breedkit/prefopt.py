@@ -145,11 +145,15 @@ class PolicyModel:
         return x, y
 
     def _read_answers(self, answers) -> tuple:
-        """Per checked (x, y): log pi(y_t | x, y[:t]) per step, and softmax rows; one stack."""
-        rows = [self._row((x, y[:t])) for x, y in answers for t in range(len(y))]
-        log_probs = _log_softmax(np.array(rows).reshape(len(rows), self.vocab_size))
-        picked = log_probs[np.arange(len(rows)), [t for _, y in answers for t in y]].tolist()
-        probs = np.exp(log_probs)
+        """Per checked (x, y): log pi(y_t | x, y[:t]) per step, and softmax rows; one stack.
+
+        Each distinct state's row is read (or made, for a frozen model) once per call.
+        """
+        states, at = _state_steps(answers)
+        rows = np.array([self._row(key) for key in states]).reshape(len(states), self.vocab_size)
+        log_probs = _log_softmax(rows)
+        picked = log_probs[at, [t for _, y in answers for t in y]].tolist()
+        probs = np.exp(log_probs)[at]
         ends = np.cumsum([len(y) for _, y in answers])
         spans = [slice(end - len(y), end) for end, (_, y) in zip(ends, answers)]
         return [picked[s] for s in spans], [probs[s] for s in spans]
@@ -162,6 +166,8 @@ class PolicyModel:
         logits = np.asarray(logits, dtype=np.float64)
         if logits.shape != (self.vocab_size,):
             raise InvalidInput(f"logit row must have shape ({self.vocab_size},)")
+        if not np.isfinite(logits).all():
+            raise InvalidInput("logit row must be finite")
         key = (_as_tokens(x, self.vocab_size, "prompt"),
                _as_tokens(prefix, self.vocab_size, "answer"))
         self._rows[key] = logits.copy()
@@ -195,26 +201,54 @@ class PolicyModel:
         return self._sample(_as_tokens(x, self.vocab_size, "prompt"), rng, {})[0]
 
     def _sample(self, x: tuple, rng: np.random.Generator, memo: dict) -> tuple:
-        """(answer, its log probability, its softmax rows); ``memo`` keeps rows per state."""
+        """(answer, its log probability, its softmax rows); ``memo`` keeps rows per state.
+
+        A draw is numpy's ``Generator.choice(V, p=probs)`` on the state's stored
+        CDF: the same token, and the generator left in the same state.
+        """
         answer, logp, step_probs = (), 0.0, []
         for _ in range(self.context_length):
             if (x, answer) not in memo:
                 log_row = _log_softmax(self._row((x, answer)))
-                memo[x, answer] = log_row, np.exp(log_row)
-            log_row, probs = memo[x, answer]
-            token = int(rng.choice(self.vocab_size, p=probs))
+                probs = np.exp(log_row)
+                cdf = probs.cumsum()
+                cdf /= cdf[-1]
+                if not np.isfinite(cdf[-1]):  # a NaN row: no distribution to draw from
+                    raise NumericalError(f"non-finite logit row at state {(x, answer)}")
+                memo[x, answer] = log_row, probs, cdf
+            log_row, probs, cdf = memo[x, answer]
+            token = int(cdf.searchsorted(rng.random(), side="right"))
             logp += float(log_row[token])
             step_probs.append(probs)
             answer = answer + (token,)
         return answer, logp, step_probs
 
 
-def _add_step_grads(grads: dict, x: tuple, y: tuple, probs, scale: float) -> None:
-    """grads[(x, y[:t])] += scale * (onehot(y_t) - probs[t]), probs[t] = pi(. | x, y[:t])."""
-    for t, token in enumerate(y):
-        g = grads.setdefault((x, y[:t]), np.zeros(len(probs[t])))
-        g -= scale * probs[t]
-        g[token] += scale
+def _state_steps(answers) -> tuple[dict, list]:
+    """The states (x, y[:t]) of ``answers`` ((x, y, ...) items), first met first, each mapped
+    to its position; and the position of every step's state, in answer order."""
+    states: dict = {}
+    return states, [states.setdefault((x, y[:t]), len(states))
+                    for x, y, *_ in answers for t in range(len(y))]
+
+
+def _step_grads(batch, vocab: int) -> tuple[dict, np.ndarray]:
+    """The states of ``batch`` (as ``_state_steps`` orders them) and one stacked gradient row each.
+
+    ``batch`` holds (x, y, probs, scale) items, probs[t] = pi(. | x, y[:t]). A
+    state's row is the sum of scale * (onehot(y_t) - probs[t]) over its steps,
+    taken in batch order as ``g -= scale * probs[t]; g[y_t] += scale`` takes
+    them: ``np.add.at`` applies its indices in order, and g - a is g + (-a).
+    """
+    states, at = _state_steps(batch)
+    probs = np.array([p for _, _, rows, _ in batch for p in rows]).reshape(len(at), vocab)
+    scales = np.array([scale for _, y, _, scale in batch for _ in y])
+    tokens = np.array([t for _, y, _, _ in batch for t in y], dtype=np.intp)
+    starts = np.array(at, dtype=np.intp) * vocab
+    index = np.column_stack([starts[:, None] + np.arange(vocab), starts + tokens])
+    grads = np.zeros(len(states) * vocab)
+    np.add.at(grads, index.ravel(), np.column_stack([-(scales[:, None] * probs), scales]).ravel())
+    return states, grads.reshape(len(states), vocab)
 
 
 def answer_log_prob(policy: PolicyModel, x, y) -> float:
@@ -231,13 +265,12 @@ def sft_loss_and_grad(policy: PolicyModel, dataset) -> tuple[float, dict]:
     pairs = [policy._check(x, y) for x, y in dataset]
     if not pairs:
         raise EmptyInput("SFT dataset is empty")
-    loss = 0.0
-    grads: dict[tuple, np.ndarray] = {}
-    for (x, y), steps, probs in zip(pairs, *policy._read_answers(pairs)):
-        loss = reduce(sub, steps, loss)
-        _add_step_grads(grads, x, y, probs, -1.0)
+    picked, step_probs = policy._read_answers(pairs)
+    loss = reduce(sub, (lp for steps in picked for lp in steps), 0.0)
+    states, grads = _step_grads([(x, y, probs, -1.0) for (x, y), probs in zip(pairs, step_probs)],
+                                policy.vocab_size)
     n = len(pairs)
-    return loss / n, {k: v / n for k, v in grads.items()}
+    return loss / n, dict(zip(states, grads / n))
 
 
 @dataclass(frozen=True)
@@ -425,8 +458,11 @@ def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
             kl = _exact_kl(policy, reference, x)
         else:
             rng = np.random.default_rng(0) if rng is None else rng
-            draws = [policy._sample(x, rng, {})[:2] for _ in range(_KL_SAMPLES)]
-            kl = float(np.mean([logp - answer_log_prob(reference, x, y) for y, logp in draws]))
+            memo: dict = {}  # one row per state of this prompt, however many draws meet it
+            draws = [policy._sample(x, rng, memo)[:2] for _ in range(_KL_SAMPLES)]
+            ref_steps = reference._read_answers([(x, y) for y, _ in draws])[0]
+            kl = float(np.mean([logp - reduce(add, steps, 0.0)
+                                for (_, logp), steps in zip(draws, ref_steps)]))
         total += kl
     return total / len(prompts)
 
@@ -485,7 +521,7 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
         if epoch:  # re-read the updated policy, every answer as one stack
             picked, step_probs = policy._read_answers(answers)
             logps = [reduce(add, steps, 0.0) for steps in picked]
-        grads: dict[tuple, np.ndarray] = {}
+        batch = []
         for (x, y), logp, old_logp, probs, advantage in zip(
                 answers, logps, old_logps, step_probs, rewards):
             ratio = float(np.exp(logp - old_logp))
@@ -494,10 +530,11 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
                 if min(max(ratio, clip_lo), clip_hi) * advantage <= ratio * advantage:
                     continue  # clipped branch is the min: zero gradient
             # d surrogate / d logits = A * ratio * d log pi / d logits
-            _add_step_grads(grads, x, y, probs, advantage * ratio / len(answers))
-        if not all(np.isfinite(grad).all() for grad in grads.values()):
+            batch.append((x, y, probs, advantage * ratio / len(answers)))
+        states, grads = _step_grads(batch, policy.vocab_size)
+        if not np.isfinite(grads).all():
             raise NumericalError("non-finite policy gradient", iteration=iteration)
-        policy.apply_gradient(grads, config.learning_rate)
+        policy.apply_gradient(dict(zip(states, grads)), config.learning_rate)
 
     # the diagnostic draws (past the exact budget) from its own generator, so
     # it cannot change the training samples

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -396,6 +397,26 @@ class TestRlhf:
         with pytest.raises(NumericalError, match="iteration 0"):
             prefopt.run_rlhf(policy, reference, rm, [(0,)], config)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_set_logits_rejects_a_non_finite_row(self, bad):
+        policy = prefopt.PolicyModel(vocab_size=4, context_length=1)
+        with pytest.raises(InvalidInput, match="logit row must be finite"):
+            policy.set_logits((0,), (), [0.0, bad, 0.0, 0.0])
+        assert not policy._rows
+
+    def test_a_row_the_update_overflows_raises_at_its_next_draw(self):
+        # one sample per prompt with advantage 300: the step lr * A * (1 - 1/4) is
+        # past the float range, so iteration 1 meets a row of +-inf logits
+        policy = prefopt.PolicyModel(vocab_size=4, context_length=1)
+        rm = prefopt.RewardModel(4, weights=np.full(9, 100.0))
+        config = prefopt.RLHFConfig(beta=0.0, learning_rate=1e308, iterations=2,
+                                    samples_per_prompt=1)
+        # numpy warns of the overflow and of the NaN softmax row before the draw
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"non-finite logit row at state \(\(0,\), "):
+                prefopt.run_rlhf(policy, policy.snapshot(), rm, [(0,)], config)
+            assert not np.isfinite(policy.logits_row((0,), ())).any()
+
     def test_frozen_reference_cannot_be_updated(self):
         policy = prefopt.PolicyModel(vocab_size=4, context_length=1)
         reference = policy.snapshot()
@@ -485,6 +506,49 @@ class TestMeanKl:
     def test_exact_diagnostic_leaves_training_alone(self, monkeypatch):
         # 1 + 8 + 64 = 73 prefix states: inside the budget, so mean_kl walks them all
         self.check_diagnostic_leaves_training_alone(monkeypatch, 8, 3)
+
+
+class TestDrawMatchesChoice:
+    """A draw from a stored CDF is ``Generator.choice(V, p=probs)``: same token, same stream."""
+
+    @staticmethod
+    def _rows(vocab, rng):
+        logits = rng.standard_normal(vocab)
+        # temperatures from uniform to peaked; at 500 most probabilities underflow to 0
+        rows = [scale * logits for scale in (0.0, 0.1, 1.0, 5.0, 50.0, 500.0)]
+        holes = logits.copy()
+        holes[rng.permutation(vocab)[:vocab // 2]] = -np.inf  # exact zeros
+        return rows + [holes]
+
+    @pytest.mark.parametrize("vocab", [2, 3, 5, 8, 17, 64, 255, 1000, 4095])
+    def test_a_draw_is_rng_choice(self, vocab):
+        for seed in range(8):
+            for row in self._rows(vocab, np.random.default_rng([vocab, seed])):
+                policy = prefopt.PolicyModel(vocab, 1)
+                policy._rows[(0,), ()] = row  # set_logits takes finite rows only
+                probs = policy.step_probabilities((0,), ())
+                mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(5):
+                    assert policy.sample_answer((0,), mine) == (int(theirs.choice(vocab, p=probs)),)
+                    assert mine.bit_generator.state == theirs.bit_generator.state
+            assert (probs == 0.0).any()  # the last row had its exact zeros
+
+    def test_a_zero_probability_token_is_never_drawn(self):
+        # random() can return 0.0: the draw must step past the CDF's zero-width steps
+        policy = prefopt.PolicyModel(3, 1)
+        policy._rows[(0,), ()] = np.array([-np.inf, 0.0, -np.inf])
+        assert policy.sample_answer((0,), types.SimpleNamespace(random=lambda: 0.0)) == (1,)
+
+    @pytest.mark.parametrize("vocab,length", [(2, 6), (7, 3), (300, 2)])
+    def test_sample_answer_stream_is_a_choice_loop(self, vocab, length):
+        policy = prefopt.PolicyModel(vocab, length, init_scale=2.0, seed=vocab)
+        mine, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        for x in [(0,), (1, 0)] * 20:
+            y = ()
+            for _ in range(length):
+                y += (int(theirs.choice(vocab, p=policy.step_probabilities(x, y))),)
+            assert policy.sample_answer(x, mine) == y
+        assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 class TestDatasetsAndPersistence:
@@ -778,6 +842,29 @@ class TestStepRowsMatchPerStepLoop:
         assert _hex_rows(policy) == _hex_rows(oracle)
         assert max(d["clip_fraction"] for d in got) > 0.0  # the clipped branch is compared too
 
+    def test_many_terms_per_state(self):
+        # V=2, T=1: each prompt has one state, and its gradient row sums 64
+        # terms an epoch; the stacked sum must take them in the loop's order
+        vocab = 2
+        config = prefopt.RLHFConfig(beta=0.3, learning_rate=2.0, iterations=3, seed=5,
+                                    samples_per_prompt=64, epochs=3)
+        rng = np.random.default_rng(17)
+        prompts = [(0,), (1, 0)]
+        rm = prefopt.RewardModel(vocab, weights=rng.normal(size=2 * vocab + 1))
+        policy, reference = self._models(vocab, 1, seed=3)
+        got = prefopt.run_rlhf(policy, reference, rm, prompts, config)
+        oracle, _ = self._models(vocab, 1, seed=3)
+        step_rng = np.random.default_rng(config.seed)
+        want = [_rlhf_step_loop(oracle, reference, rm, prompts, config, step_rng, i)
+                for i in range(config.iterations)]
+        hexed = [{k: float(v).hex() for k, v in d.items()} for d in got]
+        assert hexed == [{k: float(v).hex() for k, v in d.items()} for d in want]
+        assert _hex_rows(policy) == _hex_rows(oracle)
+        assert max(d["clip_fraction"] for d in got) > 0.0
+        dataset = [((0,), (int(t),)) for t in rng.integers(0, vocab, size=50)]
+        assert (_hex_grads(prefopt.sft_loss_and_grad(policy, dataset))
+                == _hex_grads(_sft_loss_and_grad_loop(policy, dataset)))
+
     @pytest.mark.parametrize("x,y,error", [
         ((0, 4), (1, 2), ("InvalidToken", "prompt token 4 outside vocabulary of size 4")),
         ((0, 1), (1, 4), ("InvalidToken", "answer token 4 outside vocabulary of size 4")),
@@ -1014,6 +1101,22 @@ class TestKlReadsMatchUnbatchedForms:
         got = prefopt.mean_kl(policy, reference, prompts, rng=np.random.default_rng(4))
         want = _sampled_kl_loop(policy.snapshot(), reference, prompts, np.random.default_rng(4))
         assert got.hex() == want.hex()
+
+    # (16, 4) samples past the budget; (5, 4) walks every state
+    @pytest.mark.parametrize("vocab,length", [(16, 4), (5, 4)])
+    def test_each_state_is_made_once_per_model(self, monkeypatch, vocab, length):
+        policy, reference = _kl_models(vocab, length)
+        made = collections.Counter()
+        make_row = prefopt.PolicyModel._make_row
+
+        def counting(model, key):
+            made[model.seed, key] += 1
+            return make_row(model, key)
+
+        monkeypatch.setattr(prefopt.PolicyModel, "_make_row", counting)
+        prefopt.mean_kl(policy, reference, [(0, 1), (vocab - 1,)], rng=np.random.default_rng(4))
+        assert {seed for seed, _ in made} == {policy.seed, reference.seed}
+        assert max(made.values()) == 1
 
 
 def _train_reward_loop(rm, dataset, learning_rate, iterations):
