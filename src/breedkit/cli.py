@@ -420,10 +420,14 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
 
 
 def _cmd_fuse(cfg: dict, out_dir: str) -> dict:
+    # a table that no selected domain reads is not parsed
+    domains = cfg["domains"]
     records = fusion.load_feature_records(cfg["features"])
-    weather = fusion.load_weather(cfg["weather"]) if cfg["weather"] else ()
-    germplasm = kb.load_germplasm(cfg["germplasm"]) if cfg["germplasm"] else ()
-    matrix = fusion.assemble(records, weather=weather, germplasm=germplasm, domains=cfg["domains"])
+    weather = (fusion.load_weather(cfg["weather"])
+               if cfg["weather"] and "weather" in domains else ())
+    germplasm = (kb.load_germplasm(cfg["germplasm"])
+                 if cfg["germplasm"] and "germplasm" in domains else ())
+    matrix = fusion.assemble(records, weather=weather, germplasm=germplasm, domains=domains)
     for plot_id, missing in matrix.dropped:
         _log(f"fuse: dropped plot {plot_id}, missing {', '.join(missing)}")
     result = fusion.kfold_cv(matrix, k=cfg["k"], lam=cfg["lambda"], seed=cfg["seed"])

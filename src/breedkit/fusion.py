@@ -243,8 +243,9 @@ def assemble(
     Weather aggregates over the growing season (means, precipitation
     total), joined by site when the record carries one. Germplasm trait
     flags come from the knowledge-base records via ``kb.trait_flags``, built
-    only when that domain is selected. Rows missing any selected feature are
-    dropped and reported on the returned matrix.
+    only when that domain is selected and once per variety that a plot
+    names. Rows missing any selected feature are dropped and reported on
+    the returned matrix.
     """
     domains = _known_domains(domains)
     if not domains:
@@ -292,7 +293,10 @@ def assemble(
                 means[g, cols] = [summary[c] for c in WEATHER_FEATURES]
                 present[g, cols] = True
     if "germplasm" in domains:
-        flags_by_variety = {g.variety_name: kb.trait_flags(g) for g in germplasm}
+        # flags only for the varieties plots name; a repeated variety's later record wins
+        named = set(germplasm_ids)
+        latest = {g.variety_name: g for g in germplasm if g.variety_name in named}
+        flags_by_variety = {name: kb.trait_flags(g) for name, g in latest.items()}
         cols = [candidates.index(c) for c in GERMPLASM_FEATURES]
         for g, germplasm_id in enumerate(germplasm_ids):
             flags = flags_by_variety.get(germplasm_id)

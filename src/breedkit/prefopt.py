@@ -172,15 +172,22 @@ class PolicyModel:
                _as_tokens(prefix, self.vocab_size, "answer"))
         self._rows[key] = logits.copy()
 
-    def apply_gradient(self, grads: dict, learning_rate: float) -> None:
-        """Gradient-ascent step: logits += lr * grad, row by row."""
+    def apply_gradient(self, grads: dict, learning_rate: float, iteration=None) -> None:
+        """Gradient-ascent step: logits += lr * grad, every row of ``grads`` as one stack.
+
+        A step past the float range is a NumericalError carrying ``iteration``,
+        and then no row is stored.
+        """
         if self.frozen:
             raise InvalidInput("reference model is frozen")
-        for key, grad in grads.items():
-            row = self._rows.get(key)
-            if row is None:
-                row = self._make_row(key)
-            self._rows[key] = row + learning_rate * grad
+        shape = (len(grads), self.vocab_size)
+        rows = np.array([self._rows[key] if key in self._rows else self._make_row(key)
+                         for key in grads]).reshape(shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            rows += learning_rate * np.array(list(grads.values())).reshape(shape)
+        if not np.isfinite(rows).all():
+            raise NumericalError("non-finite policy logits", iteration=iteration)
+        self._rows.update(zip(grads, map(np.copy, rows)))  # a view would keep the whole stack
 
     def snapshot(self) -> "PolicyModel":
         """Frozen copy of the current parameters."""
@@ -534,7 +541,7 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
         states, grads = _step_grads(batch, policy.vocab_size)
         if not np.isfinite(grads).all():
             raise NumericalError("non-finite policy gradient", iteration=iteration)
-        policy.apply_gradient(dict(zip(states, grads)), config.learning_rate)
+        policy.apply_gradient(dict(zip(states, grads)), config.learning_rate, iteration)
 
     # the diagnostic draws (past the exact budget) from its own generator, so
     # it cannot change the training samples
@@ -567,8 +574,8 @@ def train_sft(policy: PolicyModel, dataset, learning_rate: float = 0.5,
         loss, grads = sft_loss_and_grad(policy, dataset)
         if not np.isfinite(loss):
             raise NumericalError("non-finite SFT loss", iteration=i)
-        # descend the loss: logits -= lr * dL/dlogits
-        policy.apply_gradient({k: -g for k, g in grads.items()}, learning_rate)
+        # descend the loss: logits += (-lr) * dL/dlogits, the bits of logits -= lr * dL/dlogits
+        policy.apply_gradient(grads, -learning_rate, i)
         history.append({"iteration": i, "loss": loss})
     return history
 

@@ -829,6 +829,60 @@ class TestFuse:
             "message": f"line {len(rows) + 1}: site {site}: duplicate weather row for {date}"}]
         assert not (tmp_path / "out" / "metrics.json").exists()
 
+    @staticmethod
+    def _with_bad_tables(config, tmp_path):
+        """Point ``config`` at a germplasm file with a non-numeric crude_protein and
+        a weather file with a NaN t_mean."""
+        for key, column, value in (("germplasm", "crude_protein", "abc"),
+                                   ("weather", "t_mean", "nan")):
+            lines = open(config["fuse"][key], encoding="utf-8").read().splitlines()
+            lines[1] = _cell(column, value)(lines, 1)
+            path = tmp_path / f"bad_{key}.csv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            config["fuse"][key] = str(path)
+
+    def test_tables_no_selected_domain_reads_are_not_parsed(self, tmp_path, capsys):
+        artifacts = {}
+        for name in ("bad", "none"):
+            config = fuse_config(tmp_path / name, scene_path("golden/features.csv"))
+            config["fuse"]["domains"] = ["RS"]
+            if name == "bad":
+                self._with_bad_tables(config, tmp_path)
+            else:
+                config["fuse"].update(weather=None, germplasm=None)
+            rc, summary = _run_one_line(
+                ["fuse", "--config", write_config(config, tmp_path / f"{name}.json")], capsys)
+            assert (rc, summary["status"]) == (0, "ok")
+            artifacts[name] = {f: (tmp_path / name / f).read_bytes()
+                               for f in sorted(os.listdir(tmp_path / name))}
+        assert sorted(artifacts["bad"]) == ["metrics.json", "scatter.csv"]
+        assert artifacts["bad"] == artifacts["none"]
+
+    @pytest.mark.parametrize("domain, message", [
+        ("weather", "line 2: bad weather row: t_mean must be finite, got nan"),
+        ("germplasm", "line 2: non-numeric crude_protein: 'abc'"),
+    ])
+    def test_a_selected_table_is_still_parsed(self, domain, message, tmp_path, capsys):
+        config = fuse_config(tmp_path / "out", scene_path("golden/features.csv"))
+        config["fuse"]["domains"] = ["RS", domain]
+        self._with_bad_tables(config, tmp_path)
+        rc, summary = _run_one_line(
+            ["fuse", "--config", write_config(config, tmp_path / "f.json")], capsys)
+        assert (rc, summary) == (1, {"status": "error", "error": "ParseError", "message": message})
+        assert not (tmp_path / "out").exists()
+
+    def test_an_unknown_domain_comes_before_an_unread_bad_table(self, tmp_path, capsys):
+        config = fuse_config(tmp_path / "out", scene_path("golden/features.csv"))
+        config["fuse"]["domains"] = ["RS", "soil"]
+        self._with_bad_tables(config, tmp_path)
+        rc, summary = _run_one_line(
+            ["fuse", "--config", write_config(config, tmp_path / "f.json")], capsys)
+        assert (rc, summary) == (1, {
+            "status": "error", "error": "InvalidInput",
+            "message": f"unknown domain 'soil', expected subset of {fusion.DOMAINS}"})
+        assert not (tmp_path / "out").exists()
+
+
 class TestPrefopt:
     def test_stages_write_diagnostics(self, tmp_path, capsys):
         cfg = write_config(prefopt_config(tmp_path / "out"), tmp_path / "p.json")
@@ -1683,6 +1737,20 @@ class TestPrefoptStages:
             ["prefopt", "--config", write_config(config, tmp_path / "p.json")], capsys)
         assert (rc, summary) == (1, {"status": "error", "error": "NumericalError",
                                      "message": "iteration 0: non-finite reward-model weights"})
+        assert not out.exists()
+
+    def test_policy_update_past_the_float_range_is_a_numerical_error(self, tmp_path, capsys):
+        # reward weights near 1e300 make advantages near 1e300, and the PPO step
+        # takes the logits past the float range: no policy.json with an infinite
+        # row, which load_policy would reject, is written
+        out = tmp_path / "out"
+        config = prefopt_config(out)
+        config["prefopt"].update(rm={"learning_rate": 1e300, "iterations": 1},
+                                 ppo={"learning_rate": 1e10, "iterations": 1})
+        rc, summary = _run_one_line(
+            ["prefopt", "--config", write_config(config, tmp_path / "p.json")], capsys)
+        assert (rc, summary) == (1, {"status": "error", "error": "NumericalError",
+                                     "message": "iteration 0: non-finite policy logits"})
         assert not out.exists()
 
     def test_summary_and_log_of_a_clean_run(self, tmp_path, capsys):

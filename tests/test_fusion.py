@@ -664,3 +664,29 @@ class TestAssembleMatchesRowLoop:
             want = _outcome(_assemble_row_loop, records, domains=domains)
             assert want[0] == "raised"
             assert _outcome(fusion.assemble, records, domains=domains) == want
+
+    def test_trait_flags_only_for_named_varieties(self, monkeypatch):
+        # g5 and g9 are named by no plot; g1 is listed twice with other flags,
+        # and its later record wins; g7 has no germplasm record
+        def germ(name, protein, height):
+            return kb.GermplasmRecord(variety_name=name, quality={"crude_protein": protein},
+                                      resistance={"drought": "R"},
+                                      agronomic={"plant_height": height, "maturity": 200.0})
+        germplasm = [germ("g1", 10.0, 95.0), germ("g5", 16.0, 70.0), germ("g2", 12.0, 70.0),
+                     germ("g1", 16.0, 70.0), germ("g9", 12.0, 95.0)]
+        records = [record(f"p{i}", germplasm_id=g, NDVI_MS=0.1 * i, SPAD=40.0 + i,
+                          yield_kg_ha=5000.0 + 100 * i)
+                   for i, g in enumerate(["g1", "g2", "g1", "g7", "g2", "g1"])]
+        calls = []
+        trait_flags = kb.trait_flags
+        monkeypatch.setattr(kb, "trait_flags", lambda g: calls.append(g) or trait_flags(g))
+        for domains in DOMAIN_SUBSETS:
+            want = _outcome(_assemble_row_loop, records, germplasm=germplasm, domains=domains)
+            calls.clear()
+            got = _outcome(fusion.assemble, records, germplasm=germplasm, domains=domains)
+            assert got == want, domains
+            named = []
+            if "germplasm" in domains:  # g7 has no record, so its plot has no flags
+                assert want[-1] == (("p3", fusion.GERMPLASM_FEATURES),), domains
+                named = [germplasm[3], germplasm[2]]
+            assert sorted(calls, key=lambda g: g.variety_name) == named, domains

@@ -404,18 +404,33 @@ class TestRlhf:
             policy.set_logits((0,), (), [0.0, bad, 0.0, 0.0])
         assert not policy._rows
 
-    def test_a_row_the_update_overflows_raises_at_its_next_draw(self):
+    def test_an_update_past_the_float_range_raises_and_keeps_the_row(self):
         # one sample per prompt with advantage 300: the step lr * A * (1 - 1/4) is
-        # past the float range, so iteration 1 meets a row of +-inf logits
+        # past the float range, so iteration 0 raises at its update and stores nothing
         policy = prefopt.PolicyModel(vocab_size=4, context_length=1)
         rm = prefopt.RewardModel(4, weights=np.full(9, 100.0))
         config = prefopt.RLHFConfig(beta=0.0, learning_rate=1e308, iterations=2,
                                     samples_per_prompt=1)
-        # numpy warns of the overflow and of the NaN softmax row before the draw
+        with pytest.raises(NumericalError, match="^iteration 0: non-finite policy logits$"):
+            prefopt.run_rlhf(policy, policy.snapshot(), rm, [(0,)], config)
+        assert list(policy._rows) == [((0,), ())]
+        assert not policy.logits_row((0,), ()).any()
+
+    def test_an_sft_update_past_the_float_range_raises_and_keeps_the_row(self):
+        # token 1 has probability 0, so the step adds the whole learning rate to its logit
+        policy = prefopt.PolicyModel(vocab_size=4, context_length=1)
+        policy.set_logits((0,), (), [1.5e308, 1e308, 0.0, 0.0])
+        with pytest.raises(NumericalError, match="^iteration 0: non-finite policy logits$"):
+            prefopt.train_sft(policy, [((0,), (1,))], learning_rate=1e308, iterations=3)
+        assert policy.logits_row((0,), ()).tolist() == [1.5e308, 1e308, 0.0, 0.0]
+
+    def test_a_row_made_non_finite_by_its_init_still_raises_at_its_draw(self):
+        # a standard normal past 1.8 times 1e308 is infinite
+        policy = prefopt.PolicyModel(vocab_size=64, context_length=1, init_scale=1e308)
         with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(policy._make_row(((0,), ()))).all()
             with pytest.raises(NumericalError, match=r"non-finite logit row at state \(\(0,\), "):
-                prefopt.run_rlhf(policy, policy.snapshot(), rm, [(0,)], config)
-            assert not np.isfinite(policy.logits_row((0,), ())).any()
+                policy.sample_answer((0,), np.random.default_rng(0))
 
     def test_frozen_reference_cannot_be_updated(self):
         policy = prefopt.PolicyModel(vocab_size=4, context_length=1)
