@@ -420,8 +420,11 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
 
 
 def _cmd_fuse(cfg: dict, out_dir: str) -> dict:
-    # a table that no selected domain reads is not parsed
     domains = cfg["domains"]
+    for domain in domains:
+        if domain not in fusion.DOMAINS:
+            raise ConfigError("fuse.domains", f"unknown domain {domain!r}")
+    # a table that no selected domain reads is not parsed
     records = fusion.load_feature_records(cfg["features"])
     weather = (fusion.load_weather(cfg["weather"])
                if cfg["weather"] and "weather" in domains else ())

@@ -397,107 +397,88 @@ def load_raster(path) -> RasterGrid:
 
     Header lines (case-insensitive keys, fixed order): ncols, nrows,
     xllcorner, yllcorner, cellsize, then an optional NODATA_value. Data rows
-    follow top row first; each row must hold exactly ncols numeric cells.
+    follow top row first, blank lines skipped; each row must hold exactly
+    ncols numeric cells. Lines end as file iteration ends them (``\\n``,
+    ``\\r``, ``\\r\\n``), as a point cloud's do; any other whitespace is a blank.
 
-    The header is read line by line, and the data lines stream from the open
-    file into numpy's reader, so the file's text is never held whole. Any
-    other file is read again whole, split as ``str.splitlines`` splits it,
-    and the line parser names its first fault.
+    numpy's reader reads the open file from the first data line. Where it
+    rejects the rows, or they are not nrows x ncols, the data lines are read
+    again one at a time, to count them and then to name the first bad line,
+    so the file's text is never held whole.
     """
     with decoding(path), open(path, "r", encoding="utf-8") as fh:
-        grid = _stream_raster(fh)
-    if grid is not None:
-        return grid
-    with decoding(path), open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    n_rows, n_cols, data_start, georef = _raster_header(lines)
-    row_lines = [
-        (n, ln) for n, ln in enumerate(lines[data_start:], start=data_start + 1) if ln.strip()
-    ]
-    if len(row_lines) != n_rows:
-        raise ParseError(
-            f"expected {n_rows} data rows, found {len(row_lines)}",
-            line=len(lines),
-        )
-    return RasterGrid(values=_parse_rows(row_lines, n_cols, "cells", "cell"), **georef)
-
-
-def _stream_raster(fh) -> RasterGrid | None:
-    """The grid in the open file ``fh``, its data lines streamed into ``_read_numbers``.
-
-    None where the whole-text reader must decide: a header it would reject
-    (it reports that only after any decoding error later in the file), no
-    data line, rows numpy does not read as exactly nrows x ncols finite
-    values, or a line ``_splits_further`` flags.
-    """
-    head = list(itertools.islice(fh, 6))
-    if any(map(_splits_further, head)):
-        return None
-    try:
-        n_rows, n_cols, data_start, georef = _raster_header(head)
-    except ParseError:
-        return None
-    values = _read_numbers(_data_lines(itertools.chain(head[data_start:], fh)))
-    if values is None or values.shape != (n_rows, n_cols):
-        return None
+        try:
+            n_rows, n_cols, lineno, georef = _raster_header(fh)
+        except ParseError:
+            for _ in fh:  # a decoding error anywhere in the file is reported first
+                pass
+            raise
+        lineno, start = _skip_lines(fh, lineno, str.strip)
+        if start is None:
+            raise ParseError(f"expected {n_rows} data rows, found 0", line=lineno)
+        values = _read_numbers(fh, nonempty=True)
+        if values is None or values.shape != (n_rows, n_cols):
+            fh.seek(start)
+            found, last = 0, lineno
+            for last, ln in enumerate(fh, start=lineno + 1):
+                found += bool(ln.strip())
+            if found != n_rows:
+                raise ParseError(f"expected {n_rows} data rows, found {found}", line=last)
+            fh.seek(start)
+            values = _parse_rows(fh, lineno, str.strip, n_cols, "cells", "cell")
     return RasterGrid(values=values, **georef)
 
 
-def _raster_header(lines) -> tuple[int, int, int, dict]:
-    """(nrows, ncols, index of the first data line, RasterGrid georeferencing) of a grid file.
+def _raster_header(fh) -> tuple[int, int, int, dict]:
+    """(nrows, ncols, header line count, RasterGrid georeferencing) of the open grid file ``fh``.
 
-    Only ``lines[:6]`` are read. ParseError names the first bad header line.
+    ``fh`` is left at the line after the header. ParseError names the first
+    bad header line.
     """
 
     def header(idx: int, key: str):
-        if idx >= len(lines):
+        line = fh.readline()
+        if not line:
             raise ParseError(f"missing header line '{key}'", line=idx + 1)
-        parts = lines[idx].split()
+        line = line.removesuffix("\n")
+        parts = line.split()
         if len(parts) != 2 or parts[0].lower() != key:
-            raise ParseError(f"expected '{key} <value>', got {lines[idx]!r}", line=idx + 1)
+            raise ParseError(f"expected '{key} <value>', got {line!r}", line=idx + 1)
         return finite_number(parts[1], f"value for '{key}'", idx + 1)
 
-    n_cols_f = header(0, "ncols")
-    n_rows_f = header(1, "nrows")
-    origin_x = header(2, "xllcorner")
-    origin_y = header(3, "yllcorner")
-    cell_size = header(4, "cellsize")
+    keys = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
+    n_cols_f, n_rows_f, origin_x, origin_y, cell_size = itertools.starmap(header, enumerate(keys))
     if n_cols_f != int(n_cols_f) or n_rows_f != int(n_rows_f) or n_cols_f < 1 or n_rows_f < 1:
         raise ParseError("ncols/nrows must be positive integers", line=1)
     if cell_size <= 0:
         raise ParseError("cellsize must be > 0", line=5)
 
-    data_start = 5
-    nodata = DEFAULT_NODATA
-    if data_start < len(lines):
-        parts = lines[data_start].split()
-        if parts and parts[0].lower() == "nodata_value":
-            if len(parts) != 2:
-                raise ParseError("expected 'NODATA_value <value>'", line=data_start + 1)
-            nodata = finite_number(parts[1], "NODATA_value", data_start + 1)
-            data_start += 1
+    nodata, n_lines = DEFAULT_NODATA, 5
+    start = fh.tell()
+    parts = fh.readline().split()
+    if parts and parts[0].lower() == "nodata_value":
+        if len(parts) != 2:
+            raise ParseError("expected 'NODATA_value <value>'", line=6)
+        nodata, n_lines = finite_number(parts[1], "NODATA_value", 6), 6
+    else:
+        fh.seek(start)
     georef = {"cell_size": cell_size, "origin_x": origin_x, "origin_y": origin_y, "nodata": nodata}
-    return int(n_rows_f), int(n_cols_f), data_start, georef
+    return int(n_rows_f), int(n_cols_f), n_lines, georef
 
 
-def _splits_further(line: str) -> bool:
-    """Whether ``str.splitlines`` breaks ``line`` where file iteration does not.
+def _skip_lines(fh, lineno: int, is_data) -> tuple[int, int | None]:
+    """Read past the lines of the open file ``fh`` that ``is_data`` rejects.
 
-    numpy's reader takes those breaks (``\\v \\f \\x1c-\\x1e \\x85 \\u2028
-    \\u2029``) for blanks inside a row, while the whole-text reader ends the
-    row there. Plain ``in`` tests keep this cheap on long ASCII lines.
+    Returns ``lineno`` plus the lines skipped, and the position of the first
+    data line, where ``fh`` is left; the position is None if there is none.
     """
-    return ("\v" in line or "\f" in line or "\x1c" in line or "\x1d" in line or "\x1e" in line
-            or not line.isascii() and ("\x85" in line or "\u2028" in line or "\u2029" in line))
-
-
-def _data_lines(lines):
-    """The non-blank ``lines``; ValueError at the first one ``_splits_further`` flags."""
-    for ln in lines:
-        if _splits_further(ln):
-            raise ValueError("a line break that file iteration does not know")
-        if ln.strip():
-            yield ln
+    start = fh.tell()
+    while line := fh.readline():
+        if is_data(line):
+            fh.seek(start)
+            return lineno, start
+        start, lineno = fh.tell(), lineno + 1
+    return lineno, None
 
 
 def _read_numbers(lines, nonempty: bool = False) -> np.ndarray | None:
@@ -508,8 +489,7 @@ def _read_numbers(lines, nonempty: bool = False) -> np.ndarray | None:
     numpy sees no comment or blank line it would not skip, so a '#' is a
     token it rejects like any other. Returns None where the line parser
     must decide instead: no line, a token numpy rejects, rows of unequal
-    length, a non-finite value, text that is not UTF-8, or a ValueError
-    that ``lines`` raises itself.
+    length, a non-finite value, or text that is not UTF-8.
     """
     try:
         if not nonempty:
@@ -526,15 +506,17 @@ def _read_numbers(lines, nonempty: bool = False) -> np.ndarray | None:
     return values
 
 
-def _parse_rows(numbered_lines, width: int, units: str, what: str) -> np.ndarray:
-    """The parser of record for rows of numbers, ``(line number, line)`` pairs.
+def _parse_rows(fh, lineno: int, is_data, width: int, units: str, what: str) -> np.ndarray:
+    """The parser of record for rows of numbers: the lines of ``fh`` that ``is_data`` takes.
 
-    Each row must hold ``width`` tokens, each a finite number by
-    ``finite_number``; ParseError names the first bad line and, in it, the
-    first bad token.
+    ``fh`` is an open text file after its line ``lineno``. Each row must
+    hold ``width`` tokens, each a finite number by ``finite_number``;
+    ParseError names the first bad line and, in it, the first bad token.
     """
     rows = []
-    for lineno, ln in numbered_lines:
+    for lineno, ln in enumerate(fh, start=lineno + 1):
+        if not is_data(ln):
+            continue
         tokens = ln.split()
         if len(tokens) != width:
             raise ParseError(f"expected {width} {units}, found {len(tokens)}", line=lineno)
@@ -572,24 +554,22 @@ def load_point_cloud(path) -> PointCloud:
     name its first bad line.
     """
     with decoding(path), open(path, "r", encoding="utf-8") as fh:
-        while True:
-            start = fh.tell()
-            line = fh.readline()
-            if not line:
-                raise EmptyInput(f"no points in {path}")
-            if (text := line.lstrip()) and text[0] != "#":
-                break
-        fh.seek(start)
+        lineno, start = _skip_lines(fh, 0, _is_point)
+        if start is None:
+            raise EmptyInput(f"no points in {path}")
         points = _read_numbers(fh, nonempty=True)
         if points is None:
             fh.seek(start)
-            points = _read_numbers(ln for ln in fh if (text := ln.lstrip()) and text[0] != "#")
-    if points is None or points.shape[1] != 3:
-        with decoding(path), open(path, "r", encoding="utf-8") as fh:
-            numbered = ((n, ln) for n, ln in enumerate(fh, start=1)
-                        if (text := ln.lstrip()) and text[0] != "#")
-            points = _parse_rows(numbered, 3, "fields 'x y z'", "coordinate")
+            points = _read_numbers(filter(_is_point, fh))
+        if points is None or points.shape[1] != 3:
+            fh.seek(start)
+            points = _parse_rows(fh, lineno, _is_point, 3, "fields 'x y z'", "coordinate")
     return PointCloud(points=points)
+
+
+def _is_point(line: str) -> bool:
+    """Whether a point cloud's ``line`` is neither blank nor a comment."""
+    return line.lstrip()[:1] not in ("", "#")
 
 
 def write_point_cloud(cloud: PointCloud, path) -> None:

@@ -872,14 +872,25 @@ class TestFuse:
         assert not (tmp_path / "out").exists()
 
     def test_an_unknown_domain_comes_before_an_unread_bad_table(self, tmp_path, capsys):
+        # a config error, found before any input is read: the bad weather
+        # table is not parsed even where "weather" is selected
+        for domains in (["RS", "soil"], ["weather", "soil"]):
+            config = fuse_config(tmp_path / "out", scene_path("golden/features.csv"))
+            config["fuse"]["domains"] = domains
+            self._with_bad_tables(config, tmp_path)
+            rc, summary = _run_one_line(
+                ["fuse", "--config", write_config(config, tmp_path / "f.json")], capsys)
+            assert (rc, summary) == (2, {"status": "config_error", "field": "fuse.domains",
+                                         "message": "unknown domain 'soil'"})
+            assert not (tmp_path / "out").exists()
+
+    def test_an_empty_domain_list_is_still_invalid_input(self, tmp_path, capsys):
         config = fuse_config(tmp_path / "out", scene_path("golden/features.csv"))
-        config["fuse"]["domains"] = ["RS", "soil"]
-        self._with_bad_tables(config, tmp_path)
+        config["fuse"]["domains"] = []
         rc, summary = _run_one_line(
             ["fuse", "--config", write_config(config, tmp_path / "f.json")], capsys)
-        assert (rc, summary) == (1, {
-            "status": "error", "error": "InvalidInput",
-            "message": f"unknown domain 'soil', expected subset of {fusion.DOMAINS}"})
+        assert (rc, summary) == (1, {"status": "error", "error": "InvalidInput",
+                                     "message": "select at least one domain"})
         assert not (tmp_path / "out").exists()
 
 

@@ -405,28 +405,42 @@ def test_bad_number_files(load, text, error, message, line, tmp_path):
 _ROW_HEAD = "ncols 4\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
 
 
+# Characters str.splitlines breaks a line at and file iteration does not.
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("text", [
-    _ROW_HEAD + "1 2{}3 4\n",
-    _ROW_HEAD + "1 2 3 4{}\n",
-    _ROW_HEAD + "{}\n1 2 3 4\n",
-    _ROW_HEAD.replace("ncols 4", "ncols 4{}") + "1 2 3 4\n",
-    _ROW_HEAD.replace("\n", "{}", 1) + "1 2 3 4\n",
+@pytest.mark.parametrize("text, blank", [
+    (_ROW_HEAD + "1 2{}3 4\n", " "),
+    (_ROW_HEAD + "1 2 3 4{}\n", " "),
+    (_ROW_HEAD.replace("ncols 4", "ncols 4{}") + "1 2 3 4\n", " "),
+    (_ROW_HEAD + "{}\n1 2 3 4\n", ""),
 ])
-@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
-                         ids=repr)
-def test_raster_is_split_as_splitlines_splits_it(text, brk, tmp_path, monkeypatch):
-    # numpy's reader takes these breaks for blanks, and file iteration does
-    # not break a line at them; the grid must be what the whole-text reader reads
-    path = tmp_path / "grid.asc"
+@pytest.mark.parametrize("brk", OTHER_BREAKS, ids=repr)
+def test_raster_reads_other_line_breaks_as_blanks(text, blank, brk, tmp_path, monkeypatch):
+    # a line ends only at \n, \r or \r\n, as in a point cloud; numpy's reader
+    # and the line parser's str.split read any other break as whitespace
+    path, plain = tmp_path / "grid.asc", tmp_path / "plain.asc"
     path.write_bytes(text.format(brk).encode("utf-8"))
-    streamed = _outcome(geodata.load_raster, path)
+    plain.write_bytes(text.format(blank).encode("utf-8"))
+    expected = geodata.load_raster(plain)
+    assert expected.values.tolist() == [[1, 2, 3, 4]]
+    by_numpy = geodata.load_raster(path)
     monkeypatch.setattr(geodata, "_read_numbers", lambda *args, **kwargs: None)
-    whole = _outcome(geodata.load_raster, path)
-    if isinstance(whole, np.ndarray):
-        assert isinstance(streamed, np.ndarray) and np.array_equal(streamed, whole)
-    else:
-        assert streamed == whole
+    by_line_parser = geodata.load_raster(path)
+    for grid in (by_numpy, by_line_parser):
+        assert np.array_equal(grid.values, expected.values)
+        assert (grid.geometry, grid.nodata) == (expected.geometry, expected.nodata)
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS, ids=repr)
+def test_raster_header_line_with_another_line_break_is_a_header_fault(brk, tmp_path):
+    path = tmp_path / "grid.asc"
+    path.write_bytes((_ROW_HEAD.replace("\n", brk, 1) + "1 2 3 4\n").encode("utf-8"))
+    with pytest.raises(ParseError) as caught:
+        geodata.load_raster(path)
+    assert str(caught.value) == f"line 1: expected 'ncols <value>', got {f'ncols 4{brk}nrows 1'!r}"
+    assert caught.value.line == 1
 
 
 def test_raster_text_is_not_held_whole(tmp_path):
@@ -445,6 +459,54 @@ def test_raster_text_is_not_held_whole(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(loaded.values, grid.values)
     assert peak < 2 * grid.values.nbytes, peak
+
+
+class TestRasterFallbackStreams:
+    """A grid numpy rejects is read again line by line, never whole."""
+
+    def test_a_row_too_many_is_counted_without_holding_the_text(self, tmp_path):
+        n = 200
+        rng = np.random.default_rng(5)
+        grid = geodata.RasterGrid(rng.uniform(0.05, 0.6, (n, n)), cell_size=1.0, origin_x=0.0,
+                                  origin_y=0.0)
+        path = tmp_path / "grid.asc"
+        geodata.write_raster(grid, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(" ".join(["0.5"] * n) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as caught:
+                geodata.load_raster(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == "line 207: expected 200 data rows, found 201"
+        assert peak < 2 * grid.values.nbytes, peak
+
+    def test_a_header_fault_in_a_file_that_is_not_utf8(self, tmp_path):
+        head = _HEAD.replace("nrows 2", "nrows x")
+        rows = "1 2\n" * (70 * 1024 // 4)  # the bad byte lies past the first 64 KiB
+        path = tmp_path / "grid.asc"
+        path.write_bytes((head + rows).encode("utf-8"))
+        with pytest.raises(ParseError, match="^line 2: non-numeric value for 'nrows': 'x'$"):
+            geodata.load_raster(path)
+        path.write_bytes((head + rows + "\udce9\n").encode("utf-8", "surrogateescape"))
+        with pytest.raises(ParseError) as caught:
+            geodata.load_raster(path)
+        assert str(caught.value) == f"{path}: not UTF-8 text"
+
+    def test_valid_grid_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.asc"
+        path.write_text(_HEAD + "1 2\n\n3 4\n")
+        opened = []
+
+        def counted(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(geodata, "open", counted, raising=False)
+        assert geodata.load_raster(path).values.tolist() == [[1, 2], [3, 4]]
+        assert opened == [path]
 
 
 class TestPointCloudHandsNumpyTheFile:
