@@ -20,7 +20,7 @@ from operator import attrgetter
 
 from . import bench, fusion, geodata, kb, prefopt, spectral, structural
 from ._io import csv_rows, finite_number, write_csv, write_json
-from .errors import BreedkitError, InvalidInput, MissingBand, ParseError
+from .errors import BreedkitError, GeometryMismatch, InvalidInput, MissingBand, ParseError
 
 class ConfigError(Exception):
     """Configuration problem; carries the dotted field path."""
@@ -331,10 +331,9 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
     columns: dict = {}  # feature name -> its value for every plot
     first_failed, error, layer_error = len(plots), None, None
 
-    def kept(result):
-        """The values of a grouped reduction's (values, failure), keeping the first failure."""
+    def kept(values, counts, failure):
+        """A grouped reduction's values, keeping its failure if it is the first."""
         nonlocal first_failed, error
-        values, failure = result
         if failure is not None and failure[0] < first_failed:
             first_failed, error = failure[0], failure[1].with_traceback(None)
         return values
@@ -348,8 +347,11 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
                 else:
                     layer = spectral.vi_map(bands, index_name, L=params["savi_l"],
                                             kndvi_sigma=params["kndvi_sigma"])
-                columns[column] = kept(spectral.plot_statistics(layer, cells_on(layer),
-                                                                restrict, column))
+                cells = cells_on(layer)
+                try:  # a vegetation mask of another geometry fails the first plot
+                    columns[column] = kept(*spectral.plot_statistics(layer, cells, restrict, column))
+                except GeometryMismatch as exc:
+                    kept(None, None, cells.first_failure((True, lambda i: exc)))
                 del layer
     except BreedkitError as exc:
         layer_error = exc.with_traceback(None)
@@ -367,19 +369,17 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
         geodata.require_binary_mask(mask)
 
     chm_cells = cells_on(chm)
-    columns["CH"] = kept(structural.plot_canopy_heights(chm, chm_cells, params["ch_percentile"]))
-    columns["CV"] = kept(structural.canopy_volumes(chm, chm_cells))
+    columns["CH"] = kept(*structural.plot_canopy_heights(chm, chm_cells, params["ch_percentile"]))
+    columns["CV"] = kept(*structural.canopy_volumes(chm, chm_cells))
     for column, mask in (("FVC", veg_mask), ("PL_ratio", lodging_mask)):
-        cells = cells_on(mask)
-        columns[column] = kept((cells.ratios(mask), cells.first_failure()))
+        columns[column] = kept(*cells_on(mask).ratios(mask))
     try:  # a bad ring width fails after the first plot's other errors
         rings = [geodata.PlotWithRing(p, params["ring_inner_m"], params["ring_outer_m"])
                  for p in plots]
     except InvalidInput as exc:
-        kept((None, (0, exc)))
+        kept(None, None, (0, exc))
     else:
-        cells = geodata.stack_cells(weed_mask, rings)
-        columns["WL_ratio"] = kept((cells.ratios(weed_mask), cells.first_failure()))
+        columns["WL_ratio"] = kept(*geodata.stack_cells(weed_mask, rings).ratios(weed_mask))
 
     values = {column: plot_values.tolist() for column, plot_values in columns.items()}
     records = []

@@ -19,6 +19,7 @@ nothing here resamples implicitly.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 from dataclasses import dataclass
@@ -86,9 +87,6 @@ class RasterGrid:
         """(shape, cell_size, origin_x, origin_y): the georeferencing layers must share."""
         return (self.values.shape, self.cell_size, self.origin_x, self.origin_y)
 
-    def same_geometry(self, other: "RasterGrid") -> bool:
-        return self.geometry == other.geometry
-
     def cell_centers(
         self, rows: slice = slice(None), cols: slice = slice(None)
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +119,7 @@ class RasterGrid:
 def require_same_geometry(*grids: RasterGrid) -> None:
     first = grids[0]
     for g in grids[1:]:
-        if not first.same_geometry(g):
+        if first.geometry != g.geometry:
             raise GeometryMismatch(
                 f"grids do not share georeferencing: "
                 f"{first.values.shape}/{first.cell_size}/({first.origin_x},{first.origin_y}) vs "
@@ -416,7 +414,7 @@ def load_raster(path) -> RasterGrid:
         lineno, start = _skip_lines(fh, lineno, str.strip)
         if start is None:
             raise ParseError(f"expected {n_rows} data rows, found 0", line=lineno)
-        values = _read_numbers(fh, nonempty=True)
+        values = _read_numbers(fh)
         if values is None or values.shape != (n_rows, n_cols):
             fh.seek(start)
             found, last = 0, lineno
@@ -481,23 +479,17 @@ def _skip_lines(fh, lineno: int, is_data) -> tuple[int, int | None]:
     return lineno, None
 
 
-def _read_numbers(lines, nonempty: bool = False) -> np.ndarray | None:
+def _read_numbers(lines) -> np.ndarray | None:
     """Whitespace-separated numbers as a 2-D float64 array, by numpy's C reader.
 
-    ``lines`` is an iterable of data lines, or with ``nonempty`` an open
-    text file whose next line is a data line, which numpy reads as it is;
-    numpy sees no comment or blank line it would not skip, so a '#' is a
-    token it rejects like any other. Returns None where the line parser
-    must decide instead: no line, a token numpy rejects, rows of unequal
-    length, a non-finite value, or text that is not UTF-8.
+    ``lines`` is an open text file whose next line is a data line, which
+    numpy reads as it is, or an iterable of data lines, at least one; numpy
+    sees no comment or blank line it would not skip, so a '#' is a token it
+    rejects like any other. Returns None where the line parser must decide
+    instead: a token numpy rejects, rows of unequal length, a non-finite
+    value, or text that is not UTF-8.
     """
     try:
-        if not nonempty:
-            lines = iter(lines)
-            first = next(lines, None)
-            if first is None:  # numpy would warn of empty input
-                return None
-            lines = itertools.chain((first,), lines)
         values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
@@ -513,15 +505,15 @@ def _parse_rows(fh, lineno: int, is_data, width: int, units: str, what: str) -> 
     hold ``width`` tokens, each a finite number by ``finite_number``;
     ParseError names the first bad line and, in it, the first bad token.
     """
-    rows = []
+    numbers = array.array("d")
     for lineno, ln in enumerate(fh, start=lineno + 1):
         if not is_data(ln):
             continue
         tokens = ln.split()
         if len(tokens) != width:
             raise ParseError(f"expected {width} {units}, found {len(tokens)}", line=lineno)
-        rows.append([finite_number(t, what, lineno) for t in tokens])
-    return np.array(rows, dtype=np.float64)
+        numbers.extend(finite_number(t, what, lineno) for t in tokens)
+    return np.frombuffer(numbers, dtype=np.float64).reshape(-1, width)
 
 
 def write_raster(grid: RasterGrid, path) -> None:
@@ -557,7 +549,7 @@ def load_point_cloud(path) -> PointCloud:
         lineno, start = _skip_lines(fh, 0, _is_point)
         if start is None:
             raise EmptyInput(f"no points in {path}")
-        points = _read_numbers(fh, nonempty=True)
+        points = _read_numbers(fh)
         if points is None:
             fh.seek(start)
             points = _read_numbers(filter(_is_point, fh))
@@ -667,7 +659,11 @@ class PlotCellStack:
     0 where it selects none. A read gathers a grid over every region at
     once, and checks no mask cell: it takes a mask's cells that equal 1, so
     a caller validates each mask with ``require_binary_mask``. A stack of no
-    regions reads as empty.
+    regions reads as empty. Each grouped reduction (``ratios``, and those of
+    ``spectral`` and ``structural``) returns (values, counts, failure): each
+    region's value, NaN where it has none, its count of the cells the value
+    reduces, and ``first_failure``. A grid of another geometry raises
+    GeometryMismatch, from a reduction as from a read.
     """
 
     plot_ids: tuple
@@ -699,13 +695,15 @@ class PlotCellStack:
             return values, self.sizes
         return values[usable], self._counts(usable)
 
-    def ratios(self, mask: RasterGrid) -> np.ndarray:
+    def ratios(self, mask: RasterGrid) -> tuple[np.ndarray, np.ndarray, tuple | None]:
         """Each region's cells where the binary ``mask`` is 1 over all its cells (NaN for none).
 
-        Nodata counts as 0. This is the FVC, PL and WL ratio of every plot.
+        Nodata counts as 0; the counts are ``sizes``. This is the FVC, PL and
+        WL ratio of every plot.
         """
-        return np.divide(self._counts(self.gather(mask) == 1.0), self.sizes,
-                         out=np.full(self.sizes.shape, np.nan), where=self.sizes > 0)
+        ratios = np.divide(self._counts(self.gather(mask) == 1.0), self.sizes,
+                           out=np.full(self.sizes.shape, np.nan), where=self.sizes > 0)
+        return ratios, self.sizes, self.first_failure()
 
     def _counts(self, where: np.ndarray) -> np.ndarray:
         """Each region's count of True cells in ``where``."""
@@ -732,8 +730,9 @@ class PlotCellStack:
 def require_binary_mask(mask: RasterGrid) -> None:
     """Raise InvalidMask unless every cell of ``mask`` is 0, 1 or nodata.
 
-    ``PlotCellStack`` reads check no cell, so a caller validates each mask
-    here once, whatever the number of plots it reduces over it.
+    ``PlotCellStack`` reads and reductions check no cell, so a caller
+    validates each mask here once, whatever the number of plots it reduces
+    over it; a one-plot feature, once its region selects a cell.
     """
     values = mask.values
     ok = (values == 0.0) | (values == 1.0) | (values == mask.nodata)

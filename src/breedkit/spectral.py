@@ -16,12 +16,12 @@ arithmetic mean over the selected non-nodata cells.
 
 The grouped reductions reduce every plot of a ``geodata.PlotCellStack`` at
 once: ``plot_means`` over values laid out region after region, and
-``plot_statistics`` over a layer. Plots with the same number of usable cells
-are reduced as one block (``rows_by_size``), bit for bit as one plot
-at a time. The per-plot functions ``plot_statistic`` and ``fvc`` are their
-one-region case: they reduce the stack of one plot, check the whole mask
-with ``geodata.require_binary_mask``, and raise the failure the grouped form
-reports.
+``plot_statistics`` over a layer, which returns (values, counts, failure) as
+``PlotCellStack.ratios`` does. Plots with the same number of usable cells are
+reduced as one block (``rows_by_size``), bit for bit as one plot at a time.
+The per-plot functions ``plot_statistic`` and ``fvc`` are their one-region
+case: they take the value and ``n_cells`` of one plot's stack, check the
+whole mask with ``geodata.require_binary_mask``, and raise the failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPlot, GeometryMismatch, InvalidInput, MissingBand
+from .errors import EmptyPlot, InvalidInput, MissingBand
 from .geodata import (
     MS_BAND_CENTERS_NM, BandSet, PlotCellStack, PlotGeometry, PlotWithRing, RasterGrid,
     require_binary_mask, stack_cells,
@@ -226,13 +226,13 @@ def plot_statistic(
     and InvalidMask unless each of its cells is 0, 1 or nodata.
     """
     cells = stack_cells(grid, [plot])
-    if restrict_to is not None and cells.sizes[0]:
-        cells.gather(restrict_to)  # a mask of another geometry fails before a non-binary one
-        require_binary_mask(restrict_to)
-    (mean,), failure = plot_statistics(grid, cells, restrict_to, feature_name)
+    failure = cells.first_failure()  # a plot with no cell fails before a mask of another geometry
+    if failure is None:
+        (mean,), (n_cells,), failure = plot_statistics(grid, cells, restrict_to, feature_name)
+        if restrict_to is not None:
+            require_binary_mask(restrict_to)
     if failure is not None:
         raise failure[1]
-    (n_cells,) = cells.values(grid, restrict_to)[1]
     return PlotStatistic(plot_id=plot.plot_id, feature_name=feature_name, value=float(mean),
                          n_cells=int(n_cells))
 
@@ -242,22 +242,19 @@ def plot_statistics(
     cells: PlotCellStack,
     restrict_to: RasterGrid | None = None,
     feature_name: str = "value",
-) -> tuple[np.ndarray, tuple | None]:
-    """``plot_statistic`` of every region of ``cells``: (means, failure).
+) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """``plot_statistic`` of every region of ``cells``: (values, counts, failure).
 
-    ``failure`` is ``cells.first_failure``: (i, error) for the first region i
-    ``plot_statistic`` raises for, with its error, or None; ``means`` is NaN
-    where a region has no usable cell. ``restrict_to`` on another geometry
-    fails the first region. Mask cells are not checked (see
+    Its values are the means, NaN where a region has no usable cell; its
+    counts are each region's usable cells; its failure is the first region
+    ``plot_statistic`` raises for, with its error. ``restrict_to`` on another
+    geometry raises GeometryMismatch. Mask cells are not checked (see
     ``PlotCellStack``), and an overflowing mean is a failure, not a warning.
     """
-    try:
-        values, counts = cells.values(grid, restrict_to)
-    except GeometryMismatch as exc:
-        return np.full(cells.sizes.shape, np.nan), cells.first_failure((True, lambda i: exc))
+    values, counts = cells.values(grid, restrict_to)
     with np.errstate(over="ignore", invalid="ignore"):
         means = plot_means(values, counts)
-    return means, cells.first_failure(
+    return means, counts, cells.first_failure(
         (counts == 0, lambda i: _no_usable_cells(feature_name, cells.plot_ids[i])),
         (~np.isfinite(means), lambda i: _not_finite(feature_name, cells.plot_ids[i])),
     )
@@ -272,9 +269,9 @@ def fvc(vegetation_mask: RasterGrid, plot: PlotGeometry | PlotWithRing) -> PlotS
     weed ratios.
     """
     cells = stack_cells(vegetation_mask, [plot])
-    failure = cells.first_failure()
+    (ratio,), (n_cells,), failure = cells.ratios(vegetation_mask)
     if failure is not None:
         raise failure[1]
     require_binary_mask(vegetation_mask)
-    return PlotStatistic(plot_id=plot.plot_id, feature_name="FVC",
-                         value=float(cells.ratios(vegetation_mask)[0]), n_cells=int(cells.sizes[0]))
+    return PlotStatistic(plot_id=plot.plot_id, feature_name="FVC", value=float(ratio),
+                         n_cells=int(n_cells))

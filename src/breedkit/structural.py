@@ -9,9 +9,10 @@ upper-inclusive interval boundaries; their label rules are exposed as pure
 functions of the ratio.
 
 ``plot_canopy_heights`` and ``canopy_volumes`` reduce every plot of a
-``geodata.PlotCellStack`` at once, as ``spectral.plot_statistics`` does;
-``plot_canopy_height`` and ``canopy_volume`` are their one-region case, as
-``classify_lodging`` and ``classify_weed`` are of ``PlotCellStack.ratios``.
+``geodata.PlotCellStack`` at once and return (values, counts, failure), as
+``spectral.plot_statistics`` does; ``plot_canopy_height`` and
+``canopy_volume`` are their one-region case, as ``classify_lodging`` and
+``classify_weed`` are of ``PlotCellStack.ratios``.
 """
 
 from __future__ import annotations
@@ -137,11 +138,9 @@ def plot_canopy_height(
 
     ``plot_canopy_heights`` of one plot.
     """
-    cells = stack_cells(chm, [plot])
-    (height,), failure = plot_canopy_heights(chm, cells, percentile)
+    (height,), (n_cells,), failure = plot_canopy_heights(chm, stack_cells(chm, [plot]), percentile)
     if failure is not None:
         raise failure[1]
-    (n_cells,) = cells.values(chm)[1]
     return PlotStatistic(plot_id=plot.plot_id, feature_name="CH", value=float(height),
                          n_cells=int(n_cells))
 
@@ -150,8 +149,8 @@ def plot_canopy_heights(
     chm: RasterGrid,
     cells: PlotCellStack,
     percentile: float = 0.95,
-) -> tuple[np.ndarray, tuple | None]:
-    """``plot_canopy_height`` of every region of ``cells``: (heights, failure).
+) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """``plot_canopy_height`` of every region of ``cells``: (values, counts, failure).
 
     As ``spectral.plot_statistics``; a percentile out of range fails every
     region, after its own checks for cells.
@@ -161,8 +160,9 @@ def plot_canopy_heights(
     try:
         heights = nearest_rank_percentiles(values, counts, percentile)
     except InvalidInput as exc:
-        return np.full(counts.shape, np.nan), cells.first_failure(undefined, (True, lambda i: exc))
-    return heights, cells.first_failure(undefined)
+        return (np.full(counts.shape, np.nan), counts,
+                cells.first_failure(undefined, (True, lambda i: exc)))
+    return heights, counts, cells.first_failure(undefined)
 
 
 def _cut_and_fill(z: np.ndarray, sizes: np.ndarray, cell_area: float) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +194,9 @@ def canopy_volume(surface: RasterGrid, plot: PlotGeometry) -> CanopyVolumeResult
     return CanopyVolumeResult(volume_lowest_plane=float(low), volume_mean_plane=float(mean))
 
 
-def canopy_volumes(surface: RasterGrid, cells: PlotCellStack) -> tuple[np.ndarray, tuple | None]:
-    """``canopy_volume(...).volume`` of every region of ``cells``: (volumes, failure).
+def canopy_volumes(surface: RasterGrid,
+                   cells: PlotCellStack) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """``canopy_volume(...).volume`` of every region of ``cells``: (values, counts, failure).
 
     As ``spectral.plot_statistics``; a volume that overflows is not finite, and gives no warning.
     """
@@ -203,7 +204,8 @@ def canopy_volumes(surface: RasterGrid, cells: PlotCellStack) -> tuple[np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):
         low, mean = _cut_and_fill(z, counts, surface.cell_size * surface.cell_size)
         volumes = (low + mean) / 2.0
-    return volumes, cells.first_failure((counts == 0, lambda i: _no_surface(cells.plot_ids[i])))
+    return volumes, counts, cells.first_failure(
+        (counts == 0, lambda i: _no_surface(cells.plot_ids[i])))
 
 
 def lodging_level(ratio: float, special: bool = False) -> str:

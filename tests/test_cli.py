@@ -146,6 +146,13 @@ def edit_extract_inputs(config, edits, tmp_path):
         config["extract"]["params"] = {"ring_inner_m": 0.3, "ring_outer_m": 0.2}
     if "p2 has no vegetation" in edits:
         restrict_p2_to_no_vegetation(config, tmp_path)
+    if "vegetation mask moved" in edits:
+        mask = geodata.load_raster(scene_path("vegetation_mask.asc"))
+        moved = geodata.RasterGrid(mask.values, cell_size=mask.cell_size,
+                                   origin_x=mask.origin_x + 0.01, origin_y=mask.origin_y)
+        geodata.write_raster(moved, tmp_path / "vegetation_mask.asc")
+        config["extract"]["vegetation_mask"] = str(tmp_path / "vegetation_mask.asc")
+        config["extract"].setdefault("params", {})["vi_restrict_to_vegetation"] = True
     if "kndvi_sigma is 0" in edits:
         config["extract"].setdefault("params", {})["kndvi_sigma"] = 0.0
     if "no 680 nm band" in edits:
@@ -546,6 +553,10 @@ class TestExtractAgainstPerPlotLoop:
         ("p2 has no vegetation", "kndvi_sigma is 0"),
         ("p2 has no vegetation", "no 680 nm band"),
         ("p2 has no vegetation", "non-binary lodging mask"),
+        # a vegetation mask of another geometry fails the first plot, after the mask checks
+        ("vegetation mask moved",),
+        ("vegetation mask moved", "non-binary lodging mask"),
+        ("p1 has no head counts", "vegetation mask moved"),
     ])
     def test_plot_error_edits(self, edits, tmp_path, capsys, monkeypatch):
         config = extract_config(tmp_path / "out")
@@ -554,13 +565,8 @@ class TestExtractAgainstPerPlotLoop:
         assert (rc, features) == (1, None)
 
     def test_restrict_mask_on_another_geometry(self, tmp_path, capsys, monkeypatch):
-        mask = geodata.load_raster(scene_path("vegetation_mask.asc"))
-        moved = geodata.RasterGrid(mask.values, cell_size=mask.cell_size,
-                                   origin_x=mask.origin_x + 0.01, origin_y=mask.origin_y)
-        geodata.write_raster(moved, tmp_path / "vegetation_mask.asc")
         config = extract_config(tmp_path / "out")
-        config["extract"]["vegetation_mask"] = str(tmp_path / "vegetation_mask.asc")
-        config["extract"]["params"] = {"vi_restrict_to_vegetation": True}
+        edit_extract_inputs(config, ("vegetation mask moved",), tmp_path)
         rc, line, _ = self.assert_same_as_per_plot(config, tmp_path, capsys, monkeypatch)
         assert (rc, json.loads(line)["error"]) == (1, "GeometryMismatch")
 

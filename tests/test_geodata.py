@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 import warnings
@@ -483,6 +484,25 @@ class TestRasterFallbackStreams:
         assert str(caught.value) == "line 207: expected 200 data rows, found 201"
         assert peak < 2 * grid.values.nbytes, peak
 
+    def test_a_bad_last_cell_is_parsed_without_a_float_object_per_cell(self, tmp_path):
+        n = 200
+        rng = np.random.default_rng(5)
+        grid = geodata.RasterGrid(rng.uniform(0.05, 0.6, (n, n)), cell_size=1.0, origin_x=0.0,
+                                  origin_y=0.0)
+        path = tmp_path / "grid.asc"
+        geodata.write_raster(grid, path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:-1] + "x\n", encoding="utf-8")  # numpy rejects the grid
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as caught:
+                geodata.load_raster(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == f"line 206: non-numeric cell: {text.split()[-1] + 'x'!r}"
+        assert peak < 2 * grid.values.nbytes, peak
+
     def test_a_header_fault_in_a_file_that_is_not_utf8(self, tmp_path):
         head = _HEAD.replace("nrows 2", "nrows x")
         rows = "1 2\n" * (70 * 1024 // 4)  # the bad byte lies past the first 64 KiB
@@ -512,6 +532,7 @@ class TestRasterFallbackStreams:
 class TestPointCloudHandsNumpyTheFile:
     """numpy reads a cloud's open file past its leading blank and comment lines."""
 
+    # each read: (numpy was handed the open file, numpy read the numbers)
     @pytest.mark.parametrize("text, reads", [
         ("# cloud\n\n  # xyz\n1 2 3\n4 5 6\n", [(True, True)]),
         ("1 2 3\r\n\r\n4 5 6\r\n", [(True, True)]),  # CRLF, with a blank line
@@ -526,9 +547,9 @@ class TestPointCloudHandsNumpyTheFile:
         path.write_bytes(text.encode("utf-8"))
         read_numbers, seen = geodata._read_numbers, []
 
-        def counted(lines, nonempty=False):
-            values = read_numbers(lines, nonempty)
-            seen.append((nonempty, values is not None))
+        def counted(lines):
+            values = read_numbers(lines)
+            seen.append((isinstance(lines, io.TextIOBase), values is not None))
             return values
 
         monkeypatch.setattr(geodata, "_read_numbers", counted)
@@ -876,11 +897,11 @@ class TestOneRegionStack:
         values = np.ones((4, 8))
         values[1, 1:3] = 0.0, -9999.0  # nodata counts as 0
         mask = grid.with_values(values.copy())
-        assert cells.ratios(mask).tolist() == [0.5]
+        assert cells.ratios(mask)[0].tolist() == [0.5]
         geodata.require_binary_mask(mask)
         values[0, 7] = 2.0  # far from the plot: reads check no mask cell, the whole-mask check does
         bad = grid.with_values(values)
-        assert cells.ratios(bad).tolist() == [0.5]
+        assert cells.ratios(bad)[0].tolist() == [0.5]
         with pytest.raises(InvalidMask, match="^mask holds non-binary value 2.0$"):
             geodata.require_binary_mask(bad)
 

@@ -2,8 +2,9 @@
 
 Each grouped reduction reduces every plot at once; the per-plot functions are
 its one-plot case. For every plot the grouped value must have the bytes of
-the per-plot value and of numpy's 1-D reduction of the plot's values, and
-the grouped failure must be the first plot's per-plot error.
+the per-plot value and of numpy's 1-D reduction of the plot's values, the
+grouped count must be the per-plot ``n_cells`` and the count of a full-grid
+selection, and the grouped failure must be the first plot's per-plot error.
 """
 
 import math
@@ -84,24 +85,48 @@ def one_plot_oracle(grid, plot, restrict, percentile):
             float(np.sum(np.abs(z - np.mean(z))) * area))
 
 
+def full_grid_counts(grid, regions, usable=True):
+    """Each region's cells where ``usable`` holds, by a test of every cell center of the grid."""
+    cx, cy = grid.cell_centers()
+    return [int((contains(region, cx, cy) & usable).sum()) for region in regions]
+
+
+def assert_counts(counts, per_plot, want):
+    """``counts`` are ``want`` and the ``n_cells`` of each per-plot PlotStatistic in ``per_plot``."""
+    assert counts.tolist() == want
+    for i, stat in enumerate(per_plot):
+        if not isinstance(stat, tuple):
+            assert stat.n_cells == counts[i], (i, stat, counts[i])
+
+
+def values_of(per_plot):
+    """The value of each per-plot PlotStatistic, or its error's type and text."""
+    return [stat if isinstance(stat, tuple) else stat.value for stat in per_plot]
+
+
 def check_every_reduction(layer, mask, plots, restrict, percentile):
     cells = geodata.stack_cells(layer, plots)
     oracle = [one_plot_oracle(layer, p, restrict, percentile) for p in plots]
+    defined = full_grid_counts(layer, plots, layer.values != NODATA)
+    usable = defined if restrict is None else full_grid_counts(
+        layer, plots, (layer.values != NODATA) & (restrict.values == 1.0))
 
-    means, failure = spectral.plot_statistics(layer, cells, restrict, "X")
-    per_plot = [outcome(lambda: spectral.plot_statistic(layer, p, restrict, "X").value)
+    means, counts, failure = spectral.plot_statistics(layer, cells, restrict, "X")
+    per_plot = [outcome(lambda: spectral.plot_statistic(layer, p, restrict, "X")) for p in plots]
+    assert_grouped_equals_per_plot(means, failure, values_of(per_plot))
+    assert_counts(counts, per_plot, usable)
+
+    heights, counts, failure = structural.plot_canopy_heights(layer, cells, percentile)
+    per_plot = [outcome(lambda: structural.plot_canopy_height(layer, p, percentile))
                 for p in plots]
-    assert_grouped_equals_per_plot(means, failure, per_plot)
+    assert_grouped_equals_per_plot(heights, failure, values_of(per_plot))
+    assert_counts(counts, per_plot, defined)
 
-    heights, failure = structural.plot_canopy_heights(layer, cells, percentile)
-    per_plot = [outcome(lambda: structural.plot_canopy_height(layer, p, percentile).value)
-                for p in plots]
-    assert_grouped_equals_per_plot(heights, failure, per_plot)
-
-    volumes, failure = structural.canopy_volumes(layer, cells)
+    volumes, counts, failure = structural.canopy_volumes(layer, cells)
     per_plot = [outcome(lambda: structural.canopy_volume(layer, p)) for p in plots]
     assert_grouped_equals_per_plot(
         volumes, failure, [v if isinstance(v, tuple) else v.volume for v in per_plot])
+    assert counts.tolist() == defined
     low, mean = structural._cut_and_fill(*cells.values(layer), layer.cell_size * layer.cell_size)
     for terms, name in ((low, "volume_lowest_plane"), (mean, "volume_mean_plane")):
         assert_grouped_equals_per_plot(terms, failure, [
@@ -113,16 +138,19 @@ def check_every_reduction(layer, mask, plots, restrict, percentile):
             assert np.array(got).tobytes() == np.array(want).tobytes(), (i, got, want)
 
     mask_cells = geodata.stack_cells(mask, plots)
-    ratios = mask_cells.ratios(mask)
-    failure = mask_cells.first_failure()
-    for one_plot in (lambda p: spectral.fvc(mask, p).value,
-                     lambda p: structural.classify_lodging(mask, p).ratio):
-        assert_grouped_equals_per_plot(ratios, failure, [
-            outcome(lambda: one_plot(p)) for p in plots])
+    ratios, counts, failure = mask_cells.ratios(mask)
+    per_plot = [outcome(lambda: spectral.fvc(mask, p)) for p in plots]
+    assert_grouped_equals_per_plot(ratios, failure, values_of(per_plot))
+    assert_grouped_equals_per_plot(ratios, failure, [
+        outcome(lambda: structural.classify_lodging(mask, p).ratio) for p in plots])
+    assert_counts(counts, per_plot, full_grid_counts(mask, plots))
     rings = [geodata.PlotWithRing(p, 0.5, 1.5) for p in plots]
     ring_cells = geodata.stack_cells(mask, rings)
-    assert_grouped_equals_per_plot(ring_cells.ratios(mask), ring_cells.first_failure(), [
+    ratios, counts, failure = ring_cells.ratios(mask)
+    assert_grouped_equals_per_plot(ratios, failure, [
         outcome(lambda: structural.classify_weed(mask, r).ratio) for r in rings])
+    assert_counts(counts, [outcome(lambda: spectral.fvc(mask, r)) for r in rings],
+                  full_grid_counts(mask, rings))
 
 
 @st.composite
@@ -189,11 +217,11 @@ class TestGroupedReductions:
         plots = [cells_plot(1, 0, 0, 1, 1, "empty"), cells_plot(1, 0, 1, 1, 2, "full")]
         cells = geodata.stack_cells(layer, plots)
         for percentile in (0.0, 1.5):
-            heights, (i, error) = structural.plot_canopy_heights(layer, cells, percentile)
+            heights, _, (i, error) = structural.plot_canopy_heights(layer, cells, percentile)
             assert (i, str(error)) == (0, "plot empty: no defined canopy-height cells")
             assert np.isnan(heights).all()
             cells_from_one = geodata.stack_cells(layer, plots[1:])
-            _, (i, error) = structural.plot_canopy_heights(layer, cells_from_one, percentile)
+            _, _, (i, error) = structural.plot_canopy_heights(layer, cells_from_one, percentile)
             assert (i, str(error)) == (0, f"percentile must be in (0, 1], got {percentile}")
 
     def test_an_overflow_is_a_failure_or_a_non_finite_volume_without_a_warning(self):
@@ -202,22 +230,32 @@ class TestGroupedReductions:
         plots = [cells_plot(1, 0, 4, 1, 1, "ok"), cells_plot(1, 0, 0, 1, 2, "over"),
                  cells_plot(1, 0, 0, 1, 4, "both")]
         cells = geodata.stack_cells(layer, plots)
-        means, (i, error) = spectral.plot_statistics(layer, cells, None, "X")
+        means, _, (i, error) = spectral.plot_statistics(layer, cells, None, "X")
         assert (means[0], i, type(error), str(error)) == (
             1.0, 1, InvalidInput, "X for plot over is not finite")
-        volumes, failure = structural.canopy_volumes(layer, cells)
+        volumes, _, failure = structural.canopy_volumes(layer, cells)
         assert failure is None and volumes[0] == 0.0 and not np.isfinite(volumes[1:]).any()
 
-    def test_a_restrict_mask_on_another_geometry_fails_the_first_plot(self):
+    @pytest.mark.parametrize("reduce", [
+        lambda cells, layer, other: spectral.plot_statistics(layer, cells, other, "X"),
+        lambda cells, layer, other: spectral.plot_statistics(other, cells, None, "X"),
+        lambda cells, layer, other: structural.plot_canopy_heights(other, cells),
+        lambda cells, layer, other: structural.canopy_volumes(other, cells),
+        lambda cells, layer, other: cells.ratios(other),
+    ], ids=["plot_statistics_restrict_to", "plot_statistics", "plot_canopy_heights",
+            "canopy_volumes", "ratios"])
+    def test_a_grid_of_another_geometry_raises_as_a_read_does(self, reduce):
+        # it is no region's failure: the one-plot form raises the same error
         layer = make_grid(np.ones((4, 4)))
         other = make_grid(np.ones((4, 4)), cell_size=0.5)
         plots = [cells_plot(4, 0, 0, 2, 2, "a"), cells_plot(4, 2, 2, 2, 2, "b")]
-        cells = geodata.stack_cells(layer, plots)
-        means, (i, error) = spectral.plot_statistics(layer, cells, other, "X")
-        with pytest.raises(type(error)) as raised:
+        with pytest.raises(GeometryMismatch) as one_plot:
             spectral.plot_statistic(layer, plots[0], other, "X")
-        assert (i, str(error)) == (0, str(raised.value))
-        assert np.isnan(means).all()
+        with pytest.raises(GeometryMismatch) as raised:
+            reduce(geodata.stack_cells(layer, plots), layer, other)
+        assert str(raised.value) == str(one_plot.value)
+        with pytest.raises(GeometryMismatch, match="^cells of no region were selected on grid"):
+            reduce(geodata.stack_cells(layer, []), layer, other)
 
 
 class TestStackCells:
@@ -255,7 +293,7 @@ class TestStackCells:
             one = [grid.values[member & usable] for member in members]
             assert got.tobytes() == np.concatenate(one).tobytes()
             assert counts.tolist() == [v.size for v in one]
-        assert stack.ratios(mask).tolist() == [
+        assert stack.ratios(mask)[0].tolist() == [
             int((mask.values[member] == 1.0).sum()) / int(member.sum()) for member in members]
 
     def test_a_stack_of_no_regions_reads_as_empty(self):
@@ -266,12 +304,11 @@ class TestStackCells:
         assert cells.gather(grid).size == 0
         values, counts = cells.values(grid, restrict_to=mask)
         assert values.size == 0 and counts.size == 0
-        assert cells.ratios(mask).size == 0
         assert cells.first_failure() is None
-        for grouped in (spectral.plot_statistics(grid, cells, mask),
+        for grouped in (cells.ratios(mask), spectral.plot_statistics(grid, cells, mask),
                         structural.plot_canopy_heights(grid, cells),
                         structural.canopy_volumes(grid, cells)):
-            assert grouped[0].size == 0 and grouped[1] is None
+            assert grouped[0].size == 0 and grouped[1].size == 0 and grouped[2] is None
         other = make_grid(np.zeros((4, 4)), cell_size=0.5)
         for read in (cells.gather, cells.values, cells.ratios):
             with pytest.raises(GeometryMismatch, match="^cells of no region were selected on grid"):
