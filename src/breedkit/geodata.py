@@ -657,7 +657,7 @@ class PlotCellStack:
     by region in order and each region's cells in row-major order, the
     order of a full-grid boolean mask; ``sizes[i]`` counts region i's cells,
     0 where it selects none. A read gathers a grid over every region at
-    once, and checks no mask cell: it takes a mask's cells that equal 1, so
+    once, and checks no mask cell: it takes a mask's non-nodata 1-cells, so
     a caller validates each mask with ``require_binary_mask``. A stack of no
     regions reads as empty. Each grouped reduction (``ratios``, and those of
     ``spectral`` and ``structural``) returns (values, counts, failure): each
@@ -685,12 +685,12 @@ class PlotCellStack:
         """(``grid``'s non-nodata values, region after region; each region's count of them).
 
         ``restrict_to``: optional binary mask on the same geometry; when
-        given, only cells where it is 1 count.
+        given, only cells where it is 1 count (nodata counts as 0).
         """
         values = self.gather(grid)
         usable = values != grid.nodata
         if restrict_to is not None:
-            usable &= self.gather(restrict_to) == 1.0
+            usable &= self._ones(restrict_to)
         if usable.all():
             return values, self.sizes
         return values[usable], self._counts(usable)
@@ -701,9 +701,14 @@ class PlotCellStack:
         Nodata counts as 0; the counts are ``sizes``. This is the FVC, PL and
         WL ratio of every plot.
         """
-        ratios = np.divide(self._counts(self.gather(mask) == 1.0), self.sizes,
+        ratios = np.divide(self._counts(self._ones(mask)), self.sizes,
                            out=np.full(self.sizes.shape, np.nan), where=self.sizes > 0)
         return ratios, self.sizes, self.first_failure()
+
+    def _ones(self, mask: RasterGrid) -> np.ndarray:
+        """Whether each cell is 1 in the binary ``mask``: nodata counts as 0, a sentinel of 1 too."""
+        cells = self.gather(mask)
+        return cells == 1.0 if mask.nodata != 1.0 else np.zeros(cells.shape, dtype=bool)
 
     def _counts(self, where: np.ndarray) -> np.ndarray:
         """Each region's count of True cells in ``where``."""

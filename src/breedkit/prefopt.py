@@ -9,10 +9,13 @@ exactly computable and gradient-checkable:
   * reward-model loss: -mean log sigmoid(score_preferred - score_rejected)
   * combined reward: r(x, y) = r(x, y) - beta * (log pi(y|x) - log ref(y|x))
   * policy updates: clipped-surrogate policy gradient (PPO-style) on the
-    combined reward, seeded sampling, plain gradient ascent
+    combined reward, seeded sampling (every answer of a batch drawn at once,
+    one depth at a time, with the draws of one choice per step), plain
+    gradient ascent
   * KL(pi || ref) diagnostic: chain rule over answer prefixes,
     sum_prefix pi(prefix) * KL(pi(.|prefix) || ref(.|prefix)), exact while the
-    prefix states sum_{t<T} V**t fit a budget, sampled past it
+    prefix states sum_{t<T} V**t fit a budget (every prompt's states read as
+    one stack per depth), sampled past it
 
 The reward model is linear in prompt/answer token-count features, so its
 gradient is exact as well. Training loops are single-threaded and
@@ -21,6 +24,7 @@ deterministic given the seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import zlib
 from dataclasses import dataclass
@@ -145,18 +149,17 @@ class PolicyModel:
         return x, y
 
     def _read_answers(self, answers) -> tuple:
-        """Per checked (x, y): log pi(y_t | x, y[:t]) per step, and softmax rows; one stack.
+        """(log pi(y_t | x, y[:t]) per step of each checked (x, y), log softmax stack, ``at``).
 
-        Each distinct state's row is read (or made, for a frozen model) once per call.
+        The stack holds one row per distinct state, read (or made, for a frozen
+        model) once per call; ``at`` is each step's row in it, answer after answer.
         """
         states, at = _state_steps(answers)
         rows = np.array([self._row(key) for key in states]).reshape(len(states), self.vocab_size)
         log_probs = _log_softmax(rows)
         picked = log_probs[at, [t for _, y in answers for t in y]].tolist()
-        probs = np.exp(log_probs)[at]
         ends = np.cumsum([len(y) for _, y in answers])
-        spans = [slice(end - len(y), end) for end, (_, y) in zip(ends, answers)]
-        return [picked[s] for s in spans], [probs[s] for s in spans]
+        return [picked[end - len(y):end] for end, (_, y) in zip(ends, answers)], log_probs, at
 
     # -- mutation -----------------------------------------------------
 
@@ -178,16 +181,21 @@ class PolicyModel:
         A step past the float range is a NumericalError carrying ``iteration``,
         and then no row is stored.
         """
+        shape = (len(grads), self.vocab_size)
+        self._ascend(list(grads), np.array(list(grads.values())).reshape(shape),
+                     learning_rate, iteration)
+
+    def _ascend(self, states, grads: np.ndarray, learning_rate: float, iteration) -> None:
+        """``apply_gradient`` of the gradient rows ``grads``, one per state of ``states``."""
         if self.frozen:
             raise InvalidInput("reference model is frozen")
-        shape = (len(grads), self.vocab_size)
         rows = np.array([self._rows[key] if key in self._rows else self._make_row(key)
-                         for key in grads]).reshape(shape)
+                         for key in states]).reshape(grads.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-            rows += learning_rate * np.array(list(grads.values())).reshape(shape)
+            rows += learning_rate * grads
         if not np.isfinite(rows).all():
             raise NumericalError("non-finite policy logits", iteration=iteration)
-        self._rows.update(zip(grads, map(np.copy, rows)))  # a view would keep the whole stack
+        self._rows.update(zip(states, map(np.copy, rows)))  # a view would keep the whole stack
 
     def snapshot(self) -> "PolicyModel":
         """Frozen copy of the current parameters."""
@@ -205,30 +213,62 @@ class PolicyModel:
     # -- sampling -----------------------------------------------------
 
     def sample_answer(self, x, rng: np.random.Generator) -> tuple:
-        return self._sample(_as_tokens(x, self.vocab_size, "prompt"), rng, {})[0]
+        return self._sample([_as_tokens(x, self.vocab_size, "prompt")], rng)[0][0]
 
-    def _sample(self, x: tuple, rng: np.random.Generator, memo: dict) -> tuple:
-        """(answer, its log probability, its softmax rows); ``memo`` keeps rows per state.
+    def _sample(self, xs: list, rng: np.random.Generator) -> tuple:
+        """(an answer to each prompt of ``xs``, its log probability, ``levels``).
 
-        A draw is numpy's ``Generator.choice(V, p=probs)`` on the state's stored
-        CDF: the same token, and the generator left in the same state.
+        Draws every answer at once, one depth at a time. ``levels[t]`` is
+        (log softmax stack of the depth-t states, each answer's row in it).
+        Every draw is numpy's ``Generator.choice(V, p=probs)`` on its state's
+        CDF: the same token, and the generator left in the same state, as one
+        choice per step, answer after answer. So the n * T uniforms are taken
+        in that order first, and a non-finite row raises for the state that
+        such a loop meets first, storing the rows it would have stored.
         """
-        answer, logp, step_probs = (), 0.0, []
-        for _ in range(self.context_length):
-            if (x, answer) not in memo:
-                log_row = _log_softmax(self._row((x, answer)))
-                probs = np.exp(log_row)
-                cdf = probs.cumsum()
-                cdf /= cdf[-1]
-                if not np.isfinite(cdf[-1]):  # a NaN row: no distribution to draw from
-                    raise NumericalError(f"non-finite logit row at state {(x, answer)}")
-                memo[x, answer] = log_row, probs, cdf
-            log_row, probs, cdf = memo[x, answer]
-            token = int(cdf.searchsorted(rng.random(), side="right"))
-            logp += float(log_row[token])
-            step_probs.append(probs)
-            answer = answer + (token,)
-        return answer, logp, step_probs
+        n, vocab, length = len(xs), self.vocab_size, self.context_length
+        uniforms = np.array([rng.random() for _ in range(n * length)]).reshape(n, length)
+        prompts: dict = {}
+        at = np.array([prompts.setdefault(x, len(prompts)) for x in xs], dtype=np.intp)
+        states = [(x, ()) for x in prompts]
+        first = np.unique(at, return_index=True)[1]  # the first answer at each state
+        tokens = np.empty((n, length), dtype=np.intp)
+        logps = np.zeros(n)
+        levels, made, failure = [], [], None
+
+        def read(i, key):  # a row made here is stored below, in the order such a loop meets it
+            row = self._rows.get(key)
+            if row is None:
+                row = self._make_row(key)
+                if not self.frozen:
+                    made.append((first[i], depth, key, row))
+            return row
+
+        for depth in range(length):
+            log_probs = _log_softmax(
+                np.array([read(i, key) for i, key in enumerate(states)]).reshape(-1, vocab))
+            cdf = np.exp(log_probs).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            bad = ~np.isfinite(cdf[:, -1])  # a NaN row: no distribution to draw from
+            if bad.any():  # the answers from the first at a bad state on are not drawn
+                m = int(np.flatnonzero(bad[at])[0])
+                failure, at = (m, depth, states[at[m]]), at[:m]
+            # the count of CDF entries <= u: a CDF never decreases, so searchsorted(u, "right")
+            drawn = np.count_nonzero(cdf[at] <= uniforms[:len(at), depth, None], axis=1)
+            logps[:len(at)] += log_probs[at, drawn]
+            tokens[:len(at), depth] = drawn
+            levels.append((log_probs, at))
+            if depth + 1 < length:
+                ids, first, at = np.unique(at * vocab + drawn, return_index=True,
+                                           return_inverse=True)
+                states = [(states[s][0], states[s][1] + (v,))
+                          for s, v in (divmod(i, vocab) for i in ids.tolist())]
+        made.sort(key=lambda item: item[:2])  # (first answer, depth): the order a loop meets them
+        self._rows.update((key, row) for *met, key, row in made
+                          if failure is None or tuple(met) <= failure[:2])
+        if failure is not None:
+            raise NumericalError(f"non-finite logit row at state {failure[2]}")
+        return list(map(tuple, tokens.tolist())), logps.tolist(), levels
 
 
 def _state_steps(answers) -> tuple[dict, list]:
@@ -239,18 +279,19 @@ def _state_steps(answers) -> tuple[dict, list]:
                     for x, y, *_ in answers for t in range(len(y))]
 
 
-def _step_grads(batch, vocab: int) -> tuple[dict, np.ndarray]:
+def _step_grads(batch, probs: np.ndarray) -> tuple[dict, np.ndarray]:
     """The states of ``batch`` (as ``_state_steps`` orders them) and one stacked gradient row each.
 
-    ``batch`` holds (x, y, probs, scale) items, probs[t] = pi(. | x, y[:t]). A
-    state's row is the sum of scale * (onehot(y_t) - probs[t]) over its steps,
-    taken in batch order as ``g -= scale * probs[t]; g[y_t] += scale`` takes
-    them: ``np.add.at`` applies its indices in order, and g - a is g + (-a).
+    ``batch`` holds (x, y, scale) items and ``probs`` one row per step of
+    them, in batch order: pi(. | x, y[:t]). A state's row is the sum of
+    scale * (onehot(y_t) - pi(. | x, y[:t])) over its steps, taken in batch
+    order as ``g -= scale * probs[t]; g[y_t] += scale`` takes them:
+    ``np.add.at`` applies its indices in order, and g - a is g + (-a).
     """
     states, at = _state_steps(batch)
-    probs = np.array([p for _, _, rows, _ in batch for p in rows]).reshape(len(at), vocab)
-    scales = np.array([scale for _, y, _, scale in batch for _ in y])
-    tokens = np.array([t for _, y, _, _ in batch for t in y], dtype=np.intp)
+    vocab = probs.shape[1]
+    scales = np.array([scale for _, y, scale in batch for _ in y])
+    tokens = np.array([t for _, y, _ in batch for t in y], dtype=np.intp)
     starts = np.array(at, dtype=np.intp) * vocab
     index = np.column_stack([starts[:, None] + np.arange(vocab), starts + tokens])
     grads = np.zeros(len(states) * vocab)
@@ -272,10 +313,9 @@ def sft_loss_and_grad(policy: PolicyModel, dataset) -> tuple[float, dict]:
     pairs = [policy._check(x, y) for x, y in dataset]
     if not pairs:
         raise EmptyInput("SFT dataset is empty")
-    picked, step_probs = policy._read_answers(pairs)
+    picked, log_probs, at = policy._read_answers(pairs)
     loss = reduce(sub, (lp for steps in picked for lp in steps), 0.0)
-    states, grads = _step_grads([(x, y, probs, -1.0) for (x, y), probs in zip(pairs, step_probs)],
-                                policy.vocab_size)
+    states, grads = _step_grads([(x, y, -1.0) for x, y in pairs], np.exp(log_probs)[at])
     n = len(pairs)
     return loss / n, dict(zip(states, grads / n))
 
@@ -411,34 +451,40 @@ def _combined_rewards(rm: RewardModel, reference: PolicyModel, answers, logps, b
             for score, logp, steps in zip(scores, logps, reference._read_answers(checked)[0])]
 
 
-def _exact_kl(policy: PolicyModel, reference: PolicyModel, x: tuple) -> float:
-    """KL(pi || ref) of the answers to prompt ``x`` by the chain rule.
+def _exact_kl(policy: PolicyModel, reference: PolicyModel, prompts: list) -> list:
+    """KL(pi || ref) of the answers to each of ``prompts`` by the chain rule.
 
-    Walks the prefix tree one level at a time, in blocks of rows, adding
-    sum_prefix pi(prefix) * KL(pi(.|prefix) || ref(.|prefix)); it carries
-    pi(prefix + v) = pi(prefix) * pi(v|prefix) down to the next level.
+    Walks every prompt's prefix tree at once, one level at a time: the level's
+    states, prompt after prompt, are made and read as one stack in blocks of
+    rows, so no list of them is kept, however many prompts there are. Each
+    prompt adds sum_prefix pi(prefix) * KL(pi(.|prefix) || ref(.|prefix)) over
+    its own slice of the level, and carries pi(prefix + v) = pi(prefix) *
+    pi(v|prefix) down to the next level.
     """
     vocab = policy.vocab_size
     block = max(1, _EXACT_KL_BLOCK // vocab)
     prefixes = [()]
-    weights = np.ones(1)  # pi(prefix | x), in the order of ``prefixes``
-    kl = 0.0
+    weights = np.ones(len(prompts))  # pi(prefix | x) of each state (x, prefix) of the level
+    kls = [0.0] * len(prompts)
     for depth in range(policy.context_length):
-        sums = np.empty(len(prefixes))
-        steps = np.empty((len(prefixes), vocab)) if depth + 1 < policy.context_length else None
-        for lo in range(0, len(prefixes), block):
-            part = slice(lo, lo + block)
-            log_pi = _log_softmax(np.array([policy._row((x, p)) for p in prefixes[part]]))
-            log_ref = _log_softmax(np.array([reference._row((x, p)) for p in prefixes[part]]))
+        shape = (len(prompts), len(prefixes))  # one row per prompt
+        states = itertools.product(prompts, prefixes)  # made block by block
+        sums = np.empty(shape[0] * shape[1])
+        steps = np.empty((sums.size, vocab)) if depth + 1 < policy.context_length else None
+        for lo in range(0, sums.size, block):
+            part, keys = slice(lo, lo + block), list(itertools.islice(states, block))
+            log_pi = _log_softmax(np.array([policy._row(key) for key in keys]))
+            log_ref = _log_softmax(np.array([reference._row(key) for key in keys]))
             step = np.exp(log_pi)
             sums[part] = np.sum(step * (log_pi - log_ref), axis=1)
             if steps is not None:
                 steps[part] = weights[part, None] * step
-        kl += float(weights @ sums)
+        kls = [kl + float(w @ s)
+               for kl, w, s in zip(kls, weights.reshape(shape), sums.reshape(shape))]
         if steps is not None:
             weights = steps.ravel()
             prefixes = [p + (v,) for p in prefixes for v in range(vocab)]
-    return kl
+    return kls
 
 
 def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
@@ -448,10 +494,12 @@ def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
     Exact by the chain rule, KL = sum over prefixes shorter than T of
     pi(prefix) * KL(pi(.|prefix) || ref(.|prefix)), while the number of prefix
     states sum_{t<T} V**t fits the budget; it costs one softmax row per prefix
-    state and model. Past the budget, a sample estimate of E_pi[log pi - log
-    ref] over ``_KL_SAMPLES`` answers per prompt drawn with ``rng`` (seed 0 when
-    None). The policy's rows are read without storing the ones the walk or the
-    samples create, so its table stays as training left it.
+    state and model, and walks every prompt's states at once. Past the budget,
+    a sample estimate of E_pi[log pi - log ref] over ``_KL_SAMPLES`` answers
+    per prompt drawn with ``rng`` (seed 0 when None), prompt after prompt,
+    each prompt's answers drawn at once. The per-prompt KLs are added in
+    prompt order. The policy's rows are read without storing the ones the
+    walk or the samples create, so its table stays as training left it.
     """
     if (reference.vocab_size, reference.context_length) != (
             policy.vocab_size, policy.context_length):
@@ -459,19 +507,17 @@ def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
     policy = policy._frozen_view()
     prompts = [_as_tokens(x, policy.vocab_size, "prompt") for x in prompts]
     n_states = sum(policy.vocab_size ** t for t in range(policy.context_length))
-    total = 0.0
-    for x in prompts:
-        if n_states <= _EXACT_KL_BUDGET:
-            kl = _exact_kl(policy, reference, x)
-        else:
-            rng = np.random.default_rng(0) if rng is None else rng
-            memo: dict = {}  # one row per state of this prompt, however many draws meet it
-            draws = [policy._sample(x, rng, memo)[:2] for _ in range(_KL_SAMPLES)]
-            ref_steps = reference._read_answers([(x, y) for y, _ in draws])[0]
-            kl = float(np.mean([logp - reduce(add, steps, 0.0)
-                                for (_, logp), steps in zip(draws, ref_steps)]))
-        total += kl
-    return total / len(prompts)
+    if n_states <= _EXACT_KL_BUDGET:
+        kls = _exact_kl(policy, reference, prompts)
+    else:
+        rng = np.random.default_rng(0) if rng is None else rng
+        kls = []
+        for x in prompts:
+            ys, logps = policy._sample([x] * _KL_SAMPLES, rng)[:2]
+            ref_steps = reference._read_answers([(x, y) for y in ys])[0]
+            kls.append(float(np.mean([logp - reduce(add, steps, 0.0)
+                                      for logp, steps in zip(logps, ref_steps)])))
+    return reduce(add, kls, 0.0) / len(prompts)
 
 
 @dataclass(frozen=True)
@@ -515,33 +561,36 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
     if not reference.frozen:
         raise InvalidInput("reference model must be frozen")
 
-    memo: dict = {}  # the policy does not change while sampling
     xs = [x for x in prompts for _ in range(config.samples_per_prompt)]
-    ys, old_logps, step_probs = zip(*(policy._sample(x, rng, memo) for x in xs))
+    ys, old_logps, levels = policy._sample(xs, rng)
     answers = list(zip(xs, ys))
     rewards = _combined_rewards(rm, reference, answers, old_logps, config.beta)
 
     clip_lo, clip_hi = 1.0 - config.ppo_clip, 1.0 + config.ppo_clip
     clipped = 0
     logps = old_logps  # the policy first changes at the end of epoch 0: there the ratio is 1
+    # pi(. | x, y[:t]) of every step, answer after answer: (answers, T, V)
+    step_probs = np.stack([np.exp(log_probs)[at] for log_probs, at in levels], axis=1)
     for epoch in range(config.epochs):
         if epoch:  # re-read the updated policy, every answer as one stack
-            picked, step_probs = policy._read_answers(answers)
+            picked, log_probs, at = policy._read_answers(answers)
             logps = [reduce(add, steps, 0.0) for steps in picked]
-        batch = []
-        for (x, y), logp, old_logp, probs, advantage in zip(
-                answers, logps, old_logps, step_probs, rewards):
+            step_probs = np.exp(log_probs)[at].reshape(step_probs.shape)
+        batch, kept = [], []
+        for i, ((x, y), logp, old_logp, advantage) in enumerate(
+                zip(answers, logps, old_logps, rewards)):
             ratio = float(np.exp(logp - old_logp))
             if not (clip_lo <= ratio <= clip_hi):
                 clipped += 1
                 if min(max(ratio, clip_lo), clip_hi) * advantage <= ratio * advantage:
                     continue  # clipped branch is the min: zero gradient
             # d surrogate / d logits = A * ratio * d log pi / d logits
-            batch.append((x, y, probs, advantage * ratio / len(answers)))
-        states, grads = _step_grads(batch, policy.vocab_size)
+            batch.append((x, y, advantage * ratio / len(answers)))
+            kept.append(i)
+        states, grads = _step_grads(batch, step_probs[kept].reshape(-1, policy.vocab_size))
         if not np.isfinite(grads).all():
             raise NumericalError("non-finite policy gradient", iteration=iteration)
-        policy.apply_gradient(dict(zip(states, grads)), config.learning_rate, iteration)
+        policy._ascend(states, grads, config.learning_rate, iteration)
 
     # the diagnostic draws (past the exact budget) from its own generator, so
     # it cannot change the training samples

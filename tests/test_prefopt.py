@@ -1,7 +1,9 @@
 import collections
+import functools
 import itertools
 import json
 import math
+import operator
 import re
 import tracemalloc
 import types
@@ -566,6 +568,66 @@ class TestDrawMatchesChoice:
         assert mine.bit_generator.state == theirs.bit_generator.state
 
 
+def _first_bad_state_loop(policy, xs, rng):
+    """Draw an answer to each of ``xs`` with one ``rng.choice`` per step, one answer at a time;
+    the first state met whose row is not finite, or None."""
+    for x in xs:
+        y = ()
+        for _ in range(policy.context_length):
+            probs = policy.step_probabilities(x, y)
+            if not np.isfinite(probs).all():
+                return x, y
+            y += (int(rng.choice(policy.vocab_size, p=probs)),)
+    return None
+
+
+class TestFirstNonFiniteRow:
+    """A non-finite row raises for the state that a draw one answer at a time meets first."""
+
+    PROMPTS = [(0,), (1, 2)]
+
+    @classmethod
+    def _policy(cls, seed):
+        # NaN rows at random states of depths 1 and 2, and at the second prompt's first state
+        policy = prefopt.PolicyModel(3, 3, init_scale=1.0, seed=seed)
+        rng = np.random.default_rng(seed)
+        for x in cls.PROMPTS:
+            for depth in range(3):
+                for prefix in itertools.product(range(3), repeat=depth):
+                    if rng.random() < (0.0 if depth == 0 and x == (0,) else 0.3):
+                        policy._rows[x, prefix] = np.full(3, np.nan)
+        return policy
+
+    @staticmethod
+    def _error(state):
+        return "NumericalError", f"non-finite logit row at state {state}"
+
+    def test_rlhf_step_and_sample_answer_name_the_loops_state(self):
+        config = prefopt.RLHFConfig(iterations=1, samples_per_prompt=4, seed=0)
+        xs = [x for x in self.PROMPTS for _ in range(config.samples_per_prompt)]
+        depths, passed_over = collections.Counter(), 0
+        for seed in range(60):
+            oracle = self._policy(seed)
+            state = _first_bad_state_loop(oracle, xs, np.random.default_rng(seed))
+            policy = self._policy(seed)
+            got = _outcome(prefopt.rlhf_step, policy, policy.snapshot(), prefopt.RewardModel(3),
+                           self.PROMPTS, config, np.random.default_rng(seed), 0)
+            if state is None:
+                assert isinstance(got, dict)
+            else:
+                assert got == self._error(state)
+                assert _hex_rows(policy) == _hex_rows(oracle)  # the loop's rows, in its order
+                depths[len(state[1])] += 1
+                # a first-prompt state named although every second-prompt answer fails at
+                # depth 0: a later answer's shallower failure was passed over
+                passed_over += state[0] == (0,) and ((1, 2), ()) in self._policy(seed)._rows
+            for x in self.PROMPTS:
+                state = _first_bad_state_loop(self._policy(seed), [x], np.random.default_rng(seed))
+                got = _outcome(self._policy(seed).sample_answer, x, np.random.default_rng(seed))
+                assert got == self._error(state) if state else isinstance(got, tuple)
+        assert min(depths[d] for d in range(3)) > 0 and passed_over > 0
+
+
 class TestDatasetsAndPersistence:
     def test_jsonl_round_trip(self, tmp_path):
         sft = tmp_path / "sft.jsonl"
@@ -1108,6 +1170,35 @@ class TestKlReadsMatchUnbatchedForms:
             tracemalloc.stop()
         assert kl > 0.0
         assert peak < 16 * 2 ** 20
+
+    # blocks of 1 or 3 rows, and the default's, straddle the prompts of one level
+    @pytest.mark.parametrize("block_rows", [None, 1, 3])
+    @pytest.mark.parametrize("vocab,length", [(5, 4), (16, 3), (300, 2)])
+    def test_every_prompt_walked_at_once_adds_each_prompts_kl(self, monkeypatch, vocab, length,
+                                                            block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(prefopt, "_EXACT_KL_BLOCK", block_rows * vocab)
+        policy, reference = _kl_models(vocab, length)
+        prompts = [(0,), (1, vocab - 1), (2, 0, 1), (0,), (vocab - 1,)]
+        kls = [_exact_kl_unblocked(policy.snapshot(), reference, x) for x in prompts]
+        want = functools.reduce(operator.add, kls, 0.0) / len(prompts)
+        assert prefopt.mean_kl(policy, reference, prompts).hex() == want.hex()
+        assert not policy._rows  # the walk stored no row
+
+    def test_sampled_estimate_memory_is_bounded(self):
+        # 1 + 4097 prefix states are past the budget: 256 answers, drawn one
+        # depth at a time, reach up to 256 states of 4097 logits (8 MiB a
+        # stack). The peak measured 22.5 MiB on numpy 2.4; the bound adds a
+        # 24 % margin, and a row memo per state met would pass it.
+        policy, reference = _kl_models(4097, 2)
+        tracemalloc.start()
+        try:
+            kl = prefopt.mean_kl(policy, reference, [(0, 1)], rng=np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kl > 0.0
+        assert peak < 28 * 2 ** 20
 
     @pytest.mark.parametrize("vocab,length", [(16, 4), (4, 8)])
     def test_sampled_estimate_matches_per_step_loop(self, vocab, length):

@@ -320,6 +320,25 @@ class TestFvc:
         stat = spectral.fvc(mask, square_plot(0.0, 0.0, 2.0, 2.0))
         assert stat.value == 0.25
 
+    def test_a_nodata_sentinel_of_1_counts_as_0(self, tmp_path):
+        # every cell of [1, 0, 1, 0] is nodata or 0: no cell is a 1-cell
+        path = tmp_path / "mask.asc"
+        path.write_text("ncols 4\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                        "NODATA_value 1\n1 0 1 0\n")
+        layer = make_grid(np.array([[5.0, 6.0, 7.0, 8.0]]))
+        plot = square_plot(0.0, 0.0, 4.0, 1.0)
+        cells = geodata.stack_cells(layer, [plot])
+        for mask in (make_grid(np.array([[1.0, 0.0, 1.0, 0.0]]), nodata=1.0),
+                     geodata.load_raster(path)):
+            stat = spectral.fvc(mask, plot)
+            assert (stat.value, stat.n_cells) == (0.0, 4)
+            assert [a.tolist() for a in cells.ratios(mask)[:2]] == [[0.0], [4]]
+            assert [a.tolist() for a in cells.values(layer, restrict_to=mask)] == [[], [0]]
+            with pytest.raises(EmptyPlot, match="^plot p: no usable cells for value$"):
+                spectral.plot_statistic(layer, plot, restrict_to=mask)
+        # with another sentinel the same cells are 1-cells
+        assert spectral.fvc(make_grid(mask.values, nodata=-1.0), plot).value == 0.5
+
     def test_non_binary_mask_rejected(self):
         mask = make_grid(np.array([[0.5]]))
         with pytest.raises(InvalidMask):
