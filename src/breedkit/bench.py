@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
-from operator import attrgetter
+from dataclasses import asdict, dataclass, fields, replace
 
-from ._io import csv_rows, write_csv, write_json
+import numpy as np
+
+from ._io import (Columns, TextCodes, codes, csv_rows, integer, numbers, raise_first, read_table,
+                  write_csv, write_json)
 from .errors import (
     EmptyInput,
     InvalidBallot,
@@ -55,13 +57,14 @@ SUBTASKS = {
 
 # answer kind -> (fields every trial needs, metric name, pass rule). A kind
 # with a pass rule reports its share of passing trials under the metric
-# name; numeric regression reports fusion.metrics' r2 and rmse instead.
+# name; numeric regression reports fusion.metrics' r2 and rmse instead. A
+# pass rule maps a TrialTable to each trial's pass.
 ANSWER_KINDS = {
     "numeric_regression": (("answer_numeric", "reference_value"), None, None),
     "categorical": (("answer_label", "reference_label"), "accuracy",
                     lambda t: t.answer_label == t.reference_label),
     "judged_correctness": (("judged_correct",), "proportion_correct",
-                           lambda t: t.judged_correct),
+                           lambda t: t.judged_correct == FLAG_CODES[True]),
     "price_consistency": (("answer_numeric", "reference_value"), "price_consistency",
                           lambda t: within_relative_tolerance(t.answer_numeric, t.reference_value)),
 }
@@ -71,6 +74,8 @@ REASONING_AXES = ("logical_deduction", "inductive_reasoning", "explanation")
 STABILITY_PROTOCOLS = ("consistency", "robustness")
 
 RELATIVE_TOLERANCE = 0.10  # "within +-10 %", boundary inclusive
+
+FLAG_CODES = {None: 0, False: 1, True: 2}  # how a TrialTable holds a yes/no field
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,90 @@ class TrialRecord:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class TrialTable(Columns):
+    """Trials as columns, one entry per trial; each row reads as its ``TrialRecord``.
+
+    Text columns are codes into ``strings``, whose code 0 is the blank text:
+    an absent label or protocol. ``task_spec`` codes into ``specs``, one
+    TaskSpec per (task, subtask) pair. A flag is an int8 code of
+    ``FLAG_CODES``, 0 where absent. A number column is float64, NaN where
+    absent.
+    """
+
+    strings: tuple
+    specs: tuple
+    model_id: np.ndarray
+    task_spec: np.ndarray
+    question_id: np.ndarray
+    trial_index: np.ndarray  # int64
+    answer_numeric: np.ndarray
+    answer_label: np.ndarray
+    judged_correct: np.ndarray
+    reference_value: np.ndarray
+    reference_label: np.ndarray
+    stability_protocol: np.ndarray
+    text_pass: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.trial_index)
+
+    def __getitem__(self, i) -> TrialRecord:
+        text = self.strings
+        return TrialRecord(
+            model_id=text[self.model_id[i]], task_spec=self.specs[self.task_spec[i]],
+            question_id=text[self.question_id[i]], trial_index=int(self.trial_index[i]),
+            answer_numeric=_number(self.answer_numeric[i]),
+            answer_label=text[self.answer_label[i]] or None,
+            judged_correct=_flag(self.judged_correct[i]),
+            reference_value=_number(self.reference_value[i]),
+            reference_label=text[self.reference_label[i]] or None,
+            stability_protocol=text[self.stability_protocol[i]] or None,
+            text_pass=_flag(self.text_pass[i]),
+        )
+
+    def take(self, rows) -> TrialTable:
+        """The table of the trials at ``rows``, in that order."""
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return replace(self, **{name: c[rows] for name, c in columns.items() if isinstance(c, np.ndarray)})
+
+
+def _number(value) -> float | None:
+    return None if math.isnan(value) else float(value)
+
+
+def _flag(code) -> bool | None:
+    return (None, False, True)[code]  # FLAG_CODES read back
+
+
+def _trial_table(trials) -> TrialTable:
+    """``trials`` as a TrialTable: a table as it is, any other iterable of records converted once."""
+    if isinstance(trials, TrialTable):
+        return trials
+    trials = list(trials)
+    strings, specs = {"": 0}, {}
+
+    def column(name, dtype=np.float64):  # None reads as NaN
+        return np.array([getattr(t, name) for t in trials], dtype=dtype)
+
+    columns = {name: codes([getattr(t, name) or "" for t in trials], strings)
+               for name in ("model_id", "question_id", "answer_label", "reference_label",
+                            "stability_protocol")}
+    columns.update({name: column(name) for name in ("answer_numeric", "reference_value")})
+    columns.update({name: np.array([FLAG_CODES[getattr(t, name)] for t in trials], dtype=np.int8)
+                    for name in ("judged_correct", "text_pass")})
+    task_spec = codes([t.task_spec for t in trials], specs)
+    return TrialTable(strings=tuple(strings), specs=tuple(specs), task_spec=task_spec,
+                      trial_index=column("trial_index", np.int64), **columns)
+
+
+def _ranks(texts) -> np.ndarray:
+    """Each text's position in the sorted ``texts``, which are distinct."""
+    rank = np.empty(len(texts), np.intp)
+    rank[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
+    return rank
+
+
 @dataclass(frozen=True)
 class ReasoningBallot:
     """One test's manual ranking: each model gets a distinct score in 1..x."""
@@ -150,32 +239,39 @@ def validate_ballot(ballot: ReasoningBallot) -> int:
     return x
 
 
-def within_relative_tolerance(answer: float, reference: float) -> bool:
-    """True iff |answer - reference| <= RELATIVE_TOLERANCE * |reference| (inclusive)."""
-    if reference == 0.0:
+def within_relative_tolerance(answer, reference):
+    """True iff |answer - reference| <= RELATIVE_TOLERANCE * |reference| (inclusive).
+
+    Elementwise for arrays; a reference of 0 anywhere raises.
+    """
+    if np.any(np.equal(reference, 0.0)):
         raise UndefinedDeviation("relative deviation undefined for reference 0")
     return abs(answer - reference) <= RELATIVE_TOLERANCE * abs(reference)
 
 
-def _reject_duplicates(trials) -> None:
-    keys = {(t.model_id, t.question_id, t.trial_index) for t in trials}
-    if len(keys) != len(trials):
+def _present(column) -> np.ndarray:
+    """Which trials hold a cell of ``column``: a number is not NaN, a text or flag code is not 0."""
+    return ~np.isnan(column) if column.dtype.kind == "f" else column != 0
+
+
+def _reject_duplicates(trials: TrialTable) -> None:
+    keys = np.stack([trials.model_id, trials.question_id, trials.trial_index])
+    keys = keys[:, np.lexsort(keys)]
+    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
         raise InvalidTrialSet("duplicate (model_id, question_id, trial_index)")
 
 
-def _single_group(trials) -> tuple[TaskSpec, list]:
-    trials = list(trials)
-    if not trials:
+def _single_group(trials: TrialTable) -> TaskSpec:
+    if not len(trials):
         raise EmptyInput("no trials")
-    model_ids = {t.model_id for t in trials}
-    specs = {t.task_spec for t in trials}
+    model_ids, specs = np.unique(trials.model_id), np.unique(trials.task_spec)
     if len(model_ids) != 1 or len(specs) != 1:
         raise InvalidTrialSet(
-            f"trials mix models {sorted(model_ids)} / subtasks "
-            f"{sorted(s.subtask for s in specs)}"
+            f"trials mix models {sorted(trials.strings[m] for m in model_ids)} / subtasks "
+            f"{sorted(trials.specs[s].subtask for s in specs)}"
         )
     _reject_duplicates(trials)
-    return trials[0].task_spec, trials
+    return trials.specs[specs[0]]
 
 
 def score_accuracy(trials) -> dict:
@@ -185,17 +281,18 @@ def score_accuracy(trials) -> dict:
     regression, accuracy for categorical, proportion_correct for judged
     subtasks, and price_consistency for the price subtask.
     """
-    spec, trials = _single_group(trials)
+    trials = _trial_table(trials)
+    spec = _single_group(trials)
     kind = spec.answer_kind
     fields, metric, passes = ANSWER_KINDS[kind]
-    if any(None in map(attrgetter(name), trials) for name in fields):
+    if not all(_present(getattr(trials, name)).all() for name in fields):
         raise InvalidTrialSet(f"{spec.subtask}: {kind} trials need {' and '.join(fields)}")
     result = {"kind": kind, "n": len(trials)}
     if passes is None:
-        r2, rmse = metrics([t.reference_value for t in trials], [t.answer_numeric for t in trials])
+        r2, rmse = metrics(trials.reference_value, trials.answer_numeric)
         result.update(r2=r2, rmse=rmse)
     else:
-        result[metric] = sum(map(passes, trials)) / len(trials)
+        result[metric] = int(np.count_nonzero(passes(trials))) / len(trials)
     return result
 
 
@@ -217,37 +314,31 @@ def score_stability(trials) -> StabilityScore:
     (inclusive), or its recorded text flag is true. Numeric trials with a
     zero reference have no defined deviation; they are excluded and listed.
     """
-    trials = list(trials)
-    if not trials:
+    trials = _trial_table(trials)
+    if not len(trials):
         raise EmptyInput("no stability trials")
     _reject_duplicates(trials)
-    passes = {p: 0 for p in STABILITY_PROTOCOLS}
-    counts = {p: 0 for p in STABILITY_PROTOCOLS}
-    excluded = []
-    for t in trials:
-        if t.stability_protocol is None:
-            raise InvalidTrialSet(
-                f"trial {t.question_id}/{t.trial_index} has no stability_protocol tag"
-            )
-        if t.answer_numeric is not None and t.reference_value is not None:
-            try:
-                ok = within_relative_tolerance(t.answer_numeric, t.reference_value)
-            except UndefinedDeviation:
-                excluded.append((t.question_id, t.trial_index, "reference 0"))
-                continue
-        elif t.text_pass is not None:
-            ok = bool(t.text_pass)
-        else:
-            raise InvalidTrialSet(
-                f"trial {t.question_id}/{t.trial_index} needs numeric answer+reference or text_pass"
-            )
-        counts[t.stability_protocol] += 1
-        passes[t.stability_protocol] += int(ok)
-    return StabilityScore(
-        **{p: passes[p] / counts[p] if counts[p] else None for p in STABILITY_PROTOCOLS},
-        **{f"n_{p}": counts[p] for p in STABILITY_PROTOCOLS},
-        excluded=tuple(excluded),
-    )
+    untagged = trials.stability_protocol == 0
+    numeric = _present(trials.answer_numeric) & _present(trials.reference_value)
+    unscored = untagged | ~(numeric | _present(trials.text_pass))
+    if unscored.any():  # the first such trial, as ordered
+        i = int(np.argmax(unscored))
+        need = ("has no stability_protocol tag" if untagged[i]
+                else "needs numeric answer+reference or text_pass")
+        raise InvalidTrialSet(
+            f"trial {trials.strings[trials.question_id[i]]}/{trials.trial_index[i]} {need}")
+    zero = numeric & (trials.reference_value == 0.0)
+    excluded = tuple((trials.strings[q], int(i), "reference 0")
+                     for q, i in zip(trials.question_id[zero], trials.trial_index[zero]))
+    ok = trials.text_pass == FLAG_CODES[True]
+    scored = numeric & ~zero
+    ok[scored] = within_relative_tolerance(trials.answer_numeric[scored], trials.reference_value[scored])
+    shares, counts = {}, {}
+    for p in STABILITY_PROTOCOLS:
+        tagged = ~zero & (trials.stability_protocol == trials.code(p))
+        counts[f"n_{p}"] = n = int(np.count_nonzero(tagged))
+        shares[p] = int(np.count_nonzero(ok & tagged)) / n if n else None
+    return StabilityScore(**shares, **counts, excluded=excluded)
 
 
 def score_reasoning(ballots, model_id: str) -> float:
@@ -321,24 +412,29 @@ def build_report(trials, ballots=()) -> BenchmarkReport:
     Trials tagged with a stability protocol feed the stability section; the
     rest feed accuracy. Output is independent of input ordering.
     """
-    trials = list(trials)
+    trials = _trial_table(trials)
     ballots = list(ballots)
-    if not trials and not ballots:
+    if not len(trials) and not ballots:
         raise EmptyInput("no trials or ballots")
 
-    groups: dict = {}  # (is a stability trial, model, subtask) -> trials
-    models = set()
-    for t in trials:
-        models.add(t.model_id)
-        key = (t.stability_protocol is not None, t.model_id, t.task_spec.subtask)
-        groups.setdefault(key, []).append(t)
+    # one stable sort lays out each (is a stability trial, model, subtask)
+    # group in that order, a group's trials by (question_id, trial_index)
+    rank, subtask_rank = _ranks(trials.strings), _ranks([s.subtask for s in trials.specs])
+    is_stability = trials.stability_protocol != 0
+    group = ((is_stability * len(rank) + rank[trials.model_id]) * len(subtask_rank)
+             + subtask_rank[trials.task_spec])
+    order = np.lexsort((trials.trial_index, rank[trials.question_id], group))
+    group = group[order]
+    starts = np.flatnonzero(group[1:] != group[:-1]) + 1
 
     accuracy: dict = {}
     stability: dict = {}
-    for (is_stability, model, subtask), group in sorted(groups.items()):
-        section, score = (stability, score_stability) if is_stability else (accuracy, score_accuracy)
-        group.sort(key=lambda t: (t.question_id, t.trial_index))
-        section.setdefault(model, {})[subtask] = score(group)
+    for rows in np.split(order, starts) if len(order) else ():
+        first = rows[0]
+        section, score = (stability, score_stability) if is_stability[first] else (accuracy, score_accuracy)
+        subtask = trials.specs[trials.task_spec[first]].subtask
+        section.setdefault(trials.strings[trials.model_id[first]], {})[subtask] = score(trials.take(rows))
+    models = {trials.strings[m] for m in np.unique(trials.model_id)}
 
     reasoning: dict = {}
     if ballots:
@@ -371,56 +467,74 @@ TRIAL_CSV_COLUMNS = (
 )
 
 
-def _opt_float(raw):
-    raw = raw.strip()
-    return float(raw) if raw else None
+_FLAG_TEXTS = {"": FLAG_CODES[None], **dict.fromkeys(("1", "true", "yes"), FLAG_CODES[True]),
+               **dict.fromkeys(("0", "false", "no"), FLAG_CODES[False])}
 
 
-def _opt_bool(raw, lineno):
-    raw = raw.strip().lower()
-    if not raw:
-        return None
-    if raw in ("1", "true", "yes"):
-        return True
-    if raw in ("0", "false", "no"):
-        return False
-    raise ParseError(f"bad boolean {raw!r}", line=lineno)
+def _flags(cells) -> np.ndarray:
+    """Each cell's flag code, -1 for a cell that is no flag; each distinct cell is read once."""
+    flag = {cell: _FLAG_TEXTS.get(cell.strip().lower(), -1) for cell in dict.fromkeys(cells)}
+    return np.fromiter(map(flag.__getitem__, cells), np.int8, len(cells))
 
 
-def load_trials(path) -> list[TrialRecord]:
-    trials = []
-    specs: dict = {}  # one shared TaskSpec per (task, subtask) pair
-    texts: dict = {}  # one shared string per distinct text cell
-    for i, (model, task, subtask, question, trial_index, answer_numeric, answer_label, judged_correct,
-            reference_value, reference_label, protocol, text_pass) in csv_rows(
-            path, TRIAL_CSV_COLUMNS[:5], TRIAL_CSV_COLUMNS[5:]):
-        model, question, answer_label, reference_label, protocol = (
-            model.strip(), question.strip(), answer_label.strip(), reference_label.strip(),
-            protocol.strip())
+def _trial_block(lines, cells, strings: TextCodes, pairs: dict, specs: list) -> dict:
+    """One block's TrialTable columns, checked in the order a trial row is: ParseError at the first bad row.
+
+    ``strings`` and ``pairs`` ((task, subtask) -> code) gain this block's new
+    texts and pairs, and ``specs`` each new pair's TaskSpec or, for an
+    invalid pair, the message that names it.
+    """
+    (model, task, subtask, question, trial_index, answer, answer_label, judged, reference,
+     reference_label, protocol, text_pass) = cells
+    spec = codes(list(zip(map(str.strip, task), map(str.strip, subtask))), pairs)
+    for pair in list(pairs)[len(specs):]:
         try:
-            pair = (task.strip(), subtask.strip())
-            if pair not in specs:
-                specs[pair] = TaskSpec(*pair)
-            trials.append(
-                TrialRecord(
-                    model_id=texts.setdefault(model, model),
-                    task_spec=specs[pair],
-                    question_id=texts.setdefault(question, question),
-                    trial_index=int(trial_index),
-                    answer_numeric=_opt_float(answer_numeric),
-                    answer_label=texts.setdefault(answer_label, answer_label) or None,
-                    judged_correct=_opt_bool(judged_correct, i),
-                    reference_value=_opt_float(reference_value),
-                    reference_label=texts.setdefault(reference_label, reference_label) or None,
-                    stability_protocol=texts.setdefault(protocol, protocol) or None,
-                    text_pass=_opt_bool(text_pass, i),
-                )
-            )
-        except (ValueError, InvalidInput) as exc:
-            raise ParseError(f"bad trial row: {exc}", line=i)
-    if not trials:
+            specs.append(TaskSpec(*pair))
+        except InvalidInput as exc:
+            specs.append(str(exc))
+    invalid = [code for code, s in enumerate(specs) if isinstance(s, str)]
+    index, _, index_errors = numbers(trial_index, read=integer)
+    answer, answer_present, answer_errors = numbers(answer, blank=True)
+    judged_correct, passed = _flags(judged), _flags(text_pass)
+    reference, reference_present, reference_errors = numbers(reference, blank=True)
+    texts = {name: strings(column) for name, column in (
+        ("model_id", model), ("question_id", question), ("answer_label", answer_label),
+        ("reference_label", reference_label), ("stability_protocol", protocol))}
+    tags = [0] + [strings[p] for p in STABILITY_PROTOCOLS if p in strings]
+    rows = np.flatnonzero
+    raise_first(lines, [
+        (rows(np.isin(spec, invalid)), lambda i: f"bad trial row: {specs[spec[i]]}"),
+        (index_errors, lambda i: f"bad trial row: {index_errors[i]}"),
+        (answer_errors, lambda i: f"bad trial row: {answer_errors[i]}"),
+        (rows(judged_correct < 0), lambda i: f"bad boolean {judged[i].strip().lower()!r}"),
+        (reference_errors, lambda i: f"bad trial row: {reference_errors[i]}"),
+        (rows(passed < 0), lambda i: f"bad boolean {text_pass[i].strip().lower()!r}"),
+        (rows(index < 0), lambda i: "bad trial row: trial_index must be >= 0"),
+        (rows(texts["model_id"] == 0), lambda i: "bad trial row: empty model_id"),
+        (rows(texts["question_id"] == 0), lambda i: "bad trial row: empty question_id"),
+        (rows(answer_present & ~np.isfinite(answer)),
+         lambda i: f"bad trial row: answer_numeric must be finite, got {float(answer[i])}"),
+        (rows(reference_present & ~np.isfinite(reference)),
+         lambda i: f"bad trial row: reference_value must be finite, got {float(reference[i])}"),
+        (rows(~np.isin(texts["stability_protocol"], tags)),
+         lambda i: f"bad trial row: stability_protocol must be one of {STABILITY_PROTOCOLS}"),
+    ])
+    return dict(texts, task_spec=spec, trial_index=index, answer_numeric=answer,
+                judged_correct=judged_correct, reference_value=reference, text_pass=passed)
+
+
+def load_trials(path) -> TrialTable:
+    """Read a trial table, a block of rows at a time (``_io.csv_blocks``), column by column.
+
+    The first bad row is a ParseError at its line, for the first check it
+    fails in the order ``TrialRecord`` takes its fields and then checks them.
+    """
+    strings, pairs, specs = TextCodes(), {}, []
+    columns = read_table(path, TRIAL_CSV_COLUMNS[:5], TRIAL_CSV_COLUMNS[5:],
+                         lambda lines, cells: _trial_block(lines, cells, strings, pairs, specs))
+    if columns is None:
         raise EmptyInput(f"no trials in {path}")
-    return trials
+    return TrialTable(strings=tuple(strings), specs=tuple(specs), **columns)
 
 
 def load_ballots(path) -> list[ReasoningBallot]:
@@ -443,7 +557,7 @@ def load_ballots(path) -> list[ReasoningBallot]:
         if model in entry:
             raise ParseError(f"ballot {test_id}: duplicate model {model}", line=i)
         try:
-            entry[model] = int(score)
+            entry[model] = integer(score)
         except ValueError:
             raise ParseError(f"non-integer score {score!r}", line=i)
     if not grouped:

@@ -424,13 +424,14 @@ def _cmd_fuse(cfg: dict, out_dir: str) -> dict:
     for domain in domains:
         if domain not in fusion.DOMAINS:
             raise ConfigError("fuse.domains", f"unknown domain {domain!r}")
-    # a table that no selected domain reads is not parsed
-    records = fusion.load_feature_records(cfg["features"])
+    # a table that no selected domain reads is not parsed; the feature table
+    # stays columns, with no per-row record
+    features = fusion.load_feature_records(cfg["features"])
     weather = (fusion.load_weather(cfg["weather"])
                if cfg["weather"] and "weather" in domains else ())
     germplasm = (kb.load_germplasm(cfg["germplasm"])
                  if cfg["germplasm"] and "germplasm" in domains else ())
-    matrix = fusion.assemble(records, weather=weather, germplasm=germplasm, domains=domains)
+    matrix = fusion.assemble(features, weather=weather, germplasm=germplasm, domains=domains)
     for plot_id, missing in matrix.dropped:
         _log(f"fuse: dropped plot {plot_id}, missing {', '.join(missing)}")
     result = fusion.kfold_cv(matrix, k=cfg["k"], lam=cfg["lambda"], seed=cfg["seed"])
@@ -559,7 +560,7 @@ def _cmd_prefopt(cfg: dict, out_dir: str) -> dict:
 
 
 def _cmd_bench(cfg: dict, out_dir: str) -> dict:
-    trials = bench.load_trials(cfg["trials"])
+    trials = bench.load_trials(cfg["trials"])  # a TrialTable, scored as columns
     ballots = bench.load_ballots(cfg["ballots"]) if cfg["ballots"] else ()
     report = bench.build_report(trials, ballots)
     paths = bench.write_report(report, out_dir)
@@ -589,8 +590,8 @@ def _cmd_kb(cfg: dict, out_dir: str) -> dict:
     if action != "price":
         raise ConfigError("kb.action", f"expected 'screen' or 'price', got {action!r}")
     _require(cfg, "kb", "prices", "observation_point", "date")
-    records = kb.load_prices(cfg["prices"])
-    hits = kb.query_price(records, observation_point=cfg["observation_point"],
+    prices = kb.load_prices(cfg["prices"])  # a PriceTable: only its hits become records
+    hits = kb.query_price(prices, observation_point=cfg["observation_point"],
                           date=cfg["date"], variety=cfg["variety"])
     path = os.path.join(out_dir, "price_results.csv")
     write_csv(path, kb.PRICE_CSV_COLUMNS, map(attrgetter(*kb.PRICE_CSV_COLUMNS), hits))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kb
-from ._io import csv_rows, iso_date, write_csv
+from ._io import (Columns, TextCodes, codes, csv_rows, iso_date, number, numbers, raise_first,
+                  read_table, write_csv)
 from .errors import (
     EmptyDataset,
     InvalidInput,
@@ -74,6 +75,54 @@ class PlotFeatureRecord:
         for name, value in self.features.items():
             if value is not None and not math.isfinite(value):
                 raise InvalidInput(f"plot {self.plot_id}: feature {name} is not finite")
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureTable(Columns):
+    """Plot feature rows as columns; each row reads as its ``PlotFeatureRecord``.
+
+    Text columns are codes into ``strings``. ``values`` holds one float64 row
+    per feature of ``names`` and ``present`` whether each cell holds a value
+    (NaN where it does not); ``yield_kg_ha`` is NaN where absent.
+    """
+
+    strings: tuple
+    plot_id: np.ndarray
+    germplasm_id: np.ndarray
+    date: np.ndarray
+    site: np.ndarray
+    names: tuple
+    values: np.ndarray
+    present: np.ndarray
+    yield_kg_ha: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.yield_kg_ha)
+
+    def __getitem__(self, i) -> PlotFeatureRecord:
+        text, present = self.strings, self.present[:, i]
+        yield_kg_ha = self.yield_kg_ha[i]
+        return PlotFeatureRecord(
+            plot_id=text[self.plot_id[i]], germplasm_id=text[self.germplasm_id[i]],
+            date=text[self.date[i]], site=text[self.site[i]],
+            features={name: float(v) for name, v, p in zip(self.names, self.values[:, i], present) if p},
+            yield_kg_ha=None if math.isnan(yield_kg_ha) else float(yield_kg_ha))
+
+
+def _feature_table(records) -> FeatureTable:
+    """``records`` as a FeatureTable: a table as it is, any other iterable of records converted
+    once, with a row for each feature of FEATURE_DOMAIN."""
+    if isinstance(records, FeatureTable):
+        return records
+    records = list(records)
+    strings = {"": 0}
+    texts = {name: codes([getattr(rec, name) for rec in records], strings)
+             for name in ("plot_id", "germplasm_id", "date", "site")}
+    values = np.array([[rec.features.get(name) for rec in records] for name in FEATURE_DOMAIN],
+                      dtype=np.float64)  # None reads as NaN
+    return FeatureTable(strings=tuple(strings), **texts, names=tuple(FEATURE_DOMAIN), values=values,
+                        present=~np.isnan(values),
+                        yield_kg_ha=np.array([rec.yield_kg_ha for rec in records], dtype=np.float64))
 
 
 _WEATHER_VALUES = ("t_mean", "dew_point", "precip", "net_radiation", "wind_speed")
@@ -201,25 +250,24 @@ def _aggregate_weather(records) -> dict:
     }
 
 
-def _plot_means(keys, raw, n_plots: int):
-    """Per-plot means of each list in ``raw`` over its entries that are not None.
+def _plot_means(keys, values, has, n_plots: int):
+    """Per-plot means of each row of ``values`` over its entries where ``has``.
 
     ``keys[i]`` is the plot of entry ``i``. Returns ``(means, present)``, each
-    of shape plots × lists; a plot without values has mean NaN and is not
+    of shape plots × rows; a plot without values has mean NaN and is not
     present. Entries are stably sorted by plot once, so each plot's values
-    lie together in entry order. The plots of a list that hold the same
+    lie together in entry order. The plots of a row that hold the same
     number ``n`` of values are gathered into one ``(plots, n)`` array and
     summed along its rows: numpy sums each contiguous row as it sums the
     1-D array in ``np.mean`` (pairwise from 8 values), so every mean has
-    ``np.mean``'s bits. The cost is O(entries · lists) whatever the counts.
+    ``np.mean``'s bits. The cost is O(entries · rows) whatever the counts.
     """
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    values = np.array(raw, dtype=np.float64)[:, order]  # None reads as NaN
-    has = np.array([[v is not None for v in row] for row in raw], dtype=bool)[:, order]
-    means = np.full((len(raw), n_plots), np.nan)
-    counts = np.zeros((len(raw), n_plots), dtype=np.intp)
-    for j in range(len(raw)):
+    values, has = values[:, order], has[:, order]
+    means = np.full((len(values), n_plots), np.nan)
+    counts = np.zeros((len(values), n_plots), dtype=np.intp)
+    for j in range(len(values)):
         present = values[j, has[j]]  # grouped by plot, entry order within a plot
         counts[j] = count = np.bincount(sorted_keys[has[j]], minlength=n_plots)
         start = np.cumsum(count) - count
@@ -250,27 +298,35 @@ def assemble(
     domains = _known_domains(domains)
     if not domains:
         raise InvalidInput("select at least one domain")
-    records = list(records)
-    if not records:
+    table = _feature_table(records)
+    if not len(table):
         raise EmptyDataset("no plot feature records")
 
-    # each plot's index, in order of first appearance
-    plot_index: dict[str, int] = {}
-    germplasm_ids, sites, keys = [], [], []
-    for rec in records:
-        g = plot_index.setdefault(rec.plot_id, len(germplasm_ids))
-        if g == len(germplasm_ids):
-            germplasm_ids.append(rec.germplasm_id)
-            sites.append(rec.site)
-        elif rec.germplasm_id != germplasm_ids[g]:
-            raise InvalidInput(f"plot {rec.plot_id}: conflicting germplasm_id")
-        keys.append(g)
+    # each plot's index in order of first appearance, and its first row
+    plot_codes, first, keys = np.unique(table.plot_id, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    keys = np.argsort(by_appearance)[keys]
+    first = first[by_appearance]
+    text = table.strings
+    conflicting = table.germplasm_id != table.germplasm_id[first][keys]
+    if conflicting.any():
+        raise InvalidInput(f"plot {text[table.plot_id[np.argmax(conflicting)]]}: conflicting germplasm_id")
+    plot_index = {text[code]: g for g, code in enumerate(plot_codes[by_appearance])}
+    germplasm_ids = [text[code] for code in table.germplasm_id[first]]
+    sites = [text[code] for code in table.site[first]]
 
     candidates = [c for c, d in FEATURE_DOMAIN.items() if d in domains]
 
-    raw = [[rec.features.get(c) for rec in records] for c in candidates]
-    raw.append([rec.yield_kg_ha for rec in records])
-    means, present = _plot_means(np.array(keys, dtype=np.intp), raw, len(germplasm_ids))
+    # one row per candidate column, absent where the table has no such
+    # column, and the yield last
+    rows = {name: j for j, name in enumerate(table.names)}
+    values = np.full((len(candidates) + 1, len(table)), np.nan)
+    has = np.zeros(values.shape, dtype=bool)
+    for k, c in enumerate(candidates):
+        if c in rows:
+            values[k], has[k] = table.values[rows[c]], table.present[rows[c]]
+    values[-1], has[-1] = table.yield_kg_ha, ~np.isnan(table.yield_kg_ha)
+    means, present = _plot_means(keys, values, has, len(germplasm_ids))
     y, has_yield = means[:, -1], present[:, -1]
     means, present = means[:, :-1], present[:, :-1]
 
@@ -514,39 +570,48 @@ def _feature_row(rec: PlotFeatureRecord) -> list:
     ]
 
 
-def load_feature_records(path) -> list[PlotFeatureRecord]:
-    """One PlotFeatureRecord per row of a feature table; a blank cell is an absent value."""
-    names = RS_FEATURES + PHENOTYPING_FEATURES
-    records = []
-    texts: dict = {}  # one shared string per distinct text cell
-    for i, (plot_id, germplasm_id, date, site, *cells, raw_yield) in csv_rows(
-            path, FEATURE_CSV_COLUMNS[:3], FEATURE_CSV_COLUMNS[3:]):
-        features = {}
-        for name, raw in zip(names, cells):
-            raw = raw.strip()
-            if raw:
-                try:
-                    features[name] = float(raw)
-                except ValueError:
-                    raise ParseError(f"non-numeric {name}: {raw!r}", line=i)
-        raw_yield = raw_yield.strip()
-        try:
-            yield_kg_ha = float(raw_yield) if raw_yield else None
-        except ValueError:
-            raise ParseError(f"non-numeric yield_kg_ha: {raw_yield!r}", line=i)
-        plot_id, germplasm_id = plot_id.strip(), germplasm_id.strip()
-        date, site = date.strip(), site.strip()
-        try:
-            records.append(PlotFeatureRecord(
-                plot_id=texts.setdefault(plot_id, plot_id),
-                germplasm_id=texts.setdefault(germplasm_id, germplasm_id),
-                date=texts.setdefault(date, date), features=features, yield_kg_ha=yield_kg_ha,
-                site=texts.setdefault(site, site)))
-        except InvalidInput as exc:
-            raise ParseError(str(exc), line=i)
-    if not records:
+def _feature_block(lines, cells, strings: TextCodes) -> dict:
+    """One block's FeatureTable columns, checked in the order a feature row is.
+
+    ParseError at the first bad row. ``strings`` gains the block's new texts.
+    """
+    plot_id, germplasm_id, date, site, *features, yield_kg_ha = cells
+    texts = {name: strings(column) for name, column in (
+        ("plot_id", plot_id), ("germplasm_id", germplasm_id), ("date", date), ("site", site))}
+    columns = features + [yield_kg_ha]
+    read = [numbers(column, blank=True) for column in columns]
+    values = np.array([v for v, _, _ in read])
+    present = np.array([p for _, p, _ in read])
+
+    def plot(i):
+        return list(strings)[texts["plot_id"][i]]
+
+    rows = np.flatnonzero
+    raise_first(lines, [
+        *((errors, lambda i, name=name, column=column: f"non-numeric {name}: {column[i].strip()!r}")
+          for name, column, (_, _, errors) in zip(FEATURE_CSV_COLUMNS[4:], columns, read)),
+        (rows(texts["plot_id"] == 0), lambda i: "plot_id must be non-empty"),
+        (rows(present[-1] & ~np.isfinite(values[-1])), lambda i: f"plot {plot(i)}: yield is not finite"),
+        (rows(values[-1] < 0), lambda i: f"plot {plot(i)}: yield must be >= 0"),
+        *((rows(p & ~np.isfinite(v)), lambda i, name=name: f"plot {plot(i)}: feature {name} is not finite")
+          for name, v, p in zip(FEATURE_CSV_COLUMNS[4:-1], values, present)),
+    ])
+    return dict(texts, values=values[:-1], present=present[:-1], yield_kg_ha=values[-1])
+
+
+def load_feature_records(path) -> FeatureTable:
+    """Read a feature table, a block of rows at a time (``_io.csv_blocks``), column by column.
+
+    A blank cell is an absent value. The first bad row is a ParseError at
+    its line, for the first check it fails: each number read in column
+    order, then ``PlotFeatureRecord``'s checks.
+    """
+    strings = TextCodes()
+    columns = read_table(path, FEATURE_CSV_COLUMNS[:3], FEATURE_CSV_COLUMNS[3:],
+                         lambda lines, cells: _feature_block(lines, cells, strings))
+    if columns is None:
         raise EmptyDataset(f"no feature rows in {path}")
-    return records
+    return FeatureTable(strings=tuple(strings), names=FEATURE_CSV_COLUMNS[4:-1], **columns)
 
 
 def load_weather(path) -> list[WeatherRecord]:
@@ -558,7 +623,7 @@ def load_weather(path) -> list[WeatherRecord]:
         try:
             site, date = site.strip(), str(iso_date(date.strip()))
             record = WeatherRecord(texts.setdefault(site, site), texts.setdefault(date, date),
-                                   *map(float, values))
+                                   *map(number, values))
         except (ValueError, InvalidInput) as exc:
             raise ParseError(f"bad weather row: {exc}", line=i)
         if (record.site, record.date) in seen:

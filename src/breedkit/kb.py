@@ -12,7 +12,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from ._io import csv_rows, iso_date
+import numpy as np
+
+from ._io import Columns, TextCodes, codes, csv_rows, iso_date, number, numbers, raise_first, read_table
 from .errors import EmptyInput, InvalidInput, ParseError, UnknownField
 
 QUALITY_FIELDS = ("crude_protein", "lysine", "sedimentation_value")
@@ -82,6 +84,46 @@ class PriceRecord:
             raise InvalidInput("price must be finite and > 0")
         if not 0 < self.specification < math.inf:
             raise InvalidInput("specification must be finite and > 0")
+
+
+@dataclass(frozen=True, eq=False)
+class PriceTable(Columns):
+    """Price observations as columns; each row reads as its ``PriceRecord``.
+
+    Text columns are codes into ``strings``; ``date`` holds each date's
+    proleptic Gregorian ordinal.
+    """
+
+    strings: tuple
+    observation_point: np.ndarray
+    variety_name: np.ndarray
+    price: np.ndarray
+    specification: np.ndarray
+    planting_area: np.ndarray
+    date: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.price)
+
+    def __getitem__(self, i) -> PriceRecord:
+        text = self.strings
+        return PriceRecord(text[self.observation_point[i]], text[self.variety_name[i]],
+                           float(self.price[i]), float(self.specification[i]),
+                           text[self.planting_area[i]], _dt.date.fromordinal(int(self.date[i])))
+
+
+def _price_table(records) -> PriceTable:
+    """``records`` as a PriceTable: a table as it is, any other iterable of records converted once."""
+    if isinstance(records, PriceTable):
+        return records
+    records = list(records)
+    strings = {"": 0}
+    texts = {name: codes([getattr(r, name) for r in records], strings)
+             for name in ("observation_point", "variety_name", "planting_area")}
+    return PriceTable(strings=tuple(strings), **texts,
+                      price=np.array([r.price for r in records], dtype=np.float64),
+                      specification=np.array([r.specification for r in records], dtype=np.float64),
+                      date=np.array([r.date.toordinal() for r in records], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -206,21 +248,17 @@ def query_price(records, observation_point: str, date, variety: str | None = Non
     error.
     """
     when = _parse_date(date)
-    candidates = [r for r in records if r.observation_point == observation_point]
+    table = _price_table(records)
+    gap = np.abs(table.date - when.toordinal())
+    hit = (table.observation_point == table.code(observation_point)) & (gap <= PRICE_DATE_WINDOW_DAYS)
     if variety is not None:
-        candidates = [r for r in candidates if r.variety_name == variety]
-    dated = [
-        (abs((r.date - when).days), r.date, r)
-        for r in candidates
-        if abs((r.date - when).days) <= PRICE_DATE_WINDOW_DAYS
-    ]
-    if not dated:
+        hit &= table.variety_name == table.code(variety)
+    rows = np.flatnonzero(hit)
+    if not len(rows):
         return []
-    best_gap, best_date, _ = min(dated, key=lambda t: (t[0], t[1]))
-    return sorted(
-        (r for gap, d, r in dated if gap == best_gap and d == best_date),
-        key=lambda r: (r.variety_name, r.price),
-    )
+    best_gap, best_date = min(zip(gap[rows].tolist(), table.date[rows].tolist()))
+    rows = rows[(gap[rows] == best_gap) & (table.date[rows] == best_date)]
+    return sorted(map(table.__getitem__, rows), key=lambda r: (r.variety_name, r.price))
 
 
 def _parse_date(date) -> _dt.date:
@@ -237,29 +275,35 @@ def _parse_date(date) -> _dt.date:
 # ---------------------------------------------------------------------------
 
 
+def _cell_number(text: str, key: str, line: int, labels=None):
+    """``number(text)``; ParseError at ``line`` naming ``key`` unless it is one.
+
+    Given ``labels`` (a dict of shared strings), a text that ``float`` does
+    not read either is a class label instead, kept as its shared string.
+    """
+    try:
+        return number(text)
+    except ValueError:
+        if labels is not None and _as_number(text) is None:
+            return labels.setdefault(text, text)
+        raise ParseError(f"non-numeric {key}: {text!r}", line=line) from None
+
+
 def load_germplasm(path) -> list[GermplasmRecord]:
     """Read germplasm.csv; trait columns are optional and may be blank.
 
-    Quality cells are numbers; an agronomic cell that is not one is a class
-    label (``early``). A bad number is a ParseError at its line.
+    Quality cells are numbers (``_io.number``); an agronomic cell that
+    ``float`` does not read is a class label (``early``). A bad number, an
+    agronomic ``1_0`` too, is a ParseError at its line.
     """
     records = []
     texts: dict = {}  # one shared string per distinct text cell
     for i, cells in csv_rows(path, GERMPLASM_FIELDS[:1], GERMPLASM_FIELDS[1:]):
         rec = dict(zip(GERMPLASM_FIELDS, map(str.strip, cells)))
-        quality = {}
-        for key in QUALITY_FIELDS:
-            if rec[key]:
-                num = _as_number(rec[key])
-                if num is None:
-                    raise ParseError(f"non-numeric {key}: {rec[key]!r}", line=i)
-                quality[key] = num
+        quality = {key: _cell_number(rec[key], key, i) for key in QUALITY_FIELDS if rec[key]}
         resistance = {key: texts.setdefault(rec[key], rec[key]) for key in RESISTANCE_FIELDS if rec[key]}
-        agronomic = {}
-        for key in AGRONOMIC_FIELDS:
-            if rec[key]:
-                num = _as_number(rec[key])
-                agronomic[key] = num if num is not None else texts.setdefault(rec[key], rec[key])
+        agronomic = {key: _cell_number(rec[key], key, i, labels=texts)
+                     for key in AGRONOMIC_FIELDS if rec[key]}
         name, origin = rec["variety_name"], rec["origin"]
         try:
             records.append(GermplasmRecord(variety_name=texts.setdefault(name, name),
@@ -278,22 +322,47 @@ PRICE_CSV_COLUMNS = (
 )
 
 
-def load_prices(path) -> list[PriceRecord]:
-    """One PriceRecord per row of a price table; each distinct date text is parsed once."""
-    records = []
-    dates: dict = {}
-    texts: dict = {}  # one shared string per distinct text cell
-    for i, (point, variety, price, specification, area, date) in csv_rows(path, PRICE_CSV_COLUMNS):
+def _price_block(lines, cells, strings: TextCodes, dates: dict) -> dict:
+    """One block's PriceTable columns, checked in the order a price row is: ParseError at the first bad row.
+
+    ``strings`` gains the block's new texts, and ``dates`` (text -> ordinal,
+    -1 for a bad date) each new date text, parsed once.
+    """
+    point, variety, price, specification, area, date = cells
+    price, _, price_errors = numbers(price)
+    specification, _, specification_errors = numbers(specification)
+    texts = list(map(str.strip, date))
+    for text in dict.fromkeys(texts).keys() - dates.keys():
         try:
-            price, specification, date = float(price), float(specification), date.strip()
-            if date not in dates:
-                dates[date] = _parse_date(date)
-            point, variety, area = point.strip(), variety.strip(), area.strip()
-            records.append(PriceRecord(texts.setdefault(point, point),
-                                       texts.setdefault(variety, variety), price, specification,
-                                       texts.setdefault(area, area), dates[date]))
-        except (ValueError, InvalidInput) as exc:
-            raise ParseError(f"bad price row: {exc}", line=i)
-    if not records:
+            dates[text] = _parse_date(text).toordinal()
+        except InvalidInput:
+            dates[text] = -1
+    date = np.fromiter(map(dates.__getitem__, texts), np.int64, len(texts))
+    rows = np.flatnonzero
+    raise_first(lines, [
+        (price_errors, lambda i: f"bad price row: {price_errors[i]}"),
+        (specification_errors, lambda i: f"bad price row: {specification_errors[i]}"),
+        (rows(date < 0), lambda i: f"bad price row: unparseable ISO date: {texts[i]!r}"),
+        (rows(~((0 < price) & (price < math.inf))), lambda i: "bad price row: price must be finite and > 0"),
+        (rows(~((0 < specification) & (specification < math.inf))),
+         lambda i: "bad price row: specification must be finite and > 0"),
+    ])
+    return {"observation_point": strings(point),
+            "variety_name": strings(variety),
+            "price": price, "specification": specification,
+            "planting_area": strings(area), "date": date}
+
+
+def load_prices(path) -> PriceTable:
+    """Read a price table, a block of rows at a time (``_io.csv_blocks``), column by column.
+
+    Each distinct date text is parsed once. The first bad row is a
+    ParseError at its line, for the first check it fails: its price, its
+    specification and its date read, then ``PriceRecord``'s checks.
+    """
+    strings, dates = TextCodes(), {}
+    columns = read_table(path, PRICE_CSV_COLUMNS, (),
+                         lambda lines, cells: _price_block(lines, cells, strings, dates))
+    if columns is None:
         raise EmptyInput(f"no rows in {path}")
-    return records
+    return PriceTable(strings=tuple(strings), **columns)

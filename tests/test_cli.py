@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breedkit import cli, fusion, geodata, prefopt, spectral, structural
+from breedkit import bench, cli, fusion, geodata, kb, prefopt, spectral, structural
 from breedkit.errors import BreedkitError
 
 from conftest import (
@@ -1621,6 +1621,28 @@ class TestBadBenchInput:
         assert summary["message"].startswith(message)
         assert not (tmp_path / "out").exists()
         assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
+
+
+class TestTablePathsBuildNoRowRecord:
+    """``bench``, ``kb price`` and ``fuse`` read their tables as columns: the only
+    per-row records they build are the price query's hits."""
+
+    def test_only_price_hits_become_records(self, tmp_path, capsys, monkeypatch):
+        built: dict = {}
+        for record in (bench.TrialRecord, fusion.PlotFeatureRecord, kb.PriceRecord):
+            def counting(self, check=record.__post_init__, name=record.__name__):
+                built[name] = built.get(name, 0) + 1
+                check(self)
+            monkeypatch.setattr(record, "__post_init__", counting)
+        configs = {"bench": bench_config(tmp_path / "bench"),
+                   "kb": kb_config(tmp_path / "kb", "price"),
+                   "fuse": _fuse_on_golden(tmp_path / "fuse")}
+        for name, config in configs.items():
+            rc, _ = run_cli([name, "--config", write_config(config, tmp_path / f"{name}.json")], capsys)
+            assert rc == 0, name
+        hits = (tmp_path / "kb" / "price_results.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(hits) > 0
+        assert built == {"PriceRecord": len(hits)}
 
 
 # (subcommand, config for an output directory, the golden directory its artifacts

@@ -1,7 +1,9 @@
 import ast
+import csv
 import dataclasses
 import datetime
 import gc
+import itertools
 import json
 import os
 import sys
@@ -408,8 +410,8 @@ class TestAtomicWrites:
 
 
 # ---------------------------------------------------------------------------
-# feature and price tables: each bad cell is a ParseError at its line, and
-# every valid spelling of a table holds the records its rows spell
+# feature, price and trial tables: each bad cell is a ParseError at its line,
+# and every valid spelling of a table holds the records its rows spell
 # ---------------------------------------------------------------------------
 
 FEATURE_NAMES = fusion.RS_FEATURES + fusion.PHENOTYPING_FEATURES
@@ -434,10 +436,24 @@ def _price_rows(n=7):
     return list(kb.PRICE_CSV_COLUMNS), rows
 
 
+def _trial_rows(n=7):
+    # question_id second: _valid_variants repeats the second column with the text 'later'
+    header = ["model_id", "question_id", "task", "subtask", "trial_index", "answer_numeric",
+              "answer_label", "judged_correct", "reference_value", "reference_label",
+              "stability_protocol", "text_pass"]
+    flags = ("true", "0", "yes", "False", "1", "no", "")
+    rows = [["m1" if i % 3 else "model 2", f"q{i}", "phenotyping_estimation", "Yield" if i % 2 else "PL",
+             str(i % 3), f"{40 + i}.5", "slight", flags[i % 7], "41.25", "severe",
+             ("consistency", "robustness", "")[i % 3], flags[(i + 3) % 7]]
+            for i in range(n)]
+    return header, rows
+
+
 def _multi_line(header, rows, i):
     """``rows`` with row ``i``'s text cell spread over two lines."""
     rows = [list(cells) for cells in rows]
-    rows[i][header.index("site" if "site" in header else "planting_area")] += "\nwest"
+    column = next(name for name in ("site", "planting_area", "reference_label") if name in header)
+    rows[i][header.index(column)] += "\nwest"
     return rows
 
 
@@ -475,6 +491,23 @@ def _prices(header, rows):
     return records
 
 
+def _trials(header, rows):
+    """The trial records ``rows`` spell, each cell read as the test reads it."""
+    flags = {"": None, "true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+    records = []
+    for cells in rows:
+        rec = {name: cell.strip() for name, cell in zip(header, cells)}
+        records.append(bench.TrialRecord(
+            model_id=rec["model_id"], task_spec=bench.TaskSpec(rec["task"], rec["subtask"]),
+            question_id=rec["question_id"], trial_index=int(rec["trial_index"]),
+            answer_numeric=float(rec["answer_numeric"]) if rec["answer_numeric"] else None,
+            answer_label=rec["answer_label"] or None, judged_correct=flags[rec["judged_correct"].lower()],
+            reference_value=float(rec["reference_value"]) if rec["reference_value"] else None,
+            reference_label=rec["reference_label"] or None,
+            stability_protocol=rec["stability_protocol"] or None, text_pass=flags[rec["text_pass"].lower()]))
+    return records
+
+
 # (column, bad cell) -> the ParseError message after its "line N: " prefix
 FEATURE_BAD_CELLS = {
     ("NDVI_MS", "abc"): "non-numeric NDVI_MS: 'abc'",
@@ -500,11 +533,30 @@ PRICE_BAD_CELLS = {
     ("date", ""): "bad price row: unparseable ISO date: ''",
     ("date", "June 1"): "bad price row: unparseable ISO date: 'June 1'",
 }
+TRIAL_BAD_CELLS = {
+    ("task", "weather"): "bad trial row: unknown task 'weather'",
+    ("subtask", "HQ"): "bad trial row: subtask 'HQ' does not belong to task 'phenotyping_estimation'",
+    ("trial_index", "x"): "bad trial row: invalid literal for int() with base 10: 'x'",
+    ("trial_index", ""): "bad trial row: invalid literal for int() with base 10: ''",
+    ("trial_index", "-1"): "bad trial row: trial_index must be >= 0",
+    ("answer_numeric", "abc"): "bad trial row: could not convert string to float: 'abc'",
+    ("answer_numeric", "nan"): "bad trial row: answer_numeric must be finite, got nan",
+    ("reference_value", "1,5"): "bad trial row: could not convert string to float: '1,5'",
+    ("reference_value", "-inf"): "bad trial row: reference_value must be finite, got -inf",
+    ("judged_correct", "maybe"): "bad boolean 'maybe'",
+    ("text_pass", "2"): "bad boolean '2'",
+    ("model_id", ""): "bad trial row: empty model_id",
+    ("question_id", "  "): "bad trial row: empty question_id",
+    ("stability_protocol", "other"):
+        "bad trial row: stability_protocol must be one of ('consistency', 'robustness')",
+}
 LOADERS = {
     "features": (fusion.load_feature_records, _feature_rows, _features, FEATURE_BAD_CELLS,
                  (EmptyDataset, "no feature rows in {path}")),
     "prices": (kb.load_prices, _price_rows, _prices, PRICE_BAD_CELLS,
                (EmptyInput, "no rows in {path}")),
+    "trials": (bench.load_trials, _trial_rows, _trials, TRIAL_BAD_CELLS,
+               (EmptyInput, "no trials in {path}")),
 }
 BAD_CASES = [
     (table, column, cell, where)
@@ -552,6 +604,36 @@ def test_a_price_row_is_checked_price_then_specification_then_date(cells, messag
     assert str(info.value) == f"line 3: bad price row: {message}"
 
 
+@pytest.mark.parametrize("cells, message", [
+    ({"subtask": "HQ", "trial_index": "x", "answer_numeric": "abc", "judged_correct": "maybe"},
+     "bad trial row: subtask 'HQ' does not belong to task 'phenotyping_estimation'"),
+    ({"trial_index": "x", "answer_numeric": "abc", "judged_correct": "maybe"},
+     "bad trial row: invalid literal for int() with base 10: 'x'"),
+    ({"answer_numeric": "abc", "judged_correct": "maybe", "reference_value": "y"},
+     "bad trial row: could not convert string to float: 'abc'"),
+    ({"judged_correct": "maybe", "reference_value": "y", "trial_index": "-1"}, "bad boolean 'maybe'"),
+    ({"reference_value": "y", "text_pass": "2", "trial_index": "-1"},
+     "bad trial row: could not convert string to float: 'y'"),
+    ({"trial_index": "-1", "model_id": "", "answer_numeric": "nan"},
+     "bad trial row: trial_index must be >= 0"),
+    ({"question_id": "", "answer_numeric": "nan", "stability_protocol": "other"},
+     "bad trial row: empty question_id"),
+    ({"reference_value": "inf", "answer_numeric": "nan", "stability_protocol": "other"},
+     "bad trial row: answer_numeric must be finite, got nan"),
+])
+def test_a_trial_row_is_checked_in_the_order_a_record_takes_and_checks_its_fields(cells, message,
+                                                                                   tmp_path):
+    header, rows = _trial_rows()
+    for column, cell in cells.items():
+        rows[1][header.index(column)] = cell
+    rows[4][header.index("trial_index")] = "-2"  # a later bad row is not reached
+    path = tmp_path / "trials.csv"
+    path.write_text(_table_text(header, rows), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        bench.load_trials(path)
+    assert str(info.value) == f"line 3: {message}"
+
+
 def _valid_variants(header, rows):
     """``(header, rows, text)``: spellings of a table that hold the records of ``rows``."""
     text = _table_text(header, rows)
@@ -581,7 +663,7 @@ def test_valid_tables_hold_the_records_their_rows_spell(table, tmp_path):
     for k, (variant_header, variant_rows, text) in enumerate(variants):
         path = tmp_path / f"{table}{k}.csv"
         path.write_text(text, encoding="utf-8")
-        assert load(path) == records(variant_header, variant_rows), k
+        assert list(load(path)) == records(variant_header, variant_rows), k
     path = tmp_path / f"{table}_empty.csv"
     path.write_text(_table_text(header, []).rstrip("\n"), encoding="utf-8")
     with pytest.raises(empty_error) as info:
@@ -652,7 +734,8 @@ def test_equal_text_cells_of_one_load_are_one_string(column, tmp_path):
     assert len(first) < len(values)  # some value repeats
 
 
-def test_loaded_trials_keep_no_more_than_their_records_and_distinct_strings(tmp_path):
+def _trial_file(tmp_path):
+    """A 4 800-row trial table: 4 models, 200 questions and 6 trials of each."""
     path = tmp_path / "trials.csv"
     protocols = ("consistency", "robustness")
     with open(path, "w", encoding="utf-8") as fh:
@@ -662,27 +745,52 @@ def test_loaded_trials_keep_no_more_than_their_records_and_distinct_strings(tmp_
                 for t in range(6):
                     fh.write(f"model-{m},phenotyping_estimation,Yield,question-{q:03d},{t},"
                              f"{4000 + q + 0.5 * t},,,{4000.0 + q},,{protocols[t % 2]},\n")
+    return path
+
+
+def _traced_load(path):
+    """(the loaded trials, the bytes the load keeps, its traced peak above what it started with)"""
     bench.load_trials(path)  # warm every cache the loader touches
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         trials = bench.load_trials(path)
         gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - before
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return trials, kept - before, peak - before
+
+
+def test_loaded_trials_keep_no_more_than_their_columns_and_distinct_strings(tmp_path):
+    trials, kept, _ = _traced_load(_trial_file(tmp_path))
     assert len(trials) == 4800
-    # Each row keeps its record (sys.getsizeof counts the GC header) and its two
-    # floats; trial_index is a small int, which CPython caches. The list's size
-    # counts its slots. Each distinct text is kept once. The 4 KiB slack covers
-    # the one shared TaskSpec and its two strings.
-    texts = {t.model_id for t in trials} | {t.question_id for t in trials} | set(protocols)
-    bound = (sys.getsizeof(trials)
-             + len(trials) * (sys.getsizeof(trials[0]) + 2 * sys.getsizeof(1.0))
-             + sum(map(sys.getsizeof, texts))
+    # The table keeps its column arrays (sys.getsizeof counts an array's data)
+    # and each distinct text once. The 4 KiB slack covers the table object,
+    # its tuple of one shared TaskSpec, and that TaskSpec with its two strings.
+    arrays = [getattr(trials, f.name) for f in dataclasses.fields(trials)
+              if isinstance(getattr(trials, f.name), np.ndarray)]
+    bound = (sum(map(sys.getsizeof, arrays))
+             + sys.getsizeof(trials.strings) + sum(map(sys.getsizeof, trials.strings))
              + 4096)
     assert kept <= bound
+
+
+def test_loading_trials_peaks_at_most_one_block_of_rows_above_what_it_keeps(tmp_path):
+    path = _trial_file(tmp_path)
+    _, kept, peak = _traced_load(path)
+    # One block's rows as csv.reader returns them, and their transpose into
+    # columns. The 64 KiB slack covers what reading a block holds beside its
+    # rows: their line numbers, the file and csv buffers, and one iterator
+    # per row while they are transposed. A whole-file transpose holds every
+    # row at once, ~9 blocks.
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(itertools.islice(csv.reader(fh), 1, 1 + _io.BLOCK_ROWS))
+    block = (sys.getsizeof(rows) + sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in rows)
+             + sum(map(sys.getsizeof, zip(*rows))))
+    assert peak - kept <= block + 65536
 
 
 # Spellings Python's float() and int() take but numpy's reader does not.
@@ -720,6 +828,23 @@ GRID = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
     (geodata.load_plots, "plot_id,germplasm_id,vertex_index,x,y\np1,g,0,0,0\np1,g,1,{},0\n",
      "line 3: non-numeric x of plot p1: {!r}"),
     (cli._load_measurements, "plot_id,SPAD\np1,{}\n", "line 2: non-numeric SPAD: {!r}"),
+    (fusion.load_weather, "site,date,t_mean,dew_point,precip,net_radiation,wind_speed\n"
+     "s1,2024-06-01,18.5,9.0,0.0,12.1,2.5\ns1,2024-06-02,18.5,9.0,{},12.1,2.5\n",
+     "line 3: bad weather row: could not convert string to float: {!r}"),
+    (bench.load_ballots, "test_id,model_id,score\nt1,m1,1\nt1,m2,{}\n", "line 3: non-integer score {!r}"),
+    (kb.load_germplasm, "variety_name,crude_protein\nA,12.5\nB,{}\n", "line 3: non-numeric crude_protein: {!r}"),
+    (kb.load_germplasm, "variety_name,maturity\nA,early\nB,{}\n", "line 3: non-numeric maturity: {!r}"),
+    (kb.load_prices, "observation_point,variety_name,price,specification,planting_area,date\n"
+     "P,V,150,25,R,2024-06-01\nP,V,{},25,R,2024-06-01\n",
+     "line 3: bad price row: could not convert string to float: {!r}"),
+    (fusion.load_feature_records, "plot_id,germplasm_id,date,NDVI_MS,yield_kg_ha\n"
+     "p1,g,2024-06-01,0.5,4000\np2,g,2024-06-01,0.5,{}\n", "line 3: non-numeric yield_kg_ha: {!r}"),
+    (bench.load_trials, "model_id,task,subtask,question_id,trial_index\n"
+     "m1,phenotyping_estimation,Yield,q1,0\nm1,phenotyping_estimation,Yield,q2,{}\n",
+     "line 3: bad trial row: not an integer: {!r}"),
+    (bench.load_trials, "model_id,task,subtask,question_id,trial_index,answer_numeric\n"
+     "m1,phenotyping_estimation,Yield,q1,0,4.5\nm1,phenotyping_estimation,Yield,q2,0,{}\n",
+     "line 3: bad trial row: could not convert string to float: {!r}"),
 ])
 def test_a_data_file_rejects_a_python_only_number(load, content, message, text, tmp_path):
     path = tmp_path / "data.txt"
