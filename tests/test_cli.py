@@ -1650,7 +1650,7 @@ class TestTablePathsBuildNoRowRecord:
 RERUNS = [
     ("extract", extract_config, "golden"),
     ("fuse", _fuse_on_golden, "golden/fuse"),
-    ("prefopt", prefopt_config, None),
+    ("prefopt", prefopt_config, "golden/prefopt"),
     ("bench", bench_config, "golden/bench"),
     ("kb", lambda out: kb_config(out, "screen"), "golden/kb"),
     ("kb", lambda out: kb_config(out, "price"), "golden/kb"),
