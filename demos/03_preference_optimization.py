@@ -20,6 +20,9 @@ policy = prefopt.PolicyModel(vocab_size=VOCAB, context_length=LENGTH)
 history = prefopt.train_sft(policy, demonstrations, learning_rate=0.5, iterations=80)
 print(f"SFT: loss {history[0]['loss']:.3f} -> {history[-1]['loss']:.3f} "
       f"(uniform start is T ln V = {LENGTH * np.log(VOCAB):.3f})")
+loss, grads = prefopt.sft_loss_and_grad(policy, demonstrations)  # the objective at the fit
+print(f"    fitted: loss {loss:.3f}, gradient norm "
+      f"{np.linalg.norm(np.array(list(grads.values()))):.4f} over {len(grads)} states")
 
 reference = policy.snapshot()  # frozen; anchors the KL penalty
 

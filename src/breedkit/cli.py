@@ -635,8 +635,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parsing leaves the parser as it was, so every call shares it
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         name = args.subcommand
         config = _check(_load_config(args), {"output_dir": DIR, name: _SCHEMA[name]}, "")

@@ -1,8 +1,9 @@
 """Preference-optimization objectives at a fully verifiable toy scale.
 
 The answer policy is tabular: one logit row per (prompt, answer prefix)
-state, softmax-normalized over the vocabulary. That makes every quantity
-exactly computable and gradient-checkable:
+state, softmax-normalized over the vocabulary, every stored row in one array
+addressed by integer state ids. That makes every quantity exactly computable
+and gradient-checkable:
 
   * answer log probability: sum of per-step log softmax terms
   * supervised fine-tuning loss: negative mean answer log probability
@@ -11,11 +12,12 @@ exactly computable and gradient-checkable:
   * policy updates: clipped-surrogate policy gradient (PPO-style) on the
     combined reward, seeded sampling (every answer of a batch drawn at once,
     one depth at a time, with the draws of one choice per step), plain
-    gradient ascent
+    gradient ascent of the rows by id
   * KL(pi || ref) diagnostic: chain rule over answer prefixes,
     sum_prefix pi(prefix) * KL(pi(.|prefix) || ref(.|prefix)), exact while the
     prefix states sum_{t<T} V**t fit a budget (every prompt's states read as
-    one stack per depth), sampled past it
+    one stack per depth, the rows a model has not stored made per call), and
+    sampled past it
 
 The reward model is linear in prompt/answer token-count features, so its
 gradient is exact as well. Training loops are single-threaded and
@@ -27,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, sub
@@ -34,14 +37,7 @@ from operator import add, sub
 import numpy as np
 
 from ._io import decoding, finite_number, write_json
-from .errors import (
-    EmptyInput,
-    InvalidInput,
-    InvalidRanking,
-    InvalidToken,
-    NumericalError,
-    ParseError,
-)
+from .errors import EmptyInput, InvalidInput, InvalidRanking, InvalidToken, NumericalError, ParseError
 
 # mean_kl is exact while the prefix states sum_{t<T} V**t (one softmax row per
 # model each) fit this budget; past it, it samples this many answers per prompt
@@ -79,14 +75,50 @@ def _as_tokens(seq, vocab_size: int, what: str) -> tuple:
     return tokens
 
 
+class _Rows(Mapping):
+    """A model's stored logit rows: one (n_states, V) array that grows by doubling, and
+    ``ids``, each stored (prompt, prefix) state's row in it, in the order stored. A
+    state reads as a copy of its row; ``rows[state] = row`` writes that row in place,
+    or stores a new state last."""
+
+    def __init__(self, vocab_size: int):
+        self.ids: dict[tuple, int] = {}
+        self.logits = np.empty((0, vocab_size))
+
+    def add(self, keys: list, rows) -> np.ndarray:
+        """Store ``rows`` as the rows of the new states ``keys``, in order; their ids."""
+        (n, vocab), m = self.logits[:len(self.ids)].shape, len(self.ids) + len(keys)
+        if m > len(self.logits):
+            self.logits = np.concatenate([self.logits[:n], np.empty((max(m, 2 * n) - n, vocab))])
+        self.logits[n:m] = np.reshape(rows, (m - n, vocab))
+        self.ids.update(zip(keys, range(n, m)))
+        return np.arange(n, m)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.logits[self.ids[key]].copy()
+
+    def __setitem__(self, key, row) -> None:
+        i = self.ids[key] if key in self.ids else self.add([key], [row])  # may grow the array
+        self.logits[i] = row
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 class PolicyModel:
     """Tabular softmax policy over short answers.
 
     Logit rows are created lazily per (prompt, prefix) state: zeros when
     ``init_scale`` is 0 (uniform policy), otherwise seeded Gaussian noise
     derived from a stable per-state digest so results do not depend on touch
-    order. A reference-role model is frozen: its rows may be read but never
-    written or updated.
+    order. The stored rows are one array (``_rows``) addressed by integer
+    state ids: a batch resolves its states to ids once, then reads and
+    updates its rows by id. A reference-role model is frozen: its rows may be
+    read but never written or updated; a read makes the rows it has not
+    stored once per call, as one block, and keeps none of them.
     """
 
     def __init__(self, vocab_size: int, context_length: int, init_scale: float = 0.0,
@@ -102,7 +134,7 @@ class PolicyModel:
         self.init_scale = float(init_scale)
         self.seed = int(seed)
         self.role = role
-        self._rows: dict[tuple, np.ndarray] = {}
+        self._rows = _Rows(vocab_size)
 
     @property
     def frozen(self) -> bool:
@@ -113,28 +145,36 @@ class PolicyModel:
     def _make_row(self, key) -> np.ndarray:
         if self.init_scale == 0.0:
             return np.zeros(self.vocab_size)
-        digest = zlib.crc32(repr(key).encode()) ^ (self.seed & 0xFFFFFFFF)
-        rng = np.random.default_rng(digest)
+        rng = np.random.default_rng(zlib.crc32(repr(key).encode()) ^ (self.seed & 0xFFFFFFFF))
         return self.init_scale * rng.standard_normal(self.vocab_size)
 
     def logits_row(self, x, prefix) -> np.ndarray:
         x = _as_tokens(x, self.vocab_size, "prompt")
         prefix = _as_tokens(prefix, self.vocab_size, "answer")
         if len(prefix) >= self.context_length:
-            raise InvalidInput(
-                f"prefix length {len(prefix)} exceeds context_length {self.context_length}"
-            )
+            raise InvalidInput(f"prefix length {len(prefix)} exceeds context_length "
+                               f"{self.context_length}")
         return self._row((x, prefix))
 
     def _row(self, key) -> np.ndarray:
-        """Logit row of an already validated (prompt, prefix) state."""
-        row = self._rows.get(key)
-        if row is None:
-            row = self._make_row(key)
-            if self.frozen:
-                return row  # do not grow a frozen model's table
-            self._rows[key] = row
-        return row
+        """Logit row (a copy) of an already validated (prompt, prefix) state."""
+        return self._read([key])[0][0]
+
+    def _read(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
+        """(the rows of the distinct states ``keys`` as one stack, their ids). A state with
+        no row gets a made one (zeros at ``init_scale`` 0, else ``_make_row``'s), stored
+        last, in ``keys``' order, unless the model is frozen: then its id is -1."""
+        ids = np.fromiter(map(self._rows.ids.get, keys, itertools.repeat(-1)), np.intp, len(keys))
+        made = np.flatnonzero(ids < 0)
+        if not made.size:
+            return self._rows.logits[ids], ids
+        rows = np.zeros((len(keys), self.vocab_size))
+        rows[ids >= 0] = self._rows.logits[ids[ids >= 0]]
+        for i in made.tolist() if self.init_scale else ():  # row by row: no second stack
+            rows[i] = self._make_row(keys[i])
+        if not self.frozen:
+            ids[made] = self._rows.add([keys[i] for i in made.tolist()], rows[made])
+        return rows, ids
 
     def step_probabilities(self, x, prefix) -> np.ndarray:
         return np.exp(_log_softmax(self.logits_row(x, prefix)))
@@ -143,23 +183,24 @@ class PolicyModel:
         """(prompt, answer) as token tuples of states this model has."""
         x = _as_tokens(x, self.vocab_size, "prompt")
         y = _as_tokens(y, self.vocab_size, "answer")
-        if len(y) > self.context_length:  # the prefix y[:T] has no state
-            t = self.context_length
+        if len(y) > (t := self.context_length):  # the prefix y[:T] has no state
             raise InvalidInput(f"prefix length {t} exceeds context_length {t}")
         return x, y
 
     def _read_answers(self, answers) -> tuple:
-        """(log pi(y_t | x, y[:t]) per step of each checked (x, y), log softmax stack, ``at``).
-
-        The stack holds one row per distinct state, read (or made, for a frozen
-        model) once per call; ``at`` is each step's row in it, answer after answer.
-        """
-        states, at = _state_steps(answers)
-        rows = np.array([self._row(key) for key in states]).reshape(len(states), self.vocab_size)
+        """(log pi(y_t | x, y[:t]) per step of each checked (x, y), log softmax stack, ``at``,
+        states, ids): the stack has one row per distinct state (x, y[:t]), first met first
+        (``states`` maps each to its position), read (or made, for a frozen model) once per
+        call, and ``at`` is each step's row in it, answer after answer."""
+        states: dict = {}
+        at = np.array([states.setdefault((x, y[:t]), len(states))
+                       for x, y in answers for t in range(len(y))], dtype=np.intp)
+        rows, ids = self._read(list(states))
         log_probs = _log_softmax(rows)
         picked = log_probs[at, [t for _, y in answers for t in y]].tolist()
         ends = np.cumsum([len(y) for _, y in answers])
-        return [picked[end - len(y):end] for end, (_, y) in zip(ends, answers)], log_probs, at
+        return ([picked[end - len(y):end] for end, (_, y) in zip(ends, answers)],
+                log_probs, at, states, ids)
 
     # -- mutation -----------------------------------------------------
 
@@ -171,42 +212,41 @@ class PolicyModel:
             raise InvalidInput(f"logit row must have shape ({self.vocab_size},)")
         if not np.isfinite(logits).all():
             raise InvalidInput("logit row must be finite")
-        key = (_as_tokens(x, self.vocab_size, "prompt"),
-               _as_tokens(prefix, self.vocab_size, "answer"))
-        self._rows[key] = logits.copy()
+        self._rows[_as_tokens(x, self.vocab_size, "prompt"),
+                   _as_tokens(prefix, self.vocab_size, "answer")] = logits
 
     def apply_gradient(self, grads: dict, learning_rate: float, iteration=None) -> None:
-        """Gradient-ascent step: logits += lr * grad, every row of ``grads`` as one stack.
+        """Gradient-ascent step: logits += lr * grad, every row of ``grads`` as one stack. A
+        step past the float range is a NumericalError carrying ``iteration``, and stores no row."""
+        steps = np.array(list(grads.values())).reshape(len(grads), self.vocab_size)
+        n, ids = len(self._rows), self._read(list(grads))[1]  # a new state's made row goes last
+        try:
+            self._ascend(ids, steps, learning_rate, iteration)
+        except NumericalError:  # forget the new states
+            self._rows.ids = dict(itertools.islice(self._rows.ids.items(), n))
+            raise
 
-        A step past the float range is a NumericalError carrying ``iteration``,
-        and then no row is stored.
-        """
-        shape = (len(grads), self.vocab_size)
-        self._ascend(list(grads), np.array(list(grads.values())).reshape(shape),
-                     learning_rate, iteration)
-
-    def _ascend(self, states, grads: np.ndarray, learning_rate: float, iteration) -> None:
-        """``apply_gradient`` of the gradient rows ``grads``, one per state of ``states``."""
+    def _ascend(self, ids: np.ndarray, grads: np.ndarray, learning_rate: float,
+                iteration) -> None:
+        """``apply_gradient`` of the gradient rows ``grads``, one per row id of ``ids``."""
         if self.frozen:
             raise InvalidInput("reference model is frozen")
-        rows = np.array([self._rows[key] if key in self._rows else self._make_row(key)
-                         for key in states]).reshape(grads.shape)
+        rows = self._rows.logits[ids]
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
             rows += learning_rate * grads
         if not np.isfinite(rows).all():
             raise NumericalError("non-finite policy logits", iteration=iteration)
-        self._rows.update(zip(states, map(np.copy, rows)))  # a view would keep the whole stack
+        self._rows.logits[ids] = rows
 
     def snapshot(self) -> "PolicyModel":
         """Frozen copy of the current parameters."""
-        copy = self._frozen_view()
-        copy._rows = {k: v.copy() for k, v in self._rows.items()}
+        copy = PolicyModel(self.vocab_size, self.context_length, self.init_scale, self.seed, "reference")
+        copy._rows.add(list(self._rows), self._rows.logits[:len(self._rows)])
         return copy
 
     def _frozen_view(self) -> "PolicyModel":
-        """Frozen model sharing this one's rows: reading it stores no new row."""
-        view = PolicyModel(self.vocab_size, self.context_length,
-                           init_scale=self.init_scale, seed=self.seed, role="reference")
+        """Frozen model sharing this one's rows, even as they grow: reading it stores no new row."""
+        view = PolicyModel(self.vocab_size, self.context_length, self.init_scale, self.seed, "reference")
         view._rows = self._rows
         return view
 
@@ -219,12 +259,13 @@ class PolicyModel:
         """(an answer to each prompt of ``xs``, its log probability, ``levels``).
 
         Draws every answer at once, one depth at a time. ``levels[t]`` is
-        (log softmax stack of the depth-t states, each answer's row in it).
-        Every draw is numpy's ``Generator.choice(V, p=probs)`` on its state's
-        CDF: the same token, and the generator left in the same state, as one
-        choice per step, answer after answer. So the n * T uniforms are taken
-        in that order first, and a non-finite row raises for the state that
-        such a loop meets first, storing the rows it would have stored.
+        (log softmax stack of the depth-t states, each answer's row in it, the
+        states' ids). Every draw is numpy's ``Generator.choice(V, p=probs)`` on
+        its state's CDF: the same token, and the generator left in the same
+        state, as one choice per step, answer after answer. So the n * T
+        uniforms are taken in that order first, and a non-finite row raises for
+        the state that such a loop meets first, storing the rows it would have
+        stored.
         """
         n, vocab, length = len(xs), self.vocab_size, self.context_length
         uniforms = np.array([rng.random() for _ in range(n * length)]).reshape(n, length)
@@ -234,19 +275,15 @@ class PolicyModel:
         first = np.unique(at, return_index=True)[1]  # the first answer at each state
         tokens = np.empty((n, length), dtype=np.intp)
         logps = np.zeros(n)
-        levels, made, failure = [], [], None
-
-        def read(i, key):  # a row made here is stored below, in the order such a loop meets it
-            row = self._rows.get(key)
-            if row is None:
-                row = self._make_row(key)
-                if not self.frozen:
-                    made.append((first[i], depth, key, row))
-            return row
-
+        levels, made, failure, view = [], [], None, self._frozen_view()
         for depth in range(length):
-            log_probs = _log_softmax(
-                np.array([read(i, key) for i, key in enumerate(states)]).reshape(-1, vocab))
+            rows, ids = view._read(states)  # made rows are stored below
+            if not self.frozen:
+                new = np.flatnonzero(ids < 0)
+                made += [(first[i], depth, i, states[i], row)
+                         for i, row in zip(new.tolist(), rows[new])]
+            log_probs = _log_softmax(rows)
+            del rows  # a level's stack is freed before its CDF is made
             cdf = np.exp(log_probs).cumsum(axis=1)
             cdf /= cdf[:, -1:]
             bad = ~np.isfinite(cdf[:, -1])  # a NaN row: no distribution to draw from
@@ -257,42 +294,35 @@ class PolicyModel:
             drawn = np.count_nonzero(cdf[at] <= uniforms[:len(at), depth, None], axis=1)
             logps[:len(at)] += log_probs[at, drawn]
             tokens[:len(at), depth] = drawn
-            levels.append((log_probs, at))
+            levels.append((log_probs, at, ids))
             if depth + 1 < length:
-                ids, first, at = np.unique(at * vocab + drawn, return_index=True,
-                                           return_inverse=True)
+                codes, first, at = np.unique(at * vocab + drawn, return_index=True,
+                                             return_inverse=True)
                 states = [(states[s][0], states[s][1] + (v,))
-                          for s, v in (divmod(i, vocab) for i in ids.tolist())]
-        made.sort(key=lambda item: item[:2])  # (first answer, depth): the order a loop meets them
-        self._rows.update((key, row) for *met, key, row in made
-                          if failure is None or tuple(met) <= failure[:2])
+                          for s, v in (divmod(i, vocab) for i in codes.tolist())]
+        # by (first answer, depth), which no two states share: the order a loop meets them
+        made = sorted(item for item in made if failure is None or item[:2] <= failure[:2])
+        for (_, depth, i, *_), new in zip(made, self._rows.add([m[3] for m in made],
+                                                               [m[4] for m in made])):
+            levels[depth][2][i] = new
         if failure is not None:
             raise NumericalError(f"non-finite logit row at state {failure[2]}")
         return list(map(tuple, tokens.tolist())), logps.tolist(), levels
 
 
-def _state_steps(answers) -> tuple[dict, list]:
-    """The states (x, y[:t]) of ``answers`` ((x, y, ...) items), first met first, each mapped
-    to its position; and the position of every step's state, in answer order."""
-    states: dict = {}
-    return states, [states.setdefault((x, y[:t]), len(states))
-                    for x, y, *_ in answers for t in range(len(y))]
+def _step_grads(steps: np.ndarray, tokens, scales, probs) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct states of ``steps``, sorted, and one stacked gradient row each.
 
-
-def _step_grads(batch, probs: np.ndarray) -> tuple[dict, np.ndarray]:
-    """The states of ``batch`` (as ``_state_steps`` orders them) and one stacked gradient row each.
-
-    ``batch`` holds (x, y, scale) items and ``probs`` one row per step of
-    them, in batch order: pi(. | x, y[:t]). A state's row is the sum of
+    ``steps`` labels each step's state (a position or a row id), and
+    ``tokens``, ``scales`` and ``probs`` give its y_t, its scale and
+    pi(. | x, y[:t]), in batch order. A state's row is the sum of
     scale * (onehot(y_t) - pi(. | x, y[:t])) over its steps, taken in batch
     order as ``g -= scale * probs[t]; g[y_t] += scale`` takes them:
     ``np.add.at`` applies its indices in order, and g - a is g + (-a).
     """
-    states, at = _state_steps(batch)
+    states, at = np.unique(steps, return_inverse=True)
     vocab = probs.shape[1]
-    scales = np.array([scale for _, y, scale in batch for _ in y])
-    tokens = np.array([t for _, y, _ in batch for t in y], dtype=np.intp)
-    starts = np.array(at, dtype=np.intp) * vocab
+    starts = at * vocab
     index = np.column_stack([starts[:, None] + np.arange(vocab), starts + tokens])
     grads = np.zeros(len(states) * vocab)
     np.add.at(grads, index.ravel(), np.column_stack([-(scales[:, None] * probs), scales]).ravel())
@@ -304,20 +334,29 @@ def answer_log_prob(policy: PolicyModel, x, y) -> float:
     return reduce(add, policy._read_answers([policy._check(x, y)])[0][0], 0.0)
 
 
+def _sft_steps(policy: PolicyModel, dataset):
+    """(SFT loss, its gradient rows, the states first met first, their ids) of ``policy`` as
+    it is at each ``next``: the pairs are checked and their states resolved to ids once."""
+    pairs = [policy._check(x, y) for x, y in dataset]
+    if not pairs:
+        raise EmptyInput("SFT dataset is empty")
+    _, log_probs, at, states, ids = policy._read_answers(pairs)
+    tokens = np.array([t for _, y in pairs for t in y], dtype=np.intp)
+    while True:
+        loss = reduce(sub, log_probs[at, tokens].tolist(), 0.0)
+        grads = _step_grads(at, tokens, np.full(len(at), -1.0), np.exp(log_probs)[at])[1]
+        yield loss / len(pairs), grads / len(pairs), states, ids
+        log_probs = _log_softmax(policy._rows.logits[ids])
+
+
 def sft_loss_and_grad(policy: PolicyModel, dataset) -> tuple[float, dict]:
     """Negative mean answer log probability and its exact logits gradient.
 
     The gradient maps (prompt, prefix) state -> d loss / d logits row, the
     per-step softmax-cross-entropy gradient (softmax - onehot) / n_pairs.
     """
-    pairs = [policy._check(x, y) for x, y in dataset]
-    if not pairs:
-        raise EmptyInput("SFT dataset is empty")
-    picked, log_probs, at = policy._read_answers(pairs)
-    loss = reduce(sub, (lp for steps in picked for lp in steps), 0.0)
-    states, grads = _step_grads([(x, y, -1.0) for x, y in pairs], np.exp(log_probs)[at])
-    n = len(pairs)
-    return loss / n, dict(zip(states, grads / n))
+    loss, grads, states, _ = next(_sft_steps(policy, dataset))
+    return loss, dict(zip(states, grads))
 
 
 @dataclass(frozen=True)
@@ -347,23 +386,15 @@ class RewardModel:
             raise InvalidInput("vocab_size must be >= 2")
         self.vocab_size = vocab_size
         n = 2 * vocab_size + 1
-        if weights is None:
-            self.weights = np.zeros(n)
-        else:
-            self.weights = np.asarray(weights, dtype=np.float64).copy()
-            if self.weights.shape != (n,):
-                raise InvalidInput(f"weights must have shape ({n},)")
+        self.weights = np.zeros(n) if weights is None else np.array(weights, dtype=np.float64)
+        if self.weights.shape != (n,):
+            raise InvalidInput(f"weights must have shape ({n},)")
 
     def features(self, x, y) -> np.ndarray:
         x = _as_tokens(x, self.vocab_size, "prompt")
         y = _as_tokens(y, self.vocab_size, "answer")
-        phi = np.zeros(2 * self.vocab_size + 1)
-        for t in x:
-            phi[t] += 1.0
-        for t in y:
-            phi[self.vocab_size + t] += 1.0
-        phi[-1] = 1.0
-        return phi
+        vocab = self.vocab_size
+        return np.bincount([*x, *(vocab + t for t in y), 2 * vocab], minlength=2 * vocab + 1) * 1.0
 
     def score(self, x, y) -> float:
         return float(self.weights @ self.features(x, y))
@@ -411,20 +442,16 @@ def pairwise_expand(prompt, answers, ranking=None) -> list[PreferenceExample]:
     answers = [_tokens(a, "answer token") for a in answers]
     if len(answers) < 2:
         raise InvalidInput("need at least K=2 answers to form pairs")
-    if ranking is None:
-        ranking = range(len(answers))
-    ranking = _tokens(ranking, "ranking index", InvalidRanking)
+    ranking = _tokens(range(len(answers)) if ranking is None else ranking, "ranking index",
+                      InvalidRanking)
     if sorted(ranking) != list(range(len(answers))):
         raise InvalidRanking(f"ranking must be a total order of 0..{len(answers) - 1}")
     ordered = [answers[i] for i in ranking]
     if len(set(ordered)) != len(ordered):
         raise InvalidRanking("duplicate answers in ranking")
     prompt = _tokens(prompt, "prompt token")
-    return [
-        PreferenceExample(prompt=prompt, preferred=ordered[i], rejected=ordered[j])
-        for i in range(len(ordered))
-        for j in range(i + 1, len(ordered))
-    ]
+    return [PreferenceExample(prompt=prompt, preferred=ordered[i], rejected=ordered[j])
+            for i in range(len(ordered)) for j in range(i + 1, len(ordered))]
 
 
 def combined_reward(rm: RewardModel, policy: PolicyModel, reference: PolicyModel,
@@ -451,8 +478,8 @@ def _combined_rewards(rm: RewardModel, reference: PolicyModel, answers, logps, b
             for score, logp, steps in zip(scores, logps, reference._read_answers(checked)[0])]
 
 
-def _exact_kl(policy: PolicyModel, reference: PolicyModel, prompts: list) -> list:
-    """KL(pi || ref) of the answers to each of ``prompts`` by the chain rule.
+def _exact_kl(policy: PolicyModel, reference: PolicyModel, prompts: list) -> dict:
+    """KL(pi || ref) of the answers to each of ``prompts`` by the chain rule, per prompt.
 
     Walks every prompt's prefix tree at once, one level at a time: the level's
     states, prompt after prompt, are made and read as one stack in blocks of
@@ -461,7 +488,7 @@ def _exact_kl(policy: PolicyModel, reference: PolicyModel, prompts: list) -> lis
     its own slice of the level, and carries pi(prefix + v) = pi(prefix) *
     pi(v|prefix) down to the next level.
     """
-    vocab = policy.vocab_size
+    vocab, prompts = policy.vocab_size, list(dict.fromkeys(prompts))  # each prompt walked once
     block = max(1, _EXACT_KL_BLOCK // vocab)
     prefixes = [()]
     weights = np.ones(len(prompts))  # pi(prefix | x) of each state (x, prefix) of the level
@@ -473,8 +500,8 @@ def _exact_kl(policy: PolicyModel, reference: PolicyModel, prompts: list) -> lis
         steps = np.empty((sums.size, vocab)) if depth + 1 < policy.context_length else None
         for lo in range(0, sums.size, block):
             part, keys = slice(lo, lo + block), list(itertools.islice(states, block))
-            log_pi = _log_softmax(np.array([policy._row(key) for key in keys]))
-            log_ref = _log_softmax(np.array([reference._row(key) for key in keys]))
+            log_pi = _log_softmax(policy._read(keys)[0])
+            log_ref = _log_softmax(reference._read(keys)[0])
             step = np.exp(log_pi)
             sums[part] = np.sum(step * (log_pi - log_ref), axis=1)
             if steps is not None:
@@ -484,7 +511,7 @@ def _exact_kl(policy: PolicyModel, reference: PolicyModel, prompts: list) -> lis
         if steps is not None:
             weights = steps.ravel()
             prefixes = [p + (v,) for p in prefixes for v in range(vocab)]
-    return kls
+    return dict(zip(prompts, kls))
 
 
 def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
@@ -494,21 +521,19 @@ def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
     Exact by the chain rule, KL = sum over prefixes shorter than T of
     pi(prefix) * KL(pi(.|prefix) || ref(.|prefix)), while the number of prefix
     states sum_{t<T} V**t fits the budget; it costs one softmax row per prefix
-    state and model, and walks every prompt's states at once. Past the budget,
-    a sample estimate of E_pi[log pi - log ref] over ``_KL_SAMPLES`` answers
-    per prompt drawn with ``rng`` (seed 0 when None), prompt after prompt,
-    each prompt's answers drawn at once. The per-prompt KLs are added in
-    prompt order. The policy's rows are read without storing the ones the
-    walk or the samples create, so its table stays as training left it.
+    state and model, and walks every distinct prompt's states at once. Past the
+    budget, a sample estimate of E_pi[log pi - log ref] over ``_KL_SAMPLES``
+    answers per prompt drawn with ``rng`` (seed 0 when None), prompt after
+    prompt, each prompt's answers drawn at once. The per-prompt KLs are added
+    in prompt order. The policy's rows are read through a frozen view, so its
+    table stays as training left it.
     """
-    if (reference.vocab_size, reference.context_length) != (
-            policy.vocab_size, policy.context_length):
+    if (reference.vocab_size, reference.context_length) != (policy.vocab_size, policy.context_length):
         raise InvalidInput("policy and reference must share vocab_size and context_length")
     policy = policy._frozen_view()
     prompts = [_as_tokens(x, policy.vocab_size, "prompt") for x in prompts]
-    n_states = sum(policy.vocab_size ** t for t in range(policy.context_length))
-    if n_states <= _EXACT_KL_BUDGET:
-        kls = _exact_kl(policy, reference, prompts)
+    if sum(policy.vocab_size ** t for t in range(policy.context_length)) <= _EXACT_KL_BUDGET:
+        kls = list(map(_exact_kl(policy, reference, prompts).get, prompts))
     else:
         rng = np.random.default_rng(0) if rng is None else rng
         kls = []
@@ -545,9 +570,8 @@ class RLHFConfig:
             raise InvalidInput("seed must be >= 0")  # numpy seeds are non-negative
 
 
-def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
-              prompts, config: RLHFConfig, rng: np.random.Generator,
-              iteration: int = 0) -> dict:
+def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel, prompts,
+              config: RLHFConfig, rng: np.random.Generator, iteration: int = 0) -> dict:
     """One PPO-style iteration: sample, score, clipped-surrogate update.
 
     Answers are sampled from the current policy; each sample's advantage is
@@ -566,28 +590,33 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
     answers = list(zip(xs, ys))
     rewards = _combined_rewards(rm, reference, answers, old_logps, config.beta)
 
-    clip_lo, clip_hi = 1.0 - config.ppo_clip, 1.0 + config.ppo_clip
-    clipped = 0
+    clip_lo, clip_hi, clipped = 1.0 - config.ppo_clip, 1.0 + config.ppo_clip, 0
     logps = old_logps  # the policy first changes at the end of epoch 0: there the ratio is 1
-    # pi(. | x, y[:t]) of every step, answer after answer: (answers, T, V)
-    step_probs = np.stack([np.exp(log_probs)[at] for log_probs, at in levels], axis=1)
+    # pi(. | x, y[:t]) of every step, answer after answer: (answers, T, V); and the
+    # row id of each step's state and its token: (answers, T)
+    step_probs = np.stack([np.exp(log_probs)[at] for log_probs, at, _ in levels], axis=1)
+    steps = np.stack([ids[at] for _, at, ids in levels], axis=1)
+    tokens = np.array(ys, dtype=np.intp).reshape(steps.shape)
     for epoch in range(config.epochs):
-        if epoch:  # re-read the updated policy, every answer as one stack
-            picked, log_probs, at = policy._read_answers(answers)
-            logps = [reduce(add, steps, 0.0) for steps in picked]
+        if epoch:  # re-read the updated policy's rows of the answers' states, as one stack
+            states, at = np.unique(steps.ravel(), return_inverse=True)
+            log_probs = _log_softmax(policy._rows.logits[states])
+            picked = log_probs[at, tokens.ravel()].reshape(tokens.shape)
+            logps = reduce(add, picked.T, 0.0).tolist()  # each answer's steps in order
             step_probs = np.exp(log_probs)[at].reshape(step_probs.shape)
-        batch, kept = [], []
-        for i, ((x, y), logp, old_logp, advantage) in enumerate(
-                zip(answers, logps, old_logps, rewards)):
+        scales, kept = [], []
+        for i, (logp, old_logp, advantage) in enumerate(zip(logps, old_logps, rewards)):
             ratio = float(np.exp(logp - old_logp))
             if not (clip_lo <= ratio <= clip_hi):
                 clipped += 1
                 if min(max(ratio, clip_lo), clip_hi) * advantage <= ratio * advantage:
                     continue  # clipped branch is the min: zero gradient
             # d surrogate / d logits = A * ratio * d log pi / d logits
-            batch.append((x, y, advantage * ratio / len(answers)))
+            scales.append(advantage * ratio / len(answers))
             kept.append(i)
-        states, grads = _step_grads(batch, step_probs[kept].reshape(-1, policy.vocab_size))
+        states, grads = _step_grads(steps[kept].ravel(), tokens[kept].ravel(),
+                                    np.repeat(scales, tokens.shape[1]),
+                                    step_probs[kept].reshape(-1, policy.vocab_size))
         if not np.isfinite(grads).all():
             raise NumericalError("non-finite policy gradient", iteration=iteration)
         policy._ascend(states, grads, config.learning_rate, iteration)
@@ -595,22 +624,17 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
     # the diagnostic draws (past the exact budget) from its own generator, so
     # it cannot change the training samples
     kl_rng = np.random.default_rng([config.seed, iteration])
-    return {
-        "iteration": iteration,
-        "mean_reward": float(np.mean(rewards)),
-        "mean_kl": mean_kl(policy, reference, prompts, rng=kl_rng),
-        "clip_fraction": clipped / (config.epochs * len(answers)),
-    }
+    return {"iteration": iteration, "mean_reward": float(np.mean(rewards)),
+            "mean_kl": mean_kl(policy, reference, prompts, rng=kl_rng),
+            "clip_fraction": clipped / (config.epochs * len(answers))}
 
 
 def run_rlhf(policy: PolicyModel, reference: PolicyModel, rm: RewardModel,
              prompts, config: RLHFConfig) -> list[dict]:
     """config.iterations PPO iterations; one diagnostics dict per iteration."""
     rng = np.random.default_rng(config.seed)
-    return [
-        rlhf_step(policy, reference, rm, prompts, config, rng, iteration=i)
-        for i in range(config.iterations)
-    ]
+    return [rlhf_step(policy, reference, rm, prompts, config, rng, iteration=i)
+            for i in range(config.iterations)]
 
 
 def train_sft(policy: PolicyModel, dataset, learning_rate: float = 0.5,
@@ -618,13 +642,12 @@ def train_sft(policy: PolicyModel, dataset, learning_rate: float = 0.5,
     """Full-batch gradient descent on the SFT loss; per-iteration diagnostics."""
     if iterations < 0:
         raise InvalidInput("iterations must be >= 0")
-    history = []
-    for i in range(iterations):
-        loss, grads = sft_loss_and_grad(policy, dataset)
+    history = []  # zip asks for no step when iterations is 0, so no pair is read
+    for i, (loss, grads, _, ids) in zip(range(iterations), _sft_steps(policy, dataset)):
         if not np.isfinite(loss):
             raise NumericalError("non-finite SFT loss", iteration=i)
         # descend the loss: logits += (-lr) * dL/dlogits, the bits of logits -= lr * dL/dlogits
-        policy.apply_gradient(grads, -learning_rate, i)
+        policy._ascend(ids, grads, -learning_rate, i)
         history.append({"iteration": i, "loss": loss})
     return history
 
@@ -679,18 +702,14 @@ def _load_jsonl(path, required: tuple) -> list[dict]:
 
 def load_sft_dataset(path) -> list[tuple]:
     """{"prompt": [ints], "answer": [ints]} per line."""
-    return [
-        (tuple(obj["prompt"]), tuple(obj["answer"]))
-        for obj in _load_jsonl(path, ("prompt", "answer"))
-    ]
+    return [(tuple(obj["prompt"]), tuple(obj["answer"]))
+            for obj in _load_jsonl(path, ("prompt", "answer"))]
 
 
 def load_preference_dataset(path) -> list[PreferenceExample]:
     """{"prompt": [...], "chosen": [...], "rejected": [...]} per line."""
-    return [
-        PreferenceExample(prompt=obj["prompt"], preferred=obj["chosen"], rejected=obj["rejected"])
-        for obj in _load_jsonl(path, ("prompt", "chosen", "rejected"))
-    ]
+    return [PreferenceExample(prompt=obj["prompt"], preferred=obj["chosen"], rejected=obj["rejected"])
+            for obj in _load_jsonl(path, ("prompt", "chosen", "rejected"))]
 
 
 def load_prompt_dataset(path) -> list[tuple]:
@@ -704,30 +723,20 @@ def load_prompt_dataset(path) -> list[tuple]:
 
 
 def _encode_state(key) -> str:
-    prompt, prefix = key
-    return ",".join(map(str, prompt)) + ";" + ",".join(map(str, prefix))
+    return ";".join(",".join(map(str, part)) for part in key)  # prompt;prefix
 
 
 def _decode_state(text: str) -> tuple:
-    prompt_part, _, prefix_part = text.partition(";")
-    prompt = tuple(int(t) for t in prompt_part.split(",") if t != "")
-    prefix = tuple(int(t) for t in prefix_part.split(",") if t != "")
-    return prompt, prefix
+    return tuple(tuple(int(t) for t in part.split(",") if t) for part in text.partition(";")[::2])
 
 
 def save_policy(policy: PolicyModel, path) -> None:
-    payload = {
-        "vocab_size": policy.vocab_size,
-        "context_length": policy.context_length,
-        "init_scale": policy.init_scale,
-        "seed": policy.seed,
-        "role": policy.role,
-        "rows": {
-            _encode_state(k): [repr(float(v)) for v in row]
-            for k, row in policy._rows.items()
-        },
-    }
-    write_json(path, payload)
+    rows = policy._rows.logits[:len(policy._rows)].tolist()
+    write_json(path, {
+        "vocab_size": policy.vocab_size, "context_length": policy.context_length,
+        "init_scale": policy.init_scale, "seed": policy.seed, "role": policy.role,
+        "rows": dict(zip(map(_encode_state, policy._rows), ([repr(v) for v in r] for r in rows))),
+    })
 
 
 def _load_model_json(path, keys: tuple) -> dict:
@@ -770,15 +779,10 @@ def _model_row(path, what: str, values, length: int) -> np.ndarray:
 
 
 def load_policy(path) -> PolicyModel:
-    payload = _load_model_json(
-        path, ("vocab_size", "context_length", "init_scale", "seed", "role", "rows"))
-    policy = PolicyModel(
-        vocab_size=_model_value(path, "vocab_size", payload["vocab_size"], int),
-        context_length=_model_value(path, "context_length", payload["context_length"], int),
-        init_scale=_model_value(path, "init_scale", payload["init_scale"], float),
-        seed=_model_value(path, "seed", payload["seed"], int),
-        role=payload["role"],
-    )
+    payload = _load_model_json(path, ("vocab_size", "context_length", "init_scale", "seed", "role", "rows"))
+    fields = {key: _model_value(path, key, payload[key], kind) for key, kind in
+              (("vocab_size", int), ("context_length", int), ("init_scale", float), ("seed", int))}
+    policy = PolicyModel(**fields, role=payload["role"])
     if not isinstance(payload["rows"], dict):
         raise ParseError(f"{path}: rows must be an object")
     for text, row in payload["rows"].items():
@@ -791,11 +795,7 @@ def load_policy(path) -> PolicyModel:
 
 
 def save_reward_model(rm: RewardModel, path) -> None:
-    payload = {
-        "vocab_size": rm.vocab_size,
-        "weights": [repr(float(w)) for w in rm.weights],
-    }
-    write_json(path, payload)
+    write_json(path, {"vocab_size": rm.vocab_size, "weights": [repr(float(w)) for w in rm.weights]})
 
 
 def load_reward_model(path) -> RewardModel:

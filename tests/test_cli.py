@@ -1899,3 +1899,27 @@ class TestHelp:
         assert proc.returncode == 0
         for name in ("extract", "fuse", "prefopt", "bench", "kb"):
             assert name in proc.stdout
+
+
+class TestOneParser:
+    def test_calls_in_one_process_take_only_their_own_arguments(self, tmp_path, capsys):
+        # every call parses with the one parser built at import: nothing of an
+        # earlier call's --set, --config or --output-dir reaches a later one
+        screen = write_config(kb_config(tmp_path / "screen", "screen"), tmp_path / "screen.json")
+        price = write_config(kb_config(tmp_path / "price", "price"), tmp_path / "price.json")
+        golden = {name: open(scene_path(f"golden/kb/{name}"), "rb").read()
+                  for name in ("screen_results.csv", "price_results.csv")}
+        strict = ["--set", 'kb.criteria=["plant_height<=60"]', "--output-dir", str(tmp_path / "x")]
+        for _ in range(2):
+            assert _run_one_line(["kb", "--config", screen, *strict], capsys)[0] == 0
+            assert _run_one_line(["kb", "--config", screen], capsys)[0] == 0
+            assert _run_one_line(["kb", "--config", price], capsys)[0] == 0
+            assert os.listdir(tmp_path / "x") == ["screen_results.csv"]
+            assert (tmp_path / "x" / "screen_results.csv").read_bytes() != golden["screen_results.csv"]
+            for kind in ("screen", "price"):
+                assert os.listdir(tmp_path / kind) == [f"{kind}_results.csv"]
+                name = f"{kind}_results.csv"
+                assert (tmp_path / kind / name).read_bytes() == golden[name]
+        rc, summary = _run_one_line(["kb", "--config", price, "--set", "kb.date=null"], capsys)
+        assert (rc, summary["field"]) == (2, "kb.date")
+        assert _run_one_line(["kb", "--config", price], capsys)[0] == 0

@@ -1265,3 +1265,185 @@ class TestTrainRewardMatchesLossLoop:
         want = _outcome(_train_reward_loop, prefopt.RewardModel(3), dataset, 0.5, 2)
         assert want == ("InvalidToken", "answer token 3 outside vocabulary of size 3")
         assert _outcome(prefopt.train_reward, prefopt.RewardModel(3), dataset, 0.5, 2) == want
+
+
+# ---------------------------------------------------------------------------
+# Stored rows: frozen reads, row order
+# ---------------------------------------------------------------------------
+
+
+class TestStoredRows:
+    # (5, 4) walks every state exactly, with a repeated prompt; (16, 4) samples past the budget
+    @pytest.mark.parametrize("vocab,prompts", [(5, [(0, 1), (4,), (0, 1)]), (16, [(0, 1), (15,)])],
+                             ids=["exact", "sampled"])
+    @pytest.mark.parametrize("init_scale", [0.0, 1.5])
+    def test_kl_reads_store_nothing_and_make_each_unstored_row_at_most_once(
+            self, monkeypatch, vocab, prompts, init_scale):
+        policy = prefopt.PolicyModel(vocab, 4, init_scale=init_scale, seed=5)
+        rng = np.random.default_rng(vocab)
+        prefopt.train_sft(policy, [(x, tuple(int(t) for t in rng.integers(0, vocab, 4)))
+                                   for x in prompts], iterations=2)
+        reference = policy.snapshot()
+        prefopt.train_sft(policy, [((0, 1), (1, 1, 0))], iterations=1)  # one more stored state
+        models = {id(policy._rows): policy, id(reference._rows): reference}
+        stored = {key: _hex_rows(model) for key, model in models.items()}
+        made = collections.Counter()
+        make_row = prefopt.PolicyModel._make_row
+
+        def counting(model, key):
+            made[id(model._rows), key] += 1  # a frozen view shares its owner's rows
+            return make_row(model, key)
+
+        monkeypatch.setattr(prefopt.PolicyModel, "_make_row", counting)
+        assert math.isfinite(prefopt.mean_kl(policy, reference, prompts,
+                                             rng=np.random.default_rng(2)))
+        if init_scale == 0.0:
+            assert not made
+        else:
+            assert made and max(made.values()) == 1
+            assert not any(key in models[rows]._rows for rows, key in made)
+            assert {rows for rows, _ in made} == set(models)
+        assert {key: _hex_rows(model) for key, model in models.items()} == stored
+
+    def test_a_frozen_view_reads_rows_stored_after_it_was_made(self):
+        policy = prefopt.PolicyModel(3, 2)
+        view = policy._frozen_view()
+        for k in range(27):  # the storage grows several times
+            policy.set_logits((k // 9, k // 3 % 3, k % 3), (), [float(k), 0.0, 1.0])
+        assert view.logits_row((2, 2, 2), ()).tolist() == [26.0, 0.0, 1.0]
+        assert len(view._rows) == 27
+
+    def test_a_row_read_is_a_copy(self):
+        policy = prefopt.PolicyModel(3, 1)
+        policy.set_logits((0,), (), [1.0, 2.0, 3.0])
+        held, mapped = policy.logits_row((0,), ()), policy._rows[(0,), ()]
+        policy.apply_gradient({((0,), ()): np.ones(3)}, 1.0)
+        policy.set_logits((1,), (), [0.0, 0.0, 0.0])
+        assert held.tolist() == mapped.tolist() == [1.0, 2.0, 3.0]
+        assert policy.logits_row((0,), ()).tolist() == [2.0, 3.0, 4.0]
+
+    def test_writing_a_stored_state_keeps_its_place(self, tmp_path):
+        # policy.json lists the states by their text (write_json sorts keys); a loaded
+        # model stores them in that order, and an in-memory one in the order first stored
+        policy = prefopt.PolicyModel(3, 2)
+        keys = [((2,), ()), ((0,), (1,)), ((1, 1), ()), ((0,), ())]
+        for k, (x, prefix) in enumerate(keys):
+            policy.set_logits(x, prefix, [float(k), 0.0, 0.0])
+        policy.set_logits((0,), (1,), [7.0, 0.0, 0.0])
+        policy.apply_gradient({((1, 1), ()): np.ones(3), ((1,), ()): np.ones(3)}, 0.5)
+        assert list(policy._rows) == keys + [((1,), ())]  # a new state goes last
+        prefopt.save_policy(policy, tmp_path / "policy.json")
+        rows = json.loads((tmp_path / "policy.json").read_text(encoding="utf-8"))["rows"]
+        assert list(rows.items()) == [
+            ("0;", ["3.0", "0.0", "0.0"]), ("0;1", ["7.0", "0.0", "0.0"]),
+            ("1,1;", ["2.5", "0.5", "0.5"]), ("1;", ["0.5", "0.5", "0.5"]),
+            ("2;", ["0.0", "0.0", "0.0"])]
+        loaded = prefopt.load_policy(tmp_path / "policy.json")
+        assert [prefopt._encode_state(key) for key in loaded._rows] == list(rows)
+        assert [loaded._rows[key].tolist() for key in keys] == [
+            [0.0, 0.0, 0.0], [7.0, 0.0, 0.0], [2.5, 0.5, 0.5], [3.0, 0.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# PPO's expected gradient against the enumerated objective
+# ---------------------------------------------------------------------------
+
+
+def _enumerated_objective(policy, reference, rm, x, beta):
+    """J(pi) = E_pi[r_rm] - beta * KL(pi || ref) over every answer to ``x``."""
+    total = 0.0
+    for y in itertools.product(range(policy.vocab_size), repeat=policy.context_length):
+        logp = prefopt.answer_log_prob(policy, x, y)
+        total += math.exp(logp) * (rm.score(x, y)
+                                   - beta * (logp - prefopt.answer_log_prob(reference, x, y)))
+    return total
+
+
+def _expected_gradient(policy, reference, rm, x, beta):
+    """sum_y pi(y|x) * A(x, y) * grad log pi(y|x), A the combined reward: state -> row."""
+    grad = collections.defaultdict(lambda: np.zeros(policy.vocab_size))
+    for y in itertools.product(range(policy.vocab_size), repeat=policy.context_length):
+        weight = (math.exp(prefopt.answer_log_prob(policy, x, y))
+                  * prefopt.combined_reward(rm, policy, reference, x, y, beta))
+        for key, row in prefopt.sft_loss_and_grad(policy, [(x, y)])[1].items():
+            grad[key] -= weight * row  # the SFT gradient of one pair is -grad log pi(y|x)
+    return grad
+
+
+def _objective_gradient_by_differences(policy, reference, rm, x, beta, h=1e-5):
+    """Central finite differences of the enumerated J in every logit of every state of ``x``."""
+    grad = {}
+    for key in list(policy._rows):
+        row, grad[key] = policy._rows[key], np.zeros(policy.vocab_size)
+        for v in range(policy.vocab_size):
+            for sign in (1, -1):
+                moved = row.copy()
+                moved[v] += sign * h
+                policy._rows[key] = moved
+                grad[key][v] += sign * _enumerated_objective(policy, reference, rm, x, beta) / (2 * h)
+        policy._rows[key] = row
+    return grad
+
+
+class _Draws:
+    """A generator stand-in whose ``random()`` returns the given uniforms in turn."""
+
+    def __init__(self, uniforms):
+        self.random = iter(uniforms).__next__
+
+
+def _uniforms_drawing(policy, x, y):
+    """Uniforms that make ``_sample`` draw ``y``: each at the middle of y_t's CDF step."""
+    uniforms = []
+    for t, token in enumerate(y):
+        cdf = np.cumsum(policy.step_probabilities(x, y[:t]))
+        cdf /= cdf[-1]
+        uniforms.append(((cdf[token - 1] if token else 0.0) + cdf[token]) / 2)
+    return uniforms
+
+
+class TestExpectedGradientOracle:
+    """At V = 3, T = 2 every answer is enumerable: sum_y pi(y|x) A(x, y) grad log pi(y|x)
+    is exactly grad J for J(pi) = E_pi[r_rm] - beta * KL(pi || ref)."""
+
+    @staticmethod
+    def _models(seed):
+        policy = prefopt.PolicyModel(3, 2, init_scale=1.0, seed=seed)
+        reference = prefopt.PolicyModel(3, 2, init_scale=0.8, seed=seed + 50).snapshot()
+        rm = prefopt.RewardModel(3, weights=np.random.default_rng(seed).normal(size=7))
+        x = (seed % 3, 1)
+        for prefix in [()] + [(v,) for v in range(3)]:  # store every state of x
+            policy.logits_row(x, prefix)
+        return policy, reference, rm, x
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 2.0])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_expected_gradient_is_the_objectives_gradient(self, seed, beta):
+        policy, reference, rm, x = self._models(seed)
+        want = _objective_gradient_by_differences(policy, reference, rm, x, beta)
+        got = _expected_gradient(policy, reference, rm, x, beta)
+        assert set(got) == set(want) and len(want) == 4
+        for key in want:
+            assert np.abs(got[key] - want[key]).max() <= 1e-9, key
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 2.0])
+    def test_one_sample_updates_average_to_the_objectives_gradient(self, beta):
+        # one rlhf_step per answer y, drawn on purpose: pi-weighted, the steps are lr * grad J
+        policy, reference, rm, x = self._models(3)
+        config = prefopt.RLHFConfig(beta=beta, learning_rate=0.25, iterations=1,
+                                    samples_per_prompt=1)
+        want = _objective_gradient_by_differences(policy, reference, rm, x, beta)
+        got = {key: np.zeros(3) for key in want}
+        for y in itertools.product(range(3), repeat=2):
+            uniforms = _uniforms_drawing(policy, x, y)
+            assert policy.snapshot().sample_answer(x, _Draws(uniforms)) == y
+            moved = prefopt.PolicyModel(3, 2, init_scale=1.0, seed=3)
+            for key, row in policy._rows.items():
+                moved._rows[key] = row
+            prefopt.rlhf_step(moved, reference, rm, [x], config, _Draws(uniforms))
+            assert list(moved._rows) == list(policy._rows)  # the step stored no new state
+            weight = math.exp(prefopt.answer_log_prob(policy, x, y))
+            for key in want:
+                got[key] += weight * (moved._rows[key] - policy._rows[key])
+        for key in want:
+            assert np.abs(got[key] / config.learning_rate - want[key]).max() <= 1e-9, key
