@@ -288,6 +288,10 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
             if cfg[surface]["point_cloud"] is None:
                 raise ConfigError(f"extract.{surface}", "need either 'raster' or 'point_cloud'")
             _require(cfg[surface], f"extract.{surface}", "cell_size")
+        aggregator = cfg[surface]["aggregator"]
+        if aggregator not in geodata.ELEVATION_AGGREGATORS:
+            raise ConfigError(f"extract.{surface}.aggregator",
+                              f"expected one of {'/'.join(geodata.ELEVATION_AGGREGATORS)}, got {aggregator!r}")
     hs_names = [f"b{band['wavelength_nm']:g}" for band in cfg["hs_bands"]]
     for i, name in enumerate(hs_names):
         if name in hs_names[:i]:

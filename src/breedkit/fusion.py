@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kb
+from . import kb, spectral
 from ._io import (Columns, TextCodes, codes, csv_rows, iso_date, number, numbers, raise_first,
                   read_table, write_csv)
 from .errors import (
@@ -256,24 +256,14 @@ def _plot_means(keys, values, has, n_plots: int):
     ``keys[i]`` is the plot of entry ``i``. Returns ``(means, present)``, each
     of shape plots × rows; a plot without values has mean NaN and is not
     present. Entries are stably sorted by plot once, so each plot's values
-    lie together in entry order. The plots of a row that hold the same
-    number ``n`` of values are gathered into one ``(plots, n)`` array and
-    summed along its rows: numpy sums each contiguous row as it sums the
-    1-D array in ``np.mean`` (pairwise from 8 values), so every mean has
-    ``np.mean``'s bits. The cost is O(entries · rows) whatever the counts.
+    lie together in entry order, and ``spectral.plot_means`` reduces each
+    row: every mean equals ``np.mean`` over that plot's values, bit for bit.
     """
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     values, has = values[:, order], has[:, order]
-    means = np.full((len(values), n_plots), np.nan)
-    counts = np.zeros((len(values), n_plots), dtype=np.intp)
-    for j in range(len(values)):
-        present = values[j, has[j]]  # grouped by plot, entry order within a plot
-        counts[j] = count = np.bincount(sorted_keys[has[j]], minlength=n_plots)
-        start = np.cumsum(count) - count
-        for n in np.unique(count[count > 0]):
-            plots = np.flatnonzero(count == n)
-            means[j, plots] = present[start[plots, None] + np.arange(n)].sum(axis=1) / n
+    counts = np.array([np.bincount(sorted_keys[h], minlength=n_plots) for h in has])
+    means = np.array([spectral.plot_means(v[h], n) for v, h, n in zip(values, has, counts)])
     return means.T, (counts > 0).T
 
 
@@ -285,9 +275,11 @@ def assemble(
 ) -> FeatureMatrix:
     """Build one feature row per plot from the selected domains.
 
-    Multiple dates for a plot average per feature over the dates where the
-    feature is present, all plots at once (see ``_plot_means``); each mean
-    equals ``np.mean`` over that plot's values in record order, bit for bit.
+    Plots are indexed in ``plot_id`` order (Python's ``str`` order) from the
+    start, so rows, errors and the dropped plots all follow it. Multiple
+    dates for a plot average per feature over the dates where the feature is
+    present, all plots at once (see ``_plot_means``); each mean equals
+    ``np.mean`` over that plot's values in record order, bit for bit.
     Weather aggregates over the growing season (means, precipitation
     total), joined by site when the record carries one. Germplasm trait
     flags come from the knowledge-base records via ``kb.trait_flags``, built
@@ -302,16 +294,16 @@ def assemble(
     if not len(table):
         raise EmptyDataset("no plot feature records")
 
-    # each plot's index in order of first appearance, and its first row
-    plot_codes, first, keys = np.unique(table.plot_id, return_index=True, return_inverse=True)
-    by_appearance = np.argsort(first)
-    keys = np.argsort(by_appearance)[keys]
-    first = first[by_appearance]
+    # each plot's index in plot_id order (Python's str order), and its first row
     text = table.strings
+    plot_codes, first, keys = np.unique(table.plot_id, return_index=True, return_inverse=True)
+    by_id = sorted(range(len(plot_codes)), key=lambda g: text[plot_codes[g]])
+    keys = np.argsort(by_id)[keys]
+    first = first[by_id]
+    plot_ids = [text[code] for code in plot_codes[by_id]]
     conflicting = table.germplasm_id != table.germplasm_id[first][keys]
     if conflicting.any():
         raise InvalidInput(f"plot {text[table.plot_id[np.argmax(conflicting)]]}: conflicting germplasm_id")
-    plot_index = {text[code]: g for g, code in enumerate(plot_codes[by_appearance])}
     germplasm_ids = [text[code] for code in table.germplasm_id[first]]
     sites = [text[code] for code in table.site[first]]
 
@@ -326,14 +318,11 @@ def assemble(
         if c in rows:
             values[k], has[k] = table.values[rows[c]], table.present[rows[c]]
     values[-1], has[-1] = table.yield_kg_ha, ~np.isnan(table.yield_kg_ha)
-    means, present = _plot_means(keys, values, has, len(germplasm_ids))
+    means, present = _plot_means(keys, values, has, len(plot_ids))
     y, has_yield = means[:, -1], present[:, -1]
     means, present = means[:, :-1], present[:, :-1]
-
-    plot_ids = sorted(plot_index)
-    for plot_id in plot_ids:
-        if not has_yield[plot_index[plot_id]]:
-            raise InvalidInput(f"plot {plot_id} has no yield")
+    if not has_yield.all():
+        raise InvalidInput(f"plot {plot_ids[np.argmin(has_yield)]} has no yield")
 
     # season weather and trait flags replace any record values of their columns
     if "weather" in domains:
@@ -369,23 +358,17 @@ def assemble(
 
     present = present[:, kept_cols]
     complete = present.all(axis=1)
-    kept_ids, kept, dropped = [], [], []
-    for plot_id in plot_ids:
-        g = plot_index[plot_id]
-        if complete[g]:
-            kept_ids.append(plot_id)
-            kept.append(g)
-        else:
-            dropped.append((plot_id, tuple(c for c, p in zip(columns, present[g]) if not p)))
-
-    if not kept:
+    kept = np.flatnonzero(complete)
+    dropped = [(plot_ids[g], tuple(c for c, p in zip(columns, present[g]) if not p))
+               for g in np.flatnonzero(~complete)]
+    if not kept.size:
         raise EmptyDataset(f"no plots survive assembly; dropped: {dropped}")
     return FeatureMatrix(
         X=means[np.ix_(kept, kept_cols)],
         y=y[kept],
         columns=columns,
         domains=tuple(FEATURE_DOMAIN[c] for c in columns),
-        plot_ids=tuple(kept_ids),
+        plot_ids=tuple(plot_ids[g] for g in kept),
         germplasm_ids=tuple(germplasm_ids[g] for g in kept),
         dropped=tuple(dropped),
     )
@@ -398,15 +381,19 @@ def fit_ridge(m: FeatureMatrix, lam: float = 1.0) -> RidgeModel:
     Zero-variance columns are dropped with a warning. A singular system at
     lam = 0 raises SingularSystem (use lam > 0).
     """
+    model = _ridge(m.X, m.y, m.columns, lam)
+    if model.dropped_columns:
+        warnings.warn(f"dropping zero-variance columns: {model.dropped_columns}", stacklevel=2)
+    return model
+
+
+def _ridge(X: np.ndarray, y: np.ndarray, columns: tuple, lam: float) -> RidgeModel:
+    """``fit_ridge`` of ``y`` on the columns of ``X``, named ``columns``, without its warning."""
     if lam < 0:
         raise InvalidInput(f"lambda must be >= 0, got {lam}")
-    X, y = m.X, m.y
     means = X.mean(axis=0)
     stds = X.std(axis=0)
     keep = stds > 0.0
-    dropped = tuple(c for c, k in zip(m.columns, keep) if not k)
-    if dropped:
-        warnings.warn(f"dropping zero-variance columns: {dropped}", stacklevel=2)
     if not keep.any():
         raise EmptyDataset("all columns have zero variance")
 
@@ -425,9 +412,9 @@ def fit_ridge(m: FeatureMatrix, lam: float = 1.0) -> RidgeModel:
         intercept=y_bar,
         column_means=means[keep],
         column_stds=stds[keep],
-        columns=tuple(c for c, k in zip(m.columns, keep) if k),
+        columns=tuple(c for c, k in zip(columns, keep) if k),
         lam=lam,
-        dropped_columns=dropped,
+        dropped_columns=tuple(c for c, k in zip(columns, keep) if not k),
     )
 
 
@@ -483,7 +470,8 @@ def kfold_cv(
     Per-fold R^2 is None when that fold's measured values have zero variance
     (always the case for leave-one-out). A column constant over a fold's
     training rows is dropped from that fold's fit without a warning and
-    recorded in ``dropped_columns``.
+    recorded in ``dropped_columns``: each fold is fit on row slices of
+    ``m.X`` and ``m.y`` as ``fit_ridge`` fits a matrix, less its warning.
     """
     n = m.n_rows
     if k < 2:
@@ -503,17 +491,7 @@ def kfold_cv(
     for fold_index, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(order, test_idx, assume_unique=True)
         assert not np.intersect1d(train_idx, test_idx).size, "fold leakage"
-        train = FeatureMatrix(
-            X=m.X[train_idx],
-            y=m.y[train_idx],
-            columns=m.columns,
-            domains=m.domains,
-            plot_ids=tuple(m.plot_ids[i] for i in train_idx),
-            germplasm_ids=tuple(m.germplasm_ids[i] for i in train_idx),
-        )
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "dropping zero-variance columns", UserWarning)
-            model = fit_ridge(train, lam=lam)
+        model = _ridge(m.X[train_idx], m.y[train_idx], m.columns, lam)
         dropped.append(model.dropped_columns)
         keep = [m.columns.index(c) for c in model.columns]
         pred = model.predict(m.X[test_idx][:, keep])

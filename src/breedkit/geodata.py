@@ -570,6 +570,9 @@ def write_point_cloud(cloud: PointCloud, path) -> None:
             fh.write(f"{repr(float(x))} {repr(float(y))} {repr(float(z))}\n")
 
 
+ELEVATION_AGGREGATORS = ("min", "max", "mean")  # how rasterize_elevation reduces a cell's points
+
+
 def rasterize_elevation(cloud: PointCloud, cell_size: float, aggregator: str = "mean") -> RasterGrid:
     """Bin point z-values onto a grid snapped outward to ``cell_size``.
 
@@ -581,8 +584,8 @@ def rasterize_elevation(cloud: PointCloud, cell_size: float, aggregator: str = "
     """
     if not cell_size > 0:
         raise InvalidInput(f"cell_size must be > 0, got {cell_size}")
-    if aggregator not in ("min", "max", "mean"):
-        raise InvalidInput(f"aggregator must be min/max/mean, got {aggregator!r}")
+    if aggregator not in ELEVATION_AGGREGATORS:
+        raise InvalidInput(f"aggregator must be {'/'.join(ELEVATION_AGGREGATORS)}, got {aggregator!r}")
 
     pts = cloud.points
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]

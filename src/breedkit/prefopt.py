@@ -726,8 +726,14 @@ def _encode_state(key) -> str:
     return ";".join(",".join(map(str, part)) for part in key)  # prompt;prefix
 
 
-def _decode_state(text: str) -> tuple:
-    return tuple(tuple(int(t) for t in part.split(",") if t) for part in text.partition(";")[::2])
+def _decode_state(text: str, vocab_size: int, context_length: int) -> tuple:
+    """The state ``text`` spells; ValueError unless ``_encode_state`` spells it so and it is a
+    state of a model of this vocabulary and context length."""
+    key = tuple(tuple(int(t) for t in part.split(",") if t) for part in text.partition(";")[::2])
+    if (_encode_state(key) != text or len(key[1]) >= context_length
+            or not all(0 <= t < vocab_size for part in key for t in part)):
+        raise ValueError(text)
+    return key
 
 
 def save_policy(policy: PolicyModel, path) -> None:
@@ -787,7 +793,7 @@ def load_policy(path) -> PolicyModel:
         raise ParseError(f"{path}: rows must be an object")
     for text, row in payload["rows"].items():
         try:
-            key = _decode_state(text)
+            key = _decode_state(text, policy.vocab_size, policy.context_length)
         except ValueError:
             raise ParseError(f"{path}: bad state {text!r}")
         policy._rows[key] = _model_row(path, f"row {text!r}", row, policy.vocab_size)

@@ -1017,6 +1017,11 @@ class TestConfigSchema:
          "kb.date", "missing required field"),
         ("kb", lambda out: kb_config(out, "screen"), ("kb", "action"), "browse",
          "kb.action", "expected 'screen' or 'price', got 'browse'"),
+        ("extract", extract_config, ("extract", "dem", "aggregator"), "median",
+         "extract.dem.aggregator", "expected one of min/max/mean, got 'median'"),
+        ("extract", extract_config, ("extract", "dsm"), {"raster": scene_path("ms_red.asc"),
+                                                         "aggregator": "median"},
+         "extract.dsm.aggregator", "expected one of min/max/mean, got 'median'"),
     ])
     def test_exits_2_naming_the_field_and_writes_nothing(
             self, subcommand, make_config, path, value, field, message, tmp_path, capsys):

@@ -322,13 +322,13 @@ class TestKfoldCv:
         assert sorted(result.dropped_columns) == [(), (), ("spike",)]
 
     def test_other_warnings_of_a_fold_fit_are_not_hidden(self, monkeypatch):
-        fit_ridge = fusion.fit_ridge
+        ridge = fusion._ridge
 
-        def warning_fit(train, lam):
+        def warning_fit(X, y, columns, lam):
             warnings.warn("some other trouble", RuntimeWarning)
-            return fit_ridge(train, lam=lam)
+            return ridge(X, y, columns, lam)
 
-        monkeypatch.setattr(fusion, "fit_ridge", warning_fit)
+        monkeypatch.setattr(fusion, "_ridge", warning_fit)
         m = planted_matrix(np.random.default_rng(19), n=6, noise=0.5)
         with pytest.warns(RuntimeWarning, match="some other trouble"):
             result = fusion.kfold_cv(m, k=3, lam=1.0, seed=0)
@@ -360,6 +360,69 @@ class TestKfoldCv:
         other = fusion.kfold_cv(m2, k=5, lam=1.0, seed=9)
         assert other.rows[4][3] == base.rows[4][3]  # own prediction unchanged
         assert any(other.rows[i][3] != base.rows[i][3] for i in range(15) if i != 4)
+
+
+def _kfold_cv_loop(m, k, lam, seed):
+    """``kfold_cv``'s fields, each fold fit by ``fit_ridge`` on a FeatureMatrix of its training rows."""
+    order = np.random.default_rng(seed).permutation(m.n_rows)
+    oof = np.empty(m.n_rows)
+    per_fold, dropped = [], []
+    for fold, test in enumerate(np.array_split(order, k)):
+        train = np.setdiff1d(order, test, assume_unique=True)
+        fold_matrix = fusion.FeatureMatrix(
+            X=m.X[train], y=m.y[train], columns=m.columns, domains=m.domains,
+            plot_ids=tuple(m.plot_ids[i] for i in train),
+            germplasm_ids=tuple(m.germplasm_ids[i] for i in train))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = fusion.fit_ridge(fold_matrix, lam=lam)
+        dropped.append(model.dropped_columns)
+        oof[test] = pred = model.predict(m.X[test][:, [m.columns.index(c) for c in model.columns]])
+        try:
+            r2, rmse = fusion.metrics(m.y[test], pred)
+        except UndefinedR2:
+            r2, rmse = None, float(np.sqrt(np.mean((m.y[test] - pred) ** 2)))
+        per_fold.append((fold, r2, rmse))
+    rows = tuple((m.plot_ids[i], m.germplasm_ids[i], float(m.y[i]), float(oof[i]),
+                  bool(oof[i] > fusion.YIELD_REFERENCE_KG_HA)) for i in range(m.n_rows))
+    return (tuple(per_fold), *fusion.metrics(m.y, oof), rows, tuple(dropped))
+
+
+def _hex(value):
+    """``value`` with every float spelled by ``float.hex``, so equal means equal bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_hex(v) for v in value)
+    return value
+
+
+def _spiked_matrix():
+    """Six rows whose column "spike" is constant over the training rows of one of 3 folds."""
+    m = planted_matrix(np.random.default_rng(18), n=6, weights=(1.0, 0.0), noise=0.5)
+    X = m.X.copy()
+    X[:, 1] = 0.0
+    X[2, 1] = 1.0
+    return fusion.FeatureMatrix(X=X, y=m.y, columns=("f0", "spike"), domains=m.domains,
+                                plot_ids=m.plot_ids, germplasm_ids=m.germplasm_ids)
+
+
+class TestKfoldCvMatchesFoldLoop:
+    @pytest.mark.parametrize("make, k, lam, seed", [
+        (lambda: planted_matrix(np.random.default_rng(20), n=40, noise=1.0), 5, 1.0, 4),
+        (_spiked_matrix, 3, 1.0, 0),  # a fold-local constant column
+        (_spiked_matrix, 3, 0.0, 0),
+        (lambda: planted_matrix(np.random.default_rng(21), n=23, noise=0.5), 4, 0.0, 7),
+        (lambda: planted_matrix(np.random.default_rng(22), n=9, noise=0.5), 9, 0.5, 1),  # leave-one-out
+    ])
+    def test_matches_bit_for_bit(self, make, k, lam, seed):
+        m = make()
+        result = fusion.kfold_cv(m, k=k, lam=lam, seed=seed)
+        got = (result.per_fold, result.pooled_r2, result.pooled_rmse, result.rows,
+               result.dropped_columns)
+        assert _hex(got) == _hex(_kfold_cv_loop(m, k, lam, seed))
+        if make is _spiked_matrix:
+            assert ("spike",) in result.dropped_columns
 
 
 class TestDomainAblation:

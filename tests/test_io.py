@@ -85,6 +85,9 @@ UNREFERENCED_PUBLIC_NAMES = {
     "geodata.write_raster": "the ASCII grid writer: tests round-trip load_raster through it, "
                             "and a binary raster reader is proved against the grids it writes",
     "geodata.write_point_cloud": "the point-cloud writer, kept for the same round trips",
+    "fusion.fit_ridge": "the one-matrix ridge fit with its zero-variance warning; kfold_cv fits "
+                        "its folds with the same private solve, and the fold-loop oracle in "
+                        "test_fusion.py fits each fold through fit_ridge",
 }
 
 

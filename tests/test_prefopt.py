@@ -778,6 +778,41 @@ class TestModelFileNumbers:
         assert back.logits_row((0, 1), ()).tolist() == [0.5, -1.0, 2.5, 0.001]
 
 
+class TestModelFileStates:
+    """A state key is spelled as ``save_policy`` spells it, and names a state the model can hold:
+    tokens in [0, vocab_size), a prefix shorter than context_length (4 and 2 here)."""
+
+    @pytest.mark.parametrize("state", [
+        "1_0;", "\uff11;", "01;", " 1;", "1,,2;", "1",  # not save_policy's spelling
+        "99;", "-1;", "1;4",  # a token outside the vocabulary
+        "1;0,1", "1;2,3,4,5,6",  # a prefix as long as the context, or longer
+    ])
+    def test_a_bad_state_is_a_parse_error_naming_file_and_state(self, state, tmp_path):
+        load, path, payload = _saved_models(tmp_path)["policy"]
+        payload["rows"][state] = [0.0] * 4
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: bad state {state!r}"
+
+    def test_two_spellings_of_one_state_do_not_collapse(self, tmp_path):
+        load, path, payload = _saved_models(tmp_path)["policy"]
+        payload["rows"].update({"1;": [1.0] * 4, "01;": [2.0] * 4})
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape("bad state '01;'")):
+            load(path)
+
+    def test_every_state_the_model_can_hold_loads(self, tmp_path):
+        load, path, payload = _saved_models(tmp_path)["policy"]
+        states = {";": (), "3;1": (1,), "0,1,2,3;3": (3,)}
+        payload["rows"].update({state: [0.5] * 4 for state in states})
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        back = load(path)
+        for state, prefix in states.items():
+            prompt = tuple(int(t) for t in state.partition(";")[0].split(",") if t)
+            assert back.logits_row(prompt, prefix).tolist() == [0.5] * 4
+
+
 # ---------------------------------------------------------------------------
 # Per-step reference: every answer read one prefix state at a time
 # ---------------------------------------------------------------------------
