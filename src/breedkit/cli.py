@@ -20,7 +20,7 @@ from operator import attrgetter
 
 from . import bench, fusion, geodata, kb, prefopt, spectral, structural
 from ._io import csv_rows, finite_number, write_csv, write_json
-from .errors import BreedkitError, GeometryMismatch, InvalidInput, MissingBand, ParseError
+from .errors import BreedkitError, GeometryMismatch, InvalidInput, InvalidMask, MissingBand, ParseError
 
 class ConfigError(Exception):
     """Configuration problem; carries the dotted field path."""
@@ -308,22 +308,23 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
         bands={name: (geodata.load_raster(band["path"]), band["wavelength_nm"])
                for name, band in zip(hs_names, cfg["hs_bands"])},
         sensor_kind="HS"))
-    veg_mask = geodata.load_raster(cfg["vegetation_mask"])
-
-    # Each index layer is built, read for every plot, and freed before the
-    # next is built. Then both band sets are freed, and only then do the
-    # lodging and weed masks and the clouds load, into the space the bands
-    # leave (loaded before the bands were freed, the two masks kept that
-    # space from being reused, and the peak resident set of some scenes
-    # read 2 MiB higher). A layer that cannot be built stops the loop; its
-    # error is raised once every input has loaded. Every cell feature is
-    # reduced for all plots at once, over one stack of every plot's cells
-    # per grid geometry; of the plots that fail, the first keeps the error
-    # of the first feature it fails, in the order one plot's features are
-    # computed, and it is raised where the plot loop reaches the plot. So
-    # input errors come first, then layer-build and mask errors. Both are
-    # kept without their tracebacks, whose frames would keep a layer or a
-    # band set alive.
+    try:
+        veg_mask, mask_error = geodata.binary_mask(geodata.load_raster(cfg["vegetation_mask"])), None
+    except InvalidMask as exc:
+        veg_mask, mask_error = None, exc.with_traceback(None)
+    # The vegetation mask is kept as its 1-cells (``binary_mask``). Each
+    # index layer is built, read for every plot, and freed before the next.
+    # Then the band sets are freed, and only then do the lodging and weed
+    # masks and the clouds load, into the space the bands leave (loaded
+    # earlier, the two masks kept it from reuse: +2 MiB peak resident set
+    # on some scenes). A layer that cannot be built stops the loop; its
+    # error, then a non-binary vegetation mask's, is raised once every input
+    # has loaded, and the other masks are checked after that. Cell features
+    # are reduced for all plots at once, over one stack of cells per grid
+    # geometry; the first failing plot keeps its first failing feature's
+    # error, raised where the plot loop reaches it. So input errors come
+    # first, then layer-build and mask errors, then plot errors, all kept
+    # without the tracebacks that would keep a layer or band set alive.
     restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
     stacks: dict = {}  # every plot's cells per grid geometry
 
@@ -366,11 +367,9 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
                                          noise_floor=params["noise_floor_m"])
     head_counts = structural.load_head_counts(cfg["head_counts"])
     measurements = _load_measurements(cfg["measurements"]) if cfg["measurements"] else {}
-    if layer_error is not None:
-        raise layer_error
-
-    for mask in (veg_mask, lodging_mask, weed_mask):
-        geodata.require_binary_mask(mask)
+    if layer_error or mask_error:
+        raise layer_error or mask_error
+    lodging_mask, weed_mask = geodata.binary_mask(lodging_mask), geodata.binary_mask(weed_mask)
 
     chm_cells = cells_on(chm)
     columns["CH"] = kept(*structural.plot_canopy_heights(chm, chm_cells, params["ch_percentile"]))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import array
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,7 @@ class RasterGrid:
     """A georeferenced 2-D grid of scalar values with a nodata sentinel.
 
     ``values`` has shape (n_rows, n_cols); row 0 is the top row (highest y).
+    A bool array (``binary_mask``) stays bool; any other becomes float64.
     """
 
     values: np.ndarray
@@ -56,7 +57,8 @@ class RasterGrid:
     nodata: float = DEFAULT_NODATA
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.asarray(self.values)
+        arr = arr if arr.dtype == bool else arr.astype(np.float64, copy=False)
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidInput("grid values must be a non-empty 2-D array")
         if not self.cell_size > 0:
@@ -107,13 +109,7 @@ class RasterGrid:
 
     def with_values(self, values: np.ndarray) -> "RasterGrid":
         """A new grid sharing this grid's georeferencing and nodata value."""
-        return RasterGrid(
-            values=values,
-            cell_size=self.cell_size,
-            origin_x=self.origin_x,
-            origin_y=self.origin_y,
-            nodata=self.nodata,
-        )
+        return replace(self, values=values)
 
 
 def require_same_geometry(*grids: RasterGrid) -> None:
@@ -660,8 +656,8 @@ class PlotCellStack:
     by region in order and each region's cells in row-major order, the
     order of a full-grid boolean mask; ``sizes[i]`` counts region i's cells,
     0 where it selects none. A read gathers a grid over every region at
-    once, and checks no mask cell: it takes a mask's non-nodata 1-cells, so
-    a caller validates each mask with ``require_binary_mask``. A stack of no
+    once; a mask is read as the boolean grid of its 1-cells that
+    ``binary_mask`` makes, which checked every cell once. A stack of no
     regions reads as empty. Each grouped reduction (``ratios``, and those of
     ``spectral`` and ``structural``) returns (values, counts, failure): each
     region's value, NaN where it has none, its count of the cells the value
@@ -687,31 +683,25 @@ class PlotCellStack:
                restrict_to: RasterGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(``grid``'s non-nodata values, region after region; each region's count of them).
 
-        ``restrict_to``: optional binary mask on the same geometry; when
-        given, only cells where it is 1 count (nodata counts as 0).
+        ``restrict_to``: optional ``binary_mask`` grid on the same geometry;
+        when given, only its True cells count.
         """
         values = self.gather(grid)
         usable = values != grid.nodata
         if restrict_to is not None:
-            usable &= self._ones(restrict_to)
+            usable &= self.gather(restrict_to)
         if usable.all():
             return values, self.sizes
         return values[usable], self._counts(usable)
 
     def ratios(self, mask: RasterGrid) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-        """Each region's cells where the binary ``mask`` is 1 over all its cells (NaN for none).
+        """Each region's True cells of the ``binary_mask`` grid ``mask`` over its cells, or NaN.
 
-        Nodata counts as 0; the counts are ``sizes``. This is the FVC, PL and
-        WL ratio of every plot.
+        The counts are ``sizes``. This is the FVC, PL and WL ratio of every plot.
         """
-        ratios = np.divide(self._counts(self._ones(mask)), self.sizes,
+        ratios = np.divide(self._counts(self.gather(mask)), self.sizes,
                            out=np.full(self.sizes.shape, np.nan), where=self.sizes > 0)
         return ratios, self.sizes, self.first_failure()
-
-    def _ones(self, mask: RasterGrid) -> np.ndarray:
-        """Whether each cell is 1 in the binary ``mask``: nodata counts as 0, a sentinel of 1 too."""
-        cells = self.gather(mask)
-        return cells == 1.0 if mask.nodata != 1.0 else np.zeros(cells.shape, dtype=bool)
 
     def _counts(self, where: np.ndarray) -> np.ndarray:
         """Each region's count of True cells in ``where``."""
@@ -735,17 +725,19 @@ class PlotCellStack:
         return None if error is None else (first, error(first))
 
 
-def require_binary_mask(mask: RasterGrid) -> None:
-    """Raise InvalidMask unless every cell of ``mask`` is 0, 1 or nodata.
+def binary_mask(mask: RasterGrid) -> RasterGrid:
+    """The 1-cells of ``mask`` as a read-only boolean grid of its geometry: the one mask check.
 
-    ``PlotCellStack`` reads and reductions check no cell, so a caller
-    validates each mask here once, whatever the number of plots it reduces
-    over it; a one-plot feature, once its region selects a cell.
+    InvalidMask, naming the first offending cell in row-major order, unless
+    every cell is 0, 1 or nodata. Nodata is False, also where the sentinel is 1.
     """
     values = mask.values
-    ok = (values == 0.0) | (values == 1.0) | (values == mask.nodata)
+    ones = values == 1.0
+    ok = ones | (values == 0.0) | (values == mask.nodata)
     if not ok.all():
         raise InvalidMask(f"mask holds non-binary value {values[~ok].flat[0]}")
+    ones &= mask.nodata != 1.0
+    return replace(mask, values=ones, nodata=DEFAULT_NODATA)
 
 
 def _index_window(lo: float, hi: float, n: int) -> slice:

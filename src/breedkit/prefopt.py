@@ -746,10 +746,18 @@ def save_policy(policy: PolicyModel, path) -> None:
 
 
 def _load_model_json(path, keys: tuple) -> dict:
-    """A model file's JSON object; ParseError naming the file unless every key is there."""
+    """A model file's JSON object; ParseError naming the file unless every key is there, once."""
+    def once(pairs: list) -> dict:
+        seen: set = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"{path}: repeated key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     try:
         with decoding(path), open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=once)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: bad JSON: {exc.msg}", line=exc.lineno)
     except ValueError as exc:  # an integer past Python's digit limit

@@ -20,8 +20,8 @@ once: ``plot_means`` over values laid out region after region, and
 ``PlotCellStack.ratios`` does. Plots with the same number of usable cells are
 reduced as one block (``rows_by_size``), bit for bit as one plot at a time.
 The per-plot functions ``plot_statistic`` and ``fvc`` are their one-region
-case: they take the value and ``n_cells`` of one plot's stack, check the
-whole mask with ``geodata.require_binary_mask``, and raise the failure.
+case: they check a mask and take its 1-cells with ``geodata.binary_mask``,
+take the value and ``n_cells`` of one plot's stack, and raise the failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import EmptyPlot, InvalidInput, MissingBand
 from .geodata import (
     MS_BAND_CENTERS_NM, BandSet, PlotCellStack, PlotGeometry, PlotWithRing, RasterGrid,
-    require_binary_mask, stack_cells,
+    binary_mask, stack_cells,
 )
 
 VI_NAMES = ("NDVI", "SAVI", "kNDVI", "NIRv", "PSRI")
@@ -228,9 +228,10 @@ def plot_statistic(
     cells = stack_cells(grid, [plot])
     failure = cells.first_failure()  # a plot with no cell fails before a mask of another geometry
     if failure is None:
-        (mean,), (n_cells,), failure = plot_statistics(grid, cells, restrict_to, feature_name)
         if restrict_to is not None:
-            require_binary_mask(restrict_to)
+            cells.gather(restrict_to)  # a mask of another geometry fails before a non-binary one
+            restrict_to = binary_mask(restrict_to)
+        (mean,), (n_cells,), failure = plot_statistics(grid, cells, restrict_to, feature_name)
     if failure is not None:
         raise failure[1]
     return PlotStatistic(plot_id=plot.plot_id, feature_name=feature_name, value=float(mean),
@@ -247,9 +248,9 @@ def plot_statistics(
 
     Its values are the means, NaN where a region has no usable cell; its
     counts are each region's usable cells; its failure is the first region
-    ``plot_statistic`` raises for, with its error. ``restrict_to`` on another
-    geometry raises GeometryMismatch. Mask cells are not checked (see
-    ``PlotCellStack``), and an overflowing mean is a failure, not a warning.
+    ``plot_statistic`` raises for, with its error. ``restrict_to`` is a
+    ``geodata.binary_mask`` grid; on another geometry it raises
+    GeometryMismatch. An overflowing mean is a failure, not a warning.
     """
     values, counts = cells.values(grid, restrict_to)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,9 +270,9 @@ def fvc(vegetation_mask: RasterGrid, plot: PlotGeometry | PlotWithRing) -> PlotS
     weed ratios.
     """
     cells = stack_cells(vegetation_mask, [plot])
-    (ratio,), (n_cells,), failure = cells.ratios(vegetation_mask)
+    failure = cells.first_failure()
     if failure is not None:
         raise failure[1]
-    require_binary_mask(vegetation_mask)
+    (ratio,), (n_cells,), _ = cells.ratios(binary_mask(vegetation_mask))
     return PlotStatistic(plot_id=plot.plot_id, feature_name="FVC", value=float(ratio),
                          n_cells=int(n_cells))

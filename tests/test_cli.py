@@ -163,6 +163,12 @@ def edit_extract_inputs(config, edits, tmp_path):
         lines[6] = "0.5" + lines[6][3:]  # the first cell of the top row is 0.0
         (tmp_path / "lodging_mask.asc").write_text("\n".join(lines) + "\n")
         config["extract"]["lodging_mask"] = str(tmp_path / "lodging_mask.asc")
+    if "non-binary vegetation mask" in edits:
+        lines = open(scene_path("vegetation_mask.asc")).read().splitlines()
+        lines[6] = "0.5" + lines[6][3:]  # the first cell of the top row is 0.0
+        (tmp_path / "vegetation_mask.asc").write_text("\n".join(lines) + "\n")
+        config["extract"]["vegetation_mask"] = str(tmp_path / "vegetation_mask.asc")
+        config["extract"].setdefault("params", {})["vi_restrict_to_vegetation"] = True
     if "non-numeric weed mask cell" in edits:
         lines = open(scene_path("weed_mask.asc")).read().splitlines()
         lines[6] = "abc" + lines[6][3:]  # the first cell of the top row
@@ -223,6 +229,13 @@ class TestExtractErrorContract:
         (("p2 has no vegetation", "no 680 nm band"), "MissingBand", "missing band: 680.0"),
         (("p2 has no vegetation", "non-binary lodging mask"), "InvalidMask",
          "mask holds non-binary value 0.5"),
+        # a non-binary vegetation mask is checked where it loads, before the
+        # index layers read it, but fails after the input and layer errors
+        (("non-binary vegetation mask",), "InvalidMask", "mask holds non-binary value 0.5"),
+        (("non-binary vegetation mask", "kndvi_sigma is 0"), "InvalidInput",
+         "kndvi_sigma must be > 0"),
+        (("non-binary vegetation mask", "non-numeric weed mask cell"), "ParseError",
+         "line 7: non-numeric cell: 'abc'"),
     ])
     def test_plot_errors_keep_their_order(self, edits, error, message, tmp_path, capsys):
         # every plot is selected before the first plot's features; the errors
@@ -457,7 +470,7 @@ def per_plot_extract(cfg: dict, out_dir: str) -> dict:
     if layer_error is not None:
         raise layer_error
     for mask in (veg_mask, lodging_mask, weed_mask):
-        geodata.require_binary_mask(mask)
+        geodata.binary_mask(mask)
 
     records, rings = [], None
     for i, plot in enumerate(plots):
@@ -557,6 +570,9 @@ class TestExtractAgainstPerPlotLoop:
         ("vegetation mask moved",),
         ("vegetation mask moved", "non-binary lodging mask"),
         ("p1 has no head counts", "vegetation mask moved"),
+        ("non-binary vegetation mask",),
+        ("non-binary vegetation mask", "kndvi_sigma is 0"),
+        ("non-binary vegetation mask", "non-numeric weed mask cell"),
     ])
     def test_plot_error_edits(self, edits, tmp_path, capsys, monkeypatch):
         config = extract_config(tmp_path / "out")
@@ -667,6 +683,46 @@ class TestExtractMemory:
         assert (rc, alive[0]) == (0, False)
         got = open(summary["outputs"]["features"], "rb").read()
         assert got == open(scene_path("golden/features.csv"), "rb").read()
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_each_masks_float_grid_is_freed_once_it_is_converted(self, restrict, tmp_path, capsys,
+                                                                monkeypatch):
+        # a mask is kept as its boolean 1-cells: the vegetation mask's float
+        # grid is gone before the first index layer, every one before a ratio
+        config = extract_config(tmp_path / "out")
+        config["extract"]["params"] = {"vi_restrict_to_vegetation": restrict}
+        names = {config["extract"][name]: name
+                 for name in ("vegetation_mask", "lodging_mask", "weed_mask")}
+        floats, at_layers, at_ratios = {}, [], []
+        load_raster, vi_map, ratios = geodata.load_raster, spectral.vi_map, geodata.PlotCellStack.ratios
+
+        def tracked(path):
+            grid = load_raster(path)
+            if path in names:
+                floats[names[path]] = weakref.ref(grid)
+            return grid
+
+        def alive():
+            return sorted(name for name, ref in floats.items() if ref() is not None)
+
+        def layer(*args, **kwargs):
+            at_layers.append(alive())
+            return vi_map(*args, **kwargs)
+
+        def ratio(cells, mask):
+            at_ratios.append(alive())
+            return ratios(cells, mask)
+
+        monkeypatch.setattr(geodata, "load_raster", tracked)
+        monkeypatch.setattr(cli.spectral, "vi_map", layer)
+        monkeypatch.setattr(geodata.PlotCellStack, "ratios", ratio)
+        rc, summary = run_cli(["extract", "--config", write_config(config, tmp_path / "cfg.json")],
+                              capsys)
+        assert (rc, sorted(floats)) == (0, sorted(names.values()))
+        assert (at_layers, at_ratios) == ([[]] * 9, [[]] * 3)
+        if not restrict:
+            got = open(summary["outputs"]["features"], "rb").read()
+            assert got == open(scene_path("golden/features.csv"), "rb").read()
 
     def test_traced_peak_of_the_cloud_phase_has_no_band_term(self, tmp_path):
         n, points_per_cell = 120, 2

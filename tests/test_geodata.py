@@ -886,7 +886,7 @@ class TestOneRegionStack:
         mask = np.zeros((4, 8))
         mask[1, 1:3] = 1.0
         mask[2, 1:3] = -9999.0, 1.0
-        mask = grid.with_values(mask)
+        mask = geodata.binary_mask(grid.with_values(mask))
         values, counts = cells.values(layer, restrict_to=mask)
         assert (values.tolist(), counts.tolist()) == ([9.0, 18.0], [2])
         assert cells.values(grid, restrict_to=mask)[0].tolist() == [9.0, 10.0, 18.0]
@@ -896,14 +896,10 @@ class TestOneRegionStack:
         cells = geodata.stack_cells(grid, [square_plot(1.0, 1.0, 3.0, 3.0)])
         values = np.ones((4, 8))
         values[1, 1:3] = 0.0, -9999.0  # nodata counts as 0
-        mask = grid.with_values(values.copy())
-        assert cells.ratios(mask)[0].tolist() == [0.5]
-        geodata.require_binary_mask(mask)
-        values[0, 7] = 2.0  # far from the plot: reads check no mask cell, the whole-mask check does
-        bad = grid.with_values(values)
-        assert cells.ratios(bad)[0].tolist() == [0.5]
+        assert cells.ratios(geodata.binary_mask(grid.with_values(values.copy())))[0].tolist() == [0.5]
+        values[0, 7] = 2.0  # far from the plot: the mask is checked over every cell
         with pytest.raises(InvalidMask, match="^mask holds non-binary value 2.0$"):
-            geodata.require_binary_mask(bad)
+            geodata.binary_mask(grid.with_values(values))
 
 
 def shifted(region, offset, plot_id):
@@ -1058,6 +1054,42 @@ class TestGridInvariants:
             path = f"{tmp}/g.asc"
             geodata.write_raster(grid, path)
             assert np.array_equal(geodata.load_raster(path).values, grid.values)
+
+
+class TestBinaryMask:
+    def test_the_ones_as_a_read_only_bool_grid_of_the_masks_geometry(self):
+        mask = make_grid([[1.0, 0.0, -9999.0], [-0.0, 1.0, 1.0]], cell_size=0.25,
+                         origin=(500123.37, 4100456.11))
+        ones = geodata.binary_mask(mask)
+        assert ones.values.dtype == bool and not ones.values.flags.writeable
+        assert ones.values.tolist() == [[True, False, False], [False, True, True]]
+        assert ones.geometry == mask.geometry
+        assert ones.defined.all()  # no boolean equals the default sentinel
+
+    @pytest.mark.parametrize("nodata, want", [
+        (1.0, [False, False, False, False]),  # a sentinel of 1 is nodata, not a 1-cell
+        (0.0, [True, False, True, False]),
+        (-1.0, [True, False, True, False]),
+    ])
+    def test_nodata_is_false_whatever_the_sentinel(self, nodata, want):
+        mask = make_grid([[1.0, 0.0, 1.0, 0.0]], nodata=nodata)
+        assert geodata.binary_mask(mask).values.tolist() == [want]
+
+    @pytest.mark.parametrize("values, bad", [
+        ([[0.0, 1.0], [2.0, 0.5]], "2.0"),
+        ([[0.0, 0.5], [2.0, 1.0]], "0.5"),
+        ([[1.0, 1.0], [1.0, -1.0]], "-1.0"),
+    ])
+    def test_the_first_offending_cell_in_row_major_order_is_named(self, values, bad):
+        with pytest.raises(InvalidMask, match=f"^mask holds non-binary value {bad}$"):
+            geodata.binary_mask(make_grid(values))
+
+    def test_a_grid_keeps_a_bool_array_and_makes_any_other_float64(self):
+        ones = geodata.RasterGrid(np.array([[True, False]]), 1.0, 0.0, 0.0)
+        assert ones.values.dtype == bool
+        assert geodata.binary_mask(ones).values.tolist() == [[True, False]]
+        for values in ([[1, 0]], np.array([[1, 0]], dtype=np.uint8), [[1.0, 0.0]]):
+            assert geodata.RasterGrid(values, 1.0, 0.0, 0.0).values.dtype == np.float64
 
 
 class TestLoadPlots:

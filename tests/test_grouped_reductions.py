@@ -111,7 +111,8 @@ def check_every_reduction(layer, mask, plots, restrict, percentile):
     usable = defined if restrict is None else full_grid_counts(
         layer, plots, (layer.values != NODATA) & (restrict.values == 1.0))
 
-    means, counts, failure = spectral.plot_statistics(layer, cells, restrict, "X")
+    means, counts, failure = spectral.plot_statistics(
+        layer, cells, None if restrict is None else geodata.binary_mask(restrict), "X")
     per_plot = [outcome(lambda: spectral.plot_statistic(layer, p, restrict, "X")) for p in plots]
     assert_grouped_equals_per_plot(means, failure, values_of(per_plot))
     assert_counts(counts, per_plot, usable)
@@ -138,7 +139,7 @@ def check_every_reduction(layer, mask, plots, restrict, percentile):
             assert np.array(got).tobytes() == np.array(want).tobytes(), (i, got, want)
 
     mask_cells = geodata.stack_cells(mask, plots)
-    ratios, counts, failure = mask_cells.ratios(mask)
+    ratios, counts, failure = mask_cells.ratios(geodata.binary_mask(mask))
     per_plot = [outcome(lambda: spectral.fvc(mask, p)) for p in plots]
     assert_grouped_equals_per_plot(ratios, failure, values_of(per_plot))
     assert_grouped_equals_per_plot(ratios, failure, [
@@ -146,7 +147,7 @@ def check_every_reduction(layer, mask, plots, restrict, percentile):
     assert_counts(counts, per_plot, full_grid_counts(mask, plots))
     rings = [geodata.PlotWithRing(p, 0.5, 1.5) for p in plots]
     ring_cells = geodata.stack_cells(mask, rings)
-    ratios, counts, failure = ring_cells.ratios(mask)
+    ratios, counts, failure = ring_cells.ratios(geodata.binary_mask(mask))
     assert_grouped_equals_per_plot(ratios, failure, [
         outcome(lambda: structural.classify_weed(mask, r).ratio) for r in rings])
     assert_counts(counts, [outcome(lambda: spectral.fvc(mask, r)) for r in rings],
@@ -286,19 +287,19 @@ class TestStackCells:
         cx, cy = grid.cell_centers()
         members = [contains(p, cx, cy) for p in plots]
         for restrict in (None, mask):
-            got, counts = stack.values(grid, restrict)
+            got, counts = stack.values(grid, restrict and geodata.binary_mask(restrict))
             usable = grid.values != NODATA
             if restrict is not None:
                 usable &= restrict.values == 1.0
             one = [grid.values[member & usable] for member in members]
             assert got.tobytes() == np.concatenate(one).tobytes()
             assert counts.tolist() == [v.size for v in one]
-        assert stack.ratios(mask)[0].tolist() == [
+        assert stack.ratios(geodata.binary_mask(mask))[0].tolist() == [
             int((mask.values[member] == 1.0).sum()) / int(member.sum()) for member in members]
 
     def test_a_stack_of_no_regions_reads_as_empty(self):
         grid = make_grid(np.arange(16.0).reshape(4, 4))
-        mask = grid.with_values(np.ones((4, 4)))
+        mask = geodata.binary_mask(grid.with_values(np.ones((4, 4))))
         cells = geodata.stack_cells(grid, [])
         assert (cells.plot_ids, cells.flat.size, cells.sizes.size) == ((), 0, 0)
         assert cells.gather(grid).size == 0

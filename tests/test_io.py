@@ -80,7 +80,8 @@ def test_no_module_uses_a_private_name_of_another_module():
 
 REPO_DIR = os.path.join(os.path.dirname(__file__), "..")
 
-# public names that no code outside the tests refers to, each with why it stays
+# public names, methods included, that no code outside the tests refers to,
+# each with why it stays
 UNREFERENCED_PUBLIC_NAMES = {
     "geodata.write_raster": "the ASCII grid writer: tests round-trip load_raster through it, "
                             "and a binary raster reader is proved against the grids it writes",
@@ -88,6 +89,12 @@ UNREFERENCED_PUBLIC_NAMES = {
     "fusion.fit_ridge": "the one-matrix ridge fit with its zero-variance warning; kfold_cv fits "
                         "its folds with the same private solve, and the fold-loop oracle in "
                         "test_fusion.py fits each fold through fit_ridge",
+    "geodata.RasterGrid.cell_centers": "every cell center of a window: the membership oracles of "
+                                       "the tests test each center with it",
+    "prefopt.PolicyModel.set_logits": "the README's model-file contract: it rejects a row with "
+                                      "a NaN or infinite logit, as load_policy does",
+    "prefopt.PolicyModel.apply_gradient": "the README's model-file contract: a step past the "
+                                          "float range raises NumericalError and stores no row",
 }
 
 
@@ -111,9 +118,13 @@ def test_every_public_function_and_class_is_referenced_outside_the_tests():
         if name.endswith(".py"):
             with open(os.path.join(SRC_DIR, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
-            unreferenced += [f"{name[:-3]}.{node.name}" for node in tree.body
-                             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                             and not node.name.startswith("_") and node.name not in referenced]
+            public = [(f"{name[:-3]}.{node.name}", node) for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and not node.name.startswith("_")]
+            public += [(f"{owner}.{node.name}", node) for owner, cls in public
+                       if isinstance(cls, ast.ClassDef) for node in cls.body
+                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+            unreferenced += [path for path, node in public if node.name not in referenced]
     # the allowlist names exactly the unreferenced ones, so it cannot go stale
     assert sorted(unreferenced) == sorted(UNREFERENCED_PUBLIC_NAMES)
 

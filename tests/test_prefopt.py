@@ -778,6 +778,27 @@ class TestModelFileNumbers:
         assert back.logits_row((0, 1), ()).tolist() == [0.5, -1.0, 2.5, 0.001]
 
 
+class TestModelFileKeys:
+    """A model file names each key of each of its objects once."""
+
+    @pytest.mark.parametrize("model, repeated, key", [
+        ("policy", lambda text: text.replace('"rows": {', '"rows": {"0,1;": [5, 5, 5, 5], ', 1),
+         "0,1;"),
+        ("policy", lambda text: '{"seed": 4, ' + text[1:], "seed"),
+        ("reward", lambda text: '{"vocab_size": 4, ' + text[1:], "vocab_size"),
+    ], ids=["policy_row", "policy_seed", "reward_vocab_size"])
+    def test_a_repeated_key_is_a_parse_error_naming_file_and_key(self, model, repeated, key,
+                                                                 tmp_path):
+        load, path, payload = _saved_models(tmp_path)[model]
+        text = json.dumps(payload)
+        path.write_text(text, encoding="utf-8")
+        load(path)
+        path.write_text(repeated(text), encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: repeated key {key!r}"
+
+
 class TestModelFileStates:
     """A state key is spelled as ``save_policy`` spells it, and names a state the model can hold:
     tokens in [0, vocab_size), a prefix shorter than context_length (4 and 2 here)."""

@@ -279,7 +279,7 @@ class TestPlotStatistic:
             with pytest.raises(InvalidMask, match="^mask holds non-binary value 0.5$"):
                 one_plot()
         with pytest.raises(InvalidMask, match="^mask holds non-binary value 0.5$"):
-            geodata.require_binary_mask(mask)
+            geodata.binary_mask(mask)
 
     def test_errors_keep_their_order(self):
         # no cells, then a mask of another geometry, then a non-binary mask,
@@ -332,8 +332,9 @@ class TestFvc:
                      geodata.load_raster(path)):
             stat = spectral.fvc(mask, plot)
             assert (stat.value, stat.n_cells) == (0.0, 4)
-            assert [a.tolist() for a in cells.ratios(mask)[:2]] == [[0.0], [4]]
-            assert [a.tolist() for a in cells.values(layer, restrict_to=mask)] == [[], [0]]
+            ones = geodata.binary_mask(mask)
+            assert [a.tolist() for a in cells.ratios(ones)[:2]] == [[0.0], [4]]
+            assert [a.tolist() for a in cells.values(layer, restrict_to=ones)] == [[], [0]]
             with pytest.raises(EmptyPlot, match="^plot p: no usable cells for value$"):
                 spectral.plot_statistic(layer, plot, restrict_to=mask)
         # with another sentinel the same cells are 1-cells
