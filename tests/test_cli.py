@@ -189,6 +189,20 @@ def edit_extract_inputs(config, edits, tmp_path):
         rows = open(scene_path("measurements.csv")).read().splitlines()
         (tmp_path / "measurements.csv").write_text("\n".join(rows + ["p1,,9.9,,,,"]) + "\n")
         config["extract"]["measurements"] = str(tmp_path / "measurements.csv")
+    # the flight gives every plot's camera footprint: 0 at 1e-170 m, a few
+    # subnormal square metres (so 50 heads an image overflow) at 1e-160 m
+    for edit, altitude in (("flight altitude is 0", 0.0), ("camera footprint underflows", 1e-170),
+                           ("WH density overflows", 1e-160)):
+        if edit in edits:
+            config["extract"]["flight"]["altitude_m"] = altitude
+    if "p2 yield overflows" in edits:
+        rows = [r.split(",") for r in open(scene_path("measurements.csv")).read().splitlines()]
+        mass, area = rows[0].index("raw_mass_kg"), rows[0].index("plot_area_ha")
+        for r in rows:
+            if r[0] == "p2":
+                r[mass], r[area] = "1e300", "1e-10"
+        (tmp_path / "measurements.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+        config["extract"]["measurements"] = str(tmp_path / "measurements.csv")
 
 
 class TestExtractErrorContract:
@@ -236,6 +250,18 @@ class TestExtractErrorContract:
          "kndvi_sigma must be > 0"),
         (("non-binary vegetation mask", "non-numeric weed mask cell"), "ParseError",
          "line 7: non-numeric cell: 'abc'"),
+        # then each plot's head count, the flight (which fails the first plot),
+        # its yield and its non-finite features
+        (("flight altitude is 0",), "InvalidInput", "altitude must be > 0, got 0.0"),
+        (("camera footprint underflows",), "InvalidInput", "ground_area must be > 0"),
+        (("WH density overflows",), "InvalidInput", "plot p1: feature WH_density is not finite"),
+        (("p2 yield overflows",), "InvalidInput", "plot p2: yield is not finite"),
+        (("p1 has no head counts", "flight altitude is 0"), "BreedkitError",
+         "no head counts for plot p1"),
+        (("p2 off the grid", "flight altitude is 0"), "InvalidInput",
+         "altitude must be > 0, got 0.0"),
+        (("p2 yield overflows", "WH density overflows"), "InvalidInput",
+         "plot p1: feature WH_density is not finite"),
     ])
     def test_plot_errors_keep_their_order(self, edits, error, message, tmp_path, capsys):
         # every plot is selected before the first plot's features; the errors
@@ -573,6 +599,13 @@ class TestExtractAgainstPerPlotLoop:
         ("non-binary vegetation mask",),
         ("non-binary vegetation mask", "kndvi_sigma is 0"),
         ("non-binary vegetation mask", "non-numeric weed mask cell"),
+        ("flight altitude is 0",),
+        ("camera footprint underflows",),
+        ("WH density overflows",),
+        ("p2 yield overflows",),
+        ("p1 has no head counts", "flight altitude is 0"),
+        ("p2 off the grid", "flight altitude is 0"),
+        ("p2 yield overflows", "WH density overflows"),
     ])
     def test_plot_error_edits(self, edits, tmp_path, capsys, monkeypatch):
         config = extract_config(tmp_path / "out")
