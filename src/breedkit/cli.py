@@ -16,7 +16,10 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, repeat
 from operator import attrgetter
+
+import numpy as np
 
 from . import bench, fusion, geodata, kb, prefopt, spectral, structural
 from ._io import csv_rows, finite_number, write_csv, write_json
@@ -298,7 +301,6 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
             raise ConfigError(f"extract.hs_bands[{i}].wavelength_nm",
                               f"band name {name} is taken by hs_bands[{hs_names.index(name)}]")
     params = cfg["params"]
-    flight = cfg["flight"]
 
     plots = geodata.load_plots(cfg["plots"])
     ms = geodata.BandSet(bands={name: (geodata.load_raster(cfg["ms_bands"][name]), nm)
@@ -313,18 +315,17 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
     except InvalidMask as exc:
         veg_mask, mask_error = None, exc.with_traceback(None)
     # The vegetation mask is kept as its 1-cells (``binary_mask``). Each
-    # index layer is built, read for every plot, and freed before the next.
-    # Then the band sets are freed, and only then do the lodging and weed
+    # index layer is built, read for every plot, and freed before the next;
+    # then the band sets are freed, and only then do the lodging and weed
     # masks and the clouds load, into the space the bands leave (loaded
-    # earlier, the two masks kept it from reuse: +2 MiB peak resident set
-    # on some scenes). A layer that cannot be built stops the loop; its
-    # error, then a non-binary vegetation mask's, is raised once every input
-    # has loaded, and the other masks are checked after that. Cell features
-    # are reduced for all plots at once, over one stack of cells per grid
-    # geometry; the first failing plot keeps its first failing feature's
-    # error, raised where the plot loop reaches it. So input errors come
-    # first, then layer-build and mask errors, then plot errors, all kept
-    # without the tracebacks that would keep a layer or band set alive.
+    # first, the two masks cost +2 MiB peak resident set on some scenes). A
+    # layer that cannot be built stops the loop; its error, then a non-binary
+    # vegetation mask's, is raised once every input has loaded, and the other
+    # masks are checked after that. Then every feature and plot check is a
+    # column over all plots, and ``kept`` holds the first failing plot's
+    # first failing check. So input errors come first, then layer-build and
+    # mask errors, then plot errors, all kept without the tracebacks that
+    # would keep a layer or band set alive.
     restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
     stacks: dict = {}  # every plot's cells per grid geometry
 
@@ -384,37 +385,39 @@ def _cmd_extract(cfg: dict, out_dir: str) -> dict:
     else:
         columns["WL_ratio"] = kept(*geodata.stack_cells(weed_mask, rings).ratios(weed_mask))
 
-    values = {column: plot_values.tolist() for column, plot_values in columns.items()}
-    records = []
-    for i, plot in enumerate(plots):
-        if i == first_failed:
-            raise error
-        if plot.plot_id not in head_counts:
-            raise BreedkitError(f"no head counts for plot {plot.plot_id}")
-        features = {column: plot_values[i] for column, plot_values in values.items()}
-        features["WH_density"] = structural.wheat_head_density(
-            head_counts[plot.plot_id], flight["altitude_m"], flight["fov_h_deg"], flight["fov_v_deg"]
-        ).density
+    # WH_density: each plot's mean head count over the one camera footprint
+    counts = [head_counts.get(plot.plot_id, ()) for plot in plots]
+    n_counts = np.fromiter(map(len, counts), np.intp, len(plots))
+    heads = spectral.plot_means(np.fromiter(chain.from_iterable(counts), np.float64), n_counts)
+    try:
+        area, flight_error = structural.camera_footprint(
+            *(cfg["flight"][key] for key in ("altitude_m", "fov_h_deg", "fov_v_deg"))), None
+    except InvalidInput as exc:
+        area, flight_error = np.nan, exc
+    with np.errstate(over="ignore"):
+        columns["WH_density"] = heads / area
+    extra = [measurements.get(plot.plot_id, {}) for plot in plots]
+    measured = {key: [e.get(key) for e in extra] for key in (*fusion.PHENOTYPING_FEATURES, "yield_kg_ha")}
+    # then PlotFeatureRecord's checks: a measured value is finite where it
+    # parses, a yield can only overflow, and a plot with no CHM cell failed CH
+    kept(None, None, chm_cells.first_failure(
+        (n_counts == 0, lambda i: BreedkitError(f"no head counts for plot {plots[i].plot_id}")),
+        (flight_error is not None, lambda i: flight_error),
+        (np.isinf(np.array(measured["yield_kg_ha"], np.float64)),  # None reads as NaN
+         lambda i: InvalidInput(f"plot {plots[i].plot_id}: yield is not finite")),
+        *((~np.isfinite(values), lambda i, name=name: InvalidInput(
+            f"plot {plots[i].plot_id}: feature {name} is not finite"))
+          for name, values in columns.items())))
+    if error is not None:
+        raise error
 
-        extra = measurements.get(plot.plot_id, {})
-        for key in fusion.PHENOTYPING_FEATURES:
-            if key in extra:
-                features[key] = extra[key]
-        records.append(
-            fusion.PlotFeatureRecord(
-                plot_id=plot.plot_id,
-                germplasm_id=plot.germplasm_id,
-                date=cfg["date"],
-                site=cfg["site"],
-                features=features,
-                yield_kg_ha=extra.get("yield_kg_ha"),
-            )
-        )
-
+    table = {**{name: values.tolist() for name, values in columns.items()}, **measured}
     features_path = os.path.join(out_dir, "features.csv")
-    fusion.write_feature_records(records, features_path)
-    _log(f"extract: wrote {len(records)} plot rows")
-    return {"features": features_path, "n_plots": len(records)}
+    write_csv(features_path, fusion.FEATURE_CSV_COLUMNS,
+              zip([p.plot_id for p in plots], [p.germplasm_id for p in plots], repeat(cfg["date"]),
+                  repeat(cfg["site"]), *map(table.get, fusion.FEATURE_CSV_COLUMNS[4:])))
+    _log(f"extract: wrote {len(plots)} plot rows")
+    return {"features": features_path, "n_plots": len(plots)}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kb, spectral
 from ._io import (Columns, TextCodes, codes, csv_rows, iso_date, number, numbers, raise_first,
-                  read_table, write_csv)
+                  read_table)
 from .errors import (
     EmptyDataset,
     InvalidInput,
@@ -527,25 +527,8 @@ def kfold_cv(
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-FEATURE_CSV_COLUMNS = (
-    ("plot_id", "germplasm_id", "date", "site")
-    + RS_FEATURES
-    + PHENOTYPING_FEATURES
-    + ("yield_kg_ha",)
-)
-
-
-def write_feature_records(records, path) -> None:
-    """Write PlotFeatureRecord rows with a fixed column order."""
-    write_csv(path, FEATURE_CSV_COLUMNS, (_feature_row(rec) for rec in records))
-
-
-def _feature_row(rec: PlotFeatureRecord) -> list:
-    values = [rec.features.get(name) for name in RS_FEATURES + PHENOTYPING_FEATURES]
-    values.append(rec.yield_kg_ha)
-    return [rec.plot_id, rec.germplasm_id, rec.date, rec.site] + [
-        None if value is None else float(value) for value in values
-    ]
+FEATURE_CSV_COLUMNS = ("plot_id", "germplasm_id", "date", "site",
+                       *RS_FEATURES, *PHENOTYPING_FEATURES, "yield_kg_ha")
 
 
 def _feature_block(lines, cells, strings: TextCodes) -> dict:

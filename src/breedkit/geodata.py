@@ -662,7 +662,8 @@ class PlotCellStack:
     ``spectral`` and ``structural``) returns (values, counts, failure): each
     region's value, NaN where it has none, its count of the cells the value
     reduces, and ``first_failure``. A grid of another geometry raises
-    GeometryMismatch, from a reduction as from a read.
+    GeometryMismatch, from a reduction as from a read; then a mask that is
+    not a ``binary_mask`` grid raises InvalidMask.
     """
 
     plot_ids: tuple
@@ -689,7 +690,7 @@ class PlotCellStack:
         values = self.gather(grid)
         usable = values != grid.nodata
         if restrict_to is not None:
-            usable &= self.gather(restrict_to)
+            usable &= self._ones(restrict_to)
         if usable.all():
             return values, self.sizes
         return values[usable], self._counts(usable)
@@ -699,9 +700,15 @@ class PlotCellStack:
 
         The counts are ``sizes``. This is the FVC, PL and WL ratio of every plot.
         """
-        ratios = np.divide(self._counts(self.gather(mask)), self.sizes,
+        ratios = np.divide(self._counts(self._ones(mask)), self.sizes,
                            out=np.full(self.sizes.shape, np.nan), where=self.sizes > 0)
         return ratios, self.sizes, self.first_failure()
+
+    def _ones(self, mask: RasterGrid) -> np.ndarray:
+        """``gather`` of a ``binary_mask`` grid; after its geometry check, InvalidMask for any other grid."""
+        if (ones := self.gather(mask)).dtype != bool:
+            raise InvalidMask(f"a mask of {ones.dtype} cells is not a geodata.binary_mask grid")
+        return ones
 
     def _counts(self, where: np.ndarray) -> np.ndarray:
         """Each region's count of True cells in ``where``."""
@@ -730,8 +737,11 @@ def binary_mask(mask: RasterGrid) -> RasterGrid:
 
     InvalidMask, naming the first offending cell in row-major order, unless
     every cell is 0, 1 or nodata. Nodata is False, also where the sentinel is 1.
+    A boolean grid whose sentinel is not 1 holds its 1-cells already: it is returned as it is.
     """
     values = mask.values
+    if values.dtype == bool and mask.nodata != 1.0:
+        return mask
     ones = values == 1.0
     ok = ones | (values == 0.0) | (values == mask.nodata)
     if not ok.all():

@@ -250,7 +250,8 @@ def plot_statistics(
     counts are each region's usable cells; its failure is the first region
     ``plot_statistic`` raises for, with its error. ``restrict_to`` is a
     ``geodata.binary_mask`` grid; on another geometry it raises
-    GeometryMismatch. An overflowing mean is a failure, not a warning.
+    GeometryMismatch, and any other grid InvalidMask. An overflowing mean is
+    a failure, not a warning.
     """
     values, counts = cells.values(grid, restrict_to)
     with np.errstate(over="ignore", invalid="ignore"):

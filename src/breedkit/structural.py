@@ -252,22 +252,12 @@ def classify_weed(weed_mask: RasterGrid, region: PlotWithRing) -> CategoricalLev
     return CategoricalLevel(kind="WL", ratio=fvc(weed_mask, region).value)
 
 
-def wheat_head_density(
-    head_counts,
-    altitude: float,
-    fov_h: float,
-    fov_v: float,
-) -> WheatHeadDensity:
-    """Heads per square meter from per-image counts and the camera footprint.
+def camera_footprint(altitude: float, fov_h: float, fov_v: float) -> float:
+    """Ground area in square meters of one image: the footprint of a nadir camera over flat ground.
 
-    The footprint assumes a nadir camera over flat ground:
-    width = 2 * altitude * tan(fov/2) per axis, FOV in degrees.
+    width = 2 * altitude * tan(fov/2) per axis, FOV in degrees. InvalidInput
+    for a bad flight, or for an area that underflows to 0.
     """
-    counts = list(head_counts)
-    if not counts:
-        raise InvalidInput("head_counts must be non-empty")
-    if any(c < 0 for c in counts):
-        raise InvalidInput("head counts must be >= 0")
     if not altitude > 0:
         raise InvalidInput(f"altitude must be > 0, got {altitude}")
     for fov in (fov_h, fov_v):
@@ -276,8 +266,20 @@ def wheat_head_density(
     width = 2.0 * altitude * math.tan(math.radians(fov_h) / 2.0)
     height = 2.0 * altitude * math.tan(math.radians(fov_v) / 2.0)
     area = width * height
-    mean_heads = float(np.mean(np.asarray(counts, dtype=np.float64)))
-    return WheatHeadDensity(heads_per_image=mean_heads, ground_area=area)
+    if not area > 0:
+        raise InvalidInput("ground_area must be > 0")
+    return area
+
+
+def wheat_head_density(head_counts, altitude: float, fov_h: float, fov_v: float) -> WheatHeadDensity:
+    """Heads per square meter from per-image counts and the ``camera_footprint``."""
+    counts = list(head_counts)
+    if not counts:
+        raise InvalidInput("head_counts must be non-empty")
+    if any(c < 0 for c in counts):
+        raise InvalidInput("head counts must be >= 0")
+    return WheatHeadDensity(ground_area=camera_footprint(altitude, fov_h, fov_v),
+                            heads_per_image=float(np.mean(np.asarray(counts, dtype=np.float64))))
 
 
 def load_head_counts(path) -> dict:

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from breedkit import bench, cli, fusion, geodata, kb, prefopt, spectral, structural
-from breedkit.errors import BreedkitError
+from breedkit._io import write_csv
+from breedkit.errors import BreedkitError, InvalidMask
 
 from conftest import (
     bench_config,
@@ -189,8 +190,8 @@ def edit_extract_inputs(config, edits, tmp_path):
         rows = open(scene_path("measurements.csv")).read().splitlines()
         (tmp_path / "measurements.csv").write_text("\n".join(rows + ["p1,,9.9,,,,"]) + "\n")
         config["extract"]["measurements"] = str(tmp_path / "measurements.csv")
-    # the flight gives every plot's camera footprint: 0 at 1e-170 m, a few
-    # subnormal square metres (so 50 heads an image overflow) at 1e-160 m
+    # the flight gives every plot's camera footprint: it underflows to 0 at
+    # 1e-170 m, and at 1e-160 m it is subnormal, so 50 heads an image overflow
     for edit, altitude in (("flight altitude is 0", 0.0), ("camera footprint underflows", 1e-170),
                            ("WH density overflows", 1e-160)):
         if edit in edits:
@@ -463,7 +464,10 @@ def per_plot_extract(cfg: dict, out_dir: str) -> dict:
                for name, band in zip(hs_names, cfg["hs_bands"])},
         sensor_kind="HS"))
     veg_mask = geodata.load_raster(cfg["vegetation_mask"])
-    restrict = veg_mask if params["vi_restrict_to_vegetation"] else None
+    try:  # each mask is converted once; plot_statistic fails each plot on a non-binary one
+        restrict = geodata.binary_mask(veg_mask) if params["vi_restrict_to_vegetation"] else None
+    except InvalidMask:
+        restrict = veg_mask
 
     index_values = [{} for _ in plots]
     first_failed, error, layer_error = len(plots), None, None
@@ -495,8 +499,7 @@ def per_plot_extract(cfg: dict, out_dir: str) -> dict:
     measurements = cli._load_measurements(cfg["measurements"]) if cfg["measurements"] else {}
     if layer_error is not None:
         raise layer_error
-    for mask in (veg_mask, lodging_mask, weed_mask):
-        geodata.binary_mask(mask)
+    veg_mask, lodging_mask, weed_mask = map(geodata.binary_mask, (veg_mask, lodging_mask, weed_mask))
 
     records, rings = [], None
     for i, plot in enumerate(plots):
@@ -523,7 +526,9 @@ def per_plot_extract(cfg: dict, out_dir: str) -> dict:
             plot_id=plot.plot_id, germplasm_id=plot.germplasm_id, date=cfg["date"],
             site=cfg["site"], features=features, yield_kg_ha=extra.get("yield_kg_ha")))
     features_path = os.path.join(out_dir, "features.csv")
-    fusion.write_feature_records(records, features_path)
+    write_csv(features_path, fusion.FEATURE_CSV_COLUMNS,
+              ([r.plot_id, r.germplasm_id, r.date, r.site,
+                *map(r.features.get, fusion.FEATURE_CSV_COLUMNS[4:-1]), r.yield_kg_ha] for r in records))
     return {"features": features_path, "n_plots": len(records)}
 
 
@@ -624,7 +629,7 @@ class TestExtractMemory:
     @pytest.mark.parametrize("p2_has_no_vegetation", [False, True])
     def test_one_index_layer_is_alive_at_a_time(self, p2_has_no_vegetation, tmp_path, capsys,
                                                 monkeypatch):
-        # p2's error is kept until the plot loop reaches it; it must not keep its layer alive
+        # p2's error is kept until every plot check is made; it must not keep its layer alive
         layers = []
 
         def tracked(build):
@@ -1718,8 +1723,9 @@ class TestBadBenchInput:
 
 
 class TestTablePathsBuildNoRowRecord:
-    """``bench``, ``kb price`` and ``fuse`` read their tables as columns: the only
-    per-row records they build are the price query's hits."""
+    """``bench``, ``kb price`` and ``fuse`` read their tables as columns, and ``extract``
+    writes its table from columns: the only per-row records they build are the price
+    query's hits."""
 
     def test_only_price_hits_become_records(self, tmp_path, capsys, monkeypatch):
         built: dict = {}
@@ -1728,7 +1734,8 @@ class TestTablePathsBuildNoRowRecord:
                 built[name] = built.get(name, 0) + 1
                 check(self)
             monkeypatch.setattr(record, "__post_init__", counting)
-        configs = {"bench": bench_config(tmp_path / "bench"),
+        configs = {"extract": extract_config(tmp_path / "extract"),
+                   "bench": bench_config(tmp_path / "bench"),
                    "kb": kb_config(tmp_path / "kb", "price"),
                    "fuse": _fuse_on_golden(tmp_path / "fuse")}
         for name, config in configs.items():

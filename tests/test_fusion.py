@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from breedkit import fusion, kb
+from breedkit._io import write_csv
 from breedkit.errors import (
     EmptyDataset,
     InvalidInput,
@@ -452,7 +453,9 @@ class TestFeatureCsvRoundTrip:
         recs = [record("p1", NDVI_MS=0.5123456789, CH=0.8, SPAD=40.0),
                 record("p2", NDVI_MS=0.6, yield_kg_ha=None)]
         path = tmp_path / "features.csv"
-        fusion.write_feature_records(recs, path)
+        write_csv(path, fusion.FEATURE_CSV_COLUMNS,
+                  ([r.plot_id, r.germplasm_id, r.date, r.site,
+                    *map(r.features.get, fusion.FEATURE_CSV_COLUMNS[4:-1]), r.yield_kg_ha] for r in recs))
         back = fusion.load_feature_records(path)
         assert back[0].features["NDVI_MS"] == 0.5123456789
         assert back[0].yield_kg_ha == 5000.0

@@ -878,6 +878,16 @@ class TestOneRegionStack:
             with pytest.raises(GeometryMismatch, match="^cells of region p7 were selected on grid"):
                 read(other)
 
+    def test_a_mask_of_the_geometry_must_be_a_binary_mask_grid(self):
+        grid = make_grid(np.arange(16.0).reshape(4, 4))
+        cells = geodata.stack_cells(grid, [square_plot(1.0, 1.0, 3.0, 3.0, plot_id="p7")])
+        for read in (cells.ratios, lambda m: cells.values(grid, restrict_to=m)):
+            with pytest.raises(GeometryMismatch):  # the geometry is checked first
+                read(make_grid(np.ones((4, 4)), origin=(0.5, 0.0)))
+            with pytest.raises(InvalidMask, match="^a mask of float64 cells is not a "
+                                                  "geodata.binary_mask grid$"):
+                read(grid.with_values(np.ones((4, 4))))
+
     def test_values_skip_nodata_and_cells_outside_the_mask(self):
         grid = make_grid(np.arange(32.0).reshape(4, 8))
         cells = geodata.stack_cells(grid, [square_plot(1.0, 1.0, 3.0, 3.0)])  # 9, 10, 17, 18
@@ -1083,6 +1093,16 @@ class TestBinaryMask:
     def test_the_first_offending_cell_in_row_major_order_is_named(self, values, bad):
         with pytest.raises(InvalidMask, match=f"^mask holds non-binary value {bad}$"):
             geodata.binary_mask(make_grid(values))
+
+    @pytest.mark.parametrize("nodata", [-9999.0, 0.0, 1.0])
+    def test_a_bool_grid_is_returned_as_it_is_unless_its_sentinel_is_1(self, nodata):
+        values = np.array([[True, False, True, False]])
+        ones = geodata.RasterGrid(values, 1.0, 0.0, 0.0, nodata=nodata)
+        converted = geodata.binary_mask(make_grid(values.astype(np.float64), nodata=nodata))
+        got = geodata.binary_mask(ones)
+        assert (got is ones) == (nodata != 1.0)
+        assert got.values.dtype == bool and np.array_equal(got.values, converted.values)
+        assert got.geometry == converted.geometry
 
     def test_a_grid_keeps_a_bool_array_and_makes_any_other_float64(self):
         ones = geodata.RasterGrid(np.array([[True, False]]), 1.0, 0.0, 0.0)

@@ -247,6 +247,15 @@ class TestPlotStatistic:
         with pytest.raises(GeometryMismatch):
             spectral.plot_statistic(grid, square_plot(0.0, 0.0, 2.0, 1.0), restrict_to=veg)
 
+    def test_plot_statistics_restrict_to_a_binary_mask_grid_only(self):
+        grid = make_grid(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        cells = geodata.stack_cells(grid, [square_plot(0.0, 0.0, 2.0, 2.0)])
+        with pytest.raises(GeometryMismatch):  # the geometry is checked first
+            spectral.plot_statistics(grid, cells, make_grid(np.ones((2, 2)), origin=(5.0, 5.0)))
+        with pytest.raises(InvalidMask, match="^a mask of float64 cells is not a "
+                                              "geodata.binary_mask grid$"):
+            spectral.plot_statistics(grid, cells, make_grid(np.ones((2, 2))))
+
     def test_matches_brute_force_selection(self):
         rng = np.random.default_rng(9)
         grid = make_grid(rng.normal(size=(10, 10)), cell_size=0.6)

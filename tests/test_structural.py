@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from breedkit import geodata, structural
+from breedkit import geodata, spectral, structural
 from breedkit.errors import EmptyPlot, GeometryMismatch, InvalidInput, InvalidMask, ParseError
 
 from test_geodata import make_grid, square_plot
@@ -225,6 +225,30 @@ class TestWeed:
             structural.classify_weed(make_grid(values, cell_size=0.5), region)
 
 
+class TestMaskConvertedOnce:
+    def test_a_converted_mask_is_passed_on_without_another_conversion(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        values = (rng.random((8, 8)) < 0.5).astype(np.float64)
+        values[3, 3] = -9999.0
+        mask = make_grid(values, cell_size=0.5)
+        layer = make_grid(rng.normal(size=(8, 8)), cell_size=0.5)
+        plot = square_plot(1.0, 1.0, 3.0, 3.0)
+        features = (lambda m: spectral.fvc(m, plot),
+                    lambda m: spectral.plot_statistic(layer, plot, restrict_to=m),
+                    lambda m: structural.classify_lodging(m, plot),
+                    lambda m: structural.classify_weed(m, geodata.PlotWithRing(plot, 0.0, 0.5)))
+        want = [feature(mask) for feature in features]
+        ones, as_is = geodata.binary_mask(mask), []
+
+        def recorded(grid):
+            as_is.append(geodata.binary_mask(grid) is grid)
+            return grid
+
+        monkeypatch.setattr(spectral, "binary_mask", recorded)
+        assert [feature(ones) for feature in features] == want
+        assert as_is == [True] * len(features)
+
+
 class TestWheatHeadDensity:
     def test_constructed_unit_footprint(self):
         fov = math.degrees(2 * math.atan(1 / 6))
@@ -251,6 +275,25 @@ class TestWheatHeadDensity:
     def test_empty_counts_rejected(self):
         with pytest.raises(InvalidInput):
             structural.wheat_head_density([], altitude=3.0, fov_h=60.0, fov_v=45.0)
+
+    @pytest.mark.parametrize("altitude, fov_h, fov_v, message", [
+        (0.0, 60.0, 45.0, "altitude must be > 0, got 0.0"),
+        (3.0, 60.0, 180.0, "field of view must be in (0, 180) degrees, got 180.0"),
+        (1e-170, 60.0, 45.0, "ground_area must be > 0"),  # the area underflows to 0
+    ])
+    def test_the_footprint_checks_the_flight_and_its_area(self, altitude, fov_h, fov_v, message):
+        for footprint in (lambda: structural.camera_footprint(altitude, fov_h, fov_v),
+                          lambda: structural.wheat_head_density([10], altitude, fov_h, fov_v)):
+            with pytest.raises(InvalidInput) as info:
+                footprint()
+            assert str(info.value) == message
+
+    def test_the_density_reads_the_footprint(self):
+        area = structural.camera_footprint(3.0, 62.2, 48.8)
+        width = 2.0 * 3.0 * math.tan(math.radians(62.2) / 2.0)
+        height = 2.0 * 3.0 * math.tan(math.radians(48.8) / 2.0)
+        assert area == width * height
+        assert structural.wheat_head_density([52, 48], 3.0, 62.2, 48.8).ground_area == area
 
 
 class TestHeadCountCsv:
