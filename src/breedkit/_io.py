@@ -337,3 +337,15 @@ def write_json(path, payload) -> None:
     with replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_json_rows(path, payload, name, rows) -> None:
+    """``write_json(path, {**payload, name: {key: [repr(v) for v in row] for key, row in rows}})``'s
+    bytes, for keys of digits, ',' and ';' and non-empty rows of finite floats: as no character of
+    the table needs escaping, it is spelled here, not by json's pure-Python indenting encoder."""
+    fields = {key: json.dumps(value) for key, value in payload.items()}
+    table = ",\n    ".join(f'"{key}": [\n      "' + '",\n      "'.join(map(repr, row)) + '"\n    ]'
+                           for key, row in sorted(rows))
+    fields[name] = "{\n    " + table + "\n  }" if table else "{}"
+    with replacing(path) as fh:
+        fh.write("{\n  " + ",\n  ".join(f"{json.dumps(k)}: {fields[k]}" for k in sorted(fields)) + "\n}\n")

@@ -36,7 +36,7 @@ from operator import add, sub
 
 import numpy as np
 
-from ._io import decoding, finite_number, write_json
+from ._io import decoding, finite_number, write_json, write_json_rows
 from .errors import EmptyInput, InvalidInput, InvalidRanking, InvalidToken, NumericalError, ParseError
 
 # mean_kl is exact while the prefix states sum_{t<T} V**t (one softmax row per
@@ -188,19 +188,20 @@ class PolicyModel:
         return x, y
 
     def _read_answers(self, answers) -> tuple:
-        """(log pi(y_t | x, y[:t]) per step of each checked (x, y), log softmax stack, ``at``,
-        states, ids): the stack has one row per distinct state (x, y[:t]), first met first
-        (``states`` maps each to its position), read (or made, for a frozen model) once per
-        call, and ``at`` is each step's row in it, answer after answer."""
+        """(log pi(y|x) of each checked (x, y), its steps added in order from 0.0; log softmax
+        stack, ``at``, states, ids): the stack has one row per distinct state (x, y[:t]), first
+        met first (``states`` maps each to its position), read (or made, for a frozen model)
+        once per call, and ``at`` is each step's row in it, answer after answer."""
         states: dict = {}
         at = np.array([states.setdefault((x, y[:t]), len(states))
                        for x, y in answers for t in range(len(y))], dtype=np.intp)
         rows, ids = self._read(list(states))
         log_probs = _log_softmax(rows)
-        picked = log_probs[at, [t for _, y in answers for t in y]].tolist()
-        ends = np.cumsum([len(y) for _, y in answers])
-        return ([picked[end - len(y):end] for end, (_, y) in zip(ends, answers)],
-                log_probs, at, states, ids)
+        lengths = np.array([len(y) for _, y in answers], dtype=np.intp)
+        steps = np.zeros((len(answers), lengths.max()))  # a sum from +0.0 adds 0.0 exactly
+        steps[np.arange(steps.shape[1]) < lengths[:, None]] = log_probs[at, [t for _, y in answers
+                                                                             for t in y]]
+        return reduce(add, steps.T, np.zeros(len(answers))), log_probs, at, states, ids
 
     # -- mutation -----------------------------------------------------
 
@@ -307,31 +308,28 @@ class PolicyModel:
             levels[depth][2][i] = new
         if failure is not None:
             raise NumericalError(f"non-finite logit row at state {failure[2]}")
-        return list(map(tuple, tokens.tolist())), logps.tolist(), levels
+        return list(map(tuple, tokens.tolist())), logps, levels
 
 
-def _step_grads(steps: np.ndarray, tokens, scales, probs) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct states of ``steps``, sorted, and one stacked gradient row each.
-
-    ``steps`` labels each step's state (a position or a row id), and
-    ``tokens``, ``scales`` and ``probs`` give its y_t, its scale and
-    pi(. | x, y[:t]), in batch order. A state's row is the sum of
-    scale * (onehot(y_t) - pi(. | x, y[:t])) over its steps, taken in batch
-    order as ``g -= scale * probs[t]; g[y_t] += scale`` takes them:
-    ``np.add.at`` applies its indices in order, and g - a is g + (-a).
-    """
+def _step_grads(steps: np.ndarray, tokens, vocab: int) -> tuple:
+    """(the distinct states that ``steps`` labels, sorted; ``grads``, whose index is made once):
+    ``grads(scales, probs)`` sums scale * (onehot(y_t) - pi(. | x, y[:t])) over each state's steps,
+    in batch order as ``g -= scale * probs[t]; g[y_t] += scale`` takes them: ``np.add.at`` applies
+    its indices in order, and g - a is g + (-a)."""
     states, at = np.unique(steps, return_inverse=True)
-    vocab = probs.shape[1]
     starts = at * vocab
-    index = np.column_stack([starts[:, None] + np.arange(vocab), starts + tokens])
-    grads = np.zeros(len(states) * vocab)
-    np.add.at(grads, index.ravel(), np.column_stack([-(scales[:, None] * probs), scales]).ravel())
-    return states, grads.reshape(len(states), vocab)
+    index = np.column_stack([starts[:, None] + np.arange(vocab), starts + tokens]).ravel()
+
+    def grads(scales, probs) -> np.ndarray:
+        rows = np.zeros(len(states) * vocab)
+        np.add.at(rows, index, np.column_stack([-(scales[:, None] * probs), scales]).ravel())
+        return rows.reshape(len(states), vocab)
+    return states, grads
 
 
 def answer_log_prob(policy: PolicyModel, x, y) -> float:
     """log pi(y|x) = sum over steps of log pi(y_t | x, y_{1:t-1})."""
-    return reduce(add, policy._read_answers([policy._check(x, y)])[0][0], 0.0)
+    return float(policy._read_answers([policy._check(x, y)])[0][0])
 
 
 def _sft_steps(policy: PolicyModel, dataset):
@@ -342,9 +340,10 @@ def _sft_steps(policy: PolicyModel, dataset):
         raise EmptyInput("SFT dataset is empty")
     _, log_probs, at, states, ids = policy._read_answers(pairs)
     tokens = np.array([t for _, y in pairs for t in y], dtype=np.intp)
+    step_grads, scales = _step_grads(at, tokens, policy.vocab_size)[1], np.full(len(at), -1.0)
     while True:
         loss = reduce(sub, log_probs[at, tokens].tolist(), 0.0)
-        grads = _step_grads(at, tokens, np.full(len(at), -1.0), np.exp(log_probs)[at])[1]
+        grads = step_grads(scales, np.exp(log_probs)[at])
         yield loss / len(pairs), grads / len(pairs), states, ids
         log_probs = _log_softmax(policy._rows.logits[ids])
 
@@ -390,32 +389,46 @@ class RewardModel:
         if self.weights.shape != (n,):
             raise InvalidInput(f"weights must have shape ({n},)")
 
+    def _check(self, x, y) -> tuple:  # (prompt, answer) as token tuples inside the vocabulary
+        return _as_tokens(x, self.vocab_size, "prompt"), _as_tokens(y, self.vocab_size, "answer")
+
     def features(self, x, y) -> np.ndarray:
-        x = _as_tokens(x, self.vocab_size, "prompt")
-        y = _as_tokens(y, self.vocab_size, "answer")
-        vocab = self.vocab_size
-        return np.bincount([*x, *(vocab + t for t in y), 2 * vocab], minlength=2 * vocab + 1) * 1.0
+        return _count_features(self.vocab_size, *_flat_tokens([self._check(x, y)]))[0]
 
     def score(self, x, y) -> float:
         return float(self.weights @ self.features(x, y))
 
 
+def _flat_tokens(answers) -> tuple[np.ndarray, np.ndarray]:
+    """(each (x, y)'s (len(x), len(y)), every token of x + y, answer after answer) as arrays."""
+    lengths = np.array([(len(x), len(y)) for x, y in answers], dtype=np.intp)
+    return lengths, np.fromiter(itertools.chain.from_iterable(x + y for x, y in answers), np.intp)
+
+
+def _count_features(vocab: int, lengths: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """[prompt token counts | answer token counts | 1] of each answer of ``_flat_tokens``, as
+    floats, every count of the batch made by one ``np.bincount``."""
+    starts = np.arange(len(lengths)) * (width := 2 * vocab + 1)
+    cells = tokens + np.repeat((starts[:, None] + [0, vocab]).ravel(), lengths.ravel())
+    counts = np.bincount(np.concatenate([cells, starts + 2 * vocab]), minlength=starts.size * width)
+    return counts.reshape(-1, width) * 1.0
+
+
 def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    ez = np.exp(z)
-    return ez / (1.0 + ez)
+    ez = np.exp(-abs(z))  # exp(-z) for z >= 0, exp(z) below: it never overflows
+    return 1.0 / (1.0 + ez) if z >= 0 else ez / (1.0 + ez)
 
 
-def _feature_gaps(rm: RewardModel, dataset) -> list:
+def _feature_gaps(rm: RewardModel, dataset) -> np.ndarray:
+    """features(preferred) - features(rejected) of each example, one row each."""
     examples = list(dataset)
     if not examples:
         raise EmptyInput("preference dataset is empty")
-    return [rm.features(ex.prompt, ex.preferred) - rm.features(ex.prompt, ex.rejected)
-            for ex in examples]
+    sides = zip(*[(rm._check(ex.prompt, ex.preferred), rm._check(ex.prompt, ex.rejected)) for ex in examples])
+    return np.subtract(*(_count_features(rm.vocab_size, *_flat_tokens(side)) for side in sides))
 
 
-def _rm_loss_and_grad(weights: np.ndarray, gaps: list) -> tuple[float, np.ndarray]:
+def _rm_loss_and_grad(weights: np.ndarray, gaps) -> tuple[float, np.ndarray]:
     loss = 0.0
     grad = np.zeros_like(weights)
     for delta_phi in gaps:
@@ -461,21 +474,25 @@ def combined_reward(rm: RewardModel, policy: PolicyModel, reference: PolicyModel
         raise InvalidInput("beta must be >= 0")
     if not reference.frozen:
         raise InvalidInput("reference model must be frozen")
+    x, y = policy._check(x, y) if beta != 0.0 else rm._check(x, y)  # token tuples
     logp = answer_log_prob(policy, x, y) if beta != 0.0 else 0.0
-    return _combined_rewards(rm, reference, [(x, y)], [logp], beta)[0]
+    return float(_combined_rewards(rm, reference, [(x, y)], [logp], beta)[0])
 
 
-def _combined_rewards(rm: RewardModel, reference: PolicyModel, answers, logps, beta) -> list:
-    """combined_reward of each (x, y) in ``answers`` given its log pi(y|x)."""
-    checked, scores = [], []
-    for x, y in answers:
-        if beta != 0.0:
-            checked.append(reference._check(x, y))
-        scores.append(rm.score(x, y))
+def _combined_rewards(rm: RewardModel, reference: PolicyModel, answers, logps, beta) -> np.ndarray:
+    """combined_reward of each (x, y) of ``answers``, token tuples, given its log pi(y|x). The
+    batch is checked as arrays, and only a bad one answer by answer, for its error. Each score is
+    ``score``'s ``weights @ row``: a matrix-vector product may add a row in another order."""
+    lengths, tokens = _flat_tokens(answers)
+    vocab = min(rm.vocab_size, reference.vocab_size) if beta != 0.0 else rm.vocab_size
+    if (tokens.max(initial=0) >= vocab
+            or beta != 0.0 and lengths[:, 1].max() > reference.context_length):
+        for x, y in answers:  # as the reference reads it (unless beta is 0), then as rm scores it
+            rm._check(*(reference._check(x, y) if beta != 0.0 else (x, y)))
+    scores = np.array([float(rm.weights @ row) for row in _count_features(rm.vocab_size, lengths, tokens)])
     if beta == 0.0:
         return scores  # no penalty: score - 0.0 is score
-    return [score - beta * (logp - reduce(add, steps, 0.0))
-            for score, logp, steps in zip(scores, logps, reference._read_answers(checked)[0])]
+    return scores - beta * (np.asarray(logps) - reference._read_answers(answers)[0])
 
 
 def _exact_kl(policy: PolicyModel, reference: PolicyModel, prompts: list) -> dict:
@@ -539,9 +556,7 @@ def mean_kl(policy: PolicyModel, reference: PolicyModel, prompts,
         kls = []
         for x in prompts:
             ys, logps = policy._sample([x] * _KL_SAMPLES, rng)[:2]
-            ref_steps = reference._read_answers([(x, y) for y in ys])[0]
-            kls.append(float(np.mean([logp - reduce(add, steps, 0.0)
-                                      for logp, steps in zip(logps, ref_steps)])))
+            kls.append(float(np.mean(logps - reference._read_answers([(x, y) for y in ys])[0])))
     return reduce(add, kls, 0.0) / len(prompts)
 
 
@@ -601,22 +616,16 @@ def rlhf_step(policy: PolicyModel, reference: PolicyModel, rm: RewardModel, prom
         if epoch:  # re-read the updated policy's rows of the answers' states, as one stack
             states, at = np.unique(steps.ravel(), return_inverse=True)
             log_probs = _log_softmax(policy._rows.logits[states])
-            picked = log_probs[at, tokens.ravel()].reshape(tokens.shape)
-            logps = reduce(add, picked.T, 0.0).tolist()  # each answer's steps in order
+            logps = reduce(add, log_probs[at, tokens.ravel()].reshape(tokens.shape).T, 0.0)  # in order
             step_probs = np.exp(log_probs)[at].reshape(step_probs.shape)
-        scales, kept = [], []
-        for i, (logp, old_logp, advantage) in enumerate(zip(logps, old_logps, rewards)):
-            ratio = float(np.exp(logp - old_logp))
-            if not (clip_lo <= ratio <= clip_hi):
-                clipped += 1
-                if min(max(ratio, clip_lo), clip_hi) * advantage <= ratio * advantage:
-                    continue  # clipped branch is the min: zero gradient
-            # d surrogate / d logits = A * ratio * d log pi / d logits
-            scales.append(advantage * ratio / len(answers))
-            kept.append(i)
-        states, grads = _step_grads(steps[kept].ravel(), tokens[kept].ravel(),
-                                    np.repeat(scales, tokens.shape[1]),
-                                    step_probs[kept].reshape(-1, policy.vocab_size))
+        ratios = np.exp(logps - old_logps)
+        outside = ~((clip_lo <= ratios) & (ratios <= clip_hi))
+        clipped += int(np.count_nonzero(outside))  # below: a clipped min has zero gradient
+        kept = ~(outside & (np.minimum(np.maximum(ratios, clip_lo), clip_hi) * rewards <= ratios * rewards))
+        states, step_grads = _step_grads(steps[kept].ravel(), tokens[kept].ravel(), policy.vocab_size)
+        # d surrogate / d logits = A * ratio * d log pi / d logits
+        grads = step_grads(np.repeat((rewards * ratios / len(answers))[kept], tokens.shape[1]),
+                           step_probs[kept].reshape(-1, policy.vocab_size))
         if not np.isfinite(grads).all():
             raise NumericalError("non-finite policy gradient", iteration=iteration)
         policy._ascend(states, grads, config.learning_rate, iteration)
@@ -737,12 +746,10 @@ def _decode_state(text: str, vocab_size: int, context_length: int) -> tuple:
 
 
 def save_policy(policy: PolicyModel, path) -> None:
-    rows = policy._rows.logits[:len(policy._rows)].tolist()
-    write_json(path, {
+    write_json_rows(path, {
         "vocab_size": policy.vocab_size, "context_length": policy.context_length,
         "init_scale": policy.init_scale, "seed": policy.seed, "role": policy.role,
-        "rows": dict(zip(map(_encode_state, policy._rows), ([repr(v) for v in r] for r in rows))),
-    })
+    }, "rows", zip(map(_encode_state, policy._rows), policy._rows.logits[:len(policy._rows)].tolist()))
 
 
 def _load_model_json(path, keys: tuple) -> dict:

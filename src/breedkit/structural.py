@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import csv_rows, integer
+from ._io import csv_rows, finite_number, integer
 from .errors import EmptyInput, EmptyPlot, InvalidInput, ParseError
 from .geodata import (
     PlotCellStack, PlotGeometry, PlotWithRing, RasterGrid, require_same_geometry, stack_cells,
@@ -303,6 +303,7 @@ def load_head_counts(path) -> dict:
             raise ParseError(f"non-integer count {count!r}", line=i)
         if value < 0:
             raise ParseError("count must be >= 0", line=i)
+        finite_number(count, "count", i)  # extract averages the counts as float64
         counts.setdefault(plot_id, []).append(value)
     if not counts:
         raise EmptyInput(f"no head-count rows in {path}")

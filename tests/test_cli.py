@@ -344,6 +344,9 @@ class TestExtractErrorContract:
     @pytest.mark.parametrize("row, message", [
         ("p1,img0,52", "plot p1: duplicate image_id img0"),
         (" ,img9,3", "empty plot_id"),
+        # extract averages the counts as float64, and 400 nines have none
+        pytest.param(f"p1,img9,{'9' * 400}", f"non-finite count: '{'9' * 400}'",
+                     id="count-past-the-float-range"),
     ])
     def test_bad_head_count_row_is_a_parse_error(self, row, message, tmp_path, capsys):
         rows = open(scene_path("head_counts.csv")).read().splitlines()

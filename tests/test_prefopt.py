@@ -20,6 +20,7 @@ from breedkit.errors import (
     NumericalError,
     ParseError,
 )
+from conftest import scene_path
 
 
 def reward_for_token(vocab_size, token, weight=1.0):
@@ -288,6 +289,42 @@ class TestCombinedReward:
         rm = prefopt.RewardModel(3)
         with pytest.raises(InvalidInput):
             prefopt.combined_reward(rm, policy, not_frozen, (0,), (0,), beta=0.1)
+
+
+def _features_loop(vocab, x, y):
+    """RewardModel.features as one bincount per answer: the rule the batch must keep."""
+    return np.bincount([*x, *(vocab + t for t in y), 2 * vocab], minlength=2 * vocab + 1) * 1.0
+
+
+class TestBatchedScoresMatchScore:
+    """A batch's reward scores are RewardModel.score per answer, bit for bit."""
+
+    def test_scores_and_gaps(self):
+        rng = np.random.default_rng(23)
+        stacked_differs = 0
+        for trial in range(60):
+            vocab = int(rng.integers(2, 12)) if trial % 2 else 8  # 8: the (64, 17) stacks
+            weights = 10.0 ** rng.uniform(-5, 5, 2 * vocab + 1) * rng.choice([-1.0, 1.0], 2 * vocab + 1)
+            rm = prefopt.RewardModel(vocab, weights=weights)
+            answers = [(tuple(rng.integers(0, vocab, int(rng.integers(0, 4))).tolist()),
+                        tuple(rng.integers(0, vocab, int(rng.integers(0, 5))).tolist()))
+                       for _ in range(64)]
+            reference = prefopt.PolicyModel(vocab, 4, role="reference")
+            got = prefopt._combined_rewards(rm, reference, answers, None, 0.0)
+            features = np.array([_features_loop(vocab, x, y) for x, y in answers])
+            want = [float(weights @ row) for row in features]
+            assert [float(v).hex() for v in got] == [v.hex() for v in want]
+            assert [rm.score(x, y).hex() for x, y in answers] == [v.hex() for v in want]
+            for (x, y), row in zip(answers, features):
+                assert np.array_equal(rm.features(x, y), row)
+            stacked_differs += any(a != b for a, b in zip((features @ weights).tolist(), want))
+            examples = [_example(x, y, answers[-1 - i][1]) for i, (x, y) in enumerate(answers)]
+            gaps = prefopt._feature_gaps(rm, examples)
+            assert np.array_equal(gaps, [_features_loop(vocab, ex.prompt, ex.preferred)
+                                         - _features_loop(vocab, ex.prompt, ex.rejected)
+                                         for ex in examples])
+        # the matrix-vector product adds a row in another order, so it is not the score
+        assert stacked_differs > 0
 
 
 class TestPairwiseExpand:
@@ -717,6 +754,42 @@ class TestDatasetsAndPersistence:
         prefopt.save_reward_model(rm, path)
         back = prefopt.load_reward_model(path)
         assert np.array_equal(back.weights, rm.weights)
+
+
+class TestPolicyWriter:
+    """save_policy writes the bytes of json.dump(indent=2, sort_keys=True) and a newline."""
+
+    @staticmethod
+    def _json_text(policy):
+        rows = policy._rows.logits[:len(policy._rows)].tolist()
+        payload = {"vocab_size": policy.vocab_size, "context_length": policy.context_length,
+                   "init_scale": policy.init_scale, "seed": policy.seed, "role": policy.role,
+                   "rows": {prefopt._encode_state(key): [repr(v) for v in row]
+                            for key, row in zip(policy._rows, rows)}}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_random_policies(self, tmp_path):
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            vocab, length = int(rng.integers(2, 71)), int(rng.integers(1, 4))
+            policy = prefopt.PolicyModel(vocab, length, init_scale=(0.0, 1e-300, 3.0)[trial % 3],
+                                         seed=int(rng.integers(0, 2 ** 31)),
+                                         role=("policy", "reference")[trial % 2])
+            keys = list(dict.fromkeys(
+                (tuple(rng.integers(0, vocab, int(rng.integers(0, 3))).tolist()),
+                 tuple(rng.integers(0, vocab, int(rng.integers(0, length))).tolist()))
+                for _ in range(int(rng.integers(0, 12)) if trial % 5 else 0)))
+            logits = 10.0 ** rng.uniform(-300, 300, (len(keys), vocab)) * rng.choice([-1, 1], (len(keys), vocab))
+            logits[rng.random(logits.shape) < 0.1] = -0.0
+            policy._rows.add(keys, logits)
+            prefopt.save_policy(policy, tmp_path / "policy.json")
+            assert (tmp_path / "policy.json").read_text(encoding="utf-8") == self._json_text(policy)
+
+    @pytest.mark.parametrize("name", ["policy.json", "reference.json"])
+    def test_golden_files(self, name, tmp_path):
+        golden = scene_path(f"golden/prefopt/{name}")
+        prefopt.save_policy(prefopt.load_policy(golden), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == open(golden, "rb").read()
 
 
 def _first_row(payload):

@@ -314,6 +314,18 @@ class TestHeadCountCsv:
         with pytest.raises(ParseError, match=message):
             structural.load_head_counts(path)
 
+    def test_rejects_a_count_past_the_float_range(self, tmp_path):
+        # the largest int whose float64 is finite rounds down to the largest float;
+        # one more rounds up to 2**1024
+        largest = 2 ** 1024 - 2 ** 970 - 1
+        assert float(largest) == np.finfo(np.float64).max
+        path = tmp_path / "heads.csv"
+        path.write_text(f"plot_id,image_id,count\np1,i1,{largest}\np1,i2,{largest + 1}\n")
+        with pytest.raises(ParseError, match=f"^line 3: non-finite count: '{largest + 1}'$"):
+            structural.load_head_counts(path)
+        path.write_text(f"plot_id,image_id,count\np1,i1,{largest}\n")
+        assert structural.load_head_counts(path) == {"p1": [largest]}
+
     def test_rejects_non_integer(self, tmp_path):
         path = tmp_path / "heads.csv"
         path.write_text("plot_id,image_id,count\np1,i1,4.5\n")
